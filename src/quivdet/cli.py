@@ -86,7 +86,6 @@ def cmd_det(args) -> int:
     session = load_session(q, field, _read(args.data))
     f = session.morphism(args.morphism)
     registry = knit(q, field, args.cap)
-    engine = DeterminerEngine(registry)
     override = None
     if args.override:
         override = []
@@ -96,11 +95,11 @@ def cmd_det(args) -> int:
     if args.left:
         if override is not None:
             raise SemanticError("--override is only supported for right determiners")
-        report = minimal_left_determiner(f, verify=args.verify, cap=args.cap,
-                                         morphism_name=args.morphism)
+        report = minimal_left_determiner(f, registry=registry, verify=args.verify,
+                                         cap=args.cap, morphism_name=args.morphism)
     else:
-        report = engine.report(f, morphism_name=args.morphism, verify=args.verify,
-                               override=override)
+        report = DeterminerEngine(registry).report(
+            f, morphism_name=args.morphism, verify=args.verify, override=override)
     if args.json:
         _print_json(report.to_json_dict())
     else:
@@ -211,9 +210,7 @@ def cmd_factor(args) -> int:
     session = load_session(q, field, _read(args.data))
     g = session.morphism(args.g)
     f = session.morphism(args.f)
-    registry = knit(q, field, args.cap)
-    engine = DeterminerEngine(registry)
-    h = engine.factors_through(g, f)
+    h = DeterminerEngine.factors_through(g, f)
     if args.json:
         doc = {"factors": h is not None}
         if h is not None:

@@ -164,7 +164,6 @@ def _pderiv(field, p):
 
 def _vector_minpoly(field, T: Mat, v: tuple):
     """Minimal polynomial of T relative to the start vector v."""
-    basis_rows: list[tuple] = []
     space = Subspace.zero(field, T.rows)
     vecs = []
     cur = v
@@ -337,7 +336,7 @@ class EndAlgebra:
 
     def __init__(self, M: Representation):
         self.M = M
-        self.hom = hom_basis(M, M)
+        self.hom = M.quiver.workspace.hom(M, M)
         self.n = M.total_dim
 
     @property
@@ -416,15 +415,9 @@ class EndAlgebra:
         return self.radical.contains_vector(self.hom.coordinates(f))
 
 
-_END_CACHE: dict[Representation, EndAlgebra] = {}
-
-
 def end_algebra(M: Representation) -> EndAlgebra:
-    alg = _END_CACHE.get(M)
-    if alg is None:
-        alg = EndAlgebra(M)
-        _END_CACHE[M] = alg
-    return alg
+    ws = M.quiver.workspace
+    return ws.memo(ws.ends, M, lambda: EndAlgebra(M))
 
 
 # ---------------------------------------------------------------------------
@@ -645,30 +638,22 @@ def _stabilizer_phase(E: EndAlgebra):
     return None
 
 
-_INDEC_CACHE: dict[Representation, bool] = {}
-
-
 def _split_once(M: Representation) -> RepMorphism | None:
     """A nontrivial idempotent endomorphism of M, or None when M is certified
     indecomposable."""
-    if _INDEC_CACHE.get(M):
-        return None
     E = end_algebra(M)
     if E.dim == 1:
-        _INDEC_CACHE[M] = True
         return None
     for phi in _candidate_endos(E):
         e = _idempotent_from_candidate(E, phi)
         if e is not None:
             return e
     if E.is_local:
-        _INDEC_CACHE[M] = True
         return None
     verdict, e = _central_phase(E)
     if verdict == "split":
         return e
     if verdict == "indecomposable":
-        _INDEC_CACHE[M] = True
         return None
     e = _stabilizer_phase(E)
     if e is not None:
@@ -702,15 +687,17 @@ class DecompositionResult:
         return len(self.pieces) == 1
 
 
-_DECOMP_CACHE: dict[Representation, DecompositionResult] = {}
-
-
 def _pieces_of(M: Representation):
     if M.total_dim == 0:
         return []
+    known = M.quiver.workspace.decompositions.get(M)
+    if known is not None:
+        return list(known.pieces)
     e = _split_once(M)
     if e is None:
-        return [(M, identity_morphism(M), identity_morphism(M))]
+        one = identity_morphism(M)
+        M.quiver.workspace.decompositions[M] = DecompositionResult(M, ((M, one, one),), ((M, 1),))
+        return [(M, one, one)]
     (K, iK, pK), (I, iI, pI) = split_by_idempotent(M, e)
     out = []
     for sub, isub, psub in ((K, iK, pK), (I, iI, pI)):
@@ -720,12 +707,10 @@ def _pieces_of(M: Representation):
 
 
 def decompose(M: Representation) -> DecompositionResult:
-    cached = _DECOMP_CACHE.get(M)
+    cached = M.quiver.workspace.decompositions.get(M)
     if cached is not None:
         return cached
     pieces = tuple(_pieces_of(M))
-    for leaf, _, _ in pieces:
-        _INDEC_CACHE[leaf] = True
     groups: list[list] = []
     for leaf, _, _ in pieces:
         for g in groups:
@@ -735,8 +720,7 @@ def decompose(M: Representation) -> DecompositionResult:
         else:
             groups.append([leaf])
     summands = tuple((g[0], len(g)) for g in groups)
-    result = DecompositionResult(M, pieces, summands)
-    _DECOMP_CACHE[M] = result
+    result = M.quiver.workspace.decompositions[M] = DecompositionResult(M, pieces, summands)
     return result
 
 
@@ -750,9 +734,6 @@ def is_indecomposable(M: Representation) -> bool:
 # isomorphism testing
 
 
-_ISO_CACHE: dict[tuple, RepMorphism | None] = {}
-
-
 def indec_iso_witness(A: Representation, B: Representation) -> RepMorphism | None:
     """Iso A -> B for indecomposables: some composite Hom(B,A) . Hom(A,B)
     basis product avoids rad End(A) iff the two are isomorphic, and the
@@ -761,13 +742,14 @@ def indec_iso_witness(A: Representation, B: Representation) -> RepMorphism | Non
         return None
     if A == B:
         return identity_morphism(A)
+    ws = A.quiver.workspace
     key = (A, B)
-    if key in _ISO_CACHE:
-        return _ISO_CACHE[key]
-    hab = hom_basis(A, B)
+    if key in ws.isos:
+        return ws.isos[key]
+    hab = ws.hom(A, B)
     witness = None
     if hab.dim:
-        hba = hom_basis(B, A)
+        hba = ws.hom(B, A)
         EA = end_algebra(A)
         done = False
         for b in hab.basis:
@@ -779,7 +761,7 @@ def indec_iso_witness(A: Representation, B: Representation) -> RepMorphism | Non
                     break
             if done:
                 break
-    _ISO_CACHE[key] = witness
+    ws.isos[key] = witness
     return witness
 
 
@@ -937,7 +919,7 @@ def rad_hom_basis(U: Representation, Z: Representation) -> Subspace:
         raise NotIndecomposableError("first argument is not indecomposable")
     if not is_indecomposable(Z):
         raise NotIndecomposableError("second argument is not indecomposable")
-    h = hom_basis(U, Z)
+    h = U.quiver.workspace.hom(U, Z)
     w = indec_iso_witness(U, Z)
     if w is None:
         return Subspace.full(U.field, h.dim)

@@ -17,7 +17,7 @@ certificate; otherwise it is a bounded search and reports say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .decompose import (
     decompose,
@@ -35,13 +35,12 @@ from .reps import (
     cokernel,
     dual_morphism,
     dual_representation,
-    hom_basis,
     kernel,
     postcompose_matrix,
     precompose_matrix,
 )
 from .structure import socle_multiplicities
-from .translate import IndecRegistry, knit, trd
+from .translate import IndecRegistry, trd
 
 
 @dataclass(frozen=True)
@@ -143,58 +142,59 @@ class DeterminerReport:
 
 
 class DeterminerEngine:
-    """Shared computation context: one registry, memoized hom spaces and
-    factoring subspaces."""
+    """The formula and the oracle over one registry.
+
+    Hom spaces and radical maps come from the quiver's workspace and are
+    shared across requests.  Factoring subspaces and constraint blocks depend
+    on the request morphism, so the engine keeps them for one morphism at a
+    time and drops them when ``verify`` returns."""
 
     def __init__(self, registry: IndecRegistry):
         self.registry = registry
         self.quiver = registry.quiver
         self.field = registry.field
-        self._hom: dict = {}
-        self._factor: dict = {}
-        self._rad_maps: dict = {}
-        self._wv_blocks: dict = {}
+        self.workspace = registry.quiver.workspace
+        self._request: tuple = (None, {}, {})
 
     # -- caches ------------------------------------------------------------
 
+    def _tables_for(self, f: RepMorphism | None):
+        """Factoring subspaces and constraint blocks of the morphism f.  The
+        three are swapped as one tuple, so a concurrent request for another
+        morphism can cost recomputation but never mixes the tables."""
+        request = self._request
+        if request[0] is not f:
+            request = self._request = (f, {}, {})
+        return request[1], request[2]
+
     def hom(self, M: Representation, N: Representation) -> HomSpace:
-        key = (M, N)
-        hs = self._hom.get(key)
-        if hs is None:
-            hs = hom_basis(M, N)
-            self._hom[key] = hs
-        return hs
+        return self.workspace.hom(M, N)
 
     def factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
         """Image of Hom(Z, X) -> Hom(Z, Y), the maps factoring through f."""
-        key = (f, Z)
-        sub = self._factor.get(key)
+        factor, _ = self._tables_for(f)
+        sub = factor.get(Z)
         if sub is None:
             hzx = self.hom(Z, f.domain)
             hzy = self.hom(Z, f.codomain)
-            sub = column_space(postcompose_matrix(hzx, hzy, f))
-            self._factor[key] = sub
+            sub = factor[Z] = column_space(postcompose_matrix(hzx, hzy, f))
         return sub
 
     def _radical_maps(self, U: Representation, Z: Representation):
         """Basis morphisms of rad(U, Z)."""
-        key = (U, Z)
-        maps = self._rad_maps.get(key)
-        if maps is None:
-            huz = self.hom(U, Z)
-            sub = rad_hom_basis(U, Z)
-            maps = tuple(huz.from_coordinates(v) for v in sub.basis)
-            self._rad_maps[key] = maps
-        return maps
+        return self.workspace.memo(self.workspace.radical_maps, (U, Z), lambda: tuple(
+            self.hom(U, Z).from_coordinates(v) for v in rad_hom_basis(U, Z).basis))
 
     # -- factorization tests -------------------------------------------------
 
-    def factors_through(self, g: RepMorphism, f: RepMorphism) -> RepMorphism | None:
-        """h with f . h = g, or None."""
+    @staticmethod
+    def factors_through(g: RepMorphism, f: RepMorphism) -> RepMorphism | None:
+        """h with f . h = g, or None.  Needs no registry."""
         if g.codomain != f.codomain:
             raise SemanticError("morphisms do not share a codomain")
-        htx = self.hom(g.domain, f.domain)
-        hty = self.hom(g.domain, f.codomain)
+        ws = f.domain.quiver.workspace
+        htx = ws.hom(g.domain, f.domain)
+        hty = ws.hom(g.domain, f.codomain)
         C = postcompose_matrix(htx, hty, f)
         x = solve(C, hty.coordinates(g))
         if x is None:
@@ -235,8 +235,8 @@ class DeterminerEngine:
     def _member_blocks(self, f: RepMorphism, V: Representation, Z: Representation) -> Mat:
         """Constraint rows on Hom(V, Y) forcing every composite with a map
         from Z to land in the factoring subspace of Z."""
-        key = (f, V, Z)
-        block = self._wv_blocks.get(key)
+        _, blocks = self._tables_for(f)
+        block = blocks.get((V, Z))
         if block is None:
             Y = f.codomain
             hvy = self.hom(V, Y)
@@ -248,8 +248,7 @@ class DeterminerEngine:
                 hzv = self.hom(Z, V)
                 for h in hzv.basis:
                     rows.extend((comp_proj @ precompose_matrix(hvy, hzy, h)).entries)
-            block = Mat(self.field, len(rows), hvy.dim, tuple(rows))
-            self._wv_blocks[key] = block
+            block = blocks[(V, Z)] = Mat(self.field, len(rows), hvy.dim, tuple(rows))
         return block
 
     def determined_subspace(self, f: RepMorphism, members, V: Representation) -> Subspace:
@@ -301,6 +300,7 @@ class DeterminerEngine:
                     break
             removal.append((labels[drop], broke))
 
+        self._tables_for(None)
         return OracleVerdict(
             checked_objects=len(self.registry.entries),
             determination_ok=determination_ok,
@@ -383,24 +383,23 @@ def minimal_right_determiner(f: RepMorphism, registry: IndecRegistry | None = No
                              morphism_name: str = "f") -> DeterminerReport:
     """Compute (and optionally verify) the minimal right determiner of f."""
     if registry is None:
-        registry = knit(f.domain.quiver, f.domain.field, cap)
-    engine = DeterminerEngine(registry)
-    return engine.report(f, morphism_name=morphism_name, verify=verify)
+        registry = f.domain.quiver.workspace.registry(f.domain.field, cap)
+    return DeterminerEngine(registry).report(f, morphism_name=morphism_name, verify=verify)
 
 
 def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = None,
                             verify: bool = False, cap: int = 5000,
                             morphism_name: str = "f") -> DeterminerReport:
-    """Minimal left determiner via duality: transport f to the opposite
-    quiver, compute the right determiner there, and transport members back."""
+    """Minimal left determiner via duality: the right determiner of the dual
+    morphism over the opposite quiver, with its members carried back.  The
+    oracle's witnesses still name objects of the opposite quiver."""
     q = f.domain.quiver
     field = f.domain.field
     fop = dual_morphism(f)
-    registry_op = knit(fop.domain.quiver, field, cap)
-    engine_op = DeterminerEngine(registry_op)
+    engine_op = DeterminerEngine(fop.domain.quiver.workspace.registry(field, cap))
     rep_op = engine_op.report(fop, morphism_name=morphism_name, verify=verify, side="left")
     if registry is None:
-        registry = knit(q, field, cap)
+        registry = q.workspace.registry(field, cap)
     members = []
     for m in rep_op.members:
         back = dual_representation(m.rep)
@@ -414,27 +413,11 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
     relabel = {op.label: new.label for op, new in zip(rep_op.members, members)}
     oracle = rep_op.oracle
     if oracle is not None:
-        oracle = OracleVerdict(
-            checked_objects=oracle.checked_objects,
-            determination_ok=oracle.determination_ok,
-            determination_witness=oracle.determination_witness,
+        oracle = replace(
+            oracle,
             member_almost_factors=tuple((relabel.get(l, l), ok)
                                         for l, ok in oracle.member_almost_factors),
             removal_breaks=tuple((relabel.get(l, l), w) for l, w in oracle.removal_breaks),
-            complete=oracle.complete,
         )
-    return DeterminerReport(
-        morphism_name=morphism_name,
-        field_name=field.name,
-        side="left",
-        domain_dims=rep_op.domain_dims,
-        minimal_domain_dims=rep_op.minimal_domain_dims,
-        split_off_dims=rep_op.split_off_dims,
-        split_epimorphism=rep_op.split_epimorphism,
-        intrinsic_kernel_labels=rep_op.intrinsic_kernel_labels,
-        soc_coker=rep_op.soc_coker,
-        members=tuple(members),
-        registry_complete=rep_op.registry_complete and registry.complete,
-        registry_size=rep_op.registry_size,
-        oracle=oracle,
-    )
+    return replace(rep_op, members=tuple(members), oracle=oracle,
+                   registry_complete=rep_op.registry_complete and registry.complete)

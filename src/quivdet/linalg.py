@@ -29,8 +29,8 @@ class AmbientMismatchError(ValueError):
 class FpElement:
     """Element of the prime field F_p.
 
-    Supports the same operator set Fraction does, so matrix code is
-    field-agnostic.  Mixing moduli raises FieldMismatchError.
+    Supports the Fraction operators that the matrix code uses, so that code
+    is field-agnostic.  Mixing moduli raises FieldMismatchError.
     """
 
     __slots__ = ("val", "p")
@@ -62,12 +62,6 @@ class FpElement:
             return NotImplemented
         return FpElement(self.val - other.val, self.p)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(other.val - self.val, self.p)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -84,17 +78,8 @@ class FpElement:
             raise ZeroDivisionError("division by zero in F_p")
         return FpElement(self.val * pow(other.val, -1, self.p), self.p)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         return FpElement(-self.val, self.p)
-
-    def __pow__(self, n: int):
-        return FpElement(pow(self.val, n, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, FpElement):
@@ -287,16 +272,8 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(any(v for v in row) for row in self.entries)
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), self.field.zero)
-
     def rank(self) -> int:
         return rref(self)[2]
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -311,11 +288,6 @@ class Mat:
             raise ValueError("row count mismatch in hstack")
         return Mat(self.field, self.rows, self.cols + other.cols,
                    tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
-
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return Mat(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -411,9 +383,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim

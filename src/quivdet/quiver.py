@@ -108,6 +108,11 @@ class Quiver:
         return Quiver(self.vertices,
                       tuple(ArrowDecl(a.name, a.target, a.source) for a in self.arrows))
 
+    @cached_property
+    def workspace(self) -> "Workspace":
+        """Memo tables of the computations over this quiver object."""
+        return Workspace(self)
+
     def __repr__(self):
         arrows = ", ".join(f"{a.name}:{a.source}->{a.target}" for a in self.arrows)
         return f"Quiver({list(self.vertices)}; {arrows})"
@@ -123,6 +128,66 @@ class Path:
 
     def __len__(self):
         return len(self.arrows)
+
+
+class Workspace:
+    """Memo tables for the computations over one quiver object.
+
+    Each table maps a key to the result of a deterministic computation and
+    is filled on a miss.  Keys are representations, which carry their field,
+    or tuples that name the field, so one workspace serves every field.  The
+    quiver holds its workspace, so the tables are freed with the quiver.
+    Concurrent callers may repeat a computation, but an entry is stored only
+    once it is complete, a knitted registry included.
+    """
+
+    def __init__(self, quiver: Quiver):
+        self.quiver = quiver
+        self.paths: dict = {}           # source index -> paths to each target
+        self.canonical: dict = {}       # ("P" or "I", vertex, field) -> P_x or I_x
+        self.homs: dict = {}            # (M, N) -> HomSpace
+        self.ends: dict = {}            # M -> EndAlgebra
+        self.decompositions: dict = {}  # M -> DecompositionResult
+        self.isos: dict = {}            # (A, B) -> isomorphism A -> B, or None
+        self.radical_maps: dict = {}    # (U, Z) -> basis morphisms of rad(U, Z)
+        self.registries: dict = {}      # (field, cap) -> IndecRegistry
+
+    def memo(self, table: dict, key, build):
+        """table[key], computed by build() on a miss.  The workspace itself
+        marks a miss, since no table holds it."""
+        value = table.get(key, self)
+        if value is self:
+            value = table[key] = build()
+        return value
+
+    def paths_from(self, xi: int) -> tuple[tuple[Path, ...], ...]:
+        """Paths from vertex index xi, indexed by target vertex index, each
+        list ordered by length, then by arrow index sequence.  Built in
+        topological order, so no path length exhausts the recursion limit."""
+        table = self.paths.get(xi)
+        if table is None:
+            q = self.quiver
+            found: list[list[Path]] = [[] for _ in q.vertices]
+            found[xi].append(Path(xi, xi, ()))
+            for v in q.topological_order:
+                for ai in q.arrows_into[v]:
+                    s = q.vertex_index[q.arrows[ai].source]
+                    found[v].extend(Path(xi, v, p.arrows + (ai,)) for p in found[s])
+                found[v].sort(key=lambda p: (len(p.arrows), p.arrows))
+            table = self.paths[xi] = tuple(tuple(ps) for ps in found)
+        return table
+
+    def hom(self, M, N):
+        """Hom(M, N), solved by reps.hom_basis on a miss."""
+        from .reps import hom_basis
+
+        return self.memo(self.homs, (M, N), lambda: hom_basis(M, N))
+
+    def registry(self, field: Field, cap: int):
+        """The registry knitted over this quiver with the given cap."""
+        from .translate import knit
+
+        return self.memo(self.registries, (field, cap), lambda: knit(self.quiver, field, cap))
 
 
 def parse_quiver(text: str) -> Quiver:
@@ -179,69 +244,45 @@ def paths_between(q: Quiver, x: str, y: str) -> list[Path]:
         raise KeyError(f"unknown vertex {x!r}")
     if y not in q.vertex_index:
         raise KeyError(f"unknown vertex {y!r}")
-    xi, yi = q.vertex_index[x], q.vertex_index[y]
-    found: list[Path] = []
-
-    def walk(v: int, acc: list[int]):
-        if v == yi:
-            found.append(Path(xi, yi, tuple(acc)))
-        for ai in q.arrows_from[v]:
-            acc.append(ai)
-            walk(q.vertex_index[q.arrows[ai].target], acc)
-            acc.pop()
-
-    walk(xi, [])
-    found.sort(key=lambda p: (len(p.arrows), p.arrows))
-    return found
+    return list(q.workspace.paths_from(q.vertex_index[x])[q.vertex_index[y]])
 
 
-def all_paths_from(q: Quiver, x: str) -> dict[int, list[Path]]:
-    """Paths from x to every vertex, keyed by target vertex index."""
-    return {q.vertex_index[y]: paths_between(q, x, y) for y in q.vertices}
+def _path_representation(q: Quiver, field: Field, paths, act):
+    """Representation whose basis at vertex v is the path list paths[v];
+    arrow ai sends the basis path with arrow sequence p to the basis path
+    with sequence act(p, ai) at its target, or to zero when that is None."""
+    from .reps import Representation
 
-
-def compose_paths(first: Path, then: Path) -> Path:
-    """Concatenate: traverse `first`, then `then`."""
-    if first.target != then.source:
-        raise ValueError("paths do not compose")
-    return Path(first.source, then.target, first.arrows + then.arrows)
+    index = [{p.arrows: k for k, p in enumerate(ps)} for ps in paths]
+    dims = tuple(len(ps) for ps in paths)
+    action = []
+    for ai, a in enumerate(q.arrows):
+        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
+        m = [[field.zero] * dims[si] for _ in range(dims[ti])]
+        for k, p in enumerate(paths[si]):
+            image = act(p.arrows, ai)
+            if image is not None:
+                m[index[ti][image]][k] = field.one
+        action.append(Mat(field, dims[ti], dims[si], tuple(tuple(r) for r in m)))
+    return Representation(q, field, dims, tuple(action))
 
 
 def projective_at(q: Quiver, x: str, field: Field = RATIONALS):
     """Indecomposable projective P_x: basis of P_x(y) is the path list x -> y,
     arrows act by appending to the path."""
-    from .reps import Representation
-
-    paths = all_paths_from(q, x)
-    index = {vi: {p.arrows: k for k, p in enumerate(ps)} for vi, ps in paths.items()}
-    dims = tuple(len(paths[vi]) for vi in range(q.n_vertices))
-    action = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        m = [[field.zero] * dims[si] for _ in range(dims[ti])]
-        for k, p in enumerate(paths[si]):
-            m[index[ti][p.arrows + (ai,)]][k] = field.one
-        action.append(Mat(field, dims[ti], dims[si], tuple(tuple(r) for r in m)))
-    return Representation(q, field, dims, tuple(action))
+    ws = q.workspace
+    return ws.memo(ws.canonical, ("P", x, field), lambda: _path_representation(
+        q, field, ws.paths_from(q.vertex_index[x]), lambda p, ai: p + (ai,)))
 
 
 def injective_at(q: Quiver, x: str, field: Field = RATIONALS):
     """Indecomposable injective I_x: basis of I_x(y) is the path list y -> x,
     arrows act by stripping the first arrow (left truncation)."""
-    from .reps import Representation
-
-    paths = {q.vertex_index[y]: paths_between(q, y, x) for y in q.vertices}
-    index = {vi: {p.arrows: k for k, p in enumerate(ps)} for vi, ps in paths.items()}
-    dims = tuple(len(paths[vi]) for vi in range(q.n_vertices))
-    action = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        m = [[field.zero] * dims[si] for _ in range(dims[ti])]
-        for k, p in enumerate(paths[si]):
-            if p.arrows and p.arrows[0] == ai:
-                m[index[ti][p.arrows[1:]]][k] = field.one
-        action.append(Mat(field, dims[ti], dims[si], tuple(tuple(r) for r in m)))
-    return Representation(q, field, dims, tuple(action))
+    ws = q.workspace
+    xi = q.vertex_index[x]
+    return ws.memo(ws.canonical, ("I", x, field), lambda: _path_representation(
+        q, field, [ws.paths_from(yi)[xi] for yi in range(q.n_vertices)],
+        lambda p, ai: p[1:] if p and p[0] == ai else None))
 
 
 def simple_at(q: Quiver, x: str, field: Field = RATIONALS):

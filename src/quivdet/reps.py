@@ -51,9 +51,6 @@ class Representation:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def dim_at(self, vertex: str) -> int:
-        return self.dims[self.quiver.vertex_index[vertex]]
-
     def path_matrix(self, p: Path) -> Mat:
         """Composite action along a path (identity for the trivial path)."""
         m = Mat.identity(self.field, self.dims[p.source])
@@ -123,11 +120,6 @@ class RepMorphism:
 
     def is_iso(self) -> bool:
         return self.domain.dims == self.codomain.dims and self.is_epi()
-
-    def inverse(self) -> "RepMorphism":
-        if not self.is_iso():
-            raise SemanticError("morphism is not invertible")
-        return RepMorphism(self.codomain, self.domain, tuple(m.inverse() for m in self.comps))
 
     def total_matrix(self) -> Mat:
         """Block-diagonal matrix of all components (operator on the total space)."""
@@ -205,14 +197,6 @@ class HomSpace:
             if c:
                 vec = [a + c * b for a, b in zip(vec, row)]
         return self._unflatten(tuple(vec))
-
-    def subspace_of(self, morphisms) -> Subspace:
-        """Span of the given member morphisms, in hom coordinates."""
-        return Subspace.from_vectors(self.field, self.dim,
-                                     [self.coordinates(f) for f in morphisms])
-
-    def full_subspace(self) -> Subspace:
-        return Subspace.full(self.field, self.dim)
 
     def __repr__(self):
         return f"HomSpace(dim {self.dim}: {self.domain!r} -> {self.codomain!r})"

@@ -183,30 +183,21 @@ def inverse_nakayama_on_injmap(h: RepMorphism, dom: BlockSum, cod: BlockSum):
     return g, pdom, pcod
 
 
-def _canonical_projectives(q: Quiver, field: Field):
-    return [projective_at(q, x, field) for x in q.vertices]
-
-
-def _canonical_injectives(q: Quiver, field: Field):
-    return [injective_at(q, x, field) for x in q.vertices]
+def _iso_vertex(M: Representation, canonical) -> str | None:
+    """First vertex x with the indecomposable M isomorphic to
+    canonical(q, x, field), or None."""
+    for x in M.quiver.vertices:
+        if indec_iso_witness(M, canonical(M.quiver, x, M.field)) is not None:
+            return x
+    return None
 
 
 def has_projective_summand(M: Representation) -> bool:
-    projs = _canonical_projectives(M.quiver, M.field)
-    for leaf, _ in decompose(M).summands:
-        for P in projs:
-            if indec_iso_witness(leaf, P) is not None:
-                return True
-    return False
+    return any(_iso_vertex(leaf, projective_at) is not None for leaf, _ in decompose(M).summands)
 
 
 def has_injective_summand(M: Representation) -> bool:
-    injs = _canonical_injectives(M.quiver, M.field)
-    for leaf, _ in decompose(M).summands:
-        for I in injs:
-            if indec_iso_witness(leaf, I) is not None:
-                return True
-    return False
+    return any(_iso_vertex(leaf, injective_at) is not None for leaf, _ in decompose(M).summands)
 
 
 def dtr(M: Representation) -> Representation:
@@ -312,20 +303,11 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
     if cap < q.n_vertices:
         raise SemanticError(f"cap {cap} is smaller than the vertex count {q.n_vertices}")
     reg = IndecRegistry(q, field, cap=cap)
-    injectives = _canonical_injectives(q, field)
-    projectives = _canonical_projectives(q, field)
 
     def register(M: Representation) -> RegistryEntry:
         idx = len(reg.entries)
-        entry = RegistryEntry("", M, idx)
-        for x, P in zip(q.vertices, projectives):
-            if M.dims == P.dims and indec_iso_witness(M, P) is not None:
-                entry.projective_vertex = x
-                break
-        for x, I in zip(q.vertices, injectives):
-            if M.dims == I.dims and indec_iso_witness(M, I) is not None:
-                entry.injective_vertex = x
-                break
+        entry = RegistryEntry("", M, idx, projective_vertex=_iso_vertex(M, projective_at),
+                              injective_vertex=_iso_vertex(M, injective_at))
         if sum(M.dims) == 1:
             entry.simple_vertex = q.vertices[M.dims.index(1)]
         entry.label = _make_label(entry)
@@ -333,7 +315,7 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
         return entry
 
     for x in q.vertices:
-        register(projectives[q.vertex_index[x]])
+        register(projective_at(q, x, field))
     i = 0
     truncated = False
     while i < len(reg.entries):

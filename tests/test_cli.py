@@ -191,3 +191,20 @@ def test_factor_no(tmp_path, capsys):
     code, out, _ = run(capsys, "factor", A3Q, str(data), "idI", "f")
     assert code == 0
     assert out.startswith("no")
+
+
+def test_factor_knits_no_registry(tmp_path, capsys, monkeypatch):
+    # with the default cap, knitting the Kronecker quiver would not return
+    import quivdet.cli
+
+    def no_knit(*args, **kwargs):
+        raise AssertionError("factor must not knit a registry")
+
+    monkeypatch.setattr(quivdet.cli, "knit", no_knit)
+    kq = tmp_path / "kron.quiver"
+    kq.write_text("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n", encoding="utf-8")
+    data = tmp_path / "kron.reps"
+    data.write_text("morphism f P_2 P_1\ncomp 2 2x1 1 0\n", encoding="utf-8")
+    code, out, _ = run(capsys, "factor", str(kq), str(data), "f", "f")
+    assert code == 0
+    assert out.startswith("yes")

@@ -1,5 +1,6 @@
 """Krull-Schmidt decomposition, isomorphism tests, right minimal versions."""
 
+import importlib
 import random
 
 import pytest
@@ -113,6 +114,31 @@ def test_right_minimal_version_splits_padding(a3, golden_f):
     # idempotence: the minimal version of the minimal version splits nothing
     rm2 = qd.right_minimal_version(rm.minimal)
     assert rm2.already_minimal
+
+
+def test_right_minimal_version_nilpotent_branch(a3, a3_registry, monkeypatch):
+    # the kernel of the first projection P_1 + P_1 -> P_1 is first reached by
+    # a nilpotent endomorphism outside the radical
+    module = importlib.import_module("quivdet.decompose")  # qd.decompose is the function
+    powers = []
+    real_power = module._nilpotency_power
+
+    def recording_power(phi):
+        power = real_power(phi)
+        powers.append(power.is_zero())
+        return power
+
+    monkeypatch.setattr(module, "_nilpotency_power", recording_power)
+    P1 = qd.projective_at(a3, "1")
+    _, _, projs = qd.direct_sum([P1, P1])
+    f = projs[0]
+    rm = qd.right_minimal_version(f)
+    assert True in powers
+    assert rm.minimal.is_iso() and rm.minimal.domain.dims == (1, 0, 0)
+    assert rm.split_off.dims == (1, 0, 0)
+    rep = qd.minimal_right_determiner(f, registry=a3_registry, verify=True)
+    assert rep.labels == ()
+    assert rep.oracle.certified
 
 
 def test_right_minimal_version_of_zero_map(a3):

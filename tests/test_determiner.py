@@ -1,11 +1,18 @@
 """Factorization subspaces, the determiner formula, and the oracle."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 import quivdet as qd
+import quivdet.determiner
+import quivdet.translate
 from quivdet.determiner import DeterminerEngine, DeterminerMember
 from quivdet.errors import SemanticError
 from quivdet.linalg import RATIONALS
+
+from conftest import A3_TEXT
 
 F = RATIONALS
 
@@ -179,6 +186,35 @@ def test_left_determiner_golden(a3, golden_f):
     assert rep.labels == ("S_2", "P_3")
     assert all(m.provenance.startswith("dual:") for m in rep.members)
     assert rep.oracle.certified
+
+
+def test_minimal_right_determiner_matches_golden_file(golden_f):
+    rep = qd.minimal_right_determiner(golden_f, verify=True)
+    text = json.dumps(rep.to_json_dict(), indent=2) + "\n"
+    golden = Path(__file__).resolve().parent.parent / "data" / "golden_a3_report.json"
+    assert text == golden.read_text(encoding="utf-8")
+
+
+def test_left_determiner_knits_each_quiver_once(monkeypatch):
+    q = qd.parse_quiver(A3_TEXT)
+    f = qd.hom_basis(qd.projective_at(q, "2"), qd.injective_at(q, "2")).basis[0]
+    registry = qd.knit(q)
+    knitted = []
+    real_knit = quivdet.translate.knit
+
+    def counting_knit(quiver, *args, **kwargs):
+        knitted.append(quiver)
+        return real_knit(quiver, *args, **kwargs)
+
+    monkeypatch.setattr(quivdet.translate, "knit", counting_knit)
+    monkeypatch.setattr(quivdet.determiner, "knit", counting_knit, raising=False)
+    first = qd.minimal_left_determiner(f, verify=True)
+    assert knitted == [q.opposite, q]
+    second = qd.minimal_left_determiner(f, registry=registry, verify=True)
+    third = qd.minimal_left_determiner(f, verify=True)
+    assert knitted == [q.opposite, q]
+    assert first.to_json_dict() == second.to_json_dict() == third.to_json_dict()
+    assert first.oracle.certified
 
 
 def test_left_determiner_of_split_mono(a3):

@@ -106,6 +106,25 @@ def test_paths_deterministic_order():
     ]
 
 
+def test_long_linear_quiver_paths_without_recursion():
+    q = linear_quiver(1200, (1,) * 1199)
+    assert qd.projective_at(q, "1").dims == (1,) * 1200
+    ps = qd.paths_between(q, "1", "1200")
+    assert len(ps) == 1 and len(ps[0]) == 1199
+
+
+def test_no_module_level_containers():
+    # memo tables belong to a quiver's workspace, never to a module
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(qd.__path__):
+        module = importlib.import_module(f"quivdet.{info.name}")
+        held = [name for name, value in vars(module).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))]
+        assert held == [], f"quivdet.{info.name} holds {held}"
+
+
 def test_canonical_dim_vectors(a3):
     assert [qd.projective_at(a3, x).dims for x in a3.vertices] == \
         [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
