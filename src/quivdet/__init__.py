@@ -3,9 +3,11 @@ finitely presented representations of finite acyclic quivers, together with a
 functorial brute-force verification oracle."""
 
 from .errors import (
+    DecompositionInconclusiveError,
     FieldTooSmallError,
     HasInjectiveSummandError,
     HasProjectiveSummandError,
+    InvariantError,
     NotIndecomposableError,
     ParseError,
     QuivdetError,

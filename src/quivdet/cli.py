@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (including a certified or counterexample-free verify),
-1 verification counterexample, 2 file parse error, 3 semantic error.
+1 verification counterexample, 2 file parse error, 3 semantic error or any
+other QuivdetError (FieldTooSmallError, DecompositionInconclusiveError,
+InvariantError).
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def _render_report(report, out):
 
 
 def cmd_det(args) -> int:
+    if args.left and args.override:
+        raise SemanticError("--override is only supported for right determiners")
     field = field_from_name(args.field)
     q = parse_quiver(_read(args.quiver))
     session = load_session(q, field, _read(args.data))
@@ -93,8 +97,6 @@ def cmd_det(args) -> int:
             entry = registry.by_label(label.strip())
             override.append(DeterminerMember(entry.label, entry.rep, "override"))
     if args.left:
-        if override is not None:
-            raise SemanticError("--override is only supported for right determiners")
         report = minimal_left_determiner(f, registry=registry, verify=args.verify,
                                          cap=args.cap, morphism_name=args.morphism)
     else:

@@ -1,19 +1,28 @@
 """Krull-Schmidt machinery for quiver representations.
 
-Decomposition into indecomposables works entirely inside the endomorphism
-algebra: a candidate endomorphism whose minimal polynomial splits into coprime
-parts yields an exact idempotent (Bezout combination), and the idempotent
-splits the module.  When no candidate splits, the structure of
-End(M)/rad(End M) decides the matter: a one-dimensional quotient certifies
-indecomposability, a decomposable center is split through its primitive
-element, and isotypic matrix blocks are split through vector-stabilizer left
-ideals.  The radical is computed with the trace form, which is valid over the
-rationals and over F_p with p larger than the total dimension; smaller primes
-raise FieldTooSmallError.
+Decomposition works inside the endomorphism algebra E = End(M) and has one
+way to split: a candidate endomorphism phi whose minimal polynomial has two
+or more coprime primary parts gives an exact idempotent e = g(phi) through a
+Bezout combination, and M = ker(e) + im(e).  When no candidate splits, every
+candidate has minimal polynomial p^k with p irreducible, and a field-degree
+certificate decides indecomposability: if deg p equals dim E/rad(E) for some
+candidate, then k[phi] modulo the radical is a field filling all of E/rad(E),
+so E is local.  Otherwise DecompositionInconclusiveError (FieldTooSmallError
+over F_p) reports that neither a split nor a certificate was found.
 
-Minimal polynomial factorization uses an integer-root fast path and falls back
-to sympy's univariate factorization only for splits along irrational
-eigenvalues.
+The radical is the kernel of the trace form tr(a b), which is valid over the
+rationals and over F_p with p larger than the total dimension; smaller primes
+raise FieldTooSmallError.  The same trace form turns a nilpotent solution h
+of f h = 0 outside the radical into a non-nilpotent one (right minimality).
+
+Minimal polynomials are split by a root search in the ground field first:
+rational roots over Q, a full scan over F_p with p <= 4096.  What that search
+leaves whole goes to sympy's univariate factorization: over Q only
+polynomials without a rational root, over F_p with p > 4096 every minimal
+polynomial of degree two or more.
+
+Internal consistency checks raise InvariantError rather than asserting, so
+they also run under python -O.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from fractions import Fraction
 from .errors import (
     DecompositionInconclusiveError,
     FieldTooSmallError,
+    InvariantError,
     NotIndecomposableError,
 )
 from .linalg import (
@@ -45,6 +55,12 @@ from .reps import (
     postcompose_matrix,
     zero_representation,
 )
+
+
+def _invariant(holds: bool, message: str) -> None:
+    if not holds:
+        raise InvariantError(message)
+
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomials over the ground field (coeffs low to high)
@@ -191,7 +207,7 @@ def minimal_polynomial(phi: RepMorphism):
         mv = _vector_minpoly(field, T, v)
         g = _pgcd(field, mu, mv)
         q, r = _pdivmod(field, mv, g)
-        assert not r
+        _invariant(not r, "gcd does not divide the vector minimal polynomial")
         mu = _pmul(field, mu, q)
         if _pdeg(mu) == n:
             break
@@ -323,16 +339,16 @@ def _bezout_idempotent_poly(field, part, rest_parts):
     for q in rest_parts:
         b = _pmul(field, b, q)
     g, u, v = _pgcdex(field, part, b)
-    assert _pdeg(g) == 0 and g, "primary parts were not coprime"
+    _invariant(_pdeg(g) == 0, "primary parts were not coprime")
     return _pmul(field, v, b)
 
 
 # ---------------------------------------------------------------------------
-# endomorphism algebra with radical and semisimple quotient
+# endomorphism algebra with its trace-form radical
 
 
 class EndAlgebra:
-    """End(M) with its trace-form radical and semisimple quotient."""
+    """End(M) with its trace-form radical."""
 
     def __init__(self, M: Representation):
         self.M = M
@@ -343,10 +359,8 @@ class EndAlgebra:
     def dim(self) -> int:
         return self.hom.dim
 
-    def identity_coords(self):
-        return self.hom.coordinates(identity_morphism(self.M))
-
-    def _trace_pair(self, a: RepMorphism, b: RepMorphism):
+    def trace_pair(self, a: RepMorphism, b: RepMorphism):
+        """tr(a b) on the total space: the trace form whose kernel is rad."""
         field = self.M.field
         acc = field.zero
         for ma, mb in zip(a.comps, b.comps):
@@ -371,7 +385,7 @@ class EndAlgebra:
             k = self.dim
             rows = []
             for i in range(k):
-                rows.append(tuple(self._trace_pair(self.hom.basis[i], self.hom.basis[j])
+                rows.append(tuple(self.trace_pair(self.hom.basis[i], self.hom.basis[j])
                                   for j in range(k)))
             gram = Mat(field, k, k, tuple(rows))
             self._radical = kernel_basis(gram)
@@ -379,37 +393,8 @@ class EndAlgebra:
 
     @property
     def quotient_dim(self) -> int:
+        """Dimension of the semisimple quotient End(M)/rad(End M)."""
         return self.dim - self.radical.dim
-
-    @property
-    def is_local(self) -> bool:
-        return self.quotient_dim == 1
-
-    # -- semisimple quotient B = End/rad in complement coordinates -----------
-
-    _qcache = None
-
-    def _quotient(self):
-        if self._qcache is None:
-            proj = self.radical.complement_projection()
-            sect = self.radical.complement_section()
-            self._qcache = (proj, sect)
-        return self._qcache
-
-    def q_project(self, coords):
-        proj, _ = self._quotient()
-        return proj.apply(tuple(coords))
-
-    def q_lift(self, qcoords) -> RepMorphism:
-        _, sect = self._quotient()
-        return self.hom.from_coordinates(sect.apply(tuple(qcoords)))
-
-    def q_mul(self, a, b):
-        fa, fb = self.q_lift(a), self.q_lift(b)
-        return self.q_project(self.hom.coordinates(fa @ fb))
-
-    def q_one(self):
-        return self.q_project(self.identity_coords())
 
     def in_radical(self, f: RepMorphism) -> bool:
         return self.radical.contains_vector(self.hom.coordinates(f))
@@ -424,23 +409,14 @@ def end_algebra(M: Representation) -> EndAlgebra:
 # splitting
 
 
-def _newton_lift_idempotent(E: EndAlgebra, e: RepMorphism) -> RepMorphism:
-    """Lift an idempotent-mod-radical to an exact idempotent endomorphism."""
-    for _ in range(64):
-        e2 = e @ e
-        if e2 == e:
-            return e
-        e = (e2.scale(E.M.field.of(3))) - ((e2 @ e).scale(E.M.field.of(2)))
-    raise AssertionError("idempotent lifting did not converge")
-
-
 def split_by_idempotent(M: Representation, e: RepMorphism):
     """M = ker(e) + im(e) for an exact idempotent e; returns both pieces with
     inclusion and projection morphisms."""
     one = identity_morphism(M)
     K, inclK = kernel(e)
     I, inclI, _ = image(e)
-    assert K.total_dim + I.total_dim == M.total_dim
+    _invariant(K.total_dim + I.total_dim == M.total_dim,
+               "kernel and image of an idempotent do not fill the module")
     field = M.field
     # projection onto ker(e) corestricts 1 - e; onto im(e) corestricts e
     comp = one - e
@@ -457,8 +433,9 @@ def split_by_idempotent(M: Representation, e: RepMorphism):
         projI_comps.append(from_columns(field, pi, I.dims[i]))
     projK = RepMorphism(M, K, tuple(projK_comps))
     projI = RepMorphism(M, I, tuple(projI_comps))
-    assert (projK @ inclK) == identity_morphism(K)
-    assert (projI @ inclI) == identity_morphism(I)
+    _invariant((projK @ inclK) == identity_morphism(K)
+               and (projI @ inclI) == identity_morphism(I),
+               "summand projections do not split the inclusions")
     return (K, inclK, projK), (I, inclI, projI)
 
 
@@ -490,180 +467,52 @@ def _candidate_endos(E: EndAlgebra):
         yield acc
 
 
-def _idempotent_from_candidate(E: EndAlgebra, phi: RepMorphism) -> RepMorphism | None:
-    field = E.M.field
-    mu = minimal_polynomial(phi)
-    parts = _primary_parts(field, mu)
-    if len(parts) < 2:
-        return None
+def _idempotent_from_candidate(phi: RepMorphism, mu, parts) -> RepMorphism:
+    """g(phi) with g = 1 modulo parts[0] and g = 0 modulo the other parts.
+
+    The parts are nonconstant and pairwise coprime with product mu, so mu
+    divides neither g nor g - 1: the idempotent is neither 0 nor 1."""
+    field = phi.domain.field
     epoly = _bezout_idempotent_poly(field, parts[0], parts[1:])
     _, epoly = _pdivmod(field, epoly, mu)
     e = _peval_endo(epoly, phi)
-    assert (e @ e) == e
-    if e.is_zero() or e == identity_morphism(E.M):
-        return None
+    _invariant((e @ e) == e and not e.is_zero() and e != identity_morphism(phi.domain),
+               "Bezout combination is not a nontrivial idempotent")
     return e
-
-
-def _central_phase(E: EndAlgebra):
-    """Split through the center of End/rad.
-
-    Returns ("split", idempotent), ("indecomposable", None) when the quotient
-    is certified to be a field, or ("none", None) when the center gives no
-    information (isotypic matrix block)."""
-    field = E.M.field
-    qdim = E.quotient_dim
-    eye = Mat.identity(field, qdim)
-    qbasis = [tuple(eye.entries[i]) for i in range(qdim)]
-    # center: z with z b = b z for every quotient basis element
-    rows = []
-    for b in qbasis:
-        cols = []
-        for zb in qbasis:
-            diff = tuple(x - y for x, y in zip(E.q_mul(zb, b), E.q_mul(b, zb)))
-            cols.append(diff)
-        m = from_columns(field, cols, qdim)
-        rows.extend(m.entries)
-    Z = kernel_basis(Mat(field, len(rows), qdim, tuple(rows))) if rows else Subspace.full(field, qdim)
-    if Z.dim == 1:
-        return ("none", None)
-
-    def z_minpoly(zc):
-        # Krylov from the quotient identity: powers of z inside Z's span
-        one = E.q_one()
-        vecs = []
-        space = Subspace.zero(field, qdim)
-        cur = tuple(one)
-        while not space.contains_vector(cur):
-            vecs.append(cur)
-            space = Subspace.from_vectors(field, qdim, vecs)
-            cur = E.q_mul(cur, zc)
-        coeffs = solve(from_columns(field, vecs, qdim), cur)
-        return _pnormalize([-c for c in coeffs] + [field.one])
-
-    # primitive element search: basis elements, then small deterministic combos
-    cands = list(Z.basis)
-    state = 7
-    for _ in range(64):
-        coeffs = []
-        for _ in range(Z.dim):
-            state = (state * 1103515245 + 12345) % (1 << 31)
-            coeffs.append(state % 7)
-        if any(coeffs):
-            v = [field.zero] * qdim
-            for c, b in zip(coeffs, Z.basis):
-                if c:
-                    v = [x + field.of(c) * y for x, y in zip(v, b)]
-            cands.append(tuple(v))
-    primitive = None
-    best = None
-    for zc in cands:
-        mu = z_minpoly(zc)
-        if best is None or _pdeg(mu) > _pdeg(best[1]):
-            best = (zc, mu)
-        if _pdeg(mu) == Z.dim:
-            primitive = (zc, mu)
-            break
-    if primitive is None:
-        # even a non-primitive element with a split polynomial still splits
-        primitive = best
-    zc, mu = primitive
-    parts = _primary_parts(field, mu)
-    if len(parts) >= 2:
-        epoly = _bezout_idempotent_poly(field, parts[0], parts[1:])
-        _, epoly = _pdivmod(field, epoly, mu)
-        # evaluate at z inside the quotient algebra
-        acc = [field.zero] * E.quotient_dim
-        one = E.q_one()
-        for c in reversed(epoly):
-            acc = E.q_mul(acc, zc)
-            if c:
-                acc = tuple(x + c * y for x, y in zip(acc, one))
-        ebar = tuple(acc)
-        e = _newton_lift_idempotent(E, E.q_lift(ebar))
-        if e.is_zero() or e == identity_morphism(E.M):
-            return ("none", None)
-        return ("split", e)
-    if _pdeg(mu) == Z.dim == E.quotient_dim:
-        # the quotient itself is k[z]/(mu) with mu irreducible: End(M) local.
-        # mu is squarefree because the quotient is semisimple; check it.
-        g = _pgcd(field, mu, _pderiv(field, mu))
-        assert _pdeg(g) == 0, "semisimple quotient produced a non-squarefree minimal polynomial"
-        return ("indecomposable", None)
-    return ("none", None)
-
-
-def _stabilizer_phase(E: EndAlgebra):
-    """Split an isotypic block through a vector-stabilizer left ideal."""
-    field = E.M.field
-    n = E.n
-    qdim = E.quotient_dim
-    # evaluation of endomorphisms on total-space vectors
-    basis_total = [b.total_matrix() for b in E.hom.basis]
-    pool = []
-    for i in range(n):
-        pool.append(tuple(field.one if j == i else field.zero for j in range(n)))
-    for i in range(n - 1):
-        pool.append(tuple(field.one if j in (i, i + 1) else field.zero for j in range(n)))
-    for v in pool:
-        cols = [bt.apply(v) for bt in basis_total]
-        stab = kernel_basis(from_columns(field, cols, n))
-        if stab.dim == 0:
-            continue
-        images = [E.q_project(w) for w in stab.basis]
-        L = Subspace.from_vectors(field, qdim, images)
-        if L.dim == 0 or L.dim == qdim:
-            continue
-        # right identity of the left ideal: x e = x for all basis x of L
-        rows = []
-        rhs = []
-        for x in L.basis:
-            cols2 = [E.q_mul(x, lb) for lb in L.basis]
-            m = from_columns(field, cols2, qdim)
-            rows.extend(m.entries)
-            rhs.extend(x)
-        sol = solve(Mat(field, len(rows), L.dim, tuple(rows)), tuple(rhs))
-        if sol is None:
-            continue
-        ebar = [field.zero] * qdim
-        for c, lb in zip(sol, L.basis):
-            if c:
-                ebar = [x + c * y for x, y in zip(ebar, lb)]
-        if not any(ebar):
-            continue
-        e = _newton_lift_idempotent(E, E.q_lift(tuple(ebar)))
-        if e.is_zero() or e == identity_morphism(E.M):
-            continue
-        return e
-    return None
 
 
 def _split_once(M: Representation) -> RepMorphism | None:
     """A nontrivial idempotent endomorphism of M, or None when M is certified
-    indecomposable."""
+    indecomposable.
+
+    Field-degree certificate: a candidate phi that does not split has
+    minimal polynomial p^k with p irreducible.  Its class modulo the radical
+    has minimal polynomial p^j with j >= 1, so k[phi] modulo the radical has
+    dimension j deg p <= dim End/rad.  If deg p = dim End/rad, then j = 1 and
+    k[phi] fills End/rad, which is therefore a field: End(M) is local.  The
+    degree of p is that of mu / gcd(mu, mu'), because the characteristic is
+    0 or, once the radical exists, larger than deg mu."""
     E = end_algebra(M)
     if E.dim == 1:
         return None
+    field = M.field
+    degree = 0
     for phi in _candidate_endos(E):
-        e = _idempotent_from_candidate(E, phi)
-        if e is not None:
-            return e
-    if E.is_local:
+        mu = minimal_polynomial(phi)
+        parts = _primary_parts(field, mu)
+        if len(parts) > 1:
+            return _idempotent_from_candidate(phi, mu, parts)
+        squarefree, _ = _pdivmod(field, mu, _pgcd(field, mu, _pderiv(field, mu)))
+        degree = max(degree, _pdeg(squarefree))
+    if degree == E.quotient_dim:
         return None
-    verdict, e = _central_phase(E)
-    if verdict == "split":
-        return e
-    if verdict == "indecomposable":
-        return None
-    e = _stabilizer_phase(E)
-    if e is not None:
-        return e
-    if isinstance(M.field, PrimeField):
+    if isinstance(field, PrimeField):
         raise FieldTooSmallError(
             "splitting search exhausted over F_p; rerun with --field rat")
     raise DecompositionInconclusiveError(
-        "cannot split or certify: End/rad appears to be a noncommutative "
-        f"division algebra of dimension {E.quotient_dim}")
+        "no candidate endomorphism splits the module or certifies it "
+        f"indecomposable: End/rad has dimension {E.quotient_dim}, the largest "
+        f"candidate field degree is {degree}")
 
 
 @dataclass(frozen=True)
@@ -755,7 +604,7 @@ def indec_iso_witness(A: Representation, B: Representation) -> RepMorphism | Non
         for b in hab.basis:
             for c in hba.basis:
                 if not EA.in_radical(c @ b):
-                    assert b.is_iso()
+                    _invariant(b.is_iso(), "iso witness between indecomposables is not invertible")
                     witness = b
                     done = True
                     break
@@ -793,7 +642,8 @@ def iso_witness(M: Representation, N: Representation) -> RepMorphism | None:
                 break
         if not found:
             return None
-    assert total is not None and total.is_iso()
+    _invariant(total is not None and total.is_iso(),
+               "matched summand isomorphisms do not assemble to an isomorphism")
     return total
 
 
@@ -851,45 +701,19 @@ def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
                 break
         if bad is None:
             break
-        t = bad
-        power = _nilpotency_power(t)
+        power = _nilpotency_power(bad)
         if power.is_zero():
-            # h escaped the radical but is nilpotent: multiply into a
-            # non-nilpotent member of the same right ideal, found through a
-            # left-identity idempotent of its image ideal in End/rad
-            hbar = E.q_project(E.hom.coordinates(bad))
-            qdim = E.quotient_dim
-            ideal_vecs = []
-            eye = Mat.identity(field, qdim)
-            for i in range(qdim):
-                ideal_vecs.append(E.q_mul(hbar, tuple(eye.entries[i])))
-            R = Subspace.from_vectors(field, qdim, ideal_vecs)
-            rows = []
-            rhs = []
-            for x in R.basis:
-                cols = [E.q_mul(tuple(lb), x) for lb in R.basis]
-                m = from_columns(field, cols, qdim)
-                rows.extend(m.entries)
-                rhs.extend(x)
-            sol = solve(Mat(field, len(rows), R.dim, tuple(rows)), tuple(rhs))
-            assert sol is not None, "semisimple quotient must contain the ideal identity"
-            ebar = [field.zero] * qdim
-            for c, lb in zip(sol, R.basis):
-                if c:
-                    ebar = [a + c * b for a, b in zip(ebar, lb)]
-            # ebar = hbar * sbar: solve for sbar and lift
-            cols = [E.q_mul(hbar, tuple(eye.entries[i])) for i in range(qdim)]
-            sbar = solve(from_columns(field, cols, qdim), tuple(ebar))
-            assert sbar is not None
-            s = E.q_lift(tuple(sbar))
-            t = bad @ s
-            power = _nilpotency_power(t)
-            assert not power.is_zero()
+            # bad lies outside the radical, the kernel of the trace form, so
+            # tr(bad b) != 0 for some basis element b; bad b still solves
+            # f h = 0 and, having nonzero trace, is not nilpotent
+            b = next((b for b in E.hom.basis if E.trace_pair(bad, b)), None)
+            _invariant(b is not None, "solution outside the radical is trace-orthogonal to End")
+            power = _nilpotency_power(bad @ b)
         K, inclK = kernel(power)
         I, inclI, _ = image(power)
-        assert K.total_dim + I.total_dim == cur_f.domain.total_dim
-        assert (cur_f @ inclI).is_zero()
-        assert I.total_dim > 0
+        _invariant(K.total_dim + I.total_dim == cur_f.domain.total_dim and I.total_dim > 0
+                   and (cur_f @ inclI).is_zero(),
+                   "stable power does not split off a nonzero summand killed by f")
         split_parts.append(I)
         cur_f = cur_f @ inclK
         cur_incl = cur_incl @ inclK

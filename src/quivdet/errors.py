@@ -57,8 +57,18 @@ class FieldTooSmallError(QuivdetError):
 
 
 class DecompositionInconclusiveError(QuivdetError):
-    """The splitting search and every structural certificate gave up; the
-    endomorphism quotient is (or behaves like) an exotic division algebra."""
+    """The Krull-Schmidt splitter found neither a splitting endomorphism nor a
+    field-degree certificate of indecomposability among its candidates.  It
+    is the splitter's only fallback and never claims a verdict: End(M)/rad
+    may be a noncommutative division algebra, or a split the deterministic
+    candidate list misses."""
+
+
+class InvariantError(QuivdetError):
+    """An internal consistency check failed: a computed object does not have
+    the property the mathematics guarantees (an idempotent that is not
+    idempotent, a claimed isomorphism that is not invertible).  Raised
+    explicitly, so the check also runs under python -O."""
 
 
 class InputNotInPathBasisError(QuivdetError):

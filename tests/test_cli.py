@@ -162,6 +162,44 @@ def test_left_with_override_rejected(capsys):
     assert "override" in err
 
 
+def test_left_with_override_rejected_before_knitting(tmp_path, capsys, monkeypatch):
+    # with the default cap, knitting the Kronecker quiver would not return
+    import quivdet.cli
+
+    def no_knit(*args, **kwargs):
+        raise AssertionError("contradictory flags must be rejected before knitting")
+
+    monkeypatch.setattr(quivdet.cli, "knit", no_knit)
+    kq = tmp_path / "kron.quiver"
+    kq.write_text("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n", encoding="utf-8")
+    data = tmp_path / "kron.reps"
+    data.write_text("morphism f P_2 P_1\ncomp 2 2x1 1 0\n", encoding="utf-8")
+    code, _, err = run(capsys, "det", str(kq), str(data), "f", "--left", "--override", "P_1")
+    assert code == 3
+    assert "--override is only supported for right determiners" in err
+
+
+def test_decompose_inconclusive_exit_3(tmp_path, capsys, monkeypatch):
+    # with the identity as the only candidate, the regular (I, rotation)
+    # representation of the Kronecker quiver can be neither split nor certified
+    import importlib
+
+    from quivdet.reps import identity_morphism
+
+    decompose_module = importlib.import_module("quivdet.decompose")  # not the function
+    monkeypatch.setattr(decompose_module, "_candidate_endos",
+                        lambda E: iter([identity_morphism(E.M)]))
+    kq = tmp_path / "kron.quiver"
+    kq.write_text("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n", encoding="utf-8")
+    data = tmp_path / "rot.reps"
+    data.write_text("rep R\ndim 1 2\ndim 2 2\nmap a 2x2 1 0 0 1\nmap b 2x2 0 -1 1 0\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "decompose", str(kq), "R", "--data", str(data), "--cap", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "End/rad has dimension 2" in err
+
+
 def test_decompose_command(capsys):
     code, out, _ = run(capsys, "decompose", A3Q, "P_2")
     assert code == 0

@@ -1,6 +1,8 @@
 """Krull-Schmidt decomposition, isomorphism tests, right minimal versions."""
 
+import ast
 import importlib
+import inspect
 import random
 
 import pytest
@@ -205,10 +207,19 @@ def _kronecker():
     return qd.parse_quiver("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2")
 
 
+def _companion_rep(q, field, coeffs):
+    """(I, companion matrix of the monic polynomial with low coefficients
+    coeffs) on the double-arrow quiver; End is k[x]/(that polynomial)."""
+    n = len(coeffs)
+    rows = [[1 if r == c + 1 else 0 for c in range(n - 1)] + [-coeffs[r]] for r in range(n)]
+    return qd.Representation(q, field, (n, n), (Mat.identity(field, n), Mat.from_rows(field, rows)))
+
+
 def test_indecomposable_with_field_endomorphisms():
     # the regular representation (I, rotation) of the double-arrow quiver has
     # endomorphism algebra isomorphic to a quadratic field, so no candidate
-    # splits it; the center certificate must still prove indecomposability
+    # splits it; the field-degree certificate must still prove
+    # indecomposability
     q = _kronecker()
     rot = Mat.from_rows(F, [[0, -1], [1, 0]])
     M = qd.Representation(q, F, (2, 2), (Mat.identity(F, 2), rot))
@@ -216,6 +227,37 @@ def test_indecomposable_with_field_endomorphisms():
     assert alg.dim == 2 and alg.quotient_dim == 2
     d = qd.decompose(M)
     assert d.is_indecomposable()
+    # End = Q(2^(1/4)): the certificate needs a candidate of degree 4
+    quartic = _companion_rep(q, F, [-2, 0, 0, 0])
+    alg = end_algebra(quartic)
+    assert alg.dim == 4 and alg.quotient_dim == 4
+    assert qd.decompose(quartic).is_indecomposable()
+    # End = Q[x]/((x^2+1)^2): local with a nonzero radical, certified by
+    # the degree of the squarefree part x^2+1
+    jordan = _companion_rep(q, F, [1, 0, 2, 0])
+    alg = end_algebra(jordan)
+    assert alg.dim == 4 and alg.radical.dim == 2 and alg.quotient_dim == 2
+    assert qd.decompose(jordan).is_indecomposable()
+
+
+def test_field_degree_certificate_is_sound(monkeypatch):
+    # with the identity as the only candidate, nothing splits R and the
+    # candidate degree 1 falls short of dim End/rad = 2: the splitter must
+    # give up rather than call R indecomposable
+    module = importlib.import_module("quivdet.decompose")  # qd.decompose is the function
+    monkeypatch.setattr(module, "_candidate_endos",
+                        lambda E: iter([qd.identity_morphism(E.M)]))
+    for field, error in ((F, qd.DecompositionInconclusiveError),
+                         (PrimeField(7), FieldTooSmallError)):
+        q = _kronecker()
+        rot = Mat.from_rows(field, [[0, -1], [1, 0]])
+        R = qd.Representation(q, field, (2, 2), (Mat.identity(field, 2), rot))
+        assert end_algebra(R).quotient_dim == 2
+        with pytest.raises(error):
+            qd.decompose(R)
+        with pytest.raises(error):
+            qd.is_indecomposable(R)
+        assert R not in q.workspace.decompositions
 
 
 def test_isotypic_pair_of_field_endomorphism_reps():
@@ -238,6 +280,15 @@ def test_distinct_field_endomorphism_reps_split():
     d = qd.decompose(M)
     assert len(d.summands) == 2
     assert all(mult == 1 for _, mult in d.summands)
+    # R1 + R1 + R2 under a change of basis at both vertices
+    M, _, _ = qd.direct_sum([R1, R1, R2])
+    U1 = Mat.from_rows(F, [[1 if c in (r, r + 1) else 0 for c in range(6)] for r in range(6)])
+    U2 = Mat.from_rows(F, [[1 if c in (r, r - 2) else 0 for c in range(6)] for r in range(6)])
+    twisted = qd.Representation(q, F, M.dims,
+                                tuple(U2 @ arrow @ U1.inverse() for arrow in M.action))
+    d = qd.decompose(twisted)
+    assert sorted(mult for _, mult in d.summands) == [1, 2]
+    assert all(leaf.dims == (2, 2) for leaf, _ in d.summands)
 
 
 def test_primary_parts_via_factorization():
@@ -268,3 +319,10 @@ def test_decompose_random_rep_against_known_pieces():
         got = sorted(leaf.dims for leaf, mult in d.summands for _ in range(mult))
         want = sorted(p.dims for p in picks)
         assert got == want
+
+
+def test_decompose_module_has_no_asserts():
+    # invariants are explicit InvariantError checks, which python -O keeps
+    module = importlib.import_module("quivdet.decompose")
+    tree = ast.parse(inspect.getsource(module))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
