@@ -21,8 +21,8 @@ leaves whole goes to sympy's univariate factorization: over Q only
 polynomials without a rational root, over F_p with p > 4096 every minimal
 polynomial of degree two or more.
 
-Internal consistency checks raise InvariantError rather than asserting, so
-they also run under python -O.
+Internal consistency checks raise InvariantError through errors.invariant
+rather than asserting, so they also run under python -O.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from fractions import Fraction
 from .errors import (
     DecompositionInconclusiveError,
     FieldTooSmallError,
-    InvariantError,
     NotIndecomposableError,
+    invariant,
 )
 from .linalg import (
     Mat,
@@ -55,11 +55,6 @@ from .reps import (
     postcompose_matrix,
     zero_representation,
 )
-
-
-def _invariant(holds: bool, message: str) -> None:
-    if not holds:
-        raise InvariantError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +174,24 @@ def _pderiv(field, p):
 
 
 def _vector_minpoly(field, T: Mat, v: tuple):
-    """Minimal polynomial of T relative to the start vector v."""
-    space = Subspace.zero(field, T.rows)
+    """Minimal polynomial of T relative to the start vector v.  Each Krylov
+    vector is reduced against echelon rows of the ones before it (each row
+    normalized at its pivot and reduced against the earlier rows); the first
+    that reduces to zero is solved for as their combination."""
+    echelon = []  # (pivot, row)
     vecs = []
     cur = v
-    while not space.contains_vector(cur):
+    while True:
+        r = cur
+        for p, row in echelon:
+            if r[p]:
+                c = r[p]
+                r = [a - c * b for a, b in zip(r, row)]
+        p = next((k for k, x in enumerate(r) if x), None)
+        if p is None:
+            break
+        echelon.append((p, [x / r[p] for x in r]))
         vecs.append(cur)
-        space = Subspace.from_vectors(field, T.rows, vecs)
         cur = T.apply(cur)
     # cur = sum c_k T^k v; solve for the combination
     A = from_columns(field, vecs, T.rows)
@@ -207,7 +213,7 @@ def minimal_polynomial(phi: RepMorphism):
         mv = _vector_minpoly(field, T, v)
         g = _pgcd(field, mu, mv)
         q, r = _pdivmod(field, mv, g)
-        _invariant(not r, "gcd does not divide the vector minimal polynomial")
+        invariant(not r, "gcd does not divide the vector minimal polynomial")
         mu = _pmul(field, mu, q)
         if _pdeg(mu) == n:
             break
@@ -339,7 +345,7 @@ def _bezout_idempotent_poly(field, part, rest_parts):
     for q in rest_parts:
         b = _pmul(field, b, q)
     g, u, v = _pgcdex(field, part, b)
-    _invariant(_pdeg(g) == 0, "primary parts were not coprime")
+    invariant(_pdeg(g) == 0, "primary parts were not coprime")
     return _pmul(field, v, b)
 
 
@@ -411,31 +417,15 @@ def end_algebra(M: Representation) -> EndAlgebra:
 
 def split_by_idempotent(M: Representation, e: RepMorphism):
     """M = ker(e) + im(e) for an exact idempotent e; returns both pieces with
-    inclusion and projection morphisms."""
-    one = identity_morphism(M)
-    K, inclK = kernel(e)
-    I, inclI, _ = image(e)
-    _invariant(K.total_dim + I.total_dim == M.total_dim,
-               "kernel and image of an idempotent do not fill the module")
-    field = M.field
-    # projection onto ker(e) corestricts 1 - e; onto im(e) corestricts e
-    comp = one - e
-    projK_comps = []
-    projI_comps = []
-    for i in range(M.quiver.n_vertices):
-        ker_cols = Subspace.from_vectors(field, M.dims[i],
-                                         [inclK.comps[i].col(j) for j in range(K.dims[i])])
-        im_cols = Subspace.from_vectors(field, M.dims[i],
-                                        [inclI.comps[i].col(j) for j in range(I.dims[i])])
-        pk = [ker_cols.coordinates(comp.comps[i].col(j)) for j in range(M.dims[i])]
-        pi = [im_cols.coordinates(e.comps[i].col(j)) for j in range(M.dims[i])]
-        projK_comps.append(from_columns(field, pk, K.dims[i]))
-        projI_comps.append(from_columns(field, pi, I.dims[i]))
-    projK = RepMorphism(M, K, tuple(projK_comps))
-    projI = RepMorphism(M, I, tuple(projI_comps))
-    _invariant((projK @ inclK) == identity_morphism(K)
-               and (projI @ inclI) == identity_morphism(I),
-               "summand projections do not split the inclusions")
+    inclusion and projection morphisms.  ker(e) is im(1 - e), with the same
+    canonical basis, so each projection is the corestriction of 1 - e or e."""
+    K, inclK, projK = image(identity_morphism(M) - e)
+    I, inclI, projI = image(e)
+    invariant(K.total_dim + I.total_dim == M.total_dim,
+              "kernel and image of an idempotent do not fill the module")
+    invariant((projK @ inclK) == identity_morphism(K)
+              and (projI @ inclI) == identity_morphism(I),
+              "summand projections do not split the inclusions")
     return (K, inclK, projK), (I, inclI, projI)
 
 
@@ -476,7 +466,7 @@ def _idempotent_from_candidate(phi: RepMorphism, mu, parts) -> RepMorphism:
     epoly = _bezout_idempotent_poly(field, parts[0], parts[1:])
     _, epoly = _pdivmod(field, epoly, mu)
     e = _peval_endo(epoly, phi)
-    _invariant((e @ e) == e and not e.is_zero() and e != identity_morphism(phi.domain),
+    invariant((e @ e) == e and not e.is_zero() and e != identity_morphism(phi.domain),
                "Bezout combination is not a nontrivial idempotent")
     return e
 
@@ -604,7 +594,7 @@ def indec_iso_witness(A: Representation, B: Representation) -> RepMorphism | Non
         for b in hab.basis:
             for c in hba.basis:
                 if not EA.in_radical(c @ b):
-                    _invariant(b.is_iso(), "iso witness between indecomposables is not invertible")
+                    invariant(b.is_iso(), "iso witness between indecomposables is not invertible")
                     witness = b
                     done = True
                     break
@@ -642,7 +632,7 @@ def iso_witness(M: Representation, N: Representation) -> RepMorphism | None:
                 break
         if not found:
             return None
-    _invariant(total is not None and total.is_iso(),
+    invariant(total is not None and total.is_iso(),
                "matched summand isomorphisms do not assemble to an isomorphism")
     return total
 
@@ -707,11 +697,11 @@ def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
             # tr(bad b) != 0 for some basis element b; bad b still solves
             # f h = 0 and, having nonzero trace, is not nilpotent
             b = next((b for b in E.hom.basis if E.trace_pair(bad, b)), None)
-            _invariant(b is not None, "solution outside the radical is trace-orthogonal to End")
+            invariant(b is not None, "solution outside the radical is trace-orthogonal to End")
             power = _nilpotency_power(bad @ b)
         K, inclK = kernel(power)
         I, inclI, _ = image(power)
-        _invariant(K.total_dim + I.total_dim == cur_f.domain.total_dim and I.total_dim > 0
+        invariant(K.total_dim + I.total_dim == cur_f.domain.total_dim and I.total_dim > 0
                    and (cur_f @ inclI).is_zero(),
                    "stable power does not split off a nonzero summand killed by f")
         split_parts.append(I)

@@ -25,7 +25,7 @@ from .decompose import (
     rad_hom_basis,
     right_minimal_version,
 )
-from .errors import SemanticError
+from .errors import SemanticError, invariant
 from .linalg import Mat, Subspace, column_space, kernel_basis, solve
 from .quiver import projective_at
 from .reps import (
@@ -200,7 +200,7 @@ class DeterminerEngine:
         if x is None:
             return None
         h = htx.from_coordinates(x)
-        assert (f @ h) == g
+        invariant((f @ h) == g, "solved factorization does not compose to the target")
         return h
 
     def almost_factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
@@ -224,7 +224,8 @@ class DeterminerEngine:
         if not rows:
             return Subspace.full(self.field, hzy.dim)
         R = kernel_basis(Mat(self.field, len(rows), hzy.dim, tuple(rows)))
-        assert R.contains(self.factor_subspace(f, Z))
+        invariant(R.contains(self.factor_subspace(f, Z)),
+                  "almost-factoring subspace misses the factoring subspace")
         return R
 
     def almost_factors(self, f: RepMorphism, Z: Representation) -> bool:
@@ -279,7 +280,7 @@ class DeterminerEngine:
         for entry in self.registry.entries:
             fv = self.factor_subspace(f, entry.rep)
             wv = self.determined_subspace(f, member_reps, entry.rep)
-            assert wv.contains(fv)
+            invariant(wv.contains(fv), "determined subspace misses the factoring subspace")
             if wv.dim != fv.dim:
                 determination_ok = False
                 witness = entry.label

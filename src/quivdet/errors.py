@@ -71,6 +71,12 @@ class InvariantError(QuivdetError):
     explicitly, so the check also runs under python -O."""
 
 
+def invariant(holds: bool, message: str) -> None:
+    """The package's one consistency check: raise InvariantError unless holds."""
+    if not holds:
+        raise InvariantError(message)
+
+
 class InputNotInPathBasisError(QuivdetError):
     """A map between canonical projective/injective sums had malformed block
     structure and could not be transported along the Nakayama equivalence."""

@@ -6,6 +6,10 @@ arrow square commute, checked exactly at construction time.  Hom(M, N) is the
 solution space of the commuting-square linear system and is returned with a
 canonical (RREF) ordered basis, so all downstream subspace computations have
 stable coordinates.
+
+Sub- and quotient representations by vertexwise subspaces each come from
+one routine, subrepresentation and quotient; kernels, images and cokernels
+(and socles, radicals and tops in structure.py) are calls to them.
 """
 
 from __future__ import annotations
@@ -256,67 +260,63 @@ def precompose_matrix(hs_src: HomSpace, hs_dst: HomSpace, h: RepMorphism) -> Mat
     return from_columns(hs_src.field, cols, hs_dst.dim)
 
 
-def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
-    """Vertexwise kernel with induced arrow actions and its inclusion."""
-    M = f.domain
+def subrepresentation(M: Representation, subs) -> tuple[Representation, RepMorphism]:
+    """Subrepresentation spanned vertexwise by the given subspaces, with its
+    inclusion; raises ValueError when the family is not closed under the
+    arrow actions."""
     q, field = M.quiver, M.field
-    subs = [kernel_basis(c) for c in f.comps]
     dims = tuple(s.dim for s in subs)
     action = []
     for ai, a in enumerate(q.arrows):
         si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        cols = []
-        for v in subs[si].basis:
-            w = M.action[ai].apply(v)
-            cols.append(subs[ti].coordinates(w))
+        cols = [subs[ti].coordinates(M.action[ai].apply(v)) for v in subs[si].basis]
         action.append(from_columns(field, cols, dims[ti]))
-    K = Representation(q, field, dims, tuple(action))
-    incl = RepMorphism(K, M, tuple(s.basis_matrix_columns() for s in subs))
-    return K, incl
+    S = Representation(q, field, dims, tuple(action))
+    return S, RepMorphism(S, M, tuple(s.basis_matrix_columns() for s in subs))
+
+
+def quotient(M: Representation, subs) -> tuple[Representation, RepMorphism]:
+    """M modulo vertexwise subspaces closed under the arrow actions, in the
+    canonical complement coordinates, with the projection from M."""
+    q = M.quiver
+    projs = [s.complement_projection() for s in subs]
+    sections = [s.complement_section() for s in subs]
+    action = []
+    for ai, a in enumerate(q.arrows):
+        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
+        action.append(projs[ti] @ M.action[ai] @ sections[si])
+    C = Representation(q, M.field, tuple(p.rows for p in projs), tuple(action))
+    return C, RepMorphism(M, C, tuple(projs))
+
+
+def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
+    """Vertexwise kernel with induced arrow actions and its inclusion."""
+    return subrepresentation(f.domain, [kernel_basis(c) for c in f.comps])
 
 
 def image(f: RepMorphism) -> tuple[Representation, RepMorphism, RepMorphism]:
     """Image subrepresentation with inclusion into the codomain and the
     corestricted epimorphism from the domain."""
-    N = f.codomain
-    q, field = N.quiver, N.field
     subs = [column_space(c) for c in f.comps]
-    dims = tuple(s.dim for s in subs)
-    action = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        cols = [subs[ti].coordinates(N.action[ai].apply(v)) for v in subs[si].basis]
-        action.append(from_columns(field, cols, dims[ti]))
-    I = Representation(q, field, dims, tuple(action))
-    incl = RepMorphism(I, N, tuple(s.basis_matrix_columns() for s in subs))
+    I, incl = subrepresentation(f.codomain, subs)
     epi_comps = []
     for i, s in enumerate(subs):
         cols = [s.coordinates(f.comps[i].col(j)) for j in range(f.domain.dims[i])]
-        epi_comps.append(from_columns(field, cols, dims[i]))
-    epi = RepMorphism(f.domain, I, tuple(epi_comps))
-    return I, incl, epi
+        epi_comps.append(from_columns(I.field, cols, I.dims[i]))
+    return I, incl, RepMorphism(f.domain, I, tuple(epi_comps))
 
 
 def cokernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     """Vertexwise cokernel in the canonical complement basis, with the
     projection from the codomain."""
-    N = f.codomain
-    q, field = N.quiver, N.field
-    ims = [column_space(c) for c in f.comps]
-    projs = [s.complement_projection() for s in ims]
-    sections = [s.complement_section() for s in ims]
-    dims = tuple(p.rows for p in projs)
-    action = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        action.append(projs[ti] @ N.action[ai] @ sections[si])
-    C = Representation(q, field, dims, tuple(action))
-    proj = RepMorphism(N, C, tuple(projs))
-    return C, proj
+    return quotient(f.codomain, [column_space(c) for c in f.comps])
 
 
 def direct_sum(reps, q: Quiver | None = None, field: Field | None = None):
-    """Block-diagonal direct sum; returns (rep, injections, projections)."""
+    """Block-diagonal direct sum; returns (rep, injections, projections).
+
+    The projection onto a summand is a row slice of the identity at that
+    summand's offset, and the injection is its transpose."""
     reps = list(reps)
     if not reps:
         if q is None or field is None:
@@ -332,21 +332,15 @@ def direct_sum(reps, q: Quiver | None = None, field: Field | None = None):
     for ai in range(len(q.arrows)):
         action.append(block_diag(field, [r.action[ai] for r in reps]))
     total = Representation(q, field, dims, tuple(action))
+    eyes = [Mat.identity(field, d).entries for d in dims]
+    offsets = [0] * q.n_vertices
     injections, projections = [], []
-    for k, r in enumerate(reps):
-        inj_comps, proj_comps = [], []
-        for i in range(q.n_vertices):
-            before = sum(reps[j].dims[i] for j in range(k))
-            inj = Mat.zero(field, dims[i], r.dims[i]).entries
-            inj = [list(row) for row in inj]
-            for t in range(r.dims[i]):
-                inj[before + t][t] = field.one
-            inj_comps.append(Mat(field, dims[i], r.dims[i], tuple(tuple(x) for x in inj)))
-            pr = [list(row) for row in Mat.zero(field, r.dims[i], dims[i]).entries]
-            for t in range(r.dims[i]):
-                pr[t][before + t] = field.one
-            proj_comps.append(Mat(field, r.dims[i], dims[i], tuple(tuple(x) for x in pr)))
-        injections.append(RepMorphism(r, total, tuple(inj_comps)))
+    for r in reps:
+        proj_comps = []
+        for i, d in enumerate(r.dims):
+            proj_comps.append(Mat(field, d, dims[i], eyes[i][offsets[i]:offsets[i] + d]))
+            offsets[i] += d
+        injections.append(RepMorphism(r, total, tuple(m.transpose() for m in proj_comps)))
         projections.append(RepMorphism(total, r, tuple(proj_comps)))
     return total, injections, projections
 

@@ -4,6 +4,9 @@
 On a finite acyclic quiver a copy of the simple S_x inside M is a vector of
 M(x) killed by every arrow leaving x, so the socle is a vertexwise kernel
 intersection; dually the radical is the vertexwise sum of incoming images.
+Each is computed once as a family of canonical subspaces: reps.subrepresentation
+turns it into soc(M) or rad(M), reps.quotient into top(M), and the injective
+hull and projective cover read their block multiplicities from it directly.
 Covers are lifted deterministically: top basis vectors are sectioned back into
 M at the canonical complement coordinates, which pins every matrix of the
 resolution for golden tests.
@@ -12,7 +15,9 @@ resolution for golden tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
+from .errors import invariant
 from .linalg import Mat, Subspace, from_columns, kernel_basis, column_space
 from .quiver import paths_between, projective_at, injective_at
 from .reps import (
@@ -21,75 +26,46 @@ from .reps import (
     direct_sum,
     kernel,
     cokernel,
+    quotient,
+    subrepresentation,
 )
 
 
-def _subrep_from_subspaces(M: Representation, subs) -> tuple[Representation, RepMorphism]:
-    """Subrepresentation spanned vertexwise by the given subspaces, which must
-    be closed under the arrow actions."""
-    q, field = M.quiver, M.field
-    dims = tuple(s.dim for s in subs)
-    action = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        cols = [subs[ti].coordinates(M.action[ai].apply(v)) for v in subs[si].basis]
-        action.append(from_columns(field, cols, dims[ti]))
-    S = Representation(q, field, dims, tuple(action))
-    incl = RepMorphism(S, M, tuple(s.basis_matrix_columns() for s in subs))
-    return S, incl
+def _socle_subspaces(M: Representation) -> list[Subspace]:
+    """soc(M)(x): the intersection of the kernels of all arrow maps leaving x."""
+    return [reduce(Subspace.intersect, [kernel_basis(M.action[ai]) for ai in arrows],
+                   Subspace.full(M.field, d)) for d, arrows in zip(M.dims, M.quiver.arrows_from)]
+
+
+def _radical_subspaces(M: Representation) -> list[Subspace]:
+    """rad(M)(x): the sum of the images of all arrow maps into x."""
+    return [reduce(Subspace.sum, [column_space(M.action[ai]) for ai in arrows],
+                   Subspace.zero(M.field, d)) for d, arrows in zip(M.dims, M.quiver.arrows_into)]
 
 
 def socle(M: Representation) -> tuple[Representation, RepMorphism]:
-    """Largest semisimple subrepresentation: soc(M)(x) is the intersection of
-    the kernels of all arrow maps leaving x."""
-    q, field = M.quiver, M.field
-    subs = []
-    for i in range(q.n_vertices):
-        s = Subspace.full(field, M.dims[i])
-        for ai in q.arrows_from[i]:
-            s = s.intersect(kernel_basis(M.action[ai]))
-        subs.append(s)
-    return _subrep_from_subspaces(M, subs)
+    """Largest semisimple subrepresentation, with its inclusion."""
+    return subrepresentation(M, _socle_subspaces(M))
 
 
 def socle_multiplicities(M: Representation) -> tuple[int, ...]:
     """Multiplicity of each simple S_x inside soc(M), indexed by vertex."""
-    S, _ = socle(M)
-    return S.dims
+    return tuple(s.dim for s in _socle_subspaces(M))
 
 
 def radical(M: Representation) -> tuple[Representation, RepMorphism]:
-    """rad(M)(x) = sum of images of all arrows into x."""
-    q, field = M.quiver, M.field
-    subs = []
-    for i in range(q.n_vertices):
-        s = Subspace.zero(field, M.dims[i])
-        for ai in q.arrows_into[i]:
-            s = s.sum(column_space(M.action[ai]))
-        subs.append(s)
-    return _subrep_from_subspaces(M, subs)
+    """rad(M), the subrepresentation of images of arrows, with its inclusion."""
+    return subrepresentation(M, _radical_subspaces(M))
 
 
 def top(M: Representation) -> tuple[Representation, RepMorphism]:
     """M / rad(M) in the canonical complement coordinates, with projection."""
-    q, field = M.quiver, M.field
-    _, incl = radical(M)
-    rad_subs = [column_space(c) for c in incl.comps]
-    projs = [s.complement_projection() for s in rad_subs]
-    dims = tuple(p.rows for p in projs)
-    # arrows land inside the radical, so the induced action is zero
-    action = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        action.append(Mat.zero(field, dims[ti], dims[si]))
-    T = Representation(q, field, dims, tuple(action))
-    proj = RepMorphism(M, T, tuple(projs))
-    return T, proj
+    return quotient(M, _radical_subspaces(M))
 
 
 def top_multiplicities(M: Representation) -> tuple[int, ...]:
-    T, _ = top(M)
-    return T.dims
+    """Multiplicity of each simple S_x in top(M), indexed by vertex."""
+    return tuple(s.ambient_dim - s.dim for s in _radical_subspaces(M))
 
 
 @dataclass(frozen=True)
@@ -102,42 +78,41 @@ class BlockSum:
     projections: tuple[RepMorphism, ...]
 
 
-def projective_block_sum(q, field, vertices) -> BlockSum:
-    blocks = [projective_at(q, x, field) for x in vertices]
-    total, injs, projs = direct_sum(blocks, q=q, field=field)
+def _block_sum(q, field, vertices, canonical) -> BlockSum:
+    """Direct sum of canonical(q, x, field) over the given vertices."""
+    total, injs, projs = direct_sum([canonical(q, x, field) for x in vertices], q=q, field=field)
     return BlockSum(total, tuple(vertices), tuple(injs), tuple(projs))
+
+
+def projective_block_sum(q, field, vertices) -> BlockSum:
+    return _block_sum(q, field, vertices, projective_at)
 
 
 def injective_block_sum(q, field, vertices) -> BlockSum:
-    blocks = [injective_at(q, x, field) for x in vertices]
-    total, injs, projs = direct_sum(blocks, q=q, field=field)
-    return BlockSum(total, tuple(vertices), tuple(injs), tuple(projs))
+    return _block_sum(q, field, vertices, injective_at)
 
 
 def projective_cover(M: Representation) -> tuple[BlockSum, RepMorphism]:
     """P = direct sum of P_x with the multiplicities of top(M), together with
     the cover epimorphism lifting the identification of tops."""
     q, field = M.quiver, M.field
-    T, proj = top(M)
-    rad_subs = [column_space(c) for c in radical(M)[1].comps]
     vertices = []
     generators = []  # chosen preimages in M of the top basis vectors
-    for i, x in enumerate(q.vertices):
-        section = rad_subs[i].complement_section()
-        for j in range(T.dims[i]):
-            vertices.append(x)
-            generators.append((i, section.col(j)))
+    for i, rad in enumerate(_radical_subspaces(M)):
+        section = rad.complement_section()
+        vertices.extend([q.vertices[i]] * section.cols)
+        generators.extend(section.columns())
     ps = projective_block_sum(q, field, vertices)
     # the cover sends the trivial-path generator of each block to its chosen
     # preimage; a path basis vector goes to the path action applied to it
     comps = [[] for _ in range(q.n_vertices)]  # columns per vertex
-    for (gi, gv), x in zip(generators, ps.block_vertices):
+    for gv, x in zip(generators, ps.block_vertices):
         for yi, y in enumerate(q.vertices):
             for p in paths_between(q, x, y):
                 comps[yi].append(M.path_matrix(p).apply(gv))
     cover_comps = tuple(from_columns(field, comps[i], M.dims[i]) for i in range(q.n_vertices))
     cover = RepMorphism(ps.rep, M, cover_comps)
-    assert cover.is_epi(), "projective cover failed to be surjective"
+    invariant(cover.is_epi(), "projective cover failed to be surjective")
     return ps, cover
 
 
@@ -145,27 +120,23 @@ def injective_hull(M: Representation) -> tuple[BlockSum, RepMorphism]:
     """I = direct sum of I_x with the multiplicities of soc(M), together with
     the hull monomorphism."""
     q, field = M.quiver, M.field
-    S, incl = socle(M)
-    soc_subs = [column_space(c) for c in incl.comps]
     vertices = []
-    functionals = []  # (vertex index, coordinate functional index)
-    for i, x in enumerate(q.vertices):
-        for j in range(S.dims[i]):
-            vertices.append(x)
-            # dual basis against the RREF socle basis: pick its pivot slot
-            functionals.append((i, soc_subs[i].pivots[j]))
+    pivots = []  # dual basis against the RREF socle basis: its pivot slots
+    for i, soc in enumerate(_socle_subspaces(M)):
+        vertices.extend([q.vertices[i]] * soc.dim)
+        pivots.extend(soc.pivots)
     bs = injective_block_sum(q, field, vertices)
     # component at vertex y: for each block (socle vector at x) and each path
     # p: y -> x, the row reads off the pivot coordinate of M(p) applied to v
     comps = []
     for yi, y in enumerate(q.vertices):
         rows = []
-        for (xi, pivot), x in zip(functionals, bs.block_vertices):
+        for pivot, x in zip(pivots, bs.block_vertices):
             for p in paths_between(q, y, x):
                 rows.append(tuple(M.path_matrix(p).entries[pivot]))
         comps.append(Mat(field, len(rows), M.dims[yi], tuple(rows)))
     hull = RepMorphism(M, bs.rep, tuple(comps))
-    assert hull.is_mono(), "injective hull failed to be injective"
+    invariant(hull.is_mono(), "injective hull failed to be injective")
     return bs, hull
 
 
@@ -198,9 +169,9 @@ def min_projective_resolution(M: Representation) -> ProjResolution:
     p0, cover = projective_cover(M)
     K, incl = kernel(cover)
     p1, cover1 = projective_cover(K)
-    assert p1.rep.dims == K.dims, "syzygy of a cover must be projective here"
+    invariant(p1.rep.dims == K.dims, "syzygy of a cover must be projective here")
     diff = incl @ cover1
-    assert diff.is_mono()
+    invariant(diff.is_mono(), "resolution differential is not injective")
     return ProjResolution(M, p0, p1, diff, cover)
 
 
@@ -208,7 +179,7 @@ def min_injective_copresentation(M: Representation) -> InjCopresentation:
     i0, hull = injective_hull(M)
     C, proj = cokernel(hull)
     i1, hull1 = injective_hull(C)
-    assert i1.rep.dims == C.dims, "cokernel of a hull must be injective here"
+    invariant(i1.rep.dims == C.dims, "cokernel of a hull must be injective here")
     diff = hull1 @ proj
-    assert diff.is_epi()
+    invariant(diff.is_epi(), "copresentation differential is not surjective")
     return InjCopresentation(M, i0, i1, diff, hull)

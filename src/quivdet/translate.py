@@ -12,6 +12,7 @@ corresponding sum of injectives, and conversely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .decompose import decompose, indec_iso_witness, is_indecomposable
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     HasProjectiveSummandError,
     InputNotInPathBasisError,
     SemanticError,
+    invariant,
 )
 from .linalg import Field, Mat, RATIONALS
 from .quiver import Quiver, injective_at, paths_between, projective_at
@@ -80,69 +82,51 @@ def _path_coefficients_inj(h: RepMorphism, dom: BlockSum, cod: BlockSum):
     return coeffs
 
 
-def _proj_map_from_coefficients(q: Quiver, field: Field, coeffs,
-                                dom: BlockSum, cod: BlockSum) -> RepMorphism:
-    """Map between projective block sums with prescribed path coefficients;
-    the path p: y -> x acts on P_x by precomposition (p then q)."""
+def _map_from_coefficients(q: Quiver, field: Field, coeffs, dom: BlockSum, cod: BlockSum,
+                           basis, act) -> RepMorphism:
+    """Map between block sums with prescribed path coefficients.
+
+    At vertex z the block of x has the path list basis(z, x) as its basis; a
+    coefficient path p: y -> x sends the basis path r of an x-block to the
+    basis path act(p, r) of a y-block, or to zero when that is None."""
     comps = []
     for zi, z in enumerate(q.vertices):
         m = [[field.zero] * dom.rep.dims[zi] for _ in range(cod.rep.dims[zi])]
-        dom_off = _block_offsets(q, dom, zi)
-        cod_off = _block_offsets(q, cod, zi)
+        dom_off = _block_offsets(dom, z, basis)
+        cod_off = _block_offsets(cod, z, basis)
         for (i, j, parrows), c in coeffs.items():
-            x = dom.block_vertices[j]
-            y = cod.block_vertices[i]
-            dom_paths = paths_between(q, x, z)
-            cod_index = {pp.arrows: t for t, pp in enumerate(paths_between(q, y, z))}
-            for t, qq in enumerate(dom_paths):
-                target = parrows + qq.arrows
-                m[cod_off[i] + cod_index[target]][dom_off[j] + t] = \
-                    m[cod_off[i] + cod_index[target]][dom_off[j] + t] + c
+            cod_index = {pp.arrows: t for t, pp in enumerate(basis(z, cod.block_vertices[i]))}
+            for t, r in enumerate(basis(z, dom.block_vertices[j])):
+                target = act(parrows, r.arrows)
+                if target is not None:
+                    row = cod_off[i] + cod_index[target]
+                    m[row][dom_off[j] + t] = m[row][dom_off[j] + t] + c
         comps.append(Mat(field, cod.rep.dims[zi], dom.rep.dims[zi],
                          tuple(tuple(r) for r in m)))
     return RepMorphism(dom.rep, cod.rep, tuple(comps))
+
+
+def _proj_map_from_coefficients(q: Quiver, field: Field, coeffs,
+                                dom: BlockSum, cod: BlockSum) -> RepMorphism:
+    """The path p: y -> x acts on P_x by precomposition (p then the basis
+    path x -> z)."""
+    return _map_from_coefficients(q, field, coeffs, dom, cod,
+                                  lambda z, x: paths_between(q, x, z), lambda p, r: p + r)
 
 
 def _inj_map_from_coefficients(q: Quiver, field: Field, coeffs,
                                dom: BlockSum, cod: BlockSum) -> RepMorphism:
-    """Map between injective block sums with prescribed path coefficients;
-    the path p: y -> x maps the basis path r: z -> x of I_x to the stripped
-    path r': z -> y when r = r' followed by p, and to zero otherwise."""
-    comps = []
-    for zi, z in enumerate(q.vertices):
-        m = [[field.zero] * dom.rep.dims[zi] for _ in range(cod.rep.dims[zi])]
-        dom_off = _block_offsets(q, dom, zi, injective=True)
-        cod_off = _block_offsets(q, cod, zi, injective=True)
-        for (i, j, parrows), c in coeffs.items():
-            x = dom.block_vertices[j]
-            y = cod.block_vertices[i]
-            dom_paths = paths_between(q, z, x)
-            cod_index = {pp.arrows: t for t, pp in enumerate(paths_between(q, z, y))}
-            np = len(parrows)
-            for t, r in enumerate(dom_paths):
-                if np == 0:
-                    stripped = r.arrows
-                elif len(r.arrows) >= np and r.arrows[len(r.arrows) - np:] == parrows:
-                    stripped = r.arrows[: len(r.arrows) - np]
-                else:
-                    continue
-                m[cod_off[i] + cod_index[stripped]][dom_off[j] + t] = \
-                    m[cod_off[i] + cod_index[stripped]][dom_off[j] + t] + c
-        comps.append(Mat(field, cod.rep.dims[zi], dom.rep.dims[zi],
-                         tuple(tuple(r) for r in m)))
-    return RepMorphism(dom.rep, cod.rep, tuple(comps))
+    """The path p: y -> x maps the basis path r: z -> x of I_x to the
+    stripped path r': z -> y when r = r' followed by p, and to zero
+    otherwise."""
+    return _map_from_coefficients(
+        q, field, coeffs, dom, cod, lambda z, x: paths_between(q, z, x),
+        lambda p, r: r[:len(r) - len(p)] if r[len(r) - len(p):] == p else None)
 
 
-def _block_offsets(q: Quiver, bs: BlockSum, vi: int, injective: bool = False):
-    offs = []
-    acc = 0
-    for x in bs.block_vertices:
-        offs.append(acc)
-        if injective:
-            acc += len(paths_between(q, q.vertices[vi], x))
-        else:
-            acc += len(paths_between(q, x, q.vertices[vi]))
-    return offs
+def _block_offsets(bs: BlockSum, z: str, basis) -> list[int]:
+    """Offset of each block of bs at vertex z, given the block bases."""
+    return list(accumulate((len(basis(z, x)) for x in bs.block_vertices), initial=0))
 
 
 def nakayama_on_projmap(g: RepMorphism, dom: BlockSum, cod: BlockSum):
@@ -324,7 +308,7 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
             i += 1
             continue
         t = trd(entry.rep)
-        assert is_indecomposable(t), "TrD of an indecomposable must be indecomposable"
+        invariant(is_indecomposable(t), "TrD of an indecomposable must be indecomposable")
         j = reg.find_iso(t)
         if j is None:
             if len(reg.entries) >= cap:

@@ -1,6 +1,9 @@
 """CLI behaviors: subcommands, exit codes, and byte-stable JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 
@@ -43,6 +46,19 @@ def test_det_json_matches_golden_file(capsys):
     _, out, _ = run(capsys, "det", A3Q, A3D, "f", "--verify", "--json")
     golden = (DATA_DIR / "golden_a3_report.json").read_text(encoding="utf-8")
     assert out == golden
+
+
+def test_det_json_matches_golden_file_under_optimize():
+    # python -O strips assert statements; the invariant checks must not
+    # depend on them, and the output must not change
+    root = DATA_DIR.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "quivdet.cli", "det", "data/a3.quiver", "data/a3.reps",
+         "f", "--verify", "--json"],
+        cwd=root, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA_DIR / "golden_a3_report.json").read_bytes()
 
 
 def test_det_incomplete_registry_warns_but_passes(tmp_path, capsys):

@@ -3,12 +3,13 @@
 import ast
 import importlib
 import inspect
+import pkgutil
 import random
 
 import pytest
 
 import quivdet as qd
-from quivdet.decompose import end_algebra, minimal_polynomial, _primary_parts
+from quivdet.decompose import end_algebra, minimal_polynomial, _peval_endo, _primary_parts
 from quivdet.errors import FieldTooSmallError, NotIndecomposableError
 from quivdet.linalg import Mat, PrimeField, RATIONALS
 
@@ -97,6 +98,16 @@ def test_minimal_polynomial_of_idempotent(a3):
     assert mu == [F.zero, -F.one, F.one] or mu == [F.of(0), F.of(-1), F.of(1)]
     parts = _primary_parts(F, mu)
     assert len(parts) == 2
+    # a long Krylov chain: every start vector needs four steps under the
+    # companion matrix of x^4 - 2, here conjugated by a GL matrix
+    g = Mat.from_rows(F, [[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 1, 0], [0, 0, 2, 1]])
+    quartic = _companion_rep(_kronecker(), F, [-2, 0, 0, 0])
+    T = g @ quartic.action[1] @ g.inverse()
+    M = qd.Representation(quartic.quiver, F, (4, 4), (Mat.identity(F, 4), T))
+    phi = qd.RepMorphism(M, M, (T, T))
+    mu = minimal_polynomial(phi)
+    assert mu == [F.of(-2), F.zero, F.zero, F.zero, F.one]
+    assert mu[-1] == F.one and _peval_endo(mu, phi).is_zero()
 
 
 def test_right_minimal_version_already_minimal(golden_f):
@@ -322,7 +333,10 @@ def test_decompose_random_rep_against_known_pieces():
 
 
 def test_decompose_module_has_no_asserts():
-    # invariants are explicit InvariantError checks, which python -O keeps
-    module = importlib.import_module("quivdet.decompose")
-    tree = ast.parse(inspect.getsource(module))
-    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    # invariants are explicit InvariantError checks, which python -O keeps;
+    # the guard covers every module of the package, not only decompose
+    for info in pkgutil.iter_modules(qd.__path__):
+        module = importlib.import_module(f"quivdet.{info.name}")
+        tree = ast.parse(inspect.getsource(module))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"quivdet.{info.name} asserts at lines {asserts}"

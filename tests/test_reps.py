@@ -6,8 +6,15 @@ import pytest
 
 import quivdet as qd
 from quivdet.errors import SemanticError
-from quivdet.linalg import Mat, RATIONALS
-from quivdet.reps import image, postcompose_matrix, precompose_matrix
+from quivdet.linalg import Mat, RATIONALS, Subspace, column_space
+from quivdet.reps import (
+    image,
+    postcompose_matrix,
+    precompose_matrix,
+    quotient,
+    subrepresentation,
+)
+from quivdet.structure import radical, top
 
 F = RATIONALS
 
@@ -74,6 +81,31 @@ def test_exactness_dimension_additivity(a3, golden_f):
         assert K.dims[i] + I.dims[i] == golden_f.domain.dims[i]
         assert I.dims[i] + C.dims[i] == golden_f.codomain.dims[i]
     assert epi.is_epi()
+
+
+def test_quotient_by_image_is_cokernel(golden_f):
+    ims = [column_space(c) for c in golden_f.comps]
+    assert quotient(golden_f.codomain, ims) == qd.cokernel(golden_f)
+
+
+def test_quotient_by_radical_has_zero_arrow_maps(golden_f):
+    # P_2 + I_2: the arrow 3 -> 2 is nonzero on I_2, but lands in the radical
+    M, _, _ = qd.direct_sum([golden_f.domain, golden_f.codomain])
+    rad = [column_space(c) for c in radical(M)[1].comps]
+    T, proj = quotient(M, rad)
+    assert T.dims == (0, 1, 1)
+    assert not M.action[1].is_zero()
+    assert all(m.is_zero() for m in T.action)
+    assert (T, proj) == top(M)
+
+
+def test_subrepresentation_requires_closed_family(a3):
+    P2 = qd.projective_at(a3, "2")   # dims (1, 1, 0), arrow 2 -> 1 is nonzero
+    closed = [Subspace.full(F, 1), Subspace.full(F, 1), Subspace.zero(F, 0)]
+    S, incl = subrepresentation(P2, closed)
+    assert S == P2 and incl == qd.identity_morphism(P2)
+    with pytest.raises(ValueError):
+        subrepresentation(P2, [Subspace.zero(F, 1), Subspace.full(F, 1), Subspace.zero(F, 0)])
 
 
 def test_direct_sum_and_projections(a3):

@@ -1,5 +1,7 @@
 """Nakayama transport, the translates, knitting, and graph classification."""
 
+import hashlib
+
 import pytest
 
 import quivdet as qd
@@ -8,7 +10,7 @@ from quivdet.errors import (
     HasProjectiveSummandError,
     SemanticError,
 )
-from quivdet.linalg import RATIONALS
+from quivdet.linalg import RATIONALS, field_from_name
 from quivdet.structure import projective_block_sum
 from quivdet.translate import has_injective_summand, has_projective_summand
 
@@ -251,6 +253,32 @@ def test_verified_determiner_on_e6_highest_root():
     assert hs.dim >= 1
     rep = eng.report(hs.basis[0], verify=True)
     assert rep.oracle.certified
+
+
+E6_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
+           "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
+
+
+def _registry_digest(reg):
+    h = hashlib.sha256()
+    for e in reg.entries:
+        h.update(repr((e.label, e.rep.dims,
+                       tuple(tuple(tuple(str(x) for x in row) for row in m.entries)
+                             for m in e.rep.action))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("text, field, cap, digest", [
+    (E6_TEXT, "rat", 5000, "36742ffd15dd3b0396d6fb01a7870e2f51fad177cebbee2f092b2e31c62b099f"),
+    (E6_TEXT, "fp:10007", 5000, "8a6c3b9637d35a01e13437922bd7c58266cf04a2a687296b98ebda06606e161f"),
+    ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", "rat", 8,
+     "34f67937aa7b884e9ab263f6d5cd703e562132573e96a86ef093a4bb6834518c"),
+], ids=["e6-rat", "e6-fp10007", "kronecker-cap8"])
+def test_registry_representatives_are_pinned(text, field, cap, digest):
+    # the canonical bases of every knitted representative are part of the
+    # output contract: requests are drawn from hom bases between them
+    reg = qd.knit(qd.parse_quiver(text), field_from_name(field), cap)
+    assert _registry_digest(reg) == digest
 
 
 def test_registry_label_lookup(a3_registry):
