@@ -23,7 +23,7 @@ from .formats import load_session
 from .linalg import field_from_name
 from .quiver import parse_quiver
 from .reps import hom_basis
-from .translate import classify_underlying_graph, knit
+from .translate import canonical_label, classify_underlying_graph, knit
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -39,9 +39,10 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}") from None
 
 
-def _common_flags(sub):
+def _common_flags(sub, cap=False):
     sub.add_argument("--field", default="rat", help="ground field: rat or fp:<p>")
-    sub.add_argument("--cap", type=int, default=5000, help="knitting cap on iso-classes")
+    if cap:
+        sub.add_argument("--cap", type=int, default=5000, help="knitting cap on iso-classes")
     sub.add_argument("--json", action="store_true", help="emit the JSON report")
 
 
@@ -184,13 +185,18 @@ def cmd_decompose(args) -> int:
     q = parse_quiver(_read(args.quiver))
     session = load_session(q, field, _read(args.data) if args.data else None)
     M = session.representation(args.rep)
-    registry = knit(q, field, args.cap)
+    # a Dynkin knit ends by itself at the positive-root count; any other knit
+    # runs to the cap, so there the summands are labelled without a registry
+    if classify_underlying_graph(q)[0] == "dynkin":
+        label_of = knit(q, field, args.cap).label_of
+    else:
+        label_of = canonical_label
     result = decompose(M)
     if args.json:
         doc = {
             "rep": args.rep,
             "summands": [
-                {"label": registry.label_of(leaf), "dim_vector": list(leaf.dims),
+                {"label": label_of(leaf), "dim_vector": list(leaf.dims),
                  "multiplicity": mult}
                 for leaf, mult in result.summands
             ],
@@ -202,7 +208,7 @@ def cmd_decompose(args) -> int:
         return EXIT_OK
     for leaf, mult in result.summands:
         dims = "(" + ",".join(str(d) for d in leaf.dims) + ")"
-        sys.stdout.write(f"{registry.label_of(leaf)}\t{dims}\tx{mult}\n")
+        sys.stdout.write(f"{label_of(leaf)}\t{dims}\tx{mult}\n")
     return EXIT_OK
 
 
@@ -244,12 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--override", default=None,
                      help="comma-separated registry labels replacing the formula output")
     det.add_argument("--left", action="store_true", help="compute the minimal left determiner")
-    _common_flags(det)
+    _common_flags(det, cap=True)
     det.set_defaults(run=cmd_det)
 
     ar = sub.add_parser("ar", help="knit the tau-minus registry")
     ar.add_argument("quiver")
-    _common_flags(ar)
+    _common_flags(ar, cap=True)
     ar.set_defaults(run=cmd_ar)
 
     hom = sub.add_parser("hom", help="basis of Hom(M, N)")
@@ -264,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("quiver")
     dec.add_argument("rep")
     dec.add_argument("--data", default=None)
-    _common_flags(dec)
+    _common_flags(dec, cap=True)
     dec.set_defaults(run=cmd_decompose)
 
     fac = sub.add_parser("factor", help="does g factor through f?")

@@ -47,13 +47,12 @@ from .linalg import (
 from .reps import (
     RepMorphism,
     Representation,
-    direct_sum,
+    block_diagonal_sum,
     hom_basis,
     identity_morphism,
     image,
     kernel,
     postcompose_matrix,
-    zero_representation,
 )
 
 
@@ -707,10 +706,7 @@ def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
         split_parts.append(I)
         cur_f = cur_f @ inclK
         cur_incl = cur_incl @ inclK
-    if split_parts:
-        X2, _, _ = direct_sum(split_parts)
-    else:
-        X2 = zero_representation(X.quiver, field)
+    X2, _ = block_diagonal_sum(split_parts, X.quiver, field)
     return RightMinimalResult(cur_f, X2, cur_incl)
 
 

@@ -9,12 +9,15 @@ stable coordinates.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient; kernels, images and cokernels
-(and socles, radicals and tops in structure.py) are calls to them.
+(and socles, radicals and tops in structure.py) are calls to them.  Direct
+sums likewise come from block_diagonal_sum, which fixes the block layout;
+direct_sum adds the injections and projections for callers that need them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import SemanticError
 from .linalg import (
@@ -141,6 +144,12 @@ def zero_morphism(M: Representation, N: Representation) -> RepMorphism:
     return RepMorphism(M, N, tuple(Mat.zero(M.field, dn, dm) for dm, dn in zip(M.dims, N.dims)))
 
 
+def _flat_offsets(M: Representation, N: Representation) -> list[int]:
+    """Start of each vertex component in the row-major flattening of a map
+    M -> N, followed by the flattened length."""
+    return list(accumulate((dm * dn for dm, dn in zip(M.dims, N.dims)), initial=0))
+
+
 class HomSpace:
     """Ordered canonical basis of Hom(M, N).
 
@@ -155,12 +164,8 @@ class HomSpace:
         self.domain = domain
         self.codomain = codomain
         self._space = basis_vectors
-        self._offsets = []
-        off = 0
-        for dm, dn in zip(domain.dims, codomain.dims):
-            self._offsets.append(off)
-            off += dm * dn
-        self._flat_dim = off
+        self._offsets = _flat_offsets(domain, codomain)
+        self._flat_dim = self._offsets[-1]
         self.basis = tuple(self._unflatten(v) for v in basis_vectors.basis)
 
     @property
@@ -214,12 +219,8 @@ def hom_basis(M: Representation, N: Representation) -> HomSpace:
         raise SemanticError("representations live over different fields")
     field = M.field
     q = M.quiver
-    offsets = []
-    off = 0
-    for dm, dn in zip(M.dims, N.dims):
-        offsets.append(off)
-        off += dm * dn
-    nunk = off
+    offsets = _flat_offsets(M, N)
+    nunk = offsets[-1]
 
     def slot(v: int, r: int, c: int) -> int:
         return offsets[v] + r * M.dims[v] + c
@@ -312,36 +313,37 @@ def cokernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:
     return quotient(f.codomain, [column_space(c) for c in f.comps])
 
 
+def block_diagonal_sum(reps, q: Quiver, field: Field):
+    """Block-diagonal sum of representations of q over field, without the
+    structure maps; returns (rep, offsets), where summand j occupies the
+    coordinates offsets[zi][j] up to offsets[zi][j + 1] at vertex zi (the
+    last entry of each row is the total dimension there)."""
+    offsets = tuple(tuple(accumulate((r.dims[zi] for r in reps), initial=0))
+                    for zi in range(q.n_vertices))
+    action = tuple(block_diag(field, [r.action[ai] for r in reps]) for ai in range(len(q.arrows)))
+    return Representation(q, field, tuple(cut[-1] for cut in offsets), action), offsets
+
+
 def direct_sum(reps, q: Quiver | None = None, field: Field | None = None):
     """Block-diagonal direct sum; returns (rep, injections, projections).
 
     The projection onto a summand is a row slice of the identity at that
     summand's offset, and the injection is its transpose."""
     reps = list(reps)
-    if not reps:
-        if q is None or field is None:
-            raise SemanticError("empty direct sum needs an explicit quiver and field")
-        return zero_representation(q, field), [], []
-    q = reps[0].quiver
-    field = reps[0].field
-    for r in reps[1:]:
-        if r.quiver != q or r.field != field:
-            raise SemanticError("direct sum over mismatched quivers or fields")
-    dims = tuple(sum(r.dims[i] for r in reps) for i in range(q.n_vertices))
-    action = []
-    for ai in range(len(q.arrows)):
-        action.append(block_diag(field, [r.action[ai] for r in reps]))
-    total = Representation(q, field, dims, tuple(action))
-    eyes = [Mat.identity(field, d).entries for d in dims]
-    offsets = [0] * q.n_vertices
+    if reps:
+        q, field = reps[0].quiver, reps[0].field
+    elif q is None or field is None:
+        raise SemanticError("empty direct sum needs an explicit quiver and field")
+    if any(r.quiver != q or r.field != field for r in reps[1:]):
+        raise SemanticError("direct sum over mismatched quivers or fields")
+    total, offsets = block_diagonal_sum(reps, q, field)
+    eyes = [Mat.identity(field, d).entries for d in total.dims]
     injections, projections = [], []
-    for r in reps:
-        proj_comps = []
-        for i, d in enumerate(r.dims):
-            proj_comps.append(Mat(field, d, dims[i], eyes[i][offsets[i]:offsets[i] + d]))
-            offsets[i] += d
+    for j, r in enumerate(reps):
+        proj_comps = tuple(Mat(field, d, total.dims[i], eyes[i][offsets[i][j]:offsets[i][j + 1]])
+                           for i, d in enumerate(r.dims))
         injections.append(RepMorphism(r, total, tuple(m.transpose() for m in proj_comps)))
-        projections.append(RepMorphism(total, r, tuple(proj_comps)))
+        projections.append(RepMorphism(total, r, proj_comps))
     return total, injections, projections
 
 

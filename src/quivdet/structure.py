@@ -9,7 +9,9 @@ turns it into soc(M) or rad(M), reps.quotient into top(M), and the injective
 hull and projective cover read their block multiplicities from it directly.
 Covers are lifted deterministically: top basis vectors are sectioned back into
 M at the canonical complement coordinates, which pins every matrix of the
-resolution for golden tests.
+resolution for golden tests.  Their terms are BlockSums: a sum of canonical
+P_x or I_x together with its block layout, an offset table, but no
+per-block injection or projection morphisms.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .quiver import paths_between, projective_at, injective_at
 from .reps import (
     RepMorphism,
     Representation,
-    direct_sum,
+    block_diagonal_sum,
     kernel,
     cokernel,
     quotient,
@@ -70,18 +72,19 @@ def top_multiplicities(M: Representation) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BlockSum:
-    """A direct sum of canonical indecomposables with explicit block data."""
+    """A direct sum of canonical indecomposables, one block per entry of
+    block_vertices; block j occupies the coordinates offsets[zi][j] up to
+    offsets[zi][j + 1] at vertex zi (each row ends with the total dimension)."""
 
     rep: Representation
-    block_vertices: tuple[str, ...]          # one vertex per block, in order
-    injections: tuple[RepMorphism, ...]
-    projections: tuple[RepMorphism, ...]
+    block_vertices: tuple[str, ...]
+    offsets: tuple[tuple[int, ...], ...]
 
 
 def _block_sum(q, field, vertices, canonical) -> BlockSum:
     """Direct sum of canonical(q, x, field) over the given vertices."""
-    total, injs, projs = direct_sum([canonical(q, x, field) for x in vertices], q=q, field=field)
-    return BlockSum(total, tuple(vertices), tuple(injs), tuple(projs))
+    rep, offsets = block_diagonal_sum([canonical(q, x, field) for x in vertices], q, field)
+    return BlockSum(rep, tuple(vertices), offsets)
 
 
 def projective_block_sum(q, field, vertices) -> BlockSum:

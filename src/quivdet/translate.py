@@ -6,13 +6,15 @@ the trivial-path generator), and Hom(I_x, I_y) has the same index set (read
 off the coefficient of the trivial path at vertex y).  The Nakayama
 equivalence is implemented as exactly this relabeling: a map between explicit
 sums of projectives is transported verbatim, in path coordinates, to the
-corresponding sum of injectives, and conversely.
+corresponding sum of injectives, and conversely.  Both directions are one
+transport body driven by the two kind entries _PROJ and _INJ; coefficients are
+read at the block offsets that each BlockSum carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate
+from functools import partial
 
 from .decompose import decompose, indec_iso_witness, is_indecomposable
 from .errors import (
@@ -39,19 +41,18 @@ def _path_coefficients_proj(g: RepMorphism, dom: BlockSum, cod: BlockSum):
 
     Block (i, j) is a map P_{x_j} -> P_{y_i}; its coefficients over the paths
     p: y_i -> x_j are read at vertex x_j from the image of the trivial-path
-    generator of the domain block."""
+    generator of the domain block, the first coordinate of that block."""
     q = g.domain.quiver
     coeffs = {}
     for j, x in enumerate(dom.block_vertices):
         xi = q.vertex_index[x]
-        gen = dom.injections[j].comps[xi].col(0)  # trivial path of P_x at x
-        img = g.comps[xi].apply(gen)
+        img = g.comps[xi].col(dom.offsets[xi][j])
+        cut = cod.offsets[xi]
         for i, y in enumerate(cod.block_vertices):
-            sub = cod.projections[i].comps[xi].apply(img)
             paths = paths_between(q, y, x)
-            if len(sub) != len(paths):
+            if cut[i + 1] - cut[i] != len(paths):
                 raise InputNotInPathBasisError("projective block structure is malformed")
-            for p, c in zip(paths, sub):
+            for p, c in zip(paths, img[cut[i]:cut[i + 1]]):
                 if c:
                     coeffs[(i, j, p.arrows)] = c
     return coeffs
@@ -61,72 +62,78 @@ def _path_coefficients_inj(h: RepMorphism, dom: BlockSum, cod: BlockSum):
     """Coefficients of a map between injective block sums in path bases.
 
     Block (i, j) is a map I_{x_j} -> I_{y_i}; the coefficient of the path
-    p: y_i -> x_j is read at vertex y_i as the trivial-path coordinate of the
-    image of the basis vector p."""
+    p: y_i -> x_j is read at vertex y_i as the trivial-path coordinate (the
+    first coordinate of the codomain block) of the image of the basis vector p."""
     q = h.domain.quiver
     coeffs = {}
     for i, y in enumerate(cod.block_vertices):
         yi = q.vertex_index[y]
-        # I_{y}(y) is one-dimensional, spanned by the trivial path
-        triv_row = cod.projections[i].comps[yi]
+        row = h.comps[yi].entries[cod.offsets[yi][i]]
+        cut = dom.offsets[yi]
         for j, x in enumerate(dom.block_vertices):
             paths = paths_between(q, y, x)
-            dom_inj = dom.injections[j].comps[yi]
-            if dom_inj.cols != len(paths):
+            if cut[j + 1] - cut[j] != len(paths):
                 raise InputNotInPathBasisError("injective block structure is malformed")
-            for k, p in enumerate(paths):
-                vec = h.comps[yi].apply(dom_inj.col(k))
-                c = triv_row.apply(vec)[0]
+            for p, c in zip(paths, row[cut[j]:cut[j + 1]]):
                 if c:
                     coeffs[(i, j, p.arrows)] = c
     return coeffs
 
 
-def _map_from_coefficients(q: Quiver, field: Field, coeffs, dom: BlockSum, cod: BlockSum,
-                           basis, act) -> RepMorphism:
+def _map_from_coefficients(coeffs, dom: BlockSum, cod: BlockSum, basis, act) -> RepMorphism:
     """Map between block sums with prescribed path coefficients.
 
-    At vertex z the block of x has the path list basis(z, x) as its basis; a
-    coefficient path p: y -> x sends the basis path r of an x-block to the
+    At vertex z the block of x has the path list basis(q, z, x) as its basis;
+    a coefficient path p: y -> x sends the basis path r of an x-block to the
     basis path act(p, r) of a y-block, or to zero when that is None."""
+    q, field = dom.rep.quiver, dom.rep.field
     comps = []
     for zi, z in enumerate(q.vertices):
         m = [[field.zero] * dom.rep.dims[zi] for _ in range(cod.rep.dims[zi])]
-        dom_off = _block_offsets(dom, z, basis)
-        cod_off = _block_offsets(cod, z, basis)
         for (i, j, parrows), c in coeffs.items():
-            cod_index = {pp.arrows: t for t, pp in enumerate(basis(z, cod.block_vertices[i]))}
-            for t, r in enumerate(basis(z, dom.block_vertices[j])):
+            cod_index = {pp.arrows: t for t, pp in enumerate(basis(q, z, cod.block_vertices[i]))}
+            for t, r in enumerate(basis(q, z, dom.block_vertices[j])):
                 target = act(parrows, r.arrows)
                 if target is not None:
-                    row = cod_off[i] + cod_index[target]
-                    m[row][dom_off[j] + t] = m[row][dom_off[j] + t] + c
+                    row, col = cod.offsets[zi][i] + cod_index[target], dom.offsets[zi][j] + t
+                    m[row][col] = m[row][col] + c
         comps.append(Mat(field, cod.rep.dims[zi], dom.rep.dims[zi],
                          tuple(tuple(r) for r in m)))
     return RepMorphism(dom.rep, cod.rep, tuple(comps))
 
 
-def _proj_map_from_coefficients(q: Quiver, field: Field, coeffs,
-                                dom: BlockSum, cod: BlockSum) -> RepMorphism:
-    """The path p: y -> x acts on P_x by precomposition (p then the basis
-    path x -> z)."""
-    return _map_from_coefficients(q, field, coeffs, dom, cod,
-                                  lambda z, x: paths_between(q, x, z), lambda p, r: p + r)
+# The two kinds of the Nakayama equivalence, each a coefficient reader, a map
+# writer and a block-sum builder.  P_x(z) has the paths x -> z as basis, and a
+# coefficient path p: y -> x acts by precomposition (p, then the basis path);
+# I_x(z) has the paths z -> x, and p sends the basis path r = r' followed by p
+# to r': z -> y, and every other basis path to zero.
+_PROJ = (_path_coefficients_proj,
+         partial(_map_from_coefficients, basis=lambda q, z, x: paths_between(q, x, z),
+                 act=lambda p, r: p + r),
+         projective_block_sum)
+_INJ = (_path_coefficients_inj,
+        partial(_map_from_coefficients, basis=lambda q, z, x: paths_between(q, z, x),
+                act=lambda p, r: r[:len(r) - len(p)] if r[len(r) - len(p):] == p else None),
+        injective_block_sum)
 
 
-def _inj_map_from_coefficients(q: Quiver, field: Field, coeffs,
-                               dom: BlockSum, cod: BlockSum) -> RepMorphism:
-    """The path p: y -> x maps the basis path r: z -> x of I_x to the
-    stripped path r': z -> y when r = r' followed by p, and to zero
-    otherwise."""
-    return _map_from_coefficients(
-        q, field, coeffs, dom, cod, lambda z, x: paths_between(q, z, x),
-        lambda p, r: r[:len(r) - len(p)] if r[len(r) - len(p):] == p else None)
-
-
-def _block_offsets(bs: BlockSum, z: str, basis) -> list[int]:
-    """Offset of each block of bs at vertex z, given the block bases."""
-    return list(accumulate((len(basis(z, x)) for x in bs.block_vertices), initial=0))
+def _transport(m: RepMorphism, dom: BlockSum, cod: BlockSum, src, dst):
+    """Transport a map between explicit sums of kind src to the sums of kind
+    dst on the same block vertices, keeping its path coefficients."""
+    q, field = m.domain.quiver, m.domain.field
+    read, write_back, _ = src
+    read_back, write, block_sum = dst
+    coeffs = read(m, dom, cod)
+    tdom, tcod = (block_sum(q, field, bs.block_vertices) for bs in (dom, cod))
+    # safety: transporting back must reproduce m exactly
+    try:
+        t = write(coeffs, tdom, tcod)
+        back = write_back(read_back(t, tdom, tcod), dom, cod)
+    except SemanticError as e:
+        raise InputNotInPathBasisError(f"blocks do not carry the map: {e}") from None
+    if back != m:
+        raise InputNotInPathBasisError("map could not be transported faithfully")
+    return t, tdom, tcod
 
 
 def nakayama_on_projmap(g: RepMorphism, dom: BlockSum, cod: BlockSum):
@@ -134,37 +141,12 @@ def nakayama_on_projmap(g: RepMorphism, dom: BlockSum, cod: BlockSum):
 
     Returns the transported morphism together with its domain and codomain
     injective block sums."""
-    q, field = g.domain.quiver, g.domain.field
-    coeffs = _path_coefficients_proj(g, dom, cod)
-    idom = injective_block_sum(q, field, dom.block_vertices)
-    icod = injective_block_sum(q, field, cod.block_vertices)
-    # safety: transporting back must reproduce g exactly
-    try:
-        nu = _inj_map_from_coefficients(q, field, coeffs, idom, icod)
-        back = _proj_map_from_coefficients(q, field,
-                                           _path_coefficients_inj(nu, idom, icod), dom, cod)
-    except SemanticError as e:
-        raise InputNotInPathBasisError(f"blocks do not carry the map: {e}") from None
-    if back != g:
-        raise InputNotInPathBasisError("map could not be transported faithfully")
-    return nu, idom, icod
+    return _transport(g, dom, cod, _PROJ, _INJ)
 
 
 def inverse_nakayama_on_injmap(h: RepMorphism, dom: BlockSum, cod: BlockSum):
     """Transport a map between explicit injective sums along I_x -> P_x."""
-    q, field = h.domain.quiver, h.domain.field
-    coeffs = _path_coefficients_inj(h, dom, cod)
-    pdom = projective_block_sum(q, field, dom.block_vertices)
-    pcod = projective_block_sum(q, field, cod.block_vertices)
-    try:
-        g = _proj_map_from_coefficients(q, field, coeffs, pdom, pcod)
-        back = _inj_map_from_coefficients(q, field,
-                                          _path_coefficients_proj(g, pdom, pcod), dom, cod)
-    except SemanticError as e:
-        raise InputNotInPathBasisError(f"blocks do not carry the map: {e}") from None
-    if back != h:
-        raise InputNotInPathBasisError("map could not be transported faithfully")
-    return g, pdom, pcod
+    return _transport(h, dom, cod, _INJ, _PROJ)
 
 
 def _iso_vertex(M: Representation, canonical) -> str | None:
@@ -256,9 +238,7 @@ class IndecRegistry:
         """Registry label of M, or a dimension-vector placeholder when M is
         not (yet) registered."""
         i = self.find_iso(M)
-        if i is not None:
-            return self.entries[i].label
-        return "M" + str(list(M.dims)) + "#?"
+        return _label(M, (), "?") if i is None else self.entries[i].label
 
     def by_label(self, label: str) -> RegistryEntry:
         for e in self.entries:
@@ -267,14 +247,26 @@ class IndecRegistry:
         raise SemanticError(f"no registry entry labelled {label!r}")
 
 
-def _make_label(entry: RegistryEntry) -> str:
-    if entry.projective_vertex is not None:
-        return f"P_{entry.projective_vertex}"
-    if entry.injective_vertex is not None:
-        return f"I_{entry.injective_vertex}"
-    if entry.simple_vertex is not None:
-        return f"S_{entry.simple_vertex}"
-    return "M" + str(list(entry.rep.dims)) + f"#{entry.index}"
+def _canonical_vertices(M: Representation):
+    """(x, y, z) with the indecomposable M isomorphic to P_x, I_y and S_z,
+    each None when there is no such vertex."""
+    simple = M.quiver.vertices[M.dims.index(1)] if sum(M.dims) == 1 else None
+    return _iso_vertex(M, projective_at), _iso_vertex(M, injective_at), simple
+
+
+def _label(M: Representation, vertices, tag) -> str:
+    """P_x, I_x or S_x for the first canonical vertex given, else the
+    dimension vector tagged with tag."""
+    for kind, x in zip("PIS", vertices):
+        if x is not None:
+            return f"{kind}_{x}"
+    return "M" + str(list(M.dims)) + f"#{tag}"
+
+
+def canonical_label(M: Representation) -> str:
+    """Label of an indecomposable without a registry: P_x, I_x or S_x by the
+    rules knit uses, else the placeholder of IndecRegistry.label_of."""
+    return _label(M, _canonical_vertices(M), "?")
 
 
 def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
@@ -290,11 +282,8 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
 
     def register(M: Representation) -> RegistryEntry:
         idx = len(reg.entries)
-        entry = RegistryEntry("", M, idx, projective_vertex=_iso_vertex(M, projective_at),
-                              injective_vertex=_iso_vertex(M, injective_at))
-        if sum(M.dims) == 1:
-            entry.simple_vertex = q.vertices[M.dims.index(1)]
-        entry.label = _make_label(entry)
+        vertices = _canonical_vertices(M)
+        entry = RegistryEntry(_label(M, vertices, idx), M, idx, *vertices)
         reg.entries.append(entry)
         return entry
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from quivdet.cli import main
 
@@ -228,6 +229,38 @@ def test_decompose_data_rep(tmp_path, capsys):
     code, out, _ = run(capsys, "decompose", A3Q, "M", "--data", str(data))
     assert code == 0
     assert "x2" in out
+
+
+def test_decompose_off_dynkin_knits_no_registry(tmp_path, capsys, monkeypatch):
+    # at the default cap a Kronecker knit would not return; the summands are
+    # labelled by the canonical P_x, I_x and S_x instead
+    import quivdet.cli
+
+    def no_knit(*args, **kwargs):
+        raise AssertionError("decompose must not knit off Dynkin quivers")
+
+    monkeypatch.setattr(quivdet.cli, "knit", no_knit)
+    kq = tmp_path / "kron.quiver"
+    kq.write_text("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n", encoding="utf-8")
+    data = tmp_path / "r.reps"
+    data.write_text("rep R\ndim 1 1\ndim 2 1\nmap a 1x1 1\nmap b 1x1 0\n", encoding="utf-8")
+    code, out, _ = run(capsys, "decompose", str(kq), "P_1")
+    assert code == 0
+    assert out == "P_1\t(1,2)\tx1\n"
+    code, out, _ = run(capsys, "decompose", str(kq), "I_1", "--json")
+    assert code == 0 and json.loads(out)["summands"][0]["label"] == "I_1"
+    code, out, _ = run(capsys, "decompose", str(kq), "R", "--data", str(data))
+    assert code == 0
+    assert out == "M[1, 1]#?\t(1,1)\tx1\n"
+
+
+def test_cap_only_on_knitting_commands(capsys):
+    for argv in (["hom", A3Q, "P_1", "P_2", "--cap", "3"],
+                 ["factor", A3Q, A3D, "f", "f", "--cap", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
 
 
 def test_factor_command(capsys):

@@ -1,8 +1,17 @@
 """Socle, radical, top, covers, hulls, and minimal (co)resolutions."""
 
+import pytest
+
 import quivdet as qd
 from quivdet.linalg import RATIONALS, Subspace, column_space
-from quivdet.structure import socle_multiplicities, top_multiplicities
+from quivdet.structure import (
+    injective_block_sum,
+    projective_block_sum,
+    socle_multiplicities,
+    top_multiplicities,
+)
+
+from conftest import A3_TEXT
 
 F = RATIONALS
 
@@ -115,3 +124,31 @@ def test_covers_and_hulls_are_minimal(a3_registry):
         M2, _, _ = qd.direct_sum([entry.rep, entry.rep])
         _, cover2 = qd.projective_cover(M2)
         assert qd.right_minimal_version(cover2).already_minimal
+
+
+@pytest.mark.parametrize("text, vertices", [
+    (A3_TEXT, ("2", "1", "2", "3", "2")),
+    (A3_TEXT, ()),
+    ("vertex c\nvertex 1\nvertex 2\nvertex 3\narrow a 1 c\narrow b 2 c\narrow d 3 c",
+     ("c", "1", "c", "3", "1")),
+    ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
+     "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3",
+     ("3", "1", "3", "6", "4", "3")),
+    ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", ("1", "2", "1", "1")),
+], ids=["a3", "a3-empty", "d4", "e6", "kronecker"])
+def test_block_sum_offsets_match_direct_sum(text, vertices):
+    # direct_sum is the reference: the same sum, and block j starts at vertex
+    # zi where the j-th projection takes its identity rows from
+    q = qd.parse_quiver(text)
+    for builder, canonical in ((projective_block_sum, qd.projective_at),
+                               (injective_block_sum, qd.injective_at)):
+        bs = builder(q, F, vertices)
+        total, _, projs = qd.direct_sum([canonical(q, x, F) for x in vertices], q=q, field=F)
+        assert bs.rep == total and bs.block_vertices == vertices
+        assert len(bs.offsets) == q.n_vertices
+        for zi, cut in enumerate(bs.offsets):
+            assert len(cut) == len(vertices) + 1 and list(cut) == sorted(cut)
+            assert cut[0] == 0 and cut[-1] == total.dims[zi]
+            eye = qd.Mat.identity(F, total.dims[zi]).entries
+            for j, proj in enumerate(projs):
+                assert proj.comps[zi].entries == eye[cut[j]:cut[j + 1]]

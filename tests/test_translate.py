@@ -11,7 +11,7 @@ from quivdet.errors import (
     SemanticError,
 )
 from quivdet.linalg import RATIONALS, field_from_name
-from quivdet.structure import projective_block_sum
+from quivdet.structure import injective_block_sum, projective_block_sum
 from quivdet.translate import has_injective_summand, has_projective_summand
 
 from conftest import d4_subspace_quiver
@@ -58,24 +58,36 @@ def test_nakayama_rejects_malformed_blocks(a3):
     ident = qd.identity_morphism(ps.rep)
     # claim the block is P_1: the path structure cannot carry the map, which
     # the faithfulness round trip inside the transport detects
-    lying = BlockSum(ps.rep, ("1",), ps.injections, ps.projections)
+    lying = BlockSum(ps.rep, ("1",), ps.offsets)
     with pytest.raises(InputNotInPathBasisError):
         qd.nakayama_on_projmap(ident, lying, lying)
     # a structural mismatch already fails at coefficient extraction
     taller = projective_block_sum(a3, F, ("3", "3"))
-    mism = BlockSum(taller.rep, ("3", "1"), taller.injections, taller.projections)
+    mism = BlockSum(taller.rep, ("3", "1"), taller.offsets)
     with pytest.raises((InputNotInPathBasisError, ValueError)):
         _path_coefficients_proj(qd.identity_morphism(taller.rep), mism, mism)
 
 
 def test_inverse_nakayama_round_trip(a3):
-    dom = projective_block_sum(a3, F, ("1",))
-    cod = projective_block_sum(a3, F, ("2", "3"))
-    hs = qd.hom_basis(dom.rep, cod.rep)
-    for g in hs.basis:
-        nu, idom, icod = qd.nakayama_on_projmap(g, dom, cod)
-        back, pdom, pcod = qd.inverse_nakayama_on_injmap(nu, idom, icod)
-        assert back == g
+    # Kronecker: parallel arrows give several paths of one length; D4 and the
+    # Kronecker sums repeat block vertices on both sides
+    kronecker = qd.parse_quiver("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2")
+    cases = [(a3, ("1",), ("2", "3")),
+             (kronecker, ("2", "1", "2"), ("1", "2", "1")),
+             (kronecker, ("1", "1"), ("1", "2")),
+             (d4_subspace_quiver(), ("c", "1", "c"), ("1", "c", "2", "c"))]
+    for q, dv, cv in cases:
+        dom, cod = projective_block_sum(q, F, dv), projective_block_sum(q, F, cv)
+        hs = qd.hom_basis(dom.rep, cod.rep)
+        assert hs.dim > 0
+        for g in hs.basis:
+            nu, idom, icod = qd.nakayama_on_projmap(g, dom, cod)
+            back, pdom, pcod = qd.inverse_nakayama_on_injmap(nu, idom, icod)
+            assert back == g and (pdom, pcod) == (dom, cod)
+        idom, icod = injective_block_sum(q, F, dv), injective_block_sum(q, F, cv)
+        for h in qd.hom_basis(idom.rep, icod.rep).basis:
+            g, pdom, pcod = qd.inverse_nakayama_on_injmap(h, idom, icod)
+            assert qd.nakayama_on_projmap(g, pdom, pcod)[0] == h
 
 
 def test_dtr_examples(a3):
@@ -279,6 +291,21 @@ def test_registry_representatives_are_pinned(text, field, cap, digest):
     # output contract: requests are drawn from hom bases between them
     reg = qd.knit(qd.parse_quiver(text), field_from_name(field), cap)
     assert _registry_digest(reg) == digest
+
+
+def test_knit_builds_no_direct_sum_morphisms(monkeypatch):
+    # block sums carry their layout as offsets, so knitting needs none of the
+    # injections and projections that direct_sum builds
+    import importlib
+
+    def no_direct_sum(*args, **kwargs):
+        raise AssertionError("knit must not call direct_sum")
+
+    for name in ("reps", "structure", "decompose"):
+        monkeypatch.setattr(importlib.import_module(f"quivdet.{name}"), "direct_sum",
+                            no_direct_sum, raising=False)
+    reg = qd.knit(qd.parse_quiver(E6_TEXT))
+    assert len(reg.entries) == 36 and reg.complete
 
 
 def test_registry_label_lookup(a3_registry):
