@@ -1,11 +1,15 @@
-"""Exact dense linear algebra over the rationals or a prime field.
+"""Exact linear algebra over the rationals or a prime field.
 
-Everything downstream (hom spaces, kernels, the verification oracle) reduces to
-row reduction of small dense matrices, so this module is deliberately plain:
-immutable matrices with exact entries, reduced row echelon form with
-deterministic tie-breaking (leftmost pivot, first nonzero row, free variables
-zeroed), and subspaces stored in canonical RREF form so that equal subspaces
-compare equal structurally.
+Everything downstream (hom spaces, kernels, the verification oracle) reduces
+to row reduction of large, very sparse systems: a Hom system has one
+equation per commuting-square entry and a handful of nonzeros in each.
+Matrices are immutable and dense, with exact entries.  One elimination
+kernel, rref, serves every caller: it reads a matrix into sparse integer
+rows and eliminates with plain int arithmetic, touching only nonzero
+entries, and writes the unique reduced row echelon form back as field
+elements.  The matrix product likewise multiplies only nonzero entries.
+Subspaces are stored in canonical RREF form so that equal subspaces compare
+equal structurally.
 
 Matrices act on the left of column vectors.  Zero-dimensional shapes
 (0 x n, n x 0, 0 x 0) are legal everywhere: kernels and cokernels vanish
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldMismatchError(TypeError):
@@ -227,16 +232,21 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        return Mat(
-            self.field,
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col) if a and b), self.field.zero) for col in ot)
-                for row in self.entries
-            ),
-        )
+        # each nonzero a = self[i][k] meets only the nonzero entries of row k of other
+        z = self.field.zero
+        other_nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc: dict = {}
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in other_nz[k]:
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            out_row = [z] * other.cols
+            for j, v in acc.items():
+                out_row[j] = v
+            out.append(tuple(out_row))
+        return Mat(self.field, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -317,33 +327,124 @@ def block_diag(field: Field, blocks) -> Mat:
     return Mat(field, rows, cols, tuple(tuple(r) for r in out))
 
 
+def _int_rows(m: Mat) -> list[dict]:
+    """The nonzero rows of m as sparse {column: int} rows spanning its row space.
+
+    Over Q each row is scaled by the lcm of its denominators; over F_p each
+    entry becomes its residue.  Every nonzero entry must belong to m.field.
+    """
+    p = m.field.characteristic
+    out = []
+    for row in m.entries:
+        nz = [(j, v) for j, v in enumerate(row) if v]
+        if not nz:
+            continue
+        if p:
+            d = {}
+            for j, v in nz:
+                if isinstance(v, FpElement) and v.p == p:
+                    w = v.val
+                elif isinstance(v, int):
+                    w = v % p
+                else:
+                    raise FieldMismatchError(f"{v!r} ({type(v).__name__}) in a matrix over F_{p}")
+                if w:
+                    d[j] = w
+        else:
+            for _, v in nz:
+                if not isinstance(v, (Fraction, int)):
+                    raise FieldMismatchError(f"{v!r} ({type(v).__name__}) in a matrix over the rationals")
+            den = lcm(*(v.denominator for _, v in nz))
+            d = {j: v.numerator * (den // v.denominator) for j, v in nz}
+        if d:
+            out.append(d)
+    return out
+
+
+def _eliminate(r: dict, pr: dict, c: int, p: int) -> None:
+    """Clear column c of the integer row r with the pivot row pr, in place.
+
+    Over F_p, pr[c] is 1 and r -= r[c] * pr mod p.  Over Q, r becomes
+    a*r - b*pr with b/a = r[c]/pr[c] in lowest terms, then is divided by its
+    content when a is not 1.
+    """
+    b = r[c]
+    if p:
+        for j, v in pr.items():
+            w = (r.get(j, 0) - b * v) % p
+            if w:
+                r[j] = w
+            else:
+                del r[j]
+        return
+    a = pr[c]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for j in r:
+            r[j] *= a
+    for j, v in pr.items():
+        w = r.get(j, 0) - b * v
+        if w:
+            r[j] = w
+        else:
+            del r[j]
+    if a != 1 and r:
+        g = gcd(*r.values())
+        if g != 1:
+            for j in r:
+                r[j] //= g
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
     """Reduced row echelon form, pivot column indices, and rank.
 
-    Deterministic: leftmost pivot column, first nonzero row from the top,
-    pivots normalized to 1, elimination above and below.
+    The rows of m become sparse integer rows {column: int} (see _int_rows):
+    a rational row scaled by the lcm of its denominators, an F_p row as
+    residues.  Each row is reduced against the pivot rows found so far, its
+    leftmost nonzero becomes a new pivot, and that column is cleared from
+    the other pivot rows, so the pivot rows stay mutually reduced and no
+    step visits a zero entry.  Over Q a step is the fraction-free
+    a*row - b*pivot_row followed by division by the content gcd; over F_p
+    pivots are scaled to 1 and arithmetic is mod p.  The RREF of a matrix is
+    unique, so the order in which rows are taken is free and the result is
+    the canonical one: pivot rows in column order holding Fraction(v, pivot)
+    or FpElement(v, p), the field's zero elsewhere, zero rows last.
     """
-    rows = [list(r) for r in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if pr is None:
+    p = m.field.characteristic
+    piv: dict[int, dict] = {}
+    for r in _int_rows(m):
+        for c in [c for c in r if c in piv]:
+            _eliminate(r, piv[c], c, p)
+        if not r:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        inv = m.field.one / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    out = Mat(m.field, m.rows, m.cols, tuple(tuple(row) for row in rows))
-    return out, tuple(pivots), len(pivots)
+        c = min(r)
+        if p and r[c] != 1:
+            inv = pow(r[c], -1, p)
+            for j in r:
+                r[j] = r[j] * inv % p
+        for other in piv.values():
+            if c in other:
+                _eliminate(other, r, c, p)
+        piv[c] = r
+    pivots = tuple(sorted(piv))
+    z = m.field.zero
+    out = []
+    for c in pivots:
+        row = [z] * m.cols
+        r = piv[c]
+        if p:
+            for j, v in r.items():
+                row[j] = FpElement(v, p)
+        else:
+            d = r[c]
+            for j, v in r.items():
+                row[j] = Fraction(v, d)
+        out.append(tuple(row))
+    zero_row = tuple([z] * m.cols)
+    out.extend(zero_row for _ in range(m.rows - len(pivots)))
+    return Mat(m.field, m.rows, m.cols, tuple(out)), pivots, len(pivots)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import quivdet as qd
+from quivdet import reps
 from quivdet.linalg import (
     AmbientMismatchError,
     FieldMismatchError,
+    FpElement,
     Mat,
     PrimeField,
     RATIONALS,
@@ -182,3 +185,170 @@ def test_column_space_and_coordinates():
     assert len(coords) == 1
     with pytest.raises(ValueError):
         cs.coordinates((1, 0, 0))
+
+
+# -- the sparse integer kernel against the dense Gauss-Jordan it replaced ------
+
+def _dense_rref(m):
+    """Dense field-element Gauss-Jordan: leftmost pivot column, first nonzero
+    row, pivots normalized to 1, elimination above and below."""
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        inv = m.field.one / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    out = Mat(m.field, m.rows, m.cols, tuple(tuple(row) for row in rows))
+    return out, tuple(pivots), len(pivots)
+
+
+def _naive_matmul(a, b):
+    z = a.field.zero
+    return Mat(a.field, a.rows, b.cols, tuple(
+        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), z)
+              for j in range(b.cols))
+        for i in range(a.rows)))
+
+
+def _typed(m):
+    """Entries with their exact type (and modulus), so equal values of
+    different types do not compare equal."""
+    return [[(type(v), getattr(v, "p", None), v) for v in row] for row in m.entries]
+
+
+FIELDS = [RATIONALS, PrimeField(2), PrimeField(7), PrimeField(10007)]
+FIELD_IDS = ["rat", "fp2", "fp7", "fp10007"]
+
+
+def _random_entry(field, rng):
+    if field is RATIONALS:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(rng.randrange(-3, 4))
+        if kind == 1:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 12))
+        if kind == 2:
+            return Fraction(rng.randrange(-10 ** 15, 10 ** 15), rng.randrange(1, 10 ** 6))
+        return Fraction(-rng.randrange(1, 10 ** 30), rng.randrange(1, 7))
+    return field.of(rng.randrange(field.p))
+
+
+def _random_sparse(field, rng, rows, cols, density):
+    z = field.zero
+    entries = [[_random_entry(field, rng) if rng.random() < density else z for _ in range(cols)]
+               for _ in range(rows)]
+    # rank-deficient inputs: duplicate rows and combinations of earlier rows
+    for i in range(1, rows):
+        roll = rng.random()
+        if roll < 0.15:
+            entries[i] = list(entries[rng.randrange(i)])
+        elif roll < 0.3:
+            a, b = entries[rng.randrange(i)], entries[rng.randrange(i)]
+            c = _random_entry(field, rng)
+            entries[i] = [x + c * y for x, y in zip(a, b)]
+    return Mat(field, rows, cols, tuple(tuple(r) for r in entries))
+
+
+def _assert_same_rref(m):
+    red, pivots, rank = rref(m)
+    ref_red, ref_pivots, ref_rank = _dense_rref(m)
+    assert (pivots, rank) == (ref_pivots, ref_rank)
+    assert _typed(red) == _typed(ref_red)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_rref_matches_dense_gauss_jordan(field):
+    rng = random.Random(6000 + field.characteristic)
+    for _ in range(120):
+        r, c = rng.randrange(1, 9), rng.randrange(1, 11)
+        _assert_same_rref(_random_sparse(field, rng, r, c, rng.choice((0.1, 0.3, 0.6))))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_rref_edge_shapes_match_dense_gauss_jordan(field):
+    rng = random.Random(7)
+    cases = [Mat.zero(field, 0, 4), Mat.zero(field, 4, 0), Mat.zero(field, 0, 0),
+             Mat.zero(field, 3, 5), Mat.identity(field, 4)]
+    red = rref(_random_sparse(field, rng, 5, 7, 0.5))[0]
+    cases.append(red)                                     # already reduced
+    row = tuple(field.of(v) for v in (0, 3, 0, 1, 2))
+    cases.append(Mat(field, 4, 5, (row,) * 4))            # duplicate rows
+    low = _random_sparse(field, rng, 2, 6, 0.7)
+    cases.append(_naive_matmul(_random_sparse(field, rng, 6, 2, 0.7), low))  # rank <= 2
+    for m in cases:
+        _assert_same_rref(m)
+    assert rref(cases[5])[0] == cases[5]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_matmul_matches_naive_triple_loop(field):
+    rng = random.Random(11 + field.characteristic)
+    shapes = [(3, 0, 4), (0, 3, 2), (2, 3, 0), (0, 0, 0)]
+    shapes += [(rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(60)]
+    for r, k, c in shapes:
+        a = _random_sparse(field, rng, r, k, rng.choice((0.2, 0.5, 0.9)))
+        b = _random_sparse(field, rng, k, c, rng.choice((0.2, 0.5, 0.9)))
+        prod = a @ b
+        ref = _naive_matmul(a, b)
+        assert (prod.rows, prod.cols) == (r, c)
+        assert _typed(prod) == _typed(ref)
+
+
+@pytest.mark.parametrize("field, stray", [
+    (PrimeField(7), FpElement(2, 5)),
+    (PrimeField(7), Fraction(1, 2)),
+    (RATIONALS, FpElement(2, 5)),
+], ids=["fp5-in-fp7", "fraction-in-fp7", "fp5-in-rat"])
+def test_kernel_rejects_entries_from_another_field(field, stray):
+    one, z = field.one, field.zero
+    m = Mat(field, 2, 3, ((one, z, stray), (z, one, one)))
+    with pytest.raises(FieldMismatchError):
+        rref(m)
+    with pytest.raises(FieldMismatchError):
+        kernel_basis(m)
+    with pytest.raises(FieldMismatchError):
+        solve(m, (one, one))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)], ids=["rat", "fp10007"])
+def test_rref_does_no_field_element_arithmetic(field, monkeypatch):
+    e6 = qd.parse_quiver("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
+                         "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
+    systems = []
+    real_kernel_basis = reps.kernel_basis
+
+    def spy(m):
+        systems.append(m)
+        return real_kernel_basis(m)
+
+    monkeypatch.setattr(reps, "kernel_basis", spy)
+    M = max((e.rep for e in qd.knit(e6, field).entries), key=lambda rep: rep.total_dim)
+    N = qd.direct_sum([M, qd.injective_at(e6, "3", field)])[0]
+    systems.clear()
+    hom_dim = qd.hom_basis(M, N).dim
+    (system,) = systems
+    expected = rref(system)
+
+    def boom(*_args):
+        raise AssertionError("field-element arithmetic inside rref")
+
+    for cls in (Fraction, FpElement):
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+            monkeypatch.setattr(cls, op, boom)
+    red, pivots, rank = rref(system)
+    monkeypatch.undo()
+    assert (red, pivots, rank) == expected
+    assert system.cols - rank == hom_dim == 1 + M.dims[2]  # End(M) plus Hom(M, I_3) = D M_3
