@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DecompositionInconclusiveError,
@@ -42,7 +43,7 @@ from .linalg import (
     Subspace,
     from_columns,
     kernel_basis,
-    solve,
+    rref,
 )
 from .reps import (
     RepMorphism,
@@ -173,30 +174,16 @@ def _pderiv(field, p):
 
 
 def _vector_minpoly(field, T: Mat, v: tuple):
-    """Minimal polynomial of T relative to the start vector v.  Each Krylov
-    vector is reduced against echelon rows of the ones before it (each row
-    normalized at its pivot and reduced against the earlier rows); the first
-    that reduces to zero is solved for as their combination."""
-    echelon = []  # (pivot, row)
-    vecs = []
-    cur = v
-    while True:
-        r = cur
-        for p, row in echelon:
-            if r[p]:
-                c = r[p]
-                r = [a - c * b for a, b in zip(r, row)]
-        p = next((k for k, x in enumerate(r) if x), None)
-        if p is None:
-            break
-        echelon.append((p, [x / r[p] for x in r]))
-        vecs.append(cur)
-        cur = T.apply(cur)
-    # cur = sum c_k T^k v; solve for the combination
-    A = from_columns(field, vecs, T.rows)
-    coeffs = solve(A, cur)
-    mu = [-c for c in coeffs] + [field.one]
-    return _pnormalize(mu)
+    """Minimal polynomial of T relative to the start vector v, read from one
+    rref of the Krylov columns v, Tv, ..., T^n v.  The first k = rank of
+    them are independent and every later one depends on them, so the pivots
+    are columns 0..k-1 and column k holds the coefficients c_i of
+    T^k v = sum c_i T^i v; the polynomial is x^k - sum c_i x^i."""
+    krylov = [v]
+    for _ in range(T.rows):
+        krylov.append(T.apply(krylov[-1]))
+    red, _, k = rref(from_columns(field, krylov, T.rows))
+    return _pnormalize([-red.entries[i][k] for i in range(k)] + [field.one])
 
 
 def minimal_polynomial(phi: RepMorphism):
@@ -240,9 +227,7 @@ def _integer_roots(field, p):
         return roots
     # rationals: monic p with Fraction coefficients; substitute x = y/d with d
     # the lcm of denominators, making a monic integer polynomial in y.
-    d = 1
-    for c in p:
-        d = d * c.denominator // _gcd_int(d, c.denominator)
+    d = lcm(*(c.denominator for c in p))
     # integer coefficients of y^n + sum a_k d^(n-k) y^k
     n = _pdeg(p)
     ints = []
@@ -262,12 +247,6 @@ def _integer_roots(field, p):
                 if x not in roots:
                     roots.append(x)
     return roots
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n, cap=200000):

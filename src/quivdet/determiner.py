@@ -5,14 +5,16 @@ indecomposable summand of the intrinsic kernel forward with TrD, and adds the
 projective cover of every simple in the socle of the cokernel.
 
 The oracle side never trusts that computation.  For a test object Z the
-subspace of maps Z -> Y factoring through f is the image of a composition map;
-"determined" means that for every registry object V the maximal subspace
-agreeing with those images on the candidate list collapses back onto the
-factoring subspace; "almost factors" compares the factoring subspace against
-the subspace of maps whose every radical precomposite factors.  All three are
-intersections of preimages of subspaces under precomposition, computed as one
-kernel per object.  On a complete registry (Dynkin quivers) the verdict is a
-certificate; otherwise it is a bounded search and reports say so.
+subspace F_Z of maps Z -> Y factoring through f is the image of a composition
+map.  The other two subspaces come from one constraint builder: a map
+g: T -> Y must send every map h: S -> T, precomposed, into F_S, which gives
+the rows "precompose with h, then project off F_S", and the maps g meeting
+all rows form a kernel.  The almost-factoring subspace of Z takes T = Z, every
+registry object S and the radical maps S -> Z; the determined subspace of V
+takes T = V, every member S and a basis of Hom(S, V).  One scan for the first
+V whose determined subspace exceeds F_V decides determination and each
+member-removal check.  On a complete registry (Dynkin quivers) the verdict is
+a certificate; otherwise it is a bounded search and reports say so.
 """
 
 from __future__ import annotations
@@ -173,12 +175,8 @@ class DeterminerEngine:
     def factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
         """Image of Hom(Z, X) -> Hom(Z, Y), the maps factoring through f."""
         factor, _ = self._tables_for(f)
-        sub = factor.get(Z)
-        if sub is None:
-            hzx = self.hom(Z, f.domain)
-            hzy = self.hom(Z, f.codomain)
-            sub = factor[Z] = column_space(postcompose_matrix(hzx, hzy, f))
-        return sub
+        return self.workspace.memo(factor, Z, lambda: column_space(
+            postcompose_matrix(self.hom(Z, f.domain), self.hom(Z, f.codomain), f)))
 
     def _radical_maps(self, U: Representation, Z: Representation):
         """Basis morphisms of rad(U, Z)."""
@@ -203,27 +201,36 @@ class DeterminerEngine:
         invariant((f @ h) == g, "solved factorization does not compose to the target")
         return h
 
+    def _constraint_rows(self, f: RepMorphism, target: Representation,
+                         source: Representation, maps) -> list:
+        """Rows on Hom(target, Y) forcing g . h into the factoring subspace
+        of source for every h in maps(source, target).  maps is only called
+        when that subspace is proper, since otherwise no h constrains g."""
+        comp_proj = self.factor_subspace(f, source).complement_projection()
+        if not comp_proj.rows:
+            return []
+        hty = self.hom(target, f.codomain)
+        hsy = self.hom(source, f.codomain)
+        rows: list = []
+        for h in maps(source, target):
+            rows.extend((comp_proj @ precompose_matrix(hty, hsy, h)).entries)
+        return rows
+
+    def _solution_space(self, rows: list, dim: int) -> Subspace:
+        """The vectors of field^dim that every row annihilates."""
+        if not rows:
+            return Subspace.full(self.field, dim)
+        return kernel_basis(Mat(self.field, len(rows), dim, tuple(rows)))
+
     def almost_factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
         """Maps Z -> Y all of whose radical precomposites factor through f.
 
         Contains the factoring subspace; Z almost factors through f exactly
         when the containment is strict."""
-        Y = f.codomain
-        hzy = self.hom(Z, Y)
         rows: list = []
         for entry in self.registry.entries:
-            U = entry.rep
-            fu = self.factor_subspace(f, U)
-            comp_proj = fu.complement_projection()
-            if comp_proj.rows == 0:
-                continue
-            huy = self.hom(U, Y)
-            for h in self._radical_maps(U, Z):
-                block = comp_proj @ precompose_matrix(hzy, huy, h)
-                rows.extend(block.entries)
-        if not rows:
-            return Subspace.full(self.field, hzy.dim)
-        R = kernel_basis(Mat(self.field, len(rows), hzy.dim, tuple(rows)))
+            rows.extend(self._constraint_rows(f, Z, entry.rep, self._radical_maps))
+        R = self._solution_space(rows, self.hom(Z, f.codomain).dim)
         invariant(R.contains(self.factor_subspace(f, Z)),
                   "almost-factoring subspace misses the factoring subspace")
         return R
@@ -233,35 +240,27 @@ class DeterminerEngine:
 
     # -- the determination oracle -------------------------------------------
 
-    def _member_blocks(self, f: RepMorphism, V: Representation, Z: Representation) -> Mat:
-        """Constraint rows on Hom(V, Y) forcing every composite with a map
-        from Z to land in the factoring subspace of Z."""
-        _, blocks = self._tables_for(f)
-        block = blocks.get((V, Z))
-        if block is None:
-            Y = f.codomain
-            hvy = self.hom(V, Y)
-            hzy = self.hom(Z, Y)
-            fz = self.factor_subspace(f, Z)
-            comp_proj = fz.complement_projection()
-            rows: list = []
-            if comp_proj.rows:
-                hzv = self.hom(Z, V)
-                for h in hzv.basis:
-                    rows.extend((comp_proj @ precompose_matrix(hvy, hzy, h)).entries)
-            block = blocks[(V, Z)] = Mat(self.field, len(rows), hvy.dim, tuple(rows))
-        return block
-
     def determined_subspace(self, f: RepMorphism, members, V: Representation) -> Subspace:
         """Largest subspace of Hom(V, Y) whose composites with every map out
-        of a member object factor through f."""
-        hvy = self.hom(V, f.codomain)
+        of a member object factor through f.  The rows of each member are
+        kept per (V, member) for the removal scans of the same request."""
+        _, blocks = self._tables_for(f)
         rows: list = []
         for Z in members:
-            rows.extend(self._member_blocks(f, V, Z).entries)
-        if not rows:
-            return Subspace.full(self.field, hvy.dim)
-        return kernel_basis(Mat(self.field, len(rows), hvy.dim, tuple(rows)))
+            rows.extend(self.workspace.memo(blocks, (V, Z), lambda: self._constraint_rows(
+                f, V, Z, lambda S, T: self.hom(S, T).basis)))
+        return self._solution_space(rows, self.hom(V, f.codomain).dim)
+
+    def _first_gap(self, f: RepMorphism, members) -> str | None:
+        """Label of the first registry object V whose determined subspace
+        exceeds its factoring subspace, or None if every one collapses."""
+        for entry in self.registry.entries:
+            fv = self.factor_subspace(f, entry.rep)
+            wv = self.determined_subspace(f, members, entry.rep)
+            invariant(wv.contains(fv), "determined subspace misses the factoring subspace")
+            if wv.dim != fv.dim:
+                return entry.label
+        return None
 
     def verify(self, f: RepMorphism, members) -> OracleVerdict:
         """Run the full oracle for the candidate member list.
@@ -275,39 +274,19 @@ class DeterminerEngine:
         labels = [m.label if isinstance(m, DeterminerMember) else self.registry.label_of(m)
                   for m in members]
 
-        determination_ok = True
-        witness = None
-        for entry in self.registry.entries:
-            fv = self.factor_subspace(f, entry.rep)
-            wv = self.determined_subspace(f, member_reps, entry.rep)
-            invariant(wv.contains(fv), "determined subspace misses the factoring subspace")
-            if wv.dim != fv.dim:
-                determination_ok = False
-                witness = entry.label
-                break
-
+        witness = self._first_gap(f, member_reps)
         member_aft = tuple((lbl, self.almost_factors(f, Z))
                            for lbl, Z in zip(labels, member_reps))
-
-        removal = []
-        for drop in range(len(member_reps)):
-            rest = [Z for i, Z in enumerate(member_reps) if i != drop]
-            broke = None
-            for entry in self.registry.entries:
-                fv = self.factor_subspace(f, entry.rep)
-                wv = self.determined_subspace(f, rest, entry.rep)
-                if wv.dim != fv.dim:
-                    broke = entry.label
-                    break
-            removal.append((labels[drop], broke))
+        removal = tuple((labels[i], self._first_gap(f, member_reps[:i] + member_reps[i + 1:]))
+                        for i in range(len(member_reps)))
 
         self._tables_for(None)
         return OracleVerdict(
             checked_objects=len(self.registry.entries),
-            determination_ok=determination_ok,
+            determination_ok=witness is None,
             determination_witness=witness,
             member_almost_factors=member_aft,
-            removal_breaks=tuple(removal),
+            removal_breaks=removal,
             complete=self.registry.complete,
         )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -123,11 +124,11 @@ class RationalField:
     name: str = "rat"
     characteristic: int = 0
 
-    @property
+    @cached_property
     def zero(self) -> Fraction:
         return Fraction(0)
 
-    @property
+    @cached_property
     def one(self) -> Fraction:
         return Fraction(1)
 
@@ -158,11 +159,11 @@ class PrimeField:
     def characteristic(self) -> int:
         return self.p
 
-    @property
+    @cached_property
     def zero(self) -> FpElement:
         return FpElement(0, self.p)
 
-    @property
+    @cached_property
     def one(self) -> FpElement:
         return FpElement(1, self.p)
 
@@ -466,11 +467,7 @@ class Subspace:
         for vec in vectors:
             if len(vec) != ambient_dim:
                 raise AmbientMismatchError("vector length differs from ambient dimension")
-        if not vectors:
-            return cls(field, ambient_dim, (), ())
-        m = Mat(field, len(vectors), ambient_dim, tuple(vectors))
-        red, pivots, rank = rref(m)
-        return cls(field, ambient_dim, red.entries[:rank], pivots)
+        return row_space(Mat(field, len(vectors), ambient_dim, tuple(vectors)))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -520,26 +517,22 @@ class Subspace:
         return Subspace.from_vectors(self.field, self.ambient_dim, list(self.basis) + list(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The meet of two subspaces: the coefficient vectors x with
+        x . basis in other form the preimage of other under the basis, and
+        mapping them back through the basis gives the meet.  Both bases are
+        in RREF, so the mapped rows are too, with the pivots of self that
+        the pivots of x select."""
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("ambient dimensions differ")
         if self.is_full():
             return other
         if other.is_full():
             return self
-        # v = x . basis_a = y . basis_b  <=>  (x, -y) in the left kernel of the
-        # stacked basis matrix; project kernel elements back through basis_a.
-        ra, rb = self.dim, other.dim
-        if ra == 0 or rb == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        stacked = Mat(self.field, ra + rb, self.ambient_dim, self.basis + other.basis)
-        ker = kernel_basis(stacked.transpose())
-        vecs = []
-        for z in ker.basis:
-            vecs.append(tuple(
-                sum((z[i] * self.basis[i][j] for i in range(ra) if z[i]), self.field.zero)
-                for j in range(self.ambient_dim)
-            ))
-        return Subspace.from_vectors(self.field, self.ambient_dim, vecs)
+        B = Mat(self.field, self.dim, self.ambient_dim, self.basis)
+        coeffs = preimage(B.transpose(), other)
+        back = Mat(self.field, coeffs.dim, self.dim, coeffs.basis) @ B
+        return Subspace(self.field, self.ambient_dim, back.entries,
+                        tuple(self.pivots[i] for i in coeffs.pivots))
 
     def complement_projection(self) -> Mat:
         """Projection onto canonical complement coordinates (non-pivot slots).
@@ -549,20 +542,24 @@ class Subspace:
         kernel is exactly this subspace.
         """
         z, o = self.field.zero, self.field.one
-        nonpivots = [j for j in range(self.ambient_dim) if j not in set(self.pivots)]
+        pivset = set(self.pivots)
         rows = []
-        for j in nonpivots:
+        for j in range(self.ambient_dim):
+            if j in pivset:
+                continue
             row = [z] * self.ambient_dim
             row[j] = o
-            for i, p in enumerate(self.pivots):
-                row[p] = row[p] - self.basis[i][j]
+            for b, p in zip(self.basis, self.pivots):
+                if b[j]:
+                    row[p] = -b[j]
             rows.append(tuple(row))
-        return Mat(self.field, len(nonpivots), self.ambient_dim, tuple(rows))
+        return Mat(self.field, len(rows), self.ambient_dim, tuple(rows))
 
     def complement_section(self) -> Mat:
         """Section of complement_projection: standard vectors at non-pivot slots."""
         z, o = self.field.zero, self.field.one
-        nonpivots = [j for j in range(self.ambient_dim) if j not in set(self.pivots)]
+        pivset = set(self.pivots)
+        nonpivots = [j for j in range(self.ambient_dim) if j not in pivset]
         return Mat(self.field, self.ambient_dim, len(nonpivots),
                    tuple(tuple(o if i == j else z for j in nonpivots) for i in range(self.ambient_dim)))
 
@@ -571,20 +568,17 @@ class Subspace:
         return from_columns(self.field, self.basis, self.ambient_dim)
 
 
-def kernel_basis(m: Mat) -> Subspace:
-    """Canonical basis of the null space {x : m x = 0}."""
+def row_space(m: Mat) -> Subspace:
+    """The span of the rows of m, in the canonical form rref gives it."""
     red, pivots, rank = rref(m)
-    pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
-    z, o = m.field.zero, m.field.one
-    vecs = []
-    for j in free:
-        v = [z] * m.cols
-        v[j] = o
-        for i, p in enumerate(pivots):
-            v[p] = -red.entries[i][j]
-        vecs.append(tuple(v))
-    return Subspace.from_vectors(m.field, m.cols, vecs)
+    return Subspace(m.field, m.cols, red.entries[:rank], pivots)
+
+
+def kernel_basis(m: Mat) -> Subspace:
+    """Canonical basis of the null space {x : m x = 0}.  The rows of the
+    complement projection of the row space of m span it, one per free
+    column; row_space puts them in canonical form."""
+    return row_space(row_space(m).complement_projection())
 
 
 def column_space(m: Mat) -> Subspace:
@@ -592,37 +586,23 @@ def column_space(m: Mat) -> Subspace:
 
 
 def solve(m: Mat, b) -> tuple | None:
-    """A particular solution of m x = b, or None; free variables are zeroed."""
+    """A particular solution of m x = b, or None; free variables are zeroed.
+    It is solve_matrix with a one-column right-hand side."""
     b = tuple(m.field.of(v) for v in b)
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = m.hstack(Mat(m.field, m.rows, 1, tuple((v,) for v in b)))
-    red, pivots, rank = rref(aug)
-    if m.cols in pivots:
-        return None
-    z = m.field.zero
-    x = [z] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.entries[i][m.cols]
-    return tuple(x)
+    x = solve_matrix(m, Mat(m.field, len(b), 1, tuple((v,) for v in b)))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(a: Mat, b: Mat) -> Mat | None:
     """X with a @ X = b, or None if some column is unsolvable."""
-    if a.rows != b.rows:
-        raise ValueError("row count mismatch")
-    aug = a.hstack(b)
-    red, pivots, rank = rref(aug)
+    red, pivots, rank = rref(a.hstack(b))
     if any(p >= a.cols for p in pivots):
         return None
-    z = a.field.zero
-    cols = []
-    for j in range(b.cols):
-        x = [z] * a.cols
-        for i, p in enumerate(pivots):
-            x[p] = red.entries[i][a.cols + j]
-        cols.append(tuple(x))
-    return from_columns(a.field, cols, a.cols)
+    # free variables are zero; the pivot variable of row i reads its tail
+    rows = [(a.field.zero,) * b.cols] * a.cols
+    for i, p in enumerate(pivots):
+        rows[p] = red.entries[i][a.cols:]
+    return Mat(a.field, a.cols, b.cols, tuple(rows))
 
 
 def preimage(a: Mat, s: Subspace) -> Subspace:

@@ -17,6 +17,7 @@ direct_sum adds the injections and projections for callers that need them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import SemanticError
@@ -50,6 +51,15 @@ class Representation:
                 raise SemanticError(
                     f"matrix for arrow {a.name!r} has shape {m.rows}x{m.cols}, "
                     f"expected {self.dims[ti]}x{self.dims[si]}")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.quiver, self.field, self.dims, self.action))
+
+    def __hash__(self):
+        # representations key the workspace tables; the generated hash would
+        # walk every action entry on each lookup
+        return self._hash
 
     @property
     def total_dim(self) -> int:
@@ -120,7 +130,7 @@ class RepMorphism:
         return all(m.is_zero() for m in self.comps)
 
     def is_mono(self) -> bool:
-        return all(kernel_basis(m).dim == 0 for m in self.comps)
+        return all(m.rank() == m.cols for m in self.comps)
 
     def is_epi(self) -> bool:
         return all(m.rank() == m.rows for m in self.comps)

@@ -1,5 +1,6 @@
 """Factorization subspaces, the determiner formula, and the oracle."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import pytest
 import quivdet as qd
 import quivdet.determiner
 import quivdet.translate
+from quivdet.decompose import indec_iso_witness
 from quivdet.determiner import DeterminerEngine, DeterminerMember
 from quivdet.errors import SemanticError
-from quivdet.linalg import RATIONALS
+from quivdet.linalg import RATIONALS, field_from_name
 
 from conftest import A3_TEXT
 
@@ -282,3 +284,49 @@ def test_incomplete_registry_flagged():
     assert not rep.oracle.certified
     doc = rep.to_json_dict()
     assert "note" in doc["registry"]
+
+
+E6_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
+           "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
+D4_TEXT = "vertex c\nvertex 1\nvertex 2\nvertex 3\narrow a 1 c\narrow b 2 c\narrow d 3 c"
+KRONECKER_TEXT = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2"
+
+
+def _oracle_digest(q, field, cap):
+    """Verdicts on the formula members, on the members minus the last one, and
+    on the members plus the first registry object not among them, for three
+    fixed hom-basis morphisms, with each member's almost-factoring subspace."""
+    reg = qd.knit(q, field, cap)
+    eng = DeterminerEngine(reg)
+    pairs = [(a.rep, b.rep) for a in reg.entries for b in reg.entries
+             if a is not b and eng.hom(a.rep, b.rep).dim]
+    h = hashlib.sha256()
+    for M, N in (pairs[0], pairs[len(pairs) // 2], pairs[-1]):
+        rm, _, _, members = eng.formula_members(eng.hom(M, N).basis[0])
+        f = rm.minimal
+        reps = [m.rep for m in members]
+        extra = next(e.rep for e in reg.entries
+                     if all(indec_iso_witness(e.rep, Z) is None for Z in reps))
+        for candidate in (reps, reps[:-1], reps + [extra]):
+            verdict = eng.verify(f, candidate)
+            h.update(json.dumps(verdict.to_json_dict(), sort_keys=True).encode())
+            for Z in candidate:
+                basis = eng.almost_factor_subspace(f, Z).basis
+                h.update(repr(tuple(tuple(str(x) for x in row) for row in basis)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("text, field, cap, digest", [
+    (E6_TEXT, "rat", 5000,
+     "5a6be79061155a1a0988036b60c1775efddd19522e336a9ed5029d1776fa4ad4"),
+    (E6_TEXT, "fp:10007", 5000,
+     "5a6be79061155a1a0988036b60c1775efddd19522e336a9ed5029d1776fa4ad4"),
+    (D4_TEXT, "rat", 5000,
+     "70a4fc75cb38e6250ebd6bb35e1c3481782a3cf89fbdf14819284b044a2979eb"),
+    (KRONECKER_TEXT, "rat", 8,
+     "9482141add5bf6a302f85b2b731266c4223097f859487e91ded6369b5116d2c3"),
+], ids=["e6-rat", "e6-fp10007", "d4", "kronecker-cap8"])
+def test_oracle_verdicts_are_pinned(text, field, cap, digest):
+    # failing verdicts (named witnesses, removals that break nothing) and the
+    # almost-factoring subspaces are part of the output contract too
+    assert _oracle_digest(qd.parse_quiver(text), field_from_name(field), cap) == digest

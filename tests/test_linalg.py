@@ -65,6 +65,10 @@ def test_kernel_rank_one():
 def test_solve_identity_and_unsolvable():
     assert solve(Mat.identity(F, 2), (3, 5)) == (Fraction(3), Fraction(5))
     assert solve(Mat.zero(F, 2, 2), (1, 0)) is None
+    with pytest.raises(ValueError):
+        solve(Mat.identity(F, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        solve_matrix(Mat.identity(F, 2), Mat.identity(F, 3))
 
 
 def test_solve_free_variables_zeroed():
@@ -352,3 +356,23 @@ def test_rref_does_no_field_element_arithmetic(field, monkeypatch):
     monkeypatch.undo()
     assert (red, pivots, rank) == expected
     assert system.cols - rank == hom_dim == 1 + M.dims[2]  # End(M) plus Hom(M, I_3) = D M_3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_intersect_is_canonical_and_meets_the_dimension_formula(field):
+    rng = random.Random(17 + field.characteristic)
+    for _ in range(100):
+        n = rng.randrange(1, 8)
+        a, b = (Subspace.from_vectors(field, n, _random_sparse(
+            field, rng, rng.randrange(0, n + 1), n, rng.choice((0.3, 0.7))).entries)
+            for _ in range(2))
+        meet = a.intersect(b)
+        assert meet.dim == a.dim + b.dim - a.sum(b).dim
+        assert a.contains(meet) and b.contains(meet)
+        assert meet == Subspace.from_vectors(field, n, meet.basis)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=["rat", "fp:7"])
+def test_field_constants_are_stored_once(field):
+    assert field.zero is field.zero and field.one is field.one
+    assert field.zero == 0 and field.one == 1

@@ -125,6 +125,26 @@ def test_no_module_level_containers():
         assert held == [], f"quivdet.{info.name} holds {held}"
 
 
+def test_workspace_lookup_hashes_representations_once(monkeypatch):
+    # a representation hashes its fields once; a repeated workspace lookup
+    # must not walk the action matrices and their entries again
+    from fractions import Fraction
+
+    from quivdet.linalg import Mat
+
+    q = qd.parse_quiver(A3_TEXT)
+    M, N = qd.projective_at(q, "2"), qd.injective_at(q, "2")
+    first = q.workspace.hom(M, N)
+    calls = []
+    for cls in (Mat, Fraction):
+        def counting(self, real=cls.__hash__, name=cls.__name__):
+            calls.append(name)
+            return real(self)
+        monkeypatch.setattr(cls, "__hash__", counting)
+    assert q.workspace.hom(M, N) is first
+    assert calls == []
+
+
 def test_canonical_dim_vectors(a3):
     assert [qd.projective_at(a3, x).dims for x in a3.vertices] == \
         [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
