@@ -74,9 +74,11 @@ from .translate import (
     IndecRegistry,
     classify_underlying_graph,
     dtr,
+    euler_form,
     inverse_nakayama_on_injmap,
     knit,
     nakayama_on_projmap,
+    positive_root_count,
     trd,
 )
 from .determiner import (

@@ -15,6 +15,17 @@ takes T = V, every member S and a basis of Hom(S, V).  One scan for the first
 V whose determined subspace exceeds F_V decides determination and each
 member-removal check.  On a complete registry (Dynkin quivers) the verdict is
 a certificate; otherwise it is a bounded search and reports say so.
+
+The oracle solves only Hom systems that can be nonzero.  On a Dynkin quiver
+every indecomposable is directed: Hom(M, N) and Ext^1(M, N) are never both
+nonzero, so dim Hom(M, N) = max(0, <dim M, dim N>) with the Euler form
+(Ringel, LNM 1099; Auslander-Reiten-Smalo ch. VIII).  Between two registered
+indecomposables a form <= 0 gives the zero space without solving, and every
+solved space is checked against the form.  The skip rests on that theorem
+about directed indecomposables, not on the determiner formula, so the oracle
+stays independent of what it checks.  An object V with Hom(V, Y) = 0 adds
+nothing: F_V and W_V are both 0, and a source S with Hom(S, Y) = 0 gives no
+constraint rows.
 """
 
 from __future__ import annotations
@@ -37,12 +48,13 @@ from .reps import (
     cokernel,
     dual_morphism,
     dual_representation,
+    hom_basis,
     kernel,
     postcompose_matrix,
     precompose_matrix,
 )
 from .structure import socle_multiplicities
-from .translate import IndecRegistry, trd
+from .translate import IndecRegistry, classify_underlying_graph, euler_form, trd
 
 
 @dataclass(frozen=True)
@@ -149,13 +161,18 @@ class DeterminerEngine:
     Hom spaces and radical maps come from the quiver's workspace and are
     shared across requests.  Factoring subspaces and constraint blocks depend
     on the request morphism, so the engine keeps them for one morphism at a
-    time and drops them when ``verify`` returns."""
+    time and drops them when ``verify`` returns.  On Dynkin type the engine
+    also remembers which representations are registered, for the Euler-form
+    zeros of ``hom``."""
 
     def __init__(self, registry: IndecRegistry):
         self.registry = registry
         self.quiver = registry.quiver
         self.field = registry.field
         self.workspace = registry.quiver.workspace
+        self._directed = classify_underlying_graph(self.quiver)[0] == "dynkin"
+        # representation -> registered or not; the entries answer themselves
+        self._registered = {e.rep: True for e in registry.entries}
         self._request: tuple = (None, {}, {})
 
     # -- caches ------------------------------------------------------------
@@ -170,7 +187,28 @@ class DeterminerEngine:
         return request[1], request[2]
 
     def hom(self, M: Representation, N: Representation) -> HomSpace:
-        return self.workspace.hom(M, N)
+        """Hom(M, N) from the workspace.  On a miss between two registered
+        indecomposables of a Dynkin quiver, a nonpositive Euler form gives
+        the zero space unsolved, and a solved space must have the form's
+        dimension."""
+        ws = self.workspace
+        return ws.memo(ws.homs, (M, N), lambda: self._solve_hom(M, N))
+
+    def _solve_hom(self, M: Representation, N: Representation) -> HomSpace:
+        if not (self._directed and self._is_registered(M) and self._is_registered(N)):
+            return hom_basis(M, N)
+        form = euler_form(self.quiver, M.dims, N.dims)
+        if form <= 0:
+            flat_dim = sum(a * b for a, b in zip(M.dims, N.dims))
+            return HomSpace(M, N, Subspace.zero(self.field, flat_dim))
+        hs = hom_basis(M, N)
+        invariant(hs.dim == form, "Hom between directed indecomposables "
+                  "differs from the Euler form")
+        return hs
+
+    def _is_registered(self, M: Representation) -> bool:
+        return self.workspace.memo(self._registered, M,
+                                   lambda: self.registry.find_iso(M) is not None)
 
     def factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
         """Image of Hom(Z, X) -> Hom(Z, Y), the maps factoring through f."""
@@ -179,9 +217,12 @@ class DeterminerEngine:
             postcompose_matrix(self.hom(Z, f.domain), self.hom(Z, f.codomain), f)))
 
     def _radical_maps(self, U: Representation, Z: Representation):
-        """Basis morphisms of rad(U, Z)."""
+        """Basis morphisms of rad(U, Z); none when Hom(U, Z) = 0."""
+        huz = self.hom(U, Z)
+        if not huz.dim:
+            return ()
         return self.workspace.memo(self.workspace.radical_maps, (U, Z), lambda: tuple(
-            self.hom(U, Z).from_coordinates(v) for v in rad_hom_basis(U, Z).basis))
+            huz.from_coordinates(v) for v in rad_hom_basis(U, Z).basis))
 
     # -- factorization tests -------------------------------------------------
 
@@ -205,12 +246,15 @@ class DeterminerEngine:
                          source: Representation, maps) -> list:
         """Rows on Hom(target, Y) forcing g . h into the factoring subspace
         of source for every h in maps(source, target).  maps is only called
-        when that subspace is proper, since otherwise no h constrains g."""
+        when that subspace is proper, since otherwise no h constrains g;
+        when Hom(source, Y) = 0 not even the factoring subspace is built."""
+        hsy = self.hom(source, f.codomain)
+        if not hsy.dim:
+            return []
         comp_proj = self.factor_subspace(f, source).complement_projection()
         if not comp_proj.rows:
             return []
         hty = self.hom(target, f.codomain)
-        hsy = self.hom(source, f.codomain)
         rows: list = []
         for h in maps(source, target):
             rows.extend((comp_proj @ precompose_matrix(hty, hsy, h)).entries)
@@ -253,8 +297,11 @@ class DeterminerEngine:
 
     def _first_gap(self, f: RepMorphism, members) -> str | None:
         """Label of the first registry object V whose determined subspace
-        exceeds its factoring subspace, or None if every one collapses."""
+        exceeds its factoring subspace, or None if every one collapses.  A V
+        with Hom(V, Y) = 0 has both subspaces 0 and is skipped."""
         for entry in self.registry.entries:
+            if not self.hom(entry.rep, f.codomain).dim:
+                continue
             fv = self.factor_subspace(f, entry.rep)
             wv = self.determined_subspace(f, members, entry.rep)
             invariant(wv.contains(fv), "determined subspace misses the factoring subspace")

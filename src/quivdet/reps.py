@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import SemanticError
+from .errors import InvariantError, SemanticError
 from .linalg import (
     Field,
     Mat,
@@ -204,7 +204,17 @@ class HomSpace:
     def coordinates(self, f: RepMorphism) -> tuple:
         if (f.domain, f.codomain) != (self.domain, self.codomain):
             raise SemanticError("morphism does not live in this hom space")
-        return self._space.coordinates(self.flatten(f))
+        return self.flat_coordinates(self.flatten(f))
+
+    def flat_coordinates(self, vec) -> tuple:
+        """Coordinates of a flattened family of vertex maps.  The space is
+        the solution space of the commuting squares, so membership is the
+        square check: a family outside it raises InvariantError."""
+        try:
+            return self._space.coordinates(vec)
+        except ValueError:
+            raise InvariantError("vertex maps outside the hom space: "
+                                 "some square does not commute") from None
 
     def from_coordinates(self, coords) -> RepMorphism:
         coords = tuple(self.field.of(c) for c in coords)
@@ -259,16 +269,27 @@ def hom_basis(M: Representation, N: Representation) -> HomSpace:
     return HomSpace(M, N, sol)
 
 
+def _composite_matrix(hs_src: HomSpace, hs_dst: HomSpace, products) -> Mat:
+    """Matrix of hs_src -> hs_dst sending each basis element g to the map
+    with vertex components products(g), read in flat coordinates; no
+    morphism is built for the composite, since flat_coordinates checks it."""
+    cols = [hs_dst.flat_coordinates([x for m in products(g) for row in m.entries for x in row])
+            for g in hs_src.basis]
+    return from_columns(hs_src.field, cols, hs_dst.dim)
+
+
 def postcompose_matrix(hs_src: HomSpace, hs_dst: HomSpace, f: RepMorphism) -> Mat:
     """Matrix of Hom(Z, X) -> Hom(Z, Y), g |-> f . g, in canonical bases."""
-    cols = [hs_dst.coordinates(f @ g) for g in hs_src.basis]
-    return from_columns(hs_src.field, cols, hs_dst.dim)
+    if (f.domain, f.codomain, hs_src.domain) != (hs_src.codomain, hs_dst.codomain, hs_dst.domain):
+        raise SemanticError("morphism does not map between these hom spaces")
+    return _composite_matrix(hs_src, hs_dst, lambda g: map(Mat.__matmul__, f.comps, g.comps))
 
 
 def precompose_matrix(hs_src: HomSpace, hs_dst: HomSpace, h: RepMorphism) -> Mat:
     """Matrix of Hom(V, Y) -> Hom(Z, Y), psi |-> psi . h, in canonical bases."""
-    cols = [hs_dst.coordinates(g @ h) for g in hs_src.basis]
-    return from_columns(hs_src.field, cols, hs_dst.dim)
+    if (h.domain, h.codomain, hs_src.codomain) != (hs_dst.domain, hs_src.domain, hs_dst.codomain):
+        raise SemanticError("morphism does not map between these hom spaces")
+    return _composite_matrix(hs_src, hs_dst, lambda g: map(Mat.__matmul__, g.comps, h.comps))
 
 
 def subrepresentation(M: Representation, subs) -> tuple[Representation, RepMorphism]:

@@ -1,5 +1,6 @@
 """Nakayama transport, the translates DTr and TrD, knitting enumeration of
-indecomposables, and Dynkin classification of the underlying graph.
+indecomposables, Dynkin classification of the underlying graph, and the
+Euler form.
 
 Hom(P_x, P_y) has the paths y -> x as a canonical basis (read off the image of
 the trivial-path generator), and Hom(I_x, I_y) has the same index set (read
@@ -307,6 +308,10 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
         entry.tau_minus = j
         i += 1
     reg.complete = not truncated and i >= len(reg.entries)
+    kind, types = classify_underlying_graph(q)
+    if reg.complete and kind == "dynkin":
+        invariant(len(reg.entries) == positive_root_count(types),
+                  "complete Dynkin registry does not have the positive-root count")
     return reg
 
 
@@ -353,6 +358,28 @@ def classify_underlying_graph(q: Quiver) -> tuple[str, tuple[str, ...] | None]:
             return ("non-dynkin", None)
         types.append(t)
     return ("dynkin", tuple(types))
+
+
+def positive_root_count(types) -> int:
+    """Indecomposables of a Dynkin quiver (Gabriel): the positive roots of
+    each component type, summed."""
+    def roots(t: str) -> int:
+        n = int(t[1:])
+        if t[0] == "A":
+            return n * (n + 1) // 2
+        if t[0] == "D":
+            return n * (n - 1)
+        return {6: 36, 7: 63, 8: 120}[n]
+
+    return sum(roots(t) for t in types)
+
+
+def euler_form(q: Quiver, a, b) -> int:
+    """<a, b> = sum_x a_x b_x - sum over arrows x -> y of a_x b_y, on
+    dimension vectors in vertex order."""
+    vi = q.vertex_index
+    return (sum(x * y for x, y in zip(a, b))
+            - sum(a[vi[arr.source]] * b[vi[arr.target]] for arr in q.arrows))
 
 
 def _ade_type(degrees, comp, adj):

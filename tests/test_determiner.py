@@ -8,11 +8,13 @@ import pytest
 
 import quivdet as qd
 import quivdet.determiner
+import quivdet.reps
 import quivdet.translate
 from quivdet.decompose import indec_iso_witness
 from quivdet.determiner import DeterminerEngine, DeterminerMember
-from quivdet.errors import SemanticError
+from quivdet.errors import InvariantError, SemanticError
 from quivdet.linalg import RATIONALS, field_from_name
+from quivdet.reps import hom_basis
 
 from conftest import A3_TEXT
 
@@ -330,3 +332,59 @@ def test_oracle_verdicts_are_pinned(text, field, cap, digest):
     # failing verdicts (named witnesses, removals that break nothing) and the
     # almost-factoring subspaces are part of the output contract too
     assert _oracle_digest(qd.parse_quiver(text), field_from_name(field), cap) == digest
+
+
+def test_engine_hom_matches_solved_hom_on_dynkin_registry():
+    # the Euler-form zeros are the spaces hom_basis would have returned
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q)
+    eng = DeterminerEngine(reg)
+    for a in reg.entries:
+        for b in reg.entries:
+            assert eng.hom(a.rep, b.rep).basis == qd.hom_basis(a.rep, b.rep).basis
+
+
+def test_verify_solves_no_zero_hom_between_registered_objects(monkeypatch):
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q)
+    eng = DeterminerEngine(reg)
+    big = max(reg.entries, key=lambda e: e.rep.total_dim).rep
+    f = eng.hom(big, qd.injective_at(q, "3")).basis[0]
+    rm, _, _, members = eng.formula_members(f)
+    solved = []
+
+    def recording_hom_basis(M, N):
+        hs = hom_basis(M, N)
+        solved.append((M, N, hs.dim))
+        return hs
+
+    for module in (quivdet.reps, quivdet.determiner):
+        monkeypatch.setattr(module, "hom_basis", recording_hom_basis)
+    assert eng.verify(rm.minimal, members).certified
+    monkeypatch.undo()
+    assert solved
+    assert [(M, N) for M, N, d in solved if not d
+            and reg.find_iso(M) is not None and reg.find_iso(N) is not None] == []
+
+
+def test_engine_hom_cross_checks_the_euler_form(monkeypatch):
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q)
+    eng = DeterminerEngine(reg)
+    M, N = next((a.rep, b.rep) for a in reg.entries for b in reg.entries
+                if (a.rep, b.rep) not in q.workspace.homs and hom_basis(a.rep, b.rep).dim == 1)
+    monkeypatch.setattr(quivdet.determiner, "euler_form", lambda q, a, b: 2)
+    with pytest.raises(InvariantError):
+        eng.hom(M, N)
+
+
+def test_engine_hom_ignores_the_euler_form_off_dynkin_type(monkeypatch):
+    def no_form(*args):
+        raise AssertionError("the Euler form decides Hom only on Dynkin type")
+
+    monkeypatch.setattr(quivdet.determiner, "euler_form", no_form)
+    reg = qd.knit(qd.parse_quiver(KRONECKER_TEXT), cap=6)
+    eng = DeterminerEngine(reg)
+    for a in reg.entries:
+        for b in reg.entries:
+            assert eng.hom(a.rep, b.rep).dim == hom_basis(a.rep, b.rep).dim

@@ -5,8 +5,8 @@ import random
 import pytest
 
 import quivdet as qd
-from quivdet.errors import SemanticError
-from quivdet.linalg import Mat, RATIONALS, Subspace, column_space
+from quivdet.errors import InvariantError, SemanticError
+from quivdet.linalg import Mat, RATIONALS, Subspace, column_space, from_columns
 from quivdet.reps import (
     image,
     postcompose_matrix,
@@ -15,6 +15,8 @@ from quivdet.reps import (
     subrepresentation,
 )
 from quivdet.structure import radical, top
+
+from conftest import A3_TEXT
 
 F = RATIONALS
 
@@ -165,3 +167,64 @@ def test_random_morphism_exactness():
         for i in range(q.n_vertices):
             assert K.dims[i] + I.dims[i] == a.dims[i]
             assert I.dims[i] + C.dims[i] == b.dims[i]
+
+
+def _old_composite_matrix(hs_src, hs_dst, compose):
+    """The composite matrices as first defined: build each composite morphism,
+    with its full commuting-square check, and read its coordinates."""
+    return from_columns(hs_src.field, [hs_dst.coordinates(compose(g)) for g in hs_src.basis],
+                        hs_dst.dim)
+
+
+E6_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
+           "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
+
+
+@pytest.mark.parametrize("text, step", [
+    (A3_TEXT, 1), (E6_TEXT, 5),
+], ids=["a3", "e6"])
+def test_composite_matrices_match_morphism_composites(text, step):
+    # every registry triple (Z, V, Y), with every step-th object as Y
+    q = qd.parse_quiver(text)
+    hom = q.workspace.hom
+    reps = [e.rep for e in qd.knit(q).entries]
+    checked = 0
+    for Y in reps[::step]:
+        for V in reps:
+            hvy = hom(V, Y)
+            for Z in reps:
+                hzy = hom(Z, Y)
+                hzv = hom(Z, V)
+                for h in hzv.basis:
+                    assert precompose_matrix(hvy, hzy, h) == \
+                        _old_composite_matrix(hvy, hzy, lambda g: g @ h)
+                for f in hvy.basis:
+                    assert postcompose_matrix(hzv, hzy, f) == \
+                        _old_composite_matrix(hzv, hzy, lambda g: f @ g)
+                    checked += hzv.dim
+    assert checked
+
+
+def test_composite_matrices_reject_mismatched_endpoints(a3, golden_f):
+    Z = qd.simple_at(a3, "2")
+    X, Y = golden_f.domain, golden_f.codomain
+    hzx, hzy, hyy = qd.hom_basis(Z, X), qd.hom_basis(Z, Y), qd.hom_basis(Y, Y)
+    with pytest.raises(SemanticError):
+        postcompose_matrix(hzy, hzx, golden_f)
+    with pytest.raises(SemanticError):
+        postcompose_matrix(hzx, qd.hom_basis(X, Y), golden_f)
+    with pytest.raises(SemanticError):
+        precompose_matrix(hyy, hzy, golden_f)
+    with pytest.raises(SemanticError):
+        precompose_matrix(hyy, qd.hom_basis(Z, X), hzy.basis[0])
+
+
+def test_flat_vector_outside_hom_space_rejected(a3):
+    # Hom(P_2, P_3) is spanned by the inclusion, (1, 1) in the flat
+    # coordinates at vertices 1 and 2; (1, 0) breaks the square of arrow a
+    P2, P3 = qd.projective_at(a3, "2"), qd.projective_at(a3, "3")
+    hs = qd.hom_basis(P2, P3)
+    inside = hs.flatten(hs.basis[0])
+    assert inside == (F.one, F.one) and hs.flat_coordinates(inside) == (F.one,)
+    with pytest.raises(InvariantError):
+        hs.flat_coordinates((F.one, F.zero))

@@ -8,6 +8,7 @@ import quivdet as qd
 from quivdet.errors import (
     HasInjectiveSummandError,
     HasProjectiveSummandError,
+    InvariantError,
     SemanticError,
 )
 from quivdet.linalg import RATIONALS, field_from_name
@@ -321,3 +322,56 @@ def test_end_dimension_one_on_dynkin_registries(corpus_engines):
         for e in engine.registry.entries:
             alg = end_algebra(e.rep)
             assert alg.quotient_dim == 1, (name, e.label)
+
+
+D4_TEXT = "vertex c\nvertex 1\nvertex 2\nvertex 3\narrow a 1 c\narrow b 2 c\narrow d 3 c"
+A5_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
+           "arrow a 2 1\narrow b 2 3\narrow c 3 4\narrow d 5 4")
+
+
+def _form_mismatches(reg, solved, form):
+    """Registry pairs (a, b) whose solved dim Hom(a, b) is not max(0, form(a, b))."""
+    return [(a.label, b.label) for a in reg.entries for b in reg.entries
+            if solved[a.index, b.index] != max(0, form(a.rep.dims, b.rep.dims))]
+
+
+@pytest.mark.parametrize("text, field", [
+    (E6_TEXT, "rat"), (E6_TEXT, "fp:10007"), (D4_TEXT, "rat"), (A5_TEXT, "rat"),
+], ids=["e6-rat", "e6-fp10007", "d4", "a5"])
+def test_euler_form_gives_hom_dimension_between_dynkin_indecomposables(text, field):
+    # every indecomposable of a Dynkin quiver is directed, so Hom and Ext^1
+    # between two of them are never both nonzero: each pair the form calls
+    # zero solves to 0, every other pair to exactly the form
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field))
+    solved = {(a.index, b.index): qd.hom_basis(a.rep, b.rep).dim
+              for a in reg.entries for b in reg.entries}
+    assert any(not d for d in solved.values()) and any(solved.values())
+    assert _form_mismatches(reg, solved, lambda a, b: qd.euler_form(q, a, b)) == []
+    # teeth: the form with its arguments swapped does not decide Hom(a, b)
+    assert _form_mismatches(reg, solved, lambda a, b: qd.euler_form(q, b, a))
+
+
+def test_euler_form_values(a3):
+    # arrows 2 -> 1 and 3 -> 2: <S_2, S_1> = -1, <S_1, S_2> = 0, <P_3, P_3> = 1
+    assert qd.euler_form(a3, (0, 1, 0), (1, 0, 0)) == -1
+    assert qd.euler_form(a3, (1, 0, 0), (0, 1, 0)) == 0
+    assert qd.euler_form(a3, (1, 1, 1), (1, 1, 1)) == 1
+
+
+def test_positive_root_counts():
+    assert [qd.positive_root_count((t,)) for t in ("A1", "A5", "D4", "D5", "E6", "E7", "E8")] \
+        == [1, 15, 12, 20, 36, 63, 120]
+    assert qd.positive_root_count(("A2", "D4")) == 15
+
+
+def test_knit_checks_the_positive_root_count(monkeypatch):
+    import quivdet.translate
+
+    two_a2 = qd.parse_quiver("vertex 1\nvertex 2\nvertex 3\nvertex 4\narrow a 1 2\narrow b 4 3")
+    assert len(qd.knit(two_a2).entries) == 6
+    monkeypatch.setattr(quivdet.translate, "positive_root_count", lambda types: 37)
+    with pytest.raises(InvariantError):
+        qd.knit(qd.parse_quiver(E6_TEXT))
+    # an incomplete registry is not held to the count
+    assert not qd.knit(qd.parse_quiver(E6_TEXT), cap=10).complete
