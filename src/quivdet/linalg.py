@@ -3,13 +3,16 @@
 Everything downstream (hom spaces, kernels, the verification oracle) reduces
 to row reduction of large, very sparse systems: a Hom system has one
 equation per commuting-square entry and a handful of nonzeros in each.
-Matrices are immutable and dense, with exact entries.  One elimination
-kernel, rref, serves every caller: it reads a matrix into sparse integer
-rows and eliminates with plain int arithmetic, touching only nonzero
-entries, and writes the unique reduced row echelon form back as field
-elements.  The matrix product likewise multiplies only nonzero entries.
-Subspaces are stored in canonical RREF form so that equal subspaces compare
-equal structurally.
+Matrices are immutable and dense, with exact entries.  One elimination loop,
+_pivot_rows, serves every caller: it works on sparse integer rows
+{column: int} (int_rows reads them from sparse rows of field elements, a
+dense matrix being one source) with plain int arithmetic, touching only
+nonzero entries.  rref takes the leftmost nonzero of each row as its pivot
+and writes the unique reduced row echelon form back as field elements;
+kernel_of_rows takes the rightmost, which leaves the null space basis
+already in RREF, so a kernel costs one elimination.  The matrix product
+likewise multiplies only nonzero entries.  Subspaces are stored in
+canonical RREF form so that equal subspaces compare equal structurally.
 
 Matrices act on the left of column vectors.  Zero-dimensional shapes
 (0 x n, n x 0, 0 x 0) are legal everywhere: kernels and cokernels vanish
@@ -133,6 +136,8 @@ class RationalField:
         return Fraction(1)
 
     def of(self, x) -> Fraction:
+        if type(x) is Fraction:
+            return x
         if isinstance(x, FpElement):
             raise FieldMismatchError("cannot coerce an F_p value into the rationals")
         return Fraction(x)
@@ -328,16 +333,21 @@ def block_diag(field: Field, blocks) -> Mat:
     return Mat(field, rows, cols, tuple(tuple(r) for r in out))
 
 
-def _int_rows(m: Mat) -> list[dict]:
-    """The nonzero rows of m as sparse {column: int} rows spanning its row space.
+def _nonzeros(entries):
+    """The rows of a dense row grid as sparse rows [(column, value), ...]."""
+    return ([(j, v) for j, v in enumerate(row) if v] for row in entries)
+
+
+def int_rows(field: Field, rows) -> list[dict]:
+    """Sparse rows [(column, value), ...] of nonzero field elements, with
+    distinct columns, as sparse {column: int} rows spanning the same space.
 
     Over Q each row is scaled by the lcm of its denominators; over F_p each
-    entry becomes its residue.  Every nonzero entry must belong to m.field.
+    entry becomes its residue.  Every value must belong to field.
     """
-    p = m.field.characteristic
+    p = field.characteristic
     out = []
-    for row in m.entries:
-        nz = [(j, v) for j, v in enumerate(row) if v]
+    for nz in rows:
         if not nz:
             continue
         if p:
@@ -398,29 +408,22 @@ def _eliminate(r: dict, pr: dict, c: int, p: int) -> None:
                 r[j] //= g
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
-    """Reduced row echelon form, pivot column indices, and rank.
-
-    The rows of m become sparse integer rows {column: int} (see _int_rows):
-    a rational row scaled by the lcm of its denominators, an F_p row as
-    residues.  Each row is reduced against the pivot rows found so far, its
-    leftmost nonzero becomes a new pivot, and that column is cleared from
-    the other pivot rows, so the pivot rows stay mutually reduced and no
+def _pivot_rows(rows: list[dict], p: int, pick) -> dict[int, dict]:
+    """Mutually reduced pivot rows {pivot column: row} spanning the integer
+    rows, which are consumed.  Each row is reduced against the pivot rows
+    found so far, pick (min or max) chooses its pivot among its nonzero
+    columns, and that column is cleared from the other pivot rows, so no
     step visits a zero entry.  Over Q a step is the fraction-free
     a*row - b*pivot_row followed by division by the content gcd; over F_p
-    pivots are scaled to 1 and arithmetic is mod p.  The RREF of a matrix is
-    unique, so the order in which rows are taken is free and the result is
-    the canonical one: pivot rows in column order holding Fraction(v, pivot)
-    or FpElement(v, p), the field's zero elsewhere, zero rows last.
-    """
-    p = m.field.characteristic
+    pivots are scaled to 1 and arithmetic is mod p.  Every pivot row is zero
+    at every other pivot column."""
     piv: dict[int, dict] = {}
-    for r in _int_rows(m):
+    for r in rows:
         for c in [c for c in r if c in piv]:
             _eliminate(r, piv[c], c, p)
         if not r:
             continue
-        c = min(r)
+        c = pick(r)
         if p and r[c] != 1:
             inv = pow(r[c], -1, p)
             for j in r:
@@ -429,6 +432,21 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
             if c in other:
                 _eliminate(other, r, c, p)
         piv[c] = r
+    return piv
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
+    """Reduced row echelon form, pivot column indices, and rank.
+
+    The rows of m become sparse integer rows (see int_rows) and _pivot_rows
+    reduces them with the leftmost nonzero of each row as its pivot.  The
+    RREF of a matrix is unique, so the order in which rows are taken is free
+    and the result is the canonical one: pivot rows in column order holding
+    Fraction(v, pivot) or FpElement(v, p), the field's zero elsewhere, zero
+    rows last.
+    """
+    p = m.field.characteristic
+    piv = _pivot_rows(int_rows(m.field, _nonzeros(m.entries)), p, min)
     pivots = tuple(sorted(piv))
     z = m.field.zero
     out = []
@@ -575,10 +593,54 @@ def row_space(m: Mat) -> Subspace:
 
 
 def kernel_basis(m: Mat) -> Subspace:
-    """Canonical basis of the null space {x : m x = 0}.  The rows of the
-    complement projection of the row space of m span it, one per free
-    column; row_space puts them in canonical form."""
-    return row_space(row_space(m).complement_projection())
+    """Canonical basis of the null space {x : m x = 0}, from one elimination.
+
+    The elimination takes the rightmost nonzero of each row as its pivot, so
+    a pivot row r_c is nonzero only at c and at free columns left of c.  The
+    vector of free column j, 1 at j and -r_c[j]/r_c[c] at each pivot c,
+    therefore leads at j and is zero at every other free column: the vectors
+    in order of j are already the unique RREF basis of the null space, and no
+    second elimination is needed to put them in canonical form.
+    """
+    return kernel_of_rows(m.field, m.cols, int_rows(m.field, _nonzeros(m.entries)))
+
+
+def kernel_of_rows(field: Field, ncols: int, rows: list[dict]) -> Subspace:
+    """kernel_basis of the integer rows {column: int} (see int_rows) of a
+    matrix with ncols columns; rows are left as they are."""
+    p = field.characteristic
+    piv = _pivot_rows([dict(r) for r in rows], p, max)
+    z, o = field.zero, field.one
+    vecs = {j: [z] * ncols for j in range(ncols) if j not in piv}
+    for j, vec in vecs.items():
+        vec[j] = o
+    for c, r in piv.items():
+        d = r[c]
+        for j, v in r.items():
+            if j != c:
+                vecs[j][c] = FpElement(-v, p) if p else Fraction(-v, d)
+    return Subspace(field, ncols, tuple(tuple(vec) for vec in vecs.values()), tuple(vecs))
+
+
+def rows_vanish_on(field: Field, rows: list[dict], space: Subspace) -> bool:
+    """Whether every integer row (see int_rows) vanishes on space: one
+    integer product of the rows with integer multiples of its basis vectors,
+    taken mod p over F_p."""
+    if not space.dim:
+        return True
+    p = field.characteristic
+    cols: dict[int, list] = {}
+    for b, x in enumerate(int_rows(field, _nonzeros(space.basis))):
+        for j, w in x.items():
+            cols.setdefault(j, []).append((b, w))
+    for r in rows:
+        acc = [0] * space.dim
+        for j, v in r.items():
+            for b, w in cols.get(j, ()):
+                acc[b] += v * w
+        if any(a % p for a in acc) if p else any(acc):
+            return False
+    return True
 
 
 def column_space(m: Mat) -> Subspace:

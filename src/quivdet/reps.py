@@ -5,7 +5,11 @@ matrix to each arrow; a morphism is a family of vertex matrices making every
 arrow square commute, checked exactly at construction time.  Hom(M, N) is the
 solution space of the commuting-square linear system and is returned with a
 canonical (RREF) ordered basis, so all downstream subspace computations have
-stable coordinates.
+stable coordinates.  The system is assembled once, as sparse integer rows,
+and solved by one elimination.  A HomSpace basis is checked against the
+squares all together, by one integer product of the square equations with
+the basis vectors, so its morphisms skip the check one by one; morphisms
+built from caller input, from_coordinates included, keep it.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient; kernels, images and cokernels
@@ -28,7 +32,10 @@ from .linalg import (
     block_diag,
     from_columns,
     column_space,
+    int_rows,
     kernel_basis,
+    kernel_of_rows,
+    rows_vanish_on,
 )
 from .quiver import Path, Quiver
 
@@ -160,23 +167,68 @@ def _flat_offsets(M: Representation, N: Representation) -> list[int]:
     return list(accumulate((dm * dn for dm, dn in zip(M.dims, N.dims)), initial=0))
 
 
+def _square_rows(M: Representation, N: Representation) -> list[dict]:
+    """The commuting-square equations N(a) f(s) - f(t) M(a) = 0 on flattened
+    maps M -> N, one per (row of N(t), column of M(s)) of each arrow a, as
+    integer rows (see linalg.int_rows) read from the nonzero entries of N(a)
+    and M(a)."""
+    q = M.quiver
+    offsets = _flat_offsets(M, N)
+    rows = []
+    for ai, a in enumerate(q.arrows):
+        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
+        ds, dt = M.dims[si], M.dims[ti]
+        # f(s)[k][c] sits at offsets[si] + k*ds + c, f(t)[r][k] at offsets[ti] + r*dt + k
+        na_rows = [[(offsets[si] + k * ds, v) for k, v in enumerate(row) if v]
+                   for row in N.action[ai].entries]
+        ma_cols = [[(offsets[ti] + k, -v) for k, v in enumerate(col) if v]
+                   for col in M.action[ai].columns()]
+        for r, nr in enumerate(na_rows):
+            for c, mc in enumerate(ma_cols):
+                eq = [(j + c, v) for j, v in nr] + [(j + r * dt, v) for j, v in mc]
+                if eq:
+                    rows.append(eq)
+    return int_rows(M.field, rows)
+
+
 class HomSpace:
     """Ordered canonical basis of Hom(M, N).
 
     Morphisms are flattened to coordinate vectors by concatenating the
     components row-major in vertex order; the basis rows are in RREF with
     respect to that flattening, so coordinates of a member are read off at the
-    pivot positions.
+    pivot positions.  The basis is checked against the commuting squares all
+    at once, by one integer product of the square equations with the basis
+    vectors (InvariantError if some vector is outside Hom), so its morphisms
+    are built without a check of their own.
     """
 
     def __init__(self, domain: Representation, codomain: Representation,
                  basis_vectors: Subspace):
+        # an empty basis needs no square equations to check
+        self._setup(domain, codomain, basis_vectors,
+                    _square_rows(domain, codomain) if basis_vectors.dim else [])
+
+    def _setup(self, domain, codomain, space: Subspace, square_rows: list[dict]) -> None:
+        """Check space against square_rows, the integer rows of the
+        commuting squares (see _square_rows), and build the basis."""
         self.domain = domain
         self.codomain = codomain
-        self._space = basis_vectors
+        self._space = space
         self._offsets = _flat_offsets(domain, codomain)
         self._flat_dim = self._offsets[-1]
-        self.basis = tuple(self._unflatten(v) for v in basis_vectors.basis)
+        if space.ambient_dim != self._flat_dim:
+            raise SemanticError("basis vectors do not have the flattened hom length")
+        if not rows_vanish_on(domain.field, square_rows, space):
+            raise InvariantError("hom basis vector outside the hom space: "
+                                 "some square does not commute")
+        basis = []
+        for v in space.basis:
+            f = object.__new__(RepMorphism)
+            # a frozen dataclass; the squares were checked above
+            f.__dict__.update(domain=domain, codomain=codomain, comps=self._components(v))
+            basis.append(f)
+        self.basis = tuple(basis)
 
     @property
     def dim(self) -> int:
@@ -193,13 +245,13 @@ class HomSpace:
                 out.extend(row)
         return tuple(out)
 
-    def _unflatten(self, vec: tuple) -> RepMorphism:
+    def _components(self, vec: tuple) -> tuple[Mat, ...]:
         comps = []
         for i, (dm, dn) in enumerate(zip(self.domain.dims, self.codomain.dims)):
             off = self._offsets[i]
-            rows = tuple(tuple(vec[off + r * dm + c] for c in range(dm)) for r in range(dn))
+            rows = tuple(vec[off + r * dm:off + (r + 1) * dm] for r in range(dn))
             comps.append(Mat(self.field, dn, dm, rows))
-        return RepMorphism(self.domain, self.codomain, tuple(comps))
+        return tuple(comps)
 
     def coordinates(self, f: RepMorphism) -> tuple:
         if (f.domain, f.codomain) != (self.domain, self.codomain):
@@ -225,48 +277,24 @@ class HomSpace:
         for c, row in zip(coords, self._space.basis):
             if c:
                 vec = [a + c * b for a, b in zip(vec, row)]
-        return self._unflatten(tuple(vec))
+        return RepMorphism(self.domain, self.codomain, self._components(tuple(vec)))
 
     def __repr__(self):
         return f"HomSpace(dim {self.dim}: {self.domain!r} -> {self.codomain!r})"
 
 
 def hom_basis(M: Representation, N: Representation) -> HomSpace:
-    """Canonical basis of Hom(M, N) as solutions of the commuting squares."""
+    """Canonical basis of Hom(M, N) as solutions of the commuting squares:
+    the square equations are assembled once as sparse integer rows, solved
+    by one elimination, and checked against the basis by one product."""
     if M.quiver != N.quiver:
         raise SemanticError("representations live over different quivers")
     if M.field != N.field:
         raise SemanticError("representations live over different fields")
-    field = M.field
-    q = M.quiver
-    offsets = _flat_offsets(M, N)
-    nunk = offsets[-1]
-
-    def slot(v: int, r: int, c: int) -> int:
-        return offsets[v] + r * M.dims[v] + c
-
-    rows = []
-    z = field.zero
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        na, ma = N.action[ai], M.action[ai]
-        # N(a) f(s) - f(t) M(a) = 0, one equation per (row of N(t), col of M(s))
-        for r in range(N.dims[ti]):
-            for c in range(M.dims[si]):
-                eq = [z] * nunk
-                for k in range(N.dims[si]):
-                    if na.entries[r][k]:
-                        eq[slot(si, k, c)] = eq[slot(si, k, c)] + na.entries[r][k]
-                for k in range(M.dims[ti]):
-                    if ma.entries[k][c]:
-                        eq[slot(ti, r, k)] = eq[slot(ti, r, k)] - ma.entries[k][c]
-                if any(eq):
-                    rows.append(tuple(eq))
-    if rows:
-        sol = kernel_basis(Mat(field, len(rows), nunk, tuple(rows)))
-    else:
-        sol = Subspace.full(field, nunk)
-    return HomSpace(M, N, sol)
+    rows = _square_rows(M, N)
+    hs = object.__new__(HomSpace)
+    hs._setup(M, N, kernel_of_rows(M.field, _flat_offsets(M, N)[-1], rows), rows)
+    return hs
 
 
 def _composite_matrix(hs_src: HomSpace, hs_dst: HomSpace, products) -> Mat:

@@ -18,7 +18,9 @@ from quivdet.linalg import (
     column_space,
     field_from_name,
     kernel_basis,
+    kernel_of_rows,
     preimage,
+    row_space,
     rref,
     solve,
     solve_matrix,
@@ -332,30 +334,54 @@ def test_rref_does_no_field_element_arithmetic(field, monkeypatch):
     e6 = qd.parse_quiver("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
                          "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
     systems = []
-    real_kernel_basis = reps.kernel_basis
+    real_kernel_of_rows = reps.kernel_of_rows
 
-    def spy(m):
-        systems.append(m)
-        return real_kernel_basis(m)
+    def spy(fld, ncols, rows):
+        systems.append((ncols, rows))
+        return real_kernel_of_rows(fld, ncols, rows)
 
-    monkeypatch.setattr(reps, "kernel_basis", spy)
+    monkeypatch.setattr(reps, "kernel_of_rows", spy)
     M = max((e.rep for e in qd.knit(e6, field).entries), key=lambda rep: rep.total_dim)
     N = qd.direct_sum([M, qd.injective_at(e6, "3", field)])[0]
     systems.clear()
     hom_dim = qd.hom_basis(M, N).dim
-    (system,) = systems
-    expected = rref(system)
+    ((ncols, rows),) = systems
+    system = Mat.from_rows(field, [[r.get(j, 0) for j in range(ncols)] for r in rows], ncols)
+    expected = rref(system), kernel_of_rows(field, ncols, rows)
 
     def boom(*_args):
-        raise AssertionError("field-element arithmetic inside rref")
+        raise AssertionError("field-element arithmetic inside the elimination")
 
     for cls in (Fraction, FpElement):
         for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
             monkeypatch.setattr(cls, op, boom)
-    red, pivots, rank = rref(system)
+    got = rref(system), kernel_of_rows(field, ncols, rows)
     monkeypatch.undo()
-    assert (red, pivots, rank) == expected
-    assert system.cols - rank == hom_dim == 1 + M.dims[2]  # End(M) plus Hom(M, I_3) = D M_3
+    assert got == expected
+    (red, pivots, rank), kernel = got
+    assert system.cols - rank == hom_dim == kernel.dim == 1 + M.dims[2]  # End(M) plus Hom(M, I_3) = D M_3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_one_pass_kernel_matches_two_pass_reference(field):
+    # the reference puts the complement-projection rows of the row space in
+    # RREF with a second elimination
+    rng = random.Random(900 + field.characteristic)
+    shapes = [(0, 0), (0, 5), (4, 0)] + [(rng.randrange(0, 9), rng.randrange(0, 12)) for _ in range(520)]
+    for r, c in shapes:
+        m = _random_sparse(field, rng, r, c, rng.choice((0.1, 0.3, 0.6)))
+        got = kernel_basis(m)
+        ref = row_space(row_space(m).complement_projection())
+        assert (got.ambient_dim, got.pivots) == (ref.ambient_dim, ref.pivots)
+        assert _typed(Mat(field, got.dim, c, got.basis)) == _typed(Mat(field, ref.dim, c, ref.basis))
+
+
+def test_rational_coercion_keeps_fractions_and_rejects_fp():
+    x = Fraction(3, 7)
+    assert RATIONALS.of(x) is x
+    assert RATIONALS.of(2) == Fraction(2) and type(RATIONALS.of(2)) is Fraction
+    with pytest.raises(FieldMismatchError):
+        RATIONALS.of(FpElement(2, 5))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

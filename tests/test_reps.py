@@ -5,9 +5,19 @@ import random
 import pytest
 
 import quivdet as qd
+from quivdet import linalg
 from quivdet.errors import InvariantError, SemanticError
-from quivdet.linalg import Mat, RATIONALS, Subspace, column_space, from_columns
+from quivdet.linalg import (
+    Mat,
+    PrimeField,
+    RATIONALS,
+    Subspace,
+    column_space,
+    from_columns,
+    kernel_of_rows,
+)
 from quivdet.reps import (
+    HomSpace,
     image,
     postcompose_matrix,
     precompose_matrix,
@@ -228,3 +238,56 @@ def test_flat_vector_outside_hom_space_rejected(a3):
     assert inside == (F.one, F.one) and hs.flat_coordinates(inside) == (F.one,)
     with pytest.raises(InvariantError):
         hs.flat_coordinates((F.one, F.zero))
+
+
+def _e6_pair(field):
+    # the largest E6 indecomposable into itself plus I_3: a Hom system with
+    # several basis vectors
+    q = qd.parse_quiver(E6_TEXT)
+    M = max((e.rep for e in qd.knit(q, field).entries), key=lambda rep: rep.total_dim)
+    return M, qd.direct_sum([M, qd.injective_at(q, "3", field)])[0]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)], ids=["rat", "fp10007"])
+def test_hom_basis_is_checked_against_the_squares(field, monkeypatch):
+    M, N = _e6_pair(field)
+    hs = qd.hom_basis(M, N)
+    space = hs._space
+    n = space.ambient_dim
+    assert HomSpace(M, N, space).basis == hs.basis
+    unit = [tuple(field.one if i == j else field.zero for i in range(n)) for j in range(n)]
+    outside = next(j for j in range(n) if not space.contains_vector(unit[j]))
+    # a public HomSpace whose subspace holds a vector outside Hom
+    with pytest.raises(InvariantError):
+        HomSpace(M, N, Subspace.from_vectors(field, n, list(space.basis) + [unit[outside]]))
+
+    # a kernel that returns a perturbed vector
+    def perturbed(fld, ncols, rows):
+        k = kernel_of_rows(fld, ncols, rows)
+        v = tuple(a + b for a, b in zip(k.basis[-1], unit[outside]))
+        return Subspace(fld, ncols, k.basis[:-1] + (v,), k.pivots)
+
+    monkeypatch.setattr("quivdet.reps.kernel_of_rows", perturbed)
+    with pytest.raises(InvariantError):
+        qd.hom_basis(M, N)
+
+
+def test_hom_basis_runs_one_elimination_and_no_matrix_product(monkeypatch):
+    M, N = _e6_pair(RATIONALS)
+    calls = {"eliminations": 0, "products": 0}
+    real_pivot_rows, real_matmul = linalg._pivot_rows, Mat.__matmul__
+
+    def pivot_rows(*args):
+        calls["eliminations"] += 1
+        return real_pivot_rows(*args)
+
+    def matmul(a, b):
+        calls["products"] += 1
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(linalg, "_pivot_rows", pivot_rows)
+    monkeypatch.setattr(Mat, "__matmul__", matmul)
+    hs = qd.hom_basis(M, N)
+    monkeypatch.undo()
+    assert hs.dim == 1 + M.dims[2]
+    assert calls == {"eliminations": 1, "products": 0}
