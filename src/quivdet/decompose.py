@@ -28,7 +28,6 @@ rather than asserting, so they also run under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import (
@@ -43,6 +42,7 @@ from .linalg import (
     Subspace,
     from_columns,
     kernel_basis,
+    ratio,
     rref,
 )
 from .reps import (
@@ -101,7 +101,7 @@ def _pdivmod(field, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     q = [field.zero] * max(0, len(a) - len(b) + 1)
-    inv = field.one / b[-1]
+    inv = field.inv(b[-1])
     while len(a) >= len(b) and a:
         a = _pnormalize(a)
         if len(a) < len(b):
@@ -119,7 +119,7 @@ def _pmonic(field, a):
     a = _pnormalize(a)
     if not a:
         return a
-    inv = field.one / a[-1]
+    inv = field.inv(a[-1])
     return [x * inv for x in a]
 
 
@@ -144,7 +144,7 @@ def _pgcdex(field, a, b):
     if not r0:
         return [], u0, v0
     lead = r0[-1]
-    inv = field.one / lead
+    inv = field.inv(lead)
     return ([x * inv for x in r0], [x * inv for x in u0], [x * inv for x in v0])
 
 
@@ -225,7 +225,7 @@ def _integer_roots(field, p):
             if not _peval_scalar(field, p, x):
                 roots.append(x)
         return roots
-    # rationals: monic p with Fraction coefficients; substitute x = y/d with d
+    # rationals: monic p with rational coefficients; substitute x = y/d with d
     # the lcm of denominators, making a monic integer polynomial in y.
     d = lcm(*(c.denominator for c in p))
     # integer coefficients of y^n + sum a_k d^(n-k) y^k
@@ -238,12 +238,12 @@ def _integer_roots(field, p):
     while shift < len(ints) - 1 and ints[shift] == 0:
         shift += 1
     if shift:
-        roots.append(Fraction(0))
+        roots.append(field.zero)
     const = ints[shift]
     for cand in _divisors(abs(const)):
         for s in (cand, -cand):
-            x = Fraction(s, d)
-            if not _peval_scalar(field, p, field.of(x)):
+            x = ratio(s, d)
+            if not _peval_scalar(field, p, x):
                 if x not in roots:
                     roots.append(x)
     return roots
@@ -280,7 +280,7 @@ def _sympy_primary_parts(field, p):
         if isinstance(field, PrimeField):
             base = [field.of(int(c)) for c in coeffs]
         else:
-            base = [field.of(Fraction(int(sympy.numer(c)), int(sympy.denom(c)))) for c in coeffs]
+            base = [ratio(int(sympy.numer(c)), int(sympy.denom(c))) for c in coeffs]
         base = _pmonic(field, base)
         if _pdeg(base) == 0:
             continue

@@ -14,6 +14,16 @@ already in RREF, so a kernel costs one elimination.  The matrix product
 likewise multiplies only nonzero entries.  Subspaces are stored in
 canonical RREF form so that equal subspaces compare equal structurally.
 
+Scalars: over Q a field element is a plain int when it is integral and a
+Fraction otherwise; RationalField.of and .parse give that form, as do the
+readbacks of rref and kernel_of_rows (through ratio) and RationalField.inv.
+Arithmetic keeps int with int and is not normalised afterwards, so a
+product such as 2 * Fraction(1, 2) may stay a Fraction(1); the numeric tower
+compares and hashes it equal to 1, so canonical subspaces and every printed
+string are the same either way.  Over F_p an element is an FpElement.  No
+code divides with /, which on two ints would give a float: a reciprocal is
+field.inv.
+
 Matrices act on the left of column vectors.  Zero-dimensional shapes
 (0 x n, n x 0, 0 x 0) are legal everywhere: kernels and cokernels vanish
 constantly in this domain.
@@ -120,30 +130,41 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def ratio(n: int, d: int):
+    """The rational n/d in canonical form: the int n // d when d divides n,
+    else a Fraction in lowest terms (ZeroDivisionError when d is 0)."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 @dataclass(frozen=True)
 class RationalField:
-    """Arbitrary-precision rationals; the default ground field."""
+    """Arbitrary-precision rationals; the default ground field.
+
+    An element is an int when it is integral and a Fraction otherwise.
+    """
 
     name: str = "rat"
     characteristic: int = 0
+    zero = 0
+    one = 1
 
-    @cached_property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @cached_property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def of(self, x) -> Fraction:
-        if type(x) is Fraction:
+    def of(self, x):
+        if type(x) is int:
             return x
-        if isinstance(x, FpElement):
-            raise FieldMismatchError("cannot coerce an F_p value into the rationals")
-        return Fraction(x)
+        if type(x) is not Fraction:
+            if isinstance(x, FpElement):
+                raise FieldMismatchError("cannot coerce an F_p value into the rationals")
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
-    def parse(self, token: str) -> Fraction:
-        return Fraction(token)
+    def parse(self, token: str):
+        return self.of(Fraction(token))
+
+    def inv(self, x):
+        """The reciprocal of x, as an int when it is integral."""
+        x = self.of(x)
+        return ratio(x.denominator, x.numerator)
 
 
 @dataclass(frozen=True)
@@ -185,6 +206,13 @@ class PrimeField:
 
     def parse(self, token: str) -> FpElement:
         return self.of(Fraction(token))
+
+    def inv(self, x) -> FpElement:
+        """The reciprocal of x."""
+        x = self.of(x)
+        if not x.val:
+            raise ZeroDivisionError("division by zero in F_p")
+        return FpElement(pow(x.val, -1, self.p), self.p)
 
 
 RATIONALS = RationalField()
@@ -362,11 +390,13 @@ def int_rows(field: Field, rows) -> list[dict]:
                 if w:
                     d[j] = w
         else:
+            den, exact = 1, True
             for _, v in nz:
-                if not isinstance(v, (Fraction, int)):
-                    raise FieldMismatchError(f"{v!r} ({type(v).__name__}) in a matrix over the rationals")
-            den = lcm(*(v.denominator for _, v in nz))
-            d = {j: v.numerator * (den // v.denominator) for j, v in nz}
+                if type(v) is not int:
+                    if not isinstance(v, (Fraction, int)):
+                        raise FieldMismatchError(f"{v!r} ({type(v).__name__}) in a matrix over the rationals")
+                    den, exact = lcm(den, v.denominator), False
+            d = dict(nz) if exact else {j: v.numerator * (den // v.denominator) for j, v in nz}
         if d:
             out.append(d)
     return out
@@ -459,7 +489,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
         else:
             d = r[c]
             for j, v in r.items():
-                row[j] = Fraction(v, d)
+                row[j] = ratio(v, d)
         out.append(tuple(row))
     zero_row = tuple([z] * m.cols)
     out.extend(zero_row for _ in range(m.rows - len(pivots)))
@@ -503,19 +533,26 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def reduce(self, vec: tuple) -> tuple:
-        """Residual of vec modulo the subspace (zero iff vec lies in it)."""
-        if len(vec) != self.ambient_dim:
-            raise AmbientMismatchError("vector length differs from ambient dimension")
-        v = list(vec)
-        for row, p in zip(self.basis, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+    def _coordinates(self, vectors, basis_nz):
+        """(coordinates, inside) for each vector.  The coordinates in the
+        RREF basis are the entries at the pivots, and the vector lies in the
+        space iff it equals that combination of the basis, so the residual is
+        formed over the nonzeros of the vector and of the basis rows basis_nz
+        (see _nonzeros) only."""
+        z = self.field.zero
+        for vec in vectors:
+            if len(vec) != self.ambient_dim:
+                raise AmbientMismatchError("vector length differs from ambient dimension")
+            coords = tuple(vec[p] for p in self.pivots)
+            res = {j: v for j, v in enumerate(vec) if v}
+            for c, nz in zip(coords, basis_nz):
+                if c:
+                    for j, b in nz:
+                        res[j] = res.get(j, z) - c * b
+            yield coords, not any(res.values())
 
     def contains_vector(self, vec) -> bool:
-        return not any(self.reduce(tuple(vec)))
+        return next(self._coordinates([tuple(vec)], _nonzeros(self.basis)))[1]
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -524,10 +561,18 @@ class Subspace:
 
     def coordinates(self, vec) -> tuple:
         """Coefficients of vec in the RREF basis; raises if vec is outside."""
-        vec = tuple(self.field.of(v) for v in vec)
-        if not self.contains_vector(vec):
-            raise ValueError("vector not in subspace")
-        return tuple(vec[p] for p in self.pivots)
+        return self.coordinate_rows([tuple(self.field.of(v) for v in vec)])[0]
+
+    def coordinate_rows(self, vectors) -> list[tuple]:
+        """coordinates of each of the vectors of field elements, taken from
+        any iterable, with one scan of the basis for its nonzeros; raises if
+        one is outside."""
+        out = []
+        for coords, inside in self._coordinates(vectors, list(_nonzeros(self.basis))):
+            if not inside:
+                raise ValueError("vector not in subspace")
+            out.append(coords)
+        return out
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
@@ -618,7 +663,7 @@ def kernel_of_rows(field: Field, ncols: int, rows: list[dict]) -> Subspace:
         d = r[c]
         for j, v in r.items():
             if j != c:
-                vecs[j][c] = FpElement(-v, p) if p else Fraction(-v, d)
+                vecs[j][c] = FpElement(-v, p) if p else ratio(-v, d)
     return Subspace(field, ncols, tuple(tuple(vec) for vec in vecs.values()), tuple(vecs))
 
 

@@ -37,7 +37,7 @@ from .linalg import (
     kernel_of_rows,
     rows_vanish_on,
 )
-from .quiver import Path, Quiver
+from .quiver import Quiver
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,6 @@ class Representation:
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
-
-    def path_matrix(self, p: Path) -> Mat:
-        """Composite action along a path (identity for the trivial path)."""
-        m = Mat.identity(self.field, self.dims[p.source])
-        for ai in p.arrows:
-            m = self.action[ai] @ m
-        return m
 
     def __repr__(self):
         return f"Rep{list(self.dims)}"
@@ -262,8 +255,12 @@ class HomSpace:
         """Coordinates of a flattened family of vertex maps.  The space is
         the solution space of the commuting squares, so membership is the
         square check: a family outside it raises InvariantError."""
+        return self._flat_coordinate_rows([tuple(self.field.of(v) for v in vec)])[0]
+
+    def _flat_coordinate_rows(self, vecs) -> list[tuple]:
+        """flat_coordinates of each flattened family of field elements."""
         try:
-            return self._space.coordinates(vec)
+            return self._space.coordinate_rows(vecs)
         except ValueError:
             raise InvariantError("vertex maps outside the hom space: "
                                  "some square does not commute") from None
@@ -299,10 +296,12 @@ def hom_basis(M: Representation, N: Representation) -> HomSpace:
 
 def _composite_matrix(hs_src: HomSpace, hs_dst: HomSpace, products) -> Mat:
     """Matrix of hs_src -> hs_dst sending each basis element g to the map
-    with vertex components products(g), read in flat coordinates; no
-    morphism is built for the composite, since flat_coordinates checks it."""
-    cols = [hs_dst.flat_coordinates([x for m in products(g) for row in m.entries for x in row])
-            for g in hs_src.basis]
+    with vertex components products(g), read in flat coordinates at the
+    pivots of hs_dst.  No morphism is built for the composite, since
+    flat_coordinates checks it, over the nonzeros of the basis rows."""
+    # a generator: only one flattened composite is alive at a time
+    cols = hs_dst._flat_coordinate_rows(
+        [x for m in products(g) for row in m.entries for x in row] for g in hs_src.basis)
     return from_columns(hs_src.field, cols, hs_dst.dim)
 
 

@@ -95,6 +95,19 @@ def injective_block_sum(q, field, vertices) -> BlockSum:
     return _block_sum(q, field, vertices, injective_at)
 
 
+def _walk_paths(path_lists, start, extend) -> list[list]:
+    """The value of every path in path_lists (one list per vertex), listed
+    the same way, from one walk in order of length.  The trivial path has the
+    value start, and extend(done, arrows) gives the value of a longer path
+    from done, which maps the arrow sequence of every shorter path to its
+    value."""
+    done = {(): start}
+    for p in sorted((p for paths in path_lists for p in paths), key=len):
+        if p.arrows:
+            done[p.arrows] = extend(done, p.arrows)
+    return [[done[p.arrows] for p in paths] for paths in path_lists]
+
+
 def projective_cover(M: Representation) -> tuple[BlockSum, RepMorphism]:
     """P = direct sum of P_x with the multiplicities of top(M), together with
     the cover epimorphism lifting the identification of tops."""
@@ -107,12 +120,14 @@ def projective_cover(M: Representation) -> tuple[BlockSum, RepMorphism]:
         generators.extend(section.columns())
     ps = projective_block_sum(q, field, vertices)
     # the cover sends the trivial-path generator of each block to its chosen
-    # preimage; a path basis vector goes to the path action applied to it
+    # preimage; a path basis vector p goes to M(p) applied to it, and the
+    # path p' followed by the arrow a goes to M(a) M(p') gv
     comps = [[] for _ in range(q.n_vertices)]  # columns per vertex
     for gv, x in zip(generators, ps.block_vertices):
-        for yi, y in enumerate(q.vertices):
-            for p in paths_between(q, x, y):
-                comps[yi].append(M.path_matrix(p).apply(gv))
+        cols = _walk_paths([paths_between(q, x, y) for y in q.vertices], gv,
+                           lambda done, arrows: M.action[arrows[-1]].apply(done[arrows[:-1]]))
+        for yi, c in enumerate(cols):
+            comps[yi].extend(c)
     cover_comps = tuple(from_columns(field, comps[i], M.dims[i]) for i in range(q.n_vertices))
     cover = RepMorphism(ps.rep, M, cover_comps)
     invariant(cover.is_epi(), "projective cover failed to be surjective")
@@ -130,15 +145,20 @@ def injective_hull(M: Representation) -> tuple[BlockSum, RepMorphism]:
         pivots.extend(soc.pivots)
     bs = injective_block_sum(q, field, vertices)
     # component at vertex y: for each block (socle vector at x) and each path
-    # p: y -> x, the row reads off the pivot coordinate of M(p) applied to v
-    comps = []
-    for yi, y in enumerate(q.vertices):
-        rows = []
-        for pivot, x in zip(pivots, bs.block_vertices):
-            for p in paths_between(q, y, x):
-                rows.append(tuple(M.path_matrix(p).entries[pivot]))
-        comps.append(Mat(field, len(rows), M.dims[yi], tuple(rows)))
-    hull = RepMorphism(M, bs.rep, tuple(comps))
+    # p: y -> x, the row reads off the pivot coordinate of M(p) applied to v,
+    # so it is row pivot of M(p); for the arrow a followed by the path p' that
+    # is the row of M(p') times M(a)
+    transposes = [m.transpose() for m in M.action]
+    comps = [[] for _ in range(q.n_vertices)]  # rows per vertex
+    for pivot, x in zip(pivots, bs.block_vertices):
+        xi = q.vertex_index[x]
+        unit = tuple(field.one if k == pivot else field.zero for k in range(M.dims[xi]))
+        rows = _walk_paths([paths_between(q, y, x) for y in q.vertices], unit,
+                           lambda done, arrows: transposes[arrows[0]].apply(done[arrows[1:]]))
+        for yi, r in enumerate(rows):
+            comps[yi].extend(r)
+    hull = RepMorphism(M, bs.rep, tuple(Mat(field, len(rows), M.dims[yi], tuple(rows))
+                                        for yi, rows in enumerate(comps)))
     invariant(hull.is_mono(), "injective hull failed to be injective")
     return bs, hull
 

@@ -91,12 +91,13 @@ def _map_from_coefficients(coeffs, dom: BlockSum, cod: BlockSum, basis, act) -> 
     comps = []
     for zi, z in enumerate(q.vertices):
         m = [[field.zero] * dom.rep.dims[zi] for _ in range(cod.rep.dims[zi])]
+        # the rows of m, one per basis path of a codomain block, by arrow sequence
+        cod_index = [{pp.arrows: t for t, pp in enumerate(basis(q, z, y))} for y in cod.block_vertices]
         for (i, j, parrows), c in coeffs.items():
-            cod_index = {pp.arrows: t for t, pp in enumerate(basis(q, z, cod.block_vertices[i]))}
             for t, r in enumerate(basis(q, z, dom.block_vertices[j])):
                 target = act(parrows, r.arrows)
                 if target is not None:
-                    row, col = cod.offsets[zi][i] + cod_index[target], dom.offsets[zi][j] + t
+                    row, col = cod.offsets[zi][i] + cod_index[i][target], dom.offsets[zi][j] + t
                     m[row][col] = m[row][col] + c
         comps.append(Mat(field, cod.rep.dims[zi], dom.rep.dims[zi],
                          tuple(tuple(r) for r in m)))

@@ -340,3 +340,39 @@ def test_decompose_module_has_no_asserts():
         tree = ast.parse(inspect.getsource(module))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, f"quivdet.{info.name} asserts at lines {asserts}"
+
+
+
+def _calls(tree):
+    """(name of the innermost enclosing function, call) for every call."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                out.append((where, child))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_package_has_no_division_and_one_reciprocal():
+    # over Q a value is an int when integral, and int / int would silently
+    # give a float, so the package has no / at all: a reciprocal is field.inv.
+    # A rational is made only by RationalField.of and .parse and by
+    # linalg.ratio (which RationalField.inv uses), and a modular inverse is
+    # taken only in the F_p code of linalg
+    makers = {("linalg", "Fraction"): {"of", "parse", "ratio"},
+              ("linalg", "pow"): {"__truediv__", "of", "inv", "_pivot_rows"}}
+    for info in pkgutil.iter_modules(qd.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"quivdet.{info.name}")))
+        divisions = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+        assert not divisions, f"quivdet.{info.name} divides at lines {divisions}"
+        for where, call in _calls(tree):
+            name = getattr(call.func, "id", None)
+            if name == "Fraction" or (name == "pow" and len(call.args) == 3
+                                      and ast.unparse(call.args[1]) == "-1"):
+                assert where in makers.get((info.name, name), ()), \
+                    f"{name}(...) in quivdet.{info.name}.{where}, line {call.lineno}"

@@ -209,7 +209,7 @@ def _dense_rref(m):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-        inv = m.field.one / rows[r][c]
+        inv = m.field.inv(rows[r][c])
         rows[r] = [v * inv for v in rows[r]]
         for i in range(m.rows):
             if i != r and rows[i][c]:
@@ -217,16 +217,29 @@ def _dense_rref(m):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    out = Mat(m.field, m.rows, m.cols, tuple(tuple(row) for row in rows))
-    return out, tuple(pivots), len(pivots)
+    return _canonical(m.field, rows, m.cols), tuple(pivots), len(pivots)
 
 
 def _naive_matmul(a, b):
     z = a.field.zero
-    return Mat(a.field, a.rows, b.cols, tuple(
-        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), z)
-              for j in range(b.cols))
-        for i in range(a.rows)))
+    return _canonical(a.field, [
+        [sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), z) for j in range(b.cols)]
+        for i in range(a.rows)], b.cols)
+
+
+def _product_types(a, b):
+    """Over Q, the exact type of each entry of a @ b: arithmetic keeps ints
+    in ints and nothing normalises its result, so an entry is a Fraction
+    exactly when some nonzero term a[i][k] * b[k][j] has a Fraction factor."""
+    return [[Fraction if any(type(x) is Fraction or type(y) is Fraction
+                             for x, y in zip(row, col) if x and y) else int
+             for col in b.columns()] for row in a.entries]
+
+
+def _canonical(field, rows, ncols):
+    """The matrix with these rows, every entry through field.of: over Q an
+    int when integral, else a Fraction."""
+    return Mat(field, len(rows), ncols, tuple(tuple(field.of(v) for v in row) for row in rows))
 
 
 def _typed(m):
@@ -243,12 +256,12 @@ def _random_entry(field, rng):
     if field is RATIONALS:
         kind = rng.randrange(4)
         if kind == 0:
-            return Fraction(rng.randrange(-3, 4))
+            return field.of(rng.randrange(-3, 4))
         if kind == 1:
-            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 12))
+            return field.of(Fraction(rng.randrange(-9, 10), rng.randrange(1, 12)))
         if kind == 2:
-            return Fraction(rng.randrange(-10 ** 15, 10 ** 15), rng.randrange(1, 10 ** 6))
-        return Fraction(-rng.randrange(1, 10 ** 30), rng.randrange(1, 7))
+            return field.of(Fraction(rng.randrange(-10 ** 15, 10 ** 15), rng.randrange(1, 10 ** 6)))
+        return field.of(Fraction(-rng.randrange(1, 10 ** 30), rng.randrange(1, 7)))
     return field.of(rng.randrange(field.p))
 
 
@@ -264,7 +277,7 @@ def _random_sparse(field, rng, rows, cols, density):
         elif roll < 0.3:
             a, b = entries[rng.randrange(i)], entries[rng.randrange(i)]
             c = _random_entry(field, rng)
-            entries[i] = [x + c * y for x, y in zip(a, b)]
+            entries[i] = [field.of(x + c * y) for x, y in zip(a, b)]
     return Mat(field, rows, cols, tuple(tuple(r) for r in entries))
 
 
@@ -310,7 +323,12 @@ def test_matmul_matches_naive_triple_loop(field):
         prod = a @ b
         ref = _naive_matmul(a, b)
         assert (prod.rows, prod.cols) == (r, c)
-        assert _typed(prod) == _typed(ref)
+        if field is RATIONALS:
+            ref_typed = [[(t, None, v) for t, v in zip(types, row)]
+                         for types, row in zip(_product_types(a, b), ref.entries)]
+        else:
+            ref_typed = _typed(ref)
+        assert _typed(prod) == ref_typed
 
 
 @pytest.mark.parametrize("field, stray", [
@@ -377,11 +395,43 @@ def test_one_pass_kernel_matches_two_pass_reference(field):
 
 
 def test_rational_coercion_keeps_fractions_and_rejects_fp():
+    # over Q a value is an int when integral and a Fraction otherwise
     x = Fraction(3, 7)
     assert RATIONALS.of(x) is x
-    assert RATIONALS.of(2) == Fraction(2) and type(RATIONALS.of(2)) is Fraction
+    assert RATIONALS.of(2) == 2 and type(RATIONALS.of(2)) is int
+    assert RATIONALS.of(Fraction(-6, 3)) == -2 and type(RATIONALS.of(Fraction(-6, 3))) is int
+    assert RATIONALS.parse("4/2") == 2 and type(RATIONALS.parse("4/2")) is int
     with pytest.raises(FieldMismatchError):
         RATIONALS.of(FpElement(2, 5))
+
+
+def test_rationals_are_ints_when_integral():
+    assert type(RATIONALS.of(Fraction(4, 2))) is int and RATIONALS.of(Fraction(4, 2)) == 2
+    half = Fraction(1, 2)
+    assert RATIONALS.of(half) is half
+    assert RATIONALS.zero == 0 and type(RATIONALS.zero) is int
+    assert RATIONALS.one == 1 and type(RATIONALS.one) is int
+
+
+def test_field_inverse_is_exact():
+    assert RATIONALS.inv(2) == Fraction(1, 2) and type(RATIONALS.inv(2)) is Fraction
+    assert RATIONALS.inv(Fraction(1, 2)) == 2 and type(RATIONALS.inv(Fraction(1, 2))) is int
+    assert RATIONALS.inv(Fraction(-3, 4)) == Fraction(-4, 3)
+    assert RATIONALS.inv(-1) == -1 and type(RATIONALS.inv(-1)) is int
+    f7 = PrimeField(7)
+    assert f7.inv(3) * 3 == 1 and f7.inv(f7.of(3)) == f7.of(5)
+    for field in (RATIONALS, f7):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
+    with pytest.raises(FieldMismatchError):
+        RATIONALS.inv(FpElement(2, 5))
+
+
+def test_knitted_e6_registry_over_q_has_int_entries():
+    e6 = qd.parse_quiver("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
+                         "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
+    entries = [v for e in qd.knit(e6).entries for m in e.rep.action for row in m.entries for v in row]
+    assert entries and all(type(v) is int for v in entries)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
