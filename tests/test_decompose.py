@@ -342,7 +342,6 @@ def test_decompose_module_has_no_asserts():
         assert not asserts, f"quivdet.{info.name} asserts at lines {asserts}"
 
 
-
 def _calls(tree):
     """(name of the innermost enclosing function, call) for every call."""
     out = []

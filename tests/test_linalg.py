@@ -399,18 +399,12 @@ def test_rational_coercion_keeps_fractions_and_rejects_fp():
     x = Fraction(3, 7)
     assert RATIONALS.of(x) is x
     assert RATIONALS.of(2) == 2 and type(RATIONALS.of(2)) is int
+    assert RATIONALS.of(Fraction(4, 2)) == 2 and type(RATIONALS.of(Fraction(4, 2))) is int
     assert RATIONALS.of(Fraction(-6, 3)) == -2 and type(RATIONALS.of(Fraction(-6, 3))) is int
     assert RATIONALS.parse("4/2") == 2 and type(RATIONALS.parse("4/2")) is int
+    assert type(RATIONALS.zero) is int and type(RATIONALS.one) is int
     with pytest.raises(FieldMismatchError):
         RATIONALS.of(FpElement(2, 5))
-
-
-def test_rationals_are_ints_when_integral():
-    assert type(RATIONALS.of(Fraction(4, 2))) is int and RATIONALS.of(Fraction(4, 2)) == 2
-    half = Fraction(1, 2)
-    assert RATIONALS.of(half) is half
-    assert RATIONALS.zero == 0 and type(RATIONALS.zero) is int
-    assert RATIONALS.one == 1 and type(RATIONALS.one) is int
 
 
 def test_field_inverse_is_exact():
