@@ -16,10 +16,11 @@ raise FieldTooSmallError.  The same trace form turns a nilpotent solution h
 of f h = 0 outside the radical into a non-nilpotent one (right minimality).
 
 Minimal polynomials are split by a root search in the ground field first:
-rational roots over Q, a full scan over F_p with p <= 4096.  What that search
-leaves whole goes to sympy's univariate factorization: over Q only
-polynomials without a rational root, over F_p with p > 4096 every minimal
-polynomial of degree two or more.
+rational roots over Q, a full scan over F_p with p <= 4096.  Over F_p with
+p > 4096 a quadratic is split by its discriminant instead, with
+Tonelli-Shanks square roots.  What is left goes to sympy's univariate
+factorization: over Q only polynomials without a rational root, over F_p
+with p > 4096 only minimal polynomials of degree three or more.
 
 Internal consistency checks raise InvariantError through errors.invariant
 rather than asserting, so they also run under python -O.
@@ -28,6 +29,7 @@ rather than asserting, so they also run under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import lcm
 
 from .errors import (
@@ -291,11 +293,44 @@ def _sympy_primary_parts(field, p):
     return parts
 
 
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod the odd prime p, None when a is 0 or not a
+    square: Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, 1.5.1), with the least non-residue from the scan 2, 3, 4, ..."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while not q % 2:
+        q, e = q // 2, e + 1
+    n = next(n for n in count(2) if pow(n, (p - 1) // 2, p) == p - 1)
+    y, x, b = pow(n, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while b != 1:
+        m = next(m for m in count(1) if pow(b, 1 << m, p) == 1)
+        t = pow(y, 1 << (e - m - 1), p)
+        y, e, x, b = t * t % p, m, x * t % p, b * t * t % p
+    return x
+
+
+def _quadratic_parts(field, p):
+    """Primary parts of a monic quadratic x^2 + b x + c over F_p, p odd: a
+    nonzero square discriminant gives the two linear factors in sympy's order
+    (ascending constant term in [0, p)); zero or a non-square gives p."""
+    c, b = p[0], p[1]
+    s = _sqrt_mod((b * b - 4 * c).val, field.p)
+    if s is None:
+        return [p]
+    half = field.inv(2)
+    return sorted(([(b - s) * half, field.one], [(b + s) * half, field.one]),
+                  key=lambda lin: lin[0].val)
+
+
 def _primary_parts(field, p):
     """Split p into >= 1 pairwise-coprime primary parts; cheap paths first."""
     p = _pmonic(field, p)
     if _pdeg(p) <= 1:
         return [p]
+    if isinstance(field, PrimeField) and field.p > 4096 and _pdeg(p) == 2:
+        return _quadratic_parts(field, p)
     roots = _integer_roots(field, p)
     if roots:
         parts = []

@@ -30,6 +30,7 @@ constraint rows.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .decompose import (
@@ -39,19 +40,19 @@ from .decompose import (
     right_minimal_version,
 )
 from .errors import SemanticError, invariant
-from .linalg import Mat, Subspace, column_space, kernel_basis, solve
+from .linalg import Subspace, column_space, int_rows, kernel_of_rows, solve
 from .quiver import projective_at
 from .reps import (
     HomSpace,
     RepMorphism,
     Representation,
     cokernel,
+    composite_columns,
     dual_morphism,
     dual_representation,
     hom_basis,
     kernel,
     postcompose_matrix,
-    precompose_matrix,
 )
 from .structure import socle_multiplicities
 from .translate import IndecRegistry, classify_underlying_graph, euler_form, trd
@@ -217,12 +218,14 @@ class DeterminerEngine:
             postcompose_matrix(self.hom(Z, f.domain), self.hom(Z, f.codomain), f)))
 
     def _radical_maps(self, U: Representation, Z: Representation):
-        """Basis morphisms of rad(U, Z); none when Hom(U, Z) = 0."""
+        """A basis of rad(U, Z) as sparse flat rows, like HomSpace.flat_basis;
+        none when Hom(U, Z) = 0."""
         huz = self.hom(U, Z)
         if not huz.dim:
             return ()
         return self.workspace.memo(self.workspace.radical_maps, (U, Z), lambda: tuple(
-            huz.from_coordinates(v) for v in rad_hom_basis(U, Z).basis))
+            [(j, x) for j, x in enumerate(HomSpace.flatten(huz.from_coordinates(v))) if x]
+            for v in rad_hom_basis(U, Z).basis))
 
     # -- factorization tests -------------------------------------------------
 
@@ -243,28 +246,30 @@ class DeterminerEngine:
         return h
 
     def _constraint_rows(self, f: RepMorphism, target: Representation,
-                         source: Representation, maps) -> list:
-        """Rows on Hom(target, Y) forcing g . h into the factoring subspace
-        of source for every h in maps(source, target).  maps is only called
-        when that subspace is proper, since otherwise no h constrains g;
-        when Hom(source, Y) = 0 not even the factoring subspace is built."""
+                         source: Representation, maps) -> list[dict]:
+        """Integer rows (see int_rows) on Hom(target, Y) forcing g . h into
+        the factoring subspace of source for every h in maps(source, target),
+        sparse flat rows like HomSpace.flat_basis.  maps is only called when
+        that subspace is proper, since otherwise no h constrains g; when
+        Hom(source, Y) = 0 not even the factoring subspace is built."""
         hsy = self.hom(source, f.codomain)
         if not hsy.dim:
             return []
-        comp_proj = self.factor_subspace(f, source).complement_projection()
-        if not comp_proj.rows:
+        fs = self.factor_subspace(f, source)
+        if fs.is_full():
             return []
         hty = self.hom(target, f.codomain)
         rows: list = []
         for h in maps(source, target):
-            rows.extend((comp_proj @ precompose_matrix(hty, hsy, h)).entries)
+            # g . h in Hom(source, Y) coordinates, reduced modulo fs
+            block = defaultdict(list)
+            for j, (_, res) in enumerate(fs.residuals(
+                    map(fs.sparse, composite_columns(hty, hsy, h, after=False)))):
+                for slot, v in res.items():
+                    if v:
+                        block[slot].append((j, v))
+            rows.extend(int_rows(self.field, block.values()))
         return rows
-
-    def _solution_space(self, rows: list, dim: int) -> Subspace:
-        """The vectors of field^dim that every row annihilates."""
-        if not rows:
-            return Subspace.full(self.field, dim)
-        return kernel_basis(Mat(self.field, len(rows), dim, tuple(rows)))
 
     def almost_factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
         """Maps Z -> Y all of whose radical precomposites factor through f.
@@ -274,7 +279,7 @@ class DeterminerEngine:
         rows: list = []
         for entry in self.registry.entries:
             rows.extend(self._constraint_rows(f, Z, entry.rep, self._radical_maps))
-        R = self._solution_space(rows, self.hom(Z, f.codomain).dim)
+        R = kernel_of_rows(self.field, self.hom(Z, f.codomain).dim, rows)
         invariant(R.contains(self.factor_subspace(f, Z)),
                   "almost-factoring subspace misses the factoring subspace")
         return R
@@ -292,8 +297,8 @@ class DeterminerEngine:
         rows: list = []
         for Z in members:
             rows.extend(self.workspace.memo(blocks, (V, Z), lambda: self._constraint_rows(
-                f, V, Z, lambda S, T: self.hom(S, T).basis)))
-        return self._solution_space(rows, self.hom(V, f.codomain).dim)
+                f, V, Z, lambda S, T: self.hom(S, T).flat_basis)))
+        return kernel_of_rows(self.field, self.hom(V, f.codomain).dim, rows)
 
     def _first_gap(self, f: RepMorphism, members) -> str | None:
         """Label of the first registry object V whose determined subspace

@@ -533,26 +533,34 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def _coordinates(self, vectors, basis_nz):
-        """(coordinates, inside) for each vector.  The coordinates in the
-        RREF basis are the entries at the pivots, and the vector lies in the
-        space iff it equals that combination of the basis, so the residual is
-        formed over the nonzeros of the vector and of the basis rows basis_nz
-        (see _nonzeros) only."""
+    @cached_property
+    def sparse_basis(self) -> list:
+        """The basis rows as sparse rows [(column, value), ...], read once."""
+        return list(_nonzeros(self.basis))
+
+    def sparse(self, vec) -> dict:
+        """The nonzeros {column: value} of a vector of the ambient space."""
+        if len(vec) != self.ambient_dim:
+            raise AmbientMismatchError("vector length differs from ambient dimension")
+        return {j: v for j, v in enumerate(vec) if v}
+
+    def residuals(self, vectors):
+        """(coordinates, residual) of each sparse vector {column: value}:
+        the coordinates in the RREF basis are its entries at the pivots, and
+        it is reduced in place, over nonzeros only, to the residual modulo
+        the space, which vanishes exactly when the vector lies in the space
+        and equals complement_projection's image at the non-pivot slots."""
         z = self.field.zero
         for vec in vectors:
-            if len(vec) != self.ambient_dim:
-                raise AmbientMismatchError("vector length differs from ambient dimension")
-            coords = tuple(vec[p] for p in self.pivots)
-            res = {j: v for j, v in enumerate(vec) if v}
-            for c, nz in zip(coords, basis_nz):
+            coords = tuple(vec.get(p, z) for p in self.pivots)
+            for c, nz in zip(coords, self.sparse_basis):
                 if c:
                     for j, b in nz:
-                        res[j] = res.get(j, z) - c * b
-            yield coords, not any(res.values())
+                        vec[j] = vec.get(j, z) - c * b
+            yield coords, vec
 
     def contains_vector(self, vec) -> bool:
-        return next(self._coordinates([tuple(vec)], _nonzeros(self.basis)))[1]
+        return not any(next(self.residuals([self.sparse(vec)]))[1].values())
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -561,15 +569,14 @@ class Subspace:
 
     def coordinates(self, vec) -> tuple:
         """Coefficients of vec in the RREF basis; raises if vec is outside."""
-        return self.coordinate_rows([tuple(self.field.of(v) for v in vec)])[0]
+        return self.coordinate_rows([self.sparse(tuple(self.field.of(v) for v in vec))])[0]
 
     def coordinate_rows(self, vectors) -> list[tuple]:
-        """coordinates of each of the vectors of field elements, taken from
-        any iterable, with one scan of the basis for its nonzeros; raises if
-        one is outside."""
+        """coordinates of each sparse vector of field elements, taken from
+        any iterable (see residuals); raises if one is outside."""
         out = []
-        for coords, inside in self._coordinates(vectors, list(_nonzeros(self.basis))):
-            if not inside:
+        for coords, res in self.residuals(vectors):
+            if any(res.values()):
                 raise ValueError("vector not in subspace")
             out.append(coords)
         return out

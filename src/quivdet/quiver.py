@@ -149,7 +149,7 @@ class Workspace:
         self.ends: dict = {}            # M -> EndAlgebra
         self.decompositions: dict = {}  # M -> DecompositionResult
         self.isos: dict = {}            # (A, B) -> isomorphism A -> B, or None
-        self.radical_maps: dict = {}    # (U, Z) -> basis morphisms of rad(U, Z)
+        self.radical_maps: dict = {}    # (U, Z) -> basis of rad(U, Z), flat nonzeros
         self.registries: dict = {}      # (field, cap) -> IndecRegistry
 
     def memo(self, table: dict, key, build):

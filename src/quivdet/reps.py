@@ -8,8 +8,11 @@ canonical (RREF) ordered basis, so all downstream subspace computations have
 stable coordinates.  The system is assembled once, as sparse integer rows,
 and solved by one elimination.  A HomSpace basis is checked against the
 squares all together, by one integer product of the square equations with
-the basis vectors, so its morphisms skip the check one by one; morphisms
-built from caller input, from_coordinates included, keep it.
+the basis vectors, so its morphisms skip the check one by one and are built
+only on first access; morphisms built from caller input, from_coordinates
+included, keep it.  Composites with a fixed map (the matrices of pre- and
+postcomposition) are formed on the flat sparse basis rows, from their
+nonzeros and those of the fixed map, with no matrix product.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient; kernels, images and cokernels
@@ -20,6 +23,8 @@ direct_sum adds the injections and projections for callers that need them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -193,50 +198,55 @@ class HomSpace:
     pivot positions.  The basis is checked against the commuting squares all
     at once, by one integer product of the square equations with the basis
     vectors (InvariantError if some vector is outside Hom), so its morphisms
-    are built without a check of their own.
+    are built without a check of their own, on first access to basis.
+    Composites and coordinates work on flat_basis, the basis vectors as
+    sparse rows, and need no basis morphism.
     """
 
     def __init__(self, domain: Representation, codomain: Representation,
-                 basis_vectors: Subspace):
-        # an empty basis needs no square equations to check
-        self._setup(domain, codomain, basis_vectors,
-                    _square_rows(domain, codomain) if basis_vectors.dim else [])
-
-    def _setup(self, domain, codomain, space: Subspace, square_rows: list[dict]) -> None:
-        """Check space against square_rows, the integer rows of the
-        commuting squares (see _square_rows), and build the basis."""
+                 basis_vectors: Subspace, square_rows: list[dict] | None = None):
+        # square_rows: the integer rows of the commuting squares, when the
+        # caller has them (see _square_rows); an empty basis needs none
+        if square_rows is None:
+            square_rows = _square_rows(domain, codomain) if basis_vectors.dim else []
         self.domain = domain
         self.codomain = codomain
-        self._space = space
+        self._space = basis_vectors
         self._offsets = _flat_offsets(domain, codomain)
-        self._flat_dim = self._offsets[-1]
-        if space.ambient_dim != self._flat_dim:
+        if basis_vectors.ambient_dim != self._offsets[-1]:
             raise SemanticError("basis vectors do not have the flattened hom length")
-        if not rows_vanish_on(domain.field, square_rows, space):
+        if not rows_vanish_on(domain.field, square_rows, basis_vectors):
             raise InvariantError("hom basis vector outside the hom space: "
                                  "some square does not commute")
+
+    @cached_property
+    def basis(self) -> tuple[RepMorphism, ...]:
+        """The basis morphisms, built on first access without a check each:
+        the squares were checked at construction."""
         basis = []
-        for v in space.basis:
+        for v in self._space.basis:
             f = object.__new__(RepMorphism)
-            # a frozen dataclass; the squares were checked above
-            f.__dict__.update(domain=domain, codomain=codomain, comps=self._components(v))
+            # a frozen dataclass
+            f.__dict__.update(domain=self.domain, codomain=self.codomain, comps=self._components(v))
             basis.append(f)
-        self.basis = tuple(basis)
+        return tuple(basis)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._space.dim
+
+    @property
+    def flat_basis(self) -> list:
+        """The basis vectors as sparse rows [(flat index, value), ...]."""
+        return self._space.sparse_basis
 
     @property
     def field(self) -> Field:
         return self.domain.field
 
-    def flatten(self, f: RepMorphism) -> tuple:
-        out = []
-        for m in f.comps:
-            for row in m.entries:
-                out.extend(row)
-        return tuple(out)
+    @staticmethod
+    def flatten(f: RepMorphism) -> tuple:
+        return tuple(x for m in f.comps for row in m.entries for x in row)
 
     def _components(self, vec: tuple) -> tuple[Mat, ...]:
         comps = []
@@ -255,10 +265,13 @@ class HomSpace:
         """Coordinates of a flattened family of vertex maps.  The space is
         the solution space of the commuting squares, so membership is the
         square check: a family outside it raises InvariantError."""
-        return self._flat_coordinate_rows([tuple(self.field.of(v) for v in vec)])[0]
+        vec = tuple(map(self.field.of, vec))
+        # mapped lazily, so a wrong length raises like a non-member
+        return self._flat_coordinate_rows(map(self._space.sparse, [vec]))[0]
 
     def _flat_coordinate_rows(self, vecs) -> list[tuple]:
-        """flat_coordinates of each flattened family of field elements."""
+        """flat_coordinates of each flattened family given by its nonzeros
+        {flat index: field element}."""
         try:
             return self._space.coordinate_rows(vecs)
         except ValueError:
@@ -269,11 +282,11 @@ class HomSpace:
         coords = tuple(self.field.of(c) for c in coords)
         if len(coords) != self.dim:
             raise SemanticError("coordinate length mismatch")
-        z = self.field.zero
-        vec = [z] * self._flat_dim
-        for c, row in zip(coords, self._space.basis):
+        vec = [self.field.zero] * self._offsets[-1]
+        for c, row in zip(coords, self.flat_basis):
             if c:
-                vec = [a + c * b for a, b in zip(vec, row)]
+                for j, b in row:
+                    vec[j] = vec[j] + c * b
         return RepMorphism(self.domain, self.codomain, self._components(tuple(vec)))
 
     def __repr__(self):
@@ -289,34 +302,63 @@ def hom_basis(M: Representation, N: Representation) -> HomSpace:
     if M.field != N.field:
         raise SemanticError("representations live over different fields")
     rows = _square_rows(M, N)
-    hs = object.__new__(HomSpace)
-    hs._setup(M, N, kernel_of_rows(M.field, _flat_offsets(M, N)[-1], rows), rows)
-    return hs
+    return HomSpace(M, N, kernel_of_rows(M.field, _flat_offsets(M, N)[-1], rows), rows)
 
 
-def _composite_matrix(hs_src: HomSpace, hs_dst: HomSpace, products) -> Mat:
-    """Matrix of hs_src -> hs_dst sending each basis element g to the map
-    with vertex components products(g), read in flat coordinates at the
-    pivots of hs_dst.  No morphism is built for the composite, since
-    flat_coordinates checks it, over the nonzeros of the basis rows."""
-    # a generator: only one flattened composite is alive at a time
-    cols = hs_dst._flat_coordinate_rows(
-        [x for m in products(g) for row in m.entries for x in row] for g in hs_src.basis)
-    return from_columns(hs_src.field, cols, hs_dst.dim)
+def _entries(M: Representation, N: Representation, nz):
+    """(vertex, row, column, value) of each nonzero of a flattened map
+    M -> N given as (flat index, value) pairs."""
+    offsets = _flat_offsets(M, N)
+    for j, v in nz:
+        if v:
+            i = bisect_right(offsets, j) - 1
+            yield (i, *divmod(j - offsets[i], M.dims[i]), v)
+
+
+def composite_columns(hs_src: HomSpace, hs_dst: HomSpace, fixed, after: bool) -> list[tuple]:
+    """Coordinates in hs_dst of fixed . g (after) or g . fixed for each basis
+    element g of hs_src, the fixed map given as (flat index, value) pairs,
+    such as a row of a flat_basis.  Each composite is formed from the
+    nonzeros of g's flat row and of the fixed map; flat_coordinates checks it."""
+    so, do, dz = hs_src._offsets, hs_dst._offsets, hs_dst.domain.dims
+    spread = defaultdict(list)  # flat index of g -> [(flat index of the composite, factor)]
+    if after:
+        # g[k][c] meets f[r][k] in (f . g)[r][c], at each vertex i
+        for i, r, k, w in _entries(hs_src.codomain, hs_dst.codomain, fixed):
+            for c in range(dz[i]):
+                spread[so[i] + k * dz[i] + c].append((do[i] + r * dz[i] + c, w))
+    else:
+        # g[r][k] meets h[k][c] in (g . h)[r][c], at each vertex i
+        dv = hs_src.domain.dims
+        for i, k, c, w in _entries(hs_dst.domain, hs_src.domain, fixed):
+            for r in range(hs_dst.codomain.dims[i]):
+                spread[so[i] + r * dv[i] + k].append((do[i] + r * dz[i] + c, w))
+
+    def composites():
+        # a generator: only one composite is alive at a time
+        for row in hs_src.flat_basis:
+            acc: dict = {}
+            for j, v in row:
+                for t, w in spread.get(j, ()):
+                    acc[t] = acc[t] + v * w if t in acc else v * w
+            yield acc
+    return hs_dst._flat_coordinate_rows(composites())
 
 
 def postcompose_matrix(hs_src: HomSpace, hs_dst: HomSpace, f: RepMorphism) -> Mat:
     """Matrix of Hom(Z, X) -> Hom(Z, Y), g |-> f . g, in canonical bases."""
     if (f.domain, f.codomain, hs_src.domain) != (hs_src.codomain, hs_dst.codomain, hs_dst.domain):
         raise SemanticError("morphism does not map between these hom spaces")
-    return _composite_matrix(hs_src, hs_dst, lambda g: map(Mat.__matmul__, f.comps, g.comps))
+    cols = composite_columns(hs_src, hs_dst, enumerate(HomSpace.flatten(f)), after=True)
+    return from_columns(hs_src.field, cols, hs_dst.dim)
 
 
 def precompose_matrix(hs_src: HomSpace, hs_dst: HomSpace, h: RepMorphism) -> Mat:
     """Matrix of Hom(V, Y) -> Hom(Z, Y), psi |-> psi . h, in canonical bases."""
     if (h.domain, h.codomain, hs_src.codomain) != (hs_dst.domain, hs_src.domain, hs_dst.codomain):
         raise SemanticError("morphism does not map between these hom spaces")
-    return _composite_matrix(hs_src, hs_dst, lambda g: map(Mat.__matmul__, g.comps, h.comps))
+    cols = composite_columns(hs_src, hs_dst, enumerate(HomSpace.flatten(h)), after=False)
+    return from_columns(hs_src.field, cols, hs_dst.dim)
 
 
 def subrepresentation(M: Representation, subs) -> tuple[Representation, RepMorphism]:

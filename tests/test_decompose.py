@@ -3,13 +3,24 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import quivdet as qd
-from quivdet.decompose import end_algebra, minimal_polynomial, _peval_endo, _primary_parts
+from quivdet.decompose import (
+    end_algebra,
+    minimal_polynomial,
+    _peval_endo,
+    _pmul,
+    _primary_parts,
+    _sqrt_mod,
+)
 from quivdet.errors import FieldTooSmallError, NotIndecomposableError
 from quivdet.linalg import Mat, PrimeField, RATIONALS
 
@@ -316,6 +327,81 @@ def test_primary_parts_via_factorization():
     mu = [big.of(-1), big.zero, big.one]   # x^2 - 1 = (x-1)(x+1)
     pparts = _primary_parts(big, mu)
     assert len(pparts) == 2
+
+
+def _sympy_parts(field, poly):
+    """The primary parts of a monic poly over F_p straight from
+    sympy.Poly(..).factor_list(), in its order, as coefficient lists."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    expr = sum(c.val * x ** k for k, c in enumerate(poly))
+    parts = []
+    for fac, mult in sympy.Poly(expr, x, modulus=field.p).factor_list()[1]:
+        base = [field.of(int(c)) for c in reversed(fac.all_coeffs())]
+        part = [field.one]
+        for _ in range(mult):
+            part = _pmul(field, part, base)
+        parts.append(part)
+    return parts
+
+
+# 65537 - 1 = 2^16 gives the longest Tonelli-Shanks loop; 4099 and 10007 are
+# 3 mod 4, where it takes no step; 12289 - 1 = 3 * 2^12
+@pytest.mark.parametrize("p", [4099, 10007, 12289, 65537])
+def test_quadratic_split_matches_sympy(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    kinds = {"zero": 0, "square": 0, "non-square": 0}
+    for _ in range(60):
+        r, s = rng.randrange(p), rng.randrange(p)
+        for c, b in ((r * r, -2 * r), (r * s, -r - s), (rng.randrange(p), rng.randrange(p))):
+            poly = [field.of(c), field.of(b), field.one]
+            disc = (b * b - 4 * c) % p
+            kind = "zero" if not disc else "square" if pow(disc, (p - 1) // 2, p) == 1 else "non-square"
+            kinds[kind] += 1
+            parts = _primary_parts(field, poly)
+            assert parts == _sympy_parts(field, poly), (poly, kind)
+            assert len(parts) == (2 if kind == "square" else 1)
+    assert min(kinds.values()) > 0
+
+
+def test_quadratic_split_square_roots():
+    for p in (4099, 10007, 65537):
+        rng = random.Random(p)
+        for a in [0, 1, p - 1] + [rng.randrange(p) for _ in range(200)]:
+            root = _sqrt_mod(a, p)
+            if pow(a, (p - 1) // 2, p) == 1:
+                assert root * root % p == a
+            else:
+                assert root is None
+
+
+def test_quartic_over_large_prime_still_factors_with_sympy():
+    # (x - 1)(x - 2)(x^2 + 1); x^2 + 1 is irreducible, as 10007 is 3 mod 4
+    field = PrimeField(10007)
+    poly = _pmul(field, _pmul(field, [field.of(-1), field.one], [field.of(-2), field.one]),
+                 [field.one, field.zero, field.one])
+    parts = _primary_parts(field, poly)
+    assert parts == _sympy_parts(field, poly) and len(parts) == 3
+
+
+def test_quadratic_split_leaves_sympy_unimported():
+    # a repeated factor, two linear factors and an irreducible quadratic
+    code = ("import sys\n"
+            "from quivdet.decompose import _primary_parts\n"
+            "from quivdet.linalg import PrimeField\n"
+            "f = PrimeField(10007)\n"
+            "for c, b in ((4, 4), (-1, 0), (1, 0)):\n"
+            "    print(len(_primary_parts(f, [f.of(c), f.of(b), f.one])))\n"
+            "print('sympy' in sys.modules)\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # 10007 is 3 mod 4, so -1 is not a square and x^2 + 1 stays whole
+    assert proc.stdout.split() == ["1", "2", "1", "False"]
 
 
 def test_decompose_random_rep_against_known_pieces():

@@ -190,14 +190,15 @@ E6_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
            "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
 
 
-@pytest.mark.parametrize("text, step", [
-    (A3_TEXT, 1), (E6_TEXT, 5),
-], ids=["a3", "e6"])
-def test_composite_matrices_match_morphism_composites(text, step):
+@pytest.mark.parametrize("text, step, field", [
+    (A3_TEXT, 1, RATIONALS), (E6_TEXT, 5, RATIONALS),
+    (A3_TEXT, 1, PrimeField(10007)), (E6_TEXT, 5, PrimeField(10007)),
+], ids=["a3", "e6", "a3-fp10007", "e6-fp10007"])
+def test_composite_matrices_match_morphism_composites(text, step, field):
     # every registry triple (Z, V, Y), with every step-th object as Y
     q = qd.parse_quiver(text)
     hom = q.workspace.hom
-    reps = [e.rep for e in qd.knit(q).entries]
+    reps = [e.rep for e in qd.knit(q, field).entries]
     checked = 0
     for Y in reps[::step]:
         for V in reps:
@@ -291,3 +292,70 @@ def test_hom_basis_runs_one_elimination_and_no_matrix_product(monkeypatch):
     monkeypatch.undo()
     assert hs.dim == 1 + M.dims[2]
     assert calls == {"eliminations": 1, "products": 0}
+
+
+def _composite_case(field):
+    # Hom(M, N) of _e6_pair, pre- and postcomposed with the identities
+    M, N = _e6_pair(field)
+    return qd.hom_basis(M, N), qd.identity_morphism(M), qd.identity_morphism(N)
+
+
+def test_composite_matrices_make_no_matrix_product(monkeypatch):
+    hs, one_m, one_n = _composite_case(RATIONALS)
+    calls = {"products": 0}
+    real_matmul = Mat.__matmul__
+
+    def matmul(a, b):
+        calls["products"] += 1
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", matmul)
+    pre = precompose_matrix(hs, hs, one_m)
+    post = postcompose_matrix(hs, hs, one_n)
+    monkeypatch.undo()
+    eye = Mat.identity(RATIONALS, hs.dim)
+    assert pre == eye and post == eye
+    assert calls == {"products": 0}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)], ids=["rat", "fp10007"])
+def test_composite_outside_the_target_space_is_rejected(field):
+    # a target space that lacks one basis vector of Hom(M, N) still passes
+    # the square check, but the composites with the identities reach the
+    # dropped vector, and the membership residual reports it
+    hs, one_m, one_n = _composite_case(field)
+    space = hs._space
+    smaller = HomSpace(hs.domain, hs.codomain,
+                       Subspace(field, space.ambient_dim, space.basis[:-1], space.pivots[:-1]))
+    with pytest.raises(InvariantError):
+        precompose_matrix(hs, smaller, one_m)
+    with pytest.raises(InvariantError):
+        postcompose_matrix(hs, smaller, one_n)
+
+
+def test_hom_basis_morphisms_are_built_on_first_access(monkeypatch):
+    M, N = _e6_pair(RATIONALS)
+    built = {"components": 0}
+    real_components = HomSpace._components
+
+    def components(self, vec):
+        built["components"] += 1
+        return real_components(self, vec)
+
+    monkeypatch.setattr(HomSpace, "_components", components)
+    hs = qd.hom_basis(M, N)
+    # dimension, coordinates and composites read the flat rows only
+    assert hs.dim == 1 + M.dims[2]
+    assert hs.flat_coordinates(hs.flatten(qd.zero_morphism(M, N))) == (RATIONALS.zero,) * hs.dim
+    precompose_matrix(hs, hs, qd.identity_morphism(M))
+    assert built["components"] == 0 and "basis" not in vars(hs)
+    basis = hs.basis
+    assert built["components"] == hs.dim and len(basis) == hs.dim
+    assert hs.basis is basis and built["components"] == hs.dim
+    monkeypatch.undo()
+    # the square check still runs when a public HomSpace is made
+    n = hs._space.ambient_dim
+    unit = [tuple(RATIONALS.one if i == j else RATIONALS.zero for i in range(n)) for j in range(n)]
+    outside = next(u for u in unit if not hs._space.contains_vector(u))
+    with pytest.raises(InvariantError):
+        HomSpace(M, N, Subspace.from_vectors(RATIONALS, n, list(hs._space.basis) + [outside]))
