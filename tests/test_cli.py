@@ -295,3 +295,78 @@ def test_factor_knits_no_registry(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "factor", str(kq), str(data), "f", "f")
     assert code == 0
     assert out.startswith("yes")
+
+
+# -- pinned JSON and text output over Q and F_7 --------------------------------
+
+PIN_DATA = ("rep X\ndim 1 1\ndim 2 1\nmap a 1x1 -1\n"
+            "morphism idX X X\ncomp 1 1x1 1\ncomp 2 1x1 1\n"
+            "morphism g P_2 X\ncomp 1 1x1 1\ncomp 2 1x1 -1\n"
+            "morphism f P_2 I_2\ncomp 2 1x1 1\n"
+            "morphism idI I_2 I_2\ncomp 2 1x1 1\ncomp 3 1x1 1\n")
+FIELD_MINUS_ONE = [("rat", "-1"), ("fp:7", "6")]
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+def test_ar_json_is_pinned(field, capsys):
+    code, out, _ = run(capsys, "ar", A3Q, "--json", "--field", field)
+    assert code == 0
+    rows = [("P_1", [1, 0, 0], "1", None, "S_2"), ("P_2", [1, 1, 0], "2", None, "I_2"),
+            ("P_3", [1, 1, 1], "3", "1", None), ("S_2", [0, 1, 0], None, None, "I_3"),
+            ("I_2", [0, 1, 1], None, "2", None), ("I_3", [0, 0, 1], None, "3", None)]
+    assert json.loads(out) == {
+        "underlying_graph": {"kind": "dynkin", "types": ["A3"]},
+        "complete": True,
+        "entries": [{"label": l, "dim_vector": d, "projective": p, "injective": i, "tau_minus": t}
+                    for l, d, p, i, t in rows],
+    }
+    assert out.endswith("}\n") and out.startswith('{\n  "underlying_graph": {\n    "kind": "dynkin"')
+
+
+@pytest.mark.parametrize("field, minus_one", FIELD_MINUS_ONE)
+def test_hom_output_is_pinned(field, minus_one, tmp_path, capsys):
+    # the hom basis map of P_2 into X has the entry -1, which F_7 prints as 6
+    data = tmp_path / "pin.reps"
+    data.write_text(PIN_DATA, encoding="utf-8")
+    code, out, _ = run(capsys, "hom", A3Q, "P_2", "X", "--data", str(data), "--json", "--field", field)
+    assert code == 0
+    assert json.loads(out) == {"domain": "P_2", "codomain": "X", "dimension": 1,
+                               "basis": [{"1": [["1"]], "2": [[minus_one]], "3": []}]}
+    code, out, _ = run(capsys, "hom", A3Q, "P_2", "X", "--data", str(data), "--field", field)
+    assert code == 0
+    assert out == ("dim Hom(P_2, X) = 1\nbasis element 0:\n"
+                   f"  1: Mat[1]\n  2: Mat[{minus_one}]\n  3: Mat(0x0)\n")
+
+
+@pytest.mark.parametrize("field, minus_one", FIELD_MINUS_ONE)
+def test_factor_output_is_pinned(field, minus_one, tmp_path, capsys):
+    data = tmp_path / "pin.reps"
+    data.write_text(PIN_DATA, encoding="utf-8")
+    code, out, _ = run(capsys, "factor", A3Q, str(data), "g", "idX", "--json", "--field", field)
+    assert code == 0
+    assert json.loads(out) == {"factors": True,
+                               "witness": {"1": [["1"]], "2": [[minus_one]], "3": []}}
+    code, out, _ = run(capsys, "factor", A3Q, str(data), "g", "idX", "--field", field)
+    assert code == 0
+    assert out == f"yes\n  1: Mat[1]\n  2: Mat[{minus_one}]\n  3: Mat(0x0)\n"
+    code, out, _ = run(capsys, "factor", A3Q, str(data), "idI", "f", "--json", "--field", field)
+    assert code == 0 and out == '{\n  "factors": false\n}\n'
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+def test_det_of_a_split_epimorphism_prints_an_empty_determiner(field, tmp_path, capsys):
+    data = tmp_path / "pin.reps"
+    data.write_text(PIN_DATA, encoding="utf-8")
+    code, out, _ = run(capsys, "det", A3Q, str(data), "idX", "--verify", "--field", field)
+    assert code == 0
+    assert out == (
+        f"morphism idX over field {field} (right determiner)\n"
+        "  domain dims [1, 1, 0], minimal version dims [1, 1, 0], split off [0, 0, 0]\n"
+        "  split epimorphism: the determiner is empty (trivial)\n"
+        "  intrinsic kernel: zero\n"
+        "  socle of cokernel: zero\n"
+        "  determiner:\n"
+        "    (empty)\n"
+        "  registry: 6 objects, complete\n"
+        "  oracle: checked 6 objects, determination_ok=True\n"
+        "  verdict: CERTIFIED\n")

@@ -194,6 +194,22 @@ def test_rad_hom_basis(a3):
         qd.rad_hom_basis(qd.direct_sum([P1, P1])[0], P2)
 
 
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=["rat", "fp7"])
+def test_rad_hom_basis_transports_along_an_isomorphism(field):
+    # U and Z are isomorphic but unequal regular Kronecker representations, so
+    # rad(U, Z) is rad End(Z) carried back along an isomorphism U -> Z
+    kq = qd.parse_quiver("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2")
+    nil = Mat.from_rows(field, [[0, 1], [0, 0]])
+    U = qd.Representation(kq, field, (2, 2), (Mat.identity(field, 2), nil))
+    Z = qd.Representation(kq, field, (2, 2), (Mat.from_rows(field, [[1, 1], [0, 1]]), nil))
+    assert U != Z and qd.is_isomorphic(U, Z)
+    hom = qd.hom_basis(U, Z)
+    rad = qd.rad_hom_basis(U, Z)
+    assert (hom.dim, rad.dim, rad.ambient_dim) == (2, 1, 2)
+    assert all(not hom.from_coordinates(v).is_iso() for v in rad.basis)
+    assert any(b.is_iso() for b in hom.basis)
+
+
 def test_end_quotient_dimension_on_dynkin(a3_registry):
     for e in a3_registry.entries:
         alg = end_algebra(e.rep)

@@ -78,17 +78,51 @@ def test_error_directive_outside_block(a3):
 
 
 def test_error_non_commuting_morphism(a3):
-    bad = """\
-rep A
-dim 2 1
-rep B
-dim 1 1
-morphism k A B
-comp 2 1x1 1
-"""
-    # A lives at vertex 2, B at vertex 1; the square at arrow a forces zero
-    with pytest.raises(DataSyntaxError):
-        parse_data_file(bad, a3)
+    # S_2 lives at vertex 2 only; at P_2 the arrow a 2 -> 1 acts by 1, so a
+    # nonzero component at vertex 2 cannot commute with the zero one at 1
+    for field in (RATIONALS, PrimeField(7)):
+        with pytest.raises(DataSyntaxError) as e:
+            parse_data_file("morphism k S_2 P_2\ncomp 2 1x1 1\n", a3, field)
+        assert e.value.line == 1
+        assert str(e.value) == "line 1: morphism 'k': square at arrow 'a' does not commute"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("rep X\ndim 1 1\ndim 2 1\nmap a 1by1 1\n", 4, "bad shape '1by1'"),
+    ("rep X\ndim 1 1\ndim 2 1\nmap a 1x1 z\n", 4, "bad matrix entry"),
+    ("rep X\ndim 1 1\ndim 2 1\nmap a 1x1 1/0\n", 4, "bad matrix entry"),
+    ("rep X Y\n", 1, "expected 'rep <name>'"),
+    ("morphism k P_1\n", 1, "expected 'morphism <name> <domain> <codomain>'"),
+    ("rep X\ndim 1\n", 2, "expected 'dim <vertex> <n>'"),
+    ("rep X\nmap a\n", 2, "expected 'map <arrow> <r>x<c> <entries>'"),
+    ("morphism k P_1 P_1\ncomp 1\n", 2, "expected 'comp <vertex> <r>x<c> <entries>'"),
+    ("rep X\ndim 1 two\n", 2, "bad dimension 'two'"),
+    ("rep X\ndim 1 -1\n", 2, "dimensions must be nonnegative"),
+    ("map a 1x1 1\n", 1, "'map' outside of a rep block"),
+    ("rep X\ncomp 1 1x1 1\n", 2, "'comp' outside of a morphism block"),
+    ("morphism k P_1 P_1\ndim 1 1\n", 2, "'dim' outside of a rep block"),
+    ("rep X\nmap z 1x1 1\n", 2, "unknown arrow 'z'"),
+    ("morphism k P_1 P_1\ncomp 9 1x1 1\n", 2, "unknown vertex '9'"),
+    ("rep X\nfrob 1\n", 2, "unknown directive 'frob'"),
+    ("rep X\ndim 1 1\nrep X\n", 3, "duplicate rep name 'X'"),
+    ("morphism k P_1 P_1\nmorphism k P_2 P_2\n", 2, "duplicate morphism name 'k'"),
+], ids=["shape", "entry", "zero-denominator", "rep-fields", "morphism-fields", "dim-fields",
+        "map-fields", "comp-fields", "dimension", "negative-dimension", "map-outside",
+        "comp-outside", "dim-outside", "unknown-arrow", "unknown-vertex", "unknown-directive",
+        "duplicate-rep", "duplicate-morphism"])
+def test_data_syntax_errors_name_their_line(a3, text, line, message):
+    with pytest.raises(DataSyntaxError) as e:
+        parse_data_file(text, a3)
+    assert e.value.line == line
+    assert str(e.value).startswith(f"line {line}: {message}")
+
+
+def test_fp_entry_with_a_denominator_divisible_by_p(a3):
+    with pytest.raises(DataSyntaxError) as e:
+        parse_data_file("rep W\ndim 1 1\ndim 2 1\nmap a 1x1 1/7\n", a3, PrimeField(7))
+    assert str(e.value) == "line 4: bad matrix entry: denominator divisible by 7"
+    reps, _ = parse_data_file("rep W\ndim 1 1\ndim 2 1\nmap a 1x1 1/14\n", a3, PrimeField(11))
+    assert reps["W"].action[0].entries[0][0] == PrimeField(11).of(Fraction(1, 14))
 
 
 def test_error_unknown_morphism_endpoint(a3):

@@ -62,6 +62,19 @@ def test_direct_construction_rejects_cycles():
         Quiver(("1", "2"), (ArrowDecl("a", "1", "2"), ArrowDecl("b", "2", "1")))
 
 
+def test_direct_construction_checks_names_and_endpoints():
+    # parse_quiver rejects such input before it builds a Quiver
+    from quivdet.quiver import ArrowDecl, Quiver
+    with pytest.raises(DuplicateNameError, match="duplicate vertex name '1'"):
+        Quiver(("1", "2", "1"), ())
+    with pytest.raises(DuplicateNameError, match="duplicate arrow name 'a'"):
+        Quiver(("1", "2"), (ArrowDecl("a", "1", "2"), ArrowDecl("a", "2", "1")))
+    with pytest.raises(DanglingEndpointError, match="starts at unknown vertex '9'"):
+        Quiver(("1", "2"), (ArrowDecl("a", "9", "2"),))
+    with pytest.raises(DanglingEndpointError, match="ends at unknown vertex '9'"):
+        Quiver(("1", "2"), (ArrowDecl("a", "1", "9"),))
+
+
 def test_parse_duplicate_vertex():
     with pytest.raises(DuplicateNameError) as e:
         qd.parse_quiver("vertex 1\nvertex 1")
