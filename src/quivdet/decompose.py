@@ -63,10 +63,13 @@ from .reps import (
 # dense univariate polynomials over the ground field (coeffs low to high)
 
 
-def _pnormalize(p):
-    while p and not p[-1]:
-        p = p[:-1]
-    return list(p)
+def _pnormalize(field, a):
+    """a as a list without leading zeros, its coefficients taken mod p over F_p."""
+    p = field.characteristic
+    a = [c % p for c in a] if p else list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _pdeg(p):
@@ -76,36 +79,34 @@ def _pdeg(p):
 def _pmul(field, a, b):
     if not a or not b:
         return []
-    z = field.zero
-    out = [z] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
         for j, y in enumerate(b):
             if y:
                 out[i + j] = out[i + j] + x * y
-    return _pnormalize(out)
+    return _pnormalize(field, out)
 
 
 def _psub(field, a, b):
     n = max(len(a), len(b))
-    z = field.zero
-    out = [z] * n
+    out = [0] * n
     for i, x in enumerate(a):
         out[i] = out[i] + x
     for i, x in enumerate(b):
         out[i] = out[i] - x
-    return _pnormalize(out)
+    return _pnormalize(field, out)
 
 
 def _pdivmod(field, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
+    q = [0] * max(0, len(a) - len(b) + 1)
     inv = field.inv(b[-1])
     while len(a) >= len(b) and a:
-        a = _pnormalize(a)
+        a = _pnormalize(field, a)
         if len(a) < len(b):
             break
         c = a[-1] * inv
@@ -114,19 +115,19 @@ def _pdivmod(field, a, b):
         for i, x in enumerate(b):
             a[d + i] = a[d + i] - c * x
         a = a[:-1]
-    return _pnormalize(q), _pnormalize(a)
+    return _pnormalize(field, q), _pnormalize(field, a)
 
 
 def _pmonic(field, a):
-    a = _pnormalize(a)
+    a = _pnormalize(field, a)
     if not a:
         return a
     inv = field.inv(a[-1])
-    return [x * inv for x in a]
+    return _pnormalize(field, [x * inv for x in a])
 
 
 def _pgcd(field, a, b):
-    a, b = _pnormalize(a), _pnormalize(b)
+    a, b = _pnormalize(field, a), _pnormalize(field, b)
     while b:
         _, r = _pdivmod(field, a, b)
         a, b = b, r
@@ -135,9 +136,9 @@ def _pgcd(field, a, b):
 
 def _pgcdex(field, a, b):
     """(g, u, v) with u a + v b = g, g monic gcd."""
-    r0, r1 = _pnormalize(a), _pnormalize(b)
-    u0, u1 = [field.one], []
-    v0, v1 = [], [field.one]
+    r0, r1 = _pnormalize(field, a), _pnormalize(field, b)
+    u0, u1 = [1], []
+    v0, v1 = [], [1]
     while r1:
         q, r = _pdivmod(field, r0, r1)
         r0, r1 = r1, r
@@ -145,16 +146,15 @@ def _pgcdex(field, a, b):
         v0, v1 = v1, _psub(field, v0, _pmul(field, q, v1))
     if not r0:
         return [], u0, v0
-    lead = r0[-1]
-    inv = field.inv(lead)
-    return ([x * inv for x in r0], [x * inv for x in u0], [x * inv for x in v0])
+    inv = field.inv(r0[-1])
+    return tuple(_pnormalize(field, [x * inv for x in f]) for f in (r0, u0, v0))
 
 
 def _peval_scalar(field, p, x):
-    acc = field.zero
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
-    return acc
+    return field.of(acc)
 
 
 def _peval_endo(p, phi: RepMorphism) -> RepMorphism:
@@ -167,12 +167,12 @@ def _peval_endo(p, phi: RepMorphism) -> RepMorphism:
         else:
             acc = (acc @ phi) + identity_morphism(M).scale(c)
     if acc is None:
-        acc = identity_morphism(M).scale(M.field.zero)
+        acc = identity_morphism(M).scale(0)
     return acc
 
 
 def _pderiv(field, p):
-    return _pnormalize([field.of(k) * c for k, c in enumerate(p)][1:])
+    return _pnormalize(field, [k * c for k, c in enumerate(p)][1:])
 
 
 def _vector_minpoly(field, T: Mat, v: tuple):
@@ -185,7 +185,7 @@ def _vector_minpoly(field, T: Mat, v: tuple):
     for _ in range(T.rows):
         krylov.append(T.apply(krylov[-1]))
     red, _, k = rref(from_columns(field, krylov, T.rows))
-    return _pnormalize([-red.entries[i][k] for i in range(k)] + [field.one])
+    return _pnormalize(field, [-red.entries[i][k] for i in range(k)] + [1])
 
 
 def minimal_polynomial(phi: RepMorphism):
@@ -194,10 +194,10 @@ def minimal_polynomial(phi: RepMorphism):
     T = phi.total_matrix()
     n = T.rows
     if n == 0:
-        return [field.one]
-    mu = [field.one]
+        return [1]
+    mu = [1]
     for i in range(n):
-        v = tuple(field.one if j == i else field.zero for j in range(n))
+        v = tuple(int(j == i) for j in range(n))
         mv = _vector_minpoly(field, T, v)
         g = _pgcd(field, mu, mv)
         q, r = _pdivmod(field, mv, g)
@@ -240,7 +240,7 @@ def _integer_roots(field, p):
     while shift < len(ints) - 1 and ints[shift] == 0:
         shift += 1
     if shift:
-        roots.append(field.zero)
+        roots.append(0)
     const = ints[shift]
     for cand in _divisors(abs(const)):
         for s in (cand, -cand):
@@ -271,7 +271,7 @@ def _sympy_primary_parts(field, p):
 
     x = sympy.Symbol("x")
     if isinstance(field, PrimeField):
-        expr = sum(int(c.val) * x ** k for k, c in enumerate(p))
+        expr = sum(c * x ** k for k, c in enumerate(p))
         _, factors = sympy.Poly(expr, x, modulus=field.p).factor_list()
     else:
         expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** k for k, c in enumerate(p))
@@ -286,7 +286,7 @@ def _sympy_primary_parts(field, p):
         base = _pmonic(field, base)
         if _pdeg(base) == 0:
             continue
-        acc = [field.one]
+        acc = [1]
         for _ in range(mult):
             acc = _pmul(field, acc, base)
         parts.append(acc)
@@ -316,12 +316,11 @@ def _quadratic_parts(field, p):
     nonzero square discriminant gives the two linear factors in sympy's order
     (ascending constant term in [0, p)); zero or a non-square gives p."""
     c, b = p[0], p[1]
-    s = _sqrt_mod((b * b - 4 * c).val, field.p)
+    s = _sqrt_mod((b * b - 4 * c) % field.p, field.p)
     if s is None:
         return [p]
     half = field.inv(2)
-    return sorted(([(b - s) * half, field.one], [(b + s) * half, field.one]),
-                  key=lambda lin: lin[0].val)
+    return sorted(([field.of((b - s) * half), 1], [field.of((b + s) * half), 1]))
 
 
 def _primary_parts(field, p):
@@ -336,8 +335,8 @@ def _primary_parts(field, p):
         parts = []
         rest = p
         for r in roots:
-            lin = [-field.of(r), field.one]
-            power = [field.one]
+            lin = [field.of(-r), 1]
+            power = [1]
             while True:
                 q, rem = _pdivmod(field, rest, lin)
                 if rem:
@@ -354,7 +353,7 @@ def _primary_parts(field, p):
 
 def _bezout_idempotent_poly(field, part, rest_parts):
     """Polynomial e with e = 1 mod part, e = 0 mod the product of the rest."""
-    b = [field.one]
+    b = [1]
     for q in rest_parts:
         b = _pmul(field, b, q)
     g, u, v = _pgcdex(field, part, b)
@@ -380,15 +379,14 @@ class EndAlgebra:
 
     def trace_pair(self, a: RepMorphism, b: RepMorphism):
         """tr(a b) on the total space: the trace form whose kernel is rad."""
-        field = self.M.field
-        acc = field.zero
+        acc = 0
         for ma, mb in zip(a.comps, b.comps):
             for r in range(ma.rows):
                 row = ma.entries[r]
                 for c in range(ma.cols):
                     if row[c] and mb.entries[c][r]:
                         acc = acc + row[c] * mb.entries[c][r]
-        return acc
+        return self.M.field.of(acc)
 
     _radical = None
 

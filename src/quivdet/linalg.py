@@ -20,9 +20,15 @@ readbacks of rref and kernel_of_rows (through ratio) and RationalField.inv.
 Arithmetic keeps int with int and is not normalised afterwards, so a
 product such as 2 * Fraction(1, 2) may stay a Fraction(1); the numeric tower
 compares and hashes it equal to 1, so canonical subspaces and every printed
-string are the same either way.  Over F_p an element is an FpElement.  No
-code divides with /, which on two ints would give a float: a reciprocal is
-field.inv.
+string are the same either way.  Over F_p an element is its residue, a
+plain int in [0, p); arithmetic on residues is int arithmetic, reduced mod p
+where a value is stored or tested for zero: Mat operations, Mat.from_rows,
+from_columns, Mat.apply and residuals give residues.  An int does not know
+its field, so fields are compared where objects that carry one meet
+(same_field): matrix products, sums and hstack, subspace containment, sums
+and meets, and in reps.py the action of a representation and the components
+of a morphism.  No code divides with /, which on two ints would give a
+float: a reciprocal is field.inv.
 
 Matrices act on the left of column vectors.  Zero-dimensional shapes
 (0 x n, n x 0, 0 x 0) are legal everywhere: kernels and cokernels vanish
@@ -34,7 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
+from operator import mod
 
 
 class FieldMismatchError(TypeError):
@@ -43,78 +51,6 @@ class FieldMismatchError(TypeError):
 
 class AmbientMismatchError(ValueError):
     """Raised when subspaces of different ambient dimension are combined."""
-
-
-class FpElement:
-    """Element of the prime field F_p.
-
-    Supports the Fraction operators that the matrix code uses, so that code
-    is field-agnostic.  Mixing moduli raises FieldMismatchError.
-    """
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val: int, p: int):
-        self.val = val % p
-        self.p = p
-
-    def _coerce(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise FieldMismatchError(f"mixing F_{self.p} with F_{other.p}")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val + other.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val - other.val, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val * other.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.val == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.val * pow(other.val, -1, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.val, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"{self.val}"
 
 
 def _is_prime(n: int) -> bool:
@@ -153,8 +89,6 @@ class RationalField:
         if type(x) is int:
             return x
         if type(x) is not Fraction:
-            if isinstance(x, FpElement):
-                raise FieldMismatchError("cannot coerce an F_p value into the rationals")
             x = Fraction(x)
         return x.numerator if x.denominator == 1 else x
 
@@ -169,9 +103,12 @@ class RationalField:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The prime field F_p; p must be prime."""
+    """The prime field F_p; p must be prime.  An element is its residue,
+    an int in [0, p)."""
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -185,39 +122,36 @@ class PrimeField:
     def characteristic(self) -> int:
         return self.p
 
-    @cached_property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
-
-    @cached_property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
-
-    def of(self, x) -> FpElement:
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise FieldMismatchError(f"mixing F_{self.p} with F_{x.p}")
-            return x
-        if isinstance(x, Fraction):
+    def of(self, x) -> int:
+        if type(x) is not int:
+            x = Fraction(x)
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return FpElement(x.numerator * pow(x.denominator, -1, self.p), self.p)
-        return FpElement(int(x), self.p)
+            x = x.numerator * pow(x.denominator, -1, self.p)
+        return x % self.p
 
-    def parse(self, token: str) -> FpElement:
+    def parse(self, token: str) -> int:
         return self.of(Fraction(token))
 
-    def inv(self, x) -> FpElement:
+    def inv(self, x) -> int:
         """The reciprocal of x."""
         x = self.of(x)
-        if not x.val:
+        if not x:
             raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(pow(x.val, -1, self.p), self.p)
+        return pow(x, -1, self.p)
 
 
 RATIONALS = RationalField()
 
 Field = RationalField | PrimeField
+
+
+def same_field(a: Field, b: Field) -> Field:
+    """a, when b is the same field; raises FieldMismatchError otherwise.  An
+    F_p value is a bare int, so fields are compared where objects meet."""
+    if a is not b and a != b:
+        raise FieldMismatchError(f"mixing {a.name} with {b.name}")
+    return a
 
 
 def field_from_name(name: str) -> Field:
@@ -231,7 +165,9 @@ def field_from_name(name: str) -> Field:
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable dense matrix; entries is a row-major tuple of row tuples."""
+    """Immutable dense matrix; entries is a row-major tuple of row tuples.
+    Over F_p the entries are residues in [0, p): from_rows and from_columns
+    reduce what they are given, and every operation returns residues."""
 
     field: Field
     rows: int
@@ -255,19 +191,18 @@ class Mat:
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Mat":
-        z = field.zero
-        return cls(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls(field, rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        z, o = field.zero, field.one
-        return cls(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return cls(field, n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        field = same_field(self.field, other.field)
+        p = field.characteristic
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         # each nonzero a = self[i][k] meets only the nonzero entries of row k of other
-        z = self.field.zero
         other_nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
         for row in self.entries:
@@ -276,27 +211,30 @@ class Mat:
                 if a:
                     for j, b in other_nz[k]:
                         acc[j] = acc[j] + a * b if j in acc else a * b
-            out_row = [z] * other.cols
+            out_row = [0] * other.cols
             for j, v in acc.items():
-                out_row[j] = v
+                out_row[j] = v % p if p else v
             out.append(tuple(out_row))
-        return Mat(self.field, self.rows, other.cols, tuple(out))
+        return Mat(field, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Mat") -> "Mat":
+        field = same_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
         return Mat(
-            self.field,
+            field,
             self.rows,
             self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            _residues(field, (tuple(a + b for a, b in zip(r1, r2))
+                              for r1, r2 in zip(self.entries, other.entries))),
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + other.scale(-self.field.one)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Mat":
-        return Mat(self.field, self.rows, self.cols, tuple(tuple(c * v for v in r) for r in self.entries))
+        return Mat(self.field, self.rows, self.cols,
+                   _residues(self.field, (tuple(c * v for v in r) for r in self.entries)))
 
     def transpose(self) -> "Mat":
         return Mat(self.field, self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else tuple(() for _ in range(self.cols)))
@@ -305,7 +243,9 @@ class Mat:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(row, vec) if a and b), self.field.zero) for row in self.entries)
+        out = tuple(sum(a * b for a, b in zip(row, vec) if a and b) for row in self.entries)
+        p = self.field.characteristic
+        return tuple(v % p for v in out) if p else out
 
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
@@ -328,9 +268,10 @@ class Mat:
         return sol
 
     def hstack(self, other: "Mat") -> "Mat":
+        field = same_field(self.field, other.field)
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return Mat(self.field, self.rows, self.cols + other.cols,
+        return Mat(field, self.rows, self.cols + other.cols,
                    tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
     def __repr__(self):
@@ -338,6 +279,12 @@ class Mat:
             return f"Mat({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return f"Mat[{body}]"
+
+
+def _residues(field: Field, rows) -> tuple:
+    """The rows (tuples) as a tuple, each value taken mod p over F_p."""
+    p = field.characteristic
+    return tuple([tuple(map(mod, r, repeat(p))) for r in rows]) if p else tuple(rows)
 
 
 def from_columns(field: Field, cols, nrows: int) -> Mat:
@@ -351,7 +298,7 @@ def block_diag(field: Field, blocks) -> Mat:
     blocks = list(blocks)
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = [[field.zero] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     r0 = c0 = 0
     for b in blocks:
         for i, row in enumerate(b.entries):
@@ -370,8 +317,8 @@ def int_rows(field: Field, rows) -> list[dict]:
     """Sparse rows [(column, value), ...] of nonzero field elements, with
     distinct columns, as sparse {column: int} rows spanning the same space.
 
-    Over Q each row is scaled by the lcm of its denominators; over F_p each
-    entry becomes its residue.  Every value must belong to field.
+    Over Q each row is scaled by the lcm of its denominators; over F_p every
+    value is an int, taken mod p.  Every value must belong to field.
     """
     p = field.characteristic
     out = []
@@ -381,12 +328,9 @@ def int_rows(field: Field, rows) -> list[dict]:
         if p:
             d = {}
             for j, v in nz:
-                if isinstance(v, FpElement) and v.p == p:
-                    w = v.val
-                elif isinstance(v, int):
-                    w = v % p
-                else:
+                if not isinstance(v, int):
                     raise FieldMismatchError(f"{v!r} ({type(v).__name__}) in a matrix over F_{p}")
+                w = v % p
                 if w:
                     d[j] = w
         else:
@@ -472,26 +416,19 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
     reduces them with the leftmost nonzero of each row as its pivot.  The
     RREF of a matrix is unique, so the order in which rows are taken is free
     and the result is the canonical one: pivot rows in column order holding
-    Fraction(v, pivot) or FpElement(v, p), the field's zero elsewhere, zero
-    rows last.
+    ratio(v, pivot) (over F_p the pivot is 1 and v a residue), 0 elsewhere,
+    zero rows last.
     """
-    p = m.field.characteristic
-    piv = _pivot_rows(int_rows(m.field, _nonzeros(m.entries)), p, min)
+    piv = _pivot_rows(int_rows(m.field, _nonzeros(m.entries)), m.field.characteristic, min)
     pivots = tuple(sorted(piv))
-    z = m.field.zero
     out = []
     for c in pivots:
-        row = [z] * m.cols
+        row = [0] * m.cols
         r = piv[c]
-        if p:
-            for j, v in r.items():
-                row[j] = FpElement(v, p)
-        else:
-            d = r[c]
-            for j, v in r.items():
-                row[j] = ratio(v, d)
+        for j, v in r.items():
+            row[j] = ratio(v, r[c])
         out.append(tuple(row))
-    zero_row = tuple([z] * m.cols)
+    zero_row = tuple([0] * m.cols)
     out.extend(zero_row for _ in range(m.rows - len(pivots)))
     return Mat(m.field, m.rows, m.cols, tuple(out)), pivots, len(pivots)
 
@@ -549,20 +486,25 @@ class Subspace:
         the coordinates in the RREF basis are its entries at the pivots, and
         it is reduced in place, over nonzeros only, to the residual modulo
         the space, which vanishes exactly when the vector lies in the space
-        and equals complement_projection's image at the non-pivot slots."""
-        z = self.field.zero
+        and equals complement_projection's image at the non-pivot slots.
+        Over F_p the residual is taken mod p."""
+        p = self.field.characteristic
         for vec in vectors:
-            coords = tuple(vec.get(p, z) for p in self.pivots)
+            coords = tuple(vec.get(q, 0) for q in self.pivots)
             for c, nz in zip(coords, self.sparse_basis):
                 if c:
                     for j, b in nz:
-                        vec[j] = vec.get(j, z) - c * b
+                        vec[j] = vec.get(j, 0) - c * b
+            if p:
+                for j, v in vec.items():
+                    vec[j] = v % p
             yield coords, vec
 
     def contains_vector(self, vec) -> bool:
         return not any(next(self.residuals([self.sparse(vec)]))[1].values())
 
     def contains(self, other: "Subspace") -> bool:
+        same_field(self.field, other.field)
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("ambient dimensions differ")
         return all(self.contains_vector(v) for v in other.basis)
@@ -582,6 +524,7 @@ class Subspace:
         return out
 
     def sum(self, other: "Subspace") -> "Subspace":
+        same_field(self.field, other.field)
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("ambient dimensions differ")
         return Subspace.from_vectors(self.field, self.ambient_dim, list(self.basis) + list(other.basis))
@@ -592,6 +535,7 @@ class Subspace:
         mapping them back through the basis gives the meet.  Both bases are
         in RREF, so the mapped rows are too, with the pivots of self that
         the pivots of x select."""
+        same_field(self.field, other.field)
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("ambient dimensions differ")
         if self.is_full():
@@ -611,27 +555,25 @@ class Subspace:
         the non-pivot coordinates of v reduced modulo the subspace.  Its
         kernel is exactly this subspace.
         """
-        z, o = self.field.zero, self.field.one
         pivset = set(self.pivots)
         rows = []
         for j in range(self.ambient_dim):
             if j in pivset:
                 continue
-            row = [z] * self.ambient_dim
-            row[j] = o
+            row = [0] * self.ambient_dim
+            row[j] = 1
             for b, p in zip(self.basis, self.pivots):
                 if b[j]:
                     row[p] = -b[j]
             rows.append(tuple(row))
-        return Mat(self.field, len(rows), self.ambient_dim, tuple(rows))
+        return Mat(self.field, len(rows), self.ambient_dim, _residues(self.field, rows))
 
     def complement_section(self) -> Mat:
         """Section of complement_projection: standard vectors at non-pivot slots."""
-        z, o = self.field.zero, self.field.one
         pivset = set(self.pivots)
         nonpivots = [j for j in range(self.ambient_dim) if j not in pivset]
         return Mat(self.field, self.ambient_dim, len(nonpivots),
-                   tuple(tuple(o if i == j else z for j in nonpivots) for i in range(self.ambient_dim)))
+                   tuple(tuple(int(i == j) for j in nonpivots) for i in range(self.ambient_dim)))
 
     def basis_matrix_columns(self) -> Mat:
         """Basis vectors as the columns of a matrix (ambient_dim x dim)."""
@@ -662,15 +604,14 @@ def kernel_of_rows(field: Field, ncols: int, rows: list[dict]) -> Subspace:
     matrix with ncols columns; rows are left as they are."""
     p = field.characteristic
     piv = _pivot_rows([dict(r) for r in rows], p, max)
-    z, o = field.zero, field.one
-    vecs = {j: [z] * ncols for j in range(ncols) if j not in piv}
+    vecs = {j: [0] * ncols for j in range(ncols) if j not in piv}
     for j, vec in vecs.items():
-        vec[j] = o
+        vec[j] = 1
     for c, r in piv.items():
         d = r[c]
         for j, v in r.items():
             if j != c:
-                vecs[j][c] = FpElement(-v, p) if p else ratio(-v, d)
+                vecs[j][c] = -v % p if p else ratio(-v, d)
     return Subspace(field, ncols, tuple(tuple(vec) for vec in vecs.values()), tuple(vecs))
 
 
@@ -713,7 +654,7 @@ def solve_matrix(a: Mat, b: Mat) -> Mat | None:
     if any(p >= a.cols for p in pivots):
         return None
     # free variables are zero; the pivot variable of row i reads its tail
-    rows = [(a.field.zero,) * b.cols] * a.cols
+    rows = [(0,) * b.cols] * a.cols
     for i, p in enumerate(pivots):
         rows[p] = red.entries[i][a.cols:]
     return Mat(a.field, a.cols, b.cols, tuple(rows))

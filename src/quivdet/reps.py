@@ -41,6 +41,7 @@ from .linalg import (
     kernel_basis,
     kernel_of_rows,
     rows_vanish_on,
+    same_field,
 )
 from .quiver import Quiver
 
@@ -59,6 +60,7 @@ class Representation:
         for ai, a in enumerate(q.arrows):
             si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
             m = self.action[ai]
+            same_field(self.field, m.field)
             if (m.rows, m.cols) != (self.dims[ti], self.dims[si]):
                 raise SemanticError(
                     f"matrix for arrow {a.name!r} has shape {m.rows}x{m.cols}, "
@@ -102,7 +104,9 @@ class RepMorphism:
             raise SemanticError("morphism endpoints live over different quivers")
         if len(self.comps) != M.quiver.n_vertices:
             raise SemanticError("component list does not match the vertex count")
+        field = same_field(M.field, N.field)
         for i, c in enumerate(self.comps):
+            same_field(field, c.field)
             if (c.rows, c.cols) != (N.dims[i], M.dims[i]):
                 raise SemanticError(
                     f"component at vertex {M.quiver.vertices[i]!r} has shape "
@@ -126,7 +130,7 @@ class RepMorphism:
                            tuple(a + b for a, b in zip(self.comps, other.comps)))
 
     def __sub__(self, other: "RepMorphism") -> "RepMorphism":
-        return self + other.scale(-self.domain.field.one)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "RepMorphism":
         return RepMorphism(self.domain, self.codomain, tuple(m.scale(c) for m in self.comps))
@@ -282,12 +286,12 @@ class HomSpace:
         coords = tuple(self.field.of(c) for c in coords)
         if len(coords) != self.dim:
             raise SemanticError("coordinate length mismatch")
-        vec = [self.field.zero] * self._offsets[-1]
+        vec = [0] * self._offsets[-1]
         for c, row in zip(coords, self.flat_basis):
             if c:
                 for j, b in row:
                     vec[j] = vec[j] + c * b
-        return RepMorphism(self.domain, self.codomain, self._components(tuple(vec)))
+        return RepMorphism(self.domain, self.codomain, self._components(tuple(map(self.field.of, vec))))
 
     def __repr__(self):
         return f"HomSpace(dim {self.dim}: {self.domain!r} -> {self.codomain!r})"
@@ -321,6 +325,7 @@ def composite_columns(hs_src: HomSpace, hs_dst: HomSpace, fixed, after: bool) ->
     such as a row of a flat_basis.  Each composite is formed from the
     nonzeros of g's flat row and of the fixed map; flat_coordinates checks it."""
     so, do, dz = hs_src._offsets, hs_dst._offsets, hs_dst.domain.dims
+    p = hs_dst.field.characteristic
     spread = defaultdict(list)  # flat index of g -> [(flat index of the composite, factor)]
     if after:
         # g[k][c] meets f[r][k] in (f . g)[r][c], at each vertex i
@@ -341,7 +346,7 @@ def composite_columns(hs_src: HomSpace, hs_dst: HomSpace, fixed, after: bool) ->
             for j, v in row:
                 for t, w in spread.get(j, ()):
                     acc[t] = acc[t] + v * w if t in acc else v * w
-            yield acc
+            yield {t: x % p for t, x in acc.items()} if p else acc
     return hs_dst._flat_coordinate_rows(composites())
 
 

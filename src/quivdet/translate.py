@@ -99,8 +99,7 @@ def _map_from_coefficients(coeffs, dom: BlockSum, cod: BlockSum, basis, act) -> 
                 if target is not None:
                     row, col = cod.offsets[zi][i] + cod_index[i][target], dom.offsets[zi][j] + t
                     m[row][col] = m[row][col] + c
-        comps.append(Mat(field, cod.rep.dims[zi], dom.rep.dims[zi],
-                         tuple(tuple(r) for r in m)))
+        comps.append(Mat.from_rows(field, m, dom.rep.dims[zi]))
     return RepMorphism(dom.rep, cod.rep, tuple(comps))
 
 
@@ -291,24 +290,19 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
 
     for x in q.vertices:
         register(projective_at(q, x, field))
-    i = 0
-    truncated = False
-    while i < len(reg.entries):
-        entry = reg.entries[i]
+    # the tau-minus orbits of the projectives never meet: from
+    # tau^-k P_x = tau^-l P_y with k >= l, applying tau l times gives
+    # tau^-(k-l) P_x = P_y, so k = l and x = y; each TrD is a new entry
+    reg.complete = True
+    for entry in reg.entries:  # grows while it is walked
         if entry.is_injective:
-            i += 1
             continue
+        if len(reg.entries) >= cap:
+            reg.complete = False
+            break
         t = trd(entry.rep)
         invariant(is_indecomposable(t), "TrD of an indecomposable must be indecomposable")
-        j = reg.find_iso(t)
-        if j is None:
-            if len(reg.entries) >= cap:
-                truncated = True
-                break
-            j = register(t).index
-        entry.tau_minus = j
-        i += 1
-    reg.complete = not truncated and i >= len(reg.entries)
+        entry.tau_minus = register(t).index
     kind, types = classify_underlying_graph(q)
     if reg.complete and kind == "dynkin":
         invariant(len(reg.entries) == positive_root_count(types),

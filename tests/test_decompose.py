@@ -351,7 +351,7 @@ def _sympy_parts(field, poly):
     import sympy
 
     x = sympy.Symbol("x")
-    expr = sum(c.val * x ** k for k, c in enumerate(poly))
+    expr = sum(c * x ** k for k, c in enumerate(poly))
     parts = []
     for fac, mult in sympy.Poly(expr, x, modulus=field.p).factor_list()[1]:
         base = [field.of(int(c)) for c in reversed(fac.all_coeffs())]
@@ -465,7 +465,7 @@ def test_package_has_no_division_and_one_reciprocal():
     # linalg.ratio (which RationalField.inv uses), and a modular inverse is
     # taken only in the F_p code of linalg
     makers = {("linalg", "Fraction"): {"of", "parse", "ratio"},
-              ("linalg", "pow"): {"__truediv__", "of", "inv", "_pivot_rows"}}
+              ("linalg", "pow"): {"of", "inv", "_pivot_rows"}}
     for info in pkgutil.iter_modules(qd.__path__):
         tree = ast.parse(inspect.getsource(importlib.import_module(f"quivdet.{info.name}")))
         divisions = [node.lineno for node in ast.walk(tree)
@@ -477,3 +477,15 @@ def test_package_has_no_division_and_one_reciprocal():
                                       and ast.unparse(call.args[1]) == "-1"):
                 assert where in makers.get((info.name, name), ()), \
                     f"{name}(...) in quivdet.{info.name}.{where}, line {call.lineno}"
+
+
+def test_package_has_one_f_p_scalar_format():
+    # an F_p value is a plain int residue, as inside the elimination: no
+    # wrapper class is defined or named, and no .val is read
+    for info in pkgutil.iter_modules(qd.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"quivdet.{info.name}")))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and node.name == "FpElement"
+                 or isinstance(node, ast.Name) and node.id == "FpElement"
+                 or isinstance(node, ast.Attribute) and node.attr in ("FpElement", "val")]
+        assert not found, f"quivdet.{info.name} has a second F_p format at lines {found}"

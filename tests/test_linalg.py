@@ -10,7 +10,6 @@ from quivdet import reps
 from quivdet.linalg import (
     AmbientMismatchError,
     FieldMismatchError,
-    FpElement,
     Mat,
     PrimeField,
     RATIONALS,
@@ -130,22 +129,62 @@ def test_zero_dimensional_shapes():
 
 
 def test_prime_field_arithmetic():
+    # an F_7 value is its residue, a plain int in [0, 7)
     f7 = PrimeField(7)
     a, b = f7.of(3), f7.of(5)
-    assert a + b == f7.of(1)
-    assert a / b == f7.of(3 * 3)  # 5^-1 = 3 mod 7
-    assert (a - a) == f7.zero and not (a - a)
+    assert (a, b, f7.of(-1), f7.of(Fraction(1, 2)), f7.of(Fraction(-3, 1))) == (3, 5, 6, 4, 4)
+    assert all(type(v) is int for v in (a, f7.of(-1), f7.of(Fraction(1, 2)), f7.inv(b)))
+    assert f7.of(a + b) == 1
+    assert f7.of(a * f7.inv(b)) == f7.of(3 * 3)  # 5^-1 = 3 mod 7
+    assert f7.of(a - a) == f7.zero and not f7.of(a - a)
     m = Mat.from_rows(f7, [[1, 2], [3, 4]])
     assert m.rank() == 2
     assert kernel_basis(Mat.from_rows(f7, [[1, 2], [2, 4]])).dim == 1
+    # matrices hold residues, whatever ints they are given or produce
+    assert Mat.from_rows(f7, [[-1, 7, 15]]).entries == ((6, 0, 1),)
+    assert Mat.from_rows(f7, [[3, 4]]).scale(-2).entries == ((1, 6),)
+    assert (Mat.from_rows(f7, [[3]]) + Mat.from_rows(f7, [[5]])).entries == ((1,),)
+    assert (Mat.from_rows(f7, [[3]]) @ Mat.from_rows(f7, [[5]])).entries == ((1,),)
+    assert (Mat.from_rows(f7, [[3]]) - Mat.from_rows(f7, [[5]])).entries == ((5,),)
+    assert Mat.from_rows(f7, [[3, 4]]).apply((3, 5)) == (1,)
 
 
 def test_field_mixing_rejected():
     f7 = PrimeField(7)
     with pytest.raises(FieldMismatchError):
-        f7.of(3) + PrimeField(11).of(3)
+        Mat.identity(f7, 2) + Mat.identity(PrimeField(11), 2)
     with pytest.raises(FieldMismatchError):
-        RATIONALS.of(f7.of(3))
+        Mat.identity(RATIONALS, 2) @ Mat.identity(f7, 2)
+
+
+@pytest.mark.parametrize("left, right", [(PrimeField(5), PrimeField(7)), (RATIONALS, PrimeField(7))],
+                         ids=["fp5-fp7", "rat-fp7"])
+def test_objects_over_different_fields_do_not_meet(left, right):
+    # an int entry cannot tell F_5 from F_7 or from Q, so the fields are
+    # compared where matrices, subspaces, representations and morphisms meet
+    a, b = Mat.identity(left, 2), Mat.from_rows(right, [[1, 2], [3, 4]])
+    for op in (Mat.__matmul__, Mat.__add__, Mat.__sub__, Mat.hstack):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(FieldMismatchError):
+                op(x, y)
+    s, t = Subspace.from_vectors(left, 2, [(1, 0)]), Subspace.from_vectors(right, 2, [(1, 0)])
+    for op in (Subspace.contains, Subspace.sum, Subspace.intersect):
+        for x, y in ((s, t), (t, s), (Subspace.full(left, 2), t), (s, Subspace.full(right, 2))):
+            with pytest.raises(FieldMismatchError):
+                op(x, y)
+    with pytest.raises(FieldMismatchError):
+        s.contains(Subspace.zero(right, 2))
+    q = qd.parse_quiver("vertex 1\nvertex 2\nvertex 3\narrow a 1 2")
+    with pytest.raises(FieldMismatchError):
+        qd.Representation(q, left, (1, 1, 0), (Mat.identity(right, 1),))
+    M = qd.Representation(q, left, (1, 1, 1), (Mat.identity(left, 1),))
+    N = qd.Representation(q, right, (1, 1, 1), (Mat.identity(right, 1),))
+    one_l, one_r = Mat.identity(left, 1), Mat.identity(right, 1)
+    for comps in ((one_l, one_l, one_r), (one_r, one_r, one_r), (one_l, one_r, one_l)):
+        with pytest.raises(FieldMismatchError):
+            qd.RepMorphism(M, M, comps)
+    with pytest.raises(FieldMismatchError):
+        qd.RepMorphism(M, N, (one_l, one_l, one_l))
 
 
 def test_field_parsing():
@@ -195,9 +234,15 @@ def test_column_space_and_coordinates():
 
 # -- the sparse integer kernel against the dense Gauss-Jordan it replaced ------
 
+def _reduce(field, v):
+    """v mod p over F_p, v itself over Q."""
+    return v % field.characteristic if field.characteristic else v
+
+
 def _dense_rref(m):
     """Dense field-element Gauss-Jordan: leftmost pivot column, first nonzero
-    row, pivots normalized to 1, elimination above and below."""
+    row, pivots normalized to 1 with field.inv, elimination above and below,
+    each value reduced mod p over F_p."""
     rows = [list(r) for r in m.entries]
     pivots = []
     r = 0
@@ -210,11 +255,11 @@ def _dense_rref(m):
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
         inv = m.field.inv(rows[r][c])
-        rows[r] = [v * inv for v in rows[r]]
+        rows[r] = [_reduce(m.field, v * inv) for v in rows[r]]
         for i in range(m.rows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [_reduce(m.field, a - f * b) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return _canonical(m.field, rows, m.cols), tuple(pivots), len(pivots)
@@ -243,9 +288,9 @@ def _canonical(field, rows, ncols):
 
 
 def _typed(m):
-    """Entries with their exact type (and modulus), so equal values of
-    different types do not compare equal."""
-    return [[(type(v), getattr(v, "p", None), v) for v in row] for row in m.entries]
+    """Entries with their exact type, so equal values of different types do
+    not compare equal."""
+    return [[(type(v), v) for v in row] for row in m.entries]
 
 
 FIELDS = [RATIONALS, PrimeField(2), PrimeField(7), PrimeField(10007)]
@@ -324,7 +369,7 @@ def test_matmul_matches_naive_triple_loop(field):
         ref = _naive_matmul(a, b)
         assert (prod.rows, prod.cols) == (r, c)
         if field is RATIONALS:
-            ref_typed = [[(t, None, v) for t, v in zip(types, row)]
+            ref_typed = [[(t, v) for t, v in zip(types, row)]
                          for types, row in zip(_product_types(a, b), ref.entries)]
         else:
             ref_typed = _typed(ref)
@@ -332,10 +377,8 @@ def test_matmul_matches_naive_triple_loop(field):
 
 
 @pytest.mark.parametrize("field, stray", [
-    (PrimeField(7), FpElement(2, 5)),
     (PrimeField(7), Fraction(1, 2)),
-    (RATIONALS, FpElement(2, 5)),
-], ids=["fp5-in-fp7", "fraction-in-fp7", "fp5-in-rat"])
+], ids=["fraction-in-fp7"])
 def test_kernel_rejects_entries_from_another_field(field, stray):
     one, z = field.one, field.zero
     m = Mat(field, 2, 3, ((one, z, stray), (z, one, one)))
@@ -370,7 +413,9 @@ def test_rref_does_no_field_element_arithmetic(field, monkeypatch):
     def boom(*_args):
         raise AssertionError("field-element arithmetic inside the elimination")
 
-    for cls in (Fraction, FpElement):
+    # over F_p a field element is an int, whose operators cannot be patched;
+    # over both fields the elimination must run on its integer rows alone
+    for cls in (Fraction,):
         for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
             monkeypatch.setattr(cls, op, boom)
     got = rref(system), kernel_of_rows(field, ncols, rows)
@@ -403,8 +448,9 @@ def test_rational_coercion_keeps_fractions_and_rejects_fp():
     assert RATIONALS.of(Fraction(-6, 3)) == -2 and type(RATIONALS.of(Fraction(-6, 3))) is int
     assert RATIONALS.parse("4/2") == 2 and type(RATIONALS.parse("4/2")) is int
     assert type(RATIONALS.zero) is int and type(RATIONALS.one) is int
+    # an F_5 residue is an int, so the rationals reject it where F_5 objects meet them
     with pytest.raises(FieldMismatchError):
-        RATIONALS.of(FpElement(2, 5))
+        Mat.identity(RATIONALS, 1) + Mat.identity(PrimeField(5), 1)
 
 
 def test_field_inverse_is_exact():
@@ -413,12 +459,13 @@ def test_field_inverse_is_exact():
     assert RATIONALS.inv(Fraction(-3, 4)) == Fraction(-4, 3)
     assert RATIONALS.inv(-1) == -1 and type(RATIONALS.inv(-1)) is int
     f7 = PrimeField(7)
-    assert f7.inv(3) * 3 == 1 and f7.inv(f7.of(3)) == f7.of(5)
+    assert f7.inv(3) * 3 % 7 == 1 and f7.inv(f7.of(3)) == f7.of(5) == 5
+    assert f7.inv(-1) == 6 and type(f7.inv(Fraction(1, 2))) is int
     for field in (RATIONALS, f7):
         with pytest.raises(ZeroDivisionError):
             field.inv(0)
-    with pytest.raises(FieldMismatchError):
-        RATIONALS.inv(FpElement(2, 5))
+    with pytest.raises(ZeroDivisionError):
+        f7.inv(14)
 
 
 def test_knitted_e6_registry_over_q_has_int_entries():
@@ -426,6 +473,23 @@ def test_knitted_e6_registry_over_q_has_int_entries():
                          "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
     entries = [v for e in qd.knit(e6).entries for m in e.rep.action for row in m.entries for v in row]
     assert entries and all(type(v) is int for v in entries)
+
+
+def test_knitted_e6_registry_over_fp_has_residue_entries():
+    # every stored F_p value is an int in [0, p): actions, hom bases, kernels
+    p = 10007
+    field = PrimeField(p)
+    e6 = qd.parse_quiver("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
+                         "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
+    registry = [e.rep for e in qd.knit(e6, field).entries]
+    big = max(registry, key=lambda rep: rep.total_dim)
+    mats = [m for M in registry for m in M.action]
+    mats += [c for N in registry for b in qd.hom_basis(big, N).basis for c in b.comps]
+    mats += [c for N in registry for b in qd.hom_basis(N, big).basis for c in b.comps]
+    values = [v for m in mats for row in m.entries for v in row]
+    values += [v for m in mats for vec in kernel_basis(m).basis for v in vec]
+    assert all(type(v) is int and 0 <= v < p for v in values)
+    assert p - 1 in values   # a -1 is stored as its residue
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

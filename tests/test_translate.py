@@ -309,6 +309,32 @@ def test_knit_builds_no_direct_sum_morphisms(monkeypatch):
     assert len(reg.entries) == 36 and reg.complete
 
 
+@pytest.mark.parametrize("text, cap, size, complete", [
+    (E6_TEXT, 5000, 36, True), ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", 12, 12, False),
+], ids=["e6", "kronecker-cap12"])
+def test_knit_registers_each_trd_without_an_iso_search(text, cap, size, complete, monkeypatch):
+    # the tau-minus orbits of the projectives never meet, so every TrD is a
+    # new entry; at the cap no TrD is computed only to be dropped
+    import quivdet.translate as translate
+
+    calls = []
+    real_trd = translate.trd
+
+    def counted_trd(M):
+        calls.append(M)
+        return real_trd(M)
+
+    def no_search(self, M):
+        raise AssertionError("knit must not search the registry")
+
+    monkeypatch.setattr(translate, "trd", counted_trd)
+    monkeypatch.setattr(translate.IndecRegistry, "find_iso", no_search)
+    reg = qd.knit(qd.parse_quiver(text), cap=cap)
+    assert (len(reg.entries), reg.complete) == (size, complete)
+    taus = [e.tau_minus for e in reg.entries if e.tau_minus is not None]
+    assert len(calls) == len(taus) and taus == list(range(len(reg.entries) - len(taus), len(reg.entries)))
+
+
 def test_registry_label_lookup(a3_registry):
     e = a3_registry.by_label("S_2")
     assert e.rep.dims == (0, 1, 0)
