@@ -425,8 +425,9 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
     for c in pivots:
         row = [0] * m.cols
         r = piv[c]
+        d = r[c]
         for j, v in r.items():
-            row[j] = ratio(v, r[c])
+            row[j] = ratio(v, d)
         out.append(tuple(row))
     zero_row = tuple([0] * m.cols)
     out.extend(zero_row for _ in range(m.rows - len(pivots)))
