@@ -29,6 +29,7 @@ rather than asserting, so they also run under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from math import lcm
 
@@ -388,25 +389,20 @@ class EndAlgebra:
                         acc = acc + row[c] * mb.entries[c][r]
         return self.M.field.of(acc)
 
-    _radical = None
-
-    @property
+    @cached_property
     def radical(self) -> Subspace:
         """rad End(M) in hom coordinates, via the trace bilinear form."""
-        if self._radical is None:
-            field = self.M.field
-            if isinstance(field, PrimeField) and field.p <= self.n:
-                raise FieldTooSmallError(
-                    f"trace-form radical needs p > total dimension {self.n}; "
-                    f"rerun with --field rat or a larger prime")
-            k = self.dim
-            rows = []
-            for i in range(k):
-                rows.append(tuple(self.trace_pair(self.hom.basis[i], self.hom.basis[j])
-                                  for j in range(k)))
-            gram = Mat(field, k, k, tuple(rows))
-            self._radical = kernel_basis(gram)
-        return self._radical
+        field = self.M.field
+        if isinstance(field, PrimeField) and field.p <= self.n:
+            raise FieldTooSmallError(
+                f"trace-form radical needs p > total dimension {self.n}; "
+                f"rerun with --field rat or a larger prime")
+        k = self.dim
+        rows = []
+        for i in range(k):
+            rows.append(tuple(self.trace_pair(self.hom.basis[i], self.hom.basis[j])
+                              for j in range(k)))
+        return kernel_basis(Mat(field, k, k, tuple(rows)))
 
     @property
     def quotient_dim(self) -> int:
@@ -557,10 +553,12 @@ def _pieces_of(M: Representation):
 
 
 def decompose(M: Representation) -> DecompositionResult:
-    cached = M.quiver.workspace.decompositions.get(M)
-    if cached is not None:
-        return cached
-    pieces = tuple(_pieces_of(M))
+    ws = M.quiver.workspace
+    return ws.memo(ws.decompositions, M, lambda: _grouped(M, tuple(_pieces_of(M))))
+
+
+def _grouped(M: Representation, pieces) -> DecompositionResult:
+    """The pieces grouped into iso-classes, in order of first appearance."""
     groups: list[list] = []
     for leaf, _, _ in pieces:
         for g in groups:
@@ -569,9 +567,7 @@ def decompose(M: Representation) -> DecompositionResult:
                 break
         else:
             groups.append([leaf])
-    summands = tuple((g[0], len(g)) for g in groups)
-    result = M.quiver.workspace.decompositions[M] = DecompositionResult(M, pieces, summands)
-    return result
+    return DecompositionResult(M, pieces, tuple((g[0], len(g)) for g in groups))
 
 
 def is_indecomposable(M: Representation) -> bool:
@@ -593,26 +589,21 @@ def indec_iso_witness(A: Representation, B: Representation) -> RepMorphism | Non
     if A == B:
         return identity_morphism(A)
     ws = A.quiver.workspace
-    key = (A, B)
-    if key in ws.isos:
-        return ws.isos[key]
+    return ws.memo(ws.isos, (A, B), lambda: _iso_search(A, B))
+
+
+def _iso_search(A: Representation, B: Representation) -> RepMorphism | None:
+    ws = A.quiver.workspace
     hab = ws.hom(A, B)
-    witness = None
-    if hab.dim:
-        hba = ws.hom(B, A)
-        EA = end_algebra(A)
-        done = False
-        for b in hab.basis:
-            for c in hba.basis:
-                if not EA.in_radical(c @ b):
-                    invariant(b.is_iso(), "iso witness between indecomposables is not invertible")
-                    witness = b
-                    done = True
-                    break
-            if done:
-                break
-    ws.isos[key] = witness
-    return witness
+    if not hab.dim:
+        return None
+    hba = ws.hom(B, A)
+    EA = end_algebra(A)
+    for b in hab.basis:
+        if any(not EA.in_radical(c @ b) for c in hba.basis):
+            invariant(b.is_iso(), "iso witness between indecomposables is not invertible")
+            return b
+    return None
 
 
 def iso_witness(M: Representation, N: Representation) -> RepMorphism | None:

@@ -2,7 +2,12 @@
 
 The formula side computes the right minimal version, translates each
 indecomposable summand of the intrinsic kernel forward with TrD, and adds the
-projective cover of every simple in the socle of the cokernel.
+projective cover of every simple in the socle of the cokernel.  Members are
+registry entries: knit stores TrD of each non-injective entry as its
+tau-minus link and registers P_x first, so the formula reads both off the
+registry.  TrD runs only for a summand without a tau-minus link (one off the
+registry, or an entry at its cap), and labels and JSON are as if every member
+were translated afresh.
 
 The oracle side never trusts that computation.  For a test object Z the
 subspace F_Z of maps Z -> Y factoring through f is the image of a composition
@@ -33,15 +38,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .decompose import (
-    decompose,
-    indec_iso_witness,
-    rad_hom_basis,
-    right_minimal_version,
-)
+from .decompose import decompose, rad_hom_basis, right_minimal_version
 from .errors import SemanticError, invariant
 from .linalg import Subspace, column_space, int_rows, kernel_of_rows, solve
-from .quiver import projective_at
 from .reps import (
     HomSpace,
     RepMorphism,
@@ -223,9 +222,16 @@ class DeterminerEngine:
         huz = self.hom(U, Z)
         if not huz.dim:
             return ()
-        return self.workspace.memo(self.workspace.radical_maps, (U, Z), lambda: tuple(
-            [(j, x) for j, x in enumerate(HomSpace.flatten(huz.from_coordinates(v))) if x]
-            for v in rad_hom_basis(U, Z).basis))
+        return self.workspace.memo(self.workspace.radical_maps, (U, Z),
+                                   lambda: self._radical_rows(huz, rad_hom_basis(U, Z)))
+
+    @staticmethod
+    def _radical_rows(huz: HomSpace, rad: Subspace):
+        # rad(U, Z) = Hom(U, Z) unless U and Z are isomorphic
+        if rad.is_full():
+            return huz.flat_basis
+        return tuple([(j, x) for j, x in enumerate(HomSpace.flatten(huz.from_coordinates(v))) if x]
+                     for v in rad.basis)
 
     # -- factorization tests -------------------------------------------------
 
@@ -346,46 +352,40 @@ class DeterminerEngine:
 
     def formula_members(self, f: RepMorphism):
         """Right minimal version, intrinsic kernel summands, socle of the
-        cokernel, and the assembled determiner member list."""
+        cokernel, and the assembled determiner member list, sorted by
+        (dimension vector, registry index) with unregistered members last.
+        TrD is injective on the non-injective indecomposables and never gives
+        a projective, so the members are pairwise non-isomorphic."""
         rm = right_minimal_version(f)
         f1 = rm.minimal
         K, _ = kernel(f1)
-        kernel_classes = [leaf for leaf, _ in decompose(K).summands] if K.total_dim else []
-        # the intrinsic kernel of a right minimal map cannot contain an
-        # injective summand; TrD would reject it loudly if this ever failed
-        members: list[DeterminerMember] = []
+        entries = self.registry.entries
+        keyed: list[tuple[int, DeterminerMember]] = []
         kernel_labels = []
-        for leaf in kernel_classes:
-            leaf_label = self.registry.label_of(leaf)
+        for leaf, _ in decompose(K).summands:
+            e = self.registry.find_or_none(leaf)
+            leaf_label = self.registry.label_of(leaf) if e is None else e.label
             kernel_labels.append(leaf_label)
-            t = trd(leaf)
-            members.append(DeterminerMember(
-                label=self.registry.label_of(t),
-                rep=t,
-                provenance=f"from-tau-minus({leaf_label})",
-            ))
+            provenance = f"from-tau-minus({leaf_label})"
+            if e is not None and e.tau_minus is not None:
+                t = entries[e.tau_minus]
+                keyed.append((t.index, DeterminerMember(t.label, t.rep, provenance)))
+            else:
+                # the intrinsic kernel of a right minimal map has no injective
+                # summand; TrD would reject one loudly
+                t = trd(leaf)
+                keyed.append((len(entries), DeterminerMember(
+                    self.registry.label_of(t), t, provenance)))
         C, _ = cokernel(f1)
         soc = socle_multiplicities(C)
         soc_pairs = tuple((x, m) for x, m in zip(self.quiver.vertices, soc) if m)
         for x, _m in soc_pairs:
-            P = projective_at(self.quiver, x, self.field)
-            members.append(DeterminerMember(
-                label=self.registry.label_of(P),
-                rep=P,
-                provenance=f"from-projective-cover(S_{x})",
-            ))
-        # deduplicate by iso-class, then sort by (dim vector, registry index)
-        unique: list[DeterminerMember] = []
-        for m in members:
-            if all(indec_iso_witness(m.rep, u.rep) is None for u in unique):
-                unique.append(m)
-
-        def sort_key(m: DeterminerMember):
-            idx = self.registry.find_iso(m.rep)
-            return (m.rep.dims, idx if idx is not None else len(self.registry.entries))
-
-        unique.sort(key=sort_key)
-        return rm, tuple(kernel_labels), soc_pairs, tuple(unique)
+            # knit registers P_x first, in vertex order
+            P = entries[self.quiver.vertex_index[x]]
+            keyed.append((P.index, DeterminerMember(
+                P.label, P.rep, f"from-projective-cover(S_{x})")))
+        keyed.sort(key=lambda im: (im[1].rep.dims, im[0]))
+        return rm, tuple(kernel_labels), soc_pairs, tuple(m for _, m in keyed)
 
     def report(self, f: RepMorphism, morphism_name: str = "f",
                verify: bool = False, override=None, side: str = "right") -> DeterminerReport:

@@ -50,7 +50,7 @@ class _RepBuilder:
     name: str
     line: int
     dims: dict = dc_field(default_factory=dict)
-    maps: dict = dc_field(default_factory=dict)
+    matrices: dict = dc_field(default_factory=dict)   # arrow -> (Mat, line)
 
 
 @dataclass
@@ -59,7 +59,23 @@ class _MorBuilder:
     line: int
     dom: str
     cod: str
-    comps: dict = dc_field(default_factory=dict)
+    matrices: dict = dc_field(default_factory=dict)   # vertex -> (Mat, line)
+
+
+def _matrices(field: Field, given: dict, slots, what: str) -> tuple[Mat, ...]:
+    """One matrix per slot (name, rows, cols): the given one, whose shape is
+    checked against the slot at its own line, else zero."""
+    out = []
+    for name, r, c in slots:
+        if name not in given:
+            out.append(Mat.zero(field, r, c))
+            continue
+        m, lineno = given[name]
+        if (m.rows, m.cols) != (r, c):
+            raise DataSyntaxError(f"{what.format(name)} has shape {m.rows}x{m.cols}, "
+                                  f"expected {r}x{c}", line=lineno)
+        out.append(m)
+    return tuple(out)
 
 
 def parse_data_file(text: str, quiver: Quiver, field: Field = RATIONALS):
@@ -102,44 +118,30 @@ def parse_data_file(text: str, quiver: Quiver, field: Field = RATIONALS):
             if n < 0:
                 raise DataSyntaxError("dimensions must be nonnegative", line=lineno)
             cur.dims[parts[1]] = n
-        elif kw == "map":
-            if not isinstance(cur, _RepBuilder):
-                raise DataSyntaxError("'map' outside of a rep block", line=lineno)
+        elif kw in ("map", "comp"):
+            # the block a matrix directive belongs to, and what it names
+            builder, block, key, names = (
+                (_RepBuilder, "rep", "arrow", quiver.arrow_index) if kw == "map"
+                else (_MorBuilder, "morphism", "vertex", quiver.vertex_index))
+            if not isinstance(cur, builder):
+                raise DataSyntaxError(f"'{kw}' outside of a {block} block", line=lineno)
             if len(parts) < 3:
-                raise DataSyntaxError("expected 'map <arrow> <r>x<c> <entries>'", line=lineno)
-            if parts[1] not in quiver.arrow_index:
-                raise DataSyntaxError(f"unknown arrow {parts[1]!r}", line=lineno)
+                raise DataSyntaxError(f"expected '{kw} <{key}> <r>x<c> <entries>'", line=lineno)
+            if parts[1] not in names:
+                raise DataSyntaxError(f"unknown {key} {parts[1]!r}", line=lineno)
             r, c = _parse_shape(parts[2], lineno)
-            cur.maps[parts[1]] = (_parse_entries(field, parts[3:], r, c, lineno), lineno)
-        elif kw == "comp":
-            if not isinstance(cur, _MorBuilder):
-                raise DataSyntaxError("'comp' outside of a morphism block", line=lineno)
-            if len(parts) < 3:
-                raise DataSyntaxError("expected 'comp <vertex> <r>x<c> <entries>'", line=lineno)
-            if parts[1] not in quiver.vertex_index:
-                raise DataSyntaxError(f"unknown vertex {parts[1]!r}", line=lineno)
-            r, c = _parse_shape(parts[2], lineno)
-            cur.comps[parts[1]] = (_parse_entries(field, parts[3:], r, c, lineno), lineno)
+            cur.matrices[parts[1]] = (_parse_entries(field, parts[3:], r, c, lineno), lineno)
         else:
             raise DataSyntaxError(f"unknown directive {kw!r}", line=lineno)
 
     for rb in rep_builders:
         dims = tuple(rb.dims.get(v, 0) for v in quiver.vertices)
-        action = []
-        for ai, a in enumerate(quiver.arrows):
-            si, ti = quiver.vertex_index[a.source], quiver.vertex_index[a.target]
-            if a.name in rb.maps:
-                m, lineno = rb.maps[a.name]
-                if (m.rows, m.cols) != (dims[ti], dims[si]):
-                    raise DataSyntaxError(
-                        f"matrix for arrow {a.name!r} has shape {m.rows}x{m.cols}, "
-                        f"expected {dims[ti]}x{dims[si]}", line=lineno)
-                action.append(m)
-            else:
-                action.append(Mat.zero(field, dims[ti], dims[si]))
+        vi = quiver.vertex_index
+        action = _matrices(field, rb.matrices, [(a.name, dims[vi[a.target]], dims[vi[a.source]])
+                                                for a in quiver.arrows], "matrix for arrow {!r}")
         if rb.name in reps:
             raise DataSyntaxError(f"duplicate rep name {rb.name!r}", line=rb.line)
-        reps[rb.name] = Representation(quiver, field, dims, tuple(action))
+        reps[rb.name] = Representation(quiver, field, dims, action)
 
     session = Session(quiver, field, reps, {})
     morphisms: dict[str, RepMorphism] = {}
@@ -149,19 +151,10 @@ def parse_data_file(text: str, quiver: Quiver, field: Field = RATIONALS):
             cod = session.representation(mb.cod)
         except SemanticError as e:
             raise DataSyntaxError(str(e), line=mb.line) from None
-        comps = []
-        for i, v in enumerate(quiver.vertices):
-            if v in mb.comps:
-                m, lineno = mb.comps[v]
-                if (m.rows, m.cols) != (cod.dims[i], dom.dims[i]):
-                    raise DataSyntaxError(
-                        f"component at vertex {v!r} has shape {m.rows}x{m.cols}, "
-                        f"expected {cod.dims[i]}x{dom.dims[i]}", line=lineno)
-                comps.append(m)
-            else:
-                comps.append(Mat.zero(field, cod.dims[i], dom.dims[i]))
+        comps = _matrices(field, mb.matrices, zip(quiver.vertices, cod.dims, dom.dims),
+                          "component at vertex {!r}")
         try:
-            mor = RepMorphism(dom, cod, tuple(comps))
+            mor = RepMorphism(dom, cod, comps)
         except SemanticError as e:
             raise DataSyntaxError(f"morphism {mb.name!r}: {e}", line=mb.line) from None
         if mb.name in morphisms:

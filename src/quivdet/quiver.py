@@ -164,18 +164,18 @@ class Workspace:
         """Paths from vertex index xi, indexed by target vertex index, each
         list ordered by length, then by arrow index sequence.  Built in
         topological order, so no path length exhausts the recursion limit."""
-        table = self.paths.get(xi)
-        if table is None:
-            q = self.quiver
-            found: list[list[Path]] = [[] for _ in q.vertices]
-            found[xi].append(Path(xi, xi, ()))
-            for v in q.topological_order:
-                for ai in q.arrows_into[v]:
-                    s = q.vertex_index[q.arrows[ai].source]
-                    found[v].extend(Path(xi, v, p.arrows + (ai,)) for p in found[s])
-                found[v].sort(key=lambda p: (len(p.arrows), p.arrows))
-            table = self.paths[xi] = tuple(tuple(ps) for ps in found)
-        return table
+        return self.memo(self.paths, xi, lambda: self._paths_from(xi))
+
+    def _paths_from(self, xi: int) -> tuple[tuple[Path, ...], ...]:
+        q = self.quiver
+        found: list[list[Path]] = [[] for _ in q.vertices]
+        found[xi].append(Path(xi, xi, ()))
+        for v in q.topological_order:
+            for ai in q.arrows_into[v]:
+                s = q.vertex_index[q.arrows[ai].source]
+                found[v].extend(Path(xi, v, p.arrows + (ai,)) for p in found[s])
+            found[v].sort(key=lambda p: (len(p.arrows), p.arrows))
+        return tuple(tuple(ps) for ps in found)
 
     def hom(self, M, N):
         """Hom(M, N), solved by reps.hom_basis on a miss."""

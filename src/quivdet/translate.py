@@ -93,8 +93,9 @@ def _map_from_coefficients(coeffs, dom: BlockSum, cod: BlockSum, basis, act) -> 
         m = [[field.zero] * dom.rep.dims[zi] for _ in range(cod.rep.dims[zi])]
         # the rows of m, one per basis path of a codomain block, by arrow sequence
         cod_index = [{pp.arrows: t for t, pp in enumerate(basis(q, z, y))} for y in cod.block_vertices]
+        dom_paths = [basis(q, z, x) for x in dom.block_vertices]
         for (i, j, parrows), c in coeffs.items():
-            for t, r in enumerate(basis(q, z, dom.block_vertices[j])):
+            for t, r in enumerate(dom_paths[j]):
                 target = act(parrows, r.arrows)
                 if target is not None:
                     row, col = cod.offsets[zi][i] + cod_index[i][target], dom.offsets[zi][j] + t

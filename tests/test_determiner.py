@@ -388,3 +388,97 @@ def test_engine_hom_ignores_the_euler_form_off_dynkin_type(monkeypatch):
     for a in reg.entries:
         for b in reg.entries:
             assert eng.hom(a.rep, b.rep).dim == hom_basis(a.rep, b.rep).dim
+
+
+def _counting_trd(monkeypatch):
+    calls = []
+    real_trd = quivdet.determiner.trd
+
+    def counting_trd(M):
+        calls.append(M.dims)
+        return real_trd(M)
+
+    monkeypatch.setattr(quivdet.determiner, "trd", counting_trd)
+    return calls
+
+
+def _sample_morphisms(reg):
+    """The first basis map of Hom(a, b), entries a != b, at four spread
+    positions of the list of nonzero spaces."""
+    spaces = [hs for a in reg.entries for b in reg.entries if a is not b
+              for hs in [hom_basis(a.rep, b.rep)] if hs.dim]
+    return [spaces[k * (len(spaces) - 1) // 3].basis[0] for k in range(4)]
+
+
+@pytest.mark.parametrize("text, field", [
+    (A3_TEXT, "rat"), (E6_TEXT, "rat"), (E6_TEXT, "fp:10007"), (D4_TEXT, "rat"),
+], ids=["a3", "e6-rat", "e6-fp10007", "d4"])
+def test_members_are_registry_entries_without_trd(monkeypatch, text, field):
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field))
+    assert reg.complete
+    eng = DeterminerEngine(reg)
+    fs = _sample_morphisms(reg)
+    if text == A3_TEXT:
+        fs.append(qd.hom_basis(qd.projective_at(q, "2", reg.field),
+                               qd.injective_at(q, "2", reg.field)).basis[0])
+    calls = _counting_trd(monkeypatch)
+    provenances = set()
+    for f in fs:
+        _, _, _, members = eng.formula_members(f)
+        for m in members:
+            assert any(m.rep is e.rep and m.label == e.label for e in reg.entries)
+            provenances.add(m.provenance.split("(")[0])
+    assert calls == []
+    assert provenances == {"from-tau-minus", "from-projective-cover"}
+
+
+def _kronecker_fallback_members(monkeypatch, f, cap):
+    reg = qd.knit(qd.parse_quiver(KRONECKER_TEXT), cap=cap)
+    calls = _counting_trd(monkeypatch)
+    _, kernel_labels, soc_pairs, members = DeterminerEngine(reg).formula_members(f)
+    return reg, calls, kernel_labels, soc_pairs, members
+
+
+@pytest.mark.parametrize("cap", [6, 12])
+def test_regular_kernel_summand_falls_back_to_trd(monkeypatch, cap):
+    # a regular summand of the Kronecker quiver is never knitted
+    q = qd.parse_quiver(KRONECKER_TEXT)
+    M = qd.Representation(q, F, (2, 2), (qd.Mat(F, 2, 2, ((1, 0), (0, 1))),
+                                         qd.Mat(F, 2, 2, ((0, 1), (0, 0)))))
+    N = qd.Representation(q, F, (1, 1), (qd.Mat(F, 1, 1, ((1,),)), qd.Mat(F, 1, 1, ((0,),))))
+    f = qd.hom_basis(M, N).basis[0]
+    reg, calls, kernel_labels, soc_pairs, members = _kronecker_fallback_members(monkeypatch, f, cap)
+    assert kernel_labels == ("M[1, 1]#?",)
+    assert soc_pairs == ()
+    assert [(m.label, m.provenance, m.dim_vector) for m in members] == [
+        ("M[1, 1]#?", "from-tau-minus(M[1, 1]#?)", (1, 1))]
+    assert calls == [(1, 1)]
+    assert all(members[0].rep is not e.rep for e in reg.entries)
+
+
+def test_kernel_summand_at_the_cap_falls_back_to_trd(monkeypatch):
+    q = qd.parse_quiver(KRONECKER_TEXT)
+    reg = qd.knit(q, cap=6)
+    assert [e.tau_minus for e in reg.entries] == [2, 3, 4, 5, None, None]
+    g = qd.hom_basis(reg.entries[5].rep, reg.entries[4].rep).basis[0]
+    _, f = qd.cokernel(g)
+    _, calls, kernel_labels, soc_pairs, members = _kronecker_fallback_members(monkeypatch, f, 6)
+    assert kernel_labels == ("M[4, 5]#5",)
+    assert soc_pairs == ()
+    assert [(m.label, m.provenance, m.dim_vector) for m in members] == [
+        ("M[6, 7]#?", "from-tau-minus(M[4, 5]#5)", (6, 7))]
+    assert calls == [(4, 5)]
+
+
+@pytest.mark.parametrize("text, field, cap", [
+    (A3_TEXT, "rat", 5000), (E6_TEXT, "fp:10007", 5000), (D4_TEXT, "rat", 5000),
+    (KRONECKER_TEXT, "rat", 6),
+], ids=["a3", "e6-fp10007", "d4", "kronecker-cap6"])
+def test_knit_registers_the_projectives_first_in_vertex_order(text, field, cap):
+    # formula_members reads P_x as entries[vertex index of x]
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field), cap)
+    for k, x in enumerate(q.vertices):
+        assert reg.entries[k].rep is qd.projective_at(q, x, reg.field)
+        assert reg.entries[k].index == k
