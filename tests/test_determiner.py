@@ -433,11 +433,13 @@ def test_members_are_registry_entries_without_trd(monkeypatch, text, field):
     assert provenances == {"from-tau-minus", "from-projective-cover"}
 
 
-def _kronecker_fallback_members(monkeypatch, f, cap):
-    reg = qd.knit(qd.parse_quiver(KRONECKER_TEXT), cap=cap)
+def _fallback_formula(monkeypatch, reg, f):
+    """trd calls, kernel labels and members of the formula for f, whose
+    cokernel has a zero socle."""
     calls = _counting_trd(monkeypatch)
     _, kernel_labels, soc_pairs, members = DeterminerEngine(reg).formula_members(f)
-    return reg, calls, kernel_labels, soc_pairs, members
+    assert soc_pairs == ()
+    return calls, kernel_labels, [(m.label, m.provenance, m.dim_vector) for m in members]
 
 
 @pytest.mark.parametrize("cap", [6, 12])
@@ -448,26 +450,20 @@ def test_regular_kernel_summand_falls_back_to_trd(monkeypatch, cap):
                                          qd.Mat(F, 2, 2, ((0, 1), (0, 0)))))
     N = qd.Representation(q, F, (1, 1), (qd.Mat(F, 1, 1, ((1,),)), qd.Mat(F, 1, 1, ((0,),))))
     f = qd.hom_basis(M, N).basis[0]
-    reg, calls, kernel_labels, soc_pairs, members = _kronecker_fallback_members(monkeypatch, f, cap)
+    calls, kernel_labels, members = _fallback_formula(monkeypatch, qd.knit(q, cap=cap), f)
     assert kernel_labels == ("M[1, 1]#?",)
-    assert soc_pairs == ()
-    assert [(m.label, m.provenance, m.dim_vector) for m in members] == [
-        ("M[1, 1]#?", "from-tau-minus(M[1, 1]#?)", (1, 1))]
+    assert members == [("M[1, 1]#?", "from-tau-minus(M[1, 1]#?)", (1, 1))]
     assert calls == [(1, 1)]
-    assert all(members[0].rep is not e.rep for e in reg.entries)
 
 
 def test_kernel_summand_at_the_cap_falls_back_to_trd(monkeypatch):
-    q = qd.parse_quiver(KRONECKER_TEXT)
-    reg = qd.knit(q, cap=6)
+    reg = qd.knit(qd.parse_quiver(KRONECKER_TEXT), cap=6)
     assert [e.tau_minus for e in reg.entries] == [2, 3, 4, 5, None, None]
     g = qd.hom_basis(reg.entries[5].rep, reg.entries[4].rep).basis[0]
     _, f = qd.cokernel(g)
-    _, calls, kernel_labels, soc_pairs, members = _kronecker_fallback_members(monkeypatch, f, 6)
+    calls, kernel_labels, members = _fallback_formula(monkeypatch, reg, f)
     assert kernel_labels == ("M[4, 5]#5",)
-    assert soc_pairs == ()
-    assert [(m.label, m.provenance, m.dim_vector) for m in members] == [
-        ("M[6, 7]#?", "from-tau-minus(M[4, 5]#5)", (6, 7))]
+    assert members == [("M[6, 7]#?", "from-tau-minus(M[4, 5]#5)", (6, 7))]
     assert calls == [(4, 5)]
 
 
