@@ -424,9 +424,12 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
                             morphism_name: str = "f") -> DeterminerReport:
     """Minimal left determiner via duality: the right determiner of the dual
     morphism over the opposite quiver, with its members carried back.  The
-    oracle's witnesses still name objects of the opposite quiver."""
+    opposite quiver is knitted at the cap of the given registry, else at
+    cap.  The oracle's witnesses still name objects of the opposite quiver."""
     q = f.domain.quiver
     field = f.domain.field
+    if registry is not None:
+        cap = registry.cap
     fop = dual_morphism(f)
     engine_op = DeterminerEngine(fop.domain.quiver.workspace.registry(field, cap))
     rep_op = engine_op.report(fop, morphism_name=morphism_name, verify=verify, side="left")

@@ -11,7 +11,11 @@ Covers are lifted deterministically: top basis vectors are sectioned back into
 M at the canonical complement coordinates, which pins every matrix of the
 resolution for golden tests.  Their terms are BlockSums: a sum of canonical
 P_x or I_x together with its block layout, an offset table, but no
-per-block injection or projection morphisms.
+per-block injection or projection morphisms.  The cover, the hull and the
+Nakayama transport in translate share two writers: map_from_generators
+builds a map out of a projective sum from the images of its generators, and
+map_to_cogenerators a map into an injective sum from each block's
+trivial-path row.
 """
 
 from __future__ import annotations
@@ -108,6 +112,39 @@ def _walk_paths(path_lists, start, extend) -> list[list]:
     return [[done[p.arrows] for p in paths] for paths in path_lists]
 
 
+def map_from_generators(ps: BlockSum, N: Representation, gens) -> RepMorphism:
+    """The map out of the projective block sum ps into N that sends the
+    trivial-path generator of block j to gens[j], a vector of N at its vertex.
+    A path basis vector p goes to N(p) applied to it, and the path p' followed
+    by the arrow a goes to N(a) N(p') applied to it."""
+    q, field = N.quiver, N.field
+    comps = [[] for _ in range(q.n_vertices)]  # columns per vertex
+    for gv, x in zip(gens, ps.block_vertices):
+        cols = _walk_paths([paths_between(q, x, y) for y in q.vertices], gv,
+                           lambda done, arrows: N.action[arrows[-1]].apply(done[arrows[:-1]]))
+        for yi, c in enumerate(cols):
+            comps[yi].extend(c)
+    return RepMorphism(ps.rep, N, tuple(from_columns(field, comps[i], N.dims[i])
+                                        for i in range(q.n_vertices)))
+
+
+def map_to_cogenerators(M: Representation, bs: BlockSum, funcs) -> RepMorphism:
+    """The map from M into the injective block sum bs whose block j reads
+    the functional funcs[j] on M at its vertex x as its trivial-path row.  At
+    vertex y the row of the path p: y -> x is funcs[j] composed with M(p); for
+    the arrow a followed by the path p' that is the row of p' times M(a)."""
+    q, field = M.quiver, M.field
+    transposes = [m.transpose() for m in M.action]
+    comps = [[] for _ in range(q.n_vertices)]  # rows per vertex
+    for fv, x in zip(funcs, bs.block_vertices):
+        rows = _walk_paths([paths_between(q, y, x) for y in q.vertices], fv,
+                           lambda done, arrows: transposes[arrows[0]].apply(done[arrows[1:]]))
+        for yi, r in enumerate(rows):
+            comps[yi].extend(r)
+    return RepMorphism(M, bs.rep, tuple(Mat(field, len(rows), M.dims[yi], tuple(rows))
+                                        for yi, rows in enumerate(comps)))
+
+
 def projective_cover(M: Representation) -> tuple[BlockSum, RepMorphism]:
     """P = direct sum of P_x with the multiplicities of top(M), together with
     the cover epimorphism lifting the identification of tops."""
@@ -119,17 +156,7 @@ def projective_cover(M: Representation) -> tuple[BlockSum, RepMorphism]:
         vertices.extend([q.vertices[i]] * section.cols)
         generators.extend(section.columns())
     ps = projective_block_sum(q, field, vertices)
-    # the cover sends the trivial-path generator of each block to its chosen
-    # preimage; a path basis vector p goes to M(p) applied to it, and the
-    # path p' followed by the arrow a goes to M(a) M(p') gv
-    comps = [[] for _ in range(q.n_vertices)]  # columns per vertex
-    for gv, x in zip(generators, ps.block_vertices):
-        cols = _walk_paths([paths_between(q, x, y) for y in q.vertices], gv,
-                           lambda done, arrows: M.action[arrows[-1]].apply(done[arrows[:-1]]))
-        for yi, c in enumerate(cols):
-            comps[yi].extend(c)
-    cover_comps = tuple(from_columns(field, comps[i], M.dims[i]) for i in range(q.n_vertices))
-    cover = RepMorphism(ps.rep, M, cover_comps)
+    cover = map_from_generators(ps, M, generators)
     invariant(cover.is_epi(), "projective cover failed to be surjective")
     return ps, cover
 
@@ -139,26 +166,13 @@ def injective_hull(M: Representation) -> tuple[BlockSum, RepMorphism]:
     the hull monomorphism."""
     q, field = M.quiver, M.field
     vertices = []
-    pivots = []  # dual basis against the RREF socle basis: its pivot slots
+    units = []  # dual basis against the RREF socle basis: unit rows at its pivots
     for i, soc in enumerate(_socle_subspaces(M)):
         vertices.extend([q.vertices[i]] * soc.dim)
-        pivots.extend(soc.pivots)
+        units.extend(tuple(field.one if k == pivot else field.zero for k in range(M.dims[i]))
+                     for pivot in soc.pivots)
     bs = injective_block_sum(q, field, vertices)
-    # component at vertex y: for each block (socle vector at x) and each path
-    # p: y -> x, the row reads off the pivot coordinate of M(p) applied to v,
-    # so it is row pivot of M(p); for the arrow a followed by the path p' that
-    # is the row of M(p') times M(a)
-    transposes = [m.transpose() for m in M.action]
-    comps = [[] for _ in range(q.n_vertices)]  # rows per vertex
-    for pivot, x in zip(pivots, bs.block_vertices):
-        xi = q.vertex_index[x]
-        unit = tuple(field.one if k == pivot else field.zero for k in range(M.dims[xi]))
-        rows = _walk_paths([paths_between(q, y, x) for y in q.vertices], unit,
-                           lambda done, arrows: transposes[arrows[0]].apply(done[arrows[1:]]))
-        for yi, r in enumerate(rows):
-            comps[yi].extend(r)
-    hull = RepMorphism(M, bs.rep, tuple(Mat(field, len(rows), M.dims[yi], tuple(rows))
-                                        for yi, rows in enumerate(comps)))
+    hull = map_to_cogenerators(M, bs, units)
     invariant(hull.is_mono(), "injective hull failed to be injective")
     return bs, hull
 

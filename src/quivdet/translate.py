@@ -7,17 +7,17 @@ the trivial-path generator), and Hom(I_x, I_y) has the same index set (read
 off the coefficient of the trivial path at vertex y).  The Nakayama
 equivalence is implemented as exactly this relabeling: a map between explicit
 sums of projectives is transported verbatim, in path coordinates, to the
-corresponding sum of injectives, and conversely.  Both directions are one
-transport body driven by the two kind entries _PROJ and _INJ; coefficients are
-read at the block offsets that each BlockSum carries.
+corresponding sum of injectives, and conversely.  Its blocks are read as
+slices of the generator images or of the trivial-path rows, at the offsets
+that each BlockSum carries, and the transported map is written from them by
+the structure writers map_from_generators and map_to_cogenerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 
-from .decompose import decompose, indec_iso_witness, is_indecomposable
+from .decompose import indec_iso_witness, is_indecomposable
 from .errors import (
     HasInjectiveSummandError,
     HasProjectiveSummandError,
@@ -25,117 +25,49 @@ from .errors import (
     SemanticError,
     invariant,
 )
-from .linalg import Field, Mat, RATIONALS
-from .quiver import Quiver, injective_at, paths_between, projective_at
+from .linalg import Field, RATIONALS
+from .quiver import Quiver, injective_at, projective_at
 from .reps import RepMorphism, Representation, cokernel, kernel
 from .structure import (
     BlockSum,
     injective_block_sum,
+    map_from_generators,
+    map_to_cogenerators,
     min_injective_copresentation,
     min_projective_resolution,
     projective_block_sum,
 )
 
 
-def _path_coefficients_proj(g: RepMorphism, dom: BlockSum, cod: BlockSum):
-    """Coefficients of a map between projective block sums in path bases.
+def _regroup(vecs, cut: BlockSum, paste: BlockSum) -> list[tuple]:
+    """Regroup the blocks of a map for the other side of the transport.
 
-    Block (i, j) is a map P_{x_j} -> P_{y_i}; its coefficients over the paths
-    p: y_i -> x_j are read at vertex x_j from the image of the trivial-path
-    generator of the domain block, the first coordinate of that block."""
-    q = g.domain.quiver
-    coeffs = {}
-    for j, x in enumerate(dom.block_vertices):
-        xi = q.vertex_index[x]
-        img = g.comps[xi].col(dom.offsets[xi][j])
-        cut = cod.offsets[xi]
-        for i, y in enumerate(cod.block_vertices):
-            paths = paths_between(q, y, x)
-            if cut[i + 1] - cut[i] != len(paths):
-                raise InputNotInPathBasisError("projective block structure is malformed")
-            for p, c in zip(paths, img[cut[i]:cut[i + 1]]):
-                if c:
-                    coeffs[(i, j, p.arrows)] = c
-    return coeffs
+    Block (i, j) has the paths y_i -> x_j as its basis on both sides.  Each
+    vecs[k] belongs to block k of paste and is cut, at the offsets of cut at
+    its vertex, into one block per block of cut.  Entry l of the result joins
+    block l of every vecs[k]; each must be as long as block k of paste is at
+    the vertex of block l of cut, else the block structure is malformed."""
+    vi = cut.rep.quiver.vertex_index
+    cuts = [cut.offsets[vi[x]] for x in paste.block_vertices]
+    out = []
+    for l, y in enumerate(cut.block_vertices):
+        blocks = [v[c[l]:c[l + 1]] for v, c in zip(vecs, cuts)]
+        at = paste.offsets[vi[y]]
+        if [len(b) for b in blocks] != [e - s for s, e in zip(at, at[1:])]:
+            raise InputNotInPathBasisError("block structure is malformed")
+        out.append(sum(blocks, ()))
+    return out
 
 
-def _path_coefficients_inj(h: RepMorphism, dom: BlockSum, cod: BlockSum):
-    """Coefficients of a map between injective block sums in path bases.
-
-    Block (i, j) is a map I_{x_j} -> I_{y_i}; the coefficient of the path
-    p: y_i -> x_j is read at vertex y_i as the trivial-path coordinate (the
-    first coordinate of the codomain block) of the image of the basis vector p."""
-    q = h.domain.quiver
-    coeffs = {}
-    for i, y in enumerate(cod.block_vertices):
-        yi = q.vertex_index[y]
-        row = h.comps[yi].entries[cod.offsets[yi][i]]
-        cut = dom.offsets[yi]
-        for j, x in enumerate(dom.block_vertices):
-            paths = paths_between(q, y, x)
-            if cut[j + 1] - cut[j] != len(paths):
-                raise InputNotInPathBasisError("injective block structure is malformed")
-            for p, c in zip(paths, row[cut[j]:cut[j + 1]]):
-                if c:
-                    coeffs[(i, j, p.arrows)] = c
-    return coeffs
-
-
-def _map_from_coefficients(coeffs, dom: BlockSum, cod: BlockSum, basis, act) -> RepMorphism:
-    """Map between block sums with prescribed path coefficients.
-
-    At vertex z the block of x has the path list basis(q, z, x) as its basis;
-    a coefficient path p: y -> x sends the basis path r of an x-block to the
-    basis path act(p, r) of a y-block, or to zero when that is None."""
-    q, field = dom.rep.quiver, dom.rep.field
-    comps = []
-    for zi, z in enumerate(q.vertices):
-        m = [[field.zero] * dom.rep.dims[zi] for _ in range(cod.rep.dims[zi])]
-        # the rows of m, one per basis path of a codomain block, by arrow sequence
-        cod_index = [{pp.arrows: t for t, pp in enumerate(basis(q, z, y))} for y in cod.block_vertices]
-        dom_paths = [basis(q, z, x) for x in dom.block_vertices]
-        for (i, j, parrows), c in coeffs.items():
-            for t, r in enumerate(dom_paths[j]):
-                target = act(parrows, r.arrows)
-                if target is not None:
-                    row, col = cod.offsets[zi][i] + cod_index[i][target], dom.offsets[zi][j] + t
-                    m[row][col] = m[row][col] + c
-        comps.append(Mat.from_rows(field, m, dom.rep.dims[zi]))
-    return RepMorphism(dom.rep, cod.rep, tuple(comps))
-
-
-# The two kinds of the Nakayama equivalence, each a coefficient reader, a map
-# writer and a block-sum builder.  P_x(z) has the paths x -> z as basis, and a
-# coefficient path p: y -> x acts by precomposition (p, then the basis path);
-# I_x(z) has the paths z -> x, and p sends the basis path r = r' followed by p
-# to r': z -> y, and every other basis path to zero.
-_PROJ = (_path_coefficients_proj,
-         partial(_map_from_coefficients, basis=lambda q, z, x: paths_between(q, x, z),
-                 act=lambda p, r: p + r),
-         projective_block_sum)
-_INJ = (_path_coefficients_inj,
-        partial(_map_from_coefficients, basis=lambda q, z, x: paths_between(q, z, x),
-                act=lambda p, r: r[:len(r) - len(p)] if r[len(r) - len(p):] == p else None),
-        injective_block_sum)
-
-
-def _transport(m: RepMorphism, dom: BlockSum, cod: BlockSum, src, dst):
-    """Transport a map between explicit sums of kind src to the sums of kind
-    dst on the same block vertices, keeping its path coefficients."""
-    q, field = m.domain.quiver, m.domain.field
-    read, write_back, _ = src
-    read_back, write, block_sum = dst
-    coeffs = read(m, dom, cod)
-    tdom, tcod = (block_sum(q, field, bs.block_vertices) for bs in (dom, cod))
-    # safety: transporting back must reproduce m exactly
+def _transport(m: RepMorphism, write_back, write) -> RepMorphism:
+    """write(), the transported map, once write_back() has reproduced m
+    exactly from the blocks it was read from."""
     try:
-        t = write(coeffs, tdom, tcod)
-        back = write_back(read_back(t, tdom, tcod), dom, cod)
+        if write_back() != m:
+            raise InputNotInPathBasisError("map could not be transported faithfully")
+        return write()
     except SemanticError as e:
         raise InputNotInPathBasisError(f"blocks do not carry the map: {e}") from None
-    if back != m:
-        raise InputNotInPathBasisError("map could not be transported faithfully")
-    return t, tdom, tcod
 
 
 def nakayama_on_projmap(g: RepMorphism, dom: BlockSum, cod: BlockSum):
@@ -143,12 +75,26 @@ def nakayama_on_projmap(g: RepMorphism, dom: BlockSum, cod: BlockSum):
 
     Returns the transported morphism together with its domain and codomain
     injective block sums."""
-    return _transport(g, dom, cod, _PROJ, _INJ)
+    q, field = g.domain.quiver, g.domain.field
+    vi = q.vertex_index
+    gens = [g.comps[vi[x]].col(dom.offsets[vi[x]][j]) for j, x in enumerate(dom.block_vertices)]
+    tdom, tcod = (injective_block_sum(q, field, bs.block_vertices) for bs in (dom, cod))
+    funcs = _regroup(gens, cod, tdom)
+    t = _transport(g, lambda: map_from_generators(dom, cod.rep, gens),
+                   lambda: map_to_cogenerators(tdom.rep, tcod, funcs))
+    return t, tdom, tcod
 
 
 def inverse_nakayama_on_injmap(h: RepMorphism, dom: BlockSum, cod: BlockSum):
     """Transport a map between explicit injective sums along I_x -> P_x."""
-    return _transport(h, dom, cod, _INJ, _PROJ)
+    q, field = h.domain.quiver, h.domain.field
+    vi = q.vertex_index
+    funcs = [h.comps[vi[y]].entries[cod.offsets[vi[y]][i]] for i, y in enumerate(cod.block_vertices)]
+    tdom, tcod = (projective_block_sum(q, field, bs.block_vertices) for bs in (dom, cod))
+    gens = _regroup(funcs, dom, tcod)
+    t = _transport(h, lambda: map_to_cogenerators(dom.rep, cod, funcs),
+                   lambda: map_from_generators(tdom, tcod.rep, gens))
+    return t, tdom, tcod
 
 
 def _iso_vertex(M: Representation, canonical) -> str | None:
@@ -160,36 +106,41 @@ def _iso_vertex(M: Representation, canonical) -> str | None:
     return None
 
 
-def has_projective_summand(M: Representation) -> bool:
-    return any(_iso_vertex(leaf, projective_at) is not None for leaf, _ in decompose(M).summands)
-
-
-def has_injective_summand(M: Representation) -> bool:
-    return any(_iso_vertex(leaf, injective_at) is not None for leaf, _ in decompose(M).summands)
-
-
 def dtr(M: Representation) -> Representation:
-    """The translate DTr M: kernel of the Nakayama transport of the minimal
-    projective resolution differential."""
+    """The translate DTr M: kernel of the Nakayama transport nu(d): I_1 -> I_0
+    of the minimal projective resolution differential d.
+
+    The cokernel of nu(d) is nu(M) = D Hom(M, A), which on a hereditary path
+    algebra is zero exactly when M has no projective summand.  So nu(d) is
+    epi exactly then, which the kernel shows when its dimension is
+    dim I_1 - dim I_0 at every vertex; otherwise HasProjectiveSummandError."""
     if M.total_dim == 0:
         return M
-    if has_projective_summand(M):
-        raise HasProjectiveSummandError("DTr is undefined on projective summands")
     res = min_projective_resolution(M)
-    nu, _, _ = nakayama_on_projmap(res.differential, res.p1, res.p0)
-    return kernel(nu)[0]
+    nu, i1, i0 = nakayama_on_projmap(res.differential, res.p1, res.p0)
+    K = kernel(nu)[0]
+    if K.dims != tuple(a - b for a, b in zip(i1.rep.dims, i0.rep.dims)):
+        raise HasProjectiveSummandError("DTr is undefined on projective summands")
+    return K
 
 
 def trd(M: Representation) -> Representation:
-    """The translate TrD M: cokernel of the inverse Nakayama transport of the
-    minimal injective copresentation differential."""
+    """The translate TrD M: cokernel of the inverse Nakayama transport
+    nu^-1(d): P_0 -> P_1 of the minimal injective copresentation
+    differential d.
+
+    The kernel of nu^-1(d) is Hom(DA, M), which on a hereditary path algebra
+    is zero exactly when M has no injective summand.  So nu^-1(d) is mono
+    exactly then, which the cokernel shows when its dimension is
+    dim P_1 - dim P_0 at every vertex; otherwise HasInjectiveSummandError."""
     if M.total_dim == 0:
         return M
-    if has_injective_summand(M):
-        raise HasInjectiveSummandError("TrD is undefined on injective summands")
     cop = min_injective_copresentation(M)
-    g, _, _ = inverse_nakayama_on_injmap(cop.differential, cop.i0, cop.i1)
-    return cokernel(g)[0]
+    g, p0, p1 = inverse_nakayama_on_injmap(cop.differential, cop.i0, cop.i1)
+    C = cokernel(g)[0]
+    if C.dims != tuple(a - b for a, b in zip(p1.rep.dims, p0.rep.dims)):
+        raise HasInjectiveSummandError("TrD is undefined on injective summands")
+    return C
 
 
 # ---------------------------------------------------------------------------

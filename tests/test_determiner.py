@@ -221,6 +221,27 @@ def test_left_determiner_knits_each_quiver_once(monkeypatch):
     assert first.oracle.certified
 
 
+def test_left_determiner_knits_at_the_cap_of_its_registry(monkeypatch):
+    # a Kronecker knit at the default cap does not return, so a knit above
+    # the registry's cap fails at once instead of hanging
+    q = qd.parse_quiver("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2")
+    registry = qd.knit(q, cap=6)
+    f = qd.hom_basis(qd.projective_at(q, "2"), qd.projective_at(q, "1")).basis[0]
+    caps = []
+    real_knit = quivdet.translate.knit
+
+    def capped_knit(quiver, field, cap):
+        caps.append(cap)
+        if cap > 6:
+            raise AssertionError(f"knit at cap {cap}, above the registry's cap 6")
+        return real_knit(quiver, field, cap)
+
+    monkeypatch.setattr(quivdet.translate, "knit", capped_knit)
+    report = qd.minimal_left_determiner(f, registry=registry, verify=True)
+    assert caps == [6]
+    assert not report.registry_complete
+
+
 def test_left_determiner_of_split_mono(a3):
     P1 = qd.projective_at(a3, "1")
     total, injs, projs = qd.direct_sum([P1, qd.simple_at(a3, "2")])

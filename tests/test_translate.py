@@ -1,6 +1,10 @@
 """Nakayama transport, the translates, knitting, and graph classification."""
 
 import hashlib
+import importlib
+import itertools
+import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,6 @@ from quivdet.errors import (
 )
 from quivdet.linalg import RATIONALS, field_from_name
 from quivdet.structure import injective_block_sum, projective_block_sum
-from quivdet.translate import has_injective_summand, has_projective_summand
 
 from conftest import d4_subspace_quiver
 
@@ -54,7 +57,6 @@ def test_nakayama_on_inclusion(a3):
 def test_nakayama_rejects_malformed_blocks(a3):
     from quivdet.errors import InputNotInPathBasisError
     from quivdet.structure import BlockSum
-    from quivdet.translate import _path_coefficients_proj
     ps = projective_block_sum(a3, F, ("3",))
     ident = qd.identity_morphism(ps.rep)
     # claim the block is P_1: the path structure cannot carry the map, which
@@ -62,11 +64,12 @@ def test_nakayama_rejects_malformed_blocks(a3):
     lying = BlockSum(ps.rep, ("1",), ps.offsets)
     with pytest.raises(InputNotInPathBasisError):
         qd.nakayama_on_projmap(ident, lying, lying)
-    # a structural mismatch already fails at coefficient extraction
+    # a structural mismatch already fails where the blocks are read: block
+    # (P_1, P_3) has one coordinate at vertex 3, but no path runs 1 -> 3
     taller = projective_block_sum(a3, F, ("3", "3"))
     mism = BlockSum(taller.rep, ("3", "1"), taller.offsets)
-    with pytest.raises((InputNotInPathBasisError, ValueError)):
-        _path_coefficients_proj(qd.identity_morphism(taller.rep), mism, mism)
+    with pytest.raises(InputNotInPathBasisError, match="malformed"):
+        qd.nakayama_on_projmap(qd.identity_morphism(taller.rep), mism, mism)
 
 
 def test_inverse_nakayama_round_trip(a3):
@@ -124,10 +127,56 @@ def test_translates_preserve_indecomposability(a3_registry):
             assert qd.is_indecomposable(qd.dtr(e.rep))
 
 
-def test_summand_detection(a3):
-    M, _, _ = qd.direct_sum([qd.simple_at(a3, "2"), qd.projective_at(a3, "1")])
-    assert has_projective_summand(M)
-    assert not has_injective_summand(M)
+KRONECKER_TEXT = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2"
+
+
+def _check_summand_errors(reg, pairs):
+    # TrD (DTr) of e + e' raises exactly when e or e' is injective
+    # (projective); otherwise it is the sum of the two translates
+    for e, e2 in pairs:
+        M = qd.direct_sum([e.rep, e2.rep])[0]
+        for translate, error, excluded in ((qd.trd, HasInjectiveSummandError, "is_injective"),
+                                           (qd.dtr, HasProjectiveSummandError, "is_projective")):
+            if getattr(e, excluded) or getattr(e2, excluded):
+                with pytest.raises(error):
+                    translate(M)
+            else:
+                dims = [translate(x.rep).dims for x in (e, e2)]
+                assert translate(M).dims == tuple(map(sum, zip(*dims))), (e.label, e2.label)
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:10007"])
+def test_summand_errors_on_every_a3_pair(a3, field):
+    reg = qd.knit(a3, field_from_name(field))
+    _check_summand_errors(reg, itertools.combinations_with_replacement(reg.entries, 2))
+
+
+@pytest.mark.parametrize("q, cap", [(d4_subspace_quiver(), 5000),
+                                    (qd.parse_quiver(KRONECKER_TEXT), 6)],
+                         ids=["d4", "kronecker-cap6"])
+def test_summand_errors_on_seeded_pairs(q, cap):
+    reg = qd.knit(q, cap=cap)
+    rng = random.Random(14)
+    _check_summand_errors(reg, [tuple(rng.choices(reg.entries, k=2)) for _ in range(10)])
+
+
+def test_translates_compute_no_decomposition(monkeypatch):
+    # the summand checks read the transported map, not a Krull-Schmidt split;
+    # a fresh quiver has nothing memoized
+    def no_split(M):
+        raise AssertionError("trd and dtr must not decompose")
+
+    q = qd.parse_quiver("vertex 1\nvertex 2\nvertex 3\narrow a 2 1\narrow b 3 2")
+    S2, P1, I3 = qd.simple_at(q, "2"), qd.projective_at(q, "1"), qd.injective_at(q, "3")
+    monkeypatch.setattr(importlib.import_module("quivdet.decompose"), "_split_once", no_split)
+    M = qd.direct_sum([S2, P1])[0]
+    assert qd.trd(M).dims == (0, 1, 1)
+    with pytest.raises(HasProjectiveSummandError):
+        qd.dtr(M)
+    N = qd.direct_sum([S2, I3])[0]
+    assert qd.dtr(N).dims == (1, 1, 0)
+    with pytest.raises(HasInjectiveSummandError):
+        qd.trd(N)
 
 
 def test_knit_a3(a3_registry):
@@ -281,12 +330,25 @@ def _registry_digest(reg):
     return h.hexdigest()
 
 
+def _bench_input(name: str) -> str:
+    # read only: the benchmark's quiver files, so its cold workloads'
+    # representatives are pinned here too
+    return (Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / name).read_text(
+        encoding="utf-8")
+
+
 @pytest.mark.parametrize("text, field, cap, digest", [
     (E6_TEXT, "rat", 5000, "36742ffd15dd3b0396d6fb01a7870e2f51fad177cebbee2f092b2e31c62b099f"),
     (E6_TEXT, "fp:10007", 5000, "8a6c3b9637d35a01e13437922bd7c58266cf04a2a687296b98ebda06606e161f"),
     ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", "rat", 8,
      "34f67937aa7b884e9ab263f6d5cd703e562132573e96a86ef093a4bb6834518c"),
-], ids=["e6-rat", "e6-fp10007", "kronecker-cap8"])
+    (_bench_input("e8.quiver"), "rat", 5000,
+     "3666c1b0f1a293109f176299dc8c27224f3cfc49e5f91eb87b0cde3ca78409ab"),
+    (_bench_input("a15.quiver"), "rat", 5000,
+     "33847fb097a7ada4a2b006e50ea96797e488d71b855076bcdc6326ee3f78d7e7"),
+    ("vertex c\nvertex 1\nvertex 2\nvertex 3\narrow a 1 c\narrow b 2 c\narrow d 3 c", "fp:7", 5000,
+     "9817ca99ca32b36af3ce91cb3708dd230023610229856877cae4059a0bdf4637"),
+], ids=["e6-rat", "e6-fp10007", "kronecker-cap8", "e8-rat", "a15-rat", "d4-fp7"])
 def test_registry_representatives_are_pinned(text, field, cap, digest):
     # the canonical bases of every knitted representative are part of the
     # output contract: requests are drawn from hom bases between them
