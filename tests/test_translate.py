@@ -64,8 +64,9 @@ def test_nakayama_rejects_malformed_blocks(a3):
     lying = BlockSum(ps.rep, ("1",), ps.offsets)
     with pytest.raises(InputNotInPathBasisError):
         qd.nakayama_on_projmap(ident, lying, lying)
-    # a structural mismatch already fails where the blocks are read: block
-    # (P_1, P_3) has one coordinate at vertex 3, but no path runs 1 -> 3
+    # a structural mismatch already fails where the blocks are read: the
+    # block from P_3 to the claimed P_1 has one coordinate at vertex 3, but
+    # no path runs 1 -> 3
     taller = projective_block_sum(a3, F, ("3", "3"))
     mism = BlockSum(taller.rep, ("3", "1"), taller.offsets)
     with pytest.raises(InputNotInPathBasisError, match="malformed"):
