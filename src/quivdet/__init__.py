@@ -72,7 +72,9 @@ from .structure import (
 )
 from .translate import (
     IndecRegistry,
+    cartan_matrix,
     classify_underlying_graph,
+    coxeter_inverse,
     dtr,
     euler_form,
     inverse_nakayama_on_injmap,

@@ -10,9 +10,10 @@ dense matrix being one source) with plain int arithmetic, touching only
 nonzero entries.  rref takes the leftmost nonzero of each row as its pivot
 and writes the unique reduced row echelon form back as field elements;
 kernel_of_rows takes the rightmost, which leaves the null space basis
-already in RREF, so a kernel costs one elimination.  The matrix product
-likewise multiplies only nonzero entries.  Subspaces are stored in
-canonical RREF form so that equal subspaces compare equal structurally.
+already in RREF, so a kernel costs one elimination, and a rank is a pivot
+count.  The matrix product likewise multiplies only nonzero entries, and
+products_agree compares two products without forming either.  Subspaces are
+stored in canonical RREF form so that equal subspaces compare equal.
 
 Scalars: over Q a field element is a plain int when it is integral and a
 Fraction otherwise; RationalField.of and .parse give that form, as do the
@@ -163,7 +164,7 @@ def field_from_name(name: str) -> Field:
     raise ValueError(f"unknown field {name!r} (expected 'rat' or 'fp:<p>')")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat:
     """Immutable dense matrix; entries is a row-major tuple of row tuples.
     Over F_p the entries are residues in [0, p): from_rows and from_columns
@@ -177,7 +178,7 @@ class Mat:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix shape")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(self.entries) != self.rows or not set(map(len, self.entries)) <= {self.cols}:
             raise ValueError("entry grid does not match shape")
 
     @classmethod
@@ -257,7 +258,9 @@ class Mat:
         return not any(any(v for v in row) for row in self.entries)
 
     def rank(self) -> int:
-        return rref(self)[2]
+        """The number of pivots of one elimination; no RREF matrix is built."""
+        return len(_pivot_rows(int_rows(self.field, _nonzeros(self.entries)),
+                               self.field.characteristic, min))
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -285,6 +288,29 @@ def _residues(field: Field, rows) -> tuple:
     """The rows (tuples) as a tuple, each value taken mod p over F_p."""
     p = field.characteristic
     return tuple([tuple(map(mod, r, repeat(p))) for r in rows]) if p else tuple(rows)
+
+
+def products_agree(a: Mat, b: Mat, c: Mat, d: Mat) -> bool:
+    """Whether a @ b == c @ d, without building either product: row i of
+    a @ b - c @ d is summed from the nonzeros of row i of a and c and the
+    rows of b and d they select, and the first row with a nonzero residue
+    (mod p over F_p) answers."""
+    field = same_field(same_field(a.field, b.field), same_field(c.field, d.field))
+    if a.cols != b.rows or c.cols != d.rows or (a.rows, b.cols) != (c.rows, d.cols):
+        raise ValueError("shape mismatch in a product comparison")
+    p = field.characteristic
+    for ra, rc in zip(a.entries, c.entries):
+        acc = [0] * b.cols
+        for row, rhs, sign in ((ra, b.entries, 1), (rc, d.entries, -1)):
+            for k, x in enumerate(row):
+                if x:
+                    x *= sign
+                    for j, y in enumerate(rhs[k]):
+                        if y:
+                            acc[j] += x * y
+        if any(v % p for v in acc) if p else any(acc):
+            return False
+    return True
 
 
 def from_columns(field: Field, cols, nrows: int) -> Mat:

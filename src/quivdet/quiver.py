@@ -145,6 +145,7 @@ class Workspace:
         self.quiver = quiver
         self.paths: dict = {}           # source index -> paths to each target
         self.canonical: dict = {}       # ("P" or "I", vertex, field) -> P_x or I_x
+        self.block_sums: dict = {}      # ("P" or "I", vertex tuple, field) -> BlockSum
         self.homs: dict = {}            # (M, N) -> HomSpace
         self.ends: dict = {}            # M -> EndAlgebra
         self.decompositions: dict = {}  # M -> DecompositionResult

@@ -2,7 +2,8 @@
 
 A representation assigns a finite-dimensional space to each vertex and a
 matrix to each arrow; a morphism is a family of vertex matrices making every
-arrow square commute, checked exactly at construction time.  Hom(M, N) is the
+arrow square commute, checked exactly at construction time by
+linalg.products_agree, which builds neither product.  Hom(M, N) is the
 solution space of the commuting-square linear system and is returned with a
 canonical (RREF) ordered basis, so all downstream subspace computations have
 stable coordinates.  The system is assembled once, as sparse integer rows,
@@ -16,7 +17,9 @@ nonzeros and those of the fixed map, with no matrix product.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient; kernels, images and cokernels
-(and socles, radicals and tops in structure.py) are calls to them.  Direct
+(and socles, radicals and tops in structure.py) are calls to them.  A
+quotient reads its arrow actions off the residues of the columns of M(a)
+modulo the target subspace, with no projection or section product.  Direct
 sums likewise come from block_diagonal_sum, which fixes the block layout;
 direct_sum adds the injections and projections for callers that need them.
 """
@@ -40,6 +43,7 @@ from .linalg import (
     int_rows,
     kernel_basis,
     kernel_of_rows,
+    products_agree,
     rows_vanish_on,
     same_field,
 )
@@ -113,7 +117,7 @@ class RepMorphism:
                     f"{c.rows}x{c.cols}, expected {N.dims[i]}x{M.dims[i]}")
         for ai, a in enumerate(M.quiver.arrows):
             si, ti = M.quiver.vertex_index[a.source], M.quiver.vertex_index[a.target]
-            if N.action[ai] @ self.comps[si] != self.comps[ti] @ M.action[ai]:
+            if not products_agree(N.action[ai], self.comps[si], self.comps[ti], M.action[ai]):
                 raise SemanticError(f"square at arrow {a.name!r} does not commute")
 
     def __matmul__(self, other: "RepMorphism") -> "RepMorphism":
@@ -383,16 +387,22 @@ def subrepresentation(M: Representation, subs) -> tuple[Representation, RepMorph
 
 def quotient(M: Representation, subs) -> tuple[Representation, RepMorphism]:
     """M modulo vertexwise subspaces closed under the arrow actions, in the
-    canonical complement coordinates, with the projection from M."""
+    canonical complement coordinates, with the projection from M.  Column c
+    of C(a) is the residue of column c of M(a) modulo the target subspace,
+    read at its free (non-pivot) slots, for each free slot c of the source
+    subspace: projection @ M(a) @ section, without the two products."""
     q = M.quiver
-    projs = [s.complement_projection() for s in subs]
-    sections = [s.complement_section() for s in subs]
+    free = [sorted(set(range(s.ambient_dim)).difference(s.pivots)) for s in subs]
     action = []
     for ai, a in enumerate(q.arrows):
         si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        action.append(projs[ti] @ M.action[ai] @ sections[si])
-    C = Representation(q, M.field, tuple(p.rows for p in projs), tuple(action))
-    return C, RepMorphism(M, C, tuple(projs))
+        cols = list(zip(*M.action[ai].entries)) or [()] * M.action[ai].cols
+        res = [r for _, r in subs[ti].residuals({i: v for i, v in enumerate(cols[c]) if v}
+                                                for c in free[si])]
+        action.append(Mat(M.field, len(free[ti]), len(free[si]),
+                          tuple(tuple(r.get(j, 0) for r in res) for j in free[ti])))
+    C = Representation(q, M.field, tuple(map(len, free)), tuple(action))
+    return C, RepMorphism(M, C, tuple(s.complement_projection() for s in subs))
 
 
 def kernel(f: RepMorphism) -> tuple[Representation, RepMorphism]:

@@ -11,7 +11,8 @@ Covers are lifted deterministically: top basis vectors are sectioned back into
 M at the canonical complement coordinates, which pins every matrix of the
 resolution for golden tests.  Their terms are BlockSums: a sum of canonical
 P_x or I_x together with its block layout, an offset table, but no
-per-block injection or projection morphisms.  The cover, the hull and the
+per-block injection or projection morphisms; the quiver's workspace builds
+each once per kind, vertex tuple and field.  The cover, the hull and the
 Nakayama transport in translate share two writers: map_from_generators
 builds a map out of a projective sum from the images of its generators, and
 map_to_cogenerators a map into an injective sum from each block's
@@ -39,8 +40,9 @@ from .reps import (
 
 def _socle_subspaces(M: Representation) -> list[Subspace]:
     """soc(M)(x): the intersection of the kernels of all arrow maps leaving x."""
-    return [reduce(Subspace.intersect, [kernel_basis(M.action[ai]) for ai in arrows],
-                   Subspace.full(M.field, d)) for d, arrows in zip(M.dims, M.quiver.arrows_from)]
+    return [reduce(Subspace.intersect, [kernel_basis(M.action[ai]) for ai in arrows])
+            if arrows else Subspace.full(M.field, d)
+            for d, arrows in zip(M.dims, M.quiver.arrows_from)]
 
 
 def _radical_subspaces(M: Representation) -> list[Subspace]:
@@ -85,18 +87,24 @@ class BlockSum:
     offsets: tuple[tuple[int, ...], ...]
 
 
-def _block_sum(q, field, vertices, canonical) -> BlockSum:
-    """Direct sum of canonical(q, x, field) over the given vertices."""
-    rep, offsets = block_diagonal_sum([canonical(q, x, field) for x in vertices], q, field)
-    return BlockSum(rep, tuple(vertices), offsets)
+def _block_sum(q, field, vertices, kind, canonical) -> BlockSum:
+    """Direct sum of canonical(q, x, field) over the given vertices, built
+    once per kind ("P" or "I"), vertex tuple and field in q's workspace."""
+    vertices = tuple(vertices)
+
+    def build():
+        rep, offsets = block_diagonal_sum([canonical(q, x, field) for x in vertices], q, field)
+        return BlockSum(rep, vertices, offsets)
+
+    return q.workspace.memo(q.workspace.block_sums, (kind, vertices, field), build)
 
 
 def projective_block_sum(q, field, vertices) -> BlockSum:
-    return _block_sum(q, field, vertices, projective_at)
+    return _block_sum(q, field, vertices, "P", projective_at)
 
 
 def injective_block_sum(q, field, vertices) -> BlockSum:
-    return _block_sum(q, field, vertices, injective_at)
+    return _block_sum(q, field, vertices, "I", injective_at)
 
 
 def _walk_paths(path_lists, start, extend) -> list[list]:

@@ -1,6 +1,6 @@
 """Nakayama transport, the translates DTr and TrD, knitting enumeration of
-indecomposables, Dynkin classification of the underlying graph, and the
-Euler form.
+indecomposables, Dynkin classification of the underlying graph, the Euler
+form, and the Cartan and inverse Coxeter matrices.
 
 Hom(P_x, P_y) has the paths y -> x as a canonical basis (read off the image of
 the trivial-path generator), and Hom(I_x, I_y) has the same index set (read
@@ -228,6 +228,8 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
     The registry closes (complete=True) exactly when every tau-minus orbit
     reaches an injective; on Dynkin quivers this recovers the positive-root
     count.  Hitting the cap returns the partial registry with complete=False.
+    Every TrD must be indecomposable and have the dimension vector that
+    coxeter_inverse gives, else InvariantError.
     """
     if cap < q.n_vertices:
         raise SemanticError(f"cap {cap} is smaller than the vertex count {q.n_vertices}")
@@ -246,6 +248,7 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
     # tau^-k P_x = tau^-l P_y with k >= l, applying tau l times gives
     # tau^-(k-l) P_x = P_y, so k = l and x = y; each TrD is a new entry
     reg.complete = True
+    phi = coxeter_inverse(q)
     for entry in reg.entries:  # grows while it is walked
         if entry.is_injective:
             continue
@@ -254,6 +257,8 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
             break
         t = trd(entry.rep)
         invariant(is_indecomposable(t), "TrD of an indecomposable must be indecomposable")
+        invariant(list(t.dims) == [sum(x * d for x, d in zip(row, entry.rep.dims)) for row in phi],
+                  "TrD does not have the dimension vector of the Coxeter transformation")
         entry.tau_minus = register(t).index
     kind, types = classify_underlying_graph(q)
     if reg.complete and kind == "dynkin":
@@ -327,6 +332,29 @@ def euler_form(q: Quiver, a, b) -> int:
     vi = q.vertex_index
     return (sum(x * y for x, y in zip(a, b))
             - sum(a[vi[arr.source]] * b[vi[arr.target]] for arr in q.arrows))
+
+
+def cartan_matrix(q: Quiver) -> list[list[int]]:
+    """C[i][j] = the number of paths from vertex j to vertex i, so column j
+    is dim P_j and row i is dim I_i; counted in topological order."""
+    n, vi = q.n_vertices, q.vertex_index
+    c = [[int(i == j) for j in range(n)] for i in range(n)]
+    for v in q.topological_order:
+        for ai in q.arrows_into[v]:
+            c[v] = [x + y for x, y in zip(c[v], c[vi[q.arrows[ai].source]])]
+    return c
+
+
+def coxeter_inverse(q: Quiver) -> list[list[int]]:
+    """The inverse Coxeter matrix -C C^-T: dim TrD M = Phi^-1 dim M for every
+    indecomposable non-injective M (Auslander-Reiten-Smalo ch. VIII).  C^-T
+    is I - A, the Gram matrix of euler_form, with A[x][y] the arrows x -> y."""
+    c, vi = cartan_matrix(q), q.vertex_index
+    phi = [[-x for x in row] for row in c]
+    for a in q.arrows:
+        for row, out in zip(c, phi):
+            out[vi[a.target]] += row[vi[a.source]]
+    return phi
 
 
 def _ade_type(degrees, comp, adj):

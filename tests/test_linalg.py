@@ -19,6 +19,7 @@ from quivdet.linalg import (
     kernel_basis,
     kernel_of_rows,
     preimage,
+    products_agree,
     row_space,
     rref,
     solve,
@@ -509,3 +510,62 @@ def test_intersect_is_canonical_and_meets_the_dimension_formula(field):
 def test_field_constants_are_stored_once(field):
     assert field.zero is field.zero and field.one is field.one
     assert field.zero == 0 and field.one == 1
+
+
+def _small_ints(rng, rows, cols, density):
+    return Mat(RATIONALS, rows, cols, tuple(
+        tuple(rng.randrange(-3, 4) if rng.random() < density else 0 for _ in range(cols))
+        for _ in range(rows)))
+
+
+@pytest.mark.parametrize("field, ints", [(RATIONALS, True), (RATIONALS, False), (PrimeField(7), False)],
+                         ids=["rat-int", "rat-fraction", "fp:7"])
+def test_products_agree_matches_comparing_the_products(field, ints):
+    rng = random.Random(9100 + field.characteristic + ints)
+
+    def rand(r, c):
+        if ints:
+            return _small_ints(rng, r, c, rng.choice((0.2, 0.5, 0.9)))
+        return _random_sparse(field, rng, r, c, rng.choice((0.2, 0.5, 0.9)))
+
+    # (rows, inner of a @ b, cols, inner of c @ d)
+    shapes = [(0, 3, 2, 4), (3, 2, 0, 4), (2, 0, 3, 0), (0, 0, 0, 0), (2, 3, 4, 0), (3, 0, 2, 2)]
+    shapes += [(rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 5))
+               for _ in range(60)]
+    seen = set()
+    for r, k, n, k2 in shapes:
+        a, b, c, d = rand(r, k), rand(k, n), rand(r, k2), rand(k2, n)
+        ab, eye = a @ b, Mat.identity(field, n)
+        cases = [(a, b, c, d), (a, b, ab, eye), (Mat.identity(field, r), ab, a, b)]
+        if r and n:
+            bumped = [list(row) for row in ab.entries]
+            bumped[0][0] = field.of(bumped[0][0] + 1)
+            cases.append((a, b, Mat(field, r, n, tuple(map(tuple, bumped))), eye))
+        for w, x, y, z in cases:
+            want = w @ x == y @ z
+            assert products_agree(w, x, y, z) == want
+            seen.add(want)
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        products_agree(rand(2, 3), rand(2, 2), rand(2, 1), rand(1, 2))
+    with pytest.raises(FieldMismatchError):
+        other = PrimeField(5) if field is RATIONALS else RATIONALS
+        products_agree(Mat.zero(field, 1, 1), Mat.zero(field, 1, 1),
+                       Mat.zero(other, 1, 1), Mat.zero(other, 1, 1))
+
+
+def test_mat_rejects_ragged_rows():
+    for rows, cols, entries in [(2, 2, ((1, 2), (3,))), (2, 2, ((1, 2, 3), (3, 4, 5))),
+                                (1, 2, ((1, 2), (3, 4))), (0, 2, ((1, 2),)), (2, 0, ((), (1,)))]:
+        with pytest.raises(ValueError):
+            Mat(F, rows, cols, entries)
+    assert (Mat(F, 0, 3, ()).rows, Mat(F, 2, 0, ((), ())).cols) == (0, 0)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_rank_is_the_pivot_count_of_rref(field):
+    rng = random.Random(9200 + field.characteristic)
+    for _ in range(120):
+        m = _random_sparse(field, rng, rng.randrange(0, 8), rng.randrange(0, 9),
+                           rng.choice((0.1, 0.3, 0.6, 0.9)))
+        assert m.rank() == rref(m)[2]

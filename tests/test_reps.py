@@ -359,3 +359,55 @@ def test_hom_basis_morphisms_are_built_on_first_access(monkeypatch):
     outside = next(u for u in unit if not hs._space.contains_vector(u))
     with pytest.raises(InvariantError):
         HomSpace(M, N, Subspace.from_vectors(RATIONALS, n, list(hs._space.basis) + [outside]))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=["rat", "fp:7"])
+def test_square_that_does_not_commute_is_rejected(a3, field):
+    P2, S2 = qd.projective_at(a3, "2", field), qd.simple_at(a3, "2", field)
+    one = Mat.from_rows(field, [[1]])
+    qd.RepMorphism(P2, S2, (Mat.zero(field, 0, 1), one, Mat.zero(field, 0, 0)))
+    with pytest.raises(SemanticError, match="square at arrow 'a' does not commute"):
+        qd.RepMorphism(S2, P2, (Mat.zero(field, 1, 0), one, Mat.zero(field, 0, 0)))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=["rat", "fp:7"])
+def test_morphism_squares_are_checked_without_a_matrix_product(field, monkeypatch):
+    M, N = _e6_pair(field)
+    hs = qd.hom_basis(M, N)
+
+    def no_product(a, b):
+        raise AssertionError("the square check must build no matrix product")
+
+    monkeypatch.setattr(Mat, "__matmul__", no_product)
+    f = hs.from_coordinates(range(1, hs.dim + 1))
+    assert hs.coordinates(f) == tuple(map(field.of, range(1, hs.dim + 1)))
+    qd.identity_morphism(N)
+    bent = list(f.comps)
+    bent[2] = bent[2].scale(2)
+    with pytest.raises(SemanticError, match="does not commute"):
+        qd.RepMorphism(M, N, tuple(bent))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=["rat", "fp:7"])
+def test_quotient_actions_equal_the_projection_products(field):
+    # C(a) read off residues must be projection @ M(a) @ section, on the
+    # cokernels of seeded maps into sums of two indecomposables
+    q = qd.parse_quiver(E6_TEXT)
+    entries = qd.knit(q, field).entries
+    rng = random.Random(9300 + field.characteristic)
+    checked = 0
+    while checked < 12:
+        a, b, c = rng.sample(entries, 3)
+        Y = qd.direct_sum([b.rep, c.rep])[0]
+        hs = qd.hom_basis(a.rep, Y)
+        if not hs.dim:
+            continue
+        f = hs.from_coordinates([rng.randrange(-2, 3) for _ in range(hs.dim)])
+        subs = [column_space(m) for m in f.comps]
+        C, proj = quotient(Y, subs)
+        for ai, arrow in enumerate(q.arrows):
+            si, ti = q.vertex_index[arrow.source], q.vertex_index[arrow.target]
+            assert C.action[ai] == (subs[ti].complement_projection() @ Y.action[ai]
+                                    @ subs[si].complement_section())
+        assert proj.comps == tuple(s.complement_projection() for s in subs)
+        checked += 1

@@ -15,7 +15,7 @@ from quivdet.errors import (
     InvariantError,
     SemanticError,
 )
-from quivdet.linalg import RATIONALS, field_from_name
+from quivdet.linalg import RATIONALS, Mat, field_from_name
 from quivdet.structure import injective_block_sum, projective_block_sum
 
 from conftest import d4_subspace_quiver
@@ -464,3 +464,69 @@ def test_knit_checks_the_positive_root_count(monkeypatch):
         qd.knit(qd.parse_quiver(E6_TEXT))
     # an incomplete registry is not held to the count
     assert not qd.knit(qd.parse_quiver(E6_TEXT), cap=10).complete
+
+
+KRONECKER_TEXT = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2"
+
+
+def _times(m, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in m]
+
+
+@pytest.mark.parametrize("text, cap, links", [
+    (E6_TEXT, 5000, 30), (D4_TEXT, 5000, 8), (A5_TEXT, 5000, 10), (KRONECKER_TEXT, 24, 22),
+], ids=["e6", "d4", "a5", "kronecker-cap24"])
+def test_coxeter_transformation_gives_every_trd_dimension(text, cap, links):
+    # dim tau^- M = -C C^-T dim M on every stored link; the swapped
+    # -C^T C^-1 gives the wrong vector on each of them
+    q = qd.parse_quiver(text)
+    n = q.n_vertices
+    cartan = qd.cartan_matrix(q)
+    for x in q.vertices:
+        xi = q.vertex_index[x]
+        column = [row[xi] for row in cartan]
+        assert tuple(column) == qd.projective_at(q, x).dims
+        assert tuple(cartan[xi]) == qd.injective_at(q, x).dims
+        # <dim P_x, e_y> = delta_xy: C^-T is the Gram matrix of the Euler form
+        assert [qd.euler_form(q, column, [int(i == y) for i in range(n)]) for y in range(n)] \
+            == [int(xi == y) for y in range(n)]
+    phi = qd.coxeter_inverse(q)
+    C = Mat.from_rows(F, cartan)
+    swapped = (C.transpose() @ C.inverse()).scale(-1).entries
+    reg = qd.knit(q, cap=cap)
+    pairs = [(e.rep.dims, reg.entries[e.tau_minus].rep.dims)
+             for e in reg.entries if e.tau_minus is not None]
+    assert len(pairs) == links
+    assert all(_times(phi, d) == list(t) for d, t in pairs)
+    assert not any(_times(swapped, d) == list(t) for d, t in pairs)
+
+
+def test_knit_checks_trd_against_the_coxeter_transformation(monkeypatch):
+    import quivdet.translate
+
+    q = qd.parse_quiver(E6_TEXT)
+    C = Mat.from_rows(F, qd.cartan_matrix(q))
+    swapped = [list(row) for row in (C.transpose() @ C.inverse()).scale(-1).entries]
+    monkeypatch.setattr(quivdet.translate, "coxeter_inverse", lambda q: swapped)
+    with pytest.raises(InvariantError, match="Coxeter"):
+        qd.knit(q)
+
+
+@pytest.mark.parametrize("name, builds", [("a15.quiver", 30), ("e8.quiver", 180)])
+def test_knit_builds_each_block_sum_once(name, builds, monkeypatch):
+    # the cover, hull and transport writers ask for the same few block sums
+    # again and again; the workspace builds each kind, tuple and field once
+    import quivdet.structure as structure
+
+    calls = []
+    real = structure.block_diagonal_sum
+
+    def counted(reps, q, field):
+        calls.append(tuple(r.dims for r in reps))
+        return real(reps, q, field)
+
+    monkeypatch.setattr(structure, "block_diagonal_sum", counted)
+    q = qd.parse_quiver(_bench_input(name))
+    reg = qd.knit(q)
+    assert reg.complete and len(reg.entries) == 120
+    assert len(calls) == builds == len(q.workspace.block_sums)
