@@ -22,7 +22,6 @@ from .errors import ParseError, QuivdetError, SemanticError
 from .formats import load_session
 from .linalg import field_from_name
 from .quiver import parse_quiver
-from .reps import hom_basis
 from .translate import canonical_label, classify_underlying_graph, knit
 
 EXIT_OK = 0
@@ -158,7 +157,7 @@ def cmd_hom(args) -> int:
     session = load_session(q, field, _read(args.data) if args.data else None)
     M = session.representation(args.domain)
     N = session.representation(args.codomain)
-    hs = hom_basis(M, N)
+    hs = q.workspace.hom(M, N)
     if args.json:
         doc = {
             "domain": args.domain,

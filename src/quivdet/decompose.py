@@ -52,7 +52,6 @@ from .reps import (
     RepMorphism,
     Representation,
     block_diagonal_sum,
-    hom_basis,
     identity_morphism,
     image,
     kernel,
@@ -536,13 +535,14 @@ class DecompositionResult:
 def _pieces_of(M: Representation):
     if M.total_dim == 0:
         return []
-    known = M.quiver.workspace.decompositions.get(M)
+    ws = M.quiver.workspace
+    known = ws.decompositions.get(M)
     if known is not None:
         return list(known.pieces)
     e = _split_once(M)
     if e is None:
-        one = identity_morphism(M)
-        M.quiver.workspace.decompositions[M] = DecompositionResult(M, ((M, one, one),), ((M, 1),))
+        one = identity_morphism(ws.indecomposable(M))
+        ws.decompositions[M] = DecompositionResult(M, ((M, one, one),), ((M, 1),))
         return [(M, one, one)]
     (K, iK, pK), (I, iI, pI) = split_by_idempotent(M, e)
     out = []
@@ -678,12 +678,13 @@ def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
     rad End(X1), which certifies right minimality."""
     X = f.domain
     field = X.field
+    ws = X.quiver.workspace
     cur_f = f
     cur_incl = identity_morphism(X)
     split_parts: list[Representation] = []
     while cur_f.domain.total_dim > 0:
         E = end_algebra(cur_f.domain)
-        hXY = hom_basis(cur_f.domain, cur_f.codomain)
+        hXY = ws.hom(cur_f.domain, cur_f.codomain)
         C = postcompose_matrix(E.hom, hXY, cur_f)
         H0 = kernel_basis(C)
         bad = None

@@ -21,16 +21,12 @@ V whose determined subspace exceeds F_V decides determination and each
 member-removal check.  On a complete registry (Dynkin quivers) the verdict is
 a certificate; otherwise it is a bounded search and reports say so.
 
-The oracle solves only Hom systems that can be nonzero.  On a Dynkin quiver
-every indecomposable is directed: Hom(M, N) and Ext^1(M, N) are never both
-nonzero, so dim Hom(M, N) = max(0, <dim M, dim N>) with the Euler form
-(Ringel, LNM 1099; Auslander-Reiten-Smalo ch. VIII).  Between two registered
-indecomposables a form <= 0 gives the zero space without solving, and every
-solved space is checked against the form.  The skip rests on that theorem
-about directed indecomposables, not on the determiner formula, so the oracle
-stays independent of what it checks.  An object V with Hom(V, Y) = 0 adds
-nothing: F_V and W_V are both 0, and a source S with Hom(S, Y) = 0 gives no
-constraint rows.
+Every Hom space comes from quiver.Workspace.hom, which on Dynkin type skips
+or checks Hom between known indecomposables by the Euler form.  That rests
+on a theorem about directed indecomposables, not on the determiner formula,
+so the oracle stays independent of what it checks.  An object V with
+Hom(V, Y) = 0 adds nothing: F_V and W_V are both 0, and a source S with
+Hom(S, Y) = 0 gives no constraint rows.
 """
 
 from __future__ import annotations
@@ -49,12 +45,11 @@ from .reps import (
     composite_columns,
     dual_morphism,
     dual_representation,
-    hom_basis,
     kernel,
     postcompose_matrix,
 )
 from .structure import socle_multiplicities
-from .translate import IndecRegistry, classify_underlying_graph, euler_form, trd
+from .translate import IndecRegistry, trd
 
 
 @dataclass(frozen=True)
@@ -161,18 +156,13 @@ class DeterminerEngine:
     Hom spaces and radical maps come from the quiver's workspace and are
     shared across requests.  Factoring subspaces and constraint blocks depend
     on the request morphism, so the engine keeps them for one morphism at a
-    time and drops them when ``verify`` returns.  On Dynkin type the engine
-    also remembers which representations are registered, for the Euler-form
-    zeros of ``hom``."""
+    time and drops them when ``verify`` returns."""
 
     def __init__(self, registry: IndecRegistry):
         self.registry = registry
         self.quiver = registry.quiver
         self.field = registry.field
         self.workspace = registry.quiver.workspace
-        self._directed = classify_underlying_graph(self.quiver)[0] == "dynkin"
-        # representation -> registered or not; the entries answer themselves
-        self._registered = {e.rep: True for e in registry.entries}
         self._request: tuple = (None, {}, {})
 
     # -- caches ------------------------------------------------------------
@@ -187,28 +177,7 @@ class DeterminerEngine:
         return request[1], request[2]
 
     def hom(self, M: Representation, N: Representation) -> HomSpace:
-        """Hom(M, N) from the workspace.  On a miss between two registered
-        indecomposables of a Dynkin quiver, a nonpositive Euler form gives
-        the zero space unsolved, and a solved space must have the form's
-        dimension."""
-        ws = self.workspace
-        return ws.memo(ws.homs, (M, N), lambda: self._solve_hom(M, N))
-
-    def _solve_hom(self, M: Representation, N: Representation) -> HomSpace:
-        if not (self._directed and self._is_registered(M) and self._is_registered(N)):
-            return hom_basis(M, N)
-        form = euler_form(self.quiver, M.dims, N.dims)
-        if form <= 0:
-            flat_dim = sum(a * b for a, b in zip(M.dims, N.dims))
-            return HomSpace(M, N, Subspace.zero(self.field, flat_dim))
-        hs = hom_basis(M, N)
-        invariant(hs.dim == form, "Hom between directed indecomposables "
-                  "differs from the Euler form")
-        return hs
-
-    def _is_registered(self, M: Representation) -> bool:
-        return self.workspace.memo(self._registered, M,
-                                   lambda: self.registry.find_iso(M) is not None)
+        return self.workspace.hom(M, N)
 
     def factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
         """Image of Hom(Z, X) -> Hom(Z, Y), the maps factoring through f."""

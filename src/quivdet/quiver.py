@@ -20,8 +20,9 @@ from .errors import (
     DanglingEndpointError,
     DuplicateNameError,
     QuiverSyntaxError,
+    invariant,
 )
-from .linalg import RATIONALS, Field, Mat
+from .linalg import RATIONALS, Field, Mat, Subspace
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,12 @@ class Workspace:
     quiver holds its workspace, so the tables are freed with the quiver.
     Concurrent callers may repeat a computation, but an entry is stored only
     once it is complete, a knitted registry included.
+
+    ``hom`` is the only producer of Hom spaces.  On a Dynkin quiver every
+    indecomposable is directed, so dim Hom(M, N) = max(0, <dim M, dim N>)
+    (Ringel, LNM 1099): between two members of ``indecomposables``, a set
+    looked up with no iso search, a form <= 0 gives the zero space unsolved
+    and a solved space must have the form's dimension.
     """
 
     def __init__(self, quiver: Quiver):
@@ -152,6 +159,7 @@ class Workspace:
         self.isos: dict = {}            # (A, B) -> isomorphism A -> B, or None
         self.radical_maps: dict = {}    # (U, Z) -> basis of rad(U, Z), flat nonzeros
         self.registries: dict = {}      # (field, cap) -> IndecRegistry
+        self.indecomposables: set = set()  # representations shown indecomposable
 
     def memo(self, table: dict, key, build):
         """table[key], computed by build() on a miss.  The workspace itself
@@ -178,11 +186,33 @@ class Workspace:
             found[v].sort(key=lambda p: (len(p.arrows), p.arrows))
         return tuple(tuple(ps) for ps in found)
 
-    def hom(self, M, N):
-        """Hom(M, N), solved by reps.hom_basis on a miss."""
-        from .reps import hom_basis
+    @cached_property
+    def dynkin(self) -> bool:
+        from .translate import classify_underlying_graph
+        return classify_underlying_graph(self.quiver)[0] == "dynkin"
 
-        return self.memo(self.homs, (M, N), lambda: hom_basis(M, N))
+    def indecomposable(self, M):
+        """M, recorded as shown to be indecomposable."""
+        self.indecomposables.add(M)
+        return M
+
+    def hom(self, M, N):
+        """Hom(M, N), by the Euler-form rule or reps.hom_basis on a miss."""
+        return self.memo(self.homs, (M, N), lambda: self._solve_hom(M, N))
+
+    def _solve_hom(self, M, N):
+        from .reps import HomSpace, hom_basis
+        from .translate import euler_form
+
+        known = self.indecomposables
+        if not (self.dynkin and M.field == N.field and M in known and N in known):
+            return hom_basis(M, N)
+        form = euler_form(self.quiver, M.dims, N.dims)
+        if form <= 0:
+            return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
+        hs = hom_basis(M, N)
+        invariant(hs.dim == form, "Hom between directed indecomposables differs from the Euler form")
+        return hs
 
     def registry(self, field: Field, cap: int):
         """The registry knitted over this quiver with the given cap."""
@@ -272,8 +302,8 @@ def projective_at(q: Quiver, x: str, field: Field = RATIONALS):
     """Indecomposable projective P_x: basis of P_x(y) is the path list x -> y,
     arrows act by appending to the path."""
     ws = q.workspace
-    return ws.memo(ws.canonical, ("P", x, field), lambda: _path_representation(
-        q, field, ws.paths_from(q.vertex_index[x]), lambda p, ai: p + (ai,)))
+    return ws.memo(ws.canonical, ("P", x, field), lambda: ws.indecomposable(_path_representation(
+        q, field, ws.paths_from(q.vertex_index[x]), lambda p, ai: p + (ai,))))
 
 
 def injective_at(q: Quiver, x: str, field: Field = RATIONALS):
@@ -281,9 +311,9 @@ def injective_at(q: Quiver, x: str, field: Field = RATIONALS):
     arrows act by stripping the first arrow (left truncation)."""
     ws = q.workspace
     xi = q.vertex_index[x]
-    return ws.memo(ws.canonical, ("I", x, field), lambda: _path_representation(
+    return ws.memo(ws.canonical, ("I", x, field), lambda: ws.indecomposable(_path_representation(
         q, field, [ws.paths_from(yi)[xi] for yi in range(q.n_vertices)],
-        lambda p, ai: p[1:] if p and p[0] == ai else None))
+        lambda p, ai: p[1:] if p and p[0] == ai else None)))
 
 
 def simple_at(q: Quiver, x: str, field: Field = RATIONALS):

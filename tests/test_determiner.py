@@ -379,8 +379,7 @@ def test_verify_solves_no_zero_hom_between_registered_objects(monkeypatch):
         solved.append((M, N, hs.dim))
         return hs
 
-    for module in (quivdet.reps, quivdet.determiner):
-        monkeypatch.setattr(module, "hom_basis", recording_hom_basis)
+    monkeypatch.setattr(quivdet.reps, "hom_basis", recording_hom_basis)
     assert eng.verify(rm.minimal, members).certified
     monkeypatch.undo()
     assert solved
@@ -394,7 +393,7 @@ def test_engine_hom_cross_checks_the_euler_form(monkeypatch):
     eng = DeterminerEngine(reg)
     M, N = next((a.rep, b.rep) for a in reg.entries for b in reg.entries
                 if (a.rep, b.rep) not in q.workspace.homs and hom_basis(a.rep, b.rep).dim == 1)
-    monkeypatch.setattr(quivdet.determiner, "euler_form", lambda q, a, b: 2)
+    monkeypatch.setattr(quivdet.translate, "euler_form", lambda q, a, b: 2)
     with pytest.raises(InvariantError):
         eng.hom(M, N)
 
@@ -403,7 +402,7 @@ def test_engine_hom_ignores_the_euler_form_off_dynkin_type(monkeypatch):
     def no_form(*args):
         raise AssertionError("the Euler form decides Hom only on Dynkin type")
 
-    monkeypatch.setattr(quivdet.determiner, "euler_form", no_form)
+    monkeypatch.setattr(quivdet.translate, "euler_form", no_form)
     reg = qd.knit(qd.parse_quiver(KRONECKER_TEXT), cap=6)
     eng = DeterminerEngine(reg)
     for a in reg.entries:
