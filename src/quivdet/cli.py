@@ -77,9 +77,13 @@ def _render_report(report, out):
         out.write("\n")
         for label, ok in o["member_almost_factors"]:
             out.write(f"    {label}: almost factors = {ok}\n")
+        # on an incomplete registry a missing removal witness is inconclusive
+        missing = ("breaks at NOTHING (not minimal!)" if o["complete"]
+                   else "finds no witness among the registered objects")
         for label, wit in o["removal_breaks"]:
-            out.write(f"    {label}: removal breaks at {wit if wit else 'NOTHING (not minimal!)'}\n")
-        out.write(f"  verdict: {'CERTIFIED' if o['certified'] else ('no counterexample found (bounded)' if o['determination_ok'] else 'FAILED')}\n")
+            out.write(f"    {label}: removal {f'breaks at {wit}' if wit else missing}\n")
+        verdict = "no counterexample found (bounded)" if report.oracle.passed() else "FAILED"
+        out.write(f"  verdict: {'CERTIFIED' if o['certified'] else verdict}\n")
 
 
 def cmd_det(args) -> int:

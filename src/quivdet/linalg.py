@@ -248,6 +248,19 @@ class Mat:
         p = self.field.characteristic
         return tuple(v % p for v in out) if p else out
 
+    def apply_row(self, vec: tuple) -> tuple:
+        """Row vector times matrix, with no transpose built."""
+        if len(vec) != self.rows:
+            raise ValueError("vector length mismatch")
+        out = [0] * self.cols
+        for v, row in zip(vec, self.entries):
+            if v:
+                for j, a in enumerate(row):
+                    if a:
+                        out[j] += v * a
+        p = self.field.characteristic
+        return tuple(v % p for v in out) if p else tuple(out)
+
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 

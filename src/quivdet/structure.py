@@ -142,11 +142,10 @@ def map_to_cogenerators(M: Representation, bs: BlockSum, funcs) -> RepMorphism:
     vertex y the row of the path p: y -> x is funcs[j] composed with M(p); for
     the arrow a followed by the path p' that is the row of p' times M(a)."""
     q, field = M.quiver, M.field
-    transposes = [m.transpose() for m in M.action]
     comps = [[] for _ in range(q.n_vertices)]  # rows per vertex
     for fv, x in zip(funcs, bs.block_vertices):
         rows = _walk_paths([paths_between(q, y, x) for y in q.vertices], fv,
-                           lambda done, arrows: transposes[arrows[0]].apply(done[arrows[1:]]))
+                           lambda done, arrows: M.action[arrows[0]].apply_row(done[arrows[1:]]))
         for yi, r in enumerate(rows):
             comps[yi].extend(r)
     return RepMorphism(M, bs.rep, tuple(Mat(field, len(rows), M.dims[yi], tuple(rows))

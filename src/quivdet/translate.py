@@ -169,19 +169,22 @@ class RegistryEntry:
 @dataclass
 class IndecRegistry:
     """Iso-classes of indecomposables discovered by knitting from the
-    projectives; complete means the tau-minus closure terminated."""
+    projectives; complete means the tau-minus closure terminated.  Knitted
+    entries are preprojective, so their dimension vectors tell them apart:
+    by_dims maps each to its entry index."""
 
     quiver: Quiver
     field: Field
     entries: list[RegistryEntry] = dc_field(default_factory=list)
     complete: bool = False
     cap: int = 0
+    by_dims: dict = dc_field(default_factory=dict)
 
     def find_iso(self, M: Representation) -> int | None:
-        for e in self.entries:
-            if e.rep.dims == M.dims and indec_iso_witness(e.rep, M) is not None:
-                return e.index
-        return None
+        i = self.by_dims.get(M.dims)
+        if i is None or indec_iso_witness(self.entries[i].rep, M) is None:
+            return None
+        return i
 
     def find_or_none(self, M: Representation) -> RegistryEntry | None:
         i = self.find_iso(M)
@@ -229,7 +232,7 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
     reaches an injective; on Dynkin quivers this recovers the positive-root
     count.  Hitting the cap returns the partial registry with complete=False.
     Every TrD must be indecomposable and have the dimension vector that
-    coxeter_inverse gives, else InvariantError.
+    coxeter_inverse gives, which no earlier entry has, else InvariantError.
     """
     if cap < q.n_vertices:
         raise SemanticError(f"cap {cap} is smaller than the vertex count {q.n_vertices}")
@@ -237,6 +240,8 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
 
     def register(M: Representation) -> RegistryEntry:
         idx = len(reg.entries)
+        invariant(M.dims not in reg.by_dims, "two registry entries share a dimension vector")
+        reg.by_dims[M.dims] = idx
         vertices = _canonical_vertices(M)
         entry = RegistryEntry(_label(M, vertices, idx), M, idx, *vertices)
         reg.entries.append(entry)

@@ -80,6 +80,31 @@ def test_det_override_counterexample(capsys):
     assert "S_2" in out   # the witness is printed
 
 
+def test_det_verdict_line_fails_exactly_when_the_exit_code_does(capsys):
+    # on a complete registry P_1 neither almost factors nor breaks anything
+    # when removed: a counterexample, printed as one
+    code, out, _ = run(capsys, "det", A3Q, A3D, "f", "--verify", "--override", "S_2,P_3,P_1")
+    assert code == 1
+    assert "P_1: almost factors = False" in out
+    assert "P_1: removal breaks at NOTHING (not minimal!)" in out
+    assert "verdict: FAILED" in out
+
+
+def test_det_missing_removal_witness_beyond_the_cap_is_inconclusive(capsys):
+    # at cap 4 the witness of S_2's removal is not registered (cap 5 finds
+    # it, cap 6 certifies), so the bounded search finds no counterexample
+    code, out, err = run(capsys, "det", A3Q, A3D, "g", "--left", "--verify", "--cap", "4")
+    assert code == 0
+    assert "S_2: removal finds no witness among the registered objects" in out
+    assert "NOTHING" not in out
+    assert "verdict: no counterexample found (bounded)" in out
+    assert "not a certificate" in err
+    code, out, _ = run(capsys, "det", A3Q, A3D, "g", "--left", "--verify", "--cap", "5")
+    assert code == 0 and "S_2: removal breaks at S_2" in out
+    code, out, _ = run(capsys, "det", A3Q, A3D, "g", "--left", "--verify", "--cap", "6")
+    assert code == 0 and "verdict: CERTIFIED" in out
+
+
 def test_det_left(capsys):
     code, out, _ = run(capsys, "det", A3Q, A3D, "f", "--left", "--verify")
     assert code == 0

@@ -78,6 +78,17 @@ def test_solve_free_variables_zeroed():
     assert x == (Fraction(1), Fraction(0))
 
 
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=["rat", "fp7"])
+def test_apply_row_is_the_transpose_applied(field):
+    rng = random.Random(5)
+    for rows, cols in ((3, 4), (1, 5), (4, 1), (0, 3), (3, 0)):
+        m = Mat.from_rows(field, [[rng.randrange(-3, 9) for _ in range(cols)] for _ in range(rows)], cols)
+        v = tuple(field.of(rng.randrange(-3, 9)) for _ in range(rows))
+        assert m.apply_row(v) == m.transpose().apply(v)
+    with pytest.raises(ValueError):
+        m.apply_row((1,))
+
+
 def test_subspace_intersections():
     a = Subspace.from_vectors(F, 2, [(1, 0)])
     b = Subspace.from_vectors(F, 2, [(0, 1)])

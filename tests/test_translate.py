@@ -405,6 +405,64 @@ def test_registry_label_lookup(a3_registry):
         a3_registry.by_label("nope")
 
 
+def _scan_find_iso(reg, M):
+    """The linear scan find_iso replaced: the first entry with M's dimension
+    vector that is isomorphic to M."""
+    from quivdet.decompose import indec_iso_witness
+
+    return next((e.index for e in reg.entries
+                 if e.rep.dims == M.dims and indec_iso_witness(e.rep, M) is not None), None)
+
+
+def _iso_copy(M):
+    """M in another basis: (v + 1) times a unitriangular matrix at vertex v."""
+    q, field = M.quiver, M.field
+    g = [Mat.from_rows(field, [[(v + 1) * int(c in (r, r + 1)) for c in range(d)]
+                               for r in range(d)], d)
+         for v, d in enumerate(M.dims)]
+    action = []
+    for ai, a in enumerate(q.arrows):
+        s, t = q.vertex_index[a.source], q.vertex_index[a.target]
+        action.append(g[t] @ M.action[ai] @ g[s].inverse() if M.dims[s] else M.action[ai])
+    return qd.Representation(q, field, M.dims, tuple(action))
+
+
+@pytest.mark.parametrize("text, field, cap", [
+    ("vertex 1\nvertex 2\nvertex 3\narrow a 2 1\narrow b 3 2", "rat", 5000),
+    (E6_TEXT, "rat", 5000), (E6_TEXT, "fp:10007", 5000),
+    ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", "rat", 10),
+], ids=["a3", "e6-rat", "e6-fp10007", "kronecker-cap10"])
+def test_find_iso_looks_up_the_dimension_vector(text, field, cap):
+    # one index lookup and one iso test give the answers of the scan
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field), cap)
+    assert len(reg.by_dims) == len(reg.entries)
+    moved = 0
+    for e in reg.entries:
+        copy = _iso_copy(e.rep)
+        moved += copy != e.rep
+        assert reg.find_iso(e.rep) == _scan_find_iso(reg, e.rep) == e.index
+        assert reg.find_iso(copy) == _scan_find_iso(reg, copy) == e.index
+    assert moved >= len(reg.entries) // 2
+    if len(q.vertices) == 3:
+        # S_1 + S_2 has the dimension vector of P_2 but is decomposable
+        S12 = qd.direct_sum([qd.simple_at(q, "1"), qd.simple_at(q, "2")])[0]
+        assert S12.dims == reg.by_label("P_2").rep.dims
+        assert reg.find_iso(S12) is None and _scan_find_iso(reg, S12) is None
+
+
+def test_knit_rejects_a_repeated_dimension_vector(monkeypatch):
+    # a TrD equal to its argument passes the Coxeter check with the identity
+    # matrix, but its dimension vector is taken
+    import quivdet.translate as translate
+
+    monkeypatch.setattr(translate, "trd", lambda M: M)
+    monkeypatch.setattr(translate, "coxeter_inverse",
+                        lambda q: [[int(i == j) for j in range(q.n_vertices)] for i in range(q.n_vertices)])
+    with pytest.raises(InvariantError, match="dimension vector"):
+        qd.knit(qd.parse_quiver(E6_TEXT))
+
+
 def test_end_dimension_one_on_dynkin_registries(corpus_engines):
     from quivdet.decompose import end_algebra
     for name, engine in corpus_engines:
