@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -498,3 +500,76 @@ def test_knit_registers_the_projectives_first_in_vertex_order(text, field, cap):
     for k, x in enumerate(q.vertices):
         assert reg.entries[k].rep is qd.projective_at(q, x, reg.field)
         assert reg.entries[k].index == k
+
+
+def _seeded_morphisms(reg, rng, count):
+    """count random combinations of hom bases between seeded entry pairs
+    with a nonzero Hom space, drawn with rng."""
+    ws = reg.quiver.workspace
+    spaces = [hs for a in reg.entries for b in reg.entries
+              for hs in [ws.hom(a.rep, b.rep)] if hs.dim]
+    out = []
+    for hs in rng.sample(spaces, count):
+        coeffs = [rng.randrange(1, 7) for _ in range(hs.dim)]
+        out.append(hs.from_coordinates(coeffs))
+    return out
+
+
+D5_TEXT = "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\narrow a 1 2\narrow b 3 2\narrow c 3 4\narrow d 5 3"
+A5_TEXT = "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\narrow a 2 1\narrow b 2 3\narrow c 4 3\narrow d 4 5"
+
+
+@pytest.mark.parametrize("text, field", [
+    (A5_TEXT, "rat"), (D5_TEXT, "rat"), (E6_TEXT, "rat"), (A5_TEXT, "fp:7"), (D4_TEXT, "fp:7"),
+], ids=["a5-rat", "d5-rat", "e6-rat", "a5-fp7", "d4-fp7"])
+def test_oracle_rejects_a_mutated_member_list(text, field):
+    # on a complete registry the formula's members are certified; one extra
+    # entry is a member whose removal breaks nothing, and a member swapped
+    # for a non-member leaves f undetermined at a named witness
+    rng = random.Random(16)
+    reg = qd.knit(qd.parse_quiver(text), field_from_name(field))
+    assert reg.complete
+    eng = DeterminerEngine(reg)
+    for f in _seeded_morphisms(reg, rng, 6):
+        rm, _, _, members = eng.formula_members(f)
+        assert eng.verify(rm.minimal, members).certified
+        labels = {m.label for m in members}
+        outsider = rng.choice([e for e in reg.entries if e.label not in labels])
+        extra = DeterminerMember(outsider.label, outsider.rep, "mutation")
+        added = eng.verify(rm.minimal, members + (extra,))
+        assert not added.certified and not added.passed()
+        assert dict(added.removal_breaks)[outsider.label] is None
+        if members:
+            k = rng.randrange(len(members))
+            swapped = eng.verify(rm.minimal, members[:k] + (extra,) + members[k + 1:])
+            assert not swapped.certified and not swapped.passed()
+            assert not swapped.determination_ok and swapped.determination_witness is not None
+
+
+def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
+    # one Hom path: hom_basis is reached only from Workspace.hom, so the memo
+    # and the Euler-form rule see every solve, from the CLI, the knit, the
+    # formula, the oracle and the left side's opposite quiver alike
+    from quivdet.cli import main
+
+    real = quivdet.reps.hom_basis
+    callers = []
+
+    def watched(M, N):
+        caller = sys._getframe(1).f_code
+        callers.append((Path(caller.co_filename).name, caller.co_qualname))
+        return real(M, N)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quivdet" and getattr(module, "hom_basis", None) is real:
+            monkeypatch.setattr(module, "hom_basis", watched)
+    data = Path(__file__).resolve().parent.parent / "data"
+    assert main(["det", str(data / "a3.quiver"), str(data / "a3.reps"), "f", "--verify"]) == 0
+    capsys.readouterr()
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q)
+    fs = _seeded_morphisms(reg, random.Random(3), 2)
+    assert DeterminerEngine(reg).report(fs[0], verify=True).oracle.certified
+    assert qd.minimal_left_determiner(fs[1], registry=reg, verify=True).oracle.certified
+    assert len(callers) > 100
+    assert set(callers) == {("quiver.py", "Workspace._solve_hom")}

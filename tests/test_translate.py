@@ -499,6 +499,30 @@ def test_euler_form_gives_hom_dimension_between_dynkin_indecomposables(text, fie
     assert _form_mismatches(reg, solved, lambda a, b: qd.euler_form(q, b, a))
 
 
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+@pytest.mark.parametrize("text, cap", [
+    ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", 16),
+    ("vertex 1\nvertex 2\nvertex 3\narrow a 1 2\narrow b 2 3\narrow c 1 3", 24),
+    ("vertex c\nvertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+     "arrow a 1 c\narrow b 2 c\narrow d 3 c\narrow e 4 c", 30),
+], ids=["kronecker-cap16", "a2-tilde-cap24", "d4-tilde-cap30"])
+def test_workspace_hom_meets_the_ar_formula_off_dynkin_type(text, cap, field):
+    # <dim M, dim N> = dim Hom(M, N) - dim Ext^1(M, N), and Ext^1(M, N) is
+    # D Hom(N, tau M) on a hereditary algebra, with tau P = 0: a check of
+    # every Hom space between knitted entries that the code does not use
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field), cap)
+    assert not reg.complete and len(reg.entries) == cap
+    ws = q.workspace
+    tau = {e.tau_minus: e.rep for e in reg.entries if e.tau_minus is not None}
+    mismatches = [(M.label, N.label) for M in reg.entries for N in reg.entries
+                  if ws.hom(M.rep, N.rep).dim
+                  - (ws.hom(N.rep, tau[M.index]).dim if M.index in tau else 0)
+                  != qd.euler_form(q, M.rep.dims, N.rep.dims)]
+    assert mismatches == []
+    assert sum(not e.is_projective for e in reg.entries) == len(tau)
+
+
 def test_euler_form_values(a3):
     # arrows 2 -> 1 and 3 -> 2: <S_2, S_1> = -1, <S_1, S_2> = 0, <P_3, P_3> = 1
     assert qd.euler_form(a3, (0, 1, 0), (1, 0, 0)) == -1
