@@ -177,6 +177,7 @@ class DeterminerEngine:
         return request[1], request[2]
 
     def hom(self, M: Representation, N: Representation) -> HomSpace:
+        """Hom(M, N) from the workspace, the one producer of Hom spaces."""
         return self.workspace.hom(M, N)
 
     def factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:

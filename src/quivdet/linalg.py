@@ -252,14 +252,10 @@ class Mat:
         """Row vector times matrix, with no transpose built."""
         if len(vec) != self.rows:
             raise ValueError("vector length mismatch")
-        out = [0] * self.cols
-        for v, row in zip(vec, self.entries):
-            if v:
-                for j, a in enumerate(row):
-                    if a:
-                        out[j] += v * a
+        pairs = [(v, row) for v, row in zip(vec, self.entries) if v]
+        out = tuple(sum(v * row[j] for v, row in pairs if row[j]) for j in range(self.cols))
         p = self.field.characteristic
-        return tuple(v % p for v in out) if p else tuple(out)
+        return tuple(v % p for v in out) if p else out
 
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
