@@ -444,11 +444,13 @@ def test_find_iso_looks_up_the_dimension_vector(text, field, cap):
         assert reg.find_iso(e.rep) == _scan_find_iso(reg, e.rep) == e.index
         assert reg.find_iso(copy) == _scan_find_iso(reg, copy) == e.index
     assert moved >= len(reg.entries) // 2
-    if len(q.vertices) == 3:
-        # S_1 + S_2 has the dimension vector of P_2 but is decomposable
-        S12 = qd.direct_sum([qd.simple_at(q, "1"), qd.simple_at(q, "2")])[0]
-        assert S12.dims == reg.by_label("P_2").rep.dims
-        assert reg.find_iso(S12) is None and _scan_find_iso(reg, S12) is None
+
+
+def test_find_iso_rejects_a_decomposable_root(a3, a3_registry):
+    # S_1 + S_2 has the dimension vector of P_2 but is decomposable
+    S12 = qd.direct_sum([qd.simple_at(a3, "1"), qd.simple_at(a3, "2")])[0]
+    assert S12.dims == a3_registry.by_label("P_2").rep.dims
+    assert a3_registry.find_iso(S12) is None and _scan_find_iso(a3_registry, S12) is None
 
 
 def test_knit_rejects_a_repeated_dimension_vector(monkeypatch):
