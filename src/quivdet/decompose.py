@@ -3,14 +3,18 @@
 Decomposition works inside the endomorphism algebra E = End(M) and has one
 way to split: a candidate endomorphism phi whose minimal polynomial has two
 or more coprime primary parts gives an exact idempotent e = g(phi) through a
-Bezout combination, and M = ker(e) + im(e).  When no candidate splits, every
+Bezout combination, and M = ker(e) + im(e).  Both are computed in E's own
+coordinates: one rref of the coordinate columns of 1, phi, phi^2, ... gives
+the minimal polynomial (E acts faithfully on M, so it is that of phi on the
+total space), and e is the same combination of those columns.  When no candidate splits, every
 candidate has minimal polynomial p^k with p irreducible, and a field-degree
 certificate decides indecomposability: if deg p equals dim E/rad(E) for some
 candidate, then k[phi] modulo the radical is a field filling all of E/rad(E),
 so E is local.  Otherwise DecompositionInconclusiveError (FieldTooSmallError
 over F_p) reports that neither a split nor a certificate was found.
 
-The radical is the kernel of the trace form tr(a b), which is valid over the
+The radical of a one-dimensional E = k is 0 over every field.  When dim E > 1
+the radical is the kernel of the trace form tr(a b), which is valid over the
 rationals and over F_p with p larger than the total dimension; smaller primes
 raise FieldTooSmallError.  The same trace form turns a nilpotent solution h
 of f h = 0 outside the radical into a non-nilpotent one (right minimality).
@@ -157,55 +161,42 @@ def _peval_scalar(field, p, x):
     return field.of(acc)
 
 
-def _peval_endo(p, phi: RepMorphism) -> RepMorphism:
-    """p(phi) as an endomorphism (Horner)."""
-    M = phi.domain
-    acc = None
-    for c in reversed(p):
-        if acc is None:
-            acc = identity_morphism(M).scale(c)
-        else:
-            acc = (acc @ phi) + identity_morphism(M).scale(c)
-    if acc is None:
-        acc = identity_morphism(M).scale(0)
-    return acc
-
-
 def _pderiv(field, p):
     return _pnormalize(field, [k * c for k, c in enumerate(p)][1:])
 
 
-def _vector_minpoly(field, T: Mat, v: tuple):
-    """Minimal polynomial of T relative to the start vector v, read from one
-    rref of the Krylov columns v, Tv, ..., T^n v.  The first k = rank of
-    them are independent and every later one depends on them, so the pivots
-    are columns 0..k-1 and column k holds the coefficients c_i of
-    T^k v = sum c_i T^i v; the polynomial is x^k - sum c_i x^i."""
-    krylov = [v]
-    for _ in range(T.rows):
-        krylov.append(T.apply(krylov[-1]))
-    red, _, k = rref(from_columns(field, krylov, T.rows))
-    return _pnormalize(field, [-red.entries[i][k] for i in range(k)] + [1])
+def _power_coordinates(phi: RepMorphism):
+    """The monic minimal polynomial mu of phi with the End(M) coordinates of
+    1, phi, ..., phi^m, where m = min(dim End(M), total dim M) bounds deg mu.
+
+    End(M) acts faithfully on M, so a polynomial kills phi in End(M) exactly
+    when it kills phi on the total space.  Once a power depends on the
+    earlier ones, every later one does, so one rref of the coordinate
+    columns has pivots 0..k-1 and column k holds the c_i of
+    phi^k = sum c_i phi^i; mu is x^k - sum c_i x^i."""
+    M = phi.domain
+    field = M.field
+    hom = M.quiver.workspace.hom(M, M)
+    powers = [identity_morphism(M)]
+    for _ in range(min(hom.dim, M.total_dim)):
+        powers.append(powers[-1] @ phi)
+    coords = [hom.coordinates(f) for f in powers]
+    red, _, k = rref(from_columns(field, coords, hom.dim))
+    mu = _pnormalize(field, [-red.entries[i][k] for i in range(k)] + [1])
+    invariant(not any(_poly_coordinates(field, mu, coords)),
+              "minimal polynomial does not annihilate the endomorphism")
+    return mu, coords
+
+
+def _poly_coordinates(field, p, coords) -> tuple:
+    """The coordinates of p(phi), given those of the powers of phi."""
+    return tuple(field.of(sum(c * v[r] for c, v in zip(p, coords) if c))
+                 for r in range(len(coords[0])))
 
 
 def minimal_polynomial(phi: RepMorphism):
-    """Monic minimal polynomial of phi acting on the total space."""
-    field = phi.domain.field
-    T = phi.total_matrix()
-    n = T.rows
-    if n == 0:
-        return [1]
-    mu = [1]
-    for i in range(n):
-        v = tuple(int(j == i) for j in range(n))
-        mv = _vector_minpoly(field, T, v)
-        g = _pgcd(field, mu, mv)
-        q, r = _pdivmod(field, mv, g)
-        invariant(not r, "gcd does not divide the vector minimal polynomial")
-        mu = _pmul(field, mu, q)
-        if _pdeg(mu) == n:
-            break
-    return _pmonic(field, mu)
+    """Monic minimal polynomial of the endomorphism phi."""
+    return _power_coordinates(phi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +381,11 @@ class EndAlgebra:
 
     @cached_property
     def radical(self) -> Subspace:
-        """rad End(M) in hom coordinates, via the trace bilinear form."""
+        """rad End(M) in hom coordinates, via the trace bilinear form when
+        End(M) has dimension > 1; End(M) = k has radical 0 over any field."""
         field = self.M.field
+        if self.dim == 1:
+            return Subspace.zero(field, 1)
         if isinstance(field, PrimeField) and field.p <= self.n:
             raise FieldTooSmallError(
                 f"trace-form radical needs p > total dimension {self.n}; "
@@ -453,26 +447,21 @@ def _candidate_endos(E: EndAlgebra):
         for _ in range(k):
             state = (state * 1103515245 + 12345) % (1 << 31)
             coeffs.append(state % 5)
-        if not any(coeffs):
-            continue
-        acc = None
-        for c, b in zip(coeffs, basis):
-            if c:
-                t = b.scale(E.M.field.of(c))
-                acc = t if acc is None else acc + t
-        yield acc
+        if any(coeffs):
+            yield E.hom.from_coordinates(coeffs)
 
 
-def _idempotent_from_candidate(phi: RepMorphism, mu, parts) -> RepMorphism:
-    """g(phi) with g = 1 modulo parts[0] and g = 0 modulo the other parts.
+def _idempotent_from_candidate(E: EndAlgebra, mu, parts, coords) -> RepMorphism:
+    """g(phi) with g = 1 modulo parts[0] and g = 0 modulo the other parts,
+    formed in End(M) from the coordinates coords of the powers of phi.
 
     The parts are nonconstant and pairwise coprime with product mu, so mu
     divides neither g nor g - 1: the idempotent is neither 0 nor 1."""
-    field = phi.domain.field
+    field = E.M.field
     epoly = _bezout_idempotent_poly(field, parts[0], parts[1:])
     _, epoly = _pdivmod(field, epoly, mu)
-    e = _peval_endo(epoly, phi)
-    invariant((e @ e) == e and not e.is_zero() and e != identity_morphism(phi.domain),
+    e = E.hom.from_coordinates(_poly_coordinates(field, epoly, coords))
+    invariant((e @ e) == e and not e.is_zero() and e != identity_morphism(E.M),
                "Bezout combination is not a nontrivial idempotent")
     return e
 
@@ -494,10 +483,10 @@ def _split_once(M: Representation) -> RepMorphism | None:
     field = M.field
     degree = 0
     for phi in _candidate_endos(E):
-        mu = minimal_polynomial(phi)
+        mu, coords = _power_coordinates(phi)
         parts = _primary_parts(field, mu)
         if len(parts) > 1:
-            return _idempotent_from_candidate(phi, mu, parts)
+            return _idempotent_from_candidate(E, mu, parts, coords)
         squarefree, _ = _pdivmod(field, mu, _pgcd(field, mu, _pderiv(field, mu)))
         degree = max(degree, _pdeg(squarefree))
     if degree == E.quotient_dim:

@@ -408,8 +408,6 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
     members = []
     for m in rep_op.members:
         back = dual_representation(m.rep)
-        # the double opposite quiver is structurally equal to the original
-        back = Representation(q, field, back.dims, back.action)
         members.append(DeterminerMember(
             label=registry.label_of(back),
             rep=back,

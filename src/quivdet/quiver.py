@@ -106,8 +106,11 @@ class Quiver:
 
     @cached_property
     def opposite(self) -> "Quiver":
-        return Quiver(self.vertices,
-                      tuple(ArrowDecl(a.name, a.target, a.source) for a in self.arrows))
+        """The quiver with every arrow reversed, whose own opposite is self."""
+        op = Quiver(self.vertices,
+                    tuple(ArrowDecl(a.name, a.target, a.source) for a in self.arrows))
+        op.__dict__["opposite"] = self
+        return op
 
     @cached_property
     def workspace(self) -> "Workspace":

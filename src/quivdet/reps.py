@@ -151,10 +151,6 @@ class RepMorphism:
     def is_iso(self) -> bool:
         return self.domain.dims == self.codomain.dims and self.is_epi()
 
-    def total_matrix(self) -> Mat:
-        """Block-diagonal matrix of all components (operator on the total space)."""
-        return block_diag(self.domain.field, self.comps)
-
     def __repr__(self):
         return f"RepMorphism({self.domain!r} -> {self.codomain!r})"
 

@@ -52,14 +52,18 @@ def test_det_json_matches_golden_file(capsys):
 def test_det_json_matches_golden_file_under_optimize():
     # python -O strips assert statements; the invariant checks must not
     # depend on them, and the output must not change
+    # and F_2 gives the same report but for its "field"
     root = DATA_DIR.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "quivdet.cli", "det", "data/a3.quiver", "data/a3.reps",
-         "f", "--verify", "--json"],
-        cwd=root, env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (DATA_DIR / "golden_a3_report.json").read_bytes()
+    golden = (DATA_DIR / "golden_a3_report.json").read_bytes()
+    for extra, expected in (((), golden),
+                            (("--field", "fp:2"), golden.replace(b'"field": "rat"', b'"field": "fp:2"'))):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "quivdet.cli", "det", "data/a3.quiver", "data/a3.reps",
+             "f", "--verify", "--json", *extra],
+            cwd=root, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
 
 
 def test_det_incomplete_registry_warns_but_passes(tmp_path, capsys):
@@ -187,8 +191,26 @@ def test_det_with_fp_field(capsys):
     assert "S_2" in out and "P_3" in out and "CERTIFIED" in out
 
 
-def test_det_fp_too_small_exit_3(capsys):
-    code, _, err = run(capsys, "det", A3Q, A3D, "f", "--verify", "--field", "fp:2")
+def test_det_fp_golden_over_f2(capsys):
+    # every object of the golden computation has End = k, whose radical is 0
+    # over every field, so F_2 needs no trace form
+    code, out, _ = run(capsys, "det", A3Q, A3D, "f", "--verify", "--field", "fp:2")
+    assert code == 0
+    assert "S_2" in out and "P_3" in out and "CERTIFIED" in out
+
+
+def test_det_fp_too_small_exit_3(tmp_path, capsys):
+    # the right minimal version of P_4 + (twisted P_4) -> I_1 needs the radical
+    # of a four-dimensional End on a total dimension 8 >= 3
+    quiver = tmp_path / "a4.quiver"
+    quiver.write_text("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+                      "arrow a 2 1\narrow b 3 2\narrow c 4 3\n", encoding="utf-8")
+    data = tmp_path / "a4.reps"
+    data.write_text("rep X\ndim 1 2\ndim 2 2\ndim 3 2\ndim 4 2\n"
+                    "map a 2x2 1 0 0 2\nmap b 2x2 1 0 0 1\nmap c 2x2 1 0 0 1\n\n"
+                    "morphism f X I_1\ncomp 1 1x2 1 0\ncomp 2 1x2 1 0\n"
+                    "comp 3 1x2 1 0\ncomp 4 1x2 1 0\n", encoding="utf-8")
+    code, _, err = run(capsys, "det", str(quiver), str(data), "f", "--verify", "--field", "fp:3")
     assert code == 3
     assert "rat" in err
 

@@ -16,7 +16,6 @@ import quivdet as qd
 from quivdet.decompose import (
     end_algebra,
     minimal_polynomial,
-    _peval_endo,
     _pmul,
     _primary_parts,
     _sqrt_mod,
@@ -109,8 +108,8 @@ def test_minimal_polynomial_of_idempotent(a3):
     assert mu == [F.zero, -F.one, F.one] or mu == [F.of(0), F.of(-1), F.of(1)]
     parts = _primary_parts(F, mu)
     assert len(parts) == 2
-    # a long Krylov chain: every start vector needs four steps under the
-    # companion matrix of x^4 - 2, here conjugated by a GL matrix
+    # degree four: the companion matrix of x^4 - 2, conjugated by a GL
+    # matrix, has 1, phi, phi^2, phi^3 independent and phi^4 = 2
     g = Mat.from_rows(F, [[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 1, 0], [0, 0, 2, 1]])
     quartic = _companion_rep(_kronecker(), F, [-2, 0, 0, 0])
     T = g @ quartic.action[1] @ g.inverse()
@@ -118,7 +117,37 @@ def test_minimal_polynomial_of_idempotent(a3):
     phi = qd.RepMorphism(M, M, (T, T))
     mu = minimal_polynomial(phi)
     assert mu == [F.of(-2), F.zero, F.zero, F.zero, F.one]
-    assert mu[-1] == F.one and _peval_endo(mu, phi).is_zero()
+    assert phi @ phi @ phi @ phi == qd.identity_morphism(M).scale(2)
+
+
+@pytest.mark.parametrize("text, cap", [
+    ("vertex 1\nvertex 2\nvertex 3\narrow a 2 1\narrow b 3 2", 5000),
+    ("vertex c\nvertex 1\nvertex 2\nvertex 3\narrow a 1 c\narrow b 2 c\narrow d 3 c", 5000),
+    ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", 8),
+], ids=["a3", "d4", "kronecker-cap8"])
+@pytest.mark.parametrize("field", [F, PrimeField(10007)], ids=["rat", "fp10007"])
+def test_minimal_polynomial_on_the_vertex_matrices(text, cap, field):
+    # checked on the vertex matrices alone, with no End(M) coordinates: mu is
+    # monic, kills phi vertex by vertex (Horner), and no lower degree does,
+    # since 1, phi, ..., phi^(deg - 1) are independent
+    rng = random.Random(17)
+    reg = qd.knit(qd.parse_quiver(text), field, cap)
+    for _ in range(8):
+        M = qd.direct_sum([rng.choice(reg.entries).rep for _ in range(rng.randrange(1, 4))])[0]
+        hs = qd.hom_basis(M, M)
+        phi = hs.from_coordinates([rng.randrange(-2, 3) for _ in range(hs.dim)])
+        mu = minimal_polynomial(phi)
+        assert mu[-1] == field.one
+        for T in phi.comps:
+            acc = Mat.zero(field, T.rows, T.cols)
+            for c in reversed(mu):
+                acc = acc @ T + Mat.identity(field, T.rows).scale(c)
+            assert acc.is_zero()
+        power, flat = [Mat.identity(field, d) for d in M.dims], []
+        for _ in range(len(mu) - 1):
+            flat.append([x for m in power for row in m.entries for x in row])
+            power = [m @ T for m, T in zip(power, phi.comps)]
+        assert Mat.from_rows(field, flat, sum(d * d for d in M.dims)).rank() == len(mu) - 1
 
 
 def test_right_minimal_version_already_minimal(golden_f):
@@ -226,8 +255,9 @@ def test_prime_field_decompose():
 
 
 def test_prime_field_too_small():
-    # the trace-form radical needs p > total dimension; isomorphism testing
-    # between distinct indecomposable presentations is the first consumer
+    # the trace-form radical needs p > total dimension once dim End > 1;
+    # End = k has radical 0 over every field, so isomorphism testing between
+    # two presentations of P_4 over F_3 needs no trace form
     f3 = PrimeField(3)
     q = qd.parse_quiver(
         "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
@@ -236,8 +266,13 @@ def test_prime_field_too_small():
     twisted = qd.Representation(
         q, f3, P4.dims,
         (Mat.from_rows(f3, [[2]]), Mat.from_rows(f3, [[1]]), Mat.from_rows(f3, [[1]])))
+    assert qd.is_isomorphic(P4, twisted)
+    # P_4 + twisted P_4 has total dimension 8 and a four-dimensional End
+    X, _, projs = qd.direct_sum([P4, twisted])
+    assert end_algebra(X).dim == 4
+    to_i1 = q.workspace.hom(P4, qd.injective_at(q, "1", f3)).basis[0]
     with pytest.raises(FieldTooSmallError) as e:
-        qd.is_isomorphic(P4, twisted)
+        qd.right_minimal_version(to_i1 @ projs[0])
     assert "rat" in str(e.value)
 
 

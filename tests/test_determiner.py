@@ -521,7 +521,8 @@ A5_TEXT = "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\narrow a 2 1\narrow 
 
 @pytest.mark.parametrize("text, field", [
     (A5_TEXT, "rat"), (D5_TEXT, "rat"), (E6_TEXT, "rat"), (A5_TEXT, "fp:7"), (D4_TEXT, "fp:7"),
-], ids=["a5-rat", "d5-rat", "e6-rat", "a5-fp7", "d4-fp7"])
+    (E6_TEXT, "fp:7"),
+], ids=["a5-rat", "d5-rat", "e6-rat", "a5-fp7", "d4-fp7", "e6-fp7"])
 def test_oracle_rejects_a_mutated_member_list(text, field):
     # on a complete registry the formula's members are certified; one extra
     # entry is a member whose removal breaks nothing, and a member swapped
@@ -544,6 +545,20 @@ def test_oracle_rejects_a_mutated_member_list(text, field):
             swapped = eng.verify(rm.minimal, members[:k] + (extra,) + members[k + 1:])
             assert not swapped.certified and not swapped.passed()
             assert not swapped.determination_ok and swapped.determination_witness is not None
+
+
+@pytest.mark.parametrize("field", ["fp:2", "fp:7"])
+def test_maps_into_injectives_certify_over_small_primes(field):
+    # every knitted E6 entry has End = k, whose radical is 0 over every
+    # field, so the map from each entry to each I_y with a nonzero Hom (the
+    # first basis vector) is certified with no trace form
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q, field_from_name(field))
+    eng = DeterminerEngine(reg)
+    maps = [hs.basis[0] for e in reg.entries for y in q.vertices
+            for hs in [q.workspace.hom(e.rep, qd.injective_at(q, y, reg.field))] if hs.dim]
+    assert len(maps) == 132
+    assert all(eng.report(f, verify=True).oracle.certified for f in maps)
 
 
 def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):

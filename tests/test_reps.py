@@ -157,6 +157,16 @@ def test_dual_round_trip(a3, golden_f):
     assert qd.is_isomorphic(DP, Iop)
 
 
+def test_opposite_is_an_involution(a3, golden_f):
+    # D twice lands on the quiver object itself, so on its workspace too
+    assert a3.opposite.opposite is a3
+    M = qd.projective_at(a3, "2")
+    DDM = qd.dual_representation(qd.dual_representation(M))
+    assert DDM.quiver is a3 and DDM == M
+    left = qd.minimal_left_determiner(golden_f)
+    assert left.members and all(m.rep.quiver is a3 for m in left.members)
+
+
 def test_random_morphism_exactness():
     rng = random.Random(99)
     q = qd.parse_quiver(

@@ -429,9 +429,9 @@ def _iso_copy(M):
 
 @pytest.mark.parametrize("text, field, cap", [
     ("vertex 1\nvertex 2\nvertex 3\narrow a 2 1\narrow b 3 2", "rat", 5000),
-    (E6_TEXT, "rat", 5000), (E6_TEXT, "fp:10007", 5000),
+    (E6_TEXT, "rat", 5000), (E6_TEXT, "fp:10007", 5000), (E6_TEXT, "fp:7", 5000),
     ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", "rat", 10),
-], ids=["a3", "e6-rat", "e6-fp10007", "kronecker-cap10"])
+], ids=["a3", "e6-rat", "e6-fp10007", "e6-fp7", "kronecker-cap10"])
 def test_find_iso_looks_up_the_dimension_vector(text, field, cap):
     # one index lookup and one iso test give the answers of the scan
     q = qd.parse_quiver(text)
