@@ -6,9 +6,9 @@ or more coprime primary parts gives an exact idempotent e = g(phi) through a
 Bezout combination, and M = ker(e) + im(e).  Both are computed in E's own
 coordinates: one rref of the coordinate columns of 1, phi, phi^2, ... gives
 the minimal polynomial (E acts faithfully on M, so it is that of phi on the
-total space), and e is the same combination of those columns.  When no candidate splits, every
-candidate has minimal polynomial p^k with p irreducible, and a field-degree
-certificate decides indecomposability: if deg p equals dim E/rad(E) for some
+total space), and e is the same combination of those columns.  When no
+candidate splits, every candidate has minimal polynomial p^k with p
+irreducible, and a field-degree certificate decides indecomposability: if deg p equals dim E/rad(E) for some
 candidate, then k[phi] modulo the radical is a field filling all of E/rad(E),
 so E is local.  Otherwise DecompositionInconclusiveError (FieldTooSmallError
 over F_p) reports that neither a split nor a certificate was found.
