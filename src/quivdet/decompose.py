@@ -167,20 +167,21 @@ def _pderiv(field, p):
 
 def _power_coordinates(phi: RepMorphism):
     """The monic minimal polynomial mu of phi with the End(M) coordinates of
-    1, phi, ..., phi^m, where m = min(dim End(M), total dim M) bounds deg mu.
+    1, phi, ..., phi^k, where k = deg mu.
 
     End(M) acts faithfully on M, so a polynomial kills phi in End(M) exactly
-    when it kills phi on the total space.  Once a power depends on the
-    earlier ones, every later one does, so one rref of the coordinate
-    columns has pivots 0..k-1 and column k holds the c_i of
-    phi^k = sum c_i phi^i; mu is x^k - sum c_i x^i."""
+    when it kills phi on the total space.  The powers are formed until one
+    depends on the earlier ones, at most dim End(M) of them; then one rref
+    of the coordinate columns has pivots 0..k-1 and column k holds the c_i
+    of phi^k = sum c_i phi^i; mu is x^k - sum c_i x^i."""
     M = phi.domain
     field = M.field
     hom = M.quiver.workspace.hom(M, M)
-    powers = [identity_morphism(M)]
-    for _ in range(min(hom.dim, M.total_dim)):
-        powers.append(powers[-1] @ phi)
-    coords = [hom.coordinates(f) for f in powers]
+    power = identity_morphism(M)
+    coords = [hom.coordinates(power)]
+    while Mat(field, len(coords), hom.dim, tuple(coords)).rank() == len(coords):
+        power = power @ phi
+        coords.append(hom.coordinates(power))
     red, _, k = rref(from_columns(field, coords, hom.dim))
     mu = _pnormalize(field, [-red.entries[i][k] for i in range(k)] + [1])
     invariant(not any(_poly_coordinates(field, mu, coords)),

@@ -7,11 +7,11 @@ Matrices are immutable and dense, with exact entries.  One elimination loop,
 _pivot_rows, serves every caller: it works on sparse integer rows
 {column: int} (int_rows reads them from sparse rows of field elements, a
 dense matrix being one source) with plain int arithmetic, touching only
-nonzero entries.  rref takes the leftmost nonzero of each row as its pivot
-and writes the unique reduced row echelon form back as field elements;
-kernel_of_rows takes the rightmost, which leaves the null space basis
-already in RREF, so a kernel costs one elimination, and a rank is a pivot
-count.  The matrix product likewise multiplies only nonzero entries, and
+nonzero entries.  span_of_rows takes the leftmost nonzero of each row as
+its pivot and writes the unique reduced row echelon form back as field
+elements (rref, row_space and column_space read it); kernel_of_rows takes
+the rightmost, which leaves the null space basis already in RREF, so a
+kernel costs one elimination, and a rank is a pivot count.  The matrix product likewise multiplies only nonzero entries, and
 products_agree compares two products without forming either.  Subspaces are
 stored in canonical RREF form so that equal subspaces compare equal.
 
@@ -447,26 +447,34 @@ def _pivot_rows(rows: list[dict], p: int, pick) -> dict[int, dict]:
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
     """Reduced row echelon form, pivot column indices, and rank.
 
-    The rows of m become sparse integer rows (see int_rows) and _pivot_rows
-    reduces them with the leftmost nonzero of each row as its pivot.  The
-    RREF of a matrix is unique, so the order in which rows are taken is free
-    and the result is the canonical one: pivot rows in column order holding
-    ratio(v, pivot) (over F_p the pivot is 1 and v a residue), 0 elsewhere,
-    zero rows last.
+    The nonzero rows are those of the canonical span of the rows (see
+    span_of_rows), in pivot column order, and zero rows come last.
     """
-    piv = _pivot_rows(int_rows(m.field, _nonzeros(m.entries)), m.field.characteristic, min)
+    s = row_space(m)
+    zero_row = tuple([0] * m.cols)
+    out = s.basis + tuple(zero_row for _ in range(m.rows - s.dim))
+    return Mat(m.field, m.rows, m.cols, out), s.pivots, s.dim
+
+
+def span_of_rows(field: Field, ncols: int, rows) -> "Subspace":
+    """The span of sparse rows [(column, value), ...] of field elements, in
+    canonical form.  The rows become sparse integer rows (see int_rows) and
+    _pivot_rows reduces them with the leftmost nonzero of each row as its
+    pivot.  The RREF is unique, so the order in which rows are taken is free
+    and the result is the canonical one: pivot rows in column order holding
+    ratio(v, pivot) (over F_p the pivot is 1 and v a residue), 0 elsewhere.
+    """
+    piv = _pivot_rows(int_rows(field, rows), field.characteristic, min)
     pivots = tuple(sorted(piv))
-    out = []
+    basis = []
     for c in pivots:
-        row = [0] * m.cols
+        row = [0] * ncols
         r = piv[c]
         d = r[c]
         for j, v in r.items():
             row[j] = ratio(v, d)
-        out.append(tuple(row))
-    zero_row = tuple([0] * m.cols)
-    out.extend(zero_row for _ in range(m.rows - len(pivots)))
-    return Mat(m.field, m.rows, m.cols, tuple(out)), pivots, len(pivots)
+        basis.append(tuple(row))
+    return Subspace(field, ncols, tuple(basis), pivots)
 
 
 @dataclass(frozen=True)
@@ -617,9 +625,8 @@ class Subspace:
 
 
 def row_space(m: Mat) -> Subspace:
-    """The span of the rows of m, in the canonical form rref gives it."""
-    red, pivots, rank = rref(m)
-    return Subspace(m.field, m.cols, red.entries[:rank], pivots)
+    """The span of the rows of m, in canonical form."""
+    return span_of_rows(m.field, m.cols, _nonzeros(m.entries))
 
 
 def kernel_basis(m: Mat) -> Subspace:
@@ -651,29 +658,9 @@ def kernel_of_rows(field: Field, ncols: int, rows: list[dict]) -> Subspace:
     return Subspace(field, ncols, tuple(tuple(vec) for vec in vecs.values()), tuple(vecs))
 
 
-def rows_vanish_on(field: Field, rows: list[dict], space: Subspace) -> bool:
-    """Whether every integer row (see int_rows) vanishes on space: one
-    integer product of the rows with integer multiples of its basis vectors,
-    taken mod p over F_p."""
-    if not space.dim:
-        return True
-    p = field.characteristic
-    cols: dict[int, list] = {}
-    for b, x in enumerate(int_rows(field, _nonzeros(space.basis))):
-        for j, w in x.items():
-            cols.setdefault(j, []).append((b, w))
-    for r in rows:
-        acc = [0] * space.dim
-        for j, v in r.items():
-            for b, w in cols.get(j, ()):
-                acc[b] += v * w
-        if any(a % p for a in acc) if p else any(acc):
-            return False
-    return True
-
-
 def column_space(m: Mat) -> Subspace:
-    return Subspace.from_vectors(m.field, m.rows, m.columns())
+    """The span of the columns of m, read straight into canonical form."""
+    return span_of_rows(m.field, m.rows, _nonzeros(zip(*m.entries)))
 
 
 def solve(m: Mat, b) -> tuple | None:

@@ -134,6 +134,22 @@ class Path:
         return len(self.arrows)
 
 
+@dataclass(frozen=True)
+class Presentation:
+    """A projective presentation of a representation M, in path coordinates:
+    M is the cokernel of a map into P = the sum of the P_x over the
+    generators, vertex indices x.  Each relation is the image in P of one
+    generator of the other term, as (vertex index y, ((generator j, path
+    index k, coefficient), ...)), where k counts in the paths from
+    generators[j] to y, listed as Workspace.paths_from lists them.  slots[y]
+    gives the (generator j, path index k) of the basis vector of P(y) that
+    each basis vector of M(y) is the image of."""
+
+    generators: tuple[int, ...]
+    relations: tuple
+    slots: tuple
+
+
 class Workspace:
     """Memo tables for the computations over one quiver object.
 
@@ -149,6 +165,13 @@ class Workspace:
     (Ringel, LNM 1099): between two members of ``indecomposables``, a set
     looked up with no iso search, a form <= 0 gives the zero space unsolved
     and a solved space must have the form's dimension.
+
+    ``presentations`` holds a projective presentation of each P_x and each
+    TrD that translate.trd builds.  Hom(M, N) out of such an M is solved on
+    the generator images (reps.hom_from_presentation), with the maps N(p)
+    of the paths out of each generator vertex from ``path_maps``; every
+    other domain (request morphisms, kernels, decomposition pieces) takes
+    the commuting-square system of reps.hom_basis.
     """
 
     def __init__(self, quiver: Quiver):
@@ -163,6 +186,8 @@ class Workspace:
         self.radical_maps: dict = {}    # (U, Z) -> basis of rad(U, Z), flat nonzeros
         self.registries: dict = {}      # (field, cap) -> IndecRegistry
         self.indecomposables: set = set()  # representations shown indecomposable
+        self.presentations: dict = {}   # M -> Presentation
+        self.path_maps: dict = {}       # (N, vertex index) -> N(p) per path out of it
 
     def memo(self, table: dict, key, build):
         """table[key], computed by build() on a miss.  The workspace itself
@@ -199,22 +224,46 @@ class Workspace:
         self.indecomposables.add(M)
         return M
 
+    def presented(self, M, presentation: Presentation):
+        """M, recorded with a projective presentation."""
+        self.presentations[M] = presentation
+        return M
+
+    def path_maps_from(self, N, xi: int) -> list[list[tuple]]:
+        """N(p) as a tuple of columns for each path p out of vertex index xi,
+        listed as paths_from(xi) lists the paths."""
+        return self.memo(self.path_maps, (N, xi), lambda: self._path_maps_from(N, xi))
+
+    def _path_maps_from(self, N, xi: int) -> list[list[tuple]]:
+        from .structure import _walk_paths
+
+        # the column c of N(p a) is N(a) applied to the column c of N(p)
+        return _walk_paths(self.paths_from(xi), Mat.identity(N.field, N.dims[xi]).entries,
+                           lambda done, arrows: tuple(map(N.action[arrows[-1]].apply,
+                                                          done[arrows[:-1]])))
+
     def hom(self, M, N):
-        """Hom(M, N), by the Euler-form rule or reps.hom_basis on a miss."""
+        """Hom(M, N), by the Euler-form rule, or solved on a miss: off M's
+        presentation when it has one, else by reps.hom_basis."""
         return self.memo(self.homs, (M, N), lambda: self._solve_hom(M, N))
 
     def _solve_hom(self, M, N):
-        from .reps import HomSpace, hom_basis
+        from .reps import HomSpace, hom_basis, hom_from_presentation
         from .translate import euler_form
 
         known = self.indecomposables
-        if not (self.dynkin and M.field == N.field and M in known and N in known):
-            return hom_basis(M, N)
-        form = euler_form(self.quiver, M.dims, N.dims)
-        if form <= 0:
-            return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
-        hs = hom_basis(M, N)
-        invariant(hs.dim == form, "Hom between directed indecomposables differs from the Euler form")
+        directed = self.dynkin and M.field == N.field and M in known and N in known
+        if directed:
+            form = euler_form(self.quiver, M.dims, N.dims)
+            if form <= 0:
+                return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
+        presentation = self.presentations.get(M)
+        if presentation is None:
+            hs = hom_basis(M, N)
+        else:
+            hs = hom_from_presentation(M, presentation, N)
+        if directed:
+            invariant(hs.dim == form, "Hom between directed indecomposables differs from the Euler form")
         return hs
 
     def registry(self, field: Field, cap: int):
@@ -303,10 +352,19 @@ def _path_representation(q: Quiver, field: Field, paths, act):
 
 def projective_at(q: Quiver, x: str, field: Field = RATIONALS):
     """Indecomposable projective P_x: basis of P_x(y) is the path list x -> y,
-    arrows act by appending to the path."""
+    arrows act by appending to the path.  The workspace records it with its
+    presentation, one generator and no relations."""
     ws = q.workspace
-    return ws.memo(ws.canonical, ("P", x, field), lambda: ws.indecomposable(_path_representation(
-        q, field, ws.paths_from(q.vertex_index[x]), lambda p, ai: p + (ai,))))
+
+    def build():
+        xi = q.vertex_index[x]
+        paths = ws.paths_from(xi)
+        presentation = Presentation((xi,), (), tuple(tuple((0, k) for k in range(len(ps)))
+                                                     for ps in paths))
+        P = _path_representation(q, field, paths, lambda p, ai: p + (ai,))
+        return ws.indecomposable(ws.presented(P, presentation))
+
+    return ws.memo(ws.canonical, ("P", x, field), build)
 
 
 def injective_at(q: Quiver, x: str, field: Field = RATIONALS):

@@ -3,17 +3,21 @@
 A representation assigns a finite-dimensional space to each vertex and a
 matrix to each arrow; a morphism is a family of vertex matrices making every
 arrow square commute, checked exactly at construction time by
-linalg.products_agree, which builds neither product.  Hom(M, N) is the
-solution space of the commuting-square linear system and is returned with a
-canonical (RREF) ordered basis, so all downstream subspace computations have
-stable coordinates.  The system is assembled once, as sparse integer rows,
-and solved by one elimination.  A HomSpace basis is checked against the
-squares all together, by one integer product of the square equations with
-the basis vectors, so its morphisms skip the check one by one and are built
-only on first access; morphisms built from caller input, from_coordinates
-included, keep it.  Composites with a fixed map (the matrices of pre- and
-postcomposition) are formed on the flat sparse basis rows, from their
-nonzeros and those of the fixed map, with no matrix product.
+linalg.products_agree, which builds neither product.  Hom(M, N) is returned
+with a canonical (RREF) ordered basis, so all downstream subspace
+computations have stable coordinates.  It is solved by one of two routes,
+each with one elimination.  hom_basis solves the commuting-square system,
+assembled once as sparse integer rows, with one unknown per entry of the
+vertex maps.  hom_from_presentation reads it off a projective presentation
+of M, with one unknown per coordinate of N at each generator (Yoneda), and
+writes each solution into the vertex maps.  Either way every HomSpace basis
+vector is checked against the squares, from its nonzeros and those of the
+arrow matrices, so the basis morphisms skip the check one by one and are
+built only on first access; morphisms built from caller input,
+from_coordinates included, keep it.  Composites with a fixed map (the
+matrices of pre- and postcomposition) are formed on the flat sparse basis
+rows, from their nonzeros and those of the fixed map, with no matrix
+product.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient; kernels, images and cokernels
@@ -44,10 +48,10 @@ from .linalg import (
     kernel_basis,
     kernel_of_rows,
     products_agree,
-    rows_vanish_on,
     same_field,
+    span_of_rows,
 )
-from .quiver import Quiver
+from .quiver import Presentation, Quiver
 
 
 @dataclass(frozen=True)
@@ -193,33 +197,53 @@ def _square_rows(M: Representation, N: Representation) -> list[dict]:
     return int_rows(M.field, rows)
 
 
+def _breaks_a_square(M: Representation, N: Representation, rows) -> bool:
+    """Whether some flattened family of vertex maps f: M -> N, given by its
+    nonzeros [(flat index, value), ...], breaks a square
+    N(a) f(s) = f(t) M(a).  Each family is scaled to integers (see
+    int_rows), and both sides of every square are summed from its nonzeros
+    and those of the arrow matrices, mod p over F_p."""
+    q, p = M.quiver, M.field.characteristic
+    for f in int_rows(M.field, rows):
+        acc: dict = {}
+        for i, r, c, v in _entries(M, N, f.items()):
+            # f(s)[r][c] meets column r of N(a), and f(t)[r][c] row c of M(a)
+            for ai in q.arrows_from[i]:
+                for r2, row in enumerate(N.action[ai].entries):
+                    if row[r]:
+                        acc[ai, r2, c] = acc.get((ai, r2, c), 0) + row[r] * v
+            for ai in q.arrows_into[i]:
+                for c2, w in enumerate(M.action[ai].entries[c]):
+                    if w:
+                        acc[ai, r, c2] = acc.get((ai, r, c2), 0) - v * w
+        if any(v % p for v in acc.values()) if p else any(acc.values()):
+            return True
+    return False
+
+
 class HomSpace:
     """Ordered canonical basis of Hom(M, N).
 
     Morphisms are flattened to coordinate vectors by concatenating the
     components row-major in vertex order; the basis rows are in RREF with
     respect to that flattening, so coordinates of a member are read off at the
-    pivot positions.  The basis is checked against the commuting squares all
-    at once, by one integer product of the square equations with the basis
-    vectors (InvariantError if some vector is outside Hom), so its morphisms
-    are built without a check of their own, on first access to basis.
-    Composites and coordinates work on flat_basis, the basis vectors as
-    sparse rows, and need no basis morphism.
+    pivot positions.  Whichever route solved the space, each basis vector is
+    checked against the commuting squares N(a) f(s) = f(t) M(a) from its
+    nonzeros and those of the arrow matrices (InvariantError if some vector
+    is outside Hom), so its morphisms are built without a check of their
+    own, on first access to basis.  Composites and coordinates work on
+    flat_basis, the basis vectors as sparse rows, and need no basis
+    morphism.
     """
 
-    def __init__(self, domain: Representation, codomain: Representation,
-                 basis_vectors: Subspace, square_rows: list[dict] | None = None):
-        # square_rows: the integer rows of the commuting squares, when the
-        # caller has them (see _square_rows); an empty basis needs none
-        if square_rows is None:
-            square_rows = _square_rows(domain, codomain) if basis_vectors.dim else []
+    def __init__(self, domain: Representation, codomain: Representation, basis_vectors: Subspace):
         self.domain = domain
         self.codomain = codomain
         self._space = basis_vectors
         self._offsets = _flat_offsets(domain, codomain)
         if basis_vectors.ambient_dim != self._offsets[-1]:
             raise SemanticError("basis vectors do not have the flattened hom length")
-        if not rows_vanish_on(domain.field, square_rows, basis_vectors):
+        if _breaks_a_square(domain, codomain, basis_vectors.sparse_basis):
             raise InvariantError("hom basis vector outside the hom space: "
                                  "some square does not commute")
 
@@ -297,16 +321,67 @@ class HomSpace:
         return f"HomSpace(dim {self.dim}: {self.domain!r} -> {self.codomain!r})"
 
 
-def hom_basis(M: Representation, N: Representation) -> HomSpace:
-    """Canonical basis of Hom(M, N) as solutions of the commuting squares:
-    the square equations are assembled once as sparse integer rows, solved
-    by one elimination, and checked against the basis by one product."""
+def _same_category(M: Representation, N: Representation) -> None:
     if M.quiver != N.quiver:
         raise SemanticError("representations live over different quivers")
     if M.field != N.field:
         raise SemanticError("representations live over different fields")
-    rows = _square_rows(M, N)
-    return HomSpace(M, N, kernel_of_rows(M.field, _flat_offsets(M, N)[-1], rows), rows)
+
+
+def hom_basis(M: Representation, N: Representation) -> HomSpace:
+    """Canonical basis of Hom(M, N) as solutions of the commuting squares:
+    the square equations are assembled once as sparse integer rows and
+    solved by one elimination."""
+    _same_category(M, N)
+    return HomSpace(M, N, kernel_of_rows(M.field, _flat_offsets(M, N)[-1], _square_rows(M, N)))
+
+
+def hom_from_presentation(M: Representation, presentation: Presentation,
+                          N: Representation) -> HomSpace:
+    """Canonical basis of Hom(M, N) read off a projective presentation of M:
+    Hom(-, N) is left exact and Hom(P_x, N) = N(x), so Hom(M, N) is the
+    space of generator images n_j in N at the generator vertices that every
+    relation sends to 0, sum_(j, p) c N(p) n_j = 0.  One elimination solves
+    these equations; each solution is written at M's slots, the column of
+    slot (j, p) at vertex y being N(p) n_j, and the written maps are put in
+    canonical form."""
+    _same_category(M, N)
+    field = M.field
+    # the columns of N(p), per generator, target vertex and path
+    maps = [M.quiver.workspace.path_maps_from(N, x) for x in presentation.generators]
+    starts = list(accumulate((N.dims[x] for x in presentation.generators), initial=0))
+    equations = []
+    for y, terms in presentation.relations:
+        eqs: list[dict] = [{} for _ in range(N.dims[y])]
+        for j, k, c in terms:
+            for col, column in enumerate(maps[j][y][k], start=starts[j]):
+                for r, w in enumerate(column):
+                    if w:
+                        eqs[r][col] = eqs[r].get(col, 0) + c * w
+        equations.extend([(t, v) for t, v in eq.items() if v] for eq in eqs)
+    solutions = kernel_of_rows(field, starts[-1], int_rows(field, equations))
+    offsets = _flat_offsets(M, N)
+    rows = []
+    for u in solutions.sparse_basis:
+        images = [[] for _ in presentation.generators]  # the nonzeros of each n_j
+        for t, v in u:
+            j = bisect_right(starts, t) - 1
+            images[j].append((t - starts[j], v))
+        row = []
+        for y, slots in enumerate(presentation.slots):
+            for c, (j, k) in enumerate(slots, start=offsets[y]):
+                column = maps[j][y][k]
+                acc: dict = {}
+                for col, v in images[j]:
+                    for r, w in enumerate(column[col]):
+                        if w:
+                            acc[r] = acc.get(r, 0) + v * w
+                row.extend((c + r * M.dims[y], v) for r, v in acc.items() if v)
+        rows.append(row)
+    space = span_of_rows(field, offsets[-1], rows)
+    if space.dim != solutions.dim:
+        raise InvariantError("a map written from generator images is not determined by them")
+    return HomSpace(M, N, space)
 
 
 def _entries(M: Representation, N: Representation, nz):

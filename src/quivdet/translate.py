@@ -15,6 +15,7 @@ the structure writers map_from_generators and map_to_cogenerators.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .decompose import indec_iso_witness, is_indecomposable
@@ -25,9 +26,9 @@ from .errors import (
     SemanticError,
     invariant,
 )
-from .linalg import Field, RATIONALS
-from .quiver import Quiver, injective_at, projective_at
-from .reps import RepMorphism, Representation, cokernel, kernel
+from .linalg import Field, RATIONALS, column_space
+from .quiver import Presentation, Quiver, injective_at, projective_at
+from .reps import RepMorphism, Representation, kernel, quotient
 from .structure import (
     BlockSum,
     injective_block_sum,
@@ -132,15 +133,42 @@ def trd(M: Representation) -> Representation:
     The kernel of nu^-1(d) is Hom(DA, M), which on a hereditary path algebra
     is zero exactly when M has no injective summand.  So nu^-1(d) is mono
     exactly then, which the cokernel shows when its dimension is
-    dim P_1 - dim P_0 at every vertex; otherwise HasInjectiveSummandError."""
+    dim P_1 - dim P_0 at every vertex; otherwise HasInjectiveSummandError.
+    The workspace records nu^-1(d) as the projective presentation of TrD M,
+    off which Workspace.hom reads every Hom space out of TrD M."""
     if M.total_dim == 0:
         return M
     cop = min_injective_copresentation(M)
     g, p0, p1 = inverse_nakayama_on_injmap(cop.differential, cop.i0, cop.i1)
-    C = cokernel(g)[0]
+    images = [column_space(c) for c in g.comps]
+    C = quotient(p1.rep, images)[0]
     if C.dims != tuple(a - b for a, b in zip(p1.rep.dims, p0.rep.dims)):
         raise HasInjectiveSummandError("TrD is undefined on injective summands")
-    return C
+    return M.quiver.workspace.presented(C, _cokernel_presentation(g, p0, p1, images))
+
+
+def _cokernel_presentation(g: RepMorphism, dom: BlockSum, cod: BlockSum, images) -> Presentation:
+    """The presentation of coker(g) for g: dom -> cod between projective
+    block sums, with images[y] the image of g at vertex y: the generators
+    are the blocks of cod, a relation is the image of the generator of a
+    block of dom, and the slots are the coordinates of cod left free by
+    the images, which reps.quotient keeps."""
+    vi = g.domain.quiver.vertex_index
+
+    def slot(yi, k):
+        # block j of cod holds the paths from its vertex to y at vertex y
+        cut = cod.offsets[yi]
+        j = bisect_right(cut, k) - 1
+        return j, k - cut[j]
+
+    relations = []
+    for i, y in enumerate(dom.block_vertices):
+        yi = vi[y]
+        image = g.comps[yi].col(dom.offsets[yi][i])
+        relations.append((yi, tuple((*slot(yi, k), c) for k, c in enumerate(image) if c)))
+    slots = tuple(tuple(slot(yi, k) for k in sorted(set(range(s.ambient_dim)).difference(s.pivots)))
+                  for yi, s in enumerate(images))
+    return Presentation(tuple(vi[x] for x in cod.block_vertices), tuple(relations), slots)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 import quivdet as qd
 from quivdet.decompose import (
+    _power_coordinates,
     end_algebra,
     minimal_polynomial,
     _pmul,
@@ -148,6 +149,34 @@ def test_minimal_polynomial_on_the_vertex_matrices(text, cap, field):
             flat.append([x for m in power for row in m.entries for x in row])
             power = [m @ T for m, T in zip(power, phi.comps)]
         assert Mat.from_rows(field, flat, sum(d * d for d in M.dims)).rank() == len(mu) - 1
+
+
+def test_powers_stop_at_the_first_dependent_one(monkeypatch):
+    # three Kronecker preprojectives with End(M) of dimension 18 and a cubic
+    # minimal polynomial: phi, phi^2 and phi^3 are the only compositions,
+    # where the degree bound dim End(M) would form 18 of them
+    q = _kronecker()
+    reg = qd.knit(q, F, 8)
+    M = qd.direct_sum([reg.entries[reg.by_dims[d]].rep for d in [(7, 8), (3, 4), (1, 2)]])[0]
+    hs = q.workspace.hom(M, M)
+    assert hs.dim == 18
+    rng = random.Random(17)
+    phi = hs.from_coordinates([rng.randrange(-2, 3) for _ in range(hs.dim)])
+    compositions = []
+    real = qd.RepMorphism.__matmul__
+
+    def counting(f, g):
+        compositions.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(qd.RepMorphism, "__matmul__", counting)
+    mu, coords = _power_coordinates(phi)
+    monkeypatch.undo()
+    assert len(mu) == 4 and len(compositions) == 3
+    powers = [qd.identity_morphism(M)]
+    for _ in range(3):
+        powers.append(powers[-1] @ phi)
+    assert coords == [hs.coordinates(f) for f in powers]
 
 
 def test_right_minimal_version_already_minimal(golden_f):

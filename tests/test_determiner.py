@@ -376,12 +376,16 @@ def test_verify_solves_no_zero_hom_between_registered_objects(monkeypatch):
     rm, _, _, members = eng.formula_members(f)
     solved = []
 
-    def recording_hom_basis(M, N):
-        hs = hom_basis(M, N)
-        solved.append((M, N, hs.dim))
-        return hs
+    def recording(real):
+        # both Hom solvers: the squares, and a presentation of the domain
+        def solve(*args):
+            hs = real(*args)
+            solved.append((hs.domain, hs.codomain, hs.dim))
+            return hs
+        return solve
 
-    monkeypatch.setattr(quivdet.reps, "hom_basis", recording_hom_basis)
+    for name in ("hom_basis", "hom_from_presentation"):
+        monkeypatch.setattr(quivdet.reps, name, recording(getattr(quivdet.reps, name)))
     assert eng.verify(rm.minimal, members).certified
     monkeypatch.undo()
     assert solved
@@ -562,22 +566,26 @@ def test_maps_into_injectives_certify_over_small_primes(field):
 
 
 def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
-    # one Hom path: hom_basis is reached only from Workspace.hom, so the memo
-    # and the Euler-form rule see every solve, from the CLI, the knit, the
-    # formula, the oracle and the left side's opposite quiver alike
+    # one Hom path: the two solvers, hom_basis and hom_from_presentation, are
+    # reached only from Workspace.hom, so the memo and the Euler-form rule
+    # see every solve, from the CLI, the knit, the formula, the oracle and
+    # the left side's opposite quiver alike
     from quivdet.cli import main
 
-    real = quivdet.reps.hom_basis
     callers = []
 
-    def watched(M, N):
-        caller = sys._getframe(1).f_code
-        callers.append((Path(caller.co_filename).name, caller.co_qualname))
-        return real(M, N)
+    def watch(real):
+        def watched(*args):
+            caller = sys._getframe(1).f_code
+            callers.append((Path(caller.co_filename).name, caller.co_qualname))
+            return real(*args)
+        return watched
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "quivdet" and getattr(module, "hom_basis", None) is real:
-            monkeypatch.setattr(module, "hom_basis", watched)
+    for solver in ("hom_basis", "hom_from_presentation"):
+        real = getattr(quivdet.reps, solver)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "quivdet" and getattr(module, solver, None) is real:
+                monkeypatch.setattr(module, solver, watch(real))
     data = Path(__file__).resolve().parent.parent / "data"
     assert main(["det", str(data / "a3.quiver"), str(data / "a3.reps"), "f", "--verify"]) == 0
     capsys.readouterr()

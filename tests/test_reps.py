@@ -18,6 +18,7 @@ from quivdet.linalg import (
 )
 from quivdet.reps import (
     HomSpace,
+    hom_from_presentation,
     image,
     postcompose_matrix,
     precompose_matrix,
@@ -281,6 +282,26 @@ def test_hom_basis_is_checked_against_the_squares(field, monkeypatch):
     monkeypatch.setattr("quivdet.reps.kernel_of_rows", perturbed)
     with pytest.raises(InvariantError):
         qd.hom_basis(M, N)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)], ids=["rat", "fp10007"])
+def test_hom_off_a_presentation_is_checked_against_the_squares(field, monkeypatch):
+    # the knitted M has a presentation; a solution of its small system that
+    # is perturbed off the kernel writes vertex maps that break a square
+    M, N = _e6_pair(field)
+    presentation = M.quiver.workspace.presentations[M]
+    assert hom_from_presentation(M, presentation, N)._space == qd.hom_basis(M, N)._space
+
+    def perturbed(fld, ncols, rows):
+        k = kernel_of_rows(fld, ncols, rows)
+        units = [tuple(fld.one if i == j else fld.zero for i in range(ncols)) for j in range(ncols)]
+        outside = next(u for u in units if not k.contains_vector(u))
+        v = tuple(a + b for a, b in zip(k.basis[-1], outside))
+        return Subspace(fld, ncols, k.basis[:-1] + (v,), k.pivots)
+
+    monkeypatch.setattr("quivdet.reps.kernel_of_rows", perturbed)
+    with pytest.raises(InvariantError, match="square"):
+        hom_from_presentation(M, presentation, N)
 
 
 def test_hom_basis_runs_one_elimination_and_no_matrix_product(monkeypatch):

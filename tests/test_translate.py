@@ -16,6 +16,7 @@ from quivdet.errors import (
     SemanticError,
 )
 from quivdet.linalg import RATIONALS, Mat, field_from_name
+from quivdet.reps import hom_from_presentation
 from quivdet.structure import injective_block_sum, projective_block_sum
 
 from conftest import d4_subspace_quiver
@@ -501,6 +502,52 @@ def test_euler_form_gives_hom_dimension_between_dynkin_indecomposables(text, fie
     assert _form_mismatches(reg, solved, lambda a, b: qd.euler_form(q, b, a))
 
 
+def _count_hom_routes(monkeypatch) -> dict:
+    """Calls of each Hom solver, counted from now on."""
+    import quivdet.reps
+
+    calls = {"hom_basis": 0, "hom_from_presentation": 0}
+
+    def counted(name):
+        real = getattr(quivdet.reps, name)
+
+        def solve(*args):
+            calls[name] += 1
+            return real(*args)
+        return solve
+
+    for name in calls:
+        monkeypatch.setattr(quivdet.reps, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+@pytest.mark.parametrize("text, cap", [
+    (E6_TEXT, 5000), (D4_TEXT, 5000), ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", 12),
+], ids=["e6", "d4", "kronecker-cap12"])
+def test_hom_off_a_presentation_is_the_hom_of_the_squares(text, cap, field, monkeypatch):
+    # Hom(M, N) read off the presentation that knit recorded for M (Yoneda)
+    # is the canonical subspace that the commuting squares give, for every
+    # pair of entries and for entries against seeded random direct sums
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field), cap)
+    ws = q.workspace
+    rng = random.Random(11)
+    sums = [qd.direct_sum([rng.choice(reg.entries).rep for _ in range(rng.randrange(2, 4))])[0]
+            for _ in range(4)]
+    codomains = [e.rep for e in reg.entries] + sums
+    for e in reg.entries:
+        for N in codomains:
+            off = hom_from_presentation(e.rep, ws.presentations[e.rep], N)
+            assert off._space == qd.hom_basis(e.rep, N)._space
+    # the workspace takes that route for every domain with a presentation
+    calls = _count_hom_routes(monkeypatch)
+    for e in reg.entries:
+        for N in sums:
+            assert ws.hom(e.rep, N)._space == qd.hom_basis(e.rep, N)._space
+    assert calls == {"hom_basis": 0, "hom_from_presentation": len(reg.entries) * len(sums)}
+
+
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
 @pytest.mark.parametrize("text, cap", [
     ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", 16),
@@ -508,14 +555,16 @@ def test_euler_form_gives_hom_dimension_between_dynkin_indecomposables(text, fie
     ("vertex c\nvertex 1\nvertex 2\nvertex 3\nvertex 4\n"
      "arrow a 1 c\narrow b 2 c\narrow d 3 c\narrow e 4 c", 30),
 ], ids=["kronecker-cap16", "a2-tilde-cap24", "d4-tilde-cap30"])
-def test_workspace_hom_meets_the_ar_formula_off_dynkin_type(text, cap, field):
+def test_workspace_hom_meets_the_ar_formula_off_dynkin_type(text, cap, field, monkeypatch):
     # <dim M, dim N> = dim Hom(M, N) - dim Ext^1(M, N), and Ext^1(M, N) is
     # D Hom(N, tau M) on a hereditary algebra, with tau P = 0: a check of
-    # every Hom space between knitted entries that the code does not use
+    # every Hom space between knitted entries that the code does not use,
+    # each one read off the domain's presentation
     q = qd.parse_quiver(text)
     reg = qd.knit(q, field_from_name(field), cap)
     assert not reg.complete and len(reg.entries) == cap
     ws = q.workspace
+    calls = _count_hom_routes(monkeypatch)
     tau = {e.tau_minus: e.rep for e in reg.entries if e.tau_minus is not None}
     mismatches = [(M.label, N.label) for M in reg.entries for N in reg.entries
                   if ws.hom(M.rep, N.rep).dim
@@ -523,6 +572,7 @@ def test_workspace_hom_meets_the_ar_formula_off_dynkin_type(text, cap, field):
                   != qd.euler_form(q, M.rep.dims, N.rep.dims)]
     assert mismatches == []
     assert sum(not e.is_projective for e in reg.entries) == len(tau)
+    assert calls["hom_basis"] == 0 and calls["hom_from_presentation"] > cap * cap // 2
 
 
 def test_euler_form_values(a3):
