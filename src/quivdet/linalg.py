@@ -11,9 +11,10 @@ nonzero entries.  span_of_rows takes the leftmost nonzero of each row as
 its pivot and writes the unique reduced row echelon form back as field
 elements (rref, row_space and column_space read it); kernel_of_rows takes
 the rightmost, which leaves the null space basis already in RREF, so a
-kernel costs one elimination, and a rank is a pivot count.  The matrix product likewise multiplies only nonzero entries, and
-products_agree compares two products without forming either.  Subspaces are
-stored in canonical RREF form so that equal subspaces compare equal.
+kernel costs one elimination, and a rank is a pivot count.  The matrix
+product likewise multiplies only nonzero entries, and products_agree
+compares two products without forming either.  Subspaces are stored in
+canonical RREF form so that equal subspaces compare equal.
 
 Scalars: over Q a field element is a plain int when it is integral and a
 Fraction otherwise; RationalField.of and .parse give that form, as do the
