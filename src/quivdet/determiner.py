@@ -10,8 +10,12 @@ registry, or an entry at its cap), and labels and JSON are as if every member
 were translated afresh.
 
 The oracle side never trusts that computation.  For a test object Z the
-subspace F_Z of maps Z -> Y factoring through f is the image of a composition
-map.  The other two subspaces come from one constraint builder: a map
+subspace F_Z of maps Z -> Y factoring through f is the image of
+postcomposition with f on Hom(Z, X).  When Z has a projective presentation
+(every registry object does) the workspace reads it off the generator
+solutions of Hom(Z, X) sent through f, and writes out no Hom(Z, X); any
+other Z takes the column space of the composition matrix.  The other two
+subspaces come from one constraint builder: a map
 g: T -> Y must send every map h: S -> T, precomposed, into F_S, which gives
 the rows "precompose with h, then project off F_S", and the maps g meeting
 all rows form a kernel.  The almost-factoring subspace of Z takes T = Z, every
@@ -36,7 +40,7 @@ from dataclasses import dataclass, replace
 
 from .decompose import decompose, rad_hom_basis, right_minimal_version
 from .errors import SemanticError, invariant
-from .linalg import Subspace, column_space, int_rows, kernel_of_rows, solve
+from .linalg import Subspace, int_rows, kernel_of_rows, solve
 from .reps import (
     HomSpace,
     RepMorphism,
@@ -181,10 +185,11 @@ class DeterminerEngine:
         return self.workspace.hom(M, N)
 
     def factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
-        """Image of Hom(Z, X) -> Hom(Z, Y), the maps factoring through f."""
+        """Image of Hom(Z, X) -> Hom(Z, Y), the maps factoring through f,
+        from the workspace (read off Z's generator images when Z has a
+        presentation)."""
         factor, _ = self._tables_for(f)
-        return self.workspace.memo(factor, Z, lambda: column_space(
-            postcompose_matrix(self.hom(Z, f.domain), self.hom(Z, f.codomain), f)))
+        return self.workspace.memo(factor, Z, lambda: self.workspace.factoring_subspace(f, Z))
 
     def _radical_maps(self, U: Representation, Z: Representation):
         """A basis of rad(U, Z) as sparse flat rows, like HomSpace.flat_basis;

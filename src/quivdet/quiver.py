@@ -22,7 +22,7 @@ from .errors import (
     QuiverSyntaxError,
     invariant,
 )
-from .linalg import RATIONALS, Field, Mat, Subspace
+from .linalg import RATIONALS, Field, Mat, Subspace, column_space, span_of_rows
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,8 @@ class Workspace:
     Concurrent callers may repeat a computation, but an entry is stored only
     once it is complete, a knitted registry included.
 
-    ``hom`` is the only producer of Hom spaces.  On a Dynkin quiver every
+    ``hom`` is the only producer of Hom spaces, and every Hom system is
+    solved in ``hom`` or ``factoring_subspace``.  On a Dynkin quiver every
     indecomposable is directed, so dim Hom(M, N) = max(0, <dim M, dim N>)
     (Ringel, LNM 1099): between two members of ``indecomposables``, a set
     looked up with no iso search, a form <= 0 gives the zero space unsolved
@@ -168,10 +169,14 @@ class Workspace:
 
     ``presentations`` holds a projective presentation of each P_x and each
     TrD that translate.trd builds.  Hom(M, N) out of such an M is solved on
-    the generator images (reps.hom_from_presentation), with the maps N(p)
-    of the paths out of each generator vertex from ``path_maps``; every
-    other domain (request morphisms, kernels, decomposition pieces) takes
-    the commuting-square system of reps.hom_basis.
+    the generator images (reps.generator_kernel, written out by
+    reps.hom_from_presentation), with the maps N(p) of the paths out of
+    each generator vertex from ``path_maps``; every other domain (request
+    morphisms, kernels, decomposition pieces) takes the commuting-square
+    system of reps.hom_basis.  ``factoring_subspace`` tells the two kinds
+    of domain apart the same way: the maps out of a presented Z that factor
+    through f: X -> Y are read off the generator solutions of Hom(Z, X),
+    which is never written out.
     """
 
     def __init__(self, quiver: Quiver):
@@ -247,24 +252,56 @@ class Workspace:
         presentation when it has one, else by reps.hom_basis."""
         return self.memo(self.homs, (M, N), lambda: self._solve_hom(M, N))
 
-    def _solve_hom(self, M, N):
-        from .reps import HomSpace, hom_basis, hom_from_presentation
+    def _directed_form(self, M, N) -> int | None:
+        """<dim M, dim N> when M and N are members of ``indecomposables`` over
+        one field on a Dynkin quiver, where dim Hom(M, N) = max(0, form);
+        else None."""
         from .translate import euler_form
 
         known = self.indecomposables
-        directed = self.dynkin and M.field == N.field and M in known and N in known
-        if directed:
-            form = euler_form(self.quiver, M.dims, N.dims)
-            if form <= 0:
-                return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
+        if self.dynkin and M.field == N.field and M in known and N in known:
+            return euler_form(self.quiver, M.dims, N.dims)
+        return None
+
+    def _solve_hom(self, M, N):
+        from .reps import HomSpace, generator_kernel, hom_basis, hom_from_presentation
+
+        form = self._directed_form(M, N)
+        if form is not None and form <= 0:
+            return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
         presentation = self.presentations.get(M)
         if presentation is None:
             hs = hom_basis(M, N)
         else:
-            hs = hom_from_presentation(M, presentation, N)
-        if directed:
-            invariant(hs.dim == form, "Hom between directed indecomposables differs from the Euler form")
+            hs = hom_from_presentation(M, presentation, N, generator_kernel(M, presentation, N))
+        invariant(form is None or hs.dim == form,
+                  "Hom between directed indecomposables differs from the Euler form")
         return hs
+
+    def factoring_subspace(self, f, Z) -> Subspace:
+        """The maps Z -> Y that factor through f: X -> Y, the image of
+        g |-> f . g on Hom(Z, X), as a subspace of Hom(Z, Y) in its
+        coordinates.  Off Z's presentation when it has one, with no
+        Hom(Z, X) written out: the Euler-form rule of ``hom`` applies to
+        (Z, X), else Hom(Z, X) is solved in generator coordinates and each
+        solution is sent through f (reps.postcompose_from_generators).  Any
+        other Z takes the column space of the postcomposition matrix."""
+        from .reps import generator_kernel, postcompose_from_generators, postcompose_matrix
+
+        X, Y = f.domain, f.codomain
+        hzy = self.hom(Z, Y)
+        presentation = self.presentations.get(Z)
+        if presentation is None:
+            return column_space(postcompose_matrix(self.hom(Z, X), hzy, f))
+        form = self._directed_form(Z, X)
+        if form is not None and form <= 0:
+            return Subspace.zero(Z.field, hzy.dim)
+        solutions = generator_kernel(Z, presentation, X)
+        invariant(form is None or solutions.dim == form,
+                  "Hom between directed indecomposables differs from the Euler form")
+        cols = postcompose_from_generators(hzy, presentation, f, solutions)
+        return span_of_rows(Z.field, hzy.dim, ([(i, c) for i, c in enumerate(col) if c]
+                                               for col in cols))
 
     def registry(self, field: Field, cap: int):
         """The registry knitted over this quiver with the given cap."""

@@ -8,16 +8,22 @@ with a canonical (RREF) ordered basis, so all downstream subspace
 computations have stable coordinates.  It is solved by one of two routes,
 each with one elimination.  hom_basis solves the commuting-square system,
 assembled once as sparse integer rows, with one unknown per entry of the
-vertex maps.  hom_from_presentation reads it off a projective presentation
-of M, with one unknown per coordinate of N at each generator (Yoneda), and
-writes each solution into the vertex maps.  Either way every HomSpace basis
-vector is checked against the squares, from its nonzeros and those of the
-arrow matrices, so the basis morphisms skip the check one by one and are
-built only on first access; morphisms built from caller input,
-from_coordinates included, keep it.  Composites with a fixed map (the
-matrices of pre- and postcomposition) are formed on the flat sparse basis
-rows, from their nonzeros and those of the fixed map, with no matrix
-product.
+vertex maps.  The other reads it off a projective presentation of M, with
+one unknown per coordinate of N at each generator (Yoneda):
+generator_kernel solves the relation equations on the generator images,
+write_from_generators writes each solution into the vertex maps, and
+hom_from_presentation puts the written maps in canonical form.  Either way
+every HomSpace basis vector is checked against the squares, from its
+nonzeros and those of the arrow matrices, so the basis morphisms skip the
+check one by one and are built only on first access; morphisms built from
+caller input, from_coordinates included, keep it.  Composites with a fixed
+map (the matrices of pre- and postcomposition) are formed on the flat
+sparse basis rows, from their nonzeros and those of the fixed map, with no
+matrix product.  For a presented Z, postcompose_from_generators forms f . g
+for every g: Z -> X from the generator solutions of Hom(Z, X) instead:
+their images under f at the generator vertices are written as maps
+Z -> Y, whose coordinates in Hom(Z, Y) check them, and no Hom(Z, X) is
+written out.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient; kernels, images and cokernels
@@ -121,7 +127,9 @@ class RepMorphism:
                     f"{c.rows}x{c.cols}, expected {N.dims[i]}x{M.dims[i]}")
         for ai, a in enumerate(M.quiver.arrows):
             si, ti = M.quiver.vertex_index[a.source], M.quiver.vertex_index[a.target]
-            if not products_agree(N.action[ai], self.comps[si], self.comps[ti], M.action[ai]):
+            # both sides are N(t) x M(s): an empty square commutes
+            if N.dims[ti] and M.dims[si] and not products_agree(
+                    N.action[ai], self.comps[si], self.comps[ti], M.action[ai]):
                 raise SemanticError(f"square at arrow {a.name!r} does not commute")
 
     def __matmul__(self, other: "RepMorphism") -> "RepMorphism":
@@ -147,10 +155,11 @@ class RepMorphism:
         return all(m.is_zero() for m in self.comps)
 
     def is_mono(self) -> bool:
-        return all(m.rank() == m.cols for m in self.comps)
+        # a component with no columns is injective, one with fewer rows not
+        return all(not m.cols or (m.cols <= m.rows and m.rank() == m.cols) for m in self.comps)
 
     def is_epi(self) -> bool:
-        return all(m.rank() == m.rows for m in self.comps)
+        return all(not m.rows or (m.rows <= m.cols and m.rank() == m.rows) for m in self.comps)
 
     def is_iso(self) -> bool:
         return self.domain.dims == self.codomain.dims and self.is_epi()
@@ -197,16 +206,17 @@ def _square_rows(M: Representation, N: Representation) -> list[dict]:
     return int_rows(M.field, rows)
 
 
-def _breaks_a_square(M: Representation, N: Representation, rows) -> bool:
+def _breaks_a_square(M: Representation, N: Representation, offsets, rows) -> bool:
     """Whether some flattened family of vertex maps f: M -> N, given by its
-    nonzeros [(flat index, value), ...], breaks a square
+    nonzeros [(flat index, value), ...] at the flat offsets of maps M -> N,
+    breaks a square
     N(a) f(s) = f(t) M(a).  Each family is scaled to integers (see
     int_rows), and both sides of every square are summed from its nonzeros
     and those of the arrow matrices, mod p over F_p."""
     q, p = M.quiver, M.field.characteristic
     for f in int_rows(M.field, rows):
         acc: dict = {}
-        for i, r, c, v in _entries(M, N, f.items()):
+        for i, r, c, v in _entries(offsets, M.dims, f.items()):
             # f(s)[r][c] meets column r of N(a), and f(t)[r][c] row c of M(a)
             for ai in q.arrows_from[i]:
                 for r2, row in enumerate(N.action[ai].entries):
@@ -243,7 +253,7 @@ class HomSpace:
         self._offsets = _flat_offsets(domain, codomain)
         if basis_vectors.ambient_dim != self._offsets[-1]:
             raise SemanticError("basis vectors do not have the flattened hom length")
-        if _breaks_a_square(domain, codomain, basis_vectors.sparse_basis):
+        if _breaks_a_square(domain, codomain, self._offsets, basis_vectors.sparse_basis):
             raise InvariantError("hom basis vector outside the hom space: "
                                  "some square does not commute")
 
@@ -336,20 +346,25 @@ def hom_basis(M: Representation, N: Representation) -> HomSpace:
     return HomSpace(M, N, kernel_of_rows(M.field, _flat_offsets(M, N)[-1], _square_rows(M, N)))
 
 
-def hom_from_presentation(M: Representation, presentation: Presentation,
-                          N: Representation) -> HomSpace:
-    """Canonical basis of Hom(M, N) read off a projective presentation of M:
-    Hom(-, N) is left exact and Hom(P_x, N) = N(x), so Hom(M, N) is the
-    space of generator images n_j in N at the generator vertices that every
-    relation sends to 0, sum_(j, p) c N(p) n_j = 0.  One elimination solves
-    these equations; each solution is written at M's slots, the column of
-    slot (j, p) at vertex y being N(p) n_j, and the written maps are put in
-    canonical form."""
+def _generator_maps(M: Representation, presentation: Presentation, N: Representation):
+    """The columns of N(p) per generator, target vertex and path, and the
+    start of each generator image n_j in the generator coordinates: the n_j
+    in N at the generator vertices, concatenated."""
+    maps = [M.quiver.workspace.path_maps_from(N, x) for x in presentation.generators]
+    return maps, list(accumulate((N.dims[x] for x in presentation.generators), initial=0))
+
+
+def generator_kernel(M: Representation, presentation: Presentation,
+                     N: Representation) -> Subspace:
+    """Hom(M, N) in generator coordinates, read off a projective
+    presentation of M: Hom(-, N) is left exact and Hom(P_x, N) = N(x), so a
+    map M -> N is given by its generator images n_j in N at the generator
+    vertices, and the images of maps are those that every relation sends to
+    0, sum_(j, p) c N(p) n_j = 0.  One elimination solves these equations;
+    write_from_generators writes a solution as the map."""
     _same_category(M, N)
     field = M.field
-    # the columns of N(p), per generator, target vertex and path
-    maps = [M.quiver.workspace.path_maps_from(N, x) for x in presentation.generators]
-    starts = list(accumulate((N.dims[x] for x in presentation.generators), initial=0))
+    maps, starts = _generator_maps(M, presentation, N)
     equations = []
     for y, terms in presentation.relations:
         eqs: list[dict] = [{} for _ in range(N.dims[y])]
@@ -359,39 +374,89 @@ def hom_from_presentation(M: Representation, presentation: Presentation,
                     if w:
                         eqs[r][col] = eqs[r].get(col, 0) + c * w
         equations.extend([(t, v) for t, v in eq.items() if v] for eq in eqs)
-    solutions = kernel_of_rows(field, starts[-1], int_rows(field, equations))
-    offsets = _flat_offsets(M, N)
-    rows = []
-    for u in solutions.sparse_basis:
-        images = [[] for _ in presentation.generators]  # the nonzeros of each n_j
+    return kernel_of_rows(field, starts[-1], int_rows(field, equations))
+
+
+def write_from_generators(M: Representation, presentation: Presentation, N: Representation,
+                          images, offsets) -> list[dict]:
+    """The flattened map M -> N with the given generator images, for each
+    sparse row [(generator coordinate, value), ...] of images (see
+    generator_kernel), as its nonzeros {flat index: value} at the flat
+    offsets of maps M -> N: the column of slot (j, p) at vertex y is
+    N(p) n_j.  Over F_p the values are residues."""
+    maps, starts = _generator_maps(M, presentation, N)
+    p = M.field.characteristic
+    out = []
+    for u in images:
+        split = [[] for _ in presentation.generators]  # the nonzeros of each n_j
         for t, v in u:
             j = bisect_right(starts, t) - 1
-            images[j].append((t - starts[j], v))
-        row = []
+            split[j].append((t - starts[j], v))
+        acc: dict = {}
         for y, slots in enumerate(presentation.slots):
+            dy = M.dims[y]
             for c, (j, k) in enumerate(slots, start=offsets[y]):
                 column = maps[j][y][k]
-                acc: dict = {}
-                for col, v in images[j]:
+                for col, v in split[j]:
+                    # f(y)[r][c] is entry r of N(p) n_j
                     for r, w in enumerate(column[col]):
                         if w:
-                            acc[r] = acc.get(r, 0) + v * w
-                row.extend((c + r * M.dims[y], v) for r, v in acc.items() if v)
-        rows.append(row)
-    space = span_of_rows(field, offsets[-1], rows)
+                            t = c + r * dy
+                            acc[t] = acc[t] + v * w if t in acc else v * w
+        out.append({t: x % p for t, x in acc.items() if x % p} if p
+                   else {t: x for t, x in acc.items() if x})
+    return out
+
+
+def hom_from_presentation(M: Representation, presentation: Presentation, N: Representation,
+                          solutions: Subspace) -> HomSpace:
+    """Canonical basis of Hom(M, N) written from the generator_kernel
+    solutions: each is written at M's slots (write_from_generators) and the
+    written maps are put in canonical form."""
+    offsets = _flat_offsets(M, N)
+    rows = write_from_generators(M, presentation, N, solutions.sparse_basis, offsets)
+    space = span_of_rows(M.field, offsets[-1], (r.items() for r in rows))
     if space.dim != solutions.dim:
         raise InvariantError("a map written from generator images is not determined by them")
     return HomSpace(M, N, space)
 
 
-def _entries(M: Representation, N: Representation, nz):
+def postcompose_from_generators(hs_dst: HomSpace, presentation: Presentation, f: RepMorphism,
+                                solutions: Subspace) -> list[tuple]:
+    """Coordinates in hs_dst = Hom(Z, Y) of f . g for each g: Z -> X given by
+    its generator images (the generator_kernel solutions of Hom(Z, X)), with
+    no Hom(Z, X) written out.  The generator images of f . g are those of g
+    sent through f at the generator vertices; the composite is written from
+    them, and flat_coordinates checks it."""
+    Z, X, Y = hs_dst.domain, f.domain, f.codomain
+    gens = presentation.generators
+    sx = list(accumulate((X.dims[x] for x in gens), initial=0))
+    sy = list(accumulate((Y.dims[x] for x in gens), initial=0))
+    spread = defaultdict(list)  # generator coordinate of X -> [(that of Y, factor)]
+    for j, x in enumerate(gens):
+        for r, row in enumerate(f.comps[x].entries, start=sy[j]):
+            for t, w in enumerate(row, start=sx[j]):
+                if w:
+                    spread[t].append((r, w))
+    images = []
+    for u in solutions.sparse_basis:
+        acc: dict = {}
+        for t, v in u:
+            for s, w in spread.get(t, ()):
+                acc[s] = acc[s] + v * w if s in acc else v * w
+        images.append(acc.items())
+    return hs_dst._flat_coordinate_rows(
+        write_from_generators(Z, presentation, Y, images, hs_dst._offsets))
+
+
+def _entries(offsets, dims, nz):
     """(vertex, row, column, value) of each nonzero of a flattened map
-    M -> N given as (flat index, value) pairs."""
-    offsets = _flat_offsets(M, N)
+    M -> N given as (flat index, value) pairs, from the flat offsets of maps
+    M -> N (see _flat_offsets) and dims = M.dims."""
     for j, v in nz:
         if v:
             i = bisect_right(offsets, j) - 1
-            yield (i, *divmod(j - offsets[i], M.dims[i]), v)
+            yield (i, *divmod(j - offsets[i], dims[i]), v)
 
 
 def composite_columns(hs_src: HomSpace, hs_dst: HomSpace, fixed, after: bool) -> list[tuple]:
@@ -404,13 +469,15 @@ def composite_columns(hs_src: HomSpace, hs_dst: HomSpace, fixed, after: bool) ->
     spread = defaultdict(list)  # flat index of g -> [(flat index of the composite, factor)]
     if after:
         # g[k][c] meets f[r][k] in (f . g)[r][c], at each vertex i
-        for i, r, k, w in _entries(hs_src.codomain, hs_dst.codomain, fixed):
+        X, Y = hs_src.codomain, hs_dst.codomain
+        for i, r, k, w in _entries(_flat_offsets(X, Y), X.dims, fixed):
             for c in range(dz[i]):
                 spread[so[i] + k * dz[i] + c].append((do[i] + r * dz[i] + c, w))
     else:
         # g[r][k] meets h[k][c] in (g . h)[r][c], at each vertex i
         dv = hs_src.domain.dims
-        for i, k, c, w in _entries(hs_dst.domain, hs_src.domain, fixed):
+        Z, V = hs_dst.domain, hs_src.domain
+        for i, k, c, w in _entries(_flat_offsets(Z, V), Z.dims, fixed):
             for r in range(hs_dst.codomain.dims[i]):
                 spread[so[i] + r * dv[i] + k].append((do[i] + r * dz[i] + c, w))
 
@@ -467,7 +534,10 @@ def quotient(M: Representation, subs) -> tuple[Representation, RepMorphism]:
     action = []
     for ai, a in enumerate(q.arrows):
         si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        cols = list(zip(*M.action[ai].entries)) or [()] * M.action[ai].cols
+        if not free[ti] or not free[si]:
+            action.append(Mat.zero(M.field, len(free[ti]), len(free[si])))
+            continue
+        cols = list(zip(*M.action[ai].entries))
         res = [r for _, r in subs[ti].residuals({i: v for i, v in enumerate(cols[c]) if v}
                                                 for c in free[si])]
         action.append(Mat(M.field, len(free[ti]), len(free[si]),

@@ -39,9 +39,10 @@ from .reps import (
 
 
 def _socle_subspaces(M: Representation) -> list[Subspace]:
-    """soc(M)(x): the intersection of the kernels of all arrow maps leaving x."""
+    """soc(M)(x): the intersection of the kernels of all arrow maps leaving x
+    (all of M(x) when none leaves x or M(x) = 0)."""
     return [reduce(Subspace.intersect, [kernel_basis(M.action[ai]) for ai in arrows])
-            if arrows else Subspace.full(M.field, d)
+            if arrows and d else Subspace.full(M.field, d)
             for d, arrows in zip(M.dims, M.quiver.arrows_from)]
 
 

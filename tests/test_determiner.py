@@ -377,14 +377,16 @@ def test_verify_solves_no_zero_hom_between_registered_objects(monkeypatch):
     solved = []
 
     def recording(real):
-        # both Hom solvers: the squares, and a presentation of the domain
+        # both Hom solvers: the squares, and the generator equations of a
+        # presentation of the domain; each takes the domain first and the
+        # codomain last
         def solve(*args):
-            hs = real(*args)
-            solved.append((hs.domain, hs.codomain, hs.dim))
-            return hs
+            space = real(*args)
+            solved.append((args[0], args[-1], space.dim))
+            return space
         return solve
 
-    for name in ("hom_basis", "hom_from_presentation"):
+    for name in ("hom_basis", "generator_kernel"):
         monkeypatch.setattr(quivdet.reps, name, recording(getattr(quivdet.reps, name)))
     assert eng.verify(rm.minimal, members).certified
     monkeypatch.undo()
@@ -566,22 +568,26 @@ def test_maps_into_injectives_certify_over_small_primes(field):
 
 
 def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
-    # one Hom path: the two solvers, hom_basis and hom_from_presentation, are
-    # reached only from Workspace.hom, so the memo and the Euler-form rule
-    # see every solve, from the CLI, the knit, the formula, the oracle and
-    # the left side's opposite quiver alike
+    # one Hom path: the two solvers, hom_basis and generator_kernel (the
+    # generator equations of a presented domain), are reached only from
+    # Workspace methods, Workspace.hom and Workspace.factoring_subspace, so
+    # the memo and the Euler-form rule see every solve, from the CLI, the
+    # knit, the formula, the oracle and the left side's opposite quiver alike
     from quivdet.cli import main
 
     callers = []
 
     def watch(real):
         def watched(*args):
-            caller = sys._getframe(1).f_code
-            callers.append((Path(caller.co_filename).name, caller.co_qualname))
+            # the caller's class from its self, since co_qualname needs 3.11
+            frame = sys._getframe(1)
+            owner = type(frame.f_locals.get("self")).__name__
+            callers.append((Path(frame.f_code.co_filename).name,
+                            f"{owner}.{frame.f_code.co_name}"))
             return real(*args)
         return watched
 
-    for solver in ("hom_basis", "hom_from_presentation"):
+    for solver in ("hom_basis", "generator_kernel"):
         real = getattr(quivdet.reps, solver)
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "quivdet" and getattr(module, solver, None) is real:
@@ -595,4 +601,83 @@ def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
     assert DeterminerEngine(reg).report(fs[0], verify=True).oracle.certified
     assert qd.minimal_left_determiner(fs[1], registry=reg, verify=True).oracle.certified
     assert len(callers) > 100
-    assert set(callers) == {("quiver.py", "Workspace._solve_hom")}
+    assert set(callers) == {("quiver.py", "Workspace._solve_hom"),
+                            ("quiver.py", "Workspace.factoring_subspace")}
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+@pytest.mark.parametrize("text, cap", [(E6_TEXT, 5000), (D4_TEXT, 5000), (KRONECKER_TEXT, 12)],
+                         ids=["e6", "d4", "kronecker-cap12"])
+def test_factoring_subspace_off_generator_images_is_the_image_of_postcomposition(
+        text, cap, field, monkeypatch):
+    # F_Z read off Z's generator images is the column space of the
+    # postcomposition matrix, for every registry Z (and a Z with no
+    # presentation) against seeded morphisms between entries and into direct
+    # sums, which have no presentation; no Hom(Z, X) is stored, and no
+    # (Z, X) with Euler form <= 0 between known indecomposables is solved
+    from quivdet.linalg import column_space
+    from quivdet.reps import postcompose_matrix
+
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field), cap)
+    ws = q.workspace
+    rng = random.Random(5)
+    reps = [e.rep for e in reg.entries]
+    sums = [qd.direct_sum(rng.sample(reps, 2))[0] for _ in range(2)]
+    morphisms = []
+    # X != Y, so a stored Hom(Z, Y) is never a Hom(Z, X)
+    for X, Y in [(rng.choice([X for X in reps if X != Y]), Y) for Y in rng.sample(reps, 4) + sums]:
+        hs = hom_basis(X, Y)
+        coeffs = [rng.randrange(1, 7) for _ in range(hs.dim)]
+        morphisms.append(hs.from_coordinates(coeffs) if hs.dim else qd.zero_morphism(X, Y))
+    solved = []
+    real = quivdet.reps.generator_kernel
+
+    def recording(M, presentation, N):
+        solved.append((M, N))
+        return real(M, presentation, N)
+
+    monkeypatch.setattr(quivdet.reps, "generator_kernel", recording)
+    zero_forms = nonzero = 0
+    for f in morphisms:
+        X, Y = f.domain, f.codomain
+        engine = DeterminerEngine(reg)
+        for Z in reps + sums[:1]:
+            had_zx = (Z, X) in ws.homs
+            fz = engine.factor_subspace(f, Z)
+            assert ((Z, X) in ws.homs) == had_zx or Z not in ws.presentations
+            assert fz == column_space(postcompose_matrix(hom_basis(Z, X), ws.hom(Z, Y), f))
+            nonzero += fz.dim > 0
+            known = ws.indecomposables
+            if ws.dynkin and Z in known and X in known and qd.euler_form(q, Z.dims, X.dims) <= 0:
+                zero_forms += 1
+                assert (Z, X) not in solved
+    monkeypatch.undo()
+    assert solved and nonzero
+    assert (zero_forms > 0) == ws.dynkin
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+def test_factoring_subspace_checks_the_written_composites(field, monkeypatch):
+    # f the identity of X, so f . g is g: a generator kernel that returns a
+    # vector off the solutions writes a map outside Hom(Z, X) = Hom(Z, Y)
+    from quivdet.linalg import Subspace
+    from quivdet.reps import generator_kernel
+
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q, field_from_name(field))
+    ws = q.workspace
+    Z, X, k = next((a.rep, b.rep, k) for a in reg.entries for b in reg.entries
+                   if ws.hom(a.rep, b.rep).dim
+                   for k in [generator_kernel(a.rep, ws.presentations[a.rep], b.rep)]
+                   if k.dim < k.ambient_dim)
+    fld, n = k.field, k.ambient_dim
+    units = [tuple(fld.one if i == j else fld.zero for i in range(n)) for j in range(n)]
+    outside = next(u for u in units if not k.contains_vector(u))
+    v = tuple(a + b for a, b in zip(k.basis[-1], outside))
+    monkeypatch.setattr(quivdet.reps, "generator_kernel",
+                        lambda *args: Subspace(fld, n, k.basis[:-1] + (v,), k.pivots))
+    with pytest.raises(InvariantError, match="outside the hom space"):
+        ws.factoring_subspace(qd.identity_morphism(X), Z)
+    monkeypatch.undo()
+    assert ws.factoring_subspace(qd.identity_morphism(X), Z).is_full()

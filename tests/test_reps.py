@@ -18,6 +18,7 @@ from quivdet.linalg import (
 )
 from quivdet.reps import (
     HomSpace,
+    generator_kernel,
     hom_from_presentation,
     image,
     postcompose_matrix,
@@ -290,7 +291,11 @@ def test_hom_off_a_presentation_is_checked_against_the_squares(field, monkeypatc
     # is perturbed off the kernel writes vertex maps that break a square
     M, N = _e6_pair(field)
     presentation = M.quiver.workspace.presentations[M]
-    assert hom_from_presentation(M, presentation, N)._space == qd.hom_basis(M, N)._space
+
+    def off_presentation():
+        return hom_from_presentation(M, presentation, N, generator_kernel(M, presentation, N))
+
+    assert off_presentation()._space == qd.hom_basis(M, N)._space
 
     def perturbed(fld, ncols, rows):
         k = kernel_of_rows(fld, ncols, rows)
@@ -301,7 +306,7 @@ def test_hom_off_a_presentation_is_checked_against_the_squares(field, monkeypatc
 
     monkeypatch.setattr("quivdet.reps.kernel_of_rows", perturbed)
     with pytest.raises(InvariantError, match="square"):
-        hom_from_presentation(M, presentation, N)
+        off_presentation()
 
 
 def test_hom_basis_runs_one_elimination_and_no_matrix_product(monkeypatch):

@@ -16,7 +16,7 @@ from quivdet.errors import (
     SemanticError,
 )
 from quivdet.linalg import RATIONALS, Mat, field_from_name
-from quivdet.reps import hom_from_presentation
+from quivdet.reps import generator_kernel, hom_from_presentation
 from quivdet.structure import injective_block_sum, projective_block_sum
 
 from conftest import d4_subspace_quiver
@@ -538,7 +538,9 @@ def test_hom_off_a_presentation_is_the_hom_of_the_squares(text, cap, field, monk
     codomains = [e.rep for e in reg.entries] + sums
     for e in reg.entries:
         for N in codomains:
-            off = hom_from_presentation(e.rep, ws.presentations[e.rep], N)
+            presentation = ws.presentations[e.rep]
+            off = hom_from_presentation(e.rep, presentation, N,
+                                        generator_kernel(e.rep, presentation, N))
             assert off._space == qd.hom_basis(e.rep, N)._space
     # the workspace takes that route for every domain with a presentation
     calls = _count_hom_routes(monkeypatch)
