@@ -240,12 +240,14 @@ class DeterminerEngine:
         if fs.is_full():
             return []
         hty = self.hom(target, f.codomain)
+        # the flat offsets of h, held by the Hom space that maps reads
+        offsets = self.workspace.hom(source, target)._offsets
         rows: list = []
         for h in maps(source, target):
             # g . h in Hom(source, Y) coordinates, reduced modulo fs
             block = defaultdict(list)
             for j, (_, res) in enumerate(fs.residuals(
-                    map(fs.sparse, composite_columns(hty, hsy, h, after=False)))):
+                    map(fs.sparse, composite_columns(hty, hsy, h, offsets, after=False)))):
                 for slot, v in res.items():
                     if v:
                         block[slot].append((j, v))

@@ -14,7 +14,9 @@ the rightmost, which leaves the null space basis already in RREF, so a
 kernel costs one elimination, and a rank is a pivot count.  The matrix
 product likewise multiplies only nonzero entries, and products_agree
 compares two products without forming either.  Subspaces are stored in
-canonical RREF form so that equal subspaces compare equal.
+canonical RREF form so that equal subspaces compare equal; disjoint_span
+puts canonical bases placed at disjoint columns together with no
+elimination, after checking that the placed rows are in that form.
 
 Scalars: over Q a field element is a plain int when it is integral and a
 Fraction otherwise; RationalField.of and .parse give that form, as do the
@@ -476,6 +478,30 @@ def span_of_rows(field: Field, ncols: int, rows) -> "Subspace":
             row[j] = ratio(v, d)
         basis.append(tuple(row))
     return Subspace(field, ncols, tuple(basis), pivots)
+
+
+def disjoint_span(field: Field, ncols: int, rows) -> "Subspace":
+    """The span of canonical basis rows of subspaces placed at disjoint
+    columns, each by a map that keeps the order of its columns, as sparse
+    rows [(column, value), ...] in column order: a placed row still leads
+    with 1 at its pivot, and every other row is 0 there, so the rows sorted
+    by pivot are the canonical basis, with no elimination.  Raises
+    ValueError when the rows are not in that form."""
+    rows = sorted(rows, key=lambda nz: nz[0][0])
+    pivots = tuple(nz[0][0] for nz in rows)
+    taken = set(pivots)
+    if len(taken) != len(rows) or any(
+            nz[0][1] != 1 or any(j in taken for j, _ in nz[1:]) for nz in rows):
+        raise ValueError("placed rows are not in reduced row echelon form")
+    basis = []
+    for nz in rows:
+        row = [0] * ncols
+        for j, v in nz:
+            row[j] = v
+        basis.append(tuple(row))
+    space = Subspace(field, ncols, tuple(basis), pivots)
+    space.__dict__["sparse_basis"] = rows  # the cached property, already known
+    return space
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,11 @@ class Quiver:
     def arrow_index(self) -> dict:
         return {a.name: i for i, a in enumerate(self.arrows)}
 
+    @cached_property
+    def arrow_ends(self) -> tuple[tuple[int, int], ...]:
+        """(source index, target index) of each arrow, in arrow order."""
+        return tuple((self.vertex_index[a.source], self.vertex_index[a.target]) for a in self.arrows)
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -161,7 +166,16 @@ class Workspace:
     once it is complete, a knitted registry included.
 
     ``hom`` is the only producer of Hom spaces, and every Hom system is
-    solved in ``hom`` or ``factoring_subspace``.  On a Dynkin quiver every
+    solved in ``hom`` or ``factoring_subspace``.  Hom is additive in each
+    argument: ``sums`` records every direct sum of two or more nonzero
+    summands where reps.block_diagonal_sum builds it, with its summands and
+    where each starts, and reps.dual_representation records the dual of a
+    recorded sum over the opposite quiver as the sum of its summands' duals
+    (``duals``), and the dual of a recorded indecomposable as
+    indecomposable.  Hom with a recorded sum on either side is put together
+    from the blocks Hom(M_a, N_b) (reps.hom_from_blocks), each asked of
+    ``hom`` unless the Euler-form rule makes it zero, so no system of a sum
+    is solved and no zero block is stored.  On a Dynkin quiver every
     indecomposable is directed, so dim Hom(M, N) = max(0, <dim M, dim N>)
     (Ringel, LNM 1099): between two members of ``indecomposables``, a set
     looked up with no iso search, a form <= 0 gives the zero space unsolved
@@ -171,12 +185,17 @@ class Workspace:
     TrD that translate.trd builds.  Hom(M, N) out of such an M is solved on
     the generator images (reps.generator_kernel, written out by
     reps.hom_from_presentation), with the maps N(p) of the paths out of
-    each generator vertex from ``path_maps``; every other domain (request
-    morphisms, kernels, decomposition pieces) takes the commuting-square
-    system of reps.hom_basis.  ``factoring_subspace`` tells the two kinds
+    each generator vertex from ``path_maps``; a recorded sum is written
+    one summand at a time, so ``path_maps`` holds no sum.  Every other
+    domain (kernels, decomposition pieces, the duals a left request carries
+    to the opposite quiver) takes the commuting-square system of
+    reps.hom_basis.  ``factoring_subspace`` tells the two kinds
     of domain apart the same way: the maps out of a presented Z that factor
     through f: X -> Y are read off the generator solutions of Hom(Z, X),
-    which is never written out.
+    which is never written out.  Those solutions are put together from the
+    summands' when X is a recorded sum, and kept per (Z, X) in
+    ``generator_kernels`` once the composites written from them have passed
+    their check; ``hom`` reads them there too.
     """
 
     def __init__(self, quiver: Quiver):
@@ -193,6 +212,9 @@ class Workspace:
         self.indecomposables: set = set()  # representations shown indecomposable
         self.presentations: dict = {}   # M -> Presentation
         self.path_maps: dict = {}       # (N, vertex index) -> N(p) per path out of it
+        self.sums: dict = {}            # direct sum -> (summands, their starts per vertex)
+        self.duals: dict = {}           # summand or indecomposable -> its dual
+        self.generator_kernels: dict = {}  # (Z, X) -> Hom(Z, X) in generator coordinates
 
     def memo(self, table: dict, key, build):
         """table[key], computed by build() on a miss.  The workspace itself
@@ -234,6 +256,16 @@ class Workspace:
         self.presentations[M] = presentation
         return M
 
+    def summed(self, M, summands: tuple, starts: tuple) -> None:
+        """Record M as the direct sum of summands, summand b from coordinate
+        starts[b][y] of M(y) on."""
+        self.sums[M] = (summands, starts)
+
+    def _blocks(self, M):
+        """M's summands and where each starts at each vertex: those of its
+        record, or M alone."""
+        return self.sums.get(M) or ((M,), ((0,) * len(M.dims),))
+
     def path_maps_from(self, N, xi: int) -> list[list[tuple]]:
         """N(p) as a tuple of columns for each path p out of vertex index xi,
         listed as paths_from(xi) lists the paths."""
@@ -248,8 +280,9 @@ class Workspace:
                                                           done[arrows[:-1]])))
 
     def hom(self, M, N):
-        """Hom(M, N), by the Euler-form rule, or solved on a miss: off M's
-        presentation when it has one, else by reps.hom_basis."""
+        """Hom(M, N), by the Euler-form rule, or solved on a miss: from the
+        blocks when M or N is a recorded sum, else off M's presentation when
+        it has one, else by reps.hom_basis."""
         return self.memo(self.homs, (M, N), lambda: self._solve_hom(M, N))
 
     def _directed_form(self, M, N) -> int | None:
@@ -263,9 +296,25 @@ class Workspace:
             return euler_form(self.quiver, M.dims, N.dims)
         return None
 
-    def _solve_hom(self, M, N):
-        from .reps import HomSpace, generator_kernel, hom_basis, hom_from_presentation
+    def _block(self, A, B):
+        """Hom(A, B) between summands of recorded sums, or None when it is
+        zero: the stored space, else None when A or B is zero or the
+        Euler-form rule makes it zero, which is left unstored, else ``hom``."""
+        hs = self.homs.get((A, B))
+        if hs is None:
+            form = self._directed_form(A, B)
+            if not (A.total_dim and B.total_dim) or form is not None and form <= 0:
+                return None
+            hs = self.hom(A, B)
+        return hs if hs.dim else None
 
+    def _solve_hom(self, M, N):
+        from .reps import HomSpace, generator_kernel, hom_basis, hom_from_blocks, hom_from_presentation
+
+        if M in self.sums or N in self.sums:
+            (ms, mo), (ns, no) = self._blocks(M), self._blocks(N)
+            return hom_from_blocks(M, N, [(hs, ma, nb) for A, ma in zip(ms, mo) for B, nb in zip(ns, no)
+                                          for hs in [self._block(A, B)] if hs is not None])
         form = self._directed_form(M, N)
         if form is not None and form <= 0:
             return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
@@ -273,7 +322,10 @@ class Workspace:
         if presentation is None:
             hs = hom_basis(M, N)
         else:
-            hs = hom_from_presentation(M, presentation, N, generator_kernel(M, presentation, N))
+            solutions = self.generator_kernels.get((M, N))
+            if solutions is None:
+                solutions = generator_kernel(M, presentation, N)
+            hs = hom_from_presentation(M, presentation, N, solutions)
         invariant(form is None or hs.dim == form,
                   "Hom between directed indecomposables differs from the Euler form")
         return hs
@@ -282,26 +334,50 @@ class Workspace:
         """The maps Z -> Y that factor through f: X -> Y, the image of
         g |-> f . g on Hom(Z, X), as a subspace of Hom(Z, Y) in its
         coordinates.  Off Z's presentation when it has one, with no
-        Hom(Z, X) written out: the Euler-form rule of ``hom`` applies to
-        (Z, X), else Hom(Z, X) is solved in generator coordinates and each
-        solution is sent through f (reps.postcompose_from_generators).  Any
-        other Z takes the column space of the postcomposition matrix."""
-        from .reps import generator_kernel, postcompose_from_generators, postcompose_matrix
+        Hom(Z, X) written out: Hom(Z, X) in generator coordinates
+        (``_generator_kernel``) and each solution sent through f
+        (reps.postcompose_from_generators), whose coordinates in Hom(Z, Y)
+        check the composites; only then are the solutions solved on the way
+        kept in ``generator_kernels``.  Any other Z takes the column space
+        of the postcomposition matrix."""
+        from .reps import postcompose_from_generators, postcompose_matrix
 
         X, Y = f.domain, f.codomain
         hzy = self.hom(Z, Y)
         presentation = self.presentations.get(Z)
         if presentation is None:
             return column_space(postcompose_matrix(self.hom(Z, X), hzy, f))
-        form = self._directed_form(Z, X)
-        if form is not None and form <= 0:
-            return Subspace.zero(Z.field, hzy.dim)
-        solutions = generator_kernel(Z, presentation, X)
-        invariant(form is None or solutions.dim == form,
-                  "Hom between directed indecomposables differs from the Euler form")
-        cols = postcompose_from_generators(hzy, presentation, f, solutions)
+        solved: dict = {}
+        solutions = self._generator_kernel(Z, presentation, X, solved)
+        cols = postcompose_from_generators(hzy, presentation, f, solutions) if solutions.dim else []
+        self.generator_kernels.update(solved)
         return span_of_rows(Z.field, hzy.dim, ([(i, c) for i, c in enumerate(col) if c]
                                                for col in cols))
+
+    def _generator_kernel(self, Z, presentation: Presentation, X, solved: dict) -> Subspace:
+        """Hom(Z, X) in generator coordinates, for a presented Z: kept in
+        ``generator_kernels`` or ``solved``, put together from the summands'
+        when X is a recorded sum (reps.generator_kernel_from_blocks), zero
+        by the Euler-form rule of ``hom``, or solved by reps.generator_kernel
+        and added to ``solved``."""
+        from .reps import generator_kernel, generator_kernel_from_blocks
+
+        key = (Z, X)
+        known = self.generator_kernels.get(key) or solved.get(key)
+        if known is not None:
+            return known
+        record = self.sums.get(X)
+        if record is not None:
+            return generator_kernel_from_blocks(presentation, X, [
+                (S, part, starts) for S, starts in zip(*record) if S.total_dim
+                for part in [self._generator_kernel(Z, presentation, S, solved)] if part.dim])
+        form = self._directed_form(Z, X)
+        if form is not None and form <= 0:
+            return Subspace.zero(Z.field, sum(X.dims[x] for x in presentation.generators))
+        solutions = solved[key] = generator_kernel(Z, presentation, X)
+        invariant(form is None or solutions.dim == form,
+                  "Hom between directed indecomposables differs from the Euler form")
+        return solutions
 
     def registry(self, field: Field, cap: int):
         """The registry knitted over this quiver with the given cap."""

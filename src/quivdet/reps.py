@@ -23,7 +23,12 @@ matrix product.  For a presented Z, postcompose_from_generators forms f . g
 for every g: Z -> X from the generator solutions of Hom(Z, X) instead:
 their images under f at the generator vertices are written as maps
 Z -> Y, whose coordinates in Hom(Z, Y) check them, and no Hom(Z, X) is
-written out.
+written out.  Hom is additive in each argument, so a direct sum that the
+workspace records is never solved as a whole: hom_from_blocks and
+generator_kernel_from_blocks place the canonical rows of the blocks
+between summands at the sum's coordinates, which keeps them canonical,
+and write_from_generators writes into a recorded sum one summand at a
+time.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient; kernels, images and cokernels
@@ -32,6 +37,9 @@ quotient reads its arrow actions off the residues of the columns of M(a)
 modulo the target subspace, with no projection or section product.  Direct
 sums likewise come from block_diagonal_sum, which fixes the block layout;
 direct_sum adds the injections and projections for callers that need them.
+block_diagonal_sum records each sum of two or more nonzero summands in the
+workspace, and dual_representation records the dual of a recorded sum as
+the sum of its summands' duals.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 
 from .errors import InvariantError, SemanticError
@@ -50,6 +58,7 @@ from .linalg import (
     block_diag,
     from_columns,
     column_space,
+    disjoint_span,
     int_rows,
     kernel_basis,
     kernel_of_rows,
@@ -182,13 +191,12 @@ def _flat_offsets(M: Representation, N: Representation) -> list[int]:
     return list(accumulate((dm * dn for dm, dn in zip(M.dims, N.dims)), initial=0))
 
 
-def _square_rows(M: Representation, N: Representation) -> list[dict]:
+def _square_rows(M: Representation, N: Representation, offsets) -> list[dict]:
     """The commuting-square equations N(a) f(s) - f(t) M(a) = 0 on flattened
-    maps M -> N, one per (row of N(t), column of M(s)) of each arrow a, as
-    integer rows (see linalg.int_rows) read from the nonzero entries of N(a)
-    and M(a)."""
+    maps M -> N, at the flat offsets of maps M -> N, one per (row of N(t),
+    column of M(s)) of each arrow a, as integer rows (see linalg.int_rows)
+    read from the nonzero entries of N(a) and M(a)."""
     q = M.quiver
-    offsets = _flat_offsets(M, N)
     rows = []
     for ai, a in enumerate(q.arrows):
         si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
@@ -237,20 +245,23 @@ class HomSpace:
     Morphisms are flattened to coordinate vectors by concatenating the
     components row-major in vertex order; the basis rows are in RREF with
     respect to that flattening, so coordinates of a member are read off at the
-    pivot positions.  Whichever route solved the space, each basis vector is
-    checked against the commuting squares N(a) f(s) = f(t) M(a) from its
-    nonzeros and those of the arrow matrices (InvariantError if some vector
-    is outside Hom), so its morphisms are built without a check of their
-    own, on first access to basis.  Composites and coordinates work on
+    pivot positions; a caller that holds the flat offsets of maps
+    domain -> codomain passes them.  Whichever route solved the space, each
+    basis vector is checked against the commuting squares
+    N(a) f(s) = f(t) M(a) from its nonzeros and those of the arrow matrices
+    (InvariantError if some vector is outside Hom), so its morphisms are
+    built without a check of their own, on first access to basis.
+    Composites and coordinates work on
     flat_basis, the basis vectors as sparse rows, and need no basis
     morphism.
     """
 
-    def __init__(self, domain: Representation, codomain: Representation, basis_vectors: Subspace):
+    def __init__(self, domain: Representation, codomain: Representation, basis_vectors: Subspace,
+                 offsets=None):
         self.domain = domain
         self.codomain = codomain
         self._space = basis_vectors
-        self._offsets = _flat_offsets(domain, codomain)
+        self._offsets = _flat_offsets(domain, codomain) if offsets is None else offsets
         if basis_vectors.ambient_dim != self._offsets[-1]:
             raise SemanticError("basis vectors do not have the flattened hom length")
         if _breaks_a_square(domain, codomain, self._offsets, basis_vectors.sparse_basis):
@@ -343,7 +354,32 @@ def hom_basis(M: Representation, N: Representation) -> HomSpace:
     the square equations are assembled once as sparse integer rows and
     solved by one elimination."""
     _same_category(M, N)
-    return HomSpace(M, N, kernel_of_rows(M.field, _flat_offsets(M, N)[-1], _square_rows(M, N)))
+    offsets = _flat_offsets(M, N)
+    return HomSpace(M, N, kernel_of_rows(M.field, offsets[-1], _square_rows(M, N, offsets)), offsets)
+
+
+def _placed_rows(spaces):
+    """The basis rows of each (space, place) as sparse rows, every column j
+    moved to place[j]."""
+    return [[(place[j], v) for j, v in nz] for space, place in spaces for nz in space.sparse_basis]
+
+
+def hom_from_blocks(M: Representation, N: Representation, blocks) -> HomSpace:
+    """Canonical basis of Hom(M, N) between direct sums, from the canonical
+    bases of the blocks Hom(M_a, N_b) (Hom is additive in each argument).
+    blocks gives each nonzero block as (Hom(M_a, N_b), mo, no), where M_a
+    and N_b start at coordinates mo[i] of M(i) and no[i] of N(i).  The
+    entry f(i)[r][c] of the block is the entry f(i)[no[i] + r][mo[i] + c]
+    of the map M -> N: a map of flat indices that keeps their order and
+    whose images are disjoint across blocks (linalg.disjoint_span)."""
+    offsets = _flat_offsets(M, N)
+    spaces = []
+    for hs, mo, no in blocks:
+        A, B = hs.domain, hs.codomain
+        spaces.append((hs._space, [offsets[i] + (no[i] + r) * dm + mo[i] + c
+                                   for i, dm in enumerate(M.dims)
+                                   for r in range(B.dims[i]) for c in range(A.dims[i])]))
+    return HomSpace(M, N, disjoint_span(M.field, offsets[-1], _placed_rows(spaces)), offsets)
 
 
 def _generator_maps(M: Representation, presentation: Presentation, N: Representation):
@@ -352,6 +388,21 @@ def _generator_maps(M: Representation, presentation: Presentation, N: Representa
     in N at the generator vertices, concatenated."""
     maps = [M.quiver.workspace.path_maps_from(N, x) for x in presentation.generators]
     return maps, list(accumulate((N.dims[x] for x in presentation.generators), initial=0))
+
+
+def generator_kernel_from_blocks(presentation: Presentation, N: Representation,
+                                 blocks) -> Subspace:
+    """Hom(M, N) in generator coordinates (see generator_kernel) for a direct
+    sum N, from those of the blocks Hom(M, N_b): blocks gives each as
+    (N_b, its generator_kernel, starts), N_b starting at coordinate
+    starts[x] of N(x).  Coordinate c of n_j in N_b is coordinate
+    starts[x] + c of n_j in N, x the vertex of generator j, which keeps the
+    order of the coordinates (linalg.disjoint_span)."""
+    gens = presentation.generators
+    offsets = list(accumulate((N.dims[x] for x in gens), initial=0))
+    spaces = [(space, [offsets[j] + starts[x] + c for j, x in enumerate(gens)
+                       for c in range(S.dims[x])]) for S, space, starts in blocks]
+    return disjoint_span(N.field, offsets[-1], _placed_rows(spaces))
 
 
 def generator_kernel(M: Representation, presentation: Presentation,
@@ -383,7 +434,12 @@ def write_from_generators(M: Representation, presentation: Presentation, N: Repr
     sparse row [(generator coordinate, value), ...] of images (see
     generator_kernel), as its nonzeros {flat index: value} at the flat
     offsets of maps M -> N: the column of slot (j, p) at vertex y is
-    N(p) n_j.  Over F_p the values are residues."""
+    N(p) n_j.  Over F_p the values are residues.  A direct sum N recorded in
+    the workspace is written one summand at a time, so no N(p) of the sum is
+    built."""
+    record = M.quiver.workspace.sums.get(N)
+    if record is not None:
+        return _write_by_summands(M, presentation, N, record, images, offsets)
     maps, starts = _generator_maps(M, presentation, N)
     p = M.field.characteristic
     out = []
@@ -408,6 +464,30 @@ def write_from_generators(M: Representation, presentation: Presentation, N: Repr
     return out
 
 
+def _write_by_summands(M: Representation, presentation: Presentation, N: Representation,
+                       record, images, offsets) -> list[dict]:
+    """write_from_generators into N = the sum of the summands of record,
+    N_b from row sb[y] of N(y) on: the part of each n_j in N_b is written as
+    a map M -> N_b at the flat offsets moved by sb[y] * M.dims[y], which puts
+    its row r at row sb[y] + r of the map M -> N."""
+    gens = presentation.generators
+    starts = list(accumulate((N.dims[x] for x in gens), initial=0))
+    images = [list(u) for u in images]
+    out: list[dict] = [{} for _ in images]
+    for S, sb in zip(*record):
+        local = list(accumulate((S.dims[x] for x in gens), initial=0))
+        # generator coordinate of N -> that of N_b, on N_b's coordinates
+        cut = {starts[j] + sb[x] + c: local[j] + c
+               for j, x in enumerate(gens) for c in range(S.dims[x])}
+        parts = [[(cut[t], v) for t, v in u if t in cut] for u in images]
+        if not any(parts):
+            continue
+        moved = [o + sb[y] * d for y, (o, d) in enumerate(zip(offsets, M.dims))]
+        for acc, part in zip(out, write_from_generators(M, presentation, S, parts, moved)):
+            acc.update(part)
+    return out
+
+
 def hom_from_presentation(M: Representation, presentation: Presentation, N: Representation,
                           solutions: Subspace) -> HomSpace:
     """Canonical basis of Hom(M, N) written from the generator_kernel
@@ -418,7 +498,7 @@ def hom_from_presentation(M: Representation, presentation: Presentation, N: Repr
     space = span_of_rows(M.field, offsets[-1], (r.items() for r in rows))
     if space.dim != solutions.dim:
         raise InvariantError("a map written from generator images is not determined by them")
-    return HomSpace(M, N, space)
+    return HomSpace(M, N, space, offsets)
 
 
 def postcompose_from_generators(hs_dst: HomSpace, presentation: Presentation, f: RepMorphism,
@@ -459,25 +539,26 @@ def _entries(offsets, dims, nz):
             yield (i, *divmod(j - offsets[i], dims[i]), v)
 
 
-def composite_columns(hs_src: HomSpace, hs_dst: HomSpace, fixed, after: bool) -> list[tuple]:
+def composite_columns(hs_src: HomSpace, hs_dst: HomSpace, fixed, fixed_offsets,
+                      after: bool) -> list[tuple]:
     """Coordinates in hs_dst of fixed . g (after) or g . fixed for each basis
-    element g of hs_src, the fixed map given as (flat index, value) pairs,
-    such as a row of a flat_basis.  Each composite is formed from the
-    nonzeros of g's flat row and of the fixed map; flat_coordinates checks it."""
+    element g of hs_src, the fixed map given as (flat index, value) pairs at
+    the flat offsets fixed_offsets of its endpoints, such as a row of the
+    flat_basis of a HomSpace and its _offsets.  Each composite is formed from
+    the nonzeros of g's flat row and of the fixed map; flat_coordinates
+    checks it."""
     so, do, dz = hs_src._offsets, hs_dst._offsets, hs_dst.domain.dims
     p = hs_dst.field.characteristic
     spread = defaultdict(list)  # flat index of g -> [(flat index of the composite, factor)]
     if after:
         # g[k][c] meets f[r][k] in (f . g)[r][c], at each vertex i
-        X, Y = hs_src.codomain, hs_dst.codomain
-        for i, r, k, w in _entries(_flat_offsets(X, Y), X.dims, fixed):
+        for i, r, k, w in _entries(fixed_offsets, hs_src.codomain.dims, fixed):
             for c in range(dz[i]):
                 spread[so[i] + k * dz[i] + c].append((do[i] + r * dz[i] + c, w))
     else:
         # g[r][k] meets h[k][c] in (g . h)[r][c], at each vertex i
         dv = hs_src.domain.dims
-        Z, V = hs_dst.domain, hs_src.domain
-        for i, k, c, w in _entries(_flat_offsets(Z, V), Z.dims, fixed):
+        for i, k, c, w in _entries(fixed_offsets, dz, fixed):
             for r in range(hs_dst.codomain.dims[i]):
                 spread[so[i] + r * dv[i] + k].append((do[i] + r * dz[i] + c, w))
 
@@ -496,7 +577,8 @@ def postcompose_matrix(hs_src: HomSpace, hs_dst: HomSpace, f: RepMorphism) -> Ma
     """Matrix of Hom(Z, X) -> Hom(Z, Y), g |-> f . g, in canonical bases."""
     if (f.domain, f.codomain, hs_src.domain) != (hs_src.codomain, hs_dst.codomain, hs_dst.domain):
         raise SemanticError("morphism does not map between these hom spaces")
-    cols = composite_columns(hs_src, hs_dst, enumerate(HomSpace.flatten(f)), after=True)
+    cols = composite_columns(hs_src, hs_dst, enumerate(HomSpace.flatten(f)),
+                             _flat_offsets(f.domain, f.codomain), after=True)
     return from_columns(hs_src.field, cols, hs_dst.dim)
 
 
@@ -504,7 +586,8 @@ def precompose_matrix(hs_src: HomSpace, hs_dst: HomSpace, h: RepMorphism) -> Mat
     """Matrix of Hom(V, Y) -> Hom(Z, Y), psi |-> psi . h, in canonical bases."""
     if (h.domain, h.codomain, hs_src.codomain) != (hs_dst.domain, hs_src.domain, hs_dst.codomain):
         raise SemanticError("morphism does not map between these hom spaces")
-    cols = composite_columns(hs_src, hs_dst, enumerate(HomSpace.flatten(h)), after=False)
+    cols = composite_columns(hs_src, hs_dst, enumerate(HomSpace.flatten(h)),
+                             _flat_offsets(h.domain, h.codomain), after=False)
     return from_columns(hs_src.field, cols, hs_dst.dim)
 
 
@@ -573,11 +656,17 @@ def block_diagonal_sum(reps, q: Quiver, field: Field):
     """Block-diagonal sum of representations of q over field, without the
     structure maps; returns (rep, offsets), where summand j occupies the
     coordinates offsets[zi][j] up to offsets[zi][j + 1] at vertex zi (the
-    last entry of each row is the total dimension there)."""
+    last entry of each row is the total dimension there).  A sum of two or
+    more nonzero summands is recorded in q's workspace with its summands
+    and where each starts, so its Hom spaces are read off the summands'
+    blocks."""
     offsets = tuple(tuple(accumulate((r.dims[zi] for r in reps), initial=0))
                     for zi in range(q.n_vertices))
     action = tuple(block_diag(field, [r.action[ai] for r in reps]) for ai in range(len(q.arrows)))
-    return Representation(q, field, tuple(cut[-1] for cut in offsets), action), offsets
+    total = Representation(q, field, tuple(cut[-1] for cut in offsets), action)
+    if sum(1 for r in reps if r.total_dim) > 1:
+        q.workspace.summed(total, tuple(reps), tuple(zip(*offsets)))
+    return total, offsets
 
 
 def direct_sum(reps, q: Quiver | None = None, field: Field | None = None):
@@ -604,9 +693,24 @@ def direct_sum(reps, q: Quiver | None = None, field: Field | None = None):
 
 
 def dual_representation(M: Representation) -> Representation:
-    """Vector-space dual over the opposite quiver (matrices transposed)."""
-    qop = M.quiver.opposite
-    return Representation(qop, M.field, M.dims, tuple(m.transpose() for m in M.action))
+    """Vector-space dual over the opposite quiver (matrices transposed).  D is
+    a duality, so the dual of a recorded direct sum is the sum of its
+    summands' duals at the same offsets, D(sum X_i) = sum D(X_i), recorded
+    over the opposite quiver, and the dual of a representation recorded as
+    indecomposable is recorded as indecomposable.  The dual of a summand or
+    of an indecomposable is built once (Workspace.duals)."""
+    ws, qop = M.quiver.workspace, M.quiver.opposite
+    record = ws.sums.get(M)
+    if record is not None:
+        duals = [ws.memo(ws.duals, S, partial(dual_representation, S)) for S in record[0]]
+        return block_diagonal_sum(duals, qop, M.field)[0]
+    if M in ws.indecomposables:
+        return ws.memo(ws.duals, M, lambda: qop.workspace.indecomposable(_transposed(M)))
+    return _transposed(M)
+
+
+def _transposed(M: Representation) -> Representation:
+    return Representation(M.quiver.opposite, M.field, M.dims, tuple(m.transpose() for m in M.action))
 
 
 def dual_morphism(f: RepMorphism) -> RepMorphism:

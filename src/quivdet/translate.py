@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 from .decompose import indec_iso_witness, is_indecomposable
 from .errors import (
@@ -362,9 +363,7 @@ def positive_root_count(types) -> int:
 def euler_form(q: Quiver, a, b) -> int:
     """<a, b> = sum_x a_x b_x - sum over arrows x -> y of a_x b_y, on
     dimension vectors in vertex order."""
-    vi = q.vertex_index
-    return (sum(x * y for x, y in zip(a, b))
-            - sum(a[vi[arr.source]] * b[vi[arr.target]] for arr in q.arrows))
+    return sum(map(mul, a, b)) - sum(a[s] * b[t] for s, t in q.arrow_ends)
 
 
 def cartan_matrix(q: Quiver) -> list[list[int]]:

@@ -570,9 +570,10 @@ def test_maps_into_injectives_certify_over_small_primes(field):
 def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
     # one Hom path: the two solvers, hom_basis and generator_kernel (the
     # generator equations of a presented domain), are reached only from
-    # Workspace methods, Workspace.hom and Workspace.factoring_subspace, so
-    # the memo and the Euler-form rule see every solve, from the CLI, the
-    # knit, the formula, the oracle and the left side's opposite quiver alike
+    # Workspace methods, Workspace.hom and the generator kernels of
+    # Workspace.factoring_subspace, so the memo and the Euler-form rule see
+    # every solve, from the CLI, the knit, the formula, the oracle and the
+    # left side's opposite quiver alike
     from quivdet.cli import main
 
     callers = []
@@ -602,7 +603,7 @@ def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
     assert qd.minimal_left_determiner(fs[1], registry=reg, verify=True).oracle.certified
     assert len(callers) > 100
     assert set(callers) == {("quiver.py", "Workspace._solve_hom"),
-                            ("quiver.py", "Workspace.factoring_subspace")}
+                            ("quiver.py", "Workspace._generator_kernel")}
 
 
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
@@ -681,3 +682,109 @@ def test_factoring_subspace_checks_the_written_composites(field, monkeypatch):
         ws.factoring_subspace(qd.identity_morphism(X), Z)
     monkeypatch.undo()
     assert ws.factoring_subspace(qd.identity_morphism(X), Z).is_full()
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+@pytest.mark.parametrize("text, cap", [(E6_TEXT, 5000), (D4_TEXT, 5000), (KRONECKER_TEXT, 12)],
+                         ids=["e6", "d4", "kronecker-cap12"])
+def test_factoring_subspace_of_a_sum_domain_is_the_image_of_postcomposition(text, cap, field):
+    # for a recorded direct sum X, the generator solutions of Hom(Z, X) are
+    # put together from those of its summands (a repeated one and a nested
+    # sum included), and F_Z is still the column space of the
+    # postcomposition matrix; the workspace keeps them per summand only
+    from quivdet.linalg import column_space
+    from quivdet.reps import postcompose_matrix
+
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field), cap)
+    ws = q.workspace
+    rng = random.Random(8)
+    reps = [e.rep for e in reg.entries]
+    a, b = rng.sample(reps, 2)
+    pair = qd.direct_sum([a, b])[0]
+    domains = [pair, qd.direct_sum([b, b])[0], qd.direct_sum([a, pair])[0]]
+    checked = 0
+    for X in domains:
+        Y = rng.choice([Y for Y in reps + domains if Y != X and ws.hom(X, Y).dim])
+        hs = ws.hom(X, Y)
+        f = hs.from_coordinates([rng.randrange(1, 7) for _ in range(hs.dim)])
+        for Z in reps:
+            fz = ws.factoring_subspace(f, Z)
+            assert fz == column_space(postcompose_matrix(hom_basis(Z, X), ws.hom(Z, Y), f))
+            checked += fz.dim > 0
+    assert checked
+    assert ws.generator_kernels and not [X for _, X in ws.generator_kernels if X in ws.sums]
+
+
+def _e6_stream(count: int):
+    """A short seeded E6 stream: morphisms between direct sums of one to
+    three entries, every third one asked of the left side; returns the
+    quiver, the registry and the (side, morphism) requests."""
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q)
+    ws = q.workspace
+    rng = random.Random(12)
+    reps = [e.rep for e in reg.entries]
+    requests = []
+    while len(requests) < count:
+        i = len(requests)
+        X = qd.direct_sum(rng.sample(reps, 1 + i % 3))[0]
+        Y = qd.direct_sum(rng.sample(reps, 1 + (i + 1) % 3))[0]
+        hs = ws.hom(X, Y)
+        if hs.dim:
+            f = hs.from_coordinates([rng.randrange(-2, 3) or 1 for _ in range(hs.dim)])
+            requests.append(("left" if i % 3 == 2 else "right", f))
+    return q, reg, requests
+
+
+def _certify(reg, requests) -> None:
+    engine = DeterminerEngine(reg)
+    for side, f in requests:
+        report = (qd.minimal_left_determiner(f, registry=reg, verify=True) if side == "left"
+                  else engine.report(f, verify=True))
+        assert report.oracle.certified
+
+
+def test_stream_solves_no_sum_and_each_generator_kernel_once(monkeypatch):
+    # Hom is additive: over a stream of requests between direct sums, on
+    # both quivers, no solver receives a recorded sum, and the generator
+    # equations of each (Z, X) are solved at most once by each workspace
+    # method, the hom route never after the factoring subspaces kept them
+    q, reg, requests = _e6_stream(9)
+    calls = []
+
+    def watch(name):
+        real = getattr(quivdet.reps, name)
+
+        def watched(M, *args):
+            N = args[-1]
+            calls.append((name, sys._getframe(1).f_code.co_name, M, N))
+            return real(M, *args)
+        return watched
+
+    for name in ("hom_basis", "generator_kernel"):
+        monkeypatch.setattr(quivdet.reps, name, watch(name))
+    _certify(reg, requests)
+    monkeypatch.undo()
+    assert sum(f.domain in q.workspace.sums and f.codomain in q.workspace.sums
+               for _, f in requests) >= 2
+    assert not [c for c in calls if c[2] in c[2].quiver.workspace.sums
+                or c[3] in c[3].quiver.workspace.sums]
+    kernels = [(caller, M, N) for name, caller, M, N in calls if name == "generator_kernel"]
+    assert {caller for caller, _, _ in kernels} == {"_solve_hom", "_generator_kernel"}
+    assert len(set(kernels)) == len(kernels)
+    kept: set = set()
+    for caller, M, N in kernels:
+        assert caller != "_solve_hom" or (M, N) not in kept
+        if caller == "_generator_kernel":
+            kept.add((M, N))
+
+
+def test_stream_builds_no_path_maps_of_a_sum():
+    # a recorded sum is written one summand at a time, so after a stream no
+    # N(p) of a sum is kept, on either quiver
+    q, reg, requests = _e6_stream(6)
+    _certify(reg, requests)
+    for ws in (q.workspace, q.opposite.workspace):
+        assert ws.sums and ws.path_maps
+        assert not [N for N, _ in ws.path_maps if N in ws.sums]

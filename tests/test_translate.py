@@ -506,7 +506,7 @@ def _count_hom_routes(monkeypatch) -> dict:
     """Calls of each Hom solver, counted from now on."""
     import quivdet.reps
 
-    calls = {"hom_basis": 0, "hom_from_presentation": 0}
+    calls = {"hom_basis": 0, "hom_from_presentation": 0, "hom_from_blocks": 0}
 
     def counted(name):
         real = getattr(quivdet.reps, name)
@@ -542,12 +542,76 @@ def test_hom_off_a_presentation_is_the_hom_of_the_squares(text, cap, field, monk
             off = hom_from_presentation(e.rep, presentation, N,
                                         generator_kernel(e.rep, presentation, N))
             assert off._space == qd.hom_basis(e.rep, N)._space
-    # the workspace takes that route for every domain with a presentation
+    # the workspace takes that route for every domain with a presentation,
+    # into each summand of a recorded sum, once per block it has not stored
+    # and the Euler-form rule does not decide, and puts the sums together
+    known = ws.indecomposables
+    blocks = {(e.rep, S) for e in reg.entries for N in sums for S in ws.sums[N][0]}.difference(
+        ws.homs)
+    solved = [(M, S) for M, S in blocks if not (ws.dynkin and M in known and S in known
+                                                and qd.euler_form(q, M.dims, S.dims) <= 0)]
     calls = _count_hom_routes(monkeypatch)
     for e in reg.entries:
         for N in sums:
             assert ws.hom(e.rep, N)._space == qd.hom_basis(e.rep, N)._space
-    assert calls == {"hom_basis": 0, "hom_from_presentation": len(reg.entries) * len(sums)}
+    assert calls == {"hom_basis": 0, "hom_from_presentation": len(solved),
+                     "hom_from_blocks": len(reg.entries) * len(sums)}
+
+
+def _watch_solvers(monkeypatch) -> list:
+    """(solver, M, N) of each call of hom_basis and generator_kernel made
+    through quivdet.reps from now on."""
+    import quivdet.reps
+
+    seen = []
+
+    def watched(name):
+        real = getattr(quivdet.reps, name)
+
+        def solve(M, *args):
+            seen.append((name, M, args[-1]))
+            return real(M, *args)
+        return solve
+
+    for name in ("hom_basis", "generator_kernel"):
+        monkeypatch.setattr(quivdet.reps, name, watched(name))
+    return seen
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+@pytest.mark.parametrize("text, cap", [
+    (E6_TEXT, 5000), (D4_TEXT, 5000), ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", 12),
+], ids=["e6", "d4", "kronecker-cap12"])
+def test_hom_of_recorded_sums_is_the_hom_of_the_squares(text, cap, field, monkeypatch):
+    # Hom is additive: the workspace puts Hom with a recorded direct sum on
+    # either side together from the blocks between summands, and gets the
+    # canonical subspace that the commuting squares give, for a repeated
+    # summand, a sum nested in another and their duals over Q^op alike; no
+    # solver sees a sum
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field), cap)
+    ws, wop = q.workspace, q.opposite.workspace
+    rng = random.Random(21)
+    reps = [e.rep for e in reg.entries]
+    a, b, c = rng.sample(reps, 3)
+    pair = qd.direct_sum([a, b])[0]
+    sums = [pair, qd.direct_sum([c, c])[0], qd.direct_sum([pair, c])[0]]
+    assert ws.sums[sums[2]][0] == (pair, c)
+    ones = rng.sample(reps, 4)
+    duals = [qd.dual_representation(S) for S in sums]
+    assert all(D.quiver is q.opposite and D in wop.sums for D in duals)
+    # the dual of a sum reuses one dual per summand
+    again = qd.dual_representation(pair)
+    assert again == duals[0] and all(x is y for x, y in zip(wop.sums[again][0], wop.sums[duals[0]][0]))
+    ones_op = [qd.dual_representation(M) for M in ones]
+    seen = _watch_solvers(monkeypatch)
+    for w, sides, singles in ((ws, sums, ones), (wop, duals, ones_op)):
+        pairs = ([(S, N) for S in sides for N in singles] + [(M, S) for M in singles for S in sides]
+                 + [(S, T) for S in sides for T in sides])
+        for M, N in pairs:
+            assert w.hom(M, N)._space == qd.hom_basis(M, N)._space
+    assert seen and not [s for s in seen if s[1] in s[1].quiver.workspace.sums
+                         or s[2] in s[2].quiver.workspace.sums]
 
 
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
