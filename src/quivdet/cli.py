@@ -102,7 +102,7 @@ def cmd_det(args) -> int:
             override.append(DeterminerMember(entry.label, entry.rep, "override"))
     if args.left:
         report = minimal_left_determiner(f, registry=registry, verify=args.verify,
-                                         cap=args.cap, morphism_name=args.morphism)
+                                         morphism_name=args.morphism)
     else:
         report = DeterminerEngine(registry).report(
             f, morphism_name=args.morphism, verify=args.verify, override=override)

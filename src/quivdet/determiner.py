@@ -365,7 +365,7 @@ class DeterminerEngine:
         return rm, tuple(kernel_labels), soc_pairs, tuple(m for _, m in keyed)
 
     def report(self, f: RepMorphism, morphism_name: str = "f",
-               verify: bool = False, override=None, side: str = "right") -> DeterminerReport:
+               verify: bool = False, override=None) -> DeterminerReport:
         rm, kernel_labels, soc_pairs, members = self.formula_members(f)
         if override is not None:
             members = tuple(override)
@@ -373,7 +373,7 @@ class DeterminerEngine:
         return DeterminerReport(
             morphism_name=morphism_name,
             field_name=self.field.name,
-            side=side,
+            side="right",
             domain_dims=f.domain.dims,
             minimal_domain_dims=rm.minimal.domain.dims,
             split_off_dims=rm.split_off.dims,
@@ -409,7 +409,7 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
         cap = registry.cap
     fop = dual_morphism(f)
     engine_op = DeterminerEngine(fop.domain.quiver.workspace.registry(field, cap))
-    rep_op = engine_op.report(fop, morphism_name=morphism_name, verify=verify, side="left")
+    rep_op = engine_op.report(fop, morphism_name=morphism_name, verify=verify)
     if registry is None:
         registry = q.workspace.registry(field, cap)
     members = []
@@ -429,5 +429,5 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
                                         for l, ok in oracle.member_almost_factors),
             removal_breaks=tuple((relabel.get(l, l), w) for l, w in oracle.removal_breaks),
         )
-    return replace(rep_op, members=tuple(members), oracle=oracle,
+    return replace(rep_op, side="left", members=tuple(members), oracle=oracle,
                    registry_complete=rep_op.registry_complete and registry.complete)

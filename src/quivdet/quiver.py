@@ -166,7 +166,7 @@ class Workspace:
     once it is complete, a knitted registry included.
 
     ``hom`` is the only producer of Hom spaces, and every Hom system is
-    solved in ``hom`` or ``factoring_subspace``.  Hom is additive in each
+    solved in ``hom`` or ``_generator_kernel``.  Hom is additive in each
     argument: ``sums`` records every direct sum of two or more nonzero
     summands where reps.block_diagonal_sum builds it, with its summands and
     where each starts, and reps.dual_representation records the dual of a
@@ -182,20 +182,18 @@ class Workspace:
     and a solved space must have the form's dimension.
 
     ``presentations`` holds a projective presentation of each P_x and each
-    TrD that translate.trd builds.  Hom(M, N) out of such an M is solved on
-    the generator images (reps.generator_kernel, written out by
-    reps.hom_from_presentation), with the maps N(p) of the paths out of
-    each generator vertex from ``path_maps``; a recorded sum is written
-    one summand at a time, so ``path_maps`` holds no sum.  Every other
-    domain (kernels, decomposition pieces, the duals a left request carries
-    to the opposite quiver) takes the commuting-square system of
-    reps.hom_basis.  ``factoring_subspace`` tells the two kinds
-    of domain apart the same way: the maps out of a presented Z that factor
-    through f: X -> Y are read off the generator solutions of Hom(Z, X),
-    which is never written out.  Those solutions are put together from the
-    summands' when X is a recorded sum, and kept per (Z, X) in
-    ``generator_kernels`` once the composites written from them have passed
-    their check; ``hom`` reads them there too.
+    TrD that translate.trd builds.  A map out of such an M is fixed by its
+    generator images, and ``_generator_kernel`` is the one place that
+    reads, solves (reps.generator_kernel) and keeps the space of them per
+    (M, N) in ``generator_kernels``, once the maps written from them have
+    passed their check.  ``hom`` writes them out as Hom(M, N)
+    (reps.hom_from_presentation) with the maps N(p) of the paths out of
+    each generator vertex from ``path_maps``, which holds no recorded sum.
+    ``factoring_subspace`` reads the maps out of a presented Z that factor
+    through f: X -> Y off those of Hom(Z, X), never written out.  Every
+    other domain (kernels, decomposition pieces, the duals a left request
+    carries to the opposite quiver) takes the commuting-square system of
+    reps.hom_basis.
     """
 
     def __init__(self, quiver: Quiver):
@@ -309,7 +307,7 @@ class Workspace:
         return hs if hs.dim else None
 
     def _solve_hom(self, M, N):
-        from .reps import HomSpace, generator_kernel, hom_basis, hom_from_blocks, hom_from_presentation
+        from .reps import HomSpace, hom_basis, hom_from_blocks, hom_from_presentation
 
         if M in self.sums or N in self.sums:
             (ms, mo), (ns, no) = self._blocks(M), self._blocks(N)
@@ -319,13 +317,13 @@ class Workspace:
         if form is not None and form <= 0:
             return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
         presentation = self.presentations.get(M)
-        if presentation is None:
-            hs = hom_basis(M, N)
-        else:
-            solutions = self.generator_kernels.get((M, N))
-            if solutions is None:
-                solutions = generator_kernel(M, presentation, N)
-            hs = hom_from_presentation(M, presentation, N, solutions)
+        if presentation is not None:
+            solved: dict = {}
+            hs = hom_from_presentation(M, presentation, N,
+                                       self._generator_kernel(M, presentation, N, solved))
+            self.generator_kernels.update(solved)
+            return hs
+        hs = hom_basis(M, N)
         invariant(form is None or hs.dim == form,
                   "Hom between directed indecomposables differs from the Euler form")
         return hs
@@ -337,9 +335,8 @@ class Workspace:
         Hom(Z, X) written out: Hom(Z, X) in generator coordinates
         (``_generator_kernel``) and each solution sent through f
         (reps.postcompose_from_generators), whose coordinates in Hom(Z, Y)
-        check the composites; only then are the solutions solved on the way
-        kept in ``generator_kernels``.  Any other Z takes the column space
-        of the postcomposition matrix."""
+        check the composites before the solutions are kept.  Any other Z
+        takes the column space of the postcomposition matrix."""
         from .reps import postcompose_from_generators, postcompose_matrix
 
         X, Y = f.domain, f.codomain
@@ -359,7 +356,9 @@ class Workspace:
         ``generator_kernels`` or ``solved``, put together from the summands'
         when X is a recorded sum (reps.generator_kernel_from_blocks), zero
         by the Euler-form rule of ``hom``, or solved by reps.generator_kernel
-        and added to ``solved``."""
+        and added to ``solved``, which the caller moves into
+        ``generator_kernels`` once the maps written from it pass their
+        check."""
         from .reps import generator_kernel, generator_kernel_from_blocks
 
         key = (Z, X)

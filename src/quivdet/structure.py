@@ -26,7 +26,7 @@ from functools import reduce
 
 from .errors import invariant
 from .linalg import Mat, Subspace, from_columns, kernel_basis, column_space
-from .quiver import paths_between, projective_at, injective_at
+from .quiver import projective_at, injective_at
 from .reps import (
     RepMorphism,
     Representation,
@@ -129,7 +129,7 @@ def map_from_generators(ps: BlockSum, N: Representation, gens) -> RepMorphism:
     q, field = N.quiver, N.field
     comps = [[] for _ in range(q.n_vertices)]  # columns per vertex
     for gv, x in zip(gens, ps.block_vertices):
-        cols = _walk_paths([paths_between(q, x, y) for y in q.vertices], gv,
+        cols = _walk_paths(q.workspace.paths_from(q.vertex_index[x]), gv,
                            lambda done, arrows: N.action[arrows[-1]].apply(done[arrows[:-1]]))
         for yi, c in enumerate(cols):
             comps[yi].extend(c)
@@ -145,7 +145,8 @@ def map_to_cogenerators(M: Representation, bs: BlockSum, funcs) -> RepMorphism:
     q, field = M.quiver, M.field
     comps = [[] for _ in range(q.n_vertices)]  # rows per vertex
     for fv, x in zip(funcs, bs.block_vertices):
-        rows = _walk_paths([paths_between(q, y, x) for y in q.vertices], fv,
+        xi = q.vertex_index[x]
+        rows = _walk_paths([q.workspace.paths_from(yi)[xi] for yi in range(q.n_vertices)], fv,
                            lambda done, arrows: M.action[arrows[0]].apply_row(done[arrows[1:]]))
         for yi, r in enumerate(rows):
             comps[yi].extend(r)

@@ -568,22 +568,24 @@ def test_maps_into_injectives_certify_over_small_primes(field):
 
 
 def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
-    # one Hom path: the two solvers, hom_basis and generator_kernel (the
-    # generator equations of a presented domain), are reached only from
-    # Workspace methods, Workspace.hom and the generator kernels of
-    # Workspace.factoring_subspace, so the memo and the Euler-form rule see
-    # every solve, from the CLI, the knit, the formula, the oracle and the
-    # left side's opposite quiver alike
+    # one Hom path: each of the two solvers is reached from one Workspace
+    # method only, hom_basis (the commuting squares) from Workspace.hom and
+    # generator_kernel (the generator equations of a presented domain) from
+    # Workspace._generator_kernel, which serves hom and the factoring
+    # subspaces alike, so the memo and the Euler-form rule see every solve,
+    # from the CLI, the knit, the formula, the oracle and the left side's
+    # opposite quiver alike, on Dynkin type and off it, where no Euler-form
+    # rule applies
     from quivdet.cli import main
 
     callers = []
 
-    def watch(real):
+    def watch(solver, real):
         def watched(*args):
             # the caller's class from its self, since co_qualname needs 3.11
             frame = sys._getframe(1)
             owner = type(frame.f_locals.get("self")).__name__
-            callers.append((Path(frame.f_code.co_filename).name,
+            callers.append((solver, Path(frame.f_code.co_filename).name,
                             f"{owner}.{frame.f_code.co_name}"))
             return real(*args)
         return watched
@@ -592,7 +594,7 @@ def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
         real = getattr(quivdet.reps, solver)
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "quivdet" and getattr(module, solver, None) is real:
-                monkeypatch.setattr(module, solver, watch(real))
+                monkeypatch.setattr(module, solver, watch(solver, real))
     data = Path(__file__).resolve().parent.parent / "data"
     assert main(["det", str(data / "a3.quiver"), str(data / "a3.reps"), "f", "--verify"]) == 0
     capsys.readouterr()
@@ -601,9 +603,28 @@ def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
     fs = _seeded_morphisms(reg, random.Random(3), 2)
     assert DeterminerEngine(reg).report(fs[0], verify=True).oracle.certified
     assert qd.minimal_left_determiner(fs[1], registry=reg, verify=True).oracle.certified
+    kreg = qd.knit(qd.parse_quiver(KRONECKER_TEXT), cap=12)
+    f = _seeded_morphisms(kreg, random.Random(3), 1)[0]
+    assert qd.minimal_left_determiner(f, registry=kreg, verify=True).oracle.passed()
     assert len(callers) > 100
-    assert set(callers) == {("quiver.py", "Workspace._solve_hom"),
-                            ("quiver.py", "Workspace._generator_kernel")}
+    assert set(callers) == {("hom_basis", "quiver.py", "Workspace._solve_hom"),
+                            ("generator_kernel", "quiver.py", "Workspace._generator_kernel")}
+
+
+def test_knit_and_requests_read_paths_off_the_workspace(monkeypatch):
+    # covers, hulls and every other writer read Workspace.paths_from
+    # directly, so no path list is copied by quiver.paths_between, which
+    # stays public API only
+    def no_copy(*args):
+        raise AssertionError("paths_between copies a path list")
+
+    real = quivdet.quiver.paths_between
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quivdet" and getattr(module, "paths_between", None) is real:
+            monkeypatch.setattr(module, "paths_between", no_copy)
+    reg = qd.knit(qd.parse_quiver(E6_TEXT))
+    f = _seeded_morphisms(reg, random.Random(4), 1)[0]
+    assert DeterminerEngine(reg).report(f, verify=True).oracle.certified
 
 
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
@@ -661,7 +682,8 @@ def test_factoring_subspace_off_generator_images_is_the_image_of_postcomposition
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
 def test_factoring_subspace_checks_the_written_composites(field, monkeypatch):
     # f the identity of X, so f . g is g: a generator kernel that returns a
-    # vector off the solutions writes a map outside Hom(Z, X) = Hom(Z, Y)
+    # vector off the solutions writes a map outside Hom(Z, X) = Hom(Z, Y);
+    # the pair's kernel is not kept yet, so the workspace calls the solver
     from quivdet.linalg import Subspace
     from quivdet.reps import generator_kernel
 
@@ -669,9 +691,9 @@ def test_factoring_subspace_checks_the_written_composites(field, monkeypatch):
     reg = qd.knit(q, field_from_name(field))
     ws = q.workspace
     Z, X, k = next((a.rep, b.rep, k) for a in reg.entries for b in reg.entries
-                   if ws.hom(a.rep, b.rep).dim
+                   if (a.rep, b.rep) not in ws.generator_kernels
                    for k in [generator_kernel(a.rep, ws.presentations[a.rep], b.rep)]
-                   if k.dim < k.ambient_dim)
+                   if 0 < k.dim < k.ambient_dim)
     fld, n = k.field, k.ambient_dim
     units = [tuple(fld.one if i == j else fld.zero for i in range(n)) for j in range(n)]
     outside = next(u for u in units if not k.contains_vector(u))
@@ -748,8 +770,8 @@ def _certify(reg, requests) -> None:
 def test_stream_solves_no_sum_and_each_generator_kernel_once(monkeypatch):
     # Hom is additive: over a stream of requests between direct sums, on
     # both quivers, no solver receives a recorded sum, and the generator
-    # equations of each (Z, X) are solved at most once by each workspace
-    # method, the hom route never after the factoring subspaces kept them
+    # equations of each (Z, X) are solved at most once per workspace, by
+    # _generator_kernel, which serves hom and the factoring subspaces alike
     q, reg, requests = _e6_stream(9)
     calls = []
 
@@ -771,13 +793,8 @@ def test_stream_solves_no_sum_and_each_generator_kernel_once(monkeypatch):
     assert not [c for c in calls if c[2] in c[2].quiver.workspace.sums
                 or c[3] in c[3].quiver.workspace.sums]
     kernels = [(caller, M, N) for name, caller, M, N in calls if name == "generator_kernel"]
-    assert {caller for caller, _, _ in kernels} == {"_solve_hom", "_generator_kernel"}
+    assert {caller for caller, _, _ in kernels} == {"_generator_kernel"}
     assert len(set(kernels)) == len(kernels)
-    kept: set = set()
-    for caller, M, N in kernels:
-        assert caller != "_solve_hom" or (M, N) not in kept
-        if caller == "_generator_kernel":
-            kept.add((M, N))
 
 
 def test_stream_builds_no_path_maps_of_a_sum():
