@@ -77,31 +77,27 @@ class Quiver:
     @cached_property
     def arrows_from(self) -> tuple[tuple[int, ...], ...]:
         """Arrow indices leaving each vertex, in arrow order."""
-        out = [[] for _ in self.vertices]
-        for i, a in enumerate(self.arrows):
-            out[self.vertex_index[a.source]].append(i)
-        return tuple(tuple(x) for x in out)
+        return tuple(tuple(ai for ai, (s, _) in enumerate(self.arrow_ends) if s == v)
+                     for v in range(self.n_vertices))
 
     @cached_property
     def arrows_into(self) -> tuple[tuple[int, ...], ...]:
-        inc = [[] for _ in self.vertices]
-        for i, a in enumerate(self.arrows):
-            inc[self.vertex_index[a.target]].append(i)
-        return tuple(tuple(x) for x in inc)
+        return tuple(tuple(ai for ai, (_, t) in enumerate(self.arrow_ends) if t == v)
+                     for v in range(self.n_vertices))
 
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
         """Vertex indices in a topological order; raises CycleDetectedError."""
         indeg = [0] * self.n_vertices
-        for a in self.arrows:
-            indeg[self.vertex_index[a.target]] += 1
+        for _, t in self.arrow_ends:
+            indeg[t] += 1
         ready = [i for i in range(self.n_vertices) if indeg[i] == 0]
         order = []
         while ready:
             v = ready.pop(0)
             order.append(v)
             for ai in self.arrows_from[v]:
-                t = self.vertex_index[self.arrows[ai].target]
+                t = self.arrow_ends[ai][1]
                 indeg[t] -= 1
                 if indeg[t] == 0:
                     ready.append(t)
@@ -183,17 +179,14 @@ class Workspace:
 
     ``presentations`` holds a projective presentation of each P_x and each
     TrD that translate.trd builds.  A map out of such an M is fixed by its
-    generator images, and ``_generator_kernel`` is the one place that
-    reads, solves (reps.generator_kernel) and keeps the space of them per
-    (M, N) in ``generator_kernels``, once the maps written from them have
-    passed their check.  ``hom`` writes them out as Hom(M, N)
-    (reps.hom_from_presentation) with the maps N(p) of the paths out of
-    each generator vertex from ``path_maps``, which holds no recorded sum.
-    ``factoring_subspace`` reads the maps out of a presented Z that factor
-    through f: X -> Y off those of Hom(Z, X), never written out.  Every
-    other domain (kernels, decomposition pieces, the duals a left request
-    carries to the opposite quiver) takes the commuting-square system of
-    reps.hom_basis.
+    generator images, whose space ``_generator_kernel`` alone reads and solves
+    (reps.generator_kernel): ``hom`` writes it out as Hom(M, N) with the maps
+    N(p) of ``path_maps``, which holds no recorded sum, and
+    ``factoring_subspace`` sends it through f: X -> Y for Hom(Z, X), never
+    written out.  It is kept once per pair: in ``homs`` as the written Hom
+    space, else in ``generator_kernels``.  Every other domain (kernels,
+    decomposition pieces, the duals a left request carries to the opposite
+    quiver) takes the commuting squares of reps.hom_basis.
     """
 
     def __init__(self, quiver: Quiver):
@@ -234,7 +227,7 @@ class Workspace:
         found[xi].append(Path(xi, xi, ()))
         for v in q.topological_order:
             for ai in q.arrows_into[v]:
-                s = q.vertex_index[q.arrows[ai].source]
+                s = q.arrow_ends[ai][0]
                 found[v].extend(Path(xi, v, p.arrows + (ai,)) for p in found[s])
             found[v].sort(key=lambda p: (len(p.arrows), p.arrows))
         return tuple(tuple(ps) for ps in found)
@@ -313,30 +306,26 @@ class Workspace:
             (ms, mo), (ns, no) = self._blocks(M), self._blocks(N)
             return hom_from_blocks(M, N, [(hs, ma, nb) for A, ma in zip(ms, mo) for B, nb in zip(ns, no)
                                           for hs in [self._block(A, B)] if hs is not None])
-        form = self._directed_form(M, N)
-        if form is not None and form <= 0:
-            return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
         presentation = self.presentations.get(M)
         if presentation is not None:
-            solved: dict = {}
-            hs = hom_from_presentation(M, presentation, N,
-                                       self._generator_kernel(M, presentation, N, solved))
-            self.generator_kernels.update(solved)
-            return hs
-        hs = hom_basis(M, N)
-        invariant(form is None or hs.dim == form,
-                  "Hom between directed indecomposables differs from the Euler form")
-        return hs
+            solutions = self._generator_solutions(M, presentation, N)
+            if solutions is not None:
+                return hom_from_presentation(M, presentation, N, solutions)
+        else:
+            form = self._directed_form(M, N)
+            if form is None or form > 0:
+                hs = hom_basis(M, N)
+                invariant(form is None or hs.dim == form,
+                          "Hom between directed indecomposables differs from the Euler form")
+                return hs
+        return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
 
     def factoring_subspace(self, f, Z) -> Subspace:
         """The maps Z -> Y that factor through f: X -> Y, the image of
-        g |-> f . g on Hom(Z, X), as a subspace of Hom(Z, Y) in its
-        coordinates.  Off Z's presentation when it has one, with no
-        Hom(Z, X) written out: Hom(Z, X) in generator coordinates
-        (``_generator_kernel``) and each solution sent through f
-        (reps.postcompose_from_generators), whose coordinates in Hom(Z, Y)
-        check the composites before the solutions are kept.  Any other Z
-        takes the column space of the postcomposition matrix."""
+        g |-> f . g on Hom(Z, X), in the coordinates of Hom(Z, Y): for a
+        presented Z, each generator solution of Hom(Z, X) sent through f
+        (reps.postcompose_from_generators), whose coordinates check the
+        composites, else the column space of the postcomposition matrix."""
         from .reps import postcompose_from_generators, postcompose_matrix
 
         X, Y = f.domain, f.codomain
@@ -344,24 +333,40 @@ class Workspace:
         presentation = self.presentations.get(Z)
         if presentation is None:
             return column_space(postcompose_matrix(self.hom(Z, X), hzy, f))
-        solved: dict = {}
-        solutions = self._generator_kernel(Z, presentation, X, solved)
-        cols = postcompose_from_generators(hzy, presentation, f, solutions) if solutions.dim else []
-        self.generator_kernels.update(solved)
+        cols = self._generator_solutions(Z, presentation, X, lambda solutions: postcompose_from_generators(
+            hzy, presentation, f, solutions) if solutions and solutions.dim else [])
         return span_of_rows(Z.field, hzy.dim, ([(i, c) for i, c in enumerate(col) if c]
                                                for col in cols))
 
-    def _generator_kernel(self, Z, presentation: Presentation, X, solved: dict) -> Subspace:
-        """Hom(Z, X) in generator coordinates, for a presented Z: kept in
-        ``generator_kernels`` or ``solved``, put together from the summands'
-        when X is a recorded sum (reps.generator_kernel_from_blocks), zero
-        by the Euler-form rule of ``hom``, or solved by reps.generator_kernel
-        and added to ``solved``, which the caller moves into
-        ``generator_kernels`` once the maps written from it pass their
-        check."""
-        from .reps import generator_kernel, generator_kernel_from_blocks
+    def _generator_solutions(self, Z, presentation: Presentation, X, check=None):
+        """Hom(Z, X) in generator coordinates for a presented Z, None when
+        the Euler-form rule makes it zero, or what check returns of it once
+        it has checked the maps written from it; the pairs solved are kept
+        then.  Without check the caller is ``hom``, which keeps Hom(Z, X)
+        instead: the pair's is dropped."""
+        solved: dict = {}
+        solutions = self._generator_kernel(Z, presentation, X, solved)
+        if check is None:
+            self.generator_kernels.pop((Z, X), None)
+            return solutions
+        checked = check(solutions)
+        self.generator_kernels.update(solved)
+        return checked
+
+    def _generator_kernel(self, Z, presentation: Presentation, X, solved: dict) -> Subspace | None:
+        """Hom(Z, X) in generator coordinates: None when the Euler-form rule
+        makes it zero, else read off the stored Hom space
+        (reps.generator_images), kept, put together from the summands' for a
+        recorded sum X, or solved by reps.generator_kernel into solved."""
+        form = self._directed_form(Z, X)
+        if form is not None and form <= 0:
+            return None
+        from .reps import generator_images, generator_kernel, generator_kernel_from_blocks
 
         key = (Z, X)
+        hs = self.homs.get(key)
+        if hs is not None:
+            return generator_images(hs, presentation)
         known = self.generator_kernels.get(key) or solved.get(key)
         if known is not None:
             return known
@@ -369,10 +374,7 @@ class Workspace:
         if record is not None:
             return generator_kernel_from_blocks(presentation, X, [
                 (S, part, starts) for S, starts in zip(*record) if S.total_dim
-                for part in [self._generator_kernel(Z, presentation, S, solved)] if part.dim])
-        form = self._directed_form(Z, X)
-        if form is not None and form <= 0:
-            return Subspace.zero(Z.field, sum(X.dims[x] for x in presentation.generators))
+                for part in [self._generator_kernel(Z, presentation, S, solved)] if part and part.dim])
         solutions = solved[key] = generator_kernel(Z, presentation, X)
         invariant(form is None or solutions.dim == form,
                   "Hom between directed indecomposables differs from the Euler form")
@@ -451,8 +453,7 @@ def _path_representation(q: Quiver, field: Field, paths, act):
     index = [{p.arrows: k for k, p in enumerate(ps)} for ps in paths]
     dims = tuple(len(ps) for ps in paths)
     action = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
+    for ai, (si, ti) in enumerate(q.arrow_ends):
         m = [[field.zero] * dims[si] for _ in range(dims[ti])]
         for k, p in enumerate(paths[si]):
             image = act(p.arrows, ai)
@@ -495,8 +496,5 @@ def simple_at(q: Quiver, x: str, field: Field = RATIONALS):
 
     xi = q.vertex_index[x]
     dims = tuple(1 if i == xi else 0 for i in range(q.n_vertices))
-    action = []
-    for a in q.arrows:
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
-        action.append(Mat.zero(field, dims[ti], dims[si]))
-    return Representation(q, field, dims, tuple(action))
+    return Representation(q, field, dims, tuple(Mat.zero(field, dims[ti], dims[si])
+                                                for si, ti in q.arrow_ends))

@@ -5,30 +5,26 @@ matrix to each arrow; a morphism is a family of vertex matrices making every
 arrow square commute, checked exactly at construction time by
 linalg.products_agree, which builds neither product.  Hom(M, N) is returned
 with a canonical (RREF) ordered basis, so all downstream subspace
-computations have stable coordinates.  It is solved by one of two routes,
-each with one elimination.  hom_basis solves the commuting-square system,
-assembled once as sparse integer rows, with one unknown per entry of the
-vertex maps.  The other reads it off a projective presentation of M, with
-one unknown per coordinate of N at each generator (Yoneda):
-generator_kernel solves the relation equations on the generator images,
-write_from_generators writes each solution into the vertex maps, and
-hom_from_presentation puts the written maps in canonical form.  Either way
-every HomSpace basis vector is checked against the squares, from its
-nonzeros and those of the arrow matrices, so the basis morphisms skip the
-check one by one and are built only on first access; morphisms built from
-caller input, from_coordinates included, keep it.  Composites with a fixed
-map (the matrices of pre- and postcomposition) are formed on the flat
-sparse basis rows, from their nonzeros and those of the fixed map, with no
-matrix product.  For a presented Z, postcompose_from_generators forms f . g
-for every g: Z -> X from the generator solutions of Hom(Z, X) instead:
-their images under f at the generator vertices are written as maps
-Z -> Y, whose coordinates in Hom(Z, Y) check them, and no Hom(Z, X) is
-written out.  Hom is additive in each argument, so a direct sum that the
-workspace records is never solved as a whole: hom_from_blocks and
-generator_kernel_from_blocks place the canonical rows of the blocks
-between summands at the sum's coordinates, which keeps them canonical,
-and write_from_generators writes into a recorded sum one summand at a
-time.
+computations have stable coordinates.  hom_basis solves the commuting-square
+system in one elimination, one unknown per entry of the vertex maps.  For a
+presented M, generator_kernel solves the relation equations on the generator
+images instead, one unknown per coordinate of N at each generator (Yoneda);
+write_from_generators writes each solution into the vertex maps,
+hom_from_presentation puts the written maps in canonical form, and
+generator_images reads the solutions back off them.  Either way every
+HomSpace basis vector is checked against the squares, from its nonzeros and
+those of the arrow matrices, so the basis morphisms skip the check one by
+one and are built only on first access; morphisms built from caller input,
+from_coordinates included, keep it.  Composites with a fixed map (the
+matrices of pre- and postcomposition) are formed on the flat sparse basis
+rows, with no matrix product.  For a presented Z, postcompose_from_generators
+forms f . g for every g: Z -> X from the generator solutions of Hom(Z, X):
+their images under f are written as maps Z -> Y, whose coordinates in
+Hom(Z, Y) check them.  Hom is additive in each argument, so a direct sum
+that the workspace records is never solved as a whole: hom_from_blocks and
+generator_kernel_from_blocks place the canonical rows of the blocks between
+summands at the sum's coordinates, which keeps them canonical, and
+write_from_generators writes into a recorded sum one summand at a time.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient; kernels, images and cokernels
@@ -50,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
 
-from .errors import InvariantError, SemanticError
+from .errors import InvariantError, SemanticError, invariant
 from .linalg import (
     Field,
     Mat,
@@ -80,13 +76,12 @@ class Representation:
         q = self.quiver
         if len(self.dims) != q.n_vertices or len(self.action) != len(q.arrows):
             raise SemanticError("dimension or action list does not match the quiver")
-        for ai, a in enumerate(q.arrows):
-            si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
+        for ai, (si, ti) in enumerate(q.arrow_ends):
             m = self.action[ai]
             same_field(self.field, m.field)
             if (m.rows, m.cols) != (self.dims[ti], self.dims[si]):
                 raise SemanticError(
-                    f"matrix for arrow {a.name!r} has shape {m.rows}x{m.cols}, "
+                    f"matrix for arrow {q.arrows[ai].name!r} has shape {m.rows}x{m.cols}, "
                     f"expected {self.dims[ti]}x{self.dims[si]}")
 
     @cached_property
@@ -134,12 +129,11 @@ class RepMorphism:
                 raise SemanticError(
                     f"component at vertex {M.quiver.vertices[i]!r} has shape "
                     f"{c.rows}x{c.cols}, expected {N.dims[i]}x{M.dims[i]}")
-        for ai, a in enumerate(M.quiver.arrows):
-            si, ti = M.quiver.vertex_index[a.source], M.quiver.vertex_index[a.target]
+        for ai, (si, ti) in enumerate(M.quiver.arrow_ends):
             # both sides are N(t) x M(s): an empty square commutes
             if N.dims[ti] and M.dims[si] and not products_agree(
                     N.action[ai], self.comps[si], self.comps[ti], M.action[ai]):
-                raise SemanticError(f"square at arrow {a.name!r} does not commute")
+                raise SemanticError(f"square at arrow {M.quiver.arrows[ai].name!r} does not commute")
 
     def __matmul__(self, other: "RepMorphism") -> "RepMorphism":
         """Composition self after other."""
@@ -198,8 +192,7 @@ def _square_rows(M: Representation, N: Representation, offsets) -> list[dict]:
     read from the nonzero entries of N(a) and M(a)."""
     q = M.quiver
     rows = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
+    for ai, (si, ti) in enumerate(q.arrow_ends):
         ds, dt = M.dims[si], M.dims[ti]
         # f(s)[k][c] sits at offsets[si] + k*ds + c, f(t)[r][k] at offsets[ti] + r*dt + k
         na_rows = [[(offsets[si] + k * ds, v) for k, v in enumerate(row) if v]
@@ -251,9 +244,8 @@ class HomSpace:
     N(a) f(s) = f(t) M(a) from its nonzeros and those of the arrow matrices
     (InvariantError if some vector is outside Hom), so its morphisms are
     built without a check of their own, on first access to basis.
-    Composites and coordinates work on
-    flat_basis, the basis vectors as sparse rows, and need no basis
-    morphism.
+    Composites and coordinates work on flat_basis, the basis vectors as
+    sparse rows, and need no basis morphism.
     """
 
     def __init__(self, domain: Representation, codomain: Representation, basis_vectors: Subspace,
@@ -264,9 +256,8 @@ class HomSpace:
         self._offsets = _flat_offsets(domain, codomain) if offsets is None else offsets
         if basis_vectors.ambient_dim != self._offsets[-1]:
             raise SemanticError("basis vectors do not have the flattened hom length")
-        if _breaks_a_square(domain, codomain, self._offsets, basis_vectors.sparse_basis):
-            raise InvariantError("hom basis vector outside the hom space: "
-                                 "some square does not commute")
+        invariant(not _breaks_a_square(domain, codomain, self._offsets, basis_vectors.sparse_basis),
+                  "hom basis vector outside the hom space: some square does not commute")
 
     @cached_property
     def basis(self) -> tuple[RepMorphism, ...]:
@@ -428,6 +419,21 @@ def generator_kernel(M: Representation, presentation: Presentation,
     return kernel_of_rows(field, starts[-1], int_rows(field, equations))
 
 
+def generator_images(hs: HomSpace, presentation: Presentation) -> Subspace:
+    """Hom(M, N) in generator coordinates (see generator_kernel), read off
+    hs = Hom(M, N) for a presented M: entry r of n_j is entry r of the
+    column of f(x) at the slot of generator j's trivial path, x its vertex,
+    which a minimal presentation has (its relations lie in the radical)."""
+    M, N = hs.domain, hs.codomain
+    starts = list(accumulate((N.dims[x] for x in presentation.generators), initial=0))
+    where = {hs._offsets[x] + presentation.slots[x].index((j, 0)) + r * M.dims[x]: starts[j] + r
+             for j, x in enumerate(presentation.generators) for r in range(N.dims[x])}
+    space = span_of_rows(M.field, starts[-1], ([(where[t], v) for t, v in nz if t in where]
+                                                for nz in hs.flat_basis))
+    invariant(space.dim == hs.dim, "a map out of a presented domain is not fixed by its generator images")
+    return space
+
+
 def write_from_generators(M: Representation, presentation: Presentation, N: Representation,
                           images, offsets) -> list[dict]:
     """The flattened map M -> N with the given generator images, for each
@@ -496,8 +502,7 @@ def hom_from_presentation(M: Representation, presentation: Presentation, N: Repr
     offsets = _flat_offsets(M, N)
     rows = write_from_generators(M, presentation, N, solutions.sparse_basis, offsets)
     space = span_of_rows(M.field, offsets[-1], (r.items() for r in rows))
-    if space.dim != solutions.dim:
-        raise InvariantError("a map written from generator images is not determined by them")
+    invariant(space.dim == solutions.dim, "a map written from generator images is not determined by them")
     return HomSpace(M, N, space, offsets)
 
 
@@ -598,8 +603,7 @@ def subrepresentation(M: Representation, subs) -> tuple[Representation, RepMorph
     q, field = M.quiver, M.field
     dims = tuple(s.dim for s in subs)
     action = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
+    for ai, (si, ti) in enumerate(q.arrow_ends):
         cols = [subs[ti].coordinates(M.action[ai].apply(v)) for v in subs[si].basis]
         action.append(from_columns(field, cols, dims[ti]))
     S = Representation(q, field, dims, tuple(action))
@@ -615,8 +619,7 @@ def quotient(M: Representation, subs) -> tuple[Representation, RepMorphism]:
     q = M.quiver
     free = [sorted(set(range(s.ambient_dim)).difference(s.pivots)) for s in subs]
     action = []
-    for ai, a in enumerate(q.arrows):
-        si, ti = q.vertex_index[a.source], q.vertex_index[a.target]
+    for ai, (si, ti) in enumerate(q.arrow_ends):
         if not free[ti] or not free[si]:
             action.append(Mat.zero(M.field, len(free[ti]), len(free[si])))
             continue

@@ -313,8 +313,7 @@ def classify_underlying_graph(q: Quiver) -> tuple[str, tuple[str, ...] | None]:
     n = q.n_vertices
     adj = [set() for _ in range(n)]
     edge_count = {}
-    for a in q.arrows:
-        s, t = q.vertex_index[a.source], q.vertex_index[a.target]
+    for s, t in q.arrow_ends:
         key = (min(s, t), max(s, t))
         edge_count[key] = edge_count.get(key, 0) + 1
         adj[s].add(t)
@@ -369,11 +368,11 @@ def euler_form(q: Quiver, a, b) -> int:
 def cartan_matrix(q: Quiver) -> list[list[int]]:
     """C[i][j] = the number of paths from vertex j to vertex i, so column j
     is dim P_j and row i is dim I_i; counted in topological order."""
-    n, vi = q.n_vertices, q.vertex_index
+    n = q.n_vertices
     c = [[int(i == j) for j in range(n)] for i in range(n)]
     for v in q.topological_order:
         for ai in q.arrows_into[v]:
-            c[v] = [x + y for x, y in zip(c[v], c[vi[q.arrows[ai].source]])]
+            c[v] = [x + y for x, y in zip(c[v], c[q.arrow_ends[ai][0]])]
     return c
 
 
@@ -381,11 +380,11 @@ def coxeter_inverse(q: Quiver) -> list[list[int]]:
     """The inverse Coxeter matrix -C C^-T: dim TrD M = Phi^-1 dim M for every
     indecomposable non-injective M (Auslander-Reiten-Smalo ch. VIII).  C^-T
     is I - A, the Gram matrix of euler_form, with A[x][y] the arrows x -> y."""
-    c, vi = cartan_matrix(q), q.vertex_index
+    c = cartan_matrix(q)
     phi = [[-x for x in row] for row in c]
-    for a in q.arrows:
+    for s, t in q.arrow_ends:
         for row, out in zip(c, phi):
-            out[vi[a.target]] += row[vi[a.source]]
+            out[t] += row[s]
     return phi
 
 

@@ -681,29 +681,41 @@ def test_factoring_subspace_off_generator_images_is_the_image_of_postcomposition
 
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
 def test_factoring_subspace_checks_the_written_composites(field, monkeypatch):
-    # f the identity of X, so f . g is g: a generator kernel that returns a
-    # vector off the solutions writes a map outside Hom(Z, X) = Hom(Z, Y);
-    # the pair's kernel is not kept yet, so the workspace calls the solver
-    from quivdet.linalg import Subspace
-    from quivdet.reps import generator_kernel
+    # f: X -> Y mono, so f . g is outside Hom(Z, Y) exactly when g is outside
+    # Hom(Z, X): a generator kernel that returns a vector off the solutions
+    # writes a composite that the coordinates in the stored Hom(Z, Y)
+    # reject, and the bad solutions are not kept
+    from quivdet.linalg import Subspace, column_space
+    from quivdet.reps import generator_kernel, postcompose_matrix
 
     q = qd.parse_quiver(E6_TEXT)
     reg = qd.knit(q, field_from_name(field))
     ws = q.workspace
-    Z, X, k = next((a.rep, b.rep, k) for a in reg.entries for b in reg.entries
-                   if (a.rep, b.rep) not in ws.generator_kernels
-                   for k in [generator_kernel(a.rep, ws.presentations[a.rep], b.rep)]
-                   if 0 < k.dim < k.ambient_dim)
+    reps = [e.rep for e in reg.entries]
+    f, Z, k = next((f, Z, k) for X in reps for Y in reps if X != Y
+                   for f in ws.hom(X, Y).basis if f.is_mono() for Z in reps
+                   if (Z, X) not in ws.homs and (Z, X) not in ws.generator_kernels
+                   for k in [generator_kernel(Z, ws.presentations[Z], X)] if 0 < k.dim < k.ambient_dim)
+    X, Y = f.domain, f.codomain
+    ws.hom(Z, Y)
     fld, n = k.field, k.ambient_dim
     units = [tuple(fld.one if i == j else fld.zero for i in range(n)) for j in range(n)]
     outside = next(u for u in units if not k.contains_vector(u))
     v = tuple(a + b for a, b in zip(k.basis[-1], outside))
-    monkeypatch.setattr(quivdet.reps, "generator_kernel",
-                        lambda *args: Subspace(fld, n, k.basis[:-1] + (v,), k.pivots))
-    with pytest.raises(InvariantError, match="outside the hom space"):
-        ws.factoring_subspace(qd.identity_morphism(X), Z)
+    solved = []
+
+    def off_the_solutions(M, presentation, N):
+        solved.append((M, N))
+        return Subspace(fld, n, k.basis[:-1] + (v,), k.pivots)
+
+    monkeypatch.setattr(quivdet.reps, "generator_kernel", off_the_solutions)
+    with pytest.raises(InvariantError, match="vertex maps outside the hom space"):
+        ws.factoring_subspace(f, Z)
     monkeypatch.undo()
-    assert ws.factoring_subspace(qd.identity_morphism(X), Z).is_full()
+    assert solved == [(Z, X)] and (Z, X) not in ws.generator_kernels
+    fz = ws.factoring_subspace(f, Z)
+    assert fz.dim == k.dim and (Z, X) in ws.generator_kernels
+    assert fz == column_space(postcompose_matrix(qd.hom_basis(Z, X), ws.hom(Z, Y), f))
 
 
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
@@ -713,7 +725,8 @@ def test_factoring_subspace_of_a_sum_domain_is_the_image_of_postcomposition(text
     # for a recorded direct sum X, the generator solutions of Hom(Z, X) are
     # put together from those of its summands (a repeated one and a nested
     # sum included), and F_Z is still the column space of the
-    # postcomposition matrix; the workspace keeps them per summand only
+    # postcomposition matrix; the workspace holds them per summand only,
+    # once: as the stored Hom space or else kept
     from quivdet.linalg import column_space
     from quivdet.reps import postcompose_matrix
 
@@ -735,7 +748,9 @@ def test_factoring_subspace_of_a_sum_domain_is_the_image_of_postcomposition(text
             assert fz == column_space(postcompose_matrix(hom_basis(Z, X), ws.hom(Z, Y), f))
             checked += fz.dim > 0
     assert checked
-    assert ws.generator_kernels and not [X for _, X in ws.generator_kernels if X in ws.sums]
+    assert not [X for _, X in ws.generator_kernels if X in ws.sums]
+    assert all(((Z, S) in ws.homs) != ((Z, S) in ws.generator_kernels)
+               for Z in reps for S in (a, b) if hom_basis(Z, S).dim)
 
 
 def _e6_stream(count: int):
@@ -771,7 +786,8 @@ def test_stream_solves_no_sum_and_each_generator_kernel_once(monkeypatch):
     # Hom is additive: over a stream of requests between direct sums, on
     # both quivers, no solver receives a recorded sum, and the generator
     # equations of each (Z, X) are solved at most once per workspace, by
-    # _generator_kernel, which serves hom and the factoring subspaces alike
+    # _generator_kernel, which serves hom and the factoring subspaces alike;
+    # no pair's solutions are kept next to its stored Hom space
     q, reg, requests = _e6_stream(9)
     calls = []
 
@@ -795,6 +811,8 @@ def test_stream_solves_no_sum_and_each_generator_kernel_once(monkeypatch):
     kernels = [(caller, M, N) for name, caller, M, N in calls if name == "generator_kernel"]
     assert {caller for caller, _, _ in kernels} == {"_generator_kernel"}
     assert len(set(kernels)) == len(kernels)
+    assert not [key for ws in (q.workspace, q.opposite.workspace) for key in ws.generator_kernels
+                if key in ws.homs]
 
 
 def test_stream_builds_no_path_maps_of_a_sum():
