@@ -579,11 +579,6 @@ def indec_iso_witness(A: Representation, B: Representation) -> RepMorphism | Non
     if A == B:
         return identity_morphism(A)
     ws = A.quiver.workspace
-    return ws.memo(ws.isos, (A, B), lambda: _iso_search(A, B))
-
-
-def _iso_search(A: Representation, B: Representation) -> RepMorphism | None:
-    ws = A.quiver.workspace
     hab = ws.hom(A, B)
     if not hab.dim:
         return None

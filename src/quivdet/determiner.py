@@ -197,8 +197,7 @@ class DeterminerEngine:
         huz = self.hom(U, Z)
         if not huz.dim:
             return ()
-        return self.workspace.memo(self.workspace.radical_maps, (U, Z),
-                                   lambda: self._radical_rows(huz, rad_hom_basis(U, Z)))
+        return self._radical_rows(huz, rad_hom_basis(U, Z))
 
     @staticmethod
     def _radical_rows(huz: HomSpace, rad: Subspace):

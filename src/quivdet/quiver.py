@@ -1,4 +1,5 @@
-"""Finite acyclic quivers: parsing, paths, and the canonical representations.
+"""Finite acyclic quivers: parsing, paths, the Euler form, and the canonical
+representations.
 
 The quiver file format is line-oriented UTF-8 text:
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     CycleDetectedError,
@@ -170,8 +172,8 @@ class Workspace:
     (``duals``), and the dual of a recorded indecomposable as
     indecomposable.  Hom with a recorded sum on either side is put together
     from the blocks Hom(M_a, N_b) (reps.hom_from_blocks), each asked of
-    ``hom`` unless the Euler-form rule makes it zero, so no system of a sum
-    is solved and no zero block is stored.  On a Dynkin quiver every
+    ``hom`` unless the Euler-form rule makes it zero, so no Hom space of a
+    sum is solved whole and no zero block is stored.  On a Dynkin quiver every
     indecomposable is directed, so dim Hom(M, N) = max(0, <dim M, dim N>)
     (Ringel, LNM 1099): between two members of ``indecomposables``, a set
     looked up with no iso search, a form <= 0 gives the zero space unsolved
@@ -180,13 +182,14 @@ class Workspace:
     ``presentations`` holds a projective presentation of each P_x and each
     TrD that translate.trd builds.  A map out of such an M is fixed by its
     generator images, whose space ``_generator_kernel`` alone reads and solves
-    (reps.generator_kernel): ``hom`` writes it out as Hom(M, N) with the maps
-    N(p) of ``path_maps``, which holds no recorded sum, and
-    ``factoring_subspace`` sends it through f: X -> Y for Hom(Z, X), never
-    written out.  It is kept once per pair: in ``homs`` as the written Hom
-    space, else in ``generator_kernels``.  Every other domain (kernels,
-    decomposition pieces, the duals a left request carries to the opposite
-    quiver) takes the commuting squares of reps.hom_basis.
+    (reps.generator_kernel) with the maps N(p) of ``path_maps``: ``hom``
+    writes it out as Hom(M, N), and ``factoring_subspace`` sends it through
+    f: X -> Y for Hom(Z, X), never written out, solving it for a recorded
+    sum X as for any other X.  It is held once per pair: in ``homs`` as the
+    written Hom space, else in ``generator_kernels``, which ``hom`` clears of
+    the pair it stores.  Every other domain (kernels, decomposition pieces,
+    the duals a left request carries to the opposite quiver) takes the
+    commuting squares of reps.hom_basis.
     """
 
     def __init__(self, quiver: Quiver):
@@ -197,8 +200,6 @@ class Workspace:
         self.homs: dict = {}            # (M, N) -> HomSpace
         self.ends: dict = {}            # M -> EndAlgebra
         self.decompositions: dict = {}  # M -> DecompositionResult
-        self.isos: dict = {}            # (A, B) -> isomorphism A -> B, or None
-        self.radical_maps: dict = {}    # (U, Z) -> basis of rad(U, Z), flat nonzeros
         self.registries: dict = {}      # (field, cap) -> IndecRegistry
         self.indecomposables: set = set()  # representations shown indecomposable
         self.presentations: dict = {}   # M -> Presentation
@@ -273,15 +274,18 @@ class Workspace:
     def hom(self, M, N):
         """Hom(M, N), by the Euler-form rule, or solved on a miss: from the
         blocks when M or N is a recorded sum, else off M's presentation when
-        it has one, else by reps.hom_basis."""
-        return self.memo(self.homs, (M, N), lambda: self._solve_hom(M, N))
+        it has one, else by reps.hom_basis.  The stored space holds the
+        pair's generator solutions, so any kept ones are dropped."""
+        hs = self.homs.get((M, N))
+        if hs is None:
+            hs = self.homs[(M, N)] = self._solve_hom(M, N)
+            self.generator_kernels.pop((M, N), None)
+        return hs
 
     def _directed_form(self, M, N) -> int | None:
         """<dim M, dim N> when M and N are members of ``indecomposables`` over
         one field on a Dynkin quiver, where dim Hom(M, N) = max(0, form);
         else None."""
-        from .translate import euler_form
-
         known = self.indecomposables
         if self.dynkin and M.field == N.field and M in known and N in known:
             return euler_form(self.quiver, M.dims, N.dims)
@@ -308,7 +312,7 @@ class Workspace:
                                           for hs in [self._block(A, B)] if hs is not None])
         presentation = self.presentations.get(M)
         if presentation is not None:
-            solutions = self._generator_solutions(M, presentation, N)
+            solutions = self._generator_kernel(M, presentation, N)
             if solutions is not None:
                 return hom_from_presentation(M, presentation, N, solutions)
         else:
@@ -325,7 +329,9 @@ class Workspace:
         g |-> f . g on Hom(Z, X), in the coordinates of Hom(Z, Y): for a
         presented Z, each generator solution of Hom(Z, X) sent through f
         (reps.postcompose_from_generators), whose coordinates check the
-        composites, else the column space of the postcomposition matrix."""
+        composites, else the column space of the postcomposition matrix.
+        Solutions are kept once their composites have passed, unless
+        ``homs`` stores Hom(Z, X), which holds them."""
         from .reps import postcompose_from_generators, postcompose_matrix
 
         X, Y = f.domain, f.codomain
@@ -333,51 +339,31 @@ class Workspace:
         presentation = self.presentations.get(Z)
         if presentation is None:
             return column_space(postcompose_matrix(self.hom(Z, X), hzy, f))
-        cols = self._generator_solutions(Z, presentation, X, lambda solutions: postcompose_from_generators(
-            hzy, presentation, f, solutions) if solutions and solutions.dim else [])
+        solutions = self._generator_kernel(Z, presentation, X)
+        cols = (postcompose_from_generators(hzy, presentation, f, solutions)
+                if solutions and solutions.dim else [])
+        if solutions is not None and (Z, X) not in self.homs:
+            self.generator_kernels[(Z, X)] = solutions
         return span_of_rows(Z.field, hzy.dim, ([(i, c) for i, c in enumerate(col) if c]
                                                for col in cols))
 
-    def _generator_solutions(self, Z, presentation: Presentation, X, check=None):
-        """Hom(Z, X) in generator coordinates for a presented Z, None when
-        the Euler-form rule makes it zero, or what check returns of it once
-        it has checked the maps written from it; the pairs solved are kept
-        then.  Without check the caller is ``hom``, which keeps Hom(Z, X)
-        instead: the pair's is dropped."""
-        solved: dict = {}
-        solutions = self._generator_kernel(Z, presentation, X, solved)
-        if check is None:
-            self.generator_kernels.pop((Z, X), None)
-            return solutions
-        checked = check(solutions)
-        self.generator_kernels.update(solved)
-        return checked
-
-    def _generator_kernel(self, Z, presentation: Presentation, X, solved: dict) -> Subspace | None:
+    def _generator_kernel(self, Z, presentation: Presentation, X) -> Subspace | None:
         """Hom(Z, X) in generator coordinates: None when the Euler-form rule
         makes it zero, else read off the stored Hom space
-        (reps.generator_images), kept, put together from the summands' for a
-        recorded sum X, or solved by reps.generator_kernel into solved."""
+        (reps.generator_images), kept, or solved by reps.generator_kernel."""
         form = self._directed_form(Z, X)
         if form is not None and form <= 0:
             return None
-        from .reps import generator_images, generator_kernel, generator_kernel_from_blocks
+        from .reps import generator_images, generator_kernel
 
-        key = (Z, X)
-        hs = self.homs.get(key)
+        hs = self.homs.get((Z, X))
         if hs is not None:
             return generator_images(hs, presentation)
-        known = self.generator_kernels.get(key) or solved.get(key)
-        if known is not None:
-            return known
-        record = self.sums.get(X)
-        if record is not None:
-            return generator_kernel_from_blocks(presentation, X, [
-                (S, part, starts) for S, starts in zip(*record) if S.total_dim
-                for part in [self._generator_kernel(Z, presentation, S, solved)] if part and part.dim])
-        solutions = solved[key] = generator_kernel(Z, presentation, X)
-        invariant(form is None or solutions.dim == form,
-                  "Hom between directed indecomposables differs from the Euler form")
+        solutions = self.generator_kernels.get((Z, X))
+        if solutions is None:
+            solutions = generator_kernel(Z, presentation, X)
+            invariant(form is None or solutions.dim == form,
+                      "Hom between directed indecomposables differs from the Euler form")
         return solutions
 
     def registry(self, field: Field, cap: int):
@@ -432,6 +418,12 @@ def parse_quiver(text: str) -> Quiver:
         else:
             raise QuiverSyntaxError(f"unknown directive {parts[0]!r}", line=lineno)
     return Quiver(tuple(vertices), tuple(arrows))
+
+
+def euler_form(q: Quiver, a, b) -> int:
+    """<a, b> = sum_x a_x b_x - sum over arrows x -> y of a_x b_y, on
+    dimension vectors in vertex order."""
+    return sum(map(mul, a, b)) - sum(a[s] * b[t] for s, t in q.arrow_ends)
 
 
 def paths_between(q: Quiver, x: str, y: str) -> list[Path]:

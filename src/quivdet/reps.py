@@ -20,11 +20,11 @@ matrices of pre- and postcomposition) are formed on the flat sparse basis
 rows, with no matrix product.  For a presented Z, postcompose_from_generators
 forms f . g for every g: Z -> X from the generator solutions of Hom(Z, X):
 their images under f are written as maps Z -> Y, whose coordinates in
-Hom(Z, Y) check them.  Hom is additive in each argument, so a direct sum
-that the workspace records is never solved as a whole: hom_from_blocks and
-generator_kernel_from_blocks place the canonical rows of the blocks between
-summands at the sum's coordinates, which keeps them canonical, and
-write_from_generators writes into a recorded sum one summand at a time.
+Hom(Z, Y) check them.  Hom is additive in each argument, so the Hom space
+of a direct sum that the workspace records is never solved as a whole:
+hom_from_blocks places the canonical rows of the blocks between summands at
+the sum's coordinates, which keeps them canonical.  The generator solutions
+of Hom(Z, X) are solved whole for a sum X, as for any other X.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient; kernels, images and cokernels
@@ -381,21 +381,6 @@ def _generator_maps(M: Representation, presentation: Presentation, N: Representa
     return maps, list(accumulate((N.dims[x] for x in presentation.generators), initial=0))
 
 
-def generator_kernel_from_blocks(presentation: Presentation, N: Representation,
-                                 blocks) -> Subspace:
-    """Hom(M, N) in generator coordinates (see generator_kernel) for a direct
-    sum N, from those of the blocks Hom(M, N_b): blocks gives each as
-    (N_b, its generator_kernel, starts), N_b starting at coordinate
-    starts[x] of N(x).  Coordinate c of n_j in N_b is coordinate
-    starts[x] + c of n_j in N, x the vertex of generator j, which keeps the
-    order of the coordinates (linalg.disjoint_span)."""
-    gens = presentation.generators
-    offsets = list(accumulate((N.dims[x] for x in gens), initial=0))
-    spaces = [(space, [offsets[j] + starts[x] + c for j, x in enumerate(gens)
-                       for c in range(S.dims[x])]) for S, space, starts in blocks]
-    return disjoint_span(N.field, offsets[-1], _placed_rows(spaces))
-
-
 def generator_kernel(M: Representation, presentation: Presentation,
                      N: Representation) -> Subspace:
     """Hom(M, N) in generator coordinates, read off a projective
@@ -440,12 +425,7 @@ def write_from_generators(M: Representation, presentation: Presentation, N: Repr
     sparse row [(generator coordinate, value), ...] of images (see
     generator_kernel), as its nonzeros {flat index: value} at the flat
     offsets of maps M -> N: the column of slot (j, p) at vertex y is
-    N(p) n_j.  Over F_p the values are residues.  A direct sum N recorded in
-    the workspace is written one summand at a time, so no N(p) of the sum is
-    built."""
-    record = M.quiver.workspace.sums.get(N)
-    if record is not None:
-        return _write_by_summands(M, presentation, N, record, images, offsets)
+    N(p) n_j.  Over F_p the values are residues."""
     maps, starts = _generator_maps(M, presentation, N)
     p = M.field.characteristic
     out = []
@@ -467,30 +447,6 @@ def write_from_generators(M: Representation, presentation: Presentation, N: Repr
                             acc[t] = acc[t] + v * w if t in acc else v * w
         out.append({t: x % p for t, x in acc.items() if x % p} if p
                    else {t: x for t, x in acc.items() if x})
-    return out
-
-
-def _write_by_summands(M: Representation, presentation: Presentation, N: Representation,
-                       record, images, offsets) -> list[dict]:
-    """write_from_generators into N = the sum of the summands of record,
-    N_b from row sb[y] of N(y) on: the part of each n_j in N_b is written as
-    a map M -> N_b at the flat offsets moved by sb[y] * M.dims[y], which puts
-    its row r at row sb[y] + r of the map M -> N."""
-    gens = presentation.generators
-    starts = list(accumulate((N.dims[x] for x in gens), initial=0))
-    images = [list(u) for u in images]
-    out: list[dict] = [{} for _ in images]
-    for S, sb in zip(*record):
-        local = list(accumulate((S.dims[x] for x in gens), initial=0))
-        # generator coordinate of N -> that of N_b, on N_b's coordinates
-        cut = {starts[j] + sb[x] + c: local[j] + c
-               for j, x in enumerate(gens) for c in range(S.dims[x])}
-        parts = [[(cut[t], v) for t, v in u if t in cut] for u in images]
-        if not any(parts):
-            continue
-        moved = [o + sb[y] * d for y, (o, d) in enumerate(zip(offsets, M.dims))]
-        for acc, part in zip(out, write_from_generators(M, presentation, S, parts, moved)):
-            acc.update(part)
     return out
 
 

@@ -1,6 +1,6 @@
 """Nakayama transport, the translates DTr and TrD, knitting enumeration of
-indecomposables, Dynkin classification of the underlying graph, the Euler
-form, and the Cartan and inverse Coxeter matrices.
+indecomposables, Dynkin classification of the underlying graph, and the
+Cartan and inverse Coxeter matrices; the Euler form is quiver.euler_form.
 
 Hom(P_x, P_y) has the paths y -> x as a canonical basis (read off the image of
 the trivial-path generator), and Hom(I_x, I_y) has the same index set (read
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from operator import mul
 
 from .decompose import indec_iso_witness, is_indecomposable
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     invariant,
 )
 from .linalg import Field, RATIONALS, column_space
-from .quiver import Presentation, Quiver, injective_at, projective_at
+from .quiver import Presentation, Quiver, euler_form, injective_at, projective_at
 from .reps import RepMorphism, Representation, kernel, quotient
 from .structure import (
     BlockSum,
@@ -357,12 +356,6 @@ def positive_root_count(types) -> int:
         return {6: 36, 7: 63, 8: 120}[n]
 
     return sum(roots(t) for t in types)
-
-
-def euler_form(q: Quiver, a, b) -> int:
-    """<a, b> = sum_x a_x b_x - sum over arrows x -> y of a_x b_y, on
-    dimension vectors in vertex order."""
-    return sum(map(mul, a, b)) - sum(a[s] * b[t] for s, t in q.arrow_ends)
 
 
 def cartan_matrix(q: Quiver) -> list[list[int]]:

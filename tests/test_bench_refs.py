@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import quivdet as qd
+from quivdet.cli import main
 from quivdet.determiner import DeterminerEngine
 from quivdet.formats import load_session
 
@@ -51,8 +52,8 @@ def test_stream_requests_match_their_reference_digests(name):
     assert json.loads(_ref(f"{name}.json"))["digests"][:REPLAYED] == digests
 
 
-def test_kronecker_bounded_report_matches_its_reference():
-    w = wl.WORKLOADS["kronecker-bounded"]
+def _cold_report_matches_its_reference(name: str) -> None:
+    w = wl.WORKLOADS[name]
     q = qd.parse_quiver(wl.read_input(w.quiver))
     field = qd.field_from_name("rat")
     f = load_session(q, field, wl.read_input(w.data)).morphism("f")
@@ -60,3 +61,19 @@ def test_kronecker_bounded_report_matches_its_reference():
     assert (len(reg.entries), reg.complete) == (w.registry_size, w.complete)
     report = DeterminerEngine(reg).report(f, morphism_name="f", verify=True)
     assert wl.report_text(report) == _ref(f"{w.name}.json")
+
+
+def test_kronecker_bounded_report_matches_its_reference():
+    _cold_report_matches_its_reference("kronecker-bounded")
+
+
+@pytest.mark.parametrize("name", ["dynkin-e8", "dynkin-a15"])
+def test_dynkin_report_matches_its_reference(name):
+    _cold_report_matches_its_reference(name)
+
+
+def test_a3_left_cli_report_matches_its_reference(capsys):
+    data = Path(__file__).resolve().parent.parent / "data"
+    argv = ["det", str(data / "a3.quiver"), str(data / "a3.reps"), "f", "--verify", "--left", "--json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _ref("a3-left.json")

@@ -10,6 +10,7 @@ import pytest
 
 import quivdet as qd
 import quivdet.determiner
+import quivdet.quiver
 import quivdet.reps
 import quivdet.translate
 from quivdet.decompose import indec_iso_witness
@@ -401,7 +402,7 @@ def test_engine_hom_cross_checks_the_euler_form(monkeypatch):
     eng = DeterminerEngine(reg)
     M, N = next((a.rep, b.rep) for a in reg.entries for b in reg.entries
                 if (a.rep, b.rep) not in q.workspace.homs and hom_basis(a.rep, b.rep).dim == 1)
-    monkeypatch.setattr(quivdet.translate, "euler_form", lambda q, a, b: 2)
+    monkeypatch.setattr(quivdet.quiver, "euler_form", lambda q, a, b: 2)
     with pytest.raises(InvariantError):
         eng.hom(M, N)
 
@@ -410,7 +411,7 @@ def test_engine_hom_ignores_the_euler_form_off_dynkin_type(monkeypatch):
     def no_form(*args):
         raise AssertionError("the Euler form decides Hom only on Dynkin type")
 
-    monkeypatch.setattr(quivdet.translate, "euler_form", no_form)
+    monkeypatch.setattr(quivdet.quiver, "euler_form", no_form)
     reg = qd.knit(qd.parse_quiver(KRONECKER_TEXT), cap=6)
     eng = DeterminerEngine(reg)
     for a in reg.entries:
@@ -722,11 +723,11 @@ def test_factoring_subspace_checks_the_written_composites(field, monkeypatch):
 @pytest.mark.parametrize("text, cap", [(E6_TEXT, 5000), (D4_TEXT, 5000), (KRONECKER_TEXT, 12)],
                          ids=["e6", "d4", "kronecker-cap12"])
 def test_factoring_subspace_of_a_sum_domain_is_the_image_of_postcomposition(text, cap, field):
-    # for a recorded direct sum X, the generator solutions of Hom(Z, X) are
-    # put together from those of its summands (a repeated one and a nested
-    # sum included), and F_Z is still the column space of the
-    # postcomposition matrix; the workspace holds them per summand only,
-    # once: as the stored Hom space or else kept
+    # for a recorded direct sum X (a repeated summand and a nested sum
+    # included), the generator solutions of Hom(Z, X) are solved for the
+    # whole sum, F_Z is still the column space of the postcomposition
+    # matrix, and the workspace holds each pair's solutions once: as the
+    # stored Hom space or else kept
     from quivdet.linalg import column_space
     from quivdet.reps import postcompose_matrix
 
@@ -748,9 +749,8 @@ def test_factoring_subspace_of_a_sum_domain_is_the_image_of_postcomposition(text
             assert fz == column_space(postcompose_matrix(hom_basis(Z, X), ws.hom(Z, Y), f))
             checked += fz.dim > 0
     assert checked
-    assert not [X for _, X in ws.generator_kernels if X in ws.sums]
-    assert all(((Z, S) in ws.homs) != ((Z, S) in ws.generator_kernels)
-               for Z in reps for S in (a, b) if hom_basis(Z, S).dim)
+    assert [X for _, X in ws.generator_kernels if X in ws.sums]
+    assert not [key for key in ws.generator_kernels if key in ws.homs]
 
 
 def _e6_stream(count: int):
@@ -782,12 +782,14 @@ def _certify(reg, requests) -> None:
         assert report.oracle.certified
 
 
-def test_stream_solves_no_sum_and_each_generator_kernel_once(monkeypatch):
+def test_stream_gives_hom_no_sum_and_solves_each_generator_kernel_once(monkeypatch):
     # Hom is additive: over a stream of requests between direct sums, on
-    # both quivers, no solver receives a recorded sum, and the generator
-    # equations of each (Z, X) are solved at most once per workspace, by
-    # _generator_kernel, which serves hom and the factoring subspaces alike;
-    # no pair's solutions are kept next to its stored Hom space
+    # both quivers, hom_basis receives no recorded sum and no solver takes
+    # one as its domain, while the generator equations of a presented Z into
+    # a sum are solved whole; each (Z, X) is solved at most once per
+    # workspace, by _generator_kernel, which serves hom and the factoring
+    # subspaces alike, and no pair's solutions are kept next to its stored
+    # Hom space
     q, reg, requests = _e6_stream(9)
     calls = []
 
@@ -806,8 +808,12 @@ def test_stream_solves_no_sum_and_each_generator_kernel_once(monkeypatch):
     monkeypatch.undo()
     assert sum(f.domain in q.workspace.sums and f.codomain in q.workspace.sums
                for _, f in requests) >= 2
-    assert not [c for c in calls if c[2] in c[2].quiver.workspace.sums
-                or c[3] in c[3].quiver.workspace.sums]
+
+    def summed(M):
+        return M in M.quiver.workspace.sums
+
+    assert not [c for c in calls if c[0] == "hom_basis" and (summed(c[2]) or summed(c[3]))]
+    assert not [c for c in calls if summed(c[2])]
     kernels = [(caller, M, N) for name, caller, M, N in calls if name == "generator_kernel"]
     assert {caller for caller, _, _ in kernels} == {"_generator_kernel"}
     assert len(set(kernels)) == len(kernels)
@@ -815,11 +821,27 @@ def test_stream_solves_no_sum_and_each_generator_kernel_once(monkeypatch):
                 if key in ws.homs]
 
 
-def test_stream_builds_no_path_maps_of_a_sum():
-    # a recorded sum is written one summand at a time, so after a stream no
-    # N(p) of a sum is kept, on either quiver
-    q, reg, requests = _e6_stream(6)
-    _certify(reg, requests)
-    for ws in (q.workspace, q.opposite.workspace):
-        assert ws.sums and ws.path_maps
-        assert not [N for N, _ in ws.path_maps if N in ws.sums]
+def test_hom_of_a_kept_sum_pair_drops_its_kept_solutions():
+    # factoring_subspace keeps the generator solutions of (Z, X) for a
+    # recorded sum X; a later hom(Z, X) goes through the blocks route, and the
+    # stored Hom space then holds the pair's solutions, so they leave
+    # generator_kernels and are read back off the Hom space
+    from quivdet.linalg import column_space
+    from quivdet.reps import postcompose_matrix
+
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q)
+    ws = q.workspace
+    rng = random.Random(9)
+    reps = [e.rep for e in reg.entries]
+    X = qd.direct_sum(rng.sample(reps, 2))[0]
+    f, Z = next((f, Z) for Y in reps for hs in [ws.hom(X, Y)] if hs.dim
+                for f in [hs.from_coordinates([rng.randrange(1, 7) for _ in range(hs.dim)])]
+                for Z in reps if Z in ws.presentations and hom_basis(Z, X).dim)
+    fz = ws.factoring_subspace(f, Z)
+    kept = ws.generator_kernels.get((Z, X))
+    assert kept is not None and (Z, X) not in ws.homs
+    hs = ws.hom(Z, X)
+    assert (Z, X) not in ws.generator_kernels and hs.dim == hom_basis(Z, X).dim
+    assert ws._generator_kernel(Z, ws.presentations[Z], X) == kept
+    assert fz == column_space(postcompose_matrix(hs, ws.hom(Z, f.codomain), f))
