@@ -814,6 +814,7 @@ def test_stream_gives_hom_no_sum_and_solves_each_generator_kernel_once(monkeypat
 
     assert not [c for c in calls if c[0] == "hom_basis" and (summed(c[2]) or summed(c[3]))]
     assert not [c for c in calls if summed(c[2])]
+    assert [c for c in calls if c[0] == "generator_kernel" and summed(c[3])]
     kernels = [(caller, M, N) for name, caller, M, N in calls if name == "generator_kernel"]
     assert {caller for caller, _, _ in kernels} == {"_generator_kernel"}
     assert len(set(kernels)) == len(kernels)
