@@ -27,11 +27,11 @@ the sum's coordinates, which keeps them canonical.  The generator solutions
 of Hom(Z, X) are solved whole for a sum X, as for any other X.
 
 Sub- and quotient representations by vertexwise subspaces each come from
-one routine, subrepresentation and quotient; kernels, images and cokernels
-(and socles, radicals and tops in structure.py) are calls to them.  A
-quotient reads its arrow actions off the residues of the columns of M(a)
-modulo the target subspace, with no projection or section product.  Direct
-sums likewise come from block_diagonal_sum, which fixes the block layout;
+one routine, subrepresentation and quotient_representation, which reads its
+arrow actions off the residues of the columns of M(a) modulo the target
+subspace; quotient adds the projection.  Kernels, images and cokernels (and
+socles, radicals and tops in structure.py) are calls to them.  Direct sums
+likewise come from block_diagonal_sum, which fixes the block layout;
 direct_sum adds the injections and projections for callers that need them.
 block_diagonal_sum records each sum of two or more nonzero summands in the
 workspace, and dual_representation records the dual of a recorded sum as
@@ -566,12 +566,11 @@ def subrepresentation(M: Representation, subs) -> tuple[Representation, RepMorph
     return S, RepMorphism(S, M, tuple(s.basis_matrix_columns() for s in subs))
 
 
-def quotient(M: Representation, subs) -> tuple[Representation, RepMorphism]:
+def quotient_representation(M: Representation, subs) -> Representation:
     """M modulo vertexwise subspaces closed under the arrow actions, in the
-    canonical complement coordinates, with the projection from M.  Column c
-    of C(a) is the residue of column c of M(a) modulo the target subspace,
-    read at its free (non-pivot) slots, for each free slot c of the source
-    subspace: projection @ M(a) @ section, without the two products."""
+    canonical complement coordinates.  Column c of C(a) is the residue of
+    column c of M(a) modulo the target subspace at its free (non-pivot) slots,
+    for each free slot c of the source: projection @ M(a) @ section, without the two products."""
     q = M.quiver
     free = [sorted(set(range(s.ambient_dim)).difference(s.pivots)) for s in subs]
     action = []
@@ -584,7 +583,12 @@ def quotient(M: Representation, subs) -> tuple[Representation, RepMorphism]:
                                                 for c in free[si])]
         action.append(Mat(M.field, len(free[ti]), len(free[si]),
                           tuple(tuple(r.get(j, 0) for r in res) for j in free[ti])))
-    C = Representation(q, M.field, tuple(map(len, free)), tuple(action))
+    return Representation(q, M.field, tuple(map(len, free)), tuple(action))
+
+
+def quotient(M: Representation, subs) -> tuple[Representation, RepMorphism]:
+    """quotient_representation(M, subs) with the projection from M."""
+    C = quotient_representation(M, subs)
     return C, RepMorphism(M, C, tuple(s.complement_projection() for s in subs))
 
 

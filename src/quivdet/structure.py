@@ -10,13 +10,14 @@ hull and projective cover read their block multiplicities from it directly.
 Covers are lifted deterministically: top basis vectors are sectioned back into
 M at the canonical complement coordinates, which pins every matrix of the
 resolution for golden tests.  Their terms are BlockSums: a sum of canonical
-P_x or I_x together with its block layout, an offset table, but no
-per-block injection or projection morphisms; the quiver's workspace builds
-each once per kind, vertex tuple and field.  The cover, the hull and the
-Nakayama transport in translate share two writers: map_from_generators
-builds a map out of a projective sum from the images of its generators, and
-map_to_cogenerators a map into an injective sum from each block's
-trivial-path row.
+P_x or I_x with its block layout, an offset table, built once per kind,
+vertex tuple and field in the quiver's workspace.  Two writers build every
+map between them: map_from_generators a map out of a projective sum from its
+generator images, map_to_cogenerators a map into an injective sum from each
+block's trivial-path row (Hom(N, I_x) = D N(x)).  The resolution differential
+sends the syzygy's top generators into P0, and the copresentation
+differential reads the cokernel projection at the cokernel's socle pivots,
+so neither builds the syzygy's cover or the cokernel's hull.
 """
 
 from __future__ import annotations
@@ -154,17 +155,26 @@ def map_to_cogenerators(M: Representation, bs: BlockSum, funcs) -> RepMorphism:
                                         for yi, rows in enumerate(comps)))
 
 
+def _top_generators(M: Representation, image) -> tuple[BlockSum, list]:
+    """P with the multiplicities of top(M), and image(i, g) of each top generator g in M(i)."""
+    sections = [rad.complement_section() for rad in _radical_subspaces(M)]
+    vertices = [x for x, s in zip(M.quiver.vertices, sections) for _ in range(s.cols)]
+    generators = [image(i, g) for i, s in enumerate(sections) for g in s.columns()]
+    return projective_block_sum(M.quiver, M.field, vertices), generators
+
+
+def _socle_cogenerators(M: Representation, row) -> tuple[BlockSum, list]:
+    """I with the multiplicities of soc(M), and row(i, k) for each socle pivot k of M(i)."""
+    socles = _socle_subspaces(M)
+    vertices = [x for x, soc in zip(M.quiver.vertices, socles) for _ in range(soc.dim)]
+    rows = [row(i, k) for i, soc in enumerate(socles) for k in soc.pivots]
+    return injective_block_sum(M.quiver, M.field, vertices), rows
+
+
 def projective_cover(M: Representation) -> tuple[BlockSum, RepMorphism]:
     """P = direct sum of P_x with the multiplicities of top(M), together with
     the cover epimorphism lifting the identification of tops."""
-    q, field = M.quiver, M.field
-    vertices = []
-    generators = []  # chosen preimages in M of the top basis vectors
-    for i, rad in enumerate(_radical_subspaces(M)):
-        section = rad.complement_section()
-        vertices.extend([q.vertices[i]] * section.cols)
-        generators.extend(section.columns())
-    ps = projective_block_sum(q, field, vertices)
+    ps, generators = _top_generators(M, lambda i, g: g)
     cover = map_from_generators(ps, M, generators)
     invariant(cover.is_epi(), "projective cover failed to be surjective")
     return ps, cover
@@ -172,15 +182,8 @@ def projective_cover(M: Representation) -> tuple[BlockSum, RepMorphism]:
 
 def injective_hull(M: Representation) -> tuple[BlockSum, RepMorphism]:
     """I = direct sum of I_x with the multiplicities of soc(M), together with
-    the hull monomorphism."""
-    q, field = M.quiver, M.field
-    vertices = []
-    units = []  # dual basis against the RREF socle basis: unit rows at its pivots
-    for i, soc in enumerate(_socle_subspaces(M)):
-        vertices.extend([q.vertices[i]] * soc.dim)
-        units.extend(tuple(field.one if k == pivot else field.zero for k in range(M.dims[i]))
-                     for pivot in soc.pivots)
-    bs = injective_block_sum(q, field, vertices)
+    the hull monomorphism, which reads the dual basis of the socle basis."""
+    bs, units = _socle_cogenerators(M, lambda i, k: tuple(int(c == k) for c in range(M.dims[i])))
     hull = map_to_cogenerators(M, bs, units)
     invariant(hull.is_mono(), "injective hull failed to be injective")
     return bs, hull
@@ -195,6 +198,7 @@ class ProjResolution:
     p1: BlockSum
     differential: RepMorphism   # P1 -> P0
     cover: RepMorphism          # P0 -> M
+    generators: list            # the differential's image of each generator of P1
 
 
 @dataclass(frozen=True)
@@ -206,26 +210,30 @@ class InjCopresentation:
     i1: BlockSum
     differential: RepMorphism   # I0 -> I1
     hull: RepMorphism           # M -> I0
+    rows: list                  # the differential's trivial-path row of each block of I1
 
 
 def min_projective_resolution(M: Representation) -> ProjResolution:
-    """Minimal projective resolution; the syzygy is projective because the
-    path algebra of an acyclic quiver is hereditary, so its own cover is an
-    isomorphism and provides the explicit block structure."""
+    """Minimal projective resolution.  The syzygy K is projective (hereditary),
+    and the differential, the inclusion after the cover of K, sends each
+    generator to a top generator of K; mono with dims P1 = dims K, it is exact."""
     p0, cover = projective_cover(M)
     K, incl = kernel(cover)
-    p1, cover1 = projective_cover(K)
+    p1, generators = _top_generators(K, lambda i, g: incl.comps[i].apply(g))
     invariant(p1.rep.dims == K.dims, "syzygy of a cover must be projective here")
-    diff = incl @ cover1
+    diff = map_from_generators(p1, p0.rep, generators)
     invariant(diff.is_mono(), "resolution differential is not injective")
-    return ProjResolution(M, p0, p1, diff, cover)
+    return ProjResolution(M, p0, p1, diff, cover, generators)
 
 
 def min_injective_copresentation(M: Representation) -> InjCopresentation:
+    """Minimal injective copresentation.  The cokernel C of the hull is injective
+    (hereditary), and the differential, the hull of C after the projection, reads
+    the projection at the socle pivots of C; epi with dims I1 = dims C, it is exact."""
     i0, hull = injective_hull(M)
     C, proj = cokernel(hull)
-    i1, hull1 = injective_hull(C)
+    i1, rows = _socle_cogenerators(C, lambda i, k: proj.comps[i].entries[k])
     invariant(i1.rep.dims == C.dims, "cokernel of a hull must be injective here")
-    diff = hull1 @ proj
+    diff = map_to_cogenerators(i0.rep, i1, rows)
     invariant(diff.is_epi(), "copresentation differential is not surjective")
-    return InjCopresentation(M, i0, i1, diff, hull)
+    return InjCopresentation(M, i0, i1, diff, hull, rows)

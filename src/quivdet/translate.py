@@ -5,12 +5,13 @@ Cartan and inverse Coxeter matrices; the Euler form is quiver.euler_form.
 Hom(P_x, P_y) has the paths y -> x as a canonical basis (read off the image of
 the trivial-path generator), and Hom(I_x, I_y) has the same index set (read
 off the coefficient of the trivial path at vertex y).  The Nakayama
-equivalence is implemented as exactly this relabeling: a map between explicit
-sums of projectives is transported verbatim, in path coordinates, to the
-corresponding sum of injectives, and conversely.  Its blocks are read as
-slices of the generator images or of the trivial-path rows, at the offsets
-that each BlockSum carries, and the transported map is written from them by
-the structure writers map_from_generators and map_to_cogenerators.
+equivalence is exactly this relabeling: the generator images of a map between
+explicit sums of projectives, cut at the offsets each BlockSum carries and
+regrouped, are the trivial-path rows of the map between the sums of
+injectives, and conversely; map_to_cogenerators and map_from_generators write
+the transported map from them.  dtr and trd take them from the resolution
+and copresentation that wrote them; the public transports read them off the
+given map and check that they write it back.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .linalg import Field, RATIONALS, column_space
 from .quiver import Presentation, Quiver, euler_form, injective_at, projective_at
-from .reps import RepMorphism, Representation, kernel, quotient
+from .reps import RepMorphism, Representation, kernel, quotient_representation
 from .structure import (
     BlockSum,
     injective_block_sum,
@@ -60,42 +61,46 @@ def _regroup(vecs, cut: BlockSum, paste: BlockSum) -> list[tuple]:
     return out
 
 
-def _transport(m: RepMorphism, write_back, write) -> RepMorphism:
-    """write(), the transported map, once write_back() has reproduced m
-    exactly from the blocks it was read from."""
+def _transport(m: RepMorphism, write, write_back):
+    """write(), the transported map and its sums, once write_back() gives m."""
     try:
+        out = write()
         if write_back() != m:
             raise InputNotInPathBasisError("map could not be transported faithfully")
-        return write()
+        return out
     except SemanticError as e:
         raise InputNotInPathBasisError(f"blocks do not carry the map: {e}") from None
 
 
-def nakayama_on_projmap(g: RepMorphism, dom: BlockSum, cod: BlockSum):
-    """Transport a map between explicit projective sums along P_x -> I_x.
-
-    Returns the transported morphism together with its domain and codomain
-    injective block sums."""
-    q, field = g.domain.quiver, g.domain.field
-    vi = q.vertex_index
-    gens = [g.comps[vi[x]].col(dom.offsets[vi[x]][j]) for j, x in enumerate(dom.block_vertices)]
+def _nakayama(dom: BlockSum, cod: BlockSum, gens):
+    """nu of the map with generator images gens, with its injective sums."""
+    q, field = dom.rep.quiver, dom.rep.field
     tdom, tcod = (injective_block_sum(q, field, bs.block_vertices) for bs in (dom, cod))
-    funcs = _regroup(gens, cod, tdom)
-    t = _transport(g, lambda: map_from_generators(dom, cod.rep, gens),
-                   lambda: map_to_cogenerators(tdom.rep, tcod, funcs))
-    return t, tdom, tcod
+    return map_to_cogenerators(tdom.rep, tcod, _regroup(gens, cod, tdom)), tdom, tcod
+
+
+def _inverse_nakayama(dom: BlockSum, cod: BlockSum, rows):
+    """nu^-1 of the map with trivial-path rows rows, with its projective sums."""
+    q, field = dom.rep.quiver, dom.rep.field
+    tdom, tcod = (projective_block_sum(q, field, bs.block_vertices) for bs in (dom, cod))
+    return map_from_generators(tdom, tcod.rep, _regroup(rows, dom, tcod)), tdom, tcod
+
+
+def nakayama_on_projmap(g: RepMorphism, dom: BlockSum, cod: BlockSum):
+    """Transport a map between explicit projective sums along P_x -> I_x;
+    returns it with its domain and codomain injective block sums."""
+    vi = g.domain.quiver.vertex_index
+    gens = [g.comps[vi[x]].col(dom.offsets[vi[x]][j]) for j, x in enumerate(dom.block_vertices)]
+    return _transport(g, lambda: _nakayama(dom, cod, gens),
+                      lambda: map_from_generators(dom, cod.rep, gens))
 
 
 def inverse_nakayama_on_injmap(h: RepMorphism, dom: BlockSum, cod: BlockSum):
     """Transport a map between explicit injective sums along I_x -> P_x."""
-    q, field = h.domain.quiver, h.domain.field
-    vi = q.vertex_index
-    funcs = [h.comps[vi[y]].entries[cod.offsets[vi[y]][i]] for i, y in enumerate(cod.block_vertices)]
-    tdom, tcod = (projective_block_sum(q, field, bs.block_vertices) for bs in (dom, cod))
-    gens = _regroup(funcs, dom, tcod)
-    t = _transport(h, lambda: map_to_cogenerators(dom.rep, cod, funcs),
-                   lambda: map_from_generators(tdom, tcod.rep, gens))
-    return t, tdom, tcod
+    vi = h.domain.quiver.vertex_index
+    rows = [h.comps[vi[y]].entries[cod.offsets[vi[y]][i]] for i, y in enumerate(cod.block_vertices)]
+    return _transport(h, lambda: _inverse_nakayama(dom, cod, rows),
+                      lambda: map_to_cogenerators(dom.rep, cod, rows))
 
 
 def _iso_vertex(M: Representation, canonical) -> str | None:
@@ -108,17 +113,15 @@ def _iso_vertex(M: Representation, canonical) -> str | None:
 
 
 def dtr(M: Representation) -> Representation:
-    """The translate DTr M: kernel of the Nakayama transport nu(d): I_1 -> I_0
-    of the minimal projective resolution differential d.
-
-    The cokernel of nu(d) is nu(M) = D Hom(M, A), which on a hereditary path
-    algebra is zero exactly when M has no projective summand.  So nu(d) is
-    epi exactly then, which the kernel shows when its dimension is
-    dim I_1 - dim I_0 at every vertex; otherwise HasProjectiveSummandError."""
+    """The translate DTr M: the kernel of nu(d): I_1 -> I_0, written from the
+    generator images of the minimal projective resolution differential d.
+    Its cokernel nu(M) = D Hom(M, A) is zero on a hereditary path algebra
+    exactly when M has no projective summand, which the kernel's dimension
+    dim I_1 - dim I_0 shows; otherwise HasProjectiveSummandError."""
     if M.total_dim == 0:
         return M
     res = min_projective_resolution(M)
-    nu, i1, i0 = nakayama_on_projmap(res.differential, res.p1, res.p0)
+    nu, i1, i0 = _nakayama(res.p1, res.p0, res.generators)
     K = kernel(nu)[0]
     if K.dims != tuple(a - b for a, b in zip(i1.rep.dims, i0.rep.dims)):
         raise HasProjectiveSummandError("DTr is undefined on projective summands")
@@ -126,22 +129,19 @@ def dtr(M: Representation) -> Representation:
 
 
 def trd(M: Representation) -> Representation:
-    """The translate TrD M: cokernel of the inverse Nakayama transport
-    nu^-1(d): P_0 -> P_1 of the minimal injective copresentation
-    differential d.
-
-    The kernel of nu^-1(d) is Hom(DA, M), which on a hereditary path algebra
-    is zero exactly when M has no injective summand.  So nu^-1(d) is mono
-    exactly then, which the cokernel shows when its dimension is
-    dim P_1 - dim P_0 at every vertex; otherwise HasInjectiveSummandError.
-    The workspace records nu^-1(d) as the projective presentation of TrD M,
-    off which Workspace.hom reads every Hom space out of TrD M."""
+    """The translate TrD M: the cokernel of nu^-1(d): P_0 -> P_1, written from
+    the trivial-path rows of the minimal injective copresentation differential
+    d.  Its kernel Hom(DA, M) is zero on a hereditary path algebra exactly
+    when M has no injective summand, which the cokernel's dimension
+    dim P_1 - dim P_0 shows; otherwise HasInjectiveSummandError.  The
+    workspace records nu^-1(d) as the projective presentation of TrD M, off
+    which Workspace.hom reads every Hom space out of TrD M."""
     if M.total_dim == 0:
         return M
     cop = min_injective_copresentation(M)
-    g, p0, p1 = inverse_nakayama_on_injmap(cop.differential, cop.i0, cop.i1)
+    g, p0, p1 = _inverse_nakayama(cop.i0, cop.i1, cop.rows)
     images = [column_space(c) for c in g.comps]
-    C = quotient(p1.rep, images)[0]
+    C = quotient_representation(p1.rep, images)
     if C.dims != tuple(a - b for a, b in zip(p1.rep.dims, p0.rep.dims)):
         raise HasInjectiveSummandError("TrD is undefined on injective summands")
     return M.quiver.workspace.presented(C, _cokernel_presentation(g, p0, p1, images))
@@ -152,7 +152,7 @@ def _cokernel_presentation(g: RepMorphism, dom: BlockSum, cod: BlockSum, images)
     block sums, with images[y] the image of g at vertex y: the generators
     are the blocks of cod, a relation is the image of the generator of a
     block of dom, and the slots are the coordinates of cod left free by
-    the images, which reps.quotient keeps."""
+    the images, which reps.quotient_representation keeps."""
     vi = g.domain.quiver.vertex_index
 
     def slot(yi, k):

@@ -15,7 +15,7 @@ from quivdet.errors import (
     InvariantError,
     SemanticError,
 )
-from quivdet.linalg import RATIONALS, Mat, field_from_name
+from quivdet.linalg import RATIONALS, Mat, column_space, field_from_name
 from quivdet.reps import generator_kernel, hom_from_presentation
 from quivdet.structure import injective_block_sum, projective_block_sum
 
@@ -373,6 +373,38 @@ def test_knit_builds_no_direct_sum_morphisms(monkeypatch):
     assert len(reg.entries) == 36 and reg.complete
 
 
+def test_knit_builds_one_hull_per_trd_and_transports_nothing_back(monkeypatch):
+    # the copresentation differential is written from the rows of the
+    # cokernel projection, and trd writes its transport with no write-back
+    # and takes the cokernel with no projection onto it
+    import quivdet.reps as reps
+    import quivdet.structure as structure
+    import quivdet.translate as translate
+
+    hulls = []
+    real_hull = structure.injective_hull
+    monkeypatch.setattr(structure, "injective_hull", lambda M: hulls.append(M) or real_hull(M))
+
+    def no_transport(*args):
+        raise AssertionError("knit must not transport a map back to check it")
+
+    monkeypatch.setattr(translate, "_transport", no_transport)
+    ends = []
+    real_post_init = reps.RepMorphism.__post_init__
+
+    def recorded(self):
+        ends.append((self.domain, self.codomain))
+        real_post_init(self)
+
+    monkeypatch.setattr(reps.RepMorphism, "__post_init__", recorded)
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q)
+    assert len(reg.entries) == 36 and len(hulls) == 30
+    trds = {e.rep for e in reg.entries[q.n_vertices:]}
+    sums = {bs.rep for (kind, _, _), bs in q.workspace.block_sums.items() if kind == "P"}
+    assert not any(dom in sums and cod in trds for dom, cod in ends)
+
+
 @pytest.mark.parametrize("text, cap, size, complete", [
     (E6_TEXT, 5000, 36, True), ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", 12, 12, False),
 ], ids=["e6", "kronecker-cap12"])
@@ -477,6 +509,46 @@ def test_end_dimension_one_on_dynkin_registries(corpus_engines):
 D4_TEXT = "vertex c\nvertex 1\nvertex 2\nvertex 3\narrow a 1 c\narrow b 2 c\narrow d 3 c"
 A5_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
            "arrow a 2 1\narrow b 2 3\narrow c 3 4\narrow d 5 4")
+
+
+@pytest.mark.parametrize("field_name", ["rat", "fp:7"])
+@pytest.mark.parametrize("text, cap", [
+    (E6_TEXT, 5000), (D4_TEXT, 5000), (A5_TEXT, 5000), (KRONECKER_TEXT, 12),
+], ids=["e6", "d4", "a5", "kronecker-cap12"])
+def test_translates_match_the_hull_and_cover_of_the_syzygy(text, cap, field_name):
+    # the reference construction: the copresentation differential is the
+    # hull of the cokernel after the projection, and TrD the cokernel of its
+    # checked Nakayama transport; dually the resolution differential is the
+    # cover of the syzygy followed by the inclusion, and DTr the kernel of
+    # its checked transport
+    from quivdet.reps import quotient
+    from quivdet.structure import (
+        injective_hull,
+        min_injective_copresentation,
+        min_projective_resolution,
+        projective_cover,
+    )
+    from quivdet.translate import _cokernel_presentation
+
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field_name), cap=cap)
+    for e in reg.entries:
+        M = e.rep
+        if not e.is_injective:
+            cop = min_injective_copresentation(M)
+            C, proj = qd.cokernel(cop.hull)
+            assert cop.differential == injective_hull(C)[1] @ proj
+            g, p0, p1 = qd.inverse_nakayama_on_injmap(cop.differential, cop.i0, cop.i1)
+            images = [column_space(c) for c in g.comps]
+            t = qd.trd(M)
+            assert t == quotient(p1.rep, images)[0]
+            assert q.workspace.presentations[t] == _cokernel_presentation(g, p0, p1, images)
+        if not e.is_projective:
+            res = min_projective_resolution(M)
+            K, incl = qd.kernel(res.cover)
+            assert res.differential == incl @ projective_cover(K)[1]
+            nu, _, _ = qd.nakayama_on_projmap(res.differential, res.p1, res.p0)
+            assert qd.dtr(M) == qd.kernel(nu)[0]
 
 
 def _form_mismatches(reg, solved, form):
