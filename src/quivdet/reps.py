@@ -569,8 +569,9 @@ def subrepresentation(M: Representation, subs) -> tuple[Representation, RepMorph
 def quotient_representation(M: Representation, subs) -> Representation:
     """M modulo vertexwise subspaces closed under the arrow actions, in the
     canonical complement coordinates.  Column c of C(a) is the residue of
-    column c of M(a) modulo the target subspace at its free (non-pivot) slots,
-    for each free slot c of the source: projection @ M(a) @ section, without the two products."""
+    column c of M(a) modulo the target subspace at its free (non-pivot)
+    slots, for each free slot c of the source: projection @ M(a) @ section,
+    without the two products."""
     q = M.quiver
     free = [sorted(set(range(s.ambient_dim)).difference(s.pivots)) for s in subs]
     action = []

@@ -198,7 +198,7 @@ class ProjResolution:
     p1: BlockSum
     differential: RepMorphism   # P1 -> P0
     cover: RepMorphism          # P0 -> M
-    generators: list            # the differential's image of each generator of P1
+    generators: tuple           # the differential's image of each generator of P1
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class InjCopresentation:
     i1: BlockSum
     differential: RepMorphism   # I0 -> I1
     hull: RepMorphism           # M -> I0
-    rows: list                  # the differential's trivial-path row of each block of I1
+    rows: tuple                 # the differential's trivial-path row of each block of I1
 
 
 def min_projective_resolution(M: Representation) -> ProjResolution:
@@ -223,7 +223,7 @@ def min_projective_resolution(M: Representation) -> ProjResolution:
     invariant(p1.rep.dims == K.dims, "syzygy of a cover must be projective here")
     diff = map_from_generators(p1, p0.rep, generators)
     invariant(diff.is_mono(), "resolution differential is not injective")
-    return ProjResolution(M, p0, p1, diff, cover, generators)
+    return ProjResolution(M, p0, p1, diff, cover, tuple(generators))
 
 
 def min_injective_copresentation(M: Representation) -> InjCopresentation:
@@ -236,4 +236,4 @@ def min_injective_copresentation(M: Representation) -> InjCopresentation:
     invariant(i1.rep.dims == C.dims, "cokernel of a hull must be injective here")
     diff = map_to_cogenerators(i0.rep, i1, rows)
     invariant(diff.is_epi(), "copresentation differential is not surjective")
-    return InjCopresentation(M, i0, i1, diff, hull, rows)
+    return InjCopresentation(M, i0, i1, diff, hull, tuple(rows))
