@@ -23,9 +23,11 @@ registry object S and the radical maps S -> Z; the determined subspace of V
 takes T = V, every member S and a basis of Hom(S, V).  One scan for the first
 V whose determined subspace exceeds F_V decides determination and each
 member-removal check.  On a complete registry (Dynkin quivers) the verdict is
-a certificate; otherwise it is a bounded search and reports say so.
+a certificate; otherwise it is a bounded search and reports say so.  A
+registry the caller does not pass is knitted once per quiver object, field
+and cap, in the workspace's registries.
 
-Every Hom space comes from quiver.Workspace.hom, which on Dynkin type skips
+Every Hom space comes from reps.Workspace.hom, which on Dynkin type skips
 or checks Hom between known indecomposables by the Euler form.  That rests
 on a theorem about directed indecomposables, not on the determiner formula,
 so the oracle stays independent of what it checks.  An object V with
@@ -53,7 +55,7 @@ from .reps import (
     postcompose_matrix,
 )
 from .structure import socle_multiplicities
-from .translate import IndecRegistry, trd
+from .translate import IndecRegistry, knit, trd
 
 
 @dataclass(frozen=True)
@@ -386,12 +388,18 @@ class DeterminerEngine:
         )
 
 
+def _knitted(q, field, cap: int) -> IndecRegistry:
+    """The registry knitted over q with the given cap, once per workspace."""
+    ws = q.workspace
+    return ws.memo(ws.registries, (field, cap), lambda: knit(q, field, cap))
+
+
 def minimal_right_determiner(f: RepMorphism, registry: IndecRegistry | None = None,
                              verify: bool = False, cap: int = 5000,
                              morphism_name: str = "f") -> DeterminerReport:
     """Compute (and optionally verify) the minimal right determiner of f."""
     if registry is None:
-        registry = f.domain.quiver.workspace.registry(f.domain.field, cap)
+        registry = _knitted(f.domain.quiver, f.domain.field, cap)
     return DeterminerEngine(registry).report(f, morphism_name=morphism_name, verify=verify)
 
 
@@ -407,10 +415,10 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
     if registry is not None:
         cap = registry.cap
     fop = dual_morphism(f)
-    engine_op = DeterminerEngine(fop.domain.quiver.workspace.registry(field, cap))
+    engine_op = DeterminerEngine(_knitted(fop.domain.quiver, field, cap))
     rep_op = engine_op.report(fop, morphism_name=morphism_name, verify=verify)
     if registry is None:
-        registry = q.workspace.registry(field, cap)
+        registry = _knitted(q, field, cap)
     members = []
     for m in rep_op.members:
         back = dual_representation(m.rep)

@@ -1,5 +1,5 @@
-"""Finite acyclic quivers: parsing, paths, the Euler form, and the canonical
-representations.
+"""Finite acyclic quivers: parsing, paths, the Euler form, the Dynkin
+classification of the underlying graph, and the canonical representations.
 
 The quiver file format is line-oriented UTF-8 text:
 
@@ -9,6 +9,9 @@ The quiver file format is line-oriented UTF-8 text:
 
 The order of ``vertex`` lines fixes vertex indices, which in turn fix every
 basis and matrix of the canonical projective/injective/simple representations.
+Everything here needs only a quiver; the memo tables of the computations over
+one quiver object, Hom spaces included, are its reps.Workspace, and the
+canonical representations are built through it.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from .errors import (
     DanglingEndpointError,
     DuplicateNameError,
     QuiverSyntaxError,
-    invariant,
 )
-from .linalg import RATIONALS, Field, Mat, Subspace, column_space, span_of_rows
+from .linalg import RATIONALS, Field, Mat
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,11 @@ class Quiver:
         return op
 
     @cached_property
-    def workspace(self) -> "Workspace":
-        """Memo tables of the computations over this quiver object."""
+    def workspace(self):
+        """Memo tables of the computations over this quiver object, a
+        reps.Workspace (reps builds on this module, so it is imported here)."""
+        from .reps import Workspace
+
         return Workspace(self)
 
     def __repr__(self):
@@ -144,233 +149,13 @@ class Presentation:
     generators, vertex indices x.  Each relation is the image in P of one
     generator of the other term, as (vertex index y, ((generator j, path
     index k, coefficient), ...)), where k counts in the paths from
-    generators[j] to y, listed as Workspace.paths_from lists them.  slots[y]
+    generators[j] to y, listed as reps.Workspace.paths_from lists them.  slots[y]
     gives the (generator j, path index k) of the basis vector of P(y) that
     each basis vector of M(y) is the image of."""
 
     generators: tuple[int, ...]
     relations: tuple
     slots: tuple
-
-
-class Workspace:
-    """Memo tables for the computations over one quiver object.
-
-    Each table maps a key to the result of a deterministic computation and
-    is filled on a miss.  Keys are representations, which carry their field,
-    or tuples that name the field, so one workspace serves every field.  The
-    quiver holds its workspace, so the tables are freed with the quiver.
-    Concurrent callers may repeat a computation, but an entry is stored only
-    once it is complete, a knitted registry included.
-
-    ``hom`` is the only producer of Hom spaces, and every Hom system is
-    solved in ``hom`` or ``_generator_kernel``.  Hom is additive in each
-    argument: ``sums`` records every direct sum of two or more nonzero
-    summands where reps.block_diagonal_sum builds it, with its summands and
-    where each starts, and reps.dual_representation records the dual of a
-    recorded sum over the opposite quiver as the sum of its summands' duals
-    (``duals``), and the dual of a recorded indecomposable as
-    indecomposable.  Hom with a recorded sum on either side is put together
-    from the blocks Hom(M_a, N_b) (reps.hom_from_blocks), each asked of
-    ``hom`` unless the Euler-form rule makes it zero, so no Hom space of a
-    sum is solved whole and no zero block is stored.  On a Dynkin quiver every
-    indecomposable is directed, so dim Hom(M, N) = max(0, <dim M, dim N>)
-    (Ringel, LNM 1099): between two members of ``indecomposables``, a set
-    looked up with no iso search, a form <= 0 gives the zero space unsolved
-    and a solved space must have the form's dimension.
-
-    ``presentations`` holds a projective presentation of each P_x and each
-    TrD that translate.trd builds.  A map out of such an M is fixed by its
-    generator images, whose space ``_generator_kernel`` alone reads and solves
-    (reps.generator_kernel) with the maps N(p) of ``path_maps``: ``hom``
-    writes it out as Hom(M, N), and ``factoring_subspace`` sends it through
-    f: X -> Y for Hom(Z, X), never written out, solving it for a recorded
-    sum X as for any other X.  It is held once per pair: in ``homs`` as the
-    written Hom space, else in ``generator_kernels``, which ``hom`` clears of
-    the pair it stores.  Every other domain (kernels, decomposition pieces,
-    the duals a left request carries to the opposite quiver) takes the
-    commuting squares of reps.hom_basis.
-    """
-
-    def __init__(self, quiver: Quiver):
-        self.quiver = quiver
-        self.paths: dict = {}           # source index -> paths to each target
-        self.canonical: dict = {}       # ("P" or "I", vertex, field) -> P_x or I_x
-        self.block_sums: dict = {}      # ("P" or "I", vertex tuple, field) -> BlockSum
-        self.homs: dict = {}            # (M, N) -> HomSpace
-        self.ends: dict = {}            # M -> EndAlgebra
-        self.decompositions: dict = {}  # M -> DecompositionResult
-        self.registries: dict = {}      # (field, cap) -> IndecRegistry
-        self.indecomposables: set = set()  # representations shown indecomposable
-        self.presentations: dict = {}   # M -> Presentation
-        self.path_maps: dict = {}       # (N, vertex index) -> N(p) per path out of it
-        self.sums: dict = {}            # direct sum -> (summands, their starts per vertex)
-        self.duals: dict = {}           # summand or indecomposable -> its dual
-        self.generator_kernels: dict = {}  # (Z, X) -> Hom(Z, X) in generator coordinates
-
-    def memo(self, table: dict, key, build):
-        """table[key], computed by build() on a miss.  The workspace itself
-        marks a miss, since no table holds it."""
-        value = table.get(key, self)
-        if value is self:
-            value = table[key] = build()
-        return value
-
-    def paths_from(self, xi: int) -> tuple[tuple[Path, ...], ...]:
-        """Paths from vertex index xi, indexed by target vertex index, each
-        list ordered by length, then by arrow index sequence.  Built in
-        topological order, so no path length exhausts the recursion limit."""
-        return self.memo(self.paths, xi, lambda: self._paths_from(xi))
-
-    def _paths_from(self, xi: int) -> tuple[tuple[Path, ...], ...]:
-        q = self.quiver
-        found: list[list[Path]] = [[] for _ in q.vertices]
-        found[xi].append(Path(xi, xi, ()))
-        for v in q.topological_order:
-            for ai in q.arrows_into[v]:
-                s = q.arrow_ends[ai][0]
-                found[v].extend(Path(xi, v, p.arrows + (ai,)) for p in found[s])
-            found[v].sort(key=lambda p: (len(p.arrows), p.arrows))
-        return tuple(tuple(ps) for ps in found)
-
-    @cached_property
-    def dynkin(self) -> bool:
-        from .translate import classify_underlying_graph
-        return classify_underlying_graph(self.quiver)[0] == "dynkin"
-
-    def indecomposable(self, M):
-        """M, recorded as shown to be indecomposable."""
-        self.indecomposables.add(M)
-        return M
-
-    def presented(self, M, presentation: Presentation):
-        """M, recorded with a projective presentation."""
-        self.presentations[M] = presentation
-        return M
-
-    def summed(self, M, summands: tuple, starts: tuple) -> None:
-        """Record M as the direct sum of summands, summand b from coordinate
-        starts[b][y] of M(y) on."""
-        self.sums[M] = (summands, starts)
-
-    def _blocks(self, M):
-        """M's summands and where each starts at each vertex: those of its
-        record, or M alone."""
-        return self.sums.get(M) or ((M,), ((0,) * len(M.dims),))
-
-    def path_maps_from(self, N, xi: int) -> list[list[tuple]]:
-        """N(p) as a tuple of columns for each path p out of vertex index xi,
-        listed as paths_from(xi) lists the paths."""
-        return self.memo(self.path_maps, (N, xi), lambda: self._path_maps_from(N, xi))
-
-    def _path_maps_from(self, N, xi: int) -> list[list[tuple]]:
-        from .structure import _walk_paths
-
-        # the column c of N(p a) is N(a) applied to the column c of N(p)
-        return _walk_paths(self.paths_from(xi), Mat.identity(N.field, N.dims[xi]).entries,
-                           lambda done, arrows: tuple(map(N.action[arrows[-1]].apply,
-                                                          done[arrows[:-1]])))
-
-    def hom(self, M, N):
-        """Hom(M, N), by the Euler-form rule, or solved on a miss: from the
-        blocks when M or N is a recorded sum, else off M's presentation when
-        it has one, else by reps.hom_basis.  The stored space holds the
-        pair's generator solutions, so any kept ones are dropped."""
-        hs = self.homs.get((M, N))
-        if hs is None:
-            hs = self.homs[(M, N)] = self._solve_hom(M, N)
-            self.generator_kernels.pop((M, N), None)
-        return hs
-
-    def _directed_form(self, M, N) -> int | None:
-        """<dim M, dim N> when M and N are members of ``indecomposables`` over
-        one field on a Dynkin quiver, where dim Hom(M, N) = max(0, form);
-        else None."""
-        known = self.indecomposables
-        if self.dynkin and M.field == N.field and M in known and N in known:
-            return euler_form(self.quiver, M.dims, N.dims)
-        return None
-
-    def _block(self, A, B):
-        """Hom(A, B) between summands of recorded sums, or None when it is
-        zero: the stored space, else None when A or B is zero or the
-        Euler-form rule makes it zero, which is left unstored, else ``hom``."""
-        hs = self.homs.get((A, B))
-        if hs is None:
-            form = self._directed_form(A, B)
-            if not (A.total_dim and B.total_dim) or form is not None and form <= 0:
-                return None
-            hs = self.hom(A, B)
-        return hs if hs.dim else None
-
-    def _solve_hom(self, M, N):
-        from .reps import HomSpace, hom_basis, hom_from_blocks, hom_from_presentation
-
-        if M in self.sums or N in self.sums:
-            (ms, mo), (ns, no) = self._blocks(M), self._blocks(N)
-            return hom_from_blocks(M, N, [(hs, ma, nb) for A, ma in zip(ms, mo) for B, nb in zip(ns, no)
-                                          for hs in [self._block(A, B)] if hs is not None])
-        presentation = self.presentations.get(M)
-        if presentation is not None:
-            solutions = self._generator_kernel(M, presentation, N)
-            if solutions is not None:
-                return hom_from_presentation(M, presentation, N, solutions)
-        else:
-            form = self._directed_form(M, N)
-            if form is None or form > 0:
-                hs = hom_basis(M, N)
-                invariant(form is None or hs.dim == form,
-                          "Hom between directed indecomposables differs from the Euler form")
-                return hs
-        return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
-
-    def factoring_subspace(self, f, Z) -> Subspace:
-        """The maps Z -> Y that factor through f: X -> Y, the image of
-        g |-> f . g on Hom(Z, X), in the coordinates of Hom(Z, Y): for a
-        presented Z, each generator solution of Hom(Z, X) sent through f
-        (reps.postcompose_from_generators), whose coordinates check the
-        composites, else the column space of the postcomposition matrix.
-        Solutions are kept once their composites have passed, unless
-        ``homs`` stores Hom(Z, X), which holds them."""
-        from .reps import postcompose_from_generators, postcompose_matrix
-
-        X, Y = f.domain, f.codomain
-        hzy = self.hom(Z, Y)
-        presentation = self.presentations.get(Z)
-        if presentation is None:
-            return column_space(postcompose_matrix(self.hom(Z, X), hzy, f))
-        solutions = self._generator_kernel(Z, presentation, X)
-        cols = (postcompose_from_generators(hzy, presentation, f, solutions)
-                if solutions and solutions.dim else [])
-        if solutions is not None and (Z, X) not in self.homs:
-            self.generator_kernels[(Z, X)] = solutions
-        return span_of_rows(Z.field, hzy.dim, ([(i, c) for i, c in enumerate(col) if c]
-                                               for col in cols))
-
-    def _generator_kernel(self, Z, presentation: Presentation, X) -> Subspace | None:
-        """Hom(Z, X) in generator coordinates: None when the Euler-form rule
-        makes it zero, else read off the stored Hom space
-        (reps.generator_images), kept, or solved by reps.generator_kernel."""
-        form = self._directed_form(Z, X)
-        if form is not None and form <= 0:
-            return None
-        from .reps import generator_images, generator_kernel
-
-        hs = self.homs.get((Z, X))
-        if hs is not None:
-            return generator_images(hs, presentation)
-        solutions = self.generator_kernels.get((Z, X))
-        if solutions is None:
-            solutions = generator_kernel(Z, presentation, X)
-            invariant(form is None or solutions.dim == form,
-                      "Hom between directed indecomposables differs from the Euler form")
-        return solutions
-
-    def registry(self, field: Field, cap: int):
-        """The registry knitted over this quiver with the given cap."""
-        from .translate import knit
-
-        return self.memo(self.registries, (field, cap), lambda: knit(self.quiver, field, cap))
 
 
 def parse_quiver(text: str) -> Quiver:
@@ -424,6 +209,91 @@ def euler_form(q: Quiver, a, b) -> int:
     """<a, b> = sum_x a_x b_x - sum over arrows x -> y of a_x b_y, on
     dimension vectors in vertex order."""
     return sum(map(mul, a, b)) - sum(a[s] * b[t] for s, t in q.arrow_ends)
+
+
+def _walk_paths(path_lists, start, extend) -> list[list]:
+    """The value of every path in path_lists (one list per vertex), listed
+    the same way, from one walk in order of length.  The trivial path has the
+    value start, and extend(done, arrows) gives the value of a longer path
+    from done, which maps the arrow sequence of every shorter path to its
+    value."""
+    done = {(): start}
+    for p in sorted((p for paths in path_lists for p in paths), key=len):
+        if p.arrows:
+            done[p.arrows] = extend(done, p.arrows)
+    return [[done[p.arrows] for p in paths] for paths in path_lists]
+
+
+def classify_underlying_graph(q: Quiver) -> tuple[str, tuple[str, ...] | None]:
+    """("dynkin", types per component) or ("non-dynkin", None).
+
+    The check forgets orientation; multiple edges or any non-ADE tree shape
+    disqualify the quiver."""
+    n = q.n_vertices
+    adj = [set() for _ in range(n)]
+    edge_count = {}
+    for s, t in q.arrow_ends:
+        key = (min(s, t), max(s, t))
+        edge_count[key] = edge_count.get(key, 0) + 1
+        adj[s].add(t)
+        adj[t].add(s)
+    if any(c > 1 for c in edge_count.values()):
+        return ("non-dynkin", None)
+    seen = [False] * n
+    types = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        edges = sum(1 for (s, t) in edge_count if s in comp and t in comp)
+        if edges != len(comp) - 1:
+            return ("non-dynkin", None)   # not a tree
+        t = _ade_type([len(adj[v]) for v in comp], comp, adj)
+        if t is None:
+            return ("non-dynkin", None)
+        types.append(t)
+    return ("dynkin", tuple(types))
+
+
+def _ade_type(degrees, comp, adj):
+    n = len(comp)
+    if max(degrees, default=0) <= 2:
+        return f"A{n}"
+    if degrees.count(3) != 1 or max(degrees) > 3:
+        return None
+    center = comp[degrees.index(3)]
+    arms = []
+    for w in adj[center]:
+        length = 1
+        prev, cur = center, w
+        while True:
+            nxt = [u for u in adj[cur] if u != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                return None   # second branch vertex
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] == 1 and arms[1] == 1:
+        return f"D{n}"
+    if arms == [1, 2, 2]:
+        return "E6"
+    if arms == [1, 2, 3]:
+        return "E7"
+    if arms == [1, 2, 4]:
+        return "E8"
+    return None
 
 
 def paths_between(q: Quiver, x: str, y: str) -> list[Path]:

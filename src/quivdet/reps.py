@@ -9,22 +9,22 @@ computations have stable coordinates.  hom_basis solves the commuting-square
 system in one elimination, one unknown per entry of the vertex maps.  For a
 presented M, generator_kernel solves the relation equations on the generator
 images instead, one unknown per coordinate of N at each generator (Yoneda);
-write_from_generators writes each solution into the vertex maps,
-hom_from_presentation puts the written maps in canonical form, and
-generator_images reads the solutions back off them.  Either way every
-HomSpace basis vector is checked against the squares, from its nonzeros and
-those of the arrow matrices, so the basis morphisms skip the check one by
-one and are built only on first access; morphisms built from caller input,
-from_coordinates included, keep it.  Composites with a fixed map (the
-matrices of pre- and postcomposition) are formed on the flat sparse basis
-rows, with no matrix product.  For a presented Z, postcompose_from_generators
-forms f . g for every g: Z -> X from the generator solutions of Hom(Z, X):
-their images under f are written as maps Z -> Y, whose coordinates in
-Hom(Z, Y) check them.  Hom is additive in each argument, so the Hom space
-of a direct sum that the workspace records is never solved as a whole:
-hom_from_blocks places the canonical rows of the blocks between summands at
-the sum's coordinates, which keeps them canonical.  The generator solutions
-of Hom(Z, X) are solved whole for a sum X, as for any other X.
+write_from_generators writes each solution into the vertex maps, and
+hom_from_presentation puts the written maps in canonical form.  Either way
+every HomSpace basis vector is checked against the squares, from its
+nonzeros and those of the arrow matrices, so the basis morphisms skip the
+check one by one and are built only on first access; morphisms built from
+caller input, from_coordinates included, keep it.  Composites with a fixed
+map (the matrices of pre- and postcomposition) are formed on the flat
+sparse basis rows, with no matrix product.  For a presented Z,
+postcompose_from_generators forms f . g for every g: Z -> X from the
+generator solutions of Hom(Z, X): their images under f are written as maps
+Z -> Y, whose coordinates in Hom(Z, Y) check them.  Hom is additive in each
+argument, so the Hom space of a direct sum that the workspace records is
+never solved as a whole: hom_from_blocks places the canonical rows of the
+blocks between summands at the sum's coordinates, which keeps them
+canonical.  The generator solutions of Hom(Z, X) are solved whole for a sum
+X, as for any other X.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient_representation, which reads its
@@ -36,6 +36,10 @@ direct_sum adds the injections and projections for callers that need them.
 block_diagonal_sum records each sum of two or more nonzero summands in the
 workspace, and dual_representation records the dual of a recorded sum as
 the sum of its summands' duals.
+
+The Workspace, the memo tables of one quiver object, lives here beside the
+solvers it routes every Hom system to and the records they read; the quiver
+module below it holds what needs only a quiver.
 """
 
 from __future__ import annotations
@@ -62,7 +66,14 @@ from .linalg import (
     same_field,
     span_of_rows,
 )
-from .quiver import Presentation, Quiver
+from .quiver import (
+    Path,
+    Presentation,
+    Quiver,
+    _walk_paths,
+    classify_underlying_graph,
+    euler_form,
+)
 
 
 @dataclass(frozen=True)
@@ -404,21 +415,6 @@ def generator_kernel(M: Representation, presentation: Presentation,
     return kernel_of_rows(field, starts[-1], int_rows(field, equations))
 
 
-def generator_images(hs: HomSpace, presentation: Presentation) -> Subspace:
-    """Hom(M, N) in generator coordinates (see generator_kernel), read off
-    hs = Hom(M, N) for a presented M: entry r of n_j is entry r of the
-    column of f(x) at the slot of generator j's trivial path, x its vertex,
-    which a minimal presentation has (its relations lie in the radical)."""
-    M, N = hs.domain, hs.codomain
-    starts = list(accumulate((N.dims[x] for x in presentation.generators), initial=0))
-    where = {hs._offsets[x] + presentation.slots[x].index((j, 0)) + r * M.dims[x]: starts[j] + r
-             for j, x in enumerate(presentation.generators) for r in range(N.dims[x])}
-    space = span_of_rows(M.field, starts[-1], ([(where[t], v) for t, v in nz if t in where]
-                                                for nz in hs.flat_basis))
-    invariant(space.dim == hs.dim, "a map out of a presented domain is not fixed by its generator images")
-    return space
-
-
 def write_from_generators(M: Representation, presentation: Presentation, N: Representation,
                           images, offsets) -> list[dict]:
     """The flattened map M -> N with the given generator images, for each
@@ -681,3 +677,194 @@ def dual_morphism(f: RepMorphism) -> RepMorphism:
     """Dual of f: X -> Y, i.e. D(Y) -> D(X) over the opposite quiver."""
     return RepMorphism(dual_representation(f.codomain), dual_representation(f.domain),
                        tuple(m.transpose() for m in f.comps))
+
+
+class Workspace:
+    """Memo tables for the computations over one quiver object.
+
+    Each table maps a key to the result of a deterministic computation and
+    is filled on a miss.  Keys are representations, which carry their field,
+    or tuples that name the field, so one workspace serves every field.  The
+    quiver holds its workspace (Quiver.workspace), so the tables are freed
+    with the quiver.  Concurrent callers may repeat a computation, but an
+    entry is stored only once it is complete, a knitted registry included.
+
+    ``hom`` is the only producer of Hom spaces, and every Hom system is
+    solved in ``hom`` or ``_generator_kernel``, by the solvers of this
+    module.  Hom is additive in each argument: ``sums`` records every direct
+    sum of two or more nonzero summands where block_diagonal_sum builds it,
+    with its summands and where each starts, and dual_representation records
+    the dual of a recorded sum over the opposite quiver as the sum of its
+    summands' duals (``duals``), and the dual of a recorded indecomposable
+    as indecomposable.  Hom with a recorded sum on either side is put
+    together from the blocks Hom(M_a, N_b) (hom_from_blocks), each asked of
+    ``hom`` unless the Euler-form rule makes it zero, so no Hom space of a
+    sum is solved whole and no zero block is stored.  On a Dynkin quiver
+    every indecomposable is directed, so dim Hom(M, N) = max(0, <dim M,
+    dim N>) (Ringel, LNM 1099): between two members of ``indecomposables``,
+    a set looked up with no iso search, a form <= 0 gives the zero space
+    unsolved and a solved space must have the form's dimension.
+
+    ``presentations`` holds a projective presentation of each P_x and each
+    TrD that translate.trd builds.  A map out of such an M is fixed by its
+    generator images, whose space ``_generator_kernel`` alone solves
+    (generator_kernel) with the maps N(p) of ``path_maps``: ``hom`` writes
+    it out as Hom(M, N), and ``factoring_subspace`` sends it through
+    f: X -> Y for Hom(Z, X), never written out, solving it for a recorded
+    sum X as for any other X.  The stored Hom space is the only record of a
+    pair's solutions; a factoring subspace solves them afresh.  Every other
+    domain (kernels, decomposition pieces, the duals a left request carries
+    to the opposite quiver) takes the commuting squares of hom_basis.
+    """
+
+    def __init__(self, quiver: Quiver):
+        self.quiver = quiver
+        self.paths: dict = {}           # source index -> paths to each target
+        self.canonical: dict = {}       # ("P" or "I", vertex, field) -> P_x or I_x
+        self.block_sums: dict = {}      # ("P" or "I", vertex tuple, field) -> BlockSum
+        self.homs: dict = {}            # (M, N) -> HomSpace
+        self.ends: dict = {}            # M -> EndAlgebra
+        self.decompositions: dict = {}  # M -> DecompositionResult
+        self.registries: dict = {}      # (field, cap) -> IndecRegistry
+        self.indecomposables: set = set()  # representations shown indecomposable
+        self.presentations: dict = {}   # M -> Presentation
+        self.path_maps: dict = {}       # (N, vertex index) -> N(p) per path out of it
+        self.sums: dict = {}            # direct sum -> (summands, their starts per vertex)
+        self.duals: dict = {}           # summand or indecomposable -> its dual
+
+    def memo(self, table: dict, key, build):
+        """table[key], computed by build() on a miss.  The workspace itself
+        marks a miss, since no table holds it."""
+        value = table.get(key, self)
+        if value is self:
+            value = table[key] = build()
+        return value
+
+    def paths_from(self, xi: int) -> tuple[tuple[Path, ...], ...]:
+        """Paths from vertex index xi, indexed by target vertex index, each
+        list ordered by length, then by arrow index sequence.  Built in
+        topological order, so no path length exhausts the recursion limit."""
+        return self.memo(self.paths, xi, lambda: self._paths_from(xi))
+
+    def _paths_from(self, xi: int) -> tuple[tuple[Path, ...], ...]:
+        q = self.quiver
+        found: list[list[Path]] = [[] for _ in q.vertices]
+        found[xi].append(Path(xi, xi, ()))
+        for v in q.topological_order:
+            for ai in q.arrows_into[v]:
+                s = q.arrow_ends[ai][0]
+                found[v].extend(Path(xi, v, p.arrows + (ai,)) for p in found[s])
+            found[v].sort(key=lambda p: (len(p.arrows), p.arrows))
+        return tuple(tuple(ps) for ps in found)
+
+    @cached_property
+    def dynkin(self) -> bool:
+        return classify_underlying_graph(self.quiver)[0] == "dynkin"
+
+    def indecomposable(self, M):
+        """M, recorded as shown to be indecomposable."""
+        self.indecomposables.add(M)
+        return M
+
+    def presented(self, M, presentation: Presentation):
+        """M, recorded with a projective presentation."""
+        self.presentations[M] = presentation
+        return M
+
+    def summed(self, M, summands: tuple, starts: tuple) -> None:
+        """Record M as the direct sum of summands, summand b from coordinate
+        starts[b][y] of M(y) on."""
+        self.sums[M] = (summands, starts)
+
+    def _blocks(self, M):
+        """M's summands and where each starts at each vertex: those of its
+        record, or M alone."""
+        return self.sums.get(M) or ((M,), ((0,) * len(M.dims),))
+
+    def path_maps_from(self, N, xi: int) -> list[list[tuple]]:
+        """N(p) as a tuple of columns for each path p out of vertex index xi,
+        listed as paths_from(xi) lists the paths."""
+        return self.memo(self.path_maps, (N, xi), lambda: self._path_maps_from(N, xi))
+
+    def _path_maps_from(self, N, xi: int) -> list[list[tuple]]:
+        # the column c of N(p a) is N(a) applied to the column c of N(p)
+        return _walk_paths(self.paths_from(xi), Mat.identity(N.field, N.dims[xi]).entries,
+                           lambda done, arrows: tuple(map(N.action[arrows[-1]].apply,
+                                                          done[arrows[:-1]])))
+
+    def hom(self, M, N):
+        """Hom(M, N), by the Euler-form rule, or solved on a miss: from the
+        blocks when M or N is a recorded sum, else off M's presentation when
+        it has one, else by hom_basis."""
+        hs = self.homs.get((M, N))
+        if hs is None:
+            hs = self.homs[(M, N)] = self._solve_hom(M, N)
+        return hs
+
+    def _directed_form(self, M, N) -> int | None:
+        """<dim M, dim N> when M and N are members of ``indecomposables`` over
+        one field on a Dynkin quiver, where dim Hom(M, N) = max(0, form);
+        else None."""
+        known = self.indecomposables
+        if self.dynkin and M.field == N.field and M in known and N in known:
+            return euler_form(self.quiver, M.dims, N.dims)
+        return None
+
+    def _block(self, A, B):
+        """Hom(A, B) between summands of recorded sums, or None when it is
+        zero: the stored space, else None when A or B is zero or the
+        Euler-form rule makes it zero, which is left unstored, else ``hom``."""
+        hs = self.homs.get((A, B))
+        if hs is None:
+            form = self._directed_form(A, B)
+            if not (A.total_dim and B.total_dim) or form is not None and form <= 0:
+                return None
+            hs = self.hom(A, B)
+        return hs if hs.dim else None
+
+    def _solve_hom(self, M, N):
+        if M in self.sums or N in self.sums:
+            (ms, mo), (ns, no) = self._blocks(M), self._blocks(N)
+            return hom_from_blocks(M, N, [(hs, ma, nb) for A, ma in zip(ms, mo) for B, nb in zip(ns, no)
+                                          for hs in [self._block(A, B)] if hs is not None])
+        presentation = self.presentations.get(M)
+        if presentation is not None:
+            solutions = self._generator_kernel(M, presentation, N)
+            if solutions is not None:
+                return hom_from_presentation(M, presentation, N, solutions)
+        else:
+            form = self._directed_form(M, N)
+            if form is None or form > 0:
+                hs = hom_basis(M, N)
+                invariant(form is None or hs.dim == form,
+                          "Hom between directed indecomposables differs from the Euler form")
+                return hs
+        return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
+
+    def factoring_subspace(self, f, Z) -> Subspace:
+        """The maps Z -> Y that factor through f: X -> Y, the image of
+        g |-> f . g on Hom(Z, X), in the coordinates of Hom(Z, Y): for a
+        presented Z, each generator solution of Hom(Z, X) sent through f
+        (postcompose_from_generators), whose coordinates check the
+        composites, else the column space of the postcomposition matrix."""
+        X, Y = f.domain, f.codomain
+        hzy = self.hom(Z, Y)
+        presentation = self.presentations.get(Z)
+        if presentation is None:
+            return column_space(postcompose_matrix(self.hom(Z, X), hzy, f))
+        solutions = self._generator_kernel(Z, presentation, X)
+        cols = (postcompose_from_generators(hzy, presentation, f, solutions)
+                if solutions and solutions.dim else [])
+        return span_of_rows(Z.field, hzy.dim, ([(i, c) for i, c in enumerate(col) if c]
+                                               for col in cols))
+
+    def _generator_kernel(self, Z, presentation: Presentation, X) -> Subspace | None:
+        """Hom(Z, X) in generator coordinates: None when the Euler-form rule
+        makes it zero, else solved by generator_kernel."""
+        form = self._directed_form(Z, X)
+        if form is not None and form <= 0:
+            return None
+        solutions = generator_kernel(Z, presentation, X)
+        invariant(form is None or solutions.dim == form,
+                  "Hom between directed indecomposables differs from the Euler form")
+        return solutions

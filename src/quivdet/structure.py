@@ -27,7 +27,7 @@ from functools import reduce
 
 from .errors import invariant
 from .linalg import Mat, Subspace, from_columns, kernel_basis, column_space
-from .quiver import projective_at, injective_at
+from .quiver import _walk_paths, injective_at, projective_at
 from .reps import (
     RepMorphism,
     Representation,
@@ -107,19 +107,6 @@ def projective_block_sum(q, field, vertices) -> BlockSum:
 
 def injective_block_sum(q, field, vertices) -> BlockSum:
     return _block_sum(q, field, vertices, "I", injective_at)
-
-
-def _walk_paths(path_lists, start, extend) -> list[list]:
-    """The value of every path in path_lists (one list per vertex), listed
-    the same way, from one walk in order of length.  The trivial path has the
-    value start, and extend(done, arrows) gives the value of a longer path
-    from done, which maps the arrow sequence of every shorter path to its
-    value."""
-    done = {(): start}
-    for p in sorted((p for paths in path_lists for p in paths), key=len):
-        if p.arrows:
-            done[p.arrows] = extend(done, p.arrows)
-    return [[done[p.arrows] for p in paths] for paths in path_lists]
 
 
 def map_from_generators(ps: BlockSum, N: Representation, gens) -> RepMorphism:

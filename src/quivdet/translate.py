@@ -1,6 +1,8 @@
 """Nakayama transport, the translates DTr and TrD, knitting enumeration of
-indecomposables, Dynkin classification of the underlying graph, and the
-Cartan and inverse Coxeter matrices; the Euler form is quiver.euler_form.
+indecomposables, positive-root counts, and the Cartan and inverse Coxeter
+matrices.  The Euler form and the Dynkin classification of the underlying
+graph need only a quiver: they are quiver.euler_form and
+quiver.classify_underlying_graph, re-exported here.
 
 Hom(P_x, P_y) has the paths y -> x as a canonical basis (read off the image of
 the trivial-path generator), and Hom(I_x, I_y) has the same index set (read
@@ -28,7 +30,14 @@ from .errors import (
     invariant,
 )
 from .linalg import Field, RATIONALS, column_space
-from .quiver import Presentation, Quiver, euler_form, injective_at, projective_at
+from .quiver import (
+    Presentation,
+    Quiver,
+    classify_underlying_graph,
+    euler_form,
+    injective_at,
+    projective_at,
+)
 from .reps import RepMorphism, Representation, kernel, quotient_representation
 from .structure import (
     BlockSum,
@@ -301,47 +310,7 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Dynkin classification of the underlying graph
-
-
-def classify_underlying_graph(q: Quiver) -> tuple[str, tuple[str, ...] | None]:
-    """("dynkin", types per component) or ("non-dynkin", None).
-
-    The check forgets orientation; multiple edges or any non-ADE tree shape
-    disqualify the quiver."""
-    n = q.n_vertices
-    adj = [set() for _ in range(n)]
-    edge_count = {}
-    for s, t in q.arrow_ends:
-        key = (min(s, t), max(s, t))
-        edge_count[key] = edge_count.get(key, 0) + 1
-        adj[s].add(t)
-        adj[t].add(s)
-    if any(c > 1 for c in edge_count.values()):
-        return ("non-dynkin", None)
-    seen = [False] * n
-    types = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        edges = sum(1 for (s, t) in edge_count if s in comp and t in comp)
-        if edges != len(comp) - 1:
-            return ("non-dynkin", None)   # not a tree
-        t = _ade_type([len(adj[v]) for v in comp], comp, adj)
-        if t is None:
-            return ("non-dynkin", None)
-        types.append(t)
-    return ("dynkin", tuple(types))
+# the integer skeleton
 
 
 def positive_root_count(types) -> int:
@@ -379,35 +348,3 @@ def coxeter_inverse(q: Quiver) -> list[list[int]]:
         for row, out in zip(c, phi):
             out[t] += row[s]
     return phi
-
-
-def _ade_type(degrees, comp, adj):
-    n = len(comp)
-    if max(degrees, default=0) <= 2:
-        return f"A{n}"
-    if degrees.count(3) != 1 or max(degrees) > 3:
-        return None
-    center = comp[degrees.index(3)]
-    arms = []
-    for w in adj[center]:
-        length = 1
-        prev, cur = center, w
-        while True:
-            nxt = [u for u in adj[cur] if u != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None   # second branch vertex
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return f"D{n}"
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    return None

@@ -1,0 +1,84 @@
+"""The package's import layering, read from the source with ``ast``: modules
+import each other at module level in one direction only, and a function
+imports from the package only where a module below needs a class of one
+above it."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "quivdet"
+
+
+def _imported_modules(node: ast.AST) -> list[tuple[str, tuple[str, ...]]]:
+    """(quivdet module, imported names) of an import statement, or
+    nothing when it imports from outside the package; the package itself is
+    the module "__init__"."""
+    if isinstance(node, ast.ImportFrom):
+        names = tuple(a.name for a in node.names)
+        if node.level:
+            if not node.module:  # from . import x: each name is a module
+                return [(n, ()) for n in names]
+            return [(node.module.split(".")[0], names)]
+        if node.module and node.module.split(".")[0] == "quivdet":
+            parts = node.module.split(".")
+            return [(parts[1] if len(parts) > 1 else "__init__", names)]
+        return []
+    return [(a.name.split(".")[1] if "." in a.name else "__init__", ())
+            for a in node.names if a.name.split(".")[0] == "quivdet"]
+
+
+def _imports():
+    """Per module, its module-level quivdet imports, and every function-level
+    quivdet import as (module, qualified function name, imported module,
+    imported names)."""
+    top: dict[str, set[str]] = {}
+    inner = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        top[module] = set()
+
+        def visit(node, scope, in_function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.Import, ast.ImportFrom)):
+                    for target, names in _imported_modules(child):
+                        if in_function:
+                            inner.add((module, ".".join(scope), target, names))
+                        else:
+                            top[module].add(target)
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, scope + [child.name], True)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, scope + [child.name], in_function)
+                elif isinstance(child, ast.Lambda):
+                    visit(child, scope + ["<lambda>"], True)
+                else:
+                    visit(child, scope, in_function)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), [], False)
+    return top, inner
+
+
+def test_imports_are_layered():
+    # module-level imports between quivdet modules form no cycle, so each
+    # module builds only on those below it; quiver sits below reps, yet its
+    # workspace and its canonical representations are reps classes, and
+    # those three are the only imports from the package inside a function
+    # (imports from outside it, such as sympy, are not counted)
+    top, inner = _imports()
+    assert "quiver" in top["reps"]
+    done: set[str] = set()
+
+    def walk(module, stack):
+        assert module not in stack, f"import cycle: {' -> '.join(stack + [module])}"
+        if module not in done:
+            for target in sorted(top.get(module, ())):
+                walk(target, stack + [module])
+            done.add(module)
+
+    for module in sorted(top):
+        walk(module, [])
+    assert inner == {
+        ("quiver", "Quiver.workspace", "reps", ("Workspace",)),
+        ("quiver", "_path_representation", "reps", ("Representation",)),
+        ("quiver", "simple_at", "reps", ("Representation",)),
+    }
