@@ -149,9 +149,9 @@ class Presentation:
     generators, vertex indices x.  Each relation is the image in P of one
     generator of the other term, as (vertex index y, ((generator j, path
     index k, coefficient), ...)), where k counts in the paths from
-    generators[j] to y, listed as reps.Workspace.paths_from lists them.  slots[y]
-    gives the (generator j, path index k) of the basis vector of P(y) that
-    each basis vector of M(y) is the image of."""
+    generators[j] to y, listed as reps.Workspace.paths_from lists them.
+    slots[y] gives the (generator j, path index k) of the basis vector of
+    P(y) that each basis vector of M(y) is the image of."""
 
     generators: tuple[int, ...]
     relations: tuple
