@@ -34,8 +34,8 @@ socles, radicals and tops in structure.py) are calls to them.  Direct sums
 likewise come from block_diagonal_sum, which fixes the block layout;
 direct_sum adds the injections and projections for callers that need them.
 block_diagonal_sum records each sum of two or more nonzero summands in the
-workspace, and dual_representation records the dual of a recorded sum as
-the sum of its summands' duals.
+workspace.  dual_representation is the transpose over the opposite quiver
+and records nothing.
 
 The Workspace, the memo tables of one quiver object, lives here beside the
 solvers it routes every Hom system to and the records they read; the quiver
@@ -47,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import InvariantError, SemanticError, invariant
@@ -653,23 +653,8 @@ def direct_sum(reps, q: Quiver | None = None, field: Field | None = None):
 
 
 def dual_representation(M: Representation) -> Representation:
-    """Vector-space dual over the opposite quiver (matrices transposed).  D is
-    a duality, so the dual of a recorded direct sum is the sum of its
-    summands' duals at the same offsets, D(sum X_i) = sum D(X_i), recorded
-    over the opposite quiver, and the dual of a representation recorded as
-    indecomposable is recorded as indecomposable.  The dual of a summand or
-    of an indecomposable is built once (Workspace.duals)."""
-    ws, qop = M.quiver.workspace, M.quiver.opposite
-    record = ws.sums.get(M)
-    if record is not None:
-        duals = [ws.memo(ws.duals, S, partial(dual_representation, S)) for S in record[0]]
-        return block_diagonal_sum(duals, qop, M.field)[0]
-    if M in ws.indecomposables:
-        return ws.memo(ws.duals, M, lambda: qop.workspace.indecomposable(_transposed(M)))
-    return _transposed(M)
-
-
-def _transposed(M: Representation) -> Representation:
+    """Vector-space dual over the opposite quiver: the same dimensions, every
+    arrow matrix transposed."""
     return Representation(M.quiver.opposite, M.field, M.dims, tuple(m.transpose() for m in M.action))
 
 
@@ -693,17 +678,15 @@ class Workspace:
     solved in ``hom`` or ``_generator_kernel``, by the solvers of this
     module.  Hom is additive in each argument: ``sums`` records every direct
     sum of two or more nonzero summands where block_diagonal_sum builds it,
-    with its summands and where each starts, and dual_representation records
-    the dual of a recorded sum over the opposite quiver as the sum of its
-    summands' duals (``duals``), and the dual of a recorded indecomposable
-    as indecomposable.  Hom with a recorded sum on either side is put
-    together from the blocks Hom(M_a, N_b) (hom_from_blocks), each asked of
-    ``hom`` unless the Euler-form rule makes it zero, so no Hom space of a
-    sum is solved whole and no zero block is stored.  On a Dynkin quiver
-    every indecomposable is directed, so dim Hom(M, N) = max(0, <dim M,
-    dim N>) (Ringel, LNM 1099): between two members of ``indecomposables``,
-    a set looked up with no iso search, a form <= 0 gives the zero space
-    unsolved and a solved space must have the form's dimension.
+    with its summands and where each starts.  Hom with a recorded sum on
+    either side is put together from the blocks Hom(M_a, N_b)
+    (hom_from_blocks), each asked of ``hom`` unless the Euler-form rule
+    makes it zero, so no Hom space of a recorded sum is solved whole and no
+    zero block is stored.  On a Dynkin quiver every indecomposable is
+    directed, so dim Hom(M, N) = max(0, <dim M, dim N>) (Ringel, LNM 1099):
+    between two members of ``indecomposables``, a set looked up with no iso
+    search, a form <= 0 gives the zero space unsolved and a solved space
+    must have the form's dimension.
 
     ``presentations`` holds a projective presentation of each P_x and each
     TrD that translate.trd builds.  A map out of such an M is fixed by its
@@ -713,8 +696,9 @@ class Workspace:
     f: X -> Y for Hom(Z, X), never written out, solving it for a recorded
     sum X as for any other X.  The stored Hom space is the only record of a
     pair's solutions; a factoring subspace solves them afresh.  Every other
-    domain (kernels, decomposition pieces, the duals a left request carries
-    to the opposite quiver) takes the commuting squares of hom_basis.
+    domain (kernels, decomposition pieces, the dual representations a left
+    request carries to the opposite quiver) takes the commuting squares of
+    hom_basis.
     """
 
     def __init__(self, quiver: Quiver):
@@ -730,7 +714,6 @@ class Workspace:
         self.presentations: dict = {}   # M -> Presentation
         self.path_maps: dict = {}       # (N, vertex index) -> N(p) per path out of it
         self.sums: dict = {}            # direct sum -> (summands, their starts per vertex)
-        self.duals: dict = {}           # summand or indecomposable -> its dual
 
     def memo(self, table: dict, key, build):
         """table[key], computed by build() on a miss.  The workspace itself

@@ -16,6 +16,7 @@ import quivdet as qd
 from quivdet.decompose import (
     _power_coordinates,
     end_algebra,
+    indec_iso_witness,
     minimal_polynomial,
     _pmul,
     _primary_parts,
@@ -285,8 +286,8 @@ def test_prime_field_decompose():
 
 def test_prime_field_too_small():
     # the trace-form radical needs p > total dimension once dim End > 1;
-    # End = k has radical 0 over every field, so isomorphism testing between
-    # two presentations of P_4 over F_3 needs no trace form
+    # isomorphism tests never use the trace form, so two presentations of
+    # P_4 over F_3 are found isomorphic
     f3 = PrimeField(3)
     q = qd.parse_quiver(
         "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
@@ -391,6 +392,78 @@ def test_distinct_field_endomorphism_reps_split():
     d = qd.decompose(twisted)
     assert sorted(mult for _, mult in d.summands) == [1, 2]
     assert all(leaf.dims == (2, 2) for leaf, _ in d.summands)
+
+
+def _conjugate(M, rng):
+    """M under a random change of basis at every vertex."""
+    field, gs = M.field, []
+    for d in M.dims:
+        g = Mat.identity(field, 0)
+        while g.rank() < d:
+            g = Mat.from_rows(field, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+        gs.append(g)
+    return qd.Representation(M.quiver, field, M.dims, tuple(
+        gs[t] @ m @ gs[s].inverse() for m, (s, t) in zip(M.action, M.quiver.arrow_ends)))
+
+
+def _radical_rule_witness(A, B):
+    """The iso witness by the trace-form radical: the first basis map b of
+    Hom(A, B) with some c . b outside rad End(A), c a basis map of Hom(B, A)."""
+    if A.dims != B.dims:
+        return None
+    if A == B:
+        return qd.identity_morphism(A)
+    ws, EA = A.quiver.workspace, end_algebra(A)
+    for b in ws.hom(A, B).basis:
+        if any(not EA.radical.contains_vector(EA.hom.coordinates(c @ b)) for c in ws.hom(B, A).basis):
+            return b
+    return None
+
+
+E6_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
+           "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
+D4_TEXT = "vertex c\nvertex 1\nvertex 2\nvertex 3\narrow a 1 c\narrow b 2 c\narrow d 3 c"
+
+
+@pytest.mark.parametrize("text, cap", [
+    (E6_TEXT, 5000), (D4_TEXT, 5000), ("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2", 12),
+], ids=["e6", "d4", "kronecker-cap12"])
+def test_iso_witness_is_the_radical_rule_witness(text, cap):
+    # for indecomposables A and B isomorphic by w, the maps A -> B that are
+    # not invertible form the proper subspace w . rad End(A), so a map b is
+    # invertible exactly when some c . b lies outside rad End(A): the first
+    # invertible basis map is the one the radical rule picks.  Each entry
+    # meets a conjugated copy of itself and of every entry of its dimension
+    # vector; on the Kronecker quiver also the non-bricks (I, J_n(0))
+    q = qd.parse_quiver(text)
+    rng = random.Random(26)
+    reps = [e.rep for e in qd.knit(q, F, cap).entries]
+    if q.n_vertices == 2:
+        reps += [_companion_rep(q, F, [0] * n) for n in (2, 3)]
+    copies = [_conjugate(M, rng) for M in reps]
+    found = 0
+    for A in reps:
+        for B in copies:
+            if A.dims == B.dims:
+                w, ref = indec_iso_witness(A, B), _radical_rule_witness(A, B)
+                assert (w is None) == (ref is None)
+                if w is not None:
+                    found += 1
+                    assert w.comps == ref.comps and w.is_iso()
+    assert found == len(reps)
+
+
+def test_iso_witness_needs_no_trace_form():
+    # End (I, J_2(0)) = k[x]/(x^2) is two-dimensional, so its trace-form
+    # radical needs p > 4; the iso witness over F_3 needs no radical
+    f3 = PrimeField(3)
+    A = _companion_rep(_kronecker(), f3, [0, 0])
+    B = _conjugate(A, random.Random(3))
+    assert B != A
+    with pytest.raises(FieldTooSmallError):
+        end_algebra(A).radical
+    w = indec_iso_witness(A, B)
+    assert w is not None and (w.domain, w.codomain) == (A, B) and w.is_iso()
 
 
 def test_primary_parts_via_factorization():

@@ -169,6 +169,25 @@ def test_opposite_is_an_involution(a3, golden_f):
     assert left.members and all(m.rep.quiver is a3 for m in left.members)
 
 
+def test_dual_representation_writes_nothing():
+    # D is a transpose over the opposite quiver: it records nothing in the
+    # workspace of either quiver, for a recorded sum as for a registry entry
+    q = qd.parse_quiver(E6_TEXT)
+    reps = [e.rep for e in qd.knit(q, RATIONALS, 5000).entries]
+    pair = qd.direct_sum(reps[3:5])[0]
+    assert pair in q.workspace.sums and reps[7] in q.workspace.indecomposables
+    workspaces = (q.workspace, q.opposite.workspace)
+
+    def keys():
+        return [(name, set(t)) for w in workspaces for name, t in vars(w).items()
+                if isinstance(t, (dict, set))]
+    before = keys()
+    for M in (pair, reps[7]):
+        D = qd.dual_representation(M)
+        assert D.quiver is q.opposite and D.dims == M.dims
+    assert keys() == before
+
+
 def test_random_morphism_exactness():
     rng = random.Random(99)
     q = qd.parse_quiver(

@@ -658,8 +658,9 @@ def test_hom_of_recorded_sums_is_the_hom_of_the_squares(text, cap, field, monkey
     # Hom is additive: the workspace puts Hom with a recorded direct sum on
     # either side together from the blocks between summands, and gets the
     # canonical subspace that the commuting squares give, for a repeated
-    # summand, a sum nested in another and their duals over Q^op alike; no
-    # solver sees a sum
+    # summand and a sum nested in another; no solver sees a recorded sum.
+    # Over Q^op the duals are plain transposes, solved whole, with the same
+    # canonical subspaces
     q = qd.parse_quiver(text)
     reg = qd.knit(q, field_from_name(field), cap)
     ws, wop = q.workspace, q.opposite.workspace
@@ -671,10 +672,7 @@ def test_hom_of_recorded_sums_is_the_hom_of_the_squares(text, cap, field, monkey
     assert ws.sums[sums[2]][0] == (pair, c)
     ones = rng.sample(reps, 4)
     duals = [qd.dual_representation(S) for S in sums]
-    assert all(D.quiver is q.opposite and D in wop.sums for D in duals)
-    # the dual of a sum reuses one dual per summand
-    again = qd.dual_representation(pair)
-    assert again == duals[0] and all(x is y for x, y in zip(wop.sums[again][0], wop.sums[duals[0]][0]))
+    assert all(D.quiver is q.opposite for D in duals)
     ones_op = [qd.dual_representation(M) for M in ones]
     seen = _watch_solvers(monkeypatch)
     for w, sides, singles in ((ws, sums, ones), (wop, duals, ones_op)):
