@@ -701,7 +701,9 @@ def rad_hom_basis(U: Representation, Z: Representation) -> Subspace:
 
     For non-isomorphic indecomposables this is all of Hom(U, Z); for U = Z it
     is the radical of the local endomorphism algebra, transported along an
-    isomorphism when U and Z are merely isomorphic."""
+    isomorphism when U and Z are merely isomorphic.  The oracle needs no
+    such radical, since its registry objects are bricks; the tests check its
+    almost-factoring subspaces against this definition."""
     if not is_indecomposable(U):
         raise NotIndecomposableError("first argument is not indecomposable")
     if not is_indecomposable(Z):

@@ -14,18 +14,21 @@ subspace F_Z of maps Z -> Y factoring through f is the image of
 postcomposition with f on Hom(Z, X).  When Z has a projective presentation
 (every registry object does) the workspace reads it off the generator
 solutions of Hom(Z, X) sent through f, and writes out no Hom(Z, X); any
-other Z takes the column space of the composition matrix.  The other two
-subspaces come from one constraint builder: a map
-g: T -> Y must send every map h: S -> T, precomposed, into F_S, which gives
-the rows "precompose with h, then project off F_S", and the maps g meeting
-all rows form a kernel.  The almost-factoring subspace of Z takes T = Z, every
-registry object S and the radical maps S -> Z; the determined subspace of V
-takes T = V, every member S and a basis of Hom(S, V).  One scan for the first
-V whose determined subspace exceeds F_V decides determination and each
-member-removal check.  On a complete registry (Dynkin quivers) the verdict is
-a certificate; otherwise it is a bounded search and reports say so.  A
-registry the caller does not pass is knitted once per quiver object, field
-and cap, in the workspace's registries.
+other Z takes the column space of the composition matrix.  The determined
+subspace of V comes from one constraint builder: a map g: V -> Y must send
+every map h: S -> V out of a source S, precomposed, into F_S, which gives the
+rows "precompose with h, then project off F_S" for h in a basis of
+Hom(S, V), and the maps g meeting all rows form a kernel.  Its sources are
+the members.  The almost-factoring subspace of Z asks this only of the
+radical maps into Z, but every registry object is preprojective, hence a
+brick (End = k): rad(S, Z) is Hom(S, Z) unless S is isomorphic to Z, and 0
+then.  So it is the determined subspace of Z with every registry object but
+Z's own as the sources, and the oracle needs no trace form.  One scan for
+the first V whose determined subspace exceeds F_V decides determination and
+each member-removal check.  On a complete registry (Dynkin quivers) the
+verdict is a certificate; otherwise it is a bounded search and reports say
+so.  A registry the caller does not pass is knitted once per quiver object,
+field and cap, in the workspace's registries.
 
 Every Hom space comes from reps.Workspace.hom, which on Dynkin type skips
 or checks Hom between known indecomposables by the Euler form.  That rests
@@ -40,19 +43,19 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .decompose import decompose, rad_hom_basis, right_minimal_version
-from .errors import SemanticError, invariant
-from .linalg import Subspace, int_rows, kernel_of_rows, solve
+from .decompose import decompose, is_indecomposable, right_minimal_version
+from .errors import NotIndecomposableError, SemanticError, invariant
+from .linalg import Subspace, column_space, int_rows, kernel_of_rows, solve
 from .reps import (
     HomSpace,
     RepMorphism,
     Representation,
-    cokernel,
     composite_columns,
     dual_morphism,
     dual_representation,
     kernel,
     postcompose_matrix,
+    quotient_representation,
 )
 from .structure import socle_multiplicities
 from .translate import IndecRegistry, knit, trd
@@ -159,10 +162,10 @@ class DeterminerReport:
 class DeterminerEngine:
     """The formula and the oracle over one registry.
 
-    Hom spaces and radical maps come from the quiver's workspace and are
-    shared across requests.  Factoring subspaces and constraint blocks depend
-    on the request morphism, so the engine keeps them for one morphism at a
-    time and drops them when ``verify`` returns."""
+    Hom spaces come from the quiver's workspace and are shared across
+    requests.  Factoring subspaces and constraint blocks depend on the
+    request morphism, so the engine keeps them for one morphism at a time and
+    drops them when ``verify`` returns."""
 
     def __init__(self, registry: IndecRegistry):
         self.registry = registry
@@ -193,22 +196,6 @@ class DeterminerEngine:
         factor, _ = self._tables_for(f)
         return self.workspace.memo(factor, Z, lambda: self.workspace.factoring_subspace(f, Z))
 
-    def _radical_maps(self, U: Representation, Z: Representation):
-        """A basis of rad(U, Z) as sparse flat rows, like HomSpace.flat_basis;
-        none when Hom(U, Z) = 0."""
-        huz = self.hom(U, Z)
-        if not huz.dim:
-            return ()
-        return self._radical_rows(huz, rad_hom_basis(U, Z))
-
-    @staticmethod
-    def _radical_rows(huz: HomSpace, rad: Subspace):
-        # rad(U, Z) = Hom(U, Z) unless U and Z are isomorphic
-        if rad.is_full():
-            return huz.flat_basis
-        return tuple([(j, x) for j, x in enumerate(HomSpace.flatten(huz.from_coordinates(v))) if x]
-                     for v in rad.basis)
-
     # -- factorization tests -------------------------------------------------
 
     @staticmethod
@@ -228,12 +215,12 @@ class DeterminerEngine:
         return h
 
     def _constraint_rows(self, f: RepMorphism, target: Representation,
-                         source: Representation, maps) -> list[dict]:
+                         source: Representation) -> list[dict]:
         """Integer rows (see int_rows) on Hom(target, Y) forcing g . h into
-        the factoring subspace of source for every h in maps(source, target),
-        sparse flat rows like HomSpace.flat_basis.  maps is only called when
-        that subspace is proper, since otherwise no h constrains g; when
-        Hom(source, Y) = 0 not even the factoring subspace is built."""
+        the factoring subspace of source for every h in a basis of
+        Hom(source, target).  That basis is only read when the subspace is
+        proper, since otherwise no h constrains g; when Hom(source, Y) = 0
+        not even the factoring subspace is built."""
         hsy = self.hom(source, f.codomain)
         if not hsy.dim:
             return []
@@ -241,14 +228,13 @@ class DeterminerEngine:
         if fs.is_full():
             return []
         hty = self.hom(target, f.codomain)
-        # the flat offsets of h, held by the Hom space that maps reads
-        offsets = self.workspace.hom(source, target)._offsets
+        hst = self.hom(source, target)
         rows: list = []
-        for h in maps(source, target):
+        for h in hst.flat_basis:
             # g . h in Hom(source, Y) coordinates, reduced modulo fs
             block = defaultdict(list)
             for j, (_, res) in enumerate(fs.residuals(
-                    map(fs.sparse, composite_columns(hty, hsy, h, offsets, after=False)))):
+                    map(fs.sparse, composite_columns(hty, hsy, h, hst._offsets, after=False)))):
                 for slot, v in res.items():
                     if v:
                         block[slot].append((j, v))
@@ -258,12 +244,16 @@ class DeterminerEngine:
     def almost_factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
         """Maps Z -> Y all of whose radical precomposites factor through f.
 
-        Contains the factoring subspace; Z almost factors through f exactly
-        when the containment is strict."""
-        rows: list = []
-        for entry in self.registry.entries:
-            rows.extend(self._constraint_rows(f, Z, entry.rep, self._radical_maps))
-        R = kernel_of_rows(self.field, self.hom(Z, f.codomain).dim, rows)
+        Every entry but Z's own, a brick, is a source of radical maps into Z
+        (module docstring).  Contains the factoring subspace; Z almost
+        factors through f exactly when the containment is strict."""
+        own = self.registry.find_iso(Z)
+        if own is not None:
+            invariant(self.hom(Z, Z).dim == 1, "a registry entry is not a brick")
+        elif not is_indecomposable(Z):
+            raise NotIndecomposableError("almost factoring needs an indecomposable object")
+        R = self.determined_subspace(
+            f, [e.rep for e in self.registry.entries if e.index != own], Z)
         invariant(R.contains(self.factor_subspace(f, Z)),
                   "almost-factoring subspace misses the factoring subspace")
         return R
@@ -273,15 +263,14 @@ class DeterminerEngine:
 
     # -- the determination oracle -------------------------------------------
 
-    def determined_subspace(self, f: RepMorphism, members, V: Representation) -> Subspace:
+    def determined_subspace(self, f: RepMorphism, sources, V: Representation) -> Subspace:
         """Largest subspace of Hom(V, Y) whose composites with every map out
-        of a member object factor through f.  The rows of each member are
-        kept per (V, member) for the removal scans of the same request."""
+        of a source object factor through f.  The rows of each source are
+        kept per (V, source) for the later scans of the same request."""
         _, blocks = self._tables_for(f)
         rows: list = []
-        for Z in members:
-            rows.extend(self.workspace.memo(blocks, (V, Z), lambda: self._constraint_rows(
-                f, V, Z, lambda S, T: self.hom(S, T).flat_basis)))
+        for S in sources:
+            rows.extend(self.workspace.memo(blocks, (V, S), lambda: self._constraint_rows(f, V, S)))
         return kernel_of_rows(self.field, self.hom(V, f.codomain).dim, rows)
 
     def _first_gap(self, f: RepMorphism, members) -> str | None:
@@ -354,7 +343,7 @@ class DeterminerEngine:
                 t = trd(leaf)
                 keyed.append((len(entries), DeterminerMember(
                     self.registry.label_of(t), t, provenance)))
-        C, _ = cokernel(f1)
+        C = quotient_representation(f1.codomain, [column_space(c) for c in f1.comps])
         soc = socle_multiplicities(C)
         soc_pairs = tuple((x, m) for x, m in zip(self.quiver.vertices, soc) if m)
         for x, _m in soc_pairs:

@@ -33,8 +33,8 @@ from .reps import (
     Representation,
     block_diagonal_sum,
     kernel,
-    cokernel,
     quotient,
+    quotient_representation,
     subrepresentation,
 )
 
@@ -218,8 +218,10 @@ def min_injective_copresentation(M: Representation) -> InjCopresentation:
     (hereditary), and the differential, the hull of C after the projection, reads
     the projection at the socle pivots of C; epi with dims I1 = dims C, it is exact."""
     i0, hull = injective_hull(M)
-    C, proj = cokernel(hull)
-    i1, rows = _socle_cogenerators(C, lambda i, k: proj.comps[i].entries[k])
+    images = [column_space(c) for c in hull.comps]
+    C = quotient_representation(hull.codomain, images)
+    proj = [s.complement_projection() for s in images]
+    i1, rows = _socle_cogenerators(C, lambda i, k: proj[i].entries[k])
     invariant(i1.rep.dims == C.dims, "cokernel of a hull must be injective here")
     diff = map_to_cogenerators(i0.rep, i1, rows)
     invariant(diff.is_epi(), "copresentation differential is not surjective")

@@ -16,8 +16,9 @@ import quivdet.translate
 from quivdet.decompose import indec_iso_witness
 from quivdet.determiner import DeterminerEngine, DeterminerMember
 from quivdet.errors import InvariantError, SemanticError
-from quivdet.linalg import RATIONALS, field_from_name
-from quivdet.reps import hom_basis
+from quivdet.linalg import RATIONALS, column_space, field_from_name, from_columns
+from quivdet.reps import hom_basis, postcompose_matrix
+from quivdet.translate import RegistryEntry
 
 from conftest import A3_TEXT
 
@@ -829,3 +830,93 @@ def test_stream_gives_hom_no_sum_and_solves_generator_kernels_in_one_place(monke
     assert [c for c in calls if c[0] == "generator_kernel" and summed(c[3])]
     assert {caller for name, caller, _, _ in calls if name == "generator_kernel"} \
         == {"_generator_kernel"}
+
+
+E8_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\nvertex 7\nvertex 8\n"
+           "arrow a 2 1\narrow b 3 1\narrow c 4 3\narrow d 5 1\narrow e 6 5\narrow g 7 6\n"
+           "arrow h 8 7")
+KRONECKER3_TEXT = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\narrow c 1 2"
+A2_TILDE_TEXT = "vertex 1\nvertex 2\nvertex 3\narrow a 1 2\narrow b 2 3\narrow c 1 3"
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:3"])
+@pytest.mark.parametrize("text, cap", [
+    (E6_TEXT, 5000), (E8_TEXT, 5000), (D4_TEXT, 5000), (KRONECKER_TEXT, 24),
+    (KRONECKER3_TEXT, 6), (A2_TILDE_TEXT, 18),
+], ids=["e6", "e8", "d4", "kronecker-cap24", "kronecker3-cap6", "a2tilde-cap18"])
+def test_knitted_entries_are_bricks(text, cap, field):
+    # knit registers only preprojectives, whose endomorphism ring is the
+    # field: the almost-factoring subspace rests on this to read rad(U, Z)
+    # as Hom(U, Z) off Z's own entry and as 0 on it
+    q = qd.parse_quiver(text)
+    reg = qd.knit(q, field_from_name(field), cap)
+    assert [e.label for e in reg.entries if q.workspace.hom(e.rep, e.rep).dim != 1] == []
+
+
+def test_almost_factoring_rejects_a_registry_entry_that_is_no_brick():
+    # the Kronecker module with arrows I and a nilpotent Jordan block has
+    # End = k[x]/x^2; entered by hand as a registry entry, its radical is
+    # not 0, so the oracle must refuse to skip its own entry
+    q = qd.parse_quiver(KRONECKER_TEXT)
+    M = qd.Representation(q, F, (2, 2), (qd.Mat.identity(F, 2),
+                                         qd.Mat.from_rows(F, [[0, 1], [0, 0]])))
+    reg = qd.IndecRegistry(q, F, [RegistryEntry("M", M, 0)], by_dims={M.dims: 0})
+    with pytest.raises(InvariantError, match="brick"):
+        DeterminerEngine(reg).almost_factor_subspace(qd.identity_morphism(M), M)
+
+
+def test_almost_factoring_needs_an_indecomposable(a3_engine, golden_f):
+    reg = a3_engine.registry
+    Z, _, _ = qd.direct_sum([reg.by_label("S_2").rep, reg.by_label("P_3").rep])
+    with pytest.raises(qd.NotIndecomposableError):
+        a3_engine.almost_factor_subspace(golden_f, Z)
+    with pytest.raises(qd.NotIndecomposableError):
+        a3_engine.verify(golden_f, [Z])
+
+
+def _radical_map_subspace(reg, f, Z):
+    """The almost-factoring subspace by its definition, the reference the
+    oracle is checked against: the g in Hom(Z, Y) with g . h factoring
+    through f for every registry entry U and every h in rad_hom_basis(U, Z)."""
+    ws = f.domain.quiver.workspace
+    hzy = ws.hom(Z, f.codomain)
+    rows = []
+    for entry in reg.entries:
+        U = entry.rep
+        huy, huz = ws.hom(U, f.codomain), ws.hom(U, Z)
+        if not huy.dim or not huz.dim:
+            continue
+        factoring = column_space(postcompose_matrix(ws.hom(U, f.domain), huy, f))
+        off = factoring.complement_projection()
+        for coords in qd.rad_hom_basis(U, Z).basis:
+            h = huz.from_coordinates(coords)
+            cols = [huy.coordinates(g @ h) for g in hzy.basis]
+            rows.extend((off @ from_columns(reg.field, cols, huy.dim)).entries)
+    if not rows:
+        return qd.Subspace.full(reg.field, hzy.dim)
+    return qd.kernel_basis(qd.Mat(reg.field, len(rows), hzy.dim, tuple(rows)))
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:10007"])
+@pytest.mark.parametrize("text, cap", [
+    (E6_TEXT, 5000), (D4_TEXT, 5000), (KRONECKER_TEXT, 12), (A2_TILDE_TEXT, 14),
+], ids=["e6", "d4", "kronecker-cap12", "a2tilde-cap14"])
+def test_almost_factoring_equals_the_radical_map_definition(text, cap, field):
+    # every registry object, and on a truncated registry two objects TrD
+    # lands on past its cap, against the loop over rad(U, Z) for every entry U
+    reg = qd.knit(qd.parse_quiver(text), field_from_name(field), cap)
+    eng = DeterminerEngine(reg)
+    objects = [e.rep for e in reg.entries]
+    if not reg.complete:
+        ends = [e.rep for e in reg.entries if e.tau_minus is None and not e.is_injective]
+        objects += [qd.trd(M) for M in ends[-2:]]
+        assert all(reg.find_iso(Z) is None for Z in objects[-2:])
+    strict = 0
+    for f in _seeded_morphisms(reg, random.Random(27), 3):
+        for Z in objects:
+            R = eng.almost_factor_subspace(f, Z)
+            ref = _radical_map_subspace(reg, f, Z)
+            assert R.dim == ref.dim and R.contains(ref), (f, Z)
+            strict += R.dim > eng.factor_subspace(f, Z).dim
+    # some Z almost factors, so the skipped own entry matters
+    assert strict
