@@ -529,7 +529,7 @@ def _pieces_of(M: Representation):
     e = _split_once(M)
     if e is None:
         one = identity_morphism(ws.indecomposable(M))
-        ws.decompositions[M] = DecompositionResult(M, ((M, one, one),), ((M, 1),))
+        ws.memo(ws.decompositions, M, lambda: DecompositionResult(M, ((M, one, one),), ((M, 1),)))
         return [(M, one, one)]
     (K, iK, pK), (I, iI, pI) = split_by_idempotent(M, e)
     out = []

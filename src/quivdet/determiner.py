@@ -162,10 +162,13 @@ class DeterminerReport:
 class DeterminerEngine:
     """The formula and the oracle over one registry.
 
-    Hom spaces come from the quiver's workspace and are shared across
-    requests.  Factoring subspaces and constraint blocks depend on the
-    request morphism, so the engine keeps them for one morphism at a time and
-    drops them when ``verify`` returns."""
+    Hom spaces come from the quiver's workspace.  ``report`` is one request:
+    it opens a request scope on the workspace, so what it writes there is
+    kept for the quiver's life only when it is keyed by registry entries and
+    canonical objects alone (reps.Workspace.request).  Factoring subspaces
+    and constraint blocks depend on the request morphism, so the engine
+    keeps them in tables of its own, which the scope need not track, for one
+    morphism at a time and drops them when ``verify`` returns."""
 
     def __init__(self, registry: IndecRegistry):
         self.registry = registry
@@ -194,7 +197,10 @@ class DeterminerEngine:
         from the workspace (read off Z's generator images when Z has a
         presentation)."""
         factor, _ = self._tables_for(f)
-        return self.workspace.memo(factor, Z, lambda: self.workspace.factoring_subspace(f, Z))
+        fs = factor.get(Z)
+        if fs is None:
+            fs = factor[Z] = self.workspace.factoring_subspace(f, Z)
+        return fs
 
     # -- factorization tests -------------------------------------------------
 
@@ -270,7 +276,10 @@ class DeterminerEngine:
         _, blocks = self._tables_for(f)
         rows: list = []
         for S in sources:
-            rows.extend(self.workspace.memo(blocks, (V, S), lambda: self._constraint_rows(f, V, S)))
+            block = blocks.get((V, S))
+            if block is None:
+                block = blocks[(V, S)] = self._constraint_rows(f, V, S)
+            rows.extend(block)
         return kernel_of_rows(self.field, self.hom(V, f.codomain).dim, rows)
 
     def _first_gap(self, f: RepMorphism, members) -> str | None:
@@ -356,10 +365,11 @@ class DeterminerEngine:
 
     def report(self, f: RepMorphism, morphism_name: str = "f",
                verify: bool = False, override=None) -> DeterminerReport:
-        rm, kernel_labels, soc_pairs, members = self.formula_members(f)
-        if override is not None:
-            members = tuple(override)
-        verdict = self.verify(rm.minimal, members) if verify else None
+        with self.workspace.request():
+            rm, kernel_labels, soc_pairs, members = self.formula_members(f)
+            if override is not None:
+                members = tuple(override)
+            verdict = self.verify(rm.minimal, members) if verify else None
         return DeterminerReport(
             morphism_name=morphism_name,
             field_name=self.field.name,
@@ -398,24 +408,27 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
     """Minimal left determiner via duality: the right determiner of the dual
     morphism over the opposite quiver, with its members carried back.  The
     opposite quiver is knitted at the cap of the given registry, else at
-    cap.  The oracle's witnesses still name objects of the opposite quiver."""
+    cap.  The oracle's witnesses still name objects of the opposite quiver.
+    One request scope on each quiver's workspace holds what the request
+    writes there for the request only; the knitted registry stays."""
     q = f.domain.quiver
     field = f.domain.field
     if registry is not None:
         cap = registry.cap
     fop = dual_morphism(f)
-    engine_op = DeterminerEngine(_knitted(fop.domain.quiver, field, cap))
-    rep_op = engine_op.report(fop, morphism_name=morphism_name, verify=verify)
-    if registry is None:
-        registry = _knitted(q, field, cap)
-    members = []
-    for m in rep_op.members:
-        back = dual_representation(m.rep)
-        members.append(DeterminerMember(
-            label=registry.label_of(back),
-            rep=back,
-            provenance=f"dual:{m.provenance}",
-        ))
+    with q.workspace.request(), fop.domain.quiver.workspace.request():
+        engine_op = DeterminerEngine(_knitted(fop.domain.quiver, field, cap))
+        rep_op = engine_op.report(fop, morphism_name=morphism_name, verify=verify)
+        if registry is None:
+            registry = _knitted(q, field, cap)
+        members = []
+        for m in rep_op.members:
+            back = dual_representation(m.rep)
+            members.append(DeterminerMember(
+                label=registry.label_of(back),
+                rep=back,
+                provenance=f"dual:{m.provenance}",
+            ))
     relabel = {op.label: new.label for op, new in zip(rep_op.members, members)}
     oracle = rep_op.oracle
     if oracle is not None:

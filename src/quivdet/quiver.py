@@ -337,7 +337,7 @@ def projective_at(q: Quiver, x: str, field: Field = RATIONALS):
         presentation = Presentation((xi,), (), tuple(tuple((0, k) for k in range(len(ps)))
                                                      for ps in paths))
         P = _path_representation(q, field, paths, lambda p, ai: p + (ai,))
-        return ws.indecomposable(ws.presented(P, presentation))
+        return ws.own(ws.indecomposable(ws.presented(P, presentation)))
 
     return ws.memo(ws.canonical, ("P", x, field), build)
 
@@ -347,9 +347,9 @@ def injective_at(q: Quiver, x: str, field: Field = RATIONALS):
     arrows act by stripping the first arrow (left truncation)."""
     ws = q.workspace
     xi = q.vertex_index[x]
-    return ws.memo(ws.canonical, ("I", x, field), lambda: ws.indecomposable(_path_representation(
-        q, field, [ws.paths_from(yi)[xi] for yi in range(q.n_vertices)],
-        lambda p, ai: p[1:] if p and p[0] == ai else None)))
+    return ws.memo(ws.canonical, ("I", x, field), lambda: ws.own(ws.indecomposable(
+        _path_representation(q, field, [ws.paths_from(yi)[xi] for yi in range(q.n_vertices)],
+                             lambda p, ai: p[1:] if p and p[0] == ai else None))))
 
 
 def simple_at(q: Quiver, x: str, field: Field = RATIONALS):

@@ -39,13 +39,17 @@ and records nothing.
 
 The Workspace, the memo tables of one quiver object, lives here beside the
 solvers it routes every Hom system to and the records they read; the quiver
-module below it holds what needs only a quiver.
+module below it holds what needs only a quiver.  Its entries keyed by
+request objects live for one request scope.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from bisect import bisect_right
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -664,6 +668,10 @@ def dual_morphism(f: RepMorphism) -> RepMorphism:
                        tuple(m.transpose() for m in f.comps))
 
 
+class _Scope(threading.local):
+    journal = None  # the (table, key, value) an open request wrote, else None
+
+
 class Workspace:
     """Memo tables for the computations over one quiver object.
 
@@ -673,6 +681,16 @@ class Workspace:
     quiver holds its workspace (Quiver.workspace), so the tables are freed
     with the quiver.  Concurrent callers may repeat a computation, but an
     entry is stored only once it is complete, a knitted registry included.
+
+    Every table is written by one rule, ``_store``.  An entry lives for the
+    quiver's life when every representation in its key is ``owned`` (the
+    registry entries that knit marks, P_x, I_x and the block sums), or when
+    it was written outside any request.  Every other entry written inside
+    a ``request`` scope lives for that request: kernels, images, split-off
+    sums, duals and their Hom spaces, End algebras, decompositions and path
+    maps go when the outermost scope closes.  ``sums`` holds each sum
+    weakly, so a sum the caller built outside a request takes its record
+    along when it goes.
 
     ``hom`` is the only producer of Hom spaces, and every Hom system is
     solved in ``hom`` or ``_generator_kernel``, by the solvers of this
@@ -710,17 +728,72 @@ class Workspace:
         self.ends: dict = {}            # M -> EndAlgebra
         self.decompositions: dict = {}  # M -> DecompositionResult
         self.registries: dict = {}      # (field, cap) -> IndecRegistry
-        self.indecomposables: set = set()  # representations shown indecomposable
+        self.indecomposables: dict = {}  # M -> M, for M shown indecomposable
         self.presentations: dict = {}   # M -> Presentation
         self.path_maps: dict = {}       # (N, vertex index) -> N(p) per path out of it
-        self.sums: dict = {}            # direct sum -> (summands, their starts per vertex)
+        # direct sum -> (summands, their starts per vertex), held no longer
+        # than the sum itself
+        self.sums = weakref.WeakKeyDictionary()
+        self.owned: set = set()         # registry entries, P_x, I_x and block sums
+        self._scope = _Scope()
+
+    def own(self, M):
+        """M, recorded as owned: a registry entry, a canonical P_x or I_x, or
+        a block sum.  Entries keyed by owned representations alone live for
+        the quiver's life."""
+        self.owned.add(M)
+        return M
+
+    def _owns(self, key) -> bool:
+        """Whether every representation in key is owned."""
+        for k in key if type(key) is tuple else (key,):
+            if isinstance(k, Representation) and k not in self.owned:
+                return False
+        return True
+
+    @contextmanager
+    def request(self):
+        """One request's scope on this workspace, in this thread.  Scopes
+        nest, and each thread has its own.  When the outermost one closes,
+        every entry ``_store`` noted while it was open is dropped unless its
+        key holds owned representations only.  Ownership is read at the
+        close, so an object owned by then (a TrD that knit registers after
+        writing its presentation, decomposition and End) keeps its
+        entries."""
+        scope = self._scope
+        if scope.journal is not None:
+            yield
+            return
+        scope.journal = journal = []
+        try:
+            yield
+        finally:
+            scope.journal = None
+            for table, key, value in journal:
+                # an entry rewritten since, outside a request, stays
+                if not self._owns(key) and table.get(key) is value:
+                    table.pop(key, None)
+
+    def _store(self, table, key, value):
+        """table[key] = value, the write rule of every table; returns the
+        entry the table holds.  Inside a request an entry already held is
+        kept, and a new one is noted for the close of the scope, so no
+        entry written outside a request or by another thread is dropped."""
+        journal = self._scope.journal
+        if journal is None:
+            table[key] = value
+            return value
+        kept = table.setdefault(key, value)
+        if kept is value:
+            journal.append((table, key, value))
+        return kept
 
     def memo(self, table: dict, key, build):
         """table[key], computed by build() on a miss.  The workspace itself
         marks a miss, since no table holds it."""
         value = table.get(key, self)
         if value is self:
-            value = table[key] = build()
+            value = self._store(table, key, build())
         return value
 
     def paths_from(self, xi: int) -> tuple[tuple[Path, ...], ...]:
@@ -746,18 +819,18 @@ class Workspace:
 
     def indecomposable(self, M):
         """M, recorded as shown to be indecomposable."""
-        self.indecomposables.add(M)
+        self._store(self.indecomposables, M, M)
         return M
 
     def presented(self, M, presentation: Presentation):
         """M, recorded with a projective presentation."""
-        self.presentations[M] = presentation
+        self._store(self.presentations, M, presentation)
         return M
 
     def summed(self, M, summands: tuple, starts: tuple) -> None:
         """Record M as the direct sum of summands, summand b from coordinate
         starts[b][y] of M(y) on."""
-        self.sums[M] = (summands, starts)
+        self._store(self.sums, M, (summands, starts))
 
     def _blocks(self, M):
         """M's summands and where each starts at each vertex: those of its
@@ -781,7 +854,7 @@ class Workspace:
         it has one, else by hom_basis."""
         hs = self.homs.get((M, N))
         if hs is None:
-            hs = self.homs[(M, N)] = self._solve_hom(M, N)
+            hs = self._store(self.homs, (M, N), self._solve_hom(M, N))
         return hs
 
     def _directed_form(self, M, N) -> int | None:

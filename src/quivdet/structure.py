@@ -96,7 +96,7 @@ def _block_sum(q, field, vertices, kind, canonical) -> BlockSum:
 
     def build():
         rep, offsets = block_diagonal_sum([canonical(q, x, field) for x in vertices], q, field)
-        return BlockSum(rep, vertices, offsets)
+        return BlockSum(q.workspace.own(rep), vertices, offsets)
 
     return q.workspace.memo(q.workspace.block_sums, (kind, vertices, field), build)
 

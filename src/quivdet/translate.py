@@ -279,6 +279,7 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
         idx = len(reg.entries)
         invariant(M.dims not in reg.by_dims, "two registry entries share a dimension vector")
         reg.by_dims[M.dims] = idx
+        q.workspace.own(M)
         vertices = _canonical_vertices(M)
         entry = RegistryEntry(_label(M, vertices, idx), M, idx, *vertices)
         reg.entries.append(entry)

@@ -1,11 +1,15 @@
 """The benchmark's pinned outputs replayed as tests: determiner reports must
 stay byte-identical to ``perfbench/refs``, not only inside a benchmark run."""
 
+import gc
 import hashlib
 import importlib.util
 import json
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import pytest
 
@@ -13,6 +17,7 @@ import quivdet as qd
 from quivdet.cli import main
 from quivdet.determiner import DeterminerEngine
 from quivdet.formats import load_session
+from quivdet.reps import Representation
 
 REPLAYED = 24
 
@@ -77,3 +82,112 @@ def test_a3_left_cli_report_matches_its_reference(capsys):
     argv = ["det", str(data / "a3.quiver"), str(data / "a3.reps"), "f", "--verify", "--left", "--json"]
     assert main(argv) == 0
     assert capsys.readouterr().out == _ref("a3-left.json")
+
+
+def _answer(engine, side, f):
+    """The report the benchmark asks for, and its digest."""
+    if side == "left":
+        report = qd.minimal_left_determiner(f, registry=engine.registry, verify=True)
+    else:
+        report = engine.report(f, verify=True)
+    assert report.oracle.certified
+    return hashlib.sha256(wl.report_text(report).encode()).hexdigest()
+
+
+def _unowned_keys(reg) -> set:
+    """(quiver side, table, key) of every workspace entry whose key holds a
+    representation its workspace does not own, over the quiver of reg and
+    its opposite; checks on the way that each workspace owns exactly the
+    entries of reg and of the registries it knitted, its canonical P_x and
+    I_x and its block sums."""
+    q, out = reg.quiver, set()
+    for side, ws in (("Q", q.workspace), ("Qop", q.opposite.workspace)):
+        registries = [reg, *ws.registries.values()] if ws is q.workspace else ws.registries.values()
+        assert ws.owned == ({e.rep for r in registries for e in r.entries}
+                            | set(ws.canonical.values())
+                            | {bs.rep for bs in ws.block_sums.values()})
+        for name, table in vars(ws).items():
+            if isinstance(table, (dict, set, WeakKeyDictionary)):
+                out.update((side, name, key) for key in table
+                           for parts in [key if type(key) is tuple else (key,)]
+                           if any(isinstance(r, Representation) and r not in ws.owned
+                                  for r in parts))
+    return out
+
+
+# traced memory that 24 requests of a second seed may leave in the
+# workspaces, mostly Hom spaces between registry entries that the first seed
+# did not ask for: 0.34 MB on Python 3.11, where the same requests left
+# 1.59 MB before each request's entries were dropped with it
+SECOND_STREAM_GROWTH_MB = 0.8
+
+
+def test_requests_leave_only_owned_entries_in_the_workspaces():
+    # two seeded streams on one E6 engine over Q: after each request no
+    # workspace key holds a representation that is neither owned by the
+    # registry nor written outside a request (the caller's direct sums), the
+    # second stream leaves little traced memory behind, and the first
+    # stream's requests, asked again after it, still give their digests
+    w = wl.WORKLOADS["corpus-warm"]
+    q = qd.parse_quiver(wl.read_input(w.quiver))
+    reg = qd.knit(q, qd.field_from_name(w.field))
+    engine = DeterminerEngine(reg)
+
+    def stream(seed):
+        requests = wl.make_requests(qd, reg, seed)[:REPLAYED]
+        before = _unowned_keys(reg)
+        for side, f in requests:
+            _answer(engine, side, f)
+            assert _unowned_keys(reg) <= before
+
+    stream(1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stream(2)
+        gc.collect()
+        grown = (tracemalloc.get_traced_memory()[0] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert grown < SECOND_STREAM_GROWTH_MB
+    digests = [_answer(engine, side, f) for side, f in wl.make_requests(qd, reg, 1)[:REPLAYED]]
+    assert json.loads(_ref("corpus-warm.json"))["digests"][:REPLAYED] == digests
+
+
+def test_threads_sharing_a_quiver_get_the_reference_digests():
+    # two threads ask the seed-1 requests of one fresh quiver and registry at
+    # once, each with its own engine: a request scope closing in one thread
+    # drops entries the other may be reading, which may cost it a
+    # recomputation but never a different answer, and no request leaves an
+    # entry behind; the first left requests race to knit the opposite quiver
+    w = wl.WORKLOADS["corpus-warm"]
+    reg = qd.knit(qd.parse_quiver(wl.read_input(w.quiver)), qd.field_from_name(w.field))
+    streams = [wl.make_requests(qd, reg, wl.DEFAULT_SEED)[:REPLAYED] for _ in range(2)]
+    before = _unowned_keys(reg)
+    start = threading.Barrier(len(streams))
+    digests: dict = {}
+    errors: list = []
+
+    def run(k):
+        try:
+            engine = DeterminerEngine(reg)
+            start.wait(timeout=60)
+            digests[k] = [_answer(engine, side, f) for side, f in streams[k]]
+        except Exception as e:  # the main thread reports it
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the two threads finely
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(streams))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=600)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and _unowned_keys(reg) <= before
+    expected = json.loads(_ref("corpus-warm.json"))["digests"][:REPLAYED]
+    assert [digests[k] for k in range(len(streams))] == [expected] * len(streams)

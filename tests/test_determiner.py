@@ -17,7 +17,7 @@ from quivdet.decompose import indec_iso_witness
 from quivdet.determiner import DeterminerEngine, DeterminerMember
 from quivdet.errors import InvariantError, SemanticError
 from quivdet.linalg import RATIONALS, column_space, field_from_name, from_columns
-from quivdet.reps import hom_basis, postcompose_matrix
+from quivdet.reps import Workspace, hom_basis, postcompose_matrix
 from quivdet.translate import RegistryEntry
 
 from conftest import A3_TEXT
@@ -806,12 +806,17 @@ def test_stream_gives_hom_no_sum_and_solves_generator_kernels_in_one_place(monke
     q, reg, requests = _e6_stream(9)
     calls = []
 
+    def summed(M):
+        # asked when the solver runs: a request's own sums leave the
+        # workspace with the request
+        return M in M.quiver.workspace.sums
+
     def watch(name):
         real = getattr(quivdet.reps, name)
 
         def watched(M, *args):
             N = args[-1]
-            calls.append((name, sys._getframe(1).f_code.co_name, M, N))
+            calls.append((name, sys._getframe(1).f_code.co_name, summed(M), summed(N)))
             return real(M, *args)
         return watched
 
@@ -821,15 +826,46 @@ def test_stream_gives_hom_no_sum_and_solves_generator_kernels_in_one_place(monke
     monkeypatch.undo()
     assert sum(f.domain in q.workspace.sums and f.codomain in q.workspace.sums
                for _, f in requests) >= 2
-
-    def summed(M):
-        return M in M.quiver.workspace.sums
-
-    assert not [c for c in calls if c[0] == "hom_basis" and (summed(c[2]) or summed(c[3]))]
-    assert not [c for c in calls if summed(c[2])]
-    assert [c for c in calls if c[0] == "generator_kernel" and summed(c[3])]
+    assert not [c for c in calls if c[0] == "hom_basis" and (c[2] or c[3])]
+    assert not [c for c in calls if c[2]]
+    assert [c for c in calls if c[0] == "generator_kernel" and c[3]]
     assert {caller for name, caller, _, _ in calls if name == "generator_kernel"} \
         == {"_generator_kernel"}
+
+
+def test_first_left_request_keeps_the_opposite_registry_in_the_workspace(monkeypatch):
+    # the first left request on a fresh quiver knits the opposite quiver
+    # inside its request scope, and knit writes each TrD's presentation,
+    # decomposition, End and Hom(t, t) before it registers t: those entries
+    # are kept, since ownership is read when the scope closes, and a second
+    # left request solves again no Hom between entries that the first solved
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q)
+    f1, f2 = _seeded_morphisms(reg, random.Random(21), 2)
+    asked, solved = [], []
+    real_hom, real_solve = Workspace.hom, Workspace._solve_hom
+
+    def hom(ws, M, N):
+        asked.append((M, N))
+        return real_hom(ws, M, N)
+
+    def solve(ws, M, N):
+        solved.append((M, N))
+        return real_solve(ws, M, N)
+
+    monkeypatch.setattr(Workspace, "hom", hom)
+    monkeypatch.setattr(Workspace, "_solve_hom", solve)
+    assert qd.minimal_left_determiner(f1, registry=reg, verify=True).oracle.certified
+    wop = q.opposite.workspace
+    entries = {e.rep for e in wop.registries[(reg.field, reg.cap)].entries}
+    assert len(entries) == 36 and entries <= wop.owned
+    assert [M for M in entries if M not in wop.presentations or M not in wop.indecomposables] == []
+    first = {(M, N) for M, N in solved if M in entries and N in entries}
+    asked.clear()
+    solved.clear()
+    assert qd.minimal_left_determiner(f2, registry=reg, verify=True).oracle.certified
+    assert first & set(asked)
+    assert [pair for pair in solved if pair in first] == []
 
 
 E8_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\nvertex 7\nvertex 8\n"

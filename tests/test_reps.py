@@ -1,6 +1,9 @@
 """Representations, morphisms, hom spaces, kernels and cokernels."""
 
+import gc
 import random
+import threading
+from weakref import WeakKeyDictionary
 
 import pytest
 
@@ -180,12 +183,56 @@ def test_dual_representation_writes_nothing():
 
     def keys():
         return [(name, set(t)) for w in workspaces for name, t in vars(w).items()
-                if isinstance(t, (dict, set))]
+                if isinstance(t, (dict, set, WeakKeyDictionary))]
     before = keys()
     for M in (pair, reps[7]):
         D = qd.dual_representation(M)
         assert D.quiver is q.opposite and D.dims == M.dims
     assert keys() == before
+
+
+def test_a_sum_record_lives_no_longer_than_the_sum():
+    # the workspace holds a direct sum's record weakly: a sum the caller
+    # built outside any request takes its record along when it goes, while
+    # the record of a sum still in use stays
+    q = qd.parse_quiver(E6_TEXT)
+    reps = [e.rep for e in qd.knit(q, RATIONALS, 5000).entries]
+    ws = q.workspace
+    kept = qd.direct_sum(reps[3:5])[0]
+    gone = qd.direct_sum(reps[5:8])[0]
+    assert kept in ws.sums and gone in ws.sums
+    records = len(ws.sums)
+    del gone
+    gc.collect()
+    assert len(ws.sums) == records - 1 and kept in ws.sums
+    assert ws.hom(kept, reps[3]).dim == ws.hom(reps[3], reps[3]).dim + ws.hom(reps[4], reps[3]).dim
+
+
+def test_request_scopes_nest_and_belong_to_their_thread():
+    # an entry keyed by a representation that no registry owns lives as long
+    # as the request that wrote it: closing the inner of two nested scopes
+    # drops nothing and closing the outer one drops it, while an entry
+    # between registry entries, one written by another thread outside any
+    # request, and one written before the request are kept
+    q = qd.parse_quiver(E6_TEXT)
+    reps = [e.rep for e in qd.knit(q, RATIONALS, 5000).entries]
+    ws = q.workspace
+    M = qd.direct_sum(reps[3:5])[0]
+    a, b = next((a, b) for a in reps for b in reps if a != b and (a, b) not in ws.homs)
+    with ws.request():
+        with ws.request():
+            ws.hom(M, a)
+            assert qd.direct_sum(reps[3:5])[0] == M
+            S = qd.direct_sum(reps[5:7])[0]
+        assert (M, a) in ws.homs and S in ws.sums
+        other = threading.Thread(target=ws.hom, args=(M, b))
+        other.start()
+        other.join(timeout=60)
+        assert not other.is_alive()
+        ws.hom(a, b)
+    assert (M, a) not in ws.homs and (M, b) in ws.homs and (a, b) in ws.homs
+    assert M in ws.sums and S not in ws.sums
+    assert M not in ws.owned and a in ws.owned
 
 
 def test_random_morphism_exactness():
