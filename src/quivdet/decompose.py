@@ -474,11 +474,14 @@ def _split_once(M: Representation) -> RepMorphism | None:
     dimension j deg p <= dim End/rad.  If deg p = dim End/rad, then j = 1 and
     k[phi] fills End/rad, which is therefore a field: End(M) is local.  The
     degree of p is that of mu / gcd(mu, mu'), because the characteristic is
-    0 or, once the radical exists, larger than deg mu."""
+    0 or, once the radical exists, larger than deg mu.  A local End(M) has no
+    idempotent to find, so the scan stops at the first certificate, unless
+    the radical is undefined (F_p with p <= dim M)."""
     E = end_algebra(M)
     if E.dim == 1:
         return None
     field = M.field
+    certifies = not (isinstance(field, PrimeField) and field.p <= E.n)
     degree = 0
     for phi in _candidate_endos(E):
         mu, coords = _power_coordinates(phi)
@@ -487,6 +490,8 @@ def _split_once(M: Representation) -> RepMorphism | None:
             return _idempotent_from_candidate(E, mu, parts, coords)
         squarefree, _ = _pdivmod(field, mu, _pgcd(field, mu, _pderiv(field, mu)))
         degree = max(degree, _pdeg(squarefree))
+        if certifies and degree == E.quotient_dim:
+            return None
     if degree == E.quotient_dim:
         return None
     if isinstance(field, PrimeField):

@@ -25,10 +25,11 @@ brick (End = k): rad(S, Z) is Hom(S, Z) unless S is isomorphic to Z, and 0
 then.  So it is the determined subspace of Z with every registry object but
 Z's own as the sources, and the oracle needs no trace form.  One scan for
 the first V whose determined subspace exceeds F_V decides determination and
-each member-removal check.  On a complete registry (Dynkin quivers) the
-verdict is a certificate; otherwise it is a bounded search and reports say
-so.  A registry the caller does not pass is knitted once per quiver object,
-field and cap, in the workspace's registries.
+each member-removal check; the scans share F_V and the constraint rows,
+which the workspace keeps per request morphism.  On a complete registry
+(Dynkin quivers) the verdict is a certificate; otherwise it is a bounded
+search and reports say so.  A registry the caller does not pass is knitted
+once per quiver object, field and cap, in the workspace's registries.
 
 Every Hom space comes from reps.Workspace.hom, which on Dynkin type skips
 or checks Hom between known indecomposables by the Euler form.  That rests
@@ -162,45 +163,21 @@ class DeterminerReport:
 class DeterminerEngine:
     """The formula and the oracle over one registry.
 
-    Hom spaces come from the quiver's workspace.  ``report`` is one request:
-    it opens a request scope on the workspace, so what it writes there is
-    kept for the quiver's life only when it is keyed by registry entries and
-    canonical objects alone (reps.Workspace.request).  Factoring subspaces
-    and constraint blocks depend on the request morphism, so the engine
-    keeps them in tables of its own, which the scope need not track, for one
-    morphism at a time and drops them when ``verify`` returns."""
+    The engine keeps no table: Hom spaces, factoring subspaces and
+    constraint rows live in the quiver's workspace.  ``report`` and
+    ``verify`` each open a request scope there, so what they write is kept
+    for the quiver's life only when it is keyed by registry entries and
+    canonical objects alone (reps.Workspace.request)."""
 
     def __init__(self, registry: IndecRegistry):
         self.registry = registry
         self.quiver = registry.quiver
         self.field = registry.field
         self.workspace = registry.quiver.workspace
-        self._request: tuple = (None, {}, {})
-
-    # -- caches ------------------------------------------------------------
-
-    def _tables_for(self, f: RepMorphism | None):
-        """Factoring subspaces and constraint blocks of the morphism f.  The
-        three are swapped as one tuple, so a concurrent request for another
-        morphism can cost recomputation but never mixes the tables."""
-        request = self._request
-        if request[0] is not f:
-            request = self._request = (f, {}, {})
-        return request[1], request[2]
 
     def hom(self, M: Representation, N: Representation) -> HomSpace:
         """Hom(M, N) from the workspace, the one producer of Hom spaces."""
         return self.workspace.hom(M, N)
-
-    def factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
-        """Image of Hom(Z, X) -> Hom(Z, Y), the maps factoring through f,
-        from the workspace (read off Z's generator images when Z has a
-        presentation)."""
-        factor, _ = self._tables_for(f)
-        fs = factor.get(Z)
-        if fs is None:
-            fs = factor[Z] = self.workspace.factoring_subspace(f, Z)
-        return fs
 
     # -- factorization tests -------------------------------------------------
 
@@ -225,14 +202,11 @@ class DeterminerEngine:
         """Integer rows (see int_rows) on Hom(target, Y) forcing g . h into
         the factoring subspace of source for every h in a basis of
         Hom(source, target).  That basis is only read when the subspace is
-        proper, since otherwise no h constrains g; when Hom(source, Y) = 0
-        not even the factoring subspace is built."""
-        hsy = self.hom(source, f.codomain)
-        if not hsy.dim:
-            return []
-        fs = self.factor_subspace(f, source)
+        proper, since otherwise no h constrains g."""
+        fs = self.workspace.factoring_subspace(f, source)
         if fs.is_full():
             return []
+        hsy = self.hom(source, f.codomain)
         hty = self.hom(target, f.codomain)
         hst = self.hom(source, target)
         rows: list = []
@@ -260,27 +234,27 @@ class DeterminerEngine:
             raise NotIndecomposableError("almost factoring needs an indecomposable object")
         R = self.determined_subspace(
             f, [e.rep for e in self.registry.entries if e.index != own], Z)
-        invariant(R.contains(self.factor_subspace(f, Z)),
+        invariant(R.contains(self.workspace.factoring_subspace(f, Z)),
                   "almost-factoring subspace misses the factoring subspace")
         return R
 
     def almost_factors(self, f: RepMorphism, Z: Representation) -> bool:
-        return self.almost_factor_subspace(f, Z).dim > self.factor_subspace(f, Z).dim
+        return self.almost_factor_subspace(f, Z).dim > self.workspace.factoring_subspace(f, Z).dim
 
     # -- the determination oracle -------------------------------------------
 
     def determined_subspace(self, f: RepMorphism, sources, V: Representation) -> Subspace:
         """Largest subspace of Hom(V, Y) whose composites with every map out
-        of a source object factor through f.  The rows of each source are
-        kept per (V, source) for the later scans of the same request."""
-        _, blocks = self._tables_for(f)
+        of a source object factor through f.  A source S with Hom(S, Y) = 0
+        or Hom(S, V) = 0 gives no rows, and not even F_S is built for it; the
+        rows of every other source are kept per (f, V, S) in the workspace
+        for the later scans of the same request."""
+        ws, Y = self.workspace, f.codomain
         rows: list = []
         for S in sources:
-            block = blocks.get((V, S))
-            if block is None:
-                block = blocks[(V, S)] = self._constraint_rows(f, V, S)
-            rows.extend(block)
-        return kernel_of_rows(self.field, self.hom(V, f.codomain).dim, rows)
+            if self.hom(S, Y).dim and self.hom(S, V).dim:
+                rows.extend(ws.memo(ws.constraints, (f, V, S), lambda: self._constraint_rows(f, V, S)))
+        return kernel_of_rows(self.field, self.hom(V, Y).dim, rows)
 
     def _first_gap(self, f: RepMorphism, members) -> str | None:
         """Label of the first registry object V whose determined subspace
@@ -289,7 +263,7 @@ class DeterminerEngine:
         for entry in self.registry.entries:
             if not self.hom(entry.rep, f.codomain).dim:
                 continue
-            fv = self.factor_subspace(f, entry.rep)
+            fv = self.workspace.factoring_subspace(f, entry.rep)
             wv = self.determined_subspace(f, members, entry.rep)
             invariant(wv.contains(fv), "determined subspace misses the factoring subspace")
             if wv.dim != fv.dim:
@@ -305,16 +279,14 @@ class DeterminerEngine:
         (c) minimality, second half: dropping any single member re-opens the
         determined subspace at some witness object."""
         member_reps = [m.rep if isinstance(m, DeterminerMember) else m for m in members]
-        labels = [m.label if isinstance(m, DeterminerMember) else self.registry.label_of(m)
-                  for m in members]
-
-        witness = self._first_gap(f, member_reps)
-        member_aft = tuple((lbl, self.almost_factors(f, Z))
-                           for lbl, Z in zip(labels, member_reps))
-        removal = tuple((labels[i], self._first_gap(f, member_reps[:i] + member_reps[i + 1:]))
-                        for i in range(len(member_reps)))
-
-        self._tables_for(None)
+        with self.workspace.request():
+            labels = [m.label if isinstance(m, DeterminerMember) else self.registry.label_of(m)
+                      for m in members]
+            witness = self._first_gap(f, member_reps)
+            member_aft = tuple((lbl, self.almost_factors(f, Z))
+                               for lbl, Z in zip(labels, member_reps))
+            removal = tuple((labels[i], self._first_gap(f, member_reps[:i] + member_reps[i + 1:]))
+                            for i in range(len(member_reps)))
         return OracleVerdict(
             checked_objects=len(self.registry.entries),
             determination_ok=witness is None,

@@ -150,6 +150,14 @@ class RepMorphism:
                     N.action[ai], self.comps[si], self.comps[ti], M.action[ai]):
                 raise SemanticError(f"square at arrow {M.quiver.arrows[ai].name!r} does not commute")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.domain, self.codomain, self.comps))
+
+    def __hash__(self):
+        # the request morphism keys workspace tables; see Representation
+        return self._hash
+
     def __matmul__(self, other: "RepMorphism") -> "RepMorphism":
         """Composition self after other."""
         if other.codomain != self.domain:
@@ -683,14 +691,15 @@ class Workspace:
     entry is stored only once it is complete, a knitted registry included.
 
     Every table is written by one rule, ``_store``.  An entry lives for the
-    quiver's life when every representation in its key is ``owned`` (the
-    registry entries that knit marks, P_x, I_x and the block sums), or when
-    it was written outside any request.  Every other entry written inside
-    a ``request`` scope lives for that request: kernels, images, split-off
-    sums, duals and their Hom spaces, End algebras, decompositions and path
-    maps go when the outermost scope closes.  ``sums`` holds each sum
-    weakly, so a sum the caller built outside a request takes its record
-    along when it goes.
+    quiver's life when its key holds no morphism and every representation
+    in it is ``owned`` (the registry entries that knit marks, P_x, I_x and
+    the block sums), or when it was written outside any request.  Every
+    other entry written inside a ``request`` scope lives for that request:
+    kernels, images, split-off sums, duals and their Hom spaces, End
+    algebras, decompositions, path maps, and the oracle's tables keyed by
+    the request morphism go when the outermost scope closes.  ``sums``
+    holds each sum weakly, so a sum the caller built outside a request
+    takes its record along when it goes.
 
     ``hom`` is the only producer of Hom spaces, and every Hom system is
     solved in ``hom`` or ``_generator_kernel``, by the solvers of this
@@ -731,6 +740,8 @@ class Workspace:
         self.indecomposables: dict = {}  # M -> M, for M shown indecomposable
         self.presentations: dict = {}   # M -> Presentation
         self.path_maps: dict = {}       # (N, vertex index) -> N(p) per path out of it
+        self.factorings: dict = {}      # (f, Z) -> F_Z, the maps Z -> Y through f: X -> Y
+        self.constraints: dict = {}     # (f, V, S) -> the oracle's constraint rows
         # direct sum -> (summands, their starts per vertex), held no longer
         # than the sum itself
         self.sums = weakref.WeakKeyDictionary()
@@ -745,9 +756,9 @@ class Workspace:
         return M
 
     def _owns(self, key) -> bool:
-        """Whether every representation in key is owned."""
+        """Whether key holds no morphism and only owned representations."""
         for k in key if type(key) is tuple else (key,):
-            if isinstance(k, Representation) and k not in self.owned:
+            if isinstance(k, RepMorphism) or isinstance(k, Representation) and k not in self.owned:
                 return False
         return True
 
@@ -903,6 +914,9 @@ class Workspace:
         presented Z, each generator solution of Hom(Z, X) sent through f
         (postcompose_from_generators), whose coordinates check the
         composites, else the column space of the postcomposition matrix."""
+        return self.memo(self.factorings, (f, Z), lambda: self._factoring_subspace(f, Z))
+
+    def _factoring_subspace(self, f, Z) -> Subspace:
         X, Y = f.domain, f.codomain
         hzy = self.hom(Z, Y)
         presentation = self.presentations.get(Z)

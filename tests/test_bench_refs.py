@@ -17,7 +17,7 @@ import quivdet as qd
 from quivdet.cli import main
 from quivdet.determiner import DeterminerEngine
 from quivdet.formats import load_session
-from quivdet.reps import Representation
+from quivdet.reps import RepMorphism, Representation
 
 REPLAYED = 24
 
@@ -94,12 +94,16 @@ def _answer(engine, side, f):
     return hashlib.sha256(wl.report_text(report).encode()).hexdigest()
 
 
+def _parts(key) -> tuple:
+    return key if type(key) is tuple else (key,)
+
+
 def _unowned_keys(reg) -> set:
     """(quiver side, table, key) of every workspace entry whose key holds a
-    representation its workspace does not own, over the quiver of reg and
-    its opposite; checks on the way that each workspace owns exactly the
-    entries of reg and of the registries it knitted, its canonical P_x and
-    I_x and its block sums."""
+    morphism or a representation its workspace does not own, over the
+    quiver of reg and its opposite; checks on the way that each workspace
+    owns exactly the entries of reg and of the registries it knitted, its
+    canonical P_x and I_x and its block sums."""
     q, out = reg.quiver, set()
     for side, ws in (("Q", q.workspace), ("Qop", q.opposite.workspace)):
         registries = [reg, *ws.registries.values()] if ws is q.workspace else ws.registries.values()
@@ -109,10 +113,80 @@ def _unowned_keys(reg) -> set:
         for name, table in vars(ws).items():
             if isinstance(table, (dict, set, WeakKeyDictionary)):
                 out.update((side, name, key) for key in table
-                           for parts in [key if type(key) is tuple else (key,)]
-                           if any(isinstance(r, Representation) and r not in ws.owned
-                                  for r in parts))
+                           if any(isinstance(r, RepMorphism)
+                                  or isinstance(r, Representation) and r not in ws.owned
+                                  for r in _parts(key)))
     return out
+
+
+def _morphism_keys(q) -> list:
+    """(table, key) of every entry of the workspaces of q and its opposite
+    whose key holds a morphism."""
+    return [(name, key) for ws in (q.workspace, q.opposite.workspace)
+            for name, table in vars(ws).items() if isinstance(table, (dict, set, WeakKeyDictionary))
+            for key in table if any(isinstance(k, RepMorphism) for k in _parts(key))]
+
+
+def _oracle_requests(count: int):
+    """A fresh E6 engine and the (minimal morphism, members) that its
+    first count right requests of the seed-1 stream hand to ``verify``."""
+    w = wl.WORKLOADS["corpus-warm"]
+    reg = qd.knit(qd.parse_quiver(wl.read_input(w.quiver)), qd.field_from_name(w.field))
+    engine = DeterminerEngine(reg)
+    asks = []
+    for side, f in wl.make_requests(qd, reg, wl.DEFAULT_SEED):
+        if side == "right" and len(asks) < count:
+            rm, _, _, members = engine.formula_members(f)
+            asks.append((rm.minimal, members))
+    return engine, asks
+
+
+def test_the_engine_holds_no_table_of_its_own():
+    # every oracle table lives in the workspace: the engine keeps only what
+    # it is built from, before and after a report and a direct verify
+    engine, [(f, members)] = _oracle_requests(1)
+    attributes = {"registry", "quiver", "field", "workspace"}
+    assert vars(engine).keys() == attributes
+    assert engine.report(f, verify=True).oracle.certified
+    assert vars(engine).keys() == attributes
+    assert engine.verify(f, members).certified
+    assert vars(engine).keys() == attributes
+
+
+def test_a_direct_verify_leaves_no_morphism_in_the_workspaces():
+    # verify opens its own request scope, so the factoring subspaces and
+    # constraint rows keyed by the request morphism go when it returns
+    engine, asks = _oracle_requests(3)
+    for f, members in asks:
+        assert engine.verify(f, members).certified
+        assert not _morphism_keys(engine.quiver)
+
+
+def test_interleaved_verifies_on_one_engine_get_their_solo_verdicts(monkeypatch):
+    # a verify for one morphism run inside every determination scan of
+    # another, on the same engine, and the other way round, gives each
+    # morphism the verdict it gets alone: the tables of the two never mix;
+    # a dropped member makes one verdict fail, so the verdicts differ
+    engine, [(f, members), (g, g_members)] = _oracle_requests(2)
+    asks = [(f, members), (g, g_members), (f, members[1:])]
+    solo = [engine.verify(*ask) for ask in asks]
+    assert solo[0].certified and not solo[2].passed()
+    real_gap = engine._first_gap
+    for outer in range(len(asks)):
+        nested, busy = [], []
+
+        def interleaved(h, sources):
+            if h is asks[outer][0] and not busy:
+                busy.append(h)  # the inner verifies scan unpatched
+                nested.extend((k, engine.verify(*asks[k])) for k in range(len(asks)) if k != outer)
+                busy.pop()
+            return real_gap(h, sources)
+
+        monkeypatch.setattr(engine, "_first_gap", interleaved)
+        assert engine.verify(*asks[outer]) == solo[outer]
+        monkeypatch.undo()
+        assert nested and all(v == solo[k] for k, v in nested)
+    assert not _morphism_keys(engine.quiver)
 
 
 # traced memory that 24 requests of a second seed may leave in the

@@ -363,6 +363,32 @@ def test_field_degree_certificate_is_sound(monkeypatch):
         assert R not in q.workspace.decompositions
 
 
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("field", ["rat", "fp:10007", "fp:3"])
+def test_the_splitting_scan_stops_at_the_first_certificate(field, n, monkeypatch):
+    # (I, J_n(0)) has the local End = k[x]/(x^n): its first candidate is
+    # primary of squarefree degree 1 = dim End/rad, so no later candidate is
+    # tried (27 and 46 minimal polynomials for n = 2 and 4 before the scan
+    # stopped there); over F_3 there is no radical to certify against, and
+    # the scan still ends in FieldTooSmallError
+    module = importlib.import_module("quivdet.decompose")  # qd.decompose is the function
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return _power_coordinates(phi)
+
+    monkeypatch.setattr(module, "_power_coordinates", counted)
+    k = qd.field_from_name(field)
+    M = _companion_rep(_kronecker(), k, [0] * n)
+    if field == "fp:3":
+        with pytest.raises(FieldTooSmallError):
+            qd.decompose(M)
+    else:
+        assert qd.decompose(M).is_indecomposable()
+        assert end_algebra(M).quotient_dim == 1 and len(calls) <= 2
+
+
 def test_isotypic_pair_of_field_endomorphism_reps():
     q = _kronecker()
     rot = Mat.from_rows(F, [[0, -1], [1, 0]])

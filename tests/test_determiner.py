@@ -48,23 +48,23 @@ def test_factor_subspace(a3, a3_engine, golden_f):
     # through a right minimal mono with one-dimensional hom, the factoring
     # subspace of the domain itself is the full line
     X = golden_f.domain
-    fx = a3_engine.factor_subspace(golden_f, X)
+    fx = a3_engine.workspace.factoring_subspace(golden_f, X)
     assert fx.dim == 1 == a3_engine.hom(X, golden_f.codomain).dim
     # a split epi lets everything factor
     total, injs, projs = qd.direct_sum([X, qd.simple_at(a3, "2")])
     for entry in a3_engine.registry.entries:
-        sub = a3_engine.factor_subspace(projs[0], entry.rep)
+        sub = a3_engine.workspace.factoring_subspace(projs[0], entry.rep)
         assert sub.is_full()
     # through the zero map only zero factors
     zero = qd.zero_morphism(X, golden_f.codomain)
     for entry in a3_engine.registry.entries:
-        assert a3_engine.factor_subspace(zero, entry.rep).dim == 0
+        assert a3_engine.workspace.factoring_subspace(zero, entry.rep).dim == 0
 
 
 def test_almost_factor_subspaces_golden(a3, a3_engine, golden_f):
     S2 = a3_engine.registry.by_label("S_2").rep
     r = a3_engine.almost_factor_subspace(golden_f, S2)
-    fz = a3_engine.factor_subspace(golden_f, S2)
+    fz = a3_engine.workspace.factoring_subspace(golden_f, S2)
     assert fz.dim == 0 and r.dim == 1
     assert a3_engine.almost_factors(golden_f, S2)
     # objects with no maps to the codomain never almost factor
@@ -78,7 +78,7 @@ def test_almost_factor_subspaces_golden(a3, a3_engine, golden_f):
 def test_subspace_sandwich_invariant(a3_engine, golden_f):
     # factoring subspace inside almost-factoring subspace, for every object
     for entry in a3_engine.registry.entries:
-        fz = a3_engine.factor_subspace(golden_f, entry.rep)
+        fz = a3_engine.workspace.factoring_subspace(golden_f, entry.rep)
         rz = a3_engine.almost_factor_subspace(golden_f, entry.rep)
         assert rz.contains(fz)
 
@@ -91,7 +91,7 @@ def test_almost_factorization_reverified_pointwise(a3, a3_engine, golden_f):
     strict = 0
     for entry in reg.entries:
         Z = entry.rep
-        fz = a3_engine.factor_subspace(golden_f, Z)
+        fz = a3_engine.workspace.factoring_subspace(golden_f, Z)
         rz = a3_engine.almost_factor_subspace(golden_f, Z)
         if rz.dim == fz.dim:
             continue
@@ -113,7 +113,7 @@ def test_golden_cokernel_functor_support(a3_engine, golden_f):
     support = []
     for entry in a3_engine.registry.entries:
         hv = a3_engine.hom(entry.rep, golden_f.codomain)
-        fv = a3_engine.factor_subspace(golden_f, entry.rep)
+        fv = a3_engine.workspace.factoring_subspace(golden_f, entry.rep)
         if hv.dim > fv.dim:
             support.append(entry.label)
     assert sorted(support) == ["I_2", "P_3", "S_2"]
@@ -682,10 +682,9 @@ def test_factoring_subspace_off_generator_images_is_the_image_of_postcomposition
     zero_forms = nonzero = 0
     for f in morphisms:
         X, Y = f.domain, f.codomain
-        engine = DeterminerEngine(reg)
         for Z in reps + sums[:1]:
             had_zx = (Z, X) in ws.homs
-            fz = engine.factor_subspace(f, Z)
+            fz = ws.factoring_subspace(f, Z)
             assert ((Z, X) in ws.homs) == had_zx or Z not in ws.presentations
             assert fz == column_space(postcompose_matrix(hom_basis(Z, X), ws.hom(Z, Y), f))
             nonzero += fz.dim > 0
@@ -953,6 +952,6 @@ def test_almost_factoring_equals_the_radical_map_definition(text, cap, field):
             R = eng.almost_factor_subspace(f, Z)
             ref = _radical_map_subspace(reg, f, Z)
             assert R.dim == ref.dim and R.contains(ref), (f, Z)
-            strict += R.dim > eng.factor_subspace(f, Z).dim
+            strict += R.dim > eng.workspace.factoring_subspace(f, Z).dim
     # some Z almost factors, so the skipped own entry matters
     assert strict
