@@ -23,13 +23,19 @@ the members.  The almost-factoring subspace of Z asks this only of the
 radical maps into Z, but every registry object is preprojective, hence a
 brick (End = k): rad(S, Z) is Hom(S, Z) unless S is isomorphic to Z, and 0
 then.  So it is the determined subspace of Z with every registry object but
-Z's own as the sources, and the oracle needs no trace form.  One scan for
-the first V whose determined subspace exceeds F_V decides determination and
-each member-removal check; the scans share F_V and the constraint rows,
-which the workspace keeps per request morphism.  On a complete registry
-(Dynkin quivers) the verdict is a certificate; otherwise it is a bounded
-search and reports say so.  A registry the caller does not pass is knitted
-once per quiver object, field and cap, in the workspace's registries.
+Z's own as the sources, and the oracle needs no trace form.  Every radical
+map into Z factors through Z's sink map, whose domain holds Z's direct
+predecessors in the AR quiver (Auslander-Reiten-Smalo ch. V.1), so they
+alone give the same subspace.  A registered Z whose predecessors are all
+registered (IndecRegistry.predecessors, read off the orbit coordinates)
+takes them as its sources; any other Z takes every entry but its own.  One
+scan for the first V whose determined subspace exceeds F_V decides
+determination and each member-removal check; the scans share F_V and the
+constraint rows, which the workspace keeps per request morphism.  On a
+complete registry (Dynkin quivers) the verdict is a certificate; otherwise
+it is a bounded search and reports say so.  A registry the caller does not
+pass is knitted once per quiver object, field and cap, in the workspace's
+registries.
 
 Every Hom space comes from reps.Workspace.hom, which on Dynkin type skips
 or checks Hom between known indecomposables by the Euler form.  That rests
@@ -164,10 +170,12 @@ class DeterminerEngine:
     """The formula and the oracle over one registry.
 
     The engine keeps no table: Hom spaces, factoring subspaces and
-    constraint rows live in the quiver's workspace.  ``report`` and
-    ``verify`` each open a request scope there, so what they write is kept
-    for the quiver's life only when it is keyed by registry entries and
-    canonical objects alone (reps.Workspace.request)."""
+    constraint rows live in the quiver's workspace.  ``report``, ``verify``
+    and the oracle calls (``almost_factors``, ``almost_factor_subspace``,
+    ``determined_subspace``, ``factors_through``) each open a request scope
+    there, so what they write is kept for the quiver's life only when it is
+    keyed by registry entries and canonical objects alone
+    (reps.Workspace.request)."""
 
     def __init__(self, registry: IndecRegistry):
         self.registry = registry
@@ -187,10 +195,11 @@ class DeterminerEngine:
         if g.codomain != f.codomain:
             raise SemanticError("morphisms do not share a codomain")
         ws = f.domain.quiver.workspace
-        htx = ws.hom(g.domain, f.domain)
-        hty = ws.hom(g.domain, f.codomain)
-        C = postcompose_matrix(htx, hty, f)
-        x = solve(C, hty.coordinates(g))
+        with ws.request():
+            htx = ws.hom(g.domain, f.domain)
+            hty = ws.hom(g.domain, f.codomain)
+            C = postcompose_matrix(htx, hty, f)
+            x = solve(C, hty.coordinates(g))
         if x is None:
             return None
         h = htx.from_coordinates(x)
@@ -224,22 +233,33 @@ class DeterminerEngine:
     def almost_factor_subspace(self, f: RepMorphism, Z: Representation) -> Subspace:
         """Maps Z -> Y all of whose radical precomposites factor through f.
 
-        Every entry but Z's own, a brick, is a source of radical maps into Z
-        (module docstring).  Contains the factoring subspace; Z almost
-        factors through f exactly when the containment is strict."""
-        own = self.registry.find_iso(Z)
-        if own is not None:
-            invariant(self.hom(Z, Z).dim == 1, "a registry entry is not a brick")
-        elif not is_indecomposable(Z):
-            raise NotIndecomposableError("almost factoring needs an indecomposable object")
-        R = self.determined_subspace(
-            f, [e.rep for e in self.registry.entries if e.index != own], Z)
-        invariant(R.contains(self.workspace.factoring_subspace(f, Z)),
-                  "almost-factoring subspace misses the factoring subspace")
+        Every radical map into Z factors through its sink map, so the
+        sources are Z's AR predecessors when the registry holds them all,
+        else (Z unregistered, a predecessor past the cap, Z's entry without
+        an orbit coordinate) every entry but Z's own, a brick (module
+        docstring).  Contains the factoring subspace; Z almost factors
+        through f exactly when the containment is strict."""
+        entries = self.registry.entries
+        with self.workspace.request():
+            own = self.registry.find_iso(Z)
+            preds = None
+            if own is not None:
+                invariant(self.hom(Z, Z).dim == 1, "a registry entry is not a brick")
+                preds = self.registry.predecessors[own]
+            elif not is_indecomposable(Z):
+                raise NotIndecomposableError("almost factoring needs an indecomposable object")
+            if preds is None:
+                sources = [e.rep for e in entries if e.index != own]
+            else:
+                sources = [entries[i].rep for i in preds]
+            R = self.determined_subspace(f, sources, Z)
+            invariant(R.contains(self.workspace.factoring_subspace(f, Z)),
+                      "almost-factoring subspace misses the factoring subspace")
         return R
 
     def almost_factors(self, f: RepMorphism, Z: Representation) -> bool:
-        return self.almost_factor_subspace(f, Z).dim > self.workspace.factoring_subspace(f, Z).dim
+        with self.workspace.request():
+            return self.almost_factor_subspace(f, Z).dim > self.workspace.factoring_subspace(f, Z).dim
 
     # -- the determination oracle -------------------------------------------
 
@@ -251,10 +271,11 @@ class DeterminerEngine:
         for the later scans of the same request."""
         ws, Y = self.workspace, f.codomain
         rows: list = []
-        for S in sources:
-            if self.hom(S, Y).dim and self.hom(S, V).dim:
-                rows.extend(ws.memo(ws.constraints, (f, V, S), lambda: self._constraint_rows(f, V, S)))
-        return kernel_of_rows(self.field, self.hom(V, Y).dim, rows)
+        with ws.request():
+            for S in sources:
+                if self.hom(S, Y).dim and self.hom(S, V).dim:
+                    rows.extend(ws.memo(ws.constraints, (f, V, S), lambda: self._constraint_rows(f, V, S)))
+            return kernel_of_rows(self.field, self.hom(V, Y).dim, rows)
 
     def _first_gap(self, f: RepMorphism, members) -> str | None:
         """Label of the first registry object V whose determined subspace

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .decompose import indec_iso_witness, is_indecomposable
 from .errors import (
@@ -193,6 +194,7 @@ class RegistryEntry:
     injective_vertex: str | None = None
     simple_vertex: str | None = None
     tau_minus: int | None = None   # registry index of TrD, None for injectives
+    orbit: tuple[str, int] | None = None  # (x, k) when the entry is tau^-k P_x
 
     @property
     def is_projective(self) -> bool:
@@ -208,7 +210,8 @@ class IndecRegistry:
     """Iso-classes of indecomposables discovered by knitting from the
     projectives; complete means the tau-minus closure terminated.  Knitted
     entries are preprojective, so their dimension vectors tell them apart:
-    by_dims maps each to its entry index."""
+    by_dims maps each to its entry index, and each carries its orbit
+    coordinate."""
 
     quiver: Quiver
     field: Field
@@ -232,6 +235,41 @@ class IndecRegistry:
         not (yet) registered."""
         i = self.find_iso(M)
         return _label(M, (), "?") if i is None else self.entries[i].label
+
+    @cached_property
+    def predecessors(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Per entry, the indices of its direct predecessors in the AR
+        quiver, or None when they are not all registered.  Read once the
+        registry is built.
+
+        The preprojective component has the shape NQ^op: the predecessors
+        of tau^-k P_x are tau^-k P_y for each arrow x -> y and
+        tau^-(k-1) P_z for each arrow z -> x, where those exist.  One does
+        not exist when its orbit ends at an injective before it; one past
+        the cap, or an entry without an orbit coordinate, gives None."""
+        at = {e.orbit: e.index for e in self.entries if e.orbit is not None}
+        ended = {e.orbit[0]: e.orbit[1] for e in self.entries if e.orbit is not None and e.is_injective}
+        q = self.quiver
+
+        def preds(entry):
+            if entry.orbit is None:
+                return None
+            x, k = entry.orbit
+            xi = q.vertex_index[x]
+            wanted = ([(t, k) for s, t in q.arrow_ends if s == xi]
+                      + [(s, k - 1) for s, t in q.arrow_ends if t == xi and k])
+            found = set()
+            for yi, j in wanted:
+                y = q.vertices[yi]
+                if (y, j) in at:
+                    found.add(at[(y, j)])
+                elif y not in ended:
+                    # past the cap; an orbit that ends at an injective
+                    # registers every entry up to its end
+                    return None
+            return tuple(sorted(found))
+
+        return tuple(map(preds, self.entries))
 
     def by_label(self, label: str) -> RegistryEntry:
         for e in self.entries:
@@ -275,18 +313,18 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
         raise SemanticError(f"cap {cap} is smaller than the vertex count {q.n_vertices}")
     reg = IndecRegistry(q, field, cap=cap)
 
-    def register(M: Representation) -> RegistryEntry:
+    def register(M: Representation, orbit: tuple[str, int]) -> RegistryEntry:
         idx = len(reg.entries)
         invariant(M.dims not in reg.by_dims, "two registry entries share a dimension vector")
         reg.by_dims[M.dims] = idx
         q.workspace.own(M)
         vertices = _canonical_vertices(M)
-        entry = RegistryEntry(_label(M, vertices, idx), M, idx, *vertices)
+        entry = RegistryEntry(_label(M, vertices, idx), M, idx, *vertices, orbit=orbit)
         reg.entries.append(entry)
         return entry
 
     for x in q.vertices:
-        register(projective_at(q, x, field))
+        register(projective_at(q, x, field), (x, 0))
     # the tau-minus orbits of the projectives never meet: from
     # tau^-k P_x = tau^-l P_y with k >= l, applying tau l times gives
     # tau^-(k-l) P_x = P_y, so k = l and x = y; each TrD is a new entry
@@ -302,7 +340,8 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
         invariant(is_indecomposable(t), "TrD of an indecomposable must be indecomposable")
         invariant(list(t.dims) == [sum(x * d for x, d in zip(row, entry.rep.dims)) for row in phi],
                   "TrD does not have the dimension vector of the Coxeter transformation")
-        entry.tau_minus = register(t).index
+        x, k = entry.orbit
+        entry.tau_minus = register(t, (x, k + 1)).index
     kind, types = classify_underlying_graph(q)
     if reg.complete and kind == "dynkin":
         invariant(len(reg.entries) == positive_root_count(types),

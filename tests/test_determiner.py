@@ -837,10 +837,14 @@ def test_first_left_request_keeps_the_opposite_registry_in_the_workspace(monkeyp
     # inside its request scope, and knit writes each TrD's presentation,
     # decomposition, End and Hom(t, t) before it registers t: those entries
     # are kept, since ownership is read when the scope closes, and a second
-    # left request solves again no Hom between entries that the first solved
+    # left request solves again no Hom between entries that the first solved.
+    # The second morphism is a scalar multiple of the first: a new request
+    # morphism on the same objects, so the two requests ask Hom of the same
+    # entry pairs
     q = qd.parse_quiver(E6_TEXT)
     reg = qd.knit(q)
-    f1, f2 = _seeded_morphisms(reg, random.Random(21), 2)
+    f1, = _seeded_morphisms(reg, random.Random(21), 1)
+    f2 = f1.scale(3)
     asked, solved = [], []
     real_hom, real_solve = Workspace.hom, Workspace._solve_hom
 
@@ -955,3 +959,102 @@ def test_almost_factoring_equals_the_radical_map_definition(text, cap, field):
             strict += R.dim > eng.workspace.factoring_subspace(f, Z).dim
     # some Z almost factors, so the skipped own entry matters
     assert strict
+
+
+def _spy_sources(eng):
+    """The source lists of every determined_subspace call on eng, in order."""
+    sourced = []
+    real = eng.determined_subspace
+
+    def spy(f, sources, V):
+        sourced.append(list(sources))
+        return real(f, sourced[-1], V)
+
+    eng.determined_subspace = spy
+    return sourced
+
+
+@pytest.mark.parametrize("text, field, cap", [
+    (E6_TEXT, "rat", 5000), (A5_TEXT, "rat", 5000), (D4_TEXT, "fp:7", 5000),
+    (KRONECKER_TEXT, "rat", 16), (A2_TILDE_TEXT, "rat", 18),
+], ids=["e6", "a5", "d4-fp7", "kronecker-cap16", "a2tilde-cap18"])
+def test_almost_factoring_sources_are_the_ar_predecessors(text, field, cap):
+    # every radical map into Z = tau^-k P_x factors through its sink map,
+    # whose domain holds Z's AR predecessors: tau^-k P_y for each arrow
+    # x -> y and tau^-(k-1) P_z for each arrow z -> x.  Sourced by them
+    # alone, the almost-factoring subspace equals the one every other entry
+    # determines, and dropping either rule changes it on every quiver
+    reg = qd.knit(qd.parse_quiver(text), field_from_name(field), cap)
+    assert None not in reg.predecessors
+    eng = DeterminerEngine(reg)
+    sourced = _spy_sources(eng)
+    dropped = {"same layer": 0, "layer below": 0}
+    for f in _seeded_morphisms(reg, random.Random(30), 3):
+        for e in reg.entries:
+            R = eng.almost_factor_subspace(f, e.rep)
+            preds = [reg.entries[i] for i in reg.predecessors[e.index]]
+            assert sourced[-1] == [p.rep for p in preds]
+            full = eng.determined_subspace(f, [u.rep for u in reg.entries if u is not e], e.rep)
+            assert R == full, (f, e.label)
+            k = e.orbit[1]
+            for rule, layer in (("same layer", k), ("layer below", k - 1)):
+                kept = [p.rep for p in preds if p.orbit[1] != layer]
+                dropped[rule] += eng.determined_subspace(f, kept, e.rep) != full
+    assert all(dropped.values()), dropped
+
+
+def test_almost_factoring_falls_back_to_every_entry_past_the_cap():
+    # the Kronecker knit at cap 15 stops after tau^-7 P_1, whose predecessor
+    # tau^-7 P_2 lies past the cap: that entry, like an object off the
+    # registry, takes every other entry as a source
+    reg = qd.knit(qd.parse_quiver(KRONECKER_TEXT), F, 15)
+    last = reg.entries[-1]
+    assert last.orbit == ("1", 7) and reg.predecessors[-1] is None
+    assert None not in reg.predecessors[:-1]
+    eng = DeterminerEngine(reg)
+    sourced = _spy_sources(eng)
+    beyond = qd.trd(last.rep)
+    assert reg.find_iso(beyond) is None
+    # maps into the last entry, from P_1 and from tau^-6 P_1
+    for f in (qd.zero_morphism(reg.entries[0].rep, last.rep),
+              eng.hom(reg.entries[-3].rep, last.rep).basis[0]):
+        R = eng.almost_factor_subspace(f, last.rep)
+        assert sourced[-1] == [e.rep for e in reg.entries[:-1]]
+        # its registered predecessors alone (none) would constrain nothing
+        assert R.dim < eng.hom(last.rep, last.rep).dim
+        eng.almost_factor_subspace(f, beyond)
+        assert sourced[-1] == [e.rep for e in reg.entries]
+
+
+def test_oracle_calls_outside_a_request_leave_no_request_entries():
+    # each public oracle call opens a request scope of its own: called
+    # outside any request, it leaves no factoring subspace, no constraint
+    # rows and no Hom space of an object the workspace does not own, though
+    # inside a request it writes them
+    q, reg, requests = _e6_stream(1)
+    f = requests[0][1]
+    ws = q.workspace
+    eng = DeterminerEngine(reg)
+    entries = [e.rep for e in reg.entries]
+    start = set(ws.homs)
+
+    def left():
+        return (len(ws.factorings), len(ws.constraints),
+                [k for k in set(ws.homs) - start if not (k[0] in ws.owned and k[1] in ws.owned)])
+
+    calls = {
+        "almost_factors": lambda: [eng.almost_factors(f, Z) for Z in entries],
+        "almost_factor_subspace": lambda: [eng.almost_factor_subspace(f, Z) for Z in entries],
+        "determined_subspace": lambda: [eng.determined_subspace(f, entries, V) for V in entries],
+        "factors_through": lambda: [eng.factors_through(qd.zero_morphism(Z, f.codomain), f)
+                                    for Z in entries] + [eng.factors_through(f, f)],
+    }
+    assert left() == (0, 0, [])
+    for name, call in calls.items():
+        with ws.request():
+            call()
+            assert left()[2], name
+        assert left() == (0, 0, []), name
+        call()
+        assert left() == (0, 0, []), name
+    assert sum(eng.almost_factors(f, Z) for Z in entries)

@@ -1,7 +1,7 @@
 """The package's import layering, read from the source with ``ast``: modules
 import each other at module level in one direction only, and a function
 imports from the package only where a module below needs a class of one
-above it."""
+above it.  The source holds no ``assert`` statement either."""
 
 import ast
 from pathlib import Path
@@ -82,3 +82,17 @@ def test_imports_are_layered():
         ("quiver", "_path_representation", "reps", ("Representation",)),
         ("quiver", "simple_at", "reps", ("Representation",)),
     }
+
+
+def _asserts(text: str) -> list[int]:
+    """Line numbers of the assert statements in the Python source text."""
+    return [node.lineno for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assert)]
+
+
+def test_source_has_no_assert_statements():
+    # invariants are explicit errors (errors.invariant), which still run
+    # under python -O, where assert statements are stripped
+    assert _asserts("def f(x):\n    assert x\n") == [2]
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 1
+    assert [f"{p.name}:{n}" for p in paths for n in _asserts(p.read_text(encoding="utf-8"))] == []
