@@ -62,7 +62,6 @@ from .decompose import (
 from .structure import (
     injective_hull,
     min_injective_copresentation,
-    min_projective_resolution,
     projective_cover,
     radical,
     socle,
@@ -79,7 +78,6 @@ from .translate import (
     euler_form,
     inverse_nakayama_on_injmap,
     knit,
-    nakayama_on_projmap,
     positive_root_count,
     trd,
 )

@@ -1,23 +1,22 @@
 """Socle, radical, top, projective covers, injective hulls, and the minimal
-(co)resolutions they induce.
+injective copresentation they induce.
 
 On a finite acyclic quiver a copy of the simple S_x inside M is a vector of
 M(x) killed by every arrow leaving x, so the socle is a vertexwise kernel
 intersection; dually the radical is the vertexwise sum of incoming images.
 Each is computed once as a family of canonical subspaces: reps.subrepresentation
 turns it into soc(M) or rad(M), reps.quotient into top(M), and the injective
-hull and projective cover read their block multiplicities from it directly.
-Covers are lifted deterministically: top basis vectors are sectioned back into
-M at the canonical complement coordinates, which pins every matrix of the
-resolution for golden tests.  Their terms are BlockSums: a sum of canonical
-P_x or I_x with its block layout, an offset table, built once per kind,
-vertex tuple and field in the quiver's workspace.  Two writers build every
-map between them: map_from_generators a map out of a projective sum from its
-generator images, map_to_cogenerators a map into an injective sum from each
-block's trivial-path row (Hom(N, I_x) = D N(x)).  The resolution differential
-sends the syzygy's top generators into P0, and the copresentation
-differential reads the cokernel projection at the cokernel's socle pivots,
-so neither builds the syzygy's cover or the cokernel's hull.
+hull reads its block multiplicities from the socle directly.  The projective
+cover is the dual of the injective hull of D M over the opposite quiver.
+Hulls read the dual basis of the socle basis, which pins every matrix of the
+copresentation for golden tests.  Their terms are BlockSums: a sum of
+canonical P_x or I_x with its block layout, an offset table, built once per
+kind, vertex tuple and field in the quiver's workspace.  Two writers build
+every map between them: map_from_generators a map out of a projective sum
+from its generator images, map_to_cogenerators a map into an injective sum
+from each block's trivial-path row (Hom(N, I_x) = D N(x)).  The
+copresentation differential reads the cokernel projection at the cokernel's
+socle pivots, so it builds no hull of the cokernel.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .reps import (
     RepMorphism,
     Representation,
     block_diagonal_sum,
-    kernel,
+    dual_representation,
     quotient,
     quotient_representation,
     subrepresentation,
@@ -142,14 +141,6 @@ def map_to_cogenerators(M: Representation, bs: BlockSum, funcs) -> RepMorphism:
                                         for yi, rows in enumerate(comps)))
 
 
-def _top_generators(M: Representation, image) -> tuple[BlockSum, list]:
-    """P with the multiplicities of top(M), and image(i, g) of each top generator g in M(i)."""
-    sections = [rad.complement_section() for rad in _radical_subspaces(M)]
-    vertices = [x for x, s in zip(M.quiver.vertices, sections) for _ in range(s.cols)]
-    generators = [image(i, g) for i, s in enumerate(sections) for g in s.columns()]
-    return projective_block_sum(M.quiver, M.field, vertices), generators
-
-
 def _socle_cogenerators(M: Representation, row) -> tuple[BlockSum, list]:
     """I with the multiplicities of soc(M), and row(i, k) for each socle pivot k of M(i)."""
     socles = _socle_subspaces(M)
@@ -160,9 +151,16 @@ def _socle_cogenerators(M: Representation, row) -> tuple[BlockSum, list]:
 
 def projective_cover(M: Representation) -> tuple[BlockSum, RepMorphism]:
     """P = direct sum of P_x with the multiplicities of top(M), together with
-    the cover epimorphism lifting the identification of tops."""
-    ps, generators = _top_generators(M, lambda i, g: g)
-    cover = map_from_generators(ps, M, generators)
+    the cover epimorphism: the dual of the injective hull of D M over the
+    opposite quiver, whose I_x dualizes to P_x.  Block j sends its generator
+    to the hull's trivial-path row of block j, read as a vector of M.  The
+    transposed hull is not written out: D I_x lists the paths of P_x
+    reversed, which can reorder two paths of one length."""
+    bs, hull = injective_hull(dual_representation(M))
+    vi = M.quiver.vertex_index
+    gens = [hull.comps[vi[x]].entries[bs.offsets[vi[x]][j]] for j, x in enumerate(bs.block_vertices)]
+    ps = projective_block_sum(M.quiver, M.field, bs.block_vertices)
+    cover = map_from_generators(ps, M, gens)
     invariant(cover.is_epi(), "projective cover failed to be surjective")
     return ps, cover
 
@@ -177,18 +175,6 @@ def injective_hull(M: Representation) -> tuple[BlockSum, RepMorphism]:
 
 
 @dataclass(frozen=True)
-class ProjResolution:
-    """0 -> P1 -> P0 -> M -> 0 with explicit canonical blocks."""
-
-    module: Representation
-    p0: BlockSum
-    p1: BlockSum
-    differential: RepMorphism   # P1 -> P0
-    cover: RepMorphism          # P0 -> M
-    generators: tuple           # the differential's image of each generator of P1
-
-
-@dataclass(frozen=True)
 class InjCopresentation:
     """0 -> M -> I0 -> I1 -> 0 with explicit canonical blocks."""
 
@@ -198,19 +184,6 @@ class InjCopresentation:
     differential: RepMorphism   # I0 -> I1
     hull: RepMorphism           # M -> I0
     rows: tuple                 # the differential's trivial-path row of each block of I1
-
-
-def min_projective_resolution(M: Representation) -> ProjResolution:
-    """Minimal projective resolution.  The syzygy K is projective (hereditary),
-    and the differential, the inclusion after the cover of K, sends each
-    generator to a top generator of K; mono with dims P1 = dims K, it is exact."""
-    p0, cover = projective_cover(M)
-    K, incl = kernel(cover)
-    p1, generators = _top_generators(K, lambda i, g: incl.comps[i].apply(g))
-    invariant(p1.rep.dims == K.dims, "syzygy of a cover must be projective here")
-    diff = map_from_generators(p1, p0.rep, generators)
-    invariant(diff.is_mono(), "resolution differential is not injective")
-    return ProjResolution(M, p0, p1, diff, cover, tuple(generators))
 
 
 def min_injective_copresentation(M: Representation) -> InjCopresentation:

@@ -1,4 +1,4 @@
-"""Nakayama transport, the translates DTr and TrD, knitting enumeration of
+"""Nakayama transport, the translates TrD and DTr, knitting enumeration of
 indecomposables, positive-root counts, and the Cartan and inverse Coxeter
 matrices.  The Euler form and the Dynkin classification of the underlying
 graph need only a quiver: they are quiver.euler_form and
@@ -6,14 +6,15 @@ quiver.classify_underlying_graph, re-exported here.
 
 Hom(P_x, P_y) has the paths y -> x as a canonical basis (read off the image of
 the trivial-path generator), and Hom(I_x, I_y) has the same index set (read
-off the coefficient of the trivial path at vertex y).  The Nakayama
-equivalence is exactly this relabeling: the generator images of a map between
-explicit sums of projectives, cut at the offsets each BlockSum carries and
-regrouped, are the trivial-path rows of the map between the sums of
-injectives, and conversely; map_to_cogenerators and map_from_generators write
-the transported map from them.  dtr and trd take them from the resolution
-and copresentation that wrote them; the public transports read them off the
-given map and check that they write it back.
+off the coefficient of the trivial path at vertex y).  The inverse Nakayama
+equivalence is exactly this relabeling: the trivial-path rows of a map
+between explicit sums of injectives, cut at the offsets each BlockSum
+carries and regrouped, are the generator images of the map between the sums
+of projectives, which map_from_generators writes.  trd takes the rows from
+the copresentation that wrote them; the one public transport,
+inverse_nakayama_on_injmap, reads them off the given map and checks that
+they write it back.  DTr is TrD over the opposite quiver conjugated by the
+duality D (Auslander-Reiten-Smalo ch. IV.1), so dtr has no code of its own.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ from .quiver import (
     injective_at,
     projective_at,
 )
-from .reps import RepMorphism, Representation, kernel, quotient_representation
+from .reps import RepMorphism, Representation, dual_representation, quotient_representation
 from .structure import (
     BlockSum,
-    injective_block_sum,
     map_from_generators,
     map_to_cogenerators,
     min_injective_copresentation,
-    min_projective_resolution,
     projective_block_sum,
 )
 
@@ -71,24 +70,6 @@ def _regroup(vecs, cut: BlockSum, paste: BlockSum) -> list[tuple]:
     return out
 
 
-def _transport(m: RepMorphism, write, write_back):
-    """write(), the transported map and its sums, once write_back() gives m."""
-    try:
-        out = write()
-        if write_back() != m:
-            raise InputNotInPathBasisError("map could not be transported faithfully")
-        return out
-    except SemanticError as e:
-        raise InputNotInPathBasisError(f"blocks do not carry the map: {e}") from None
-
-
-def _nakayama(dom: BlockSum, cod: BlockSum, gens):
-    """nu of the map with generator images gens, with its injective sums."""
-    q, field = dom.rep.quiver, dom.rep.field
-    tdom, tcod = (injective_block_sum(q, field, bs.block_vertices) for bs in (dom, cod))
-    return map_to_cogenerators(tdom.rep, tcod, _regroup(gens, cod, tdom)), tdom, tcod
-
-
 def _inverse_nakayama(dom: BlockSum, cod: BlockSum, rows):
     """nu^-1 of the map with trivial-path rows rows, with its projective sums."""
     q, field = dom.rep.quiver, dom.rep.field
@@ -96,21 +77,20 @@ def _inverse_nakayama(dom: BlockSum, cod: BlockSum, rows):
     return map_from_generators(tdom, tcod.rep, _regroup(rows, dom, tcod)), tdom, tcod
 
 
-def nakayama_on_projmap(g: RepMorphism, dom: BlockSum, cod: BlockSum):
-    """Transport a map between explicit projective sums along P_x -> I_x;
-    returns it with its domain and codomain injective block sums."""
-    vi = g.domain.quiver.vertex_index
-    gens = [g.comps[vi[x]].col(dom.offsets[vi[x]][j]) for j, x in enumerate(dom.block_vertices)]
-    return _transport(g, lambda: _nakayama(dom, cod, gens),
-                      lambda: map_from_generators(dom, cod.rep, gens))
-
-
 def inverse_nakayama_on_injmap(h: RepMorphism, dom: BlockSum, cod: BlockSum):
-    """Transport a map between explicit injective sums along I_x -> P_x."""
+    """Transport a map between explicit injective sums along I_x -> P_x;
+    returns it with its domain and codomain projective block sums.  The
+    trivial-path rows it reads must write h back, else
+    InputNotInPathBasisError; so must an offset table that points past h."""
     vi = h.domain.quiver.vertex_index
-    rows = [h.comps[vi[y]].entries[cod.offsets[vi[y]][i]] for i, y in enumerate(cod.block_vertices)]
-    return _transport(h, lambda: _inverse_nakayama(dom, cod, rows),
-                      lambda: map_to_cogenerators(dom.rep, cod, rows))
+    try:
+        rows = [h.comps[vi[y]].entries[cod.offsets[vi[y]][i]] for i, y in enumerate(cod.block_vertices)]
+        out = _inverse_nakayama(dom, cod, rows)
+        if map_to_cogenerators(dom.rep, cod, rows) != h:
+            raise InputNotInPathBasisError("map could not be transported faithfully")
+        return out
+    except (SemanticError, IndexError) as e:
+        raise InputNotInPathBasisError(f"blocks do not carry the map: {e}") from None
 
 
 def _iso_vertex(M: Representation, canonical) -> str | None:
@@ -123,19 +103,15 @@ def _iso_vertex(M: Representation, canonical) -> str | None:
 
 
 def dtr(M: Representation) -> Representation:
-    """The translate DTr M: the kernel of nu(d): I_1 -> I_0, written from the
-    generator images of the minimal projective resolution differential d.
-    Its cokernel nu(M) = D Hom(M, A) is zero on a hereditary path algebra
-    exactly when M has no projective summand, which the kernel's dimension
-    dim I_1 - dim I_0 shows; otherwise HasProjectiveSummandError."""
-    if M.total_dim == 0:
-        return M
-    res = min_projective_resolution(M)
-    nu, i1, i0 = _nakayama(res.p1, res.p0, res.generators)
-    K = kernel(nu)[0]
-    if K.dims != tuple(a - b for a, b in zip(i1.rep.dims, i0.rep.dims)):
-        raise HasProjectiveSummandError("DTr is undefined on projective summands")
-    return K
+    """The translate DTr M = D TrD D M, TrD taken over the opposite quiver in
+    one request on its workspace, so the presentation trd records there goes
+    when the call ends.  D M has an injective summand exactly when M has a
+    projective one: HasProjectiveSummandError."""
+    with M.quiver.opposite.workspace.request():
+        try:
+            return dual_representation(trd(dual_representation(M)))
+        except HasInjectiveSummandError:
+            raise HasProjectiveSummandError("DTr is undefined on projective summands") from None
 
 
 def trd(M: Representation) -> Representation:

@@ -19,7 +19,7 @@ from quivdet.decompose import (
 from quivdet.determiner import DeterminerEngine
 from quivdet.linalg import Mat, RATIONALS, Subspace, kernel_basis, rref, solve
 from quivdet.reps import hom_basis, postcompose_matrix
-from quivdet.structure import projective_block_sum
+from quivdet.structure import injective_block_sum
 
 from conftest import corpus_morphisms
 
@@ -150,9 +150,9 @@ def test_criterion_5_translate_round_trips(corpus_engines):
                 assert qd.is_isomorphic(qd.dtr(qd.trd(e.rep)), e.rep), (name, e.label)
                 pairs += 1
         for x in q.vertices:
-            ps = projective_block_sum(q, engine.field, (x,))
-            _, idom, _ = qd.nakayama_on_projmap(qd.identity_morphism(ps.rep), ps, ps)
-            assert qd.is_isomorphic(idom.rep, qd.injective_at(q, x, engine.field))
+            bs = injective_block_sum(q, engine.field, (x,))
+            _, pdom, _ = qd.inverse_nakayama_on_injmap(qd.identity_morphism(bs.rep), bs, bs)
+            assert qd.is_isomorphic(pdom.rep, qd.projective_at(q, x, engine.field))
     print(f"\nPASS criterion 5: {pairs} translate round trips plus Nakayama "
           f"images verified")
 

@@ -1,7 +1,8 @@
 """The package's import layering, read from the source with ``ast``: modules
 import each other at module level in one direction only, and a function
 imports from the package only where a module below needs a class of one
-above it.  The source holds no ``assert`` statement either."""
+above it.  The source holds no ``assert`` statement either, and no top-level
+definition that no code of the package names, but for a listed few."""
 
 import ast
 from pathlib import Path
@@ -96,3 +97,56 @@ def test_source_has_no_assert_statements():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) > 1
     assert [f"{p.name}:{n}" for p in paths for n in _asserts(p.read_text(encoding="utf-8"))] == []
+
+
+def _unreferenced(sources: dict[str, str]) -> set[str]:
+    """Top-level functions and classes of the module sources (file name ->
+    text) that no source but __init__.py names outside their own
+    definition."""
+    defined, named = set(), set()
+    for filename, text in sources.items():
+        for stmt in ast.parse(text).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(stmt.name)
+                own = stmt.name
+            if filename == "__init__.py":
+                continue
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(name, str) and name != own:
+                    named.add(name)
+    return defined - named
+
+
+# each top-level name that no code of the package names, with the reason it
+# stays; perfbench traces or calls some, so they keep their names
+UNREFERENCED = {
+    "paths_between": "traced by perfbench/spans.py; public API",
+    "cokernel": "traced by perfbench/spans.py; public API, the tests' reference quotient",
+    "direct_sum": "called and traced by perfbench; public API with injections and projections",
+    "intrinsic_kernel": "traced by perfbench/spans.py; public API, the formula's first ingredient",
+    "zero_morphism": "called by perfbench/workloads.py; public API, the zero map",
+    "dtr": "public API, the AR translate tau = D TrD D",
+    "projective_cover": "public API, the dual of injective_hull",
+    "inverse_nakayama_on_injmap": "public API; the reference transport of the TrD tests",
+    "is_isomorphic": "public API; the iso test of the tests and the acceptance criteria",
+    "top_multiplicities": "public API, the counterpart of socle_multiplicities",
+    "socle": "public API, the counterpart of radical",
+    "top": "public API, the counterpart of radical",
+    "minimal_polynomial": "public API over decompose's Fitting splits",
+    "zero_representation": "public API, the zero object",
+    "precompose_matrix": "public API, the counterpart of postcompose_matrix",
+    "rad_hom_basis": "public API; the tests check almost-factoring subspaces against it",
+    "minimal_right_determiner": "public API, the one-call right determiner",
+}
+
+
+def test_source_has_no_unreferenced_definitions():
+    # a definition no code path reaches is dead weight; those kept as public
+    # API or as references the tests compare against are listed with a reason
+    assert _unreferenced({"a.py": "def f():\n    return f()\n\ndef g():\n    return 0\n",
+                          "b.py": "from .a import g\nx = g()\n",
+                          "__init__.py": "from .a import f\nf()\n"}) == {"f"}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert sorted(_unreferenced(sources)) == sorted(UNREFERENCED)

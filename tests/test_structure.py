@@ -1,4 +1,4 @@
-"""Socle, radical, top, covers, hulls, and minimal (co)resolutions."""
+"""Socle, radical, top, covers, hulls, and the minimal injective copresentation."""
 
 import pytest
 
@@ -57,21 +57,6 @@ def test_injective_hull_examples(a3):
     assert socle_multiplicities(bs.rep) == socle_multiplicities(qd.projective_at(a3, "1"))
 
 
-def test_min_projective_resolution_of_s2(a3):
-    res = qd.min_projective_resolution(qd.simple_at(a3, "2"))
-    assert res.p0.block_vertices == ("2",)
-    assert res.p1.block_vertices == ("1",)
-    for i in range(3):
-        assert res.p1.rep.dims[i] - res.p0.rep.dims[i] + res.module.dims[i] == 0
-    assert res.differential.is_mono()
-    assert res.cover.is_epi()
-
-
-def test_min_resolution_of_projective_is_trivial(a3):
-    res = qd.min_projective_resolution(qd.projective_at(a3, "3"))
-    assert res.p1.rep.is_zero()
-
-
 def test_min_injective_copresentation_of_p1(a3):
     cop = qd.min_injective_copresentation(qd.projective_at(a3, "1"))
     assert cop.i0.block_vertices == ("1",)
@@ -114,6 +99,22 @@ def test_cover_of_direct_sum(a3):
     ps, cover = qd.projective_cover(M)
     assert ps.block_vertices == ("2", "2")
     assert cover.is_epi()
+
+
+def test_cover_where_reversing_paths_reorders_them():
+    # 1 => 2 => 3: D I_1 over the opposite quiver lists the four paths
+    # 1 -> 3 in another order than P_1, so the cover cannot be the
+    # transposed hull; it is written from generators into P_1's own basis
+    q = qd.parse_quiver("vertex 1\nvertex 2\nvertex 3\n"
+                        "arrow a 1 2\narrow b 1 2\narrow c 2 3\narrow d 2 3")
+    assert qd.dual_representation(qd.injective_at(q.opposite, "1")) != qd.projective_at(q, "1")
+    for x in q.vertices:
+        for M in (qd.simple_at(q, x), qd.injective_at(q, x),
+                  qd.direct_sum([qd.simple_at(q, x), qd.injective_at(q, x)])[0]):
+            ps, cover = qd.projective_cover(M)
+            assert ps == projective_block_sum(q, F, ps.block_vertices)
+            assert cover.is_epi() and qd.right_minimal_version(cover).already_minimal
+            assert top_multiplicities(ps.rep) == top_multiplicities(M)
 
 
 def test_covers_and_hulls_are_minimal(a3_registry):

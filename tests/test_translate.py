@@ -25,75 +25,87 @@ F = RATIONALS
 
 
 def test_nakayama_identity_and_zero(a3):
-    ps = projective_block_sum(a3, F, ("2",))
-    ident = qd.identity_morphism(ps.rep)
-    nu, idom, icod = qd.nakayama_on_projmap(ident, ps, ps)
-    assert nu == qd.identity_morphism(idom.rep)
-    zero = qd.zero_morphism(ps.rep, ps.rep)
-    nuz, _, _ = qd.nakayama_on_projmap(zero, ps, ps)
-    assert nuz.is_zero()
+    bs = injective_block_sum(a3, F, ("2",))
+    ident = qd.identity_morphism(bs.rep)
+    g, pdom, pcod = qd.inverse_nakayama_on_injmap(ident, bs, bs)
+    assert g == qd.identity_morphism(pdom.rep)
+    zero = qd.zero_morphism(bs.rep, bs.rep)
+    gz, _, _ = qd.inverse_nakayama_on_injmap(zero, bs, bs)
+    assert gz.is_zero()
 
 
 def test_nakayama_sends_px_to_ix(a3):
+    # read backwards: the inverse transport sends I_x to P_x
     for x in a3.vertices:
-        ps = projective_block_sum(a3, F, (x,))
-        _, idom, _ = qd.nakayama_on_projmap(qd.identity_morphism(ps.rep), ps, ps)
-        assert qd.is_isomorphic(idom.rep, qd.injective_at(a3, x))
+        bs = injective_block_sum(a3, F, (x,))
+        _, pdom, _ = qd.inverse_nakayama_on_injmap(qd.identity_morphism(bs.rep), bs, bs)
+        assert qd.is_isomorphic(pdom.rep, qd.projective_at(a3, x))
 
 
 def test_nakayama_on_inclusion(a3):
-    # the inclusion P_1 -> P_2 transports to the map I_1 -> I_2 that kills
-    # the vertex-1 component
-    dom = projective_block_sum(a3, F, ("1",))
-    cod = projective_block_sum(a3, F, ("2",))
-    incl = qd.hom_basis(dom.rep, cod.rep).basis[0]
-    nu, idom, icod = qd.nakayama_on_projmap(incl, dom, cod)
-    assert idom.rep.dims == (1, 1, 1) and icod.rep.dims == (0, 1, 1)
-    assert nu.comps[a3.vertex_index["1"]].is_zero()
-    assert not nu.is_zero()
-    K, _ = qd.kernel(nu)
-    assert K.dims == (1, 0, 0)
+    # the map I_1 -> I_2 that kills the vertex-1 component transports to
+    # the inclusion P_1 -> P_2
+    dom = injective_block_sum(a3, F, ("1",))
+    cod = injective_block_sum(a3, F, ("2",))
+    h = qd.hom_basis(dom.rep, cod.rep).basis[0]
+    assert h.comps[a3.vertex_index["1"]].is_zero() and qd.kernel(h)[0].dims == (1, 0, 0)
+    g, pdom, pcod = qd.inverse_nakayama_on_injmap(h, dom, cod)
+    assert pdom.rep.dims == (1, 0, 0) and pcod.rep.dims == (1, 1, 0)
+    assert g.is_mono() and not g.is_zero()
+    assert qd.cokernel(g)[0].dims == (0, 1, 0)
 
 
 def test_nakayama_rejects_malformed_blocks(a3):
     from quivdet.errors import InputNotInPathBasisError
     from quivdet.structure import BlockSum
-    ps = projective_block_sum(a3, F, ("3",))
-    ident = qd.identity_morphism(ps.rep)
-    # claim the block is P_1: the path structure cannot carry the map, which
-    # the faithfulness round trip inside the transport detects
-    lying = BlockSum(ps.rep, ("1",), ps.offsets)
+    bs = injective_block_sum(a3, F, ("1",))
+    ident = qd.identity_morphism(bs.rep)
+    # claim the block is I_3: the path structure cannot carry the map, which
+    # writing the map back inside the transport detects
+    lying = BlockSum(bs.rep, ("3",), bs.offsets)
     with pytest.raises(InputNotInPathBasisError):
-        qd.nakayama_on_projmap(ident, lying, lying)
+        qd.inverse_nakayama_on_injmap(ident, lying, lying)
     # a structural mismatch already fails where the blocks are read: the
-    # block from P_3 to the claimed P_1 has one coordinate at vertex 3, but
-    # no path runs 1 -> 3
-    taller = projective_block_sum(a3, F, ("3", "3"))
-    mism = BlockSum(taller.rep, ("3", "1"), taller.offsets)
+    # block from the claimed I_3 to I_1 has one coordinate at vertex 3, but
+    # P_3 -> P_1 has none, since no path runs 1 -> 3
+    taller = injective_block_sum(a3, F, ("1", "1"))
+    mism = BlockSum(taller.rep, ("1", "3"), taller.offsets)
     with pytest.raises(InputNotInPathBasisError, match="malformed"):
-        qd.nakayama_on_projmap(qd.identity_morphism(taller.rep), mism, mism)
+        qd.inverse_nakayama_on_injmap(qd.identity_morphism(taller.rep), mism, mism)
+    # swapped labels point block 1 past the rows of I_2 + I_3 at vertex 2
+    pair = injective_block_sum(a3, F, ("2", "3"))
+    swapped = BlockSum(pair.rep, ("3", "2"), pair.offsets)
+    with pytest.raises(InputNotInPathBasisError):
+        qd.inverse_nakayama_on_injmap(qd.identity_morphism(pair.rep), swapped, swapped)
 
 
-def test_inverse_nakayama_round_trip(a3):
+def test_inverse_nakayama_maps_hom_bases_and_composition(a3):
     # Kronecker: parallel arrows give several paths of one length; D4 and the
-    # Kronecker sums repeat block vertices on both sides
+    # Kronecker sums repeat block vertices on both sides.  nu^-1 sends a
+    # basis of Hom(I-sum, I-sum) to a basis of Hom(P-sum, P-sum), and
+    # nu^-1(h e) = nu^-1(h) nu^-1(e) for e in End of the domain sum
     kronecker = qd.parse_quiver("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2")
     cases = [(a3, ("1",), ("2", "3")),
              (kronecker, ("2", "1", "2"), ("1", "2", "1")),
              (kronecker, ("1", "1"), ("1", "2")),
              (d4_subspace_quiver(), ("c", "1", "c"), ("1", "c", "2", "c"))]
     for q, dv, cv in cases:
-        dom, cod = projective_block_sum(q, F, dv), projective_block_sum(q, F, cv)
-        hs = qd.hom_basis(dom.rep, cod.rep)
-        assert hs.dim > 0
-        for g in hs.basis:
-            nu, idom, icod = qd.nakayama_on_projmap(g, dom, cod)
-            back, pdom, pcod = qd.inverse_nakayama_on_injmap(nu, idom, icod)
-            assert back == g and (pdom, pcod) == (dom, cod)
         idom, icod = injective_block_sum(q, F, dv), injective_block_sum(q, F, cv)
-        for h in qd.hom_basis(idom.rep, icod.rep).basis:
-            g, pdom, pcod = qd.inverse_nakayama_on_injmap(h, idom, icod)
-            assert qd.nakayama_on_projmap(g, pdom, pcod)[0] == h
+        pdom, pcod = projective_block_sum(q, F, dv), projective_block_sum(q, F, cv)
+        hs = qd.hom_basis(idom.rep, icod.rep)
+        assert hs.dim > 0
+        images = []
+        for h in hs.basis:
+            g, gdom, gcod = qd.inverse_nakayama_on_injmap(h, idom, icod)
+            assert (gdom, gcod) == (pdom, pcod)
+            images.append(qd.HomSpace.flatten(g))
+        assert qd.hom_basis(pdom.rep, pcod.rep).dim == len(images)
+        assert Mat.from_rows(F, images, len(images[0])).rank() == len(images)
+        for e in qd.hom_basis(idom.rep, idom.rep).basis:
+            nu_e = qd.inverse_nakayama_on_injmap(e, idom, idom)[0]
+            for h in hs.basis:
+                assert (qd.inverse_nakayama_on_injmap(h @ e, idom, icod)[0]
+                        == qd.inverse_nakayama_on_injmap(h, idom, icod)[0] @ nu_e)
 
 
 def test_dtr_examples(a3):
@@ -109,16 +121,34 @@ def test_trd_examples(a3):
         qd.trd(qd.injective_at(a3, "2"))
 
 
+def _unowned_keys(ws) -> set:
+    """(table, key) for each workspace entry whose key is not owned."""
+    return {(name, key) for name, table in vars(ws).items() if hasattr(table, "keys")
+            for key in list(table.keys()) if not ws._owns(key)}
+
+
 def test_translate_round_trips_on_corpus(corpus_engines):
-    for name, engine in corpus_engines:
-        reg = engine.registry
+    # tau(tau^- M) = M for every non-injective M and tau^-(tau M) = M for
+    # every non-projective M; dtr runs trd over the opposite quiver in a
+    # request there, so it leaves only owned objects in that workspace, and
+    # a dtr inside an open request there returns the same representation
+    registries = [(name, engine.registry) for name, engine in corpus_engines]
+    registries += [(name, qd.knit(qd.parse_quiver(text), cap=cap)) for name, text, cap in (
+        ("E6", E6_TEXT, 5000), ("D4", D4_TEXT, 5000), ("A5", A5_TEXT, 5000),
+        ("kronecker-cap20", KRONECKER_TEXT, 20))]
+    for name, reg in registries:
+        ws = reg.quiver.opposite.workspace
+        before = _unowned_keys(ws)
         for e in reg.entries:
             if not e.is_projective:
                 t = qd.dtr(e.rep)
                 assert qd.is_isomorphic(qd.trd(t), e.rep), (name, e.label)
+                with ws.request():
+                    assert qd.dtr(e.rep) == t, (name, e.label)
             if not e.is_injective:
                 t = qd.trd(e.rep)
                 assert qd.is_isomorphic(qd.dtr(t), e.rep), (name, e.label)
+        assert _unowned_keys(ws) == before, name
 
 
 def test_translates_preserve_indecomposability(a3_registry):
@@ -388,7 +418,7 @@ def test_knit_builds_one_hull_per_trd_and_transports_nothing_back(monkeypatch):
     def no_transport(*args):
         raise AssertionError("knit must not transport a map back to check it")
 
-    monkeypatch.setattr(translate, "_transport", no_transport)
+    monkeypatch.setattr(translate, "inverse_nakayama_on_injmap", no_transport)
     ends = []
     real_post_init = reps.RepMorphism.__post_init__
 
@@ -518,23 +548,19 @@ A5_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
 def test_translates_match_the_hull_and_cover_of_the_syzygy(text, cap, field_name):
     # the reference construction: the copresentation differential is the
     # hull of the cokernel after the projection, and TrD the cokernel of its
-    # checked Nakayama transport; dually the resolution differential is the
-    # cover of the syzygy followed by the inclusion, and DTr the kernel of
-    # its checked transport
+    # checked Nakayama transport; dtr is D trd D, so the same holds over the
+    # opposite quiver
     from quivdet.reps import quotient
-    from quivdet.structure import (
-        injective_hull,
-        min_injective_copresentation,
-        min_projective_resolution,
-        projective_cover,
-    )
+    from quivdet.structure import injective_hull, min_injective_copresentation
     from quivdet.translate import _cokernel_presentation
 
+    field = field_from_name(field_name)
     q = qd.parse_quiver(text)
-    reg = qd.knit(q, field_from_name(field_name), cap=cap)
-    for e in reg.entries:
-        M = e.rep
-        if not e.is_injective:
+    for quiver in (q, q.opposite):
+        for e in qd.knit(quiver, field, cap=cap).entries:
+            if e.is_injective:
+                continue
+            M = e.rep
             cop = min_injective_copresentation(M)
             C, proj = qd.cokernel(cop.hull)
             assert cop.differential == injective_hull(C)[1] @ proj
@@ -542,13 +568,8 @@ def test_translates_match_the_hull_and_cover_of_the_syzygy(text, cap, field_name
             images = [column_space(c) for c in g.comps]
             t = qd.trd(M)
             assert t == quotient(p1.rep, images)[0]
-            assert q.workspace.presentations[t] == _cokernel_presentation(g, p0, p1, images)
-        if not e.is_projective:
-            res = min_projective_resolution(M)
-            K, incl = qd.kernel(res.cover)
-            assert res.differential == incl @ projective_cover(K)[1]
-            nu, _, _ = qd.nakayama_on_projmap(res.differential, res.p1, res.p0)
-            assert qd.dtr(M) == qd.kernel(nu)[0]
+            assert quiver.workspace.presentations[t] == _cokernel_presentation(g, p0, p1, images)
+            assert qd.dtr(qd.dual_representation(M)) == qd.dual_representation(t)
 
 
 def _form_mismatches(reg, solved, form):
