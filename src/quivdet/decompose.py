@@ -563,9 +563,22 @@ def _grouped(M: Representation, pieces) -> DecompositionResult:
 
 
 def is_indecomposable(M: Representation) -> bool:
+    """Whether M is indecomposable: read off its stored decomposition, else
+    from one _split_once certificate, after which M is recorded in the
+    workspace's indecomposables.  No DecompositionResult is built; decompose
+    builds one on demand.  The indecomposables record is not read, so an M
+    equal by value to a recorded one (a TrD equal to a canonical I_y) still
+    gets its End(M) certificate."""
     if M.total_dim == 0:
         return False
-    return decompose(M).is_indecomposable()
+    ws = M.quiver.workspace
+    known = ws.decompositions.get(M)
+    if known is not None:
+        return known.is_indecomposable()
+    if _split_once(M) is not None:
+        return False
+    ws.indecomposable(M)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -624,8 +624,10 @@ class Subspace:
 
         Rows are indexed by non-pivot coordinates j; applied to v it returns
         the non-pivot coordinates of v reduced modulo the subspace.  Its
-        kernel is exactly this subspace.
+        kernel is exactly this subspace, so a full one has no rows.
         """
+        if self.is_full():
+            return Mat(self.field, 0, self.ambient_dim, ())
         pivset = set(self.pivots)
         rows = []
         for j in range(self.ambient_dim):
@@ -664,8 +666,11 @@ def kernel_basis(m: Mat) -> Subspace:
     vector of free column j, 1 at j and -r_c[j]/r_c[c] at each pivot c,
     therefore leads at j and is zero at every other free column: the vectors
     in order of j are already the unique RREF basis of the null space, and no
-    second elimination is needed to put them in canonical form.
+    second elimination is needed to put them in canonical form.  With no
+    columns the null space is the zero space, returned directly.
     """
+    if not m.cols:
+        return Subspace.zero(m.field, 0)
     return kernel_of_rows(m.field, m.cols, int_rows(m.field, _nonzeros(m.entries)))
 
 
@@ -686,7 +691,10 @@ def kernel_of_rows(field: Field, ncols: int, rows: list[dict]) -> Subspace:
 
 
 def column_space(m: Mat) -> Subspace:
-    """The span of the columns of m, read straight into canonical form."""
+    """The span of the columns of m, read straight into canonical form; the
+    zero space, directly, when m has no rows or no columns."""
+    if not (m.rows and m.cols):
+        return Subspace.zero(m.field, m.rows)
     return span_of_rows(m.field, m.rows, _nonzeros(zip(*m.entries)))
 
 

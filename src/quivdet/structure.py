@@ -40,9 +40,10 @@ from .reps import (
 
 def _socle_subspaces(M: Representation) -> list[Subspace]:
     """soc(M)(x): the intersection of the kernels of all arrow maps leaving x
-    (all of M(x) when none leaves x or M(x) = 0)."""
-    return [reduce(Subspace.intersect, [kernel_basis(M.action[ai]) for ai in arrows])
-            if arrows and d else Subspace.full(M.field, d)
+    (all of M(x) when none leaves x, the zero space when M(x) = 0)."""
+    return [Subspace.zero(M.field, 0) if not d
+            else reduce(Subspace.intersect, [kernel_basis(M.action[ai]) for ai in arrows])
+            if arrows else Subspace.full(M.field, d)
             for d, arrows in zip(M.dims, M.quiver.arrows_from)]
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from operator import mul
 
 from .decompose import indec_iso_witness, is_indecomposable
 from .errors import (
@@ -93,13 +94,16 @@ def inverse_nakayama_on_injmap(h: RepMorphism, dom: BlockSum, cod: BlockSum):
         raise InputNotInPathBasisError(f"blocks do not carry the map: {e}") from None
 
 
-def _iso_vertex(M: Representation, canonical) -> str | None:
-    """First vertex x with the indecomposable M isomorphic to
-    canonical(q, x, field), or None."""
-    for x in M.quiver.vertices:
-        if indec_iso_witness(M, canonical(M.quiver, x, M.field)) is not None:
-            return x
-    return None
+def _iso_vertex(M: Representation, canonical, by_dims: dict) -> str | None:
+    """The vertex x with the indecomposable M isomorphic to
+    canonical(q, x, field), or None.  by_dims maps dim canonical(q, x) to x;
+    these are pairwise distinct (_cartan_vertices), so the vertex with M's
+    dimension vector is the only candidate, certified by one
+    indec_iso_witness."""
+    x = by_dims.get(M.dims)
+    if x is None or indec_iso_witness(M, canonical(M.quiver, x, M.field)) is None:
+        return None
+    return x
 
 
 def dtr(M: Representation) -> Representation:
@@ -254,11 +258,24 @@ class IndecRegistry:
         raise SemanticError(f"no registry entry labelled {label!r}")
 
 
-def _canonical_vertices(M: Representation):
+def _cartan_vertices(q: Quiver) -> tuple[dict, dict]:
+    """({dim P_x: x}, {dim I_x: x}), read off the columns and rows of
+    cartan_matrix(q).  On an acyclic quiver each map is one-to-one: dim P_x
+    = dim P_y has P_y(x) != 0 and P_x(y) != 0, a path each way between x
+    and y, so x = y; dually for I."""
+    c = cartan_matrix(q)
+    return ({col: x for x, col in zip(q.vertices, zip(*c))},
+            {tuple(row): x for x, row in zip(q.vertices, c)})
+
+
+def _canonical_vertices(M: Representation, cartan: tuple[dict, dict]):
     """(x, y, z) with the indecomposable M isomorphic to P_x, I_y and S_z,
-    each None when there is no such vertex."""
+    each None when there is no such vertex.  P_x and I_y are looked up by
+    dimension vector in cartan, the maps of _cartan_vertices, and each is
+    certified by one isomorphism witness."""
+    by_p, by_i = cartan
     simple = M.quiver.vertices[M.dims.index(1)] if sum(M.dims) == 1 else None
-    return _iso_vertex(M, projective_at), _iso_vertex(M, injective_at), simple
+    return _iso_vertex(M, projective_at, by_p), _iso_vertex(M, injective_at, by_i), simple
 
 
 def _label(M: Representation, vertices, tag) -> str:
@@ -273,7 +290,7 @@ def _label(M: Representation, vertices, tag) -> str:
 def canonical_label(M: Representation) -> str:
     """Label of an indecomposable without a registry: P_x, I_x or S_x by the
     rules knit uses, else the placeholder of IndecRegistry.label_of."""
-    return _label(M, _canonical_vertices(M), "?")
+    return _label(M, _canonical_vertices(M, _cartan_vertices(M.quiver)), "?")
 
 
 def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
@@ -288,13 +305,14 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
     if cap < q.n_vertices:
         raise SemanticError(f"cap {cap} is smaller than the vertex count {q.n_vertices}")
     reg = IndecRegistry(q, field, cap=cap)
+    cartan = _cartan_vertices(q)
 
     def register(M: Representation, orbit: tuple[str, int]) -> RegistryEntry:
         idx = len(reg.entries)
         invariant(M.dims not in reg.by_dims, "two registry entries share a dimension vector")
         reg.by_dims[M.dims] = idx
         q.workspace.own(M)
-        vertices = _canonical_vertices(M)
+        vertices = _canonical_vertices(M, cartan)
         entry = RegistryEntry(_label(M, vertices, idx), M, idx, *vertices, orbit=orbit)
         reg.entries.append(entry)
         return entry
@@ -314,7 +332,7 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
             break
         t = trd(entry.rep)
         invariant(is_indecomposable(t), "TrD of an indecomposable must be indecomposable")
-        invariant(list(t.dims) == [sum(x * d for x, d in zip(row, entry.rep.dims)) for row in phi],
+        invariant(t.dims == tuple(sum(map(mul, row, entry.rep.dims)) for row in phi),
                   "TrD does not have the dimension vector of the Coxeter transformation")
         x, k = entry.orbit
         entry.tau_minus = register(t, (x, k + 1)).index

@@ -821,3 +821,104 @@ def test_knit_builds_each_block_sum_once(name, builds, monkeypatch):
     reg = qd.knit(q)
     assert reg.complete and len(reg.entries) == 120
     assert len(calls) == builds == len(q.workspace.block_sums)
+
+
+# 1 => 2 => 3; its third tau-minus round is out of reach of a test (cap 10
+# knits entries of dimension vector (119, 408, 696) in minutes), so the
+# label test stops after the second, at cap 9
+KRONECKER2_TEXT = ("vertex 1\nvertex 2\nvertex 3\n"
+                   "arrow a 1 2\narrow b 1 2\narrow c 2 3\narrow d 2 3")
+
+
+def _scan_canonical_vertices(M):
+    """The scan the Cartan lookup replaced: for P, I and S in turn, the first
+    vertex x with M isomorphic to the canonical object at x, asked of
+    indec_iso_witness at every vertex."""
+    from quivdet.decompose import indec_iso_witness
+
+    q = M.quiver
+    return tuple(next((x for x in q.vertices
+                       if indec_iso_witness(M, canonical(q, x, M.field)) is not None), None)
+                 for canonical in (qd.projective_at, qd.injective_at, qd.simple_at))
+
+
+def _scan_label(M):
+    return next((f"{kind}_{x}" for kind, x in zip("PIS", _scan_canonical_vertices(M)) if x is not None),
+                f"M{list(M.dims)}#?")
+
+
+@pytest.mark.parametrize("text, cap", [
+    (E6_TEXT, 5000), (D4_TEXT, 5000), (A5_TEXT, 5000), (_bench_input("a15.quiver"), 5000),
+    (_bench_input("e8.quiver"), 5000), (KRONECKER_TEXT, 12), (KRONECKER2_TEXT, 9),
+], ids=["e6", "d4", "a5", "a15", "e8", "kronecker-cap12", "kronecker2-cap9"])
+def test_canonical_vertices_are_looked_up_by_cartan_dimension(text, cap):
+    # column x of the Cartan matrix is dim P_x and row x is dim I_x, each
+    # family pairwise distinct on an acyclic quiver, so one lookup and one
+    # iso witness label an object as the scan over every vertex does
+    from quivdet.translate import _canonical_vertices, _cartan_vertices, canonical_label
+
+    q = qd.parse_quiver(text)
+    c = qd.cartan_matrix(q)
+    cols, rows = list(zip(*c)), [tuple(row) for row in c]
+    assert cols == [qd.projective_at(q, x).dims for x in q.vertices]
+    assert rows == [qd.injective_at(q, x).dims for x in q.vertices]
+    assert len(set(cols)) == len(set(rows)) == q.n_vertices
+    cartan = _cartan_vertices(q)
+    reg = qd.knit(q, cap=cap)
+    plain = None
+    for e in reg.entries:
+        scan = _scan_canonical_vertices(e.rep)
+        assert _canonical_vertices(e.rep, cartan) == scan
+        assert (e.projective_vertex, e.injective_vertex, e.simple_vertex) == scan
+        if scan == (None, None, None):
+            plain = e.rep
+    assert plain is not None
+    canonical = [f(q, x) for x in q.vertices for f in (qd.projective_at, qd.injective_at, qd.simple_at)]
+    for M in canonical + [_iso_copy(M) for M in canonical] + [plain]:
+        assert canonical_label(M) == _scan_label(M)
+    assert canonical_label(plain) == f"M{list(plain.dims)}#?"
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_knit_checks_each_trd_with_one_brick_certificate(n, monkeypatch):
+    # knit's indecomposability check runs one _split_once per TrD and builds
+    # no DecompositionResult; it does not trust the record of
+    # indecomposables, which already holds every canonical I_y here, though
+    # on linear A_n each non-projective I_y is a TrD equal to it by value
+    from conftest import linear_quiver
+
+    decompose = importlib.import_module("quivdet.decompose")  # qd.decompose is the function
+    q = linear_quiver(n, (0,) * (n - 1))
+    injectives = {qd.injective_at(q, y) for y in q.vertices}
+    assert injectives <= set(q.workspace.indecomposables)
+    split, real_split = [], decompose._split_once
+
+    def no_result(*args, **kwargs):
+        raise AssertionError("knit must not build a DecompositionResult")
+
+    monkeypatch.setattr(decompose, "DecompositionResult", no_result)
+    monkeypatch.setattr(decompose, "_split_once", lambda M: split.append(M) or real_split(M))
+    reg = qd.knit(q)
+    trds = [e.rep for e in reg.entries[n:]]
+    assert reg.complete and len(reg.entries) == n * (n + 1) // 2
+    assert split == trds and len(injectives & set(trds)) == n - 1
+    monkeypatch.undo()
+    for e in reg.entries:
+        assert e.rep in q.workspace.indecomposables
+        assert len(qd.decompose(e.rep).pieces) == 1
+
+
+def test_is_indecomposable_records_only_what_it_certifies():
+    # a split records nothing; a certificate records the module as
+    # indecomposable and stores no decomposition
+    from conftest import A3_TEXT
+
+    q = qd.parse_quiver(A3_TEXT)
+    ws = q.workspace
+    S = qd.direct_sum([qd.projective_at(q, "1"), qd.projective_at(q, "2")])[0]
+    known, decompositions = dict(ws.indecomposables), dict(ws.decompositions)
+    assert not qd.is_indecomposable(S)
+    assert ws.indecomposables == known and ws.decompositions == decompositions
+    S2 = qd.simple_at(q, "2")
+    assert S2 not in ws.indecomposables and qd.is_indecomposable(S2)
+    assert S2 in ws.indecomposables and S2 not in ws.decompositions
