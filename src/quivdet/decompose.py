@@ -524,6 +524,15 @@ class DecompositionResult:
         return len(self.pieces) == 1
 
 
+def _split_or_record(M: Representation) -> RepMorphism | None:
+    """_split_once(M); when that certifies M indecomposable, M is recorded
+    in the workspace's indecomposables."""
+    e = _split_once(M)
+    if e is None:
+        M.quiver.workspace.indecomposable(M)
+    return e
+
+
 def _pieces_of(M: Representation):
     if M.total_dim == 0:
         return []
@@ -531,9 +540,9 @@ def _pieces_of(M: Representation):
     known = ws.decompositions.get(M)
     if known is not None:
         return list(known.pieces)
-    e = _split_once(M)
+    e = _split_or_record(M)
     if e is None:
-        one = identity_morphism(ws.indecomposable(M))
+        one = identity_morphism(M)
         ws.memo(ws.decompositions, M, lambda: DecompositionResult(M, ((M, one, one),), ((M, 1),)))
         return [(M, one, one)]
     (K, iK, pK), (I, iI, pI) = split_by_idempotent(M, e)
@@ -564,21 +573,17 @@ def _grouped(M: Representation, pieces) -> DecompositionResult:
 
 def is_indecomposable(M: Representation) -> bool:
     """Whether M is indecomposable: read off its stored decomposition, else
-    from one _split_once certificate, after which M is recorded in the
+    from one _split_or_record certificate, which records M in the
     workspace's indecomposables.  No DecompositionResult is built; decompose
     builds one on demand.  The indecomposables record is not read, so an M
     equal by value to a recorded one (a TrD equal to a canonical I_y) still
     gets its End(M) certificate."""
     if M.total_dim == 0:
         return False
-    ws = M.quiver.workspace
-    known = ws.decompositions.get(M)
+    known = M.quiver.workspace.decompositions.get(M)
     if known is not None:
         return known.is_indecomposable()
-    if _split_once(M) is not None:
-        return False
-    ws.indecomposable(M)
-    return True
+    return _split_or_record(M) is None
 
 
 # ---------------------------------------------------------------------------

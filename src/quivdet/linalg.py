@@ -624,10 +624,8 @@ class Subspace:
 
         Rows are indexed by non-pivot coordinates j; applied to v it returns
         the non-pivot coordinates of v reduced modulo the subspace.  Its
-        kernel is exactly this subspace, so a full one has no rows.
+        kernel is exactly this subspace.
         """
-        if self.is_full():
-            return Mat(self.field, 0, self.ambient_dim, ())
         pivset = set(self.pivots)
         rows = []
         for j in range(self.ambient_dim):
@@ -666,11 +664,8 @@ def kernel_basis(m: Mat) -> Subspace:
     vector of free column j, 1 at j and -r_c[j]/r_c[c] at each pivot c,
     therefore leads at j and is zero at every other free column: the vectors
     in order of j are already the unique RREF basis of the null space, and no
-    second elimination is needed to put them in canonical form.  With no
-    columns the null space is the zero space, returned directly.
+    second elimination is needed to put them in canonical form.
     """
-    if not m.cols:
-        return Subspace.zero(m.field, 0)
     return kernel_of_rows(m.field, m.cols, int_rows(m.field, _nonzeros(m.entries)))
 
 

@@ -258,12 +258,11 @@ class IndecRegistry:
         raise SemanticError(f"no registry entry labelled {label!r}")
 
 
-def _cartan_vertices(q: Quiver) -> tuple[dict, dict]:
+def _cartan_vertices(q: Quiver, c: list[list[int]]) -> tuple[dict, dict]:
     """({dim P_x: x}, {dim I_x: x}), read off the columns and rows of
-    cartan_matrix(q).  On an acyclic quiver each map is one-to-one: dim P_x
-    = dim P_y has P_y(x) != 0 and P_x(y) != 0, a path each way between x
-    and y, so x = y; dually for I."""
-    c = cartan_matrix(q)
+    c = cartan_matrix(q).  On an acyclic quiver each map is one-to-one:
+    dim P_x = dim P_y has P_y(x) != 0 and P_x(y) != 0, a path each way
+    between x and y, so x = y; dually for I."""
     return ({col: x for x, col in zip(q.vertices, zip(*c))},
             {tuple(row): x for x, row in zip(q.vertices, c)})
 
@@ -290,7 +289,8 @@ def _label(M: Representation, vertices, tag) -> str:
 def canonical_label(M: Representation) -> str:
     """Label of an indecomposable without a registry: P_x, I_x or S_x by the
     rules knit uses, else the placeholder of IndecRegistry.label_of."""
-    return _label(M, _canonical_vertices(M, _cartan_vertices(M.quiver)), "?")
+    q = M.quiver
+    return _label(M, _canonical_vertices(M, _cartan_vertices(q, cartan_matrix(q))), "?")
 
 
 def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
@@ -305,7 +305,8 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
     if cap < q.n_vertices:
         raise SemanticError(f"cap {cap} is smaller than the vertex count {q.n_vertices}")
     reg = IndecRegistry(q, field, cap=cap)
-    cartan = _cartan_vertices(q)
+    c = cartan_matrix(q)
+    cartan = _cartan_vertices(q, c)
 
     def register(M: Representation, orbit: tuple[str, int]) -> RegistryEntry:
         idx = len(reg.entries)
@@ -323,7 +324,7 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
     # tau^-k P_x = tau^-l P_y with k >= l, applying tau l times gives
     # tau^-(k-l) P_x = P_y, so k = l and x = y; each TrD is a new entry
     reg.complete = True
-    phi = coxeter_inverse(q)
+    phi = coxeter_inverse(q, c)
     for entry in reg.entries:  # grows while it is walked
         if entry.is_injective:
             continue
@@ -372,11 +373,12 @@ def cartan_matrix(q: Quiver) -> list[list[int]]:
     return c
 
 
-def coxeter_inverse(q: Quiver) -> list[list[int]]:
+def coxeter_inverse(q: Quiver, c: list[list[int]] | None = None) -> list[list[int]]:
     """The inverse Coxeter matrix -C C^-T: dim TrD M = Phi^-1 dim M for every
     indecomposable non-injective M (Auslander-Reiten-Smalo ch. VIII).  C^-T
-    is I - A, the Gram matrix of euler_form, with A[x][y] the arrows x -> y."""
-    c = cartan_matrix(q)
+    is I - A, the Gram matrix of euler_form, with A[x][y] the arrows x -> y.
+    c is C = cartan_matrix(q), computed here when not given."""
+    c = cartan_matrix(q) if c is None else c
     phi = [[-x for x in row] for row in c]
     for s, t in q.arrow_ends:
         for row, out in zip(c, phi):

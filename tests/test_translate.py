@@ -523,7 +523,7 @@ def test_knit_rejects_a_repeated_dimension_vector(monkeypatch):
 
     monkeypatch.setattr(translate, "trd", lambda M: M)
     monkeypatch.setattr(translate, "coxeter_inverse",
-                        lambda q: [[int(i == j) for j in range(q.n_vertices)] for i in range(q.n_vertices)])
+                        lambda q, c=None: [[int(i == j) for j in range(q.n_vertices)] for i in range(q.n_vertices)])
     with pytest.raises(InvariantError, match="dimension vector"):
         qd.knit(qd.parse_quiver(E6_TEXT))
 
@@ -798,7 +798,7 @@ def test_knit_checks_trd_against_the_coxeter_transformation(monkeypatch):
     q = qd.parse_quiver(E6_TEXT)
     C = Mat.from_rows(F, qd.cartan_matrix(q))
     swapped = [list(row) for row in (C.transpose() @ C.inverse()).scale(-1).entries]
-    monkeypatch.setattr(quivdet.translate, "coxeter_inverse", lambda q: swapped)
+    monkeypatch.setattr(quivdet.translate, "coxeter_inverse", lambda q, c=None: swapped)
     with pytest.raises(InvariantError, match="Coxeter"):
         qd.knit(q)
 
@@ -863,7 +863,7 @@ def test_canonical_vertices_are_looked_up_by_cartan_dimension(text, cap):
     assert cols == [qd.projective_at(q, x).dims for x in q.vertices]
     assert rows == [qd.injective_at(q, x).dims for x in q.vertices]
     assert len(set(cols)) == len(set(rows)) == q.n_vertices
-    cartan = _cartan_vertices(q)
+    cartan = _cartan_vertices(q, c)
     reg = qd.knit(q, cap=cap)
     plain = None
     for e in reg.entries:
