@@ -31,7 +31,13 @@ registered (IndecRegistry.predecessors, read off the orbit coordinates)
 takes them as its sources; any other Z takes every entry but its own.  One
 scan for the first V whose determined subspace exceeds F_V decides
 determination and each member-removal check; the scans share F_V and the
-constraint rows, which the workspace keeps per request morphism.  On a
+constraint rows, which the workspace keeps per request morphism.  A V that
+no member constrains (each member S has Hom(S, Y) = 0, Hom(S, V) = 0 or
+F_S = Hom(S, Y)) has all of Hom(V, Y) as its determined subspace, so it has
+a gap exactly when dim F_V < dim Hom(V, Y).  For a presented V and a Y that
+is no recorded sum, reps.Workspace.factoring_rank reads both dimensions off
+V's generator images, one rank with no Hom(V, Y) and no composite written
+out, and keeps them per request morphism for the removal scans.  On a
 complete registry (Dynkin quivers) the verdict is a certificate; otherwise
 it is a bounded search and reports say so.  A registry the caller does not
 pass is knitted once per quiver object, field and cap, in the workspace's
@@ -184,7 +190,7 @@ class DeterminerEngine:
         self.workspace = registry.quiver.workspace
 
     def hom(self, M: Representation, N: Representation) -> HomSpace:
-        """Hom(M, N) from the workspace, the one producer of Hom spaces."""
+        """Hom(M, N) from the workspace, which produces every Hom space."""
         return self.workspace.hom(M, N)
 
     # -- factorization tests -------------------------------------------------
@@ -266,30 +272,48 @@ class DeterminerEngine:
     def determined_subspace(self, f: RepMorphism, sources, V: Representation) -> Subspace:
         """Largest subspace of Hom(V, Y) whose composites with every map out
         of a source object factor through f.  A source S with Hom(S, Y) = 0
-        or Hom(S, V) = 0 gives no rows, and not even F_S is built for it; the
-        rows of every other source are kept per (f, V, S) in the workspace
-        for the later scans of the same request."""
+        or Hom(S, V) = 0 gives no rows, and not even F_S is built for it,
+        nor for one whose dimensions Workspace.factoring_rank holds and
+        shows F_S = Hom(S, Y); the rows of every other source are kept per
+        (f, V, S) in the workspace for the later scans of the same request."""
         ws, Y = self.workspace, f.codomain
         rows: list = []
         with ws.request():
             for S in sources:
-                if self.hom(S, Y).dim and self.hom(S, V).dim:
+                dims = ws.ranks.get((f, S))
+                if (dims[0] > dims[1] if dims else self.hom(S, Y).dim) and self.hom(S, V).dim:
                     rows.extend(ws.memo(ws.constraints, (f, V, S), lambda: self._constraint_rows(f, V, S)))
             return kernel_of_rows(self.field, self.hom(V, Y).dim, rows)
 
-    def _first_gap(self, f: RepMorphism, members) -> str | None:
-        """Label of the first registry object V whose determined subspace
-        exceeds its factoring subspace, or None if every one collapses.  A V
-        with Hom(V, Y) = 0 has both subspaces 0 and is skipped."""
+    def _gaps(self, f: RepMorphism, members):
+        """(entry, gap) for each registry entry in order, where gap says
+        whether the determined subspace of V = entry.rep exceeds its
+        factoring subspace.  A V with Hom(V, Y) = 0 has both subspaces 0.  A
+        V that no member constrains (each member S has Hom(S, Y) = 0,
+        Hom(S, V) = 0 or F_S = Hom(S, Y)) has all of Hom(V, Y) as its
+        determined subspace, so its gap is dim F_V < dim Hom(V, Y), which
+        Workspace.factoring_rank reads off V's generator images where it
+        can; every other V has both subspaces written out, the determined
+        one from the members that can constrain it."""
+        ws, Y = self.workspace, f.codomain
+        active = [S for S in members if self.hom(S, Y).dim and not ws.factoring_subspace(f, S).is_full()]
         for entry in self.registry.entries:
-            if not self.hom(entry.rep, f.codomain).dim:
-                continue
-            fv = self.workspace.factoring_subspace(f, entry.rep)
-            wv = self.determined_subspace(f, members, entry.rep)
-            invariant(wv.contains(fv), "determined subspace misses the factoring subspace")
-            if wv.dim != fv.dim:
-                return entry.label
-        return None
+            V = entry.rep
+            dims = ws.factoring_rank(f, V, lambda: any(self.hom(S, V).dim for S in active))
+            if dims is not None:
+                yield entry, dims[0] != dims[1]
+            elif self.hom(V, Y).dim:
+                fv = ws.factoring_subspace(f, V)
+                wv = self.determined_subspace(f, active, V)
+                invariant(wv.contains(fv), "determined subspace misses the factoring subspace")
+                yield entry, wv.dim != fv.dim
+            else:
+                yield entry, False
+
+    def _first_gap(self, f: RepMorphism, members) -> str | None:
+        """Label of the first registry object with a gap (_gaps), or None if
+        every one collapses."""
+        return next((entry.label for entry, gap in self._gaps(f, members) if gap), None)
 
     def verify(self, f: RepMorphism, members) -> OracleVerdict:
         """Run the full oracle for the candidate member list.

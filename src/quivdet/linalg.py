@@ -639,13 +639,6 @@ class Subspace:
             rows.append(tuple(row))
         return Mat(self.field, len(rows), self.ambient_dim, _residues(self.field, rows))
 
-    def complement_section(self) -> Mat:
-        """Section of complement_projection: standard vectors at non-pivot slots."""
-        pivset = set(self.pivots)
-        nonpivots = [j for j in range(self.ambient_dim) if j not in pivset]
-        return Mat(self.field, self.ambient_dim, len(nonpivots),
-                   tuple(tuple(int(i == j) for j in nonpivots) for i in range(self.ambient_dim)))
-
     def basis_matrix_columns(self) -> Mat:
         """Basis vectors as the columns of a matrix (ambient_dim x dim)."""
         return from_columns(self.field, self.basis, self.ambient_dim)

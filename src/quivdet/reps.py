@@ -19,7 +19,10 @@ map (the matrices of pre- and postcomposition) are formed on the flat
 sparse basis rows, with no matrix product.  For a presented Z,
 postcompose_from_generators forms f . g for every g: Z -> X from the
 generator solutions of Hom(Z, X): their images under f are written as maps
-Z -> Y, whose coordinates in Hom(Z, Y) check them.  Hom is additive in each
+Z -> Y, whose coordinates in Hom(Z, Y) check them.
+factoring_rank_from_generators gives dim F_Z from the same images with no
+Hom space written: their rank among the generator solutions of Hom(Z, Y),
+which are written as maps for the square check alone.  Hom is additive in each
 argument, so the Hom space of a direct sum that the workspace records is
 never solved as a whole: hom_from_blocks places the canonical rows of the
 blocks between summands at the sum's coordinates, which keeps them
@@ -470,14 +473,12 @@ def hom_from_presentation(M: Representation, presentation: Presentation, N: Repr
     return HomSpace(M, N, space, offsets)
 
 
-def postcompose_from_generators(hs_dst: HomSpace, presentation: Presentation, f: RepMorphism,
-                                solutions: Subspace) -> list[tuple]:
-    """Coordinates in hs_dst = Hom(Z, Y) of f . g for each g: Z -> X given by
-    its generator images (the generator_kernel solutions of Hom(Z, X)), with
-    no Hom(Z, X) written out.  The generator images of f . g are those of g
-    sent through f at the generator vertices; the composite is written from
-    them, and flat_coordinates checks it."""
-    Z, X, Y = hs_dst.domain, f.domain, f.codomain
+def _images_through(presentation: Presentation, f: RepMorphism, solutions: Subspace) -> list[dict]:
+    """The generator images {generator coordinate of Y: value} of f . g for
+    each g: Z -> X given by its generator images (the generator_kernel
+    solutions of Hom(Z, X)): those of g sent through f at the generator
+    vertices."""
+    X, Y = f.domain, f.codomain
     gens = presentation.generators
     sx = list(accumulate((X.dims[x] for x in gens), initial=0))
     sy = list(accumulate((Y.dims[x] for x in gens), initial=0))
@@ -493,9 +494,43 @@ def postcompose_from_generators(hs_dst: HomSpace, presentation: Presentation, f:
         for t, v in u:
             for s, w in spread.get(t, ()):
                 acc[s] = acc[s] + v * w if s in acc else v * w
-        images.append(acc.items())
+        images.append(acc)
+    return images
+
+
+def postcompose_from_generators(hs_dst: HomSpace, presentation: Presentation, f: RepMorphism,
+                                solutions: Subspace) -> list[tuple]:
+    """Coordinates in hs_dst = Hom(Z, Y) of f . g for each g: Z -> X given by
+    its generator images (the generator_kernel solutions of Hom(Z, X)), with
+    no Hom(Z, X) written out.  The composite is written from its generator
+    images (_images_through), and flat_coordinates checks it."""
+    images = [acc.items() for acc in _images_through(presentation, f, solutions)]
     return hs_dst._flat_coordinate_rows(
-        write_from_generators(Z, presentation, Y, images, hs_dst._offsets))
+        write_from_generators(hs_dst.domain, presentation, f.codomain, images, hs_dst._offsets))
+
+
+def factoring_rank_from_generators(Z: Representation, presentation: Presentation, f: RepMorphism,
+                                   to_y: Subspace, to_x: Subspace | None) -> int:
+    """dim F_Z, the maps Z -> Y through f: X -> Y: a map out of Z is fixed by
+    its generator images, so it is the rank of those of the composites
+    f . g (_images_through) among to_y, the generator_kernel solutions of
+    Hom(Z, Y); to_x holds those of Hom(Z, X), None when it is zero.  Only
+    to_y is written out, as maps for the square check that HomSpace runs,
+    and an image outside to_y is a composite that is no map
+    (InvariantError)."""
+    offsets = _flat_offsets(Z, f.codomain)
+    written = write_from_generators(Z, presentation, f.codomain, to_y.sparse_basis, offsets)
+    invariant(not _breaks_a_square(Z, f.codomain, offsets, [w.items() for w in written]),
+              "hom basis vector outside the hom space: some square does not commute")
+    if to_x is None or not to_x.dim:
+        return 0
+    try:
+        coords = to_y.coordinate_rows(_images_through(presentation, f, to_x))
+    except ValueError:
+        raise InvariantError("a composite with f is outside the hom space: "
+                             "its generator images break a relation") from None
+    return span_of_rows(Z.field, to_y.dim, ([(i, c) for i, c in enumerate(row) if c]
+                                            for row in coords)).dim
 
 
 def _entries(offsets, dims, nz):
@@ -701,9 +736,10 @@ class Workspace:
     holds each sum weakly, so a sum the caller built outside a request
     takes its record along when it goes.
 
-    ``hom`` is the only producer of Hom spaces, and every Hom system is
-    solved in ``hom`` or ``_generator_kernel``, by the solvers of this
-    module.  Hom is additive in each argument: ``sums`` records every direct
+    ``hom`` produces every Hom space but those ``factoring_rank`` writes
+    from generator solutions it has solved, and every Hom system is solved
+    in ``hom`` or ``_generator_kernel``, by the solvers of this module.
+    Hom is additive in each argument: ``sums`` records every direct
     sum of two or more nonzero summands where block_diagonal_sum builds it,
     with its summands and where each starts.  Hom with a recorded sum on
     either side is put together from the blocks Hom(M_a, N_b)
@@ -721,11 +757,18 @@ class Workspace:
     (generator_kernel) with the maps N(p) of ``path_maps``: ``hom`` writes
     it out as Hom(M, N), and ``factoring_subspace`` sends it through
     f: X -> Y for Hom(Z, X), never written out, solving it for a recorded
-    sum X as for any other X.  The stored Hom space is the only record of a
-    pair's solutions; a factoring subspace solves them afresh.  Every other
-    domain (kernels, decomposition pieces, the dual representations a left
-    request carries to the opposite quiver) takes the commuting squares of
-    hom_basis.
+    sum X as for any other X.  ``factoring_rank`` solves those of
+    Hom(Z, Y) and Hom(Z, X) once each and keeps only (dim Hom(Z, Y),
+    dim F_Z) per (f, Z) in ``ranks``, writing neither space out, unless the
+    caller's constraint test sends Z to the written route: then it writes
+    Hom(Z, Y) from the solutions it solved, and stores it for ``hom``.  The
+    stored Hom space is the only record of a pair's solutions: a factoring
+    subspace solves those of Hom(Z, X) afresh, and so does a later step
+    that needs Hom(Z, Y) or F_Z written out for a Z whose dimensions
+    ``ranks`` holds (in a scan that certifies determination, none does).
+    Every other domain (kernels, decomposition pieces, the dual
+    representations a left request carries to the opposite quiver) takes
+    the commuting squares of hom_basis.
     """
 
     def __init__(self, quiver: Quiver):
@@ -741,6 +784,7 @@ class Workspace:
         self.presentations: dict = {}   # M -> Presentation
         self.path_maps: dict = {}       # (N, vertex index) -> N(p) per path out of it
         self.factorings: dict = {}      # (f, Z) -> F_Z, the maps Z -> Y through f: X -> Y
+        self.ranks: dict = {}           # (f, Z) -> (dim Hom(Z, Y), dim F_Z), nothing written
         self.constraints: dict = {}     # (f, V, S) -> the oracle's constraint rows
         # direct sum -> (summands, their starts per vertex), held no longer
         # than the sum itself
@@ -927,6 +971,37 @@ class Workspace:
                 if solutions and solutions.dim else [])
         return span_of_rows(Z.field, hzy.dim, ([(i, c) for i, c in enumerate(col) if c]
                                                for col in cols))
+
+    def factoring_rank(self, f, Z, constrained) -> tuple[int, int] | None:
+        """(dim Hom(Z, Y), dim F_Z) for f: X -> Y, read off the generator
+        solutions of Hom(Z, Y) and Hom(Z, X) with no Hom space or composite
+        written out (factoring_rank_from_generators), and kept per (f, Z).
+        None sends the caller to the written route: when Z has no
+        presentation, Y is a recorded sum (whose Hom is read off stored
+        blocks), Hom(Z, Y) is stored already, or Hom(Z, Y) is not zero and
+        constrained() holds, in which case Hom(Z, Y) is written from the
+        solutions just solved and stored for ``hom``.  constrained is asked
+        only of a Z with Hom(Z, Y) != 0, and Hom(Z, X) is solved only after
+        it has said no."""
+        X, Y = f.domain, f.codomain
+        if Y in self.sums:
+            return None
+        dims = self.ranks.get((f, Z))
+        if dims is not None:
+            return None if dims[0] and constrained() else dims
+        presentation = self.presentations.get(Z)
+        if presentation is None or (Z, Y) in self.homs:
+            return None
+        to_y = self._generator_kernel(Z, presentation, Y)
+        if to_y is None or not to_y.dim:
+            dims = (0, 0)
+        elif constrained():
+            self._store(self.homs, (Z, Y), hom_from_presentation(Z, presentation, Y, to_y))
+            return None
+        else:
+            dims = (to_y.dim, factoring_rank_from_generators(
+                Z, presentation, f, to_y, self._generator_kernel(Z, presentation, X)))
+        return self._store(self.ranks, (f, Z), dims)
 
     def _generator_kernel(self, Z, presentation: Presentation, X) -> Subspace | None:
         """Hom(Z, X) in generator coordinates: None when the Euler-form rule

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -1058,3 +1059,194 @@ def test_oracle_calls_outside_a_request_leave_no_request_entries():
         call()
         assert left() == (0, 0, []), name
     assert sum(eng.almost_factors(f, Z) for Z in entries)
+
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def _bench_morphism(q, name):
+    """The morphism f of perfbench/inputs/<name>.reps over q, the one the
+    <name> workload of the benchmark certifies."""
+    from quivdet.formats import load_session
+
+    return load_session(q, F, (BENCH_INPUTS / f"{name}.reps").read_text(encoding="utf-8")).morphism("f")
+
+
+def _gap_morphisms(text, cap, side, seeded, bench):
+    """A registry and the morphisms the gap decisions are checked on: when
+    seeded, two seeded maps between entries and one into a direct sum,
+    drawn by hom_basis so that the workspace holds no Hom space of the
+    draw; the benchmark's morphism when bench names one; on the left side
+    the duals over the opposite quiver, with its registry."""
+    reg = qd.knit(qd.parse_quiver(text), F, cap)
+    rng = random.Random(33)
+    reps = [e.rep for e in reg.entries]
+    fs = [] if bench is None else [_bench_morphism(reg.quiver, bench)]
+    if seeded:
+        total = qd.direct_sum(rng.sample(reps, 2))[0]
+        for pairs, count in ([rng.sample(reps, 2) for _ in range(40)], 2), ([(X, total) for X in reps], 1):
+            spaces = (hs for X, Y in pairs for hs in [hom_basis(X, Y)] if hs.dim)
+            fs.extend(hs.from_coordinates([rng.randrange(1, 7) for _ in range(hs.dim)])
+                      for hs in islice(spaces, count))
+    if side == "left":
+        return qd.knit(reg.quiver.opposite, F, cap), [qd.dual_morphism(f) for f in fs]
+    return reg, fs
+
+
+def _written_gap(eng, f, members, V) -> bool:
+    """Whether V has a gap, by the route that writes Hom(V, Y), F_V and the
+    determined subspace out."""
+    if not eng.hom(V, f.codomain).dim:
+        return False
+    return eng.determined_subspace(f, members, V).dim != eng.workspace.factoring_subspace(f, V).dim
+
+
+@pytest.mark.parametrize("text, cap, side, seeded, bench", [
+    (E6_TEXT, 5000, "right", True, None), (E6_TEXT, 5000, "left", True, None),
+    (D4_TEXT, 5000, "right", True, None), (D4_TEXT, 5000, "left", True, None),
+    (A5_TEXT, 5000, "right", True, None), (A5_TEXT, 5000, "left", True, None),
+    (E8_TEXT, 5000, "right", False, "e8"), (KRONECKER_TEXT, 12, "right", True, "kronecker"),
+], ids=["e6", "e6-left", "d4", "d4-left", "a5", "a5-left", "e8-bench", "kronecker-cap12"])
+def test_gap_decisions_match_the_written_route(text, cap, side, seeded, bench):
+    # for the formula's members and each list with one member removed, the
+    # gap of every registry object, read off generator images where no
+    # member constrains it, is the one the written-out route finds, and
+    # _first_gap names the first; every decision is made before any
+    # reference, so the written Hom spaces the references keep cannot
+    # send an object down the written route
+    reg, fs = _gap_morphisms(text, cap, side, seeded, bench)
+    eng = DeterminerEngine(reg)
+    ws = eng.workspace
+    cases, read_off = [], 0
+    for g in fs:
+        with ws.request():
+            rm, _, _, members = eng.formula_members(g)
+        f, reps = rm.minimal, [m.rep for m in members]
+        for lst in [reps] + [reps[:i] + reps[i + 1:] for i in range(len(reps))]:
+            with ws.request():
+                gaps = [(e.label, gap) for e, gap in eng._gaps(f, lst)]
+                first = eng._first_gap(f, lst)
+                read_off += sum(1 for (h, _), dims in ws.ranks.items() if h is f and dims and dims[0])
+            cases.append((f, lst, gaps, first))
+    assert read_off
+    for f, lst, gaps, first in cases:
+        with ws.request():
+            ref = [(e.label, _written_gap(eng, f, lst, e.rep)) for e in reg.entries]
+        assert gaps == ref
+        assert first == next((label for label, gap in ref if gap), None)
+
+
+def _unconstrained_pair(ws, reps, fits):
+    """f: X -> Y between registry objects and a registry object V with
+    Hom(V, Y) not stored, for which fits(f, V) holds."""
+    return next((f, V) for X in reps for Y in reps if X != Y for f in ws.hom(X, Y).basis
+                for V in reps if (V, Y) not in ws.homs and fits(f, V))
+
+
+def _off_the_solutions(k):
+    """k with its last basis vector moved off k by a unit vector."""
+    fld, n = k.field, k.ambient_dim
+    units = [tuple(fld.one if i == j else fld.zero for i in range(n)) for j in range(n)]
+    outside = next(u for u in units if not k.contains_vector(u))
+    v = tuple(a + b for a, b in zip(k.basis[-1], outside))
+    return qd.Subspace(fld, n, k.basis[:-1] + (v,), k.pivots)
+
+
+def _patch_kernel(monkeypatch, into, k):
+    """generator_kernel answering k for maps into `into`, truly otherwise."""
+    real = quivdet.reps.generator_kernel
+
+    def patched(M, presentation, N):
+        return k if N == into else real(M, presentation, N)
+
+    monkeypatch.setattr(quivdet.reps, "generator_kernel", patched)
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+def test_factoring_rank_checks_the_solutions_against_the_squares(field, monkeypatch):
+    # a generator solution of Hom(V, Y) that is not a map is written out and
+    # trips the commuting-square check, as in a HomSpace
+    from quivdet.reps import generator_kernel
+
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q, field_from_name(field))
+    ws = q.workspace
+    reps = [e.rep for e in reg.entries]
+
+    def fits(f, V):
+        k = generator_kernel(V, ws.presentations[V], f.codomain)
+        return 0 < k.dim < k.ambient_dim
+
+    f, V = _unconstrained_pair(ws, reps, fits)
+    Y = f.codomain
+    k = generator_kernel(V, ws.presentations[V], Y)
+    _patch_kernel(monkeypatch, Y, _off_the_solutions(k))
+    with ws.request(), pytest.raises(InvariantError, match="some square does not commute"):
+        ws.factoring_rank(f, V, lambda: False)
+    monkeypatch.undo()
+    with ws.request():
+        fv = column_space(postcompose_matrix(hom_basis(V, f.domain), hom_basis(V, Y), f))
+        assert ws.factoring_rank(f, V, lambda: False) == (k.dim, fv.dim)
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:7"])
+def test_factoring_rank_checks_that_each_composite_is_a_map(field, monkeypatch):
+    # f mono, so f . g solves no relation exactly when g does not: a generator
+    # solution of Hom(V, X) off the solutions sends an image through f that
+    # lies outside the solutions of Hom(V, Y)
+    from quivdet.reps import generator_kernel
+
+    q = qd.parse_quiver(E6_TEXT)
+    reg = qd.knit(q, field_from_name(field))
+    ws = q.workspace
+    reps = [e.rep for e in reg.entries]
+
+    def fits(f, V):
+        k = generator_kernel(V, ws.presentations[V], f.domain)
+        return f.is_mono() and 0 < k.dim < k.ambient_dim
+
+    f, V = _unconstrained_pair(ws, reps, fits)
+    X, Y = f.domain, f.codomain
+    k = generator_kernel(V, ws.presentations[V], X)
+    _patch_kernel(monkeypatch, X, _off_the_solutions(k))
+    with ws.request(), pytest.raises(InvariantError, match="composite with f is outside"):
+        ws.factoring_rank(f, V, lambda: False)
+    monkeypatch.undo()
+    with ws.request():
+        assert ws.factoring_rank(f, V, lambda: False) == (hom_basis(V, Y).dim, k.dim)
+
+
+def test_e8_certify_writes_no_hom_into_y_for_an_unconstrained_object(monkeypatch):
+    # on the dynkin-e8 benchmark morphism, Hom(V, Y) is written out and
+    # composites with f are formed only for the V that some member
+    # constrains; the others, most of the scanned objects, are decided by
+    # one rank each
+    reg, (g,) = _gap_morphisms(E8_TEXT, 5000, "right", False, "e8")
+    eng = DeterminerEngine(reg)
+    ws = eng.workspace
+    Y = g.codomain
+    calls = {"hom_from_presentation": 0, "postcompose_from_generators": 0}
+
+    def count(name):
+        real = getattr(quivdet.reps, name)
+
+        def counted(*args):
+            if name != "hom_from_presentation" or args[2] == Y:
+                calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(quivdet.reps, name, count(name))
+    report = eng.report(g, verify=True)
+    monkeypatch.undo()
+    assert report.oracle.certified
+    with ws.request():
+        rm, _, _, members = eng.formula_members(g)
+        f = rm.minimal
+        active = [m.rep for m in members if eng.hom(m.rep, Y).dim
+                  and not ws.factoring_subspace(f, m.rep).is_full()]
+        scanned = [e.rep for e in reg.entries if eng.hom(e.rep, Y).dim]
+        constrained = [V for V in scanned if any(eng.hom(S, V).dim for S in active)]
+    assert len(scanned) > 50 and constrained
+    assert max(calls.values()) <= len(constrained)

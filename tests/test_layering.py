@@ -99,28 +99,41 @@ def test_source_has_no_assert_statements():
     assert [f"{p.name}:{n}" for p in paths for n in _asserts(p.read_text(encoding="utf-8"))] == []
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _unreferenced(sources: dict[str, str]) -> set[str]:
-    """Top-level functions and classes of the module sources (file name ->
-    text) that no source but __init__.py names outside their own
-    definition."""
-    defined, named = set(), set()
+    """Top-level functions and classes, and the methods of top-level classes
+    as "Class.method" (dunder methods aside, which Python calls), of the
+    module sources (file name -> text) that no source but __init__.py names
+    outside their own definition."""
+    defined = []  # (name as listed, name as written, definition node)
+    uses = []     # (name, the definition nodes the use sits inside)
     for filename, text in sources.items():
-        for stmt in ast.parse(text).body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(stmt.name)
-                own = stmt.name
-            if filename == "__init__.py":
-                continue
-            for node in ast.walk(stmt):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if isinstance(name, str) and name != own:
-                    named.add(name)
-    return defined - named
+        tree = ast.parse(text)
+        for stmt in tree.body:
+            if isinstance(stmt, _DEFINITIONS):
+                defined.append((stmt.name, stmt.name, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                defined.extend((f"{stmt.name}.{d.name}", d.name, d) for d in stmt.body
+                               if isinstance(d, _DEFINITIONS) and not d.name.startswith("__"))
+        if filename == "__init__.py":
+            continue
+
+        def visit(node, inside):
+            for child in ast.iter_child_nodes(node):
+                name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+                if isinstance(name, str):
+                    uses.append((name, inside))
+                visit(child, inside | {id(child)} if isinstance(child, _DEFINITIONS) else inside)
+
+        visit(tree, frozenset())
+    return {listed for listed, name, node in defined
+            if not any(used == name and id(node) not in inside for used, inside in uses)}
 
 
-# each top-level name that no code of the package names, with the reason it
-# stays; perfbench traces or calls some, so they keep their names
+# each top-level name or method that no code of the package names, with the
+# reason it stays; perfbench traces or calls some, so they keep their names
 UNREFERENCED = {
     "paths_between": "traced by perfbench/spans.py; public API",
     "cokernel": "traced by perfbench/spans.py; public API, the tests' reference quotient",
@@ -139,6 +152,10 @@ UNREFERENCED = {
     "precompose_matrix": "public API, the counterpart of postcompose_matrix",
     "rad_hom_basis": "public API; the tests check almost-factoring subspaces against it",
     "minimal_right_determiner": "public API, the one-call right determiner",
+    "Mat.from_rows": "public API, the matrix of nested rows that the tests build their inputs with",
+    "Mat.inverse": "public API; the tests' changes of basis conjugate by it",
+    "DecompositionResult.idempotents": "public API, the splitting idempotents a decomposition certifies",
+    "RightMinimalResult.already_minimal": "public API, the report's already_minimal field as a property",
 }
 
 
@@ -148,5 +165,9 @@ def test_source_has_no_unreferenced_definitions():
     assert _unreferenced({"a.py": "def f():\n    return f()\n\ndef g():\n    return 0\n",
                           "b.py": "from .a import g\nx = g()\n",
                           "__init__.py": "from .a import f\nf()\n"}) == {"f"}
+    assert _unreferenced({"a.py": "class C:\n    def __init__(self):\n        self.m()\n"
+                                  "    def m(self):\n        return 0\n"
+                                  "    def n(self):\n        return self.n()\n",
+                          "b.py": "from .a import C\nC()\n"}) == {"C.n"}
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert sorted(_unreferenced(sources)) == sorted(UNREFERENCED)
