@@ -19,6 +19,18 @@ rationals and over F_p with p larger than the total dimension; smaller primes
 raise FieldTooSmallError.  The same trace form turns a nilpotent solution h
 of f h = 0 outside the radical into a non-nilpotent one (right minimality).
 
+A right minimal version takes one of two routes.  A domain X that the
+workspace records as a direct sum of bricks (End = k), as a sum of registry
+entries is, needs no End(X).  By Krull-Schmidt (Auslander-Reiten-Smalo I.2
+and II) the part X2 that f kills is a sum of copies of X's summands, and
+its number of copies of an iso-class E is the rank of the maps E -> X that
+f kills, read at their tops: their coordinates in the one-dimensional
+blocks Hom(E, E_b) of the copies b, since every map between non-isomorphic
+indecomposables is radical.  This route works in every characteristic, and
+its certificate asks the same rank of f1, which must be 0 for every class.
+Every other domain, one with no sum record or with a summand that is not a
+brick, takes the trace-form loop.
+
 Minimal polynomials are split by a root search in the ground field first:
 rational roots over Q, a full scan over F_p with p <= 4096.  Over F_p with
 p > 4096 a quadratic is split by its discriminant instead, with
@@ -32,6 +44,8 @@ rather than asserting, so they also run under python -O.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -666,28 +680,25 @@ def _nilpotency_power(phi: RepMorphism) -> RepMorphism:
     return acc
 
 
-def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
-    """Split X = X1 + X2 with f = (f1, 0) and f1 right minimal.
+def _escaping_solution(f: RepMorphism) -> RepMorphism | None:
+    """A basis solution h of f h = 0 outside rad End(X), or None.  The
+    solutions form a right ideal of End(X), and f is right minimal exactly
+    when it lies in the radical; the trace form is read only when f h = 0
+    has a solution h != 0."""
+    E = end_algebra(f.domain)
+    H0 = kernel_basis(postcompose_matrix(E.hom, f.domain.quiver.workspace.hom(f.domain, f.codomain), f))
+    return next((E.hom.from_coordinates(v) for v in H0.basis if not E.radical.contains_vector(v)), None)
 
-    Iteratively removes image parts of stable powers of solutions h of
-    f h = 0 that escape the radical; on exit the solution space lies inside
-    rad End(X1), which certifies right minimality."""
+
+def _right_minimal_by_powers(f: RepMorphism) -> RightMinimalResult:
+    """Split off the image of a stable power of each solution h of f h = 0
+    outside the radical (Fitting) until none is left."""
     X = f.domain
-    field = X.field
-    ws = X.quiver.workspace
     cur_f = f
     cur_incl = identity_morphism(X)
     split_parts: list[Representation] = []
     while cur_f.domain.total_dim > 0:
-        E = end_algebra(cur_f.domain)
-        hXY = ws.hom(cur_f.domain, cur_f.codomain)
-        C = postcompose_matrix(E.hom, hXY, cur_f)
-        H0 = kernel_basis(C)
-        bad = None
-        for vec in H0.basis:
-            if not E.radical.contains_vector(vec):
-                bad = E.hom.from_coordinates(vec)
-                break
+        bad = _escaping_solution(cur_f)
         if bad is None:
             break
         power = _nilpotency_power(bad)
@@ -695,6 +706,7 @@ def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
             # bad lies outside the radical, the kernel of the trace form, so
             # tr(bad b) != 0 for some basis element b; bad b still solves
             # f h = 0 and, having nonzero trace, is not nilpotent
+            E = end_algebra(cur_f.domain)
             b = next((b for b in E.hom.basis if E.trace_pair(bad, b)), None)
             invariant(b is not None, "solution outside the radical is trace-orthogonal to End")
             power = _nilpotency_power(bad @ b)
@@ -706,8 +718,103 @@ def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
         split_parts.append(I)
         cur_f = cur_f @ inclK
         cur_incl = cur_incl @ inclK
-    X2, _ = block_diagonal_sum(split_parts, X.quiver, field)
+    X2, _ = block_diagonal_sum(split_parts, X.quiver, X.field)
     return RightMinimalResult(cur_f, X2, cur_incl)
+
+
+def _top_coordinates(hs, starts, copies) -> list[int]:
+    """For each copy b of E among the summands of X, the coordinate of
+    hs = Hom(E, X) that reads the one-dimensional block Hom(E, E_b).  A
+    canonical basis row of Hom between sums lies in one block (hom_from_blocks),
+    the one that holds its pivot; starts[b][y] is where E_b starts in X(y)."""
+    E, offsets = hs.domain, hs._offsets
+    cuts = list(zip(*starts))
+    rows = defaultdict(list)
+    for k, row in enumerate(hs.flat_basis):
+        i = bisect_right(offsets, row[0][0]) - 1
+        rows[bisect_right(cuts[i], (row[0][0] - offsets[i]) // E.dims[i]) - 1].append(k)
+    invariant(all(len(rows[b]) == 1 for b in copies),
+              "Hom between isomorphic bricks is not one-dimensional")
+    return [rows[b][0] for b in copies]
+
+
+def _split_copies(f: RepMorphism, summands, starts) -> list[int]:
+    """The summands of X = f.domain, by index, that split off f: the pivot
+    copies of each iso-class.  X is the sum of the bricks summands, summand b
+    from coordinate starts[b][y] of X(y) on.  For a class E the maps E -> X
+    that f kills form K_E, and a map is radical exactly when its coordinates
+    in the blocks Hom(E, E_b) of the copies b are 0 (maps between
+    non-isomorphic indecomposables are radical), so the rank of K_E's rows
+    at those coordinates is the number of copies of E that split off."""
+    X, Y = f.domain, f.codomain
+    ws = X.quiver.workspace
+    classes: list[list[int]] = []
+    for b, E in enumerate(summands):
+        if E.total_dim:
+            c = next((c for c in classes if indec_iso_witness(summands[c[0]], E) is not None), None)
+            if c is None:
+                classes.append([b])
+            else:
+                c.append(b)
+    split = []
+    for copies in classes:
+        hs = ws.hom(summands[copies[0]], X)
+        K = kernel_basis(postcompose_matrix(hs, ws.hom(hs.domain, Y), f))
+        if K.dim:
+            tops = _top_coordinates(hs, starts, copies)
+            T = Mat(X.field, K.dim, len(copies), tuple(tuple(v[k] for k in tops) for v in K.basis))
+            split.extend(copies[j] for j in rref(T)[1])
+    return sorted(split)
+
+
+def _right_minimal_of_bricks(f: RepMorphism, summands, starts) -> RightMinimalResult:
+    """The right minimal version of f on a recorded sum X of bricks: X1 is
+    the sum of the copies that do not split off (_split_copies), with its
+    coordinate inclusion, and X2 that of the pivot copies.  Choose maps in
+    K_E whose top coordinates are 1 at one pivot copy and 0 at the others;
+    with the other copies they give a map onto X that is invertible modulo
+    the radical, hence invertible, so X = X1 + (a sum f kills).  The
+    certificate asks the same question of f1, which must split nothing."""
+    X = f.domain
+    split = _split_copies(f, summands, starts)
+    X2, _ = block_diagonal_sum([summands[b] for b in split], X.quiver, X.field)
+    if not split:
+        return RightMinimalResult(f, X2, identity_morphism(X))
+    kept = [b for b, E in enumerate(summands) if E.total_dim and b not in split]
+    X1, cuts = block_diagonal_sum([summands[b] for b in kept], X.quiver, X.field)
+    comps = []
+    for i, d in enumerate(X.dims):
+        rows = [[0] * X1.dims[i] for _ in range(d)]
+        for t, b in enumerate(kept):
+            for r in range(summands[b].dims[i]):
+                rows[starts[b][i] + r][cuts[i][t] + r] = 1
+        comps.append(Mat(X.field, d, X1.dims[i], tuple(map(tuple, rows))))
+    incl = RepMorphism(X1, X, tuple(comps))
+    f1 = f @ incl
+    invariant(not _split_copies(f1, [summands[b] for b in kept], tuple(zip(*cuts))),
+              "a copy splits off the right minimal version")
+    return RightMinimalResult(f1, X2, incl)
+
+
+def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
+    """Split X = X1 + X2 with f = (f1, 0) and f1 right minimal.
+
+    When Workspace.sums records X as a sum whose nonzero summands are
+    bricks, the block route (_right_minimal_of_bricks) reads the copies that
+    split off from the tops of Hom(E, X) for each iso-class E (Krull-Schmidt,
+    module docstring), with no End(X) and no trace form, in every
+    characteristic; rerunning its rank test on f1, which must split nothing,
+    certifies it.  Every other domain (no sum record, or a summand with
+    dim End > 1) takes the loop (_right_minimal_by_powers), which exits once
+    every solution h of f1 h = 0 lies in the trace-form radical of End(X1),
+    which certifies right minimality; over F_p with p <= dim X1 and
+    dim End(X1) > 1 that radical raises FieldTooSmallError."""
+    X = f.domain
+    ws = X.quiver.workspace
+    record = ws.sums.get(X)
+    if record is not None and all(ws.hom(E, E).dim == 1 for E in record[0] if E.total_dim):
+        return _right_minimal_of_bricks(f, *record)
+    return _right_minimal_by_powers(f)
 
 
 def intrinsic_kernel(f: RepMorphism) -> Representation:

@@ -419,6 +419,24 @@ def minimal_right_determiner(f: RepMorphism, registry: IndecRegistry | None = No
     return DeterminerEngine(registry).report(f, morphism_name=morphism_name, verify=verify)
 
 
+def _record_duals(M: Representation, DM: Representation) -> None:
+    """Record on the opposite quiver's workspace what D = DM keeps of M's
+    records: D of a recorded sum is the sum of its summands' duals at the
+    same starts, and D of a recorded indecomposable is indecomposable, D
+    being a duality.  Called inside a request on that workspace, so the
+    records go with it."""
+    ws, ws_op = M.quiver.workspace, DM.quiver.workspace
+    pairs = [(M, DM)]
+    record = ws.sums.get(M)
+    if record is not None:
+        duals = tuple(map(dual_representation, record[0]))
+        ws_op.summed(DM, duals, record[1])
+        pairs = zip(record[0], duals)
+    for S, DS in pairs:
+        if S in ws.indecomposables:
+            ws_op.indecomposable(DS)
+
+
 def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = None,
                             verify: bool = False, cap: int = 5000,
                             morphism_name: str = "f") -> DeterminerReport:
@@ -427,13 +445,18 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
     opposite quiver is knitted at the cap of the given registry, else at
     cap.  The oracle's witnesses still name objects of the opposite quiver.
     One request scope on each quiver's workspace holds what the request
-    writes there for the request only; the knitted registry stays."""
+    writes there for the request only; the knitted registry stays.  The
+    records that D carries over (_record_duals) are written there first, so
+    the dual of a sum of registry entries takes the block route of
+    right_minimal_version, and its Hom spaces are read off blocks."""
     q = f.domain.quiver
     field = f.domain.field
     if registry is not None:
         cap = registry.cap
     fop = dual_morphism(f)
     with q.workspace.request(), fop.domain.quiver.workspace.request():
+        _record_duals(f.codomain, fop.domain)
+        _record_duals(f.domain, fop.codomain)
         engine_op = DeterminerEngine(_knitted(fop.domain.quiver, field, cap))
         rep_op = engine_op.report(fop, morphism_name=morphism_name, verify=verify)
         if registry is None:

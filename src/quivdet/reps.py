@@ -767,8 +767,9 @@ class Workspace:
     that needs Hom(Z, Y) or F_Z written out for a Z whose dimensions
     ``ranks`` holds (in a scan that certifies determination, none does).
     Every other domain (kernels, decomposition pieces, the dual
-    representations a left request carries to the opposite quiver) takes
-    the commuting squares of hom_basis.
+    representations a left request carries to the opposite quiver, whose
+    dual sums it records as sums of the summands' duals) takes the
+    commuting squares of hom_basis.
     """
 
     def __init__(self, quiver: Quiver):

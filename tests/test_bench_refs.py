@@ -57,6 +57,20 @@ def test_stream_requests_match_their_reference_digests(name):
     assert json.loads(_ref(f"{name}.json"))["digests"][:REPLAYED] == digests
 
 
+@pytest.mark.parametrize("field", ["fp:2", "fp:3", "fp:7"])
+def test_stream_requests_certify_over_small_primes(field):
+    # every stream domain is a recorded sum of registry entries, bricks, so
+    # its right minimal version needs no trace form, and a left request
+    # records the duals of its sums and entries for the same route over the
+    # opposite quiver: all 112 seed-1 requests certify over F_2, F_3 and F_7
+    # (41, 46 and 61 did while every domain took the trace-form loop)
+    w = wl.WORKLOADS["corpus-warm"]
+    reg = qd.knit(qd.parse_quiver(wl.read_input(w.quiver)), qd.field_from_name(field))
+    engine = DeterminerEngine(reg)
+    for side, f in wl.make_requests(qd, reg, wl.DEFAULT_SEED):
+        _answer(engine, side, f)
+
+
 def _cold_report_matches_its_reference(name: str) -> None:
     w = wl.WORKLOADS[name]
     q = qd.parse_quiver(wl.read_input(w.quiver))

@@ -23,7 +23,7 @@ from quivdet.decompose import (
     _sqrt_mod,
 )
 from quivdet.errors import FieldTooSmallError, NotIndecomposableError
-from quivdet.linalg import Mat, PrimeField, RATIONALS
+from quivdet.linalg import Mat, PrimeField, RATIONALS, block_diag
 
 F = RATIONALS
 
@@ -199,9 +199,29 @@ def test_right_minimal_version_splits_padding(a3, golden_f):
     assert rm2.already_minimal
 
 
+def _unrecorded_sum(reps):
+    """The block-diagonal sum of reps with its projections, built by hand, so
+    that the workspace holds no sum record of it and its right minimal
+    version takes the loop."""
+    q, field = reps[0].quiver, reps[0].field
+    X = qd.Representation(q, field, tuple(map(sum, zip(*(r.dims for r in reps)))),
+                          tuple(block_diag(field, [r.action[a] for r in reps])
+                                for a in range(len(q.arrows))))
+    assert X not in q.workspace.sums
+    projections = []
+    for j, r in enumerate(reps):
+        starts = [sum(s.dims[i] for s in reps[:j]) for i in range(len(X.dims))]
+        projections.append(qd.RepMorphism(X, r, tuple(
+            Mat(field, d, X.dims[i], tuple(tuple(int(c == starts[i] + k) for c in range(X.dims[i]))
+                                           for k in range(d)))
+            for i, d in enumerate(r.dims))))
+    return X, projections
+
+
 def test_right_minimal_version_nilpotent_branch(a3, a3_registry, monkeypatch):
     # the kernel of the first projection P_1 + P_1 -> P_1 is first reached by
-    # a nilpotent endomorphism outside the radical
+    # a nilpotent endomorphism outside the radical; the sum carries no record,
+    # since a recorded sum of bricks takes the block route
     module = importlib.import_module("quivdet.decompose")  # qd.decompose is the function
     powers = []
     real_power = module._nilpotency_power
@@ -213,7 +233,7 @@ def test_right_minimal_version_nilpotent_branch(a3, a3_registry, monkeypatch):
 
     monkeypatch.setattr(module, "_nilpotency_power", recording_power)
     P1 = qd.projective_at(a3, "1")
-    _, _, projs = qd.direct_sum([P1, P1])
+    _, projs = _unrecorded_sum([P1, P1])
     f = projs[0]
     rm = qd.right_minimal_version(f)
     assert True in powers
@@ -287,23 +307,32 @@ def test_prime_field_decompose():
 def test_prime_field_too_small():
     # the trace-form radical needs p > total dimension once dim End > 1;
     # isomorphism tests never use the trace form, so two presentations of
-    # P_4 over F_3 are found isomorphic
-    f3 = PrimeField(3)
+    # P_4 over F_3 are found isomorphic.  The loop meets that limit on an
+    # unrecorded sum; the recorded sum of the same bricks takes the block
+    # route, which needs no radical and answers as over the rationals
     q = qd.parse_quiver(
         "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
         "arrow a 2 1\narrow b 3 2\narrow c 4 3")
-    P4 = qd.projective_at(q, "4", f3)  # total dimension 4 >= p
-    twisted = qd.Representation(
-        q, f3, P4.dims,
-        (Mat.from_rows(f3, [[2]]), Mat.from_rows(f3, [[1]]), Mat.from_rows(f3, [[1]])))
-    assert qd.is_isomorphic(P4, twisted)
-    # P_4 + twisted P_4 has total dimension 8 and a four-dimensional End
-    X, _, projs = qd.direct_sum([P4, twisted])
-    assert end_algebra(X).dim == 4
-    to_i1 = q.workspace.hom(P4, qd.injective_at(q, "1", f3)).basis[0]
-    with pytest.raises(FieldTooSmallError) as e:
-        qd.right_minimal_version(to_i1 @ projs[0])
-    assert "rat" in str(e.value)
+    answers = []
+    for field in (PrimeField(3), F):
+        P4 = qd.projective_at(q, "4", field)  # total dimension 4 >= 3
+        twisted = qd.Representation(
+            q, field, P4.dims,
+            (Mat.from_rows(field, [[2]]), Mat.from_rows(field, [[1]]), Mat.from_rows(field, [[1]])))
+        assert qd.is_isomorphic(P4, twisted)
+        to_i1 = q.workspace.hom(P4, qd.injective_at(q, "1", field)).basis[0]
+        if field == PrimeField(3):
+            # P_4 + twisted P_4 has total dimension 8 and a four-dimensional End
+            X, projs = _unrecorded_sum([P4, twisted])
+            assert end_algebra(X).dim == 4
+            with pytest.raises(FieldTooSmallError) as e:
+                qd.right_minimal_version(to_i1 @ projs[0])
+            assert "rat" in str(e.value)
+        X, _, projs = qd.direct_sum([P4, twisted])
+        assert X in q.workspace.sums
+        rm = qd.right_minimal_version(to_i1 @ projs[0])
+        answers.append((rm.minimal.domain.dims, rm.split_off.dims))
+    assert answers[0] == answers[1] == ((1, 1, 1, 1), (1, 1, 1, 1))
 
 
 def _kronecker():
@@ -490,6 +519,78 @@ def test_iso_witness_needs_no_trace_form():
         end_algebra(A).radical
     w = indec_iso_witness(A, B)
     assert w is not None and (w.domain, w.codomain) == (A, B) and w.is_iso()
+
+
+A5_TEXT = "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\narrow a 2 1\narrow b 2 3\narrow c 4 3\narrow d 4 5"
+KRONECKER_TEXT = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2"
+
+
+def _agreement_domains(q, field, reps, rng):
+    """Summand lists of one to three registry entries, repeated entries and
+    a conjugated copy of an entry among them; on the Kronecker quiver also
+    R_0 + R_1, two non-isomorphic regular bricks of dimension vector (1, 1),
+    and R_0 + R_1 + R_0."""
+    out = [[rng.choice(reps) for _ in range(1 + i % 3)] for i in range(18)]
+    for E in rng.sample(reps, 4):
+        out += [[E, E], [E, _conjugate(E, rng), rng.choice(reps)], [rng.choice(reps), E, E]]
+    if q.n_vertices == 2:
+        R0, R1 = (qd.Representation(q, field, (1, 1), (Mat.identity(field, 1), Mat.from_rows(field, [[c]])))
+                  for c in (0, 1))
+        out += [[R0, R1], [R0, R1, R0], [R1, R0, rng.choice(reps)]]
+    return out
+
+
+@pytest.mark.parametrize("text, field, cap", [
+    (E6_TEXT, "rat", 5000), (E6_TEXT, "fp:10007", 5000), (D4_TEXT, "rat", 5000),
+    (A5_TEXT, "rat", 5000), (KRONECKER_TEXT, "rat", 8),
+], ids=["e6", "e6-fp10007", "d4", "a5", "kronecker-cap8"])
+def test_block_route_agrees_with_the_loop(text, field, cap, monkeypatch):
+    # a recorded sum of bricks reads its right minimal version off the tops
+    # of Hom(E, X); on seeded morphisms out of such sums it agrees with the
+    # trace-form loop in the minimal domain, the split-off part and the report
+    # JSON, and its f1 passes the loop's own exit certificate.  Some maps send
+    # two copies of one entry through proportional maps, so that only a
+    # combination of the copies splits off
+    module = importlib.import_module("quivdet.decompose")  # qd.decompose is the function
+    determiner = importlib.import_module("quivdet.determiner")
+    taken = []
+    real_route = module._right_minimal_of_bricks
+
+    def recording_route(f, summands, starts):
+        rm = real_route(f, summands, starts)
+        taken.append(not rm.already_minimal)
+        return rm
+
+    monkeypatch.setattr(module, "_right_minimal_of_bricks", recording_route)
+    q, k = qd.parse_quiver(text), qd.field_from_name(field)
+    reg = qd.knit(q, k, cap)
+    engine = determiner.DeterminerEngine(reg)
+    rng = random.Random(34)
+    reps = [e.rep for e in reg.entries]
+    targets = reps + [qd.injective_at(q, x, k) for x in q.vertices]
+    for i, summands in enumerate(_agreement_domains(q, k, reps, rng)):
+        X, _, projs = qd.direct_sum(summands)
+        Y = qd.direct_sum(rng.sample(targets, 1 + rng.randrange(2)))[0]
+        hs = q.workspace.hom(X, Y)
+        f = hs.from_coordinates([rng.randrange(-2, 3) for _ in range(hs.dim)])
+        if len(summands) > 1 and summands[0] == summands[1]:
+            g = q.workspace.hom(summands[0], Y)
+            if g.dim:
+                f = g.basis[0] @ (projs[0] + projs[1].scale(k.of(2)))
+        elif i % 6 == 5:
+            f = qd.identity_morphism(X)
+        before = len(taken)
+        block = qd.right_minimal_version(f)
+        assert len(taken) == before + (X in q.workspace.sums)
+        loop = module._right_minimal_by_powers(f)
+        assert block.minimal.domain.dims == loop.minimal.domain.dims
+        assert block.split_off.dims == loop.split_off.dims
+        assert module._escaping_solution(block.minimal) is None
+        with monkeypatch.context() as m:
+            m.setattr(determiner, "right_minimal_version", module._right_minimal_by_powers)
+            want = engine.report(f, verify=True).to_json_dict()
+        assert engine.report(f, verify=True).to_json_dict() == want
+    assert True in taken and False in taken
 
 
 def test_primary_parts_via_factorization():
