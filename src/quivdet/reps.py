@@ -830,6 +830,36 @@ class Workspace:
                 if not self._owns(key) and table.get(key) is value:
                     table.pop(key, None)
 
+    @contextmanager
+    def recording(self):
+        """Collect, for another copy of this workspace, what this thread
+        stores in the block: yields a list that then holds (table name, key,
+        value) for each new entry that lives for the quiver's life, by
+        ownership at the end of the block.  The entries are noted as a
+        request notes them, but none is dropped; a forked knit worker
+        (translate.knit) sends them to its parent, which ``adopt``s them."""
+        scope = self._scope
+        outer, scope.journal = scope.journal, []
+        records = []
+        try:
+            yield records
+        finally:
+            journal, scope.journal = scope.journal, outer
+            names = {id(table): name for name, table in vars(self).items()}
+            records.extend((names[id(table)], key, value) for table, key, value in journal
+                           if self._owns(key))
+
+    def adopt(self, owned, records) -> None:
+        """Own each of owned and store each (table name, key, value) of
+        records, as ``recording`` collected them in another copy of this
+        workspace, by the write rule.  A key this workspace already holds
+        keeps its entry, inside a request or not."""
+        self.owned.update(owned)
+        for name, key, value in records:
+            table = getattr(self, name)
+            if key not in table:
+                self._store(table, key, value)
+
     def _store(self, table, key, value):
         """table[key] = value, the write rule of every table; returns the
         entry the table holds.  Inside a request an entry already held is

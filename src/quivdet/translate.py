@@ -15,14 +15,24 @@ the copresentation that wrote them; the one public transport,
 inverse_nakayama_on_injmap, reads them off the given map and checks that
 they write it back.  DTr is TrD over the opposite quiver conjugated by the
 duality D (Auslander-Reiten-Smalo ch. IV.1), so dtr has no code of its own.
+
+knit plans its registry on the integer skeleton first: the Cartan and
+inverse Coxeter matrices fix the order of the entries, their dimension
+vectors, where each tau-minus orbit of a projective ends and where the cap
+cuts it.  The orbits never meet, so they are built side by side, in worker
+processes that send their entries and workspace records back.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 from operator import mul
+from typing import NamedTuple
 
 from .decompose import indec_iso_witness, is_indecomposable
 from .errors import (
@@ -299,49 +309,198 @@ def knit(q: Quiver, field: Field = RATIONALS, cap: int = 5000) -> IndecRegistry:
     The registry closes (complete=True) exactly when every tau-minus orbit
     reaches an injective; on Dynkin quivers this recovers the positive-root
     count.  Hitting the cap returns the partial registry with complete=False.
-    Every TrD must be indecomposable and have the dimension vector that
-    coxeter_inverse gives, which no earlier entry has, else InvariantError.
+
+    _skeleton plans the registry in integer arithmetic: its order, each
+    entry's dimension vector, where each orbit ends and where the cap cuts.
+    The tau-minus orbits of the projectives never meet: from
+    tau^-k P_x = tau^-l P_y with k >= l, applying tau l times gives
+    tau^-(k-l) P_x = P_y, so k = l and x = y.  So each orbit is a chain of
+    TrDs that needs nothing from the others, and the orbits are built in
+    up to one process per CPU (_build_shares).  Every TrD must be
+    indecomposable and have the dimension vector that coxeter_inverse
+    gives, and every entry must be labelled I_x exactly where the skeleton
+    ends its orbit, else InvariantError.
     """
     if cap < q.n_vertices:
         raise SemanticError(f"cap {cap} is smaller than the vertex count {q.n_vertices}")
-    reg = IndecRegistry(q, field, cap=cap)
     c = cartan_matrix(q)
-    cartan = _cartan_vertices(q, c)
-
-    def register(M: Representation, orbit: tuple[str, int]) -> RegistryEntry:
-        idx = len(reg.entries)
-        invariant(M.dims not in reg.by_dims, "two registry entries share a dimension vector")
-        reg.by_dims[M.dims] = idx
-        q.workspace.own(M)
-        vertices = _canonical_vertices(M, cartan)
-        entry = RegistryEntry(_label(M, vertices, idx), M, idx, *vertices, orbit=orbit)
-        reg.entries.append(entry)
-        return entry
-
-    for x in q.vertices:
-        register(projective_at(q, x, field), (x, 0))
-    # the tau-minus orbits of the projectives never meet: from
-    # tau^-k P_x = tau^-l P_y with k >= l, applying tau l times gives
-    # tau^-(k-l) P_x = P_y, so k = l and x = y; each TrD is a new entry
-    reg.complete = True
-    phi = coxeter_inverse(q, c)
-    for entry in reg.entries:  # grows while it is walked
-        if entry.is_injective:
-            continue
-        if len(reg.entries) >= cap:
-            reg.complete = False
-            break
-        t = trd(entry.rep)
-        invariant(is_indecomposable(t), "TrD of an indecomposable must be indecomposable")
-        invariant(t.dims == tuple(sum(map(mul, row, entry.rep.dims)) for row in phi),
-                  "TrD does not have the dimension vector of the Coxeter transformation")
-        x, k = entry.orbit
-        entry.tau_minus = register(t, (x, k + 1)).index
+    steps, complete = _skeleton(q, c, cap)
+    built = _build_shares(q, field, steps, _cartan_vertices(q, c))
+    reg = IndecRegistry(q, field, complete=complete, cap=cap)
+    for i, step in enumerate(steps):
+        M, vertices = built[i]
+        invariant(M.dims == step.dims, "an entry does not have the dimension vector of the skeleton")
+        invariant((vertices[1] is not None) == step.injective,
+                  "an I_x label disagrees with the end of its orbit under the Coxeter transformation")
+        reg.by_dims[M.dims] = i
+        reg.entries.append(RegistryEntry(_label(M, vertices, i), M, i, *vertices,
+                                         tau_minus=step.tau_minus, orbit=step.orbit))
     kind, types = classify_underlying_graph(q)
     if reg.complete and kind == "dynkin":
         invariant(len(reg.entries) == positive_root_count(types),
                   "complete Dynkin registry does not have the positive-root count")
     return reg
+
+
+def _build(q: Quiver, field: Field, steps, orbits, cartan) -> dict:
+    """The entries of the orbits of the vertices in orbits, in skeleton
+    order: step index -> (representative, _canonical_vertices of it).  Each
+    TrD is checked and owned as it is built."""
+    ws = q.workspace
+    built, last = {}, {}
+    for i, step in enumerate(steps):
+        x, k = step.orbit
+        if x not in orbits:
+            continue
+        if k:
+            t = trd(last[x])
+            invariant(is_indecomposable(t), "TrD of an indecomposable must be indecomposable")
+            invariant(t.dims == step.dims,
+                      "TrD does not have the dimension vector of the Coxeter transformation")
+            last[x] = ws.own(t)
+        else:
+            last[x] = projective_at(q, x, field)
+        built[i] = last[x], _canonical_vertices(last[x], cartan)
+    return built
+
+
+# Predicted cost (_costs) below which knit runs in one process: a worker
+# costs a fork, a pickle and a load, and two busy processes slow each
+# other down.  Alternating knits in one and two processes on a shared
+# 2-CPU Xeon: Kronecker cap 12 (cost 168), E6 (372), D8 (408) and A10
+# (770) were no faster in two; A12 (1300), E8 (2200) and A15 (2480) were
+# 8-23% faster while the second CPU was free, and no faster when it was
+# not.
+_FORK_COST = 1000
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _costs(steps) -> dict:
+    """Each orbit's predicted build cost: an entry costs the vertex count
+    plus its total dimension.  Split in two by it, E6, E8 and A15 each get
+    halves within 1% of half the time of a build in one process."""
+    cost: dict = {}
+    for step in steps:
+        x = step.orbit[0]
+        cost[x] = cost.get(x, 0) + len(step.dims) + sum(step.dims)
+    return cost
+
+
+def _shares(cost: dict, n: int) -> list[set]:
+    """The orbits split into n shares of about equal cost, heaviest share
+    first (greedy, heaviest orbit first)."""
+    shares, loads = [set() for _ in range(n)], [0] * n
+    for x in sorted(cost, key=cost.get, reverse=True):
+        j = loads.index(min(loads))
+        shares[j].add(x)
+        loads[j] += cost[x]
+    return [s for _, s in sorted(zip(loads, shares), key=lambda p: -p[0])]
+
+
+def _build_shares(q: Quiver, field: Field, steps, cartan) -> dict:
+    """_build over every orbit, split over min(CPUs, orbits with a TrD)
+    processes: the parent builds the heaviest share and os.fork starts one
+    worker for each other share.  A worker sends back its entries and the
+    workspace records that live for the quiver's life (Workspace.recording),
+    pickled with the quiver, the field and the objects the parent owned
+    before the fork as persistent ids; the parent adopts them, so requests
+    find what a knit in one process leaves.  A worker's exception is raised
+    again in the parent, and every worker is reaped before this returns.
+    With one CPU, no os.fork or another thread alive (forking a threaded
+    process is unsafe) the single share is built in-process, and so is a
+    knit whose predicted cost is below _FORK_COST."""
+    ws = q.workspace
+    for x in q.vertices:  # shared with the workers, and looked up by labels
+        projective_at(q, x, field)
+        injective_at(q, x, field)
+    cost = _costs(steps)
+    busy = {step.orbit[0] for step in steps if step.tau_minus is not None}
+    n = 1
+    if sum(cost.values()) >= _FORK_COST and hasattr(os, "fork") \
+            and threading.active_count() == 1:
+        n = min(_cpus(), len(busy))
+    if n < 2:
+        return _build(q, field, steps, set(cost), cartan)
+    import pickle  # only a knit that forks pays for these imports
+    import signal
+
+    own, *others = _shares(cost, n)
+    shared = {id(o): o for o in (q, field, *ws.owned)}
+
+    def work(orbits):
+        with ws.recording() as records:
+            built = _build(q, field, steps, orbits, cartan)
+        return built, [o for o in ws.owned if id(o) not in shared], records
+
+    workers = []
+    try:
+        for orbits in others:
+            try:
+                workers.append(_fork(partial(work, orbits), shared))
+            except OSError:  # no process to be had: build the share here
+                own |= orbits
+        built = _build(q, field, steps, own, cartan)
+        for pid, fd in workers:
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"knit worker {pid} ended without a result")
+            unpickler = pickle.Unpickler(io.BytesIO(data))
+            unpickler.persistent_load = shared.__getitem__
+            ok, result = unpickler.load()
+            if not ok:
+                raise result
+            share, owned, records = result
+            ws.adopt(owned, records)
+            built.update(share)
+    finally:
+        # a worker whose result was read has closed its pipe and is leaving;
+        # any other is stopped
+        for pid, fd in workers:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return built
+
+
+def _fork(work, shared) -> tuple[int, int]:
+    """Run work() in a forked worker: its pid and the read end of a pipe
+    that carries (True, work()) or (False, the exception it raised),
+    pickled with the objects of shared as persistent ids.  The worker
+    writes nothing else and leaves by os._exit, so it flushes none of the
+    parent's buffers."""
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    try:
+        os.close(r)
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: id(obj) if id(obj) in shared else None
+        try:
+            result = True, work()
+        except BaseException as e:  # the parent raises it again
+            result = False, e
+        pickler.dump(result)
+        with open(w, "wb") as pipe:
+            pipe.write(buf.getvalue())
+    finally:
+        os._exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +543,37 @@ def coxeter_inverse(q: Quiver, c: list[list[int]] | None = None) -> list[list[in
         for row, out in zip(c, phi):
             out[t] += row[s]
     return phi
+
+
+def _skeleton(q: Quiver, c: list[list[int]], cap: int) -> tuple[list["_Step"], bool]:
+    """The registry knit builds, in integer arithmetic alone, and whether it
+    is complete: the breadth-first order of the entries tau^-k P_x from the
+    projectives, each with its dimension vector Phi^-1 dim tau^-(k-1) P_x,
+    injective exactly when Phi^-1 dim has a negative coordinate (Phi^-1 dim
+    I_x = -dim P_x, while Phi^-1 dim M = dim TrD M for every other
+    indecomposable M), and the index of its TrD, None at an injective and
+    once the cap is reached.  c is cartan_matrix(q).  Preprojective
+    indecomposables are told apart by their dimension vectors, so no two
+    entries may share one."""
+    phi = coxeter_inverse(q, c)
+    todo = [((x, 0), col) for x, col in zip(q.vertices, zip(*c))]
+    steps, seen, complete = [], set(), True
+    for orbit, dims in todo:  # grows while it is walked
+        invariant(dims not in seen, "two registry entries share a dimension vector")
+        seen.add(dims)
+        after = tuple(sum(map(mul, row, dims)) for row in phi)
+        injective, tau_minus = min(after) < 0, None
+        if not injective and complete and len(todo) < cap:
+            tau_minus = len(todo)
+            todo.append(((orbit[0], orbit[1] + 1), after))
+        elif not injective:
+            complete = False
+        steps.append(_Step(orbit, dims, injective, tau_minus))
+    return steps, complete
+
+
+class _Step(NamedTuple):
+    orbit: tuple[str, int]          # (x, k) for tau^-k P_x
+    dims: tuple[int, ...]
+    injective: bool
+    tau_minus: int | None

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import itertools
+import os
 import random
 from pathlib import Path
 
@@ -406,11 +407,13 @@ def test_knit_builds_no_direct_sum_morphisms(monkeypatch):
 def test_knit_builds_one_hull_per_trd_and_transports_nothing_back(monkeypatch):
     # the copresentation differential is written from the rows of the
     # cokernel projection, and trd writes its transport with no write-back
-    # and takes the cokernel with no projection onto it
+    # and takes the cokernel with no projection onto it; the calls are
+    # counted in this process, so the knit runs in it
     import quivdet.reps as reps
     import quivdet.structure as structure
     import quivdet.translate as translate
 
+    monkeypatch.setattr(translate, "_cpus", lambda: 1)
     hulls = []
     real_hull = structure.injective_hull
     monkeypatch.setattr(structure, "injective_hull", lambda M: hulls.append(M) or real_hull(M))
@@ -440,9 +443,11 @@ def test_knit_builds_one_hull_per_trd_and_transports_nothing_back(monkeypatch):
 ], ids=["e6", "kronecker-cap12"])
 def test_knit_registers_each_trd_without_an_iso_search(text, cap, size, complete, monkeypatch):
     # the tau-minus orbits of the projectives never meet, so every TrD is a
-    # new entry; at the cap no TrD is computed only to be dropped
+    # new entry; at the cap no TrD is computed only to be dropped (counted
+    # in this process, so the knit runs in it)
     import quivdet.translate as translate
 
+    monkeypatch.setattr(translate, "_cpus", lambda: 1)
     calls = []
     real_trd = translate.trd
 
@@ -803,12 +808,136 @@ def test_knit_checks_trd_against_the_coxeter_transformation(monkeypatch):
         qd.knit(q)
 
 
+@pytest.mark.parametrize("text, cap, size, complete, digest", [
+    (E6_TEXT, 5000, 36, True, "fa19db7263087cb2d963086db3f958551eb28fff0f93ad486c295a76752504ca"),
+    (D4_TEXT, 5000, 12, True, "9e4e1a0e0877300162e66a31bec80dd95fd5007bd918205c319a296c30bb6452"),
+    (A5_TEXT, 5000, 15, True, "4b09caca63ef879cf0fbbbbb0d55e494836ec26519e4fdcadd7097605b849284"),
+    (_bench_input("e8.quiver"), 5000, 120, True,
+     "4863dda61d6c44c074395812ddc766f2fd19cb06f25e462baec1813c8ec0356f"),
+    (KRONECKER_TEXT, 24, 24, False, "2887cfdd077b40ce112d5ba9ba6048761c0ecec50b7693089eddcc8ac5810478"),
+], ids=["e6", "d4", "a5", "e8", "kronecker-cap24"])
+def test_skeleton_plans_the_knitted_registry(text, cap, size, complete, digest):
+    # order, dimension vectors, tau-minus links, orbit coordinates, where
+    # each orbit ends and where the cap cuts are integer arithmetic.  The
+    # digests were taken from registries knitted one TrD at a time, with
+    # the order, links and orbits read off the TrDs themselves; knit now
+    # copies orbits and links from the skeleton but builds the dimension
+    # vectors and I_x labels, so it is held to the same digests
+    from quivdet.translate import _skeleton
+
+    def rows_digest(rows):
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    q = qd.parse_quiver(text)
+    steps, planned = _skeleton(q, qd.cartan_matrix(q), cap)
+    assert (len(steps), planned) == (size, complete)
+    assert rows_digest([(s.orbit, s.dims, s.tau_minus, s.injective) for s in steps]) == digest
+    if text == D4_TEXT:  # the digested rows, written out once
+        assert [(s.orbit, s.dims, s.tau_minus, s.injective) for s in steps][4:9] == [
+            (("c", 1), (2, 1, 1, 1), 8, False), (("1", 1), (1, 0, 1, 1), 9, False),
+            (("2", 1), (1, 1, 0, 1), 10, False), (("3", 1), (1, 1, 1, 0), 11, False),
+            (("c", 2), (1, 1, 1, 1), None, True)]
+    reg = qd.knit(q, cap=cap)
+    assert (len(reg.entries), reg.complete) == (size, complete)
+    assert rows_digest([(e.orbit, e.rep.dims, e.tau_minus, e.is_injective)
+                        for e in reg.entries]) == digest
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _knit_in(processes, monkeypatch, text, field, cap, fork_cost=0):
+    """knit with the CPU count set to processes and the predicted cost that
+    forks set to fork_cost, and the forks it made."""
+    import quivdet.translate as translate
+
+    forks, real_fork = [], os.fork
+    q = qd.parse_quiver(text)
+    with monkeypatch.context() as m:
+        m.setattr(translate, "_cpus", lambda: processes)
+        m.setattr(translate, "_FORK_COST", fork_cost)
+        m.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        reg = qd.knit(q, field_from_name(field), cap)
+    _no_child_left()
+    return q, reg, len(forks)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("field", ["rat", "fp:10007"])
+@pytest.mark.parametrize("text, cap", [
+    (E6_TEXT, 5000), (_bench_input("a15.quiver"), 5000), (KRONECKER_TEXT, 12),
+], ids=["e6", "a15", "kronecker-cap12"])
+def test_knit_in_worker_processes_matches_one_process(text, cap, field, processes, monkeypatch, capfd):
+    # a forked worker sends back its chains and every workspace record that
+    # lives for the quiver's life, so the parent holds what one process
+    # knits; workers write nothing and none is left running.  One process
+    # per orbit with a TrD at most: the Kronecker quiver has two
+    from quivdet.translate import _skeleton
+
+    q1, one, forks1 = _knit_in(1, monkeypatch, text, field, cap)
+    q2, two, forks2 = _knit_in(processes, monkeypatch, text, field, cap)
+    steps, _ = _skeleton(q1, qd.cartan_matrix(q1), cap)
+    busy = len({s.orbit[0] for s in steps if s.tau_minus is not None})
+    assert (forks1, forks2) == (0, min(processes, busy) - 1)
+    assert capfd.readouterr() == ("", "")
+    assert (one.complete, len(one.entries)) == (two.complete, len(two.entries))
+    for a, b in zip(one.entries, two.entries):
+        assert (a.label, a.rep, a.tau_minus, a.orbit) == (b.label, b.rep, b.tau_minus, b.orbit)
+        assert (a.projective_vertex, a.injective_vertex, a.simple_vertex) \
+            == (b.projective_vertex, b.injective_vertex, b.simple_vertex)
+        assert q1.workspace.presentations[a.rep] == q2.workspace.presentations[b.rep]
+    assert one.by_dims == two.by_dims
+    for name, table in vars(q1.workspace).items():
+        if hasattr(table, "keys"):
+            assert set(table.keys()) == set(getattr(q2.workspace, name).keys()), name
+    assert q1.workspace.owned == q2.workspace.owned
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_knit_forks_only_where_the_skeleton_predicts_enough_work(monkeypatch):
+    # the benchmark's Kronecker cap-12 and E6 knits stay in one process
+    # with two CPUs; the E8 and A15 knits fork one worker
+    import quivdet.translate as translate
+
+    for text, cap, forks in [(KRONECKER_TEXT, 12, 0), (E6_TEXT, 5000, 0),
+                             (_bench_input("e8.quiver"), 5000, 1),
+                             (_bench_input("a15.quiver"), 5000, 1)]:
+        assert _knit_in(2, monkeypatch, text, "rat", cap, translate._FORK_COST)[2] == forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "parent"])
+def test_knit_raises_what_a_share_raised(in_worker, monkeypatch, capfd):
+    # a worker's exception reaches the caller with its type and message; one
+    # raised in the parent's share stops the worker; either way no child is
+    # left and the workers write nothing
+    import quivdet.translate as translate
+
+    parent, real = os.getpid(), translate.is_indecomposable
+    monkeypatch.setattr(translate, "_cpus", lambda: 2)
+    monkeypatch.setattr(translate, "_FORK_COST", 0)
+    monkeypatch.setattr(translate, "is_indecomposable",
+                        lambda M: (os.getpid() == parent) == in_worker and real(M))
+    with pytest.raises(InvariantError) as caught:
+        qd.knit(qd.parse_quiver(E6_TEXT))
+    assert type(caught.value) is InvariantError
+    assert str(caught.value) == "TrD of an indecomposable must be indecomposable"
+    _no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("name, builds", [("a15.quiver", 30), ("e8.quiver", 180)])
 def test_knit_builds_each_block_sum_once(name, builds, monkeypatch):
     # the cover, hull and transport writers ask for the same few block sums
     # again and again; the workspace builds each kind, tuple and field once
+    # (counted in this process, so the knit runs in it)
     import quivdet.structure as structure
+    import quivdet.translate as translate
 
+    monkeypatch.setattr(translate, "_cpus", lambda: 1)
     calls = []
     real = structure.block_diagonal_sum
 
@@ -884,9 +1013,12 @@ def test_knit_checks_each_trd_with_one_brick_certificate(n, monkeypatch):
     # knit's indecomposability check runs one _split_once per TrD and builds
     # no DecompositionResult; it does not trust the record of
     # indecomposables, which already holds every canonical I_y here, though
-    # on linear A_n each non-projective I_y is a TrD equal to it by value
+    # on linear A_n each non-projective I_y is a TrD equal to it by value;
+    # the calls are counted in this process, so the knit runs in it
+    import quivdet.translate as translate
     from conftest import linear_quiver
 
+    monkeypatch.setattr(translate, "_cpus", lambda: 1)
     decompose = importlib.import_module("quivdet.decompose")  # qd.decompose is the function
     q = linear_quiver(n, (0,) * (n - 1))
     injectives = {qd.injective_at(q, y) for y in q.vertices}
