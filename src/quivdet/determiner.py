@@ -12,9 +12,10 @@ were translated afresh.
 The oracle side never trusts that computation.  For a test object Z the
 subspace F_Z of maps Z -> Y factoring through f is the image of
 postcomposition with f on Hom(Z, X).  When Z has a projective presentation
-(every registry object does) the workspace reads it off the generator
-solutions of Hom(Z, X) sent through f, and writes out no Hom(Z, X); any
-other Z takes the column space of the composition matrix.  The determined
+(every registry object does) dim F_Z is a rank read off the generator
+solutions of Hom(Z, X) and Hom(Z, Y) (reps.Workspace.factoring_rank), and
+F_Z is written out only when read; any other Z takes the column space of
+the composition matrix.  The determined
 subspace of V comes from one constraint builder: a map g: V -> Y must send
 every map h: S -> V out of a source S, precomposed, into F_S, which gives the
 rows "precompose with h, then project off F_S" for h in a basis of
@@ -34,10 +35,8 @@ determination and each member-removal check; the scans share F_V and the
 constraint rows, which the workspace keeps per request morphism.  A V that
 no member constrains (each member S has Hom(S, Y) = 0, Hom(S, V) = 0 or
 F_S = Hom(S, Y)) has all of Hom(V, Y) as its determined subspace, so it has
-a gap exactly when dim F_V < dim Hom(V, Y).  For a presented V and a Y that
-is no recorded sum, reps.Workspace.factoring_rank reads both dimensions off
-V's generator images, one rank with no Hom(V, Y) and no composite written
-out, and keeps them per request morphism for the removal scans.  On a
+a gap exactly when dim F_V < dim Hom(V, Y), one rank with no canonical form
+and no composite written out.  On a
 complete registry (Dynkin quivers) the verdict is a certificate; otherwise
 it is a bounded search and reports say so.  A registry the caller does not
 pass is knitted once per quiver object, field and cap, in the workspace's
@@ -216,11 +215,8 @@ class DeterminerEngine:
                          source: Representation) -> list[dict]:
         """Integer rows (see int_rows) on Hom(target, Y) forcing g . h into
         the factoring subspace of source for every h in a basis of
-        Hom(source, target).  That basis is only read when the subspace is
-        proper, since otherwise no h constrains g."""
+        Hom(source, target)."""
         fs = self.workspace.factoring_subspace(f, source)
-        if fs.is_full():
-            return []
         hsy = self.hom(source, f.codomain)
         hty = self.hom(target, f.codomain)
         hst = self.hom(source, target)
@@ -269,46 +265,47 @@ class DeterminerEngine:
 
     # -- the determination oracle -------------------------------------------
 
+    def _constrains(self, f: RepMorphism, S: Representation) -> bool:
+        """Whether F_S is a proper subspace of Hom(S, Y) != 0, as a source."""
+        dim = self.hom(S, f.codomain).dim
+        return dim > 0 and self.workspace.factoring_rank(f, S) < dim
+
     def determined_subspace(self, f: RepMorphism, sources, V: Representation) -> Subspace:
         """Largest subspace of Hom(V, Y) whose composites with every map out
-        of a source object factor through f.  A source S with Hom(S, Y) = 0
-        or Hom(S, V) = 0 gives no rows, and not even F_S is built for it,
-        nor for one whose dimensions Workspace.factoring_rank holds and
-        shows F_S = Hom(S, Y); the rows of every other source are kept per
-        (f, V, S) in the workspace for the later scans of the same request."""
-        ws, Y = self.workspace, f.codomain
+        of a source object factor through f.  A source S that constrains
+        nothing (_constrains) or has Hom(S, V) = 0 gives no rows; the rows
+        of every other source are kept per (f, V, S) in the workspace for
+        the later scans of the same request."""
+        ws = self.workspace
         rows: list = []
         with ws.request():
             for S in sources:
-                dims = ws.ranks.get((f, S))
-                if (dims[0] > dims[1] if dims else self.hom(S, Y).dim) and self.hom(S, V).dim:
+                if self._constrains(f, S) and self.hom(S, V).dim:
                     rows.extend(ws.memo(ws.constraints, (f, V, S), lambda: self._constraint_rows(f, V, S)))
-            return kernel_of_rows(self.field, self.hom(V, Y).dim, rows)
+            return kernel_of_rows(self.field, self.hom(V, f.codomain).dim, rows)
 
     def _gaps(self, f: RepMorphism, members):
         """(entry, gap) for each registry entry in order, where gap says
         whether the determined subspace of V = entry.rep exceeds its
         factoring subspace.  A V with Hom(V, Y) = 0 has both subspaces 0.  A
-        V that no member constrains (each member S has Hom(S, Y) = 0,
-        Hom(S, V) = 0 or F_S = Hom(S, Y)) has all of Hom(V, Y) as its
-        determined subspace, so its gap is dim F_V < dim Hom(V, Y), which
-        Workspace.factoring_rank reads off V's generator images where it
-        can; every other V has both subspaces written out, the determined
-        one from the members that can constrain it."""
+        V that no active member (_constrains) maps into has all of Hom(V, Y)
+        as its determined subspace, so its gap is dim F_V < dim Hom(V, Y), a
+        rank; every other V has both subspaces written out, the determined
+        one from the active members."""
         ws, Y = self.workspace, f.codomain
-        active = [S for S in members if self.hom(S, Y).dim and not ws.factoring_subspace(f, S).is_full()]
+        active = [S for S in members if self._constrains(f, S)]
         for entry in self.registry.entries:
             V = entry.rep
-            dims = ws.factoring_rank(f, V, lambda: any(self.hom(S, V).dim for S in active))
-            if dims is not None:
-                yield entry, dims[0] != dims[1]
-            elif self.hom(V, Y).dim:
+            dim = self.hom(V, Y).dim
+            if not dim:
+                yield entry, False
+            elif any(self.hom(S, V).dim for S in active):
                 fv = ws.factoring_subspace(f, V)
                 wv = self.determined_subspace(f, active, V)
                 invariant(wv.contains(fv), "determined subspace misses the factoring subspace")
                 yield entry, wv.dim != fv.dim
             else:
-                yield entry, False
+                yield entry, ws.factoring_rank(f, V) != dim
 
     def _first_gap(self, f: RepMorphism, members) -> str | None:
         """Label of the first registry object with a gap (_gaps), or None if

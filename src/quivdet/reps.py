@@ -8,26 +8,18 @@ with a canonical (RREF) ordered basis, so all downstream subspace
 computations have stable coordinates.  hom_basis solves the commuting-square
 system in one elimination, one unknown per entry of the vertex maps.  For a
 presented M, generator_kernel solves the relation equations on the generator
-images instead, one unknown per coordinate of N at each generator (Yoneda);
-write_from_generators writes each solution into the vertex maps, and
-hom_from_presentation puts the written maps in canonical form.  Either way
-every HomSpace basis vector is checked against the squares, from its
-nonzeros and those of the arrow matrices, so the basis morphisms skip the
-check one by one and are built only on first access; morphisms built from
-caller input, from_coordinates included, keep it.  Composites with a fixed
-map (the matrices of pre- and postcomposition) are formed on the flat
-sparse basis rows, with no matrix product.  For a presented Z,
-postcompose_from_generators forms f . g for every g: Z -> X from the
-generator solutions of Hom(Z, X): their images under f are written as maps
-Z -> Y, whose coordinates in Hom(Z, Y) check them.
-factoring_rank_from_generators gives dim F_Z from the same images with no
-Hom space written: their rank among the generator solutions of Hom(Z, Y),
-which are written as maps for the square check alone.  Hom is additive in each
-argument, so the Hom space of a direct sum that the workspace records is
-never solved as a whole: hom_from_blocks places the canonical rows of the
-blocks between summands at the sum's coordinates, which keeps them
-canonical.  The generator solutions of Hom(Z, X) are solved whole for a sum
-X, as for any other X.
+images instead, one unknown per coordinate of N at each generator (Yoneda).
+A map out of M is fixed by its generator images, so the solutions are
+coordinates of Hom(M, N), which a HomSpace holds and writes out
+(write_from_generators) only when read (see HomSpace); morphisms built from
+caller input, from_coordinates included, keep their square check.
+Composites with a fixed map are formed on the flat sparse basis rows, with
+no matrix product; for a presented Z, _images_through sends the solutions
+of Hom(Z, X) through f: X -> Y at the generator vertices.  Hom is additive
+in each argument, so the Hom space of a direct sum that the workspace
+records is never solved as a whole: hom_from_blocks places the blocks'
+canonical rows and generator solutions at the sum's coordinates, which
+keeps them canonical.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient_representation, which reads its
@@ -264,31 +256,87 @@ class HomSpace:
     Morphisms are flattened to coordinate vectors by concatenating the
     components row-major in vertex order; the basis rows are in RREF with
     respect to that flattening, so coordinates of a member are read off at the
-    pivot positions; a caller that holds the flat offsets of maps
-    domain -> codomain passes them.  Whichever route solved the space, each
-    basis vector is checked against the commuting squares
-    N(a) f(s) = f(t) M(a) from its nonzeros and those of the arrow matrices
-    (InvariantError if some vector is outside Hom), so its morphisms are
-    built without a check of their own, on first access to basis.
-    Composites and coordinates work on flat_basis, the basis vectors as
-    sparse rows, and need no basis morphism.
+    pivot positions.  A space solved off a presentation of M holds the
+    generator solutions (generator_kernel), coordinates of Hom(M, N) that
+    give its dimension; a space between direct sums holds its blocks
+    (hom_from_blocks).  Either writes its rows, canonical form, basis and
+    flat_basis only when first read.  Every set of written rows is checked
+    against the squares N(a) f(s) = f(t) M(a) from its nonzeros and those of
+    the arrow matrices (InvariantError if some vector is outside Hom), so
+    the basis morphisms need no check of their own.  Composites and
+    coordinates work on flat_basis, the basis vectors as sparse rows.
     """
 
-    def __init__(self, domain: Representation, codomain: Representation, basis_vectors: Subspace,
-                 offsets=None):
-        self.domain = domain
-        self.codomain = codomain
-        self._space = basis_vectors
-        self._offsets = _flat_offsets(domain, codomain) if offsets is None else offsets
-        if basis_vectors.ambient_dim != self._offsets[-1]:
-            raise SemanticError("basis vectors do not have the flattened hom length")
-        invariant(not _breaks_a_square(domain, codomain, self._offsets, basis_vectors.sparse_basis),
+    def __init__(self, domain: Representation, codomain: Representation,
+                 basis_vectors: Subspace | None = None, *, presentation: Presentation | None = None,
+                 solutions: Subspace | None = None, blocks=()):
+        self.domain, self.codomain = domain, codomain
+        self._offsets = _flat_offsets(domain, codomain)
+        self.presentation, self._blocks = presentation, blocks
+        if basis_vectors is not None:
+            if basis_vectors.ambient_dim != self._offsets[-1]:
+                raise SemanticError("basis vectors do not have the flattened hom length")
+            self._check(basis_vectors.sparse_basis)
+            self._space = basis_vectors
+        if solutions is not None or presentation is None:
+            self.solutions = solutions  # else placed from the blocks when read
+        given = solutions if solutions is not None else basis_vectors
+        self.dim = given.dim if given is not None else sum(hs.dim for hs, _, _ in blocks)
+
+    @cached_property
+    def solutions(self) -> Subspace | None:
+        """Out of a presented M into a direct sum, those of the blocks placed
+        likewise, n_j of N_b at the coordinates of N_b in N; else None, as
+        when a block was solved before M had its presentation."""
+        if self.presentation is None or any(hs.solutions is None for hs, _, _ in self._blocks):
+            return None
+        gens = self.presentation.generators
+        starts = list(accumulate((self.codomain.dims[x] for x in gens), initial=0))
+        return disjoint_span(self.field, starts[-1], _placed_rows(
+            (hs.solutions.sparse_basis, [starts[j] + no[x] + r for j, x in enumerate(gens)
+                                         for r in range(hs.codomain.dims[x])])
+            for hs, _, no in self._blocks))
+
+    def _check(self, rows) -> None:
+        invariant(not _breaks_a_square(self.domain, self.codomain, self._offsets, rows),
                   "hom basis vector outside the hom space: some square does not commute")
+
+    def _written(self) -> list[dict]:
+        """The generator solutions written as maps {flat index: value}
+        (write_from_generators), checked against the squares."""
+        rows = write_from_generators(self.domain, self.presentation, self.codomain,
+                                     self.solutions.sparse_basis, self._offsets)
+        self._check([r.items() for r in rows])
+        return rows
+
+    @cached_property
+    def _checked(self) -> bool:
+        """True once the solutions, written as maps, are checked against the
+        squares: here, with the canonical form, or in each block of a sum."""
+        if not (self._blocks or "_space" in vars(self)):
+            self._written()
+        return all(hs._checked for hs, _, _ in self._blocks)
+
+    @cached_property
+    def _space(self) -> Subspace:
+        """The canonical form: the blocks' placed and checked against the
+        squares, or that of the flat rows."""
+        if self._blocks or self.solutions is None:
+            offsets, dims = self._offsets, self.domain.dims
+            space = disjoint_span(self.field, offsets[-1], _placed_rows(
+                (hs._space.sparse_basis, [offsets[i] + (no[i] + r) * dm + mo[i] + c for i, dm in enumerate(dims)
+                                          for r in range(hs.codomain.dims[i]) for c in range(hs.domain.dims[i])])
+                for hs, mo, no in self._blocks))
+            self._check(space.sparse_basis)
+        else:
+            space = span_of_rows(self.field, self._offsets[-1], (r.items() for r in self._written()))
+        invariant(space.dim == self.dim, "the canonical form of a Hom space differs from its dimension")
+        return space
 
     @cached_property
     def basis(self) -> tuple[RepMorphism, ...]:
         """The basis morphisms, built on first access without a check each:
-        the squares were checked at construction."""
+        the squares were checked where the rows were written."""
         basis = []
         for v in self._space.basis:
             f = object.__new__(RepMorphism)
@@ -296,10 +344,6 @@ class HomSpace:
             f.__dict__.update(domain=self.domain, codomain=self.codomain, comps=self._components(v))
             basis.append(f)
         return tuple(basis)
-
-    @property
-    def dim(self) -> int:
-        return self._space.dim
 
     @property
     def flat_basis(self) -> list:
@@ -372,31 +416,25 @@ def hom_basis(M: Representation, N: Representation) -> HomSpace:
     solved by one elimination."""
     _same_category(M, N)
     offsets = _flat_offsets(M, N)
-    return HomSpace(M, N, kernel_of_rows(M.field, offsets[-1], _square_rows(M, N, offsets)), offsets)
+    return HomSpace(M, N, kernel_of_rows(M.field, offsets[-1], _square_rows(M, N, offsets)))
 
 
-def _placed_rows(spaces):
-    """The basis rows of each (space, place) as sparse rows, every column j
-    moved to place[j]."""
-    return [[(place[j], v) for j, v in nz] for space, place in spaces for nz in space.sparse_basis]
+def _placed_rows(placed):
+    """The sparse rows of each (rows, place), every column j moved to
+    place[j]."""
+    return [[(place[j], v) for j, v in nz] for rows, place in placed for nz in rows]
 
 
-def hom_from_blocks(M: Representation, N: Representation, blocks) -> HomSpace:
-    """Canonical basis of Hom(M, N) between direct sums, from the canonical
-    bases of the blocks Hom(M_a, N_b) (Hom is additive in each argument).
-    blocks gives each nonzero block as (Hom(M_a, N_b), mo, no), where M_a
-    and N_b start at coordinates mo[i] of M(i) and no[i] of N(i).  The
-    entry f(i)[r][c] of the block is the entry f(i)[no[i] + r][mo[i] + c]
-    of the map M -> N: a map of flat indices that keeps their order and
-    whose images are disjoint across blocks (linalg.disjoint_span)."""
-    offsets = _flat_offsets(M, N)
-    spaces = []
-    for hs, mo, no in blocks:
-        A, B = hs.domain, hs.codomain
-        spaces.append((hs._space, [offsets[i] + (no[i] + r) * dm + mo[i] + c
-                                   for i, dm in enumerate(M.dims)
-                                   for r in range(B.dims[i]) for c in range(A.dims[i])]))
-    return HomSpace(M, N, disjoint_span(M.field, offsets[-1], _placed_rows(spaces)), offsets)
+def hom_from_blocks(M: Representation, N: Representation, blocks,
+                    presentation: Presentation | None = None) -> HomSpace:
+    """Hom(M, N) between direct sums, from the blocks Hom(M_a, N_b) (Hom is
+    additive in each argument), each nonzero one given as (Hom(M_a, N_b),
+    mo, no), where M_a and N_b start at coordinates mo[i] of M(i) and no[i]
+    of N(i).  Entry f(i)[r][c] of a block is f(i)[no[i] + r][mo[i] + c] of
+    the map M -> N: a map of flat indices that keeps their order, with images
+    disjoint across blocks, so the placed canonical rows of the blocks are
+    the canonical basis (linalg.disjoint_span), placed on first read."""
+    return HomSpace(M, N, presentation=presentation, blocks=blocks)
 
 
 def _generator_maps(M: Representation, presentation: Presentation, N: Representation):
@@ -463,23 +501,17 @@ def write_from_generators(M: Representation, presentation: Presentation, N: Repr
 
 def hom_from_presentation(M: Representation, presentation: Presentation, N: Representation,
                           solutions: Subspace) -> HomSpace:
-    """Canonical basis of Hom(M, N) written from the generator_kernel
-    solutions: each is written at M's slots (write_from_generators) and the
-    written maps are put in canonical form."""
-    offsets = _flat_offsets(M, N)
-    rows = write_from_generators(M, presentation, N, solutions.sparse_basis, offsets)
-    space = span_of_rows(M.field, offsets[-1], (r.items() for r in rows))
-    invariant(space.dim == solutions.dim, "a map written from generator images is not determined by them")
-    return HomSpace(M, N, space, offsets)
+    """Hom(M, N) held as its generator_kernel solutions (HomSpace)."""
+    return HomSpace(M, N, presentation=presentation, solutions=solutions)
 
 
-def _images_through(presentation: Presentation, f: RepMorphism, solutions: Subspace) -> list[dict]:
+def _images_through(hs: HomSpace, f: RepMorphism) -> list[dict]:
     """The generator images {generator coordinate of Y: value} of f . g for
-    each g: Z -> X given by its generator images (the generator_kernel
-    solutions of Hom(Z, X)): those of g sent through f at the generator
+    each g: Z -> X given by its generator images, the solutions that
+    hs = Hom(Z, X) holds: those of g sent through f at the generator
     vertices."""
     X, Y = f.domain, f.codomain
-    gens = presentation.generators
+    gens = hs.presentation.generators
     sx = list(accumulate((X.dims[x] for x in gens), initial=0))
     sy = list(accumulate((Y.dims[x] for x in gens), initial=0))
     spread = defaultdict(list)  # generator coordinate of X -> [(that of Y, factor)]
@@ -489,7 +521,7 @@ def _images_through(presentation: Presentation, f: RepMorphism, solutions: Subsp
                 if w:
                     spread[t].append((r, w))
     images = []
-    for u in solutions.sparse_basis:
+    for u in hs.solutions.sparse_basis:
         acc: dict = {}
         for t, v in u:
             for s, w in spread.get(t, ()):
@@ -498,39 +530,14 @@ def _images_through(presentation: Presentation, f: RepMorphism, solutions: Subsp
     return images
 
 
-def postcompose_from_generators(hs_dst: HomSpace, presentation: Presentation, f: RepMorphism,
-                                solutions: Subspace) -> list[tuple]:
-    """Coordinates in hs_dst = Hom(Z, Y) of f . g for each g: Z -> X given by
-    its generator images (the generator_kernel solutions of Hom(Z, X)), with
-    no Hom(Z, X) written out.  The composite is written from its generator
-    images (_images_through), and flat_coordinates checks it."""
-    images = [acc.items() for acc in _images_through(presentation, f, solutions)]
-    return hs_dst._flat_coordinate_rows(
-        write_from_generators(hs_dst.domain, presentation, f.codomain, images, hs_dst._offsets))
-
-
-def factoring_rank_from_generators(Z: Representation, presentation: Presentation, f: RepMorphism,
-                                   to_y: Subspace, to_x: Subspace | None) -> int:
-    """dim F_Z, the maps Z -> Y through f: X -> Y: a map out of Z is fixed by
-    its generator images, so it is the rank of those of the composites
-    f . g (_images_through) among to_y, the generator_kernel solutions of
-    Hom(Z, Y); to_x holds those of Hom(Z, X), None when it is zero.  Only
-    to_y is written out, as maps for the square check that HomSpace runs,
-    and an image outside to_y is a composite that is no map
-    (InvariantError)."""
-    offsets = _flat_offsets(Z, f.codomain)
-    written = write_from_generators(Z, presentation, f.codomain, to_y.sparse_basis, offsets)
-    invariant(not _breaks_a_square(Z, f.codomain, offsets, [w.items() for w in written]),
-              "hom basis vector outside the hom space: some square does not commute")
-    if to_x is None or not to_x.dim:
-        return 0
-    try:
-        coords = to_y.coordinate_rows(_images_through(presentation, f, to_x))
-    except ValueError:
-        raise InvariantError("a composite with f is outside the hom space: "
-                             "its generator images break a relation") from None
-    return span_of_rows(Z.field, to_y.dim, ([(i, c) for i, c in enumerate(row) if c]
-                                            for row in coords)).dim
+def postcompose_from_generators(hs_src: HomSpace, hs_dst: HomSpace, f: RepMorphism) -> list[tuple]:
+    """Coordinates in hs_dst = Hom(Z, Y) of f . g for each g: Z -> X given
+    by its generator images, the solutions that hs_src = Hom(Z, X) holds,
+    with no Hom(Z, X) written out.  The composite is written from its
+    generator images (_images_through), and flat_coordinates checks it."""
+    images = [acc.items() for acc in _images_through(hs_src, f)]
+    return hs_dst._flat_coordinate_rows(write_from_generators(
+        hs_dst.domain, hs_src.presentation, f.codomain, images, hs_dst._offsets))
 
 
 def _entries(offsets, dims, nz):
@@ -711,6 +718,45 @@ def dual_morphism(f: RepMorphism) -> RepMorphism:
                        tuple(m.transpose() for m in f.comps))
 
 
+class _Factoring:
+    """F_Z, the maps Z -> Y through f: X -> Y, off the held hzx = Hom(Z, X)
+    and hzy = Hom(Z, Y), as Workspace.factorings holds it.  For a presented
+    Z, dim is the rank of hzx's generator solutions sent through f
+    (_images_through) among hzy's, unless space was read first, and space
+    writes the composites out (postcompose_from_generators); the two must
+    agree.  Any other Z, or one whose spaces were solved before it had its
+    presentation, takes the column space of postcompose_matrix."""
+
+    def __init__(self, f: RepMorphism, hzx: HomSpace, hzy: HomSpace):
+        self.f, self.hzx, self.hzy = f, hzx, hzy
+
+    def _span(self, rows) -> Subspace:
+        return span_of_rows(self.hzy.field, self.hzy.dim, ([(i, c) for i, c in enumerate(r) if c] for r in rows))
+
+    @cached_property
+    def dim(self) -> int:
+        hzx, hzy = self.hzx, self.hzy
+        if "space" in vars(self) or hzx.solutions is None or hzy.solutions is None:
+            return self.space.dim
+        # hzy's solutions are written out for the square check alone
+        if not (hzy.dim and hzy._checked and hzx.dim):
+            return 0
+        try:
+            return self._span(hzy.solutions.coordinate_rows(_images_through(hzx, self.f))).dim
+        except ValueError:
+            raise InvariantError("a composite with f is outside the hom space: "
+                                 "its generator images break a relation") from None
+
+    @cached_property
+    def space(self) -> Subspace:
+        if self.hzx.solutions is None:
+            return column_space(postcompose_matrix(self.hzx, self.hzy, self.f))
+        space = self._span(postcompose_from_generators(self.hzx, self.hzy, self.f) if self.hzx.dim else [])
+        invariant("dim" not in vars(self) or space.dim == self.dim,
+                  "the factoring subspace differs from the rank of the composites")
+        return space
+
+
 class _Scope(threading.local):
     journal = None  # the (table, key, value) an open request wrote, else None
 
@@ -736,40 +782,32 @@ class Workspace:
     holds each sum weakly, so a sum the caller built outside a request
     takes its record along when it goes.
 
-    ``hom`` produces every Hom space but those ``factoring_rank`` writes
-    from generator solutions it has solved, and every Hom system is solved
-    in ``hom`` or ``_generator_kernel``, by the solvers of this module.
-    Hom is additive in each argument: ``sums`` records every direct
-    sum of two or more nonzero summands where block_diagonal_sum builds it,
-    with its summands and where each starts.  Hom with a recorded sum on
-    either side is put together from the blocks Hom(M_a, N_b)
-    (hom_from_blocks), each asked of ``hom`` unless the Euler-form rule
-    makes it zero, so no Hom space of a recorded sum is solved whole and no
-    zero block is stored.  On a Dynkin quiver every indecomposable is
-    directed, so dim Hom(M, N) = max(0, <dim M, dim N>) (Ringel, LNM 1099):
-    between two members of ``indecomposables``, a set looked up with no iso
-    search, a form <= 0 gives the zero space unsolved and a solved space
-    must have the form's dimension.
+    ``hom`` produces every Hom space, and every Hom system is solved in
+    ``hom`` or ``_generator_kernel``, by the solvers of this module.  Hom is
+    additive in each argument: ``sums`` records every direct sum of two or
+    more nonzero summands where block_diagonal_sum builds it, with its
+    summands and where each starts.  Hom with a recorded sum on either side
+    is put together from the blocks Hom(M_a, N_b) (hom_from_blocks), each
+    asked of ``hom`` unless the Euler-form rule makes it zero, so no Hom
+    space of a recorded sum is solved whole and no zero block is stored.
+    On a Dynkin quiver every indecomposable is directed, so
+    dim Hom(M, N) = max(0, <dim M, dim N>) (Ringel, LNM 1099): between two
+    members of ``indecomposables``, a set looked up with no iso search, a
+    form <= 0 gives the zero space unsolved and a solved space must have
+    the form's dimension.
 
     ``presentations`` holds a projective presentation of each P_x and each
     TrD that translate.trd builds.  A map out of such an M is fixed by its
     generator images, whose space ``_generator_kernel`` alone solves
-    (generator_kernel) with the maps N(p) of ``path_maps``: ``hom`` writes
-    it out as Hom(M, N), and ``factoring_subspace`` sends it through
-    f: X -> Y for Hom(Z, X), never written out, solving it for a recorded
-    sum X as for any other X.  ``factoring_rank`` solves those of
-    Hom(Z, Y) and Hom(Z, X) once each and keeps only (dim Hom(Z, Y),
-    dim F_Z) per (f, Z) in ``ranks``, writing neither space out, unless the
-    caller's constraint test sends Z to the written route: then it writes
-    Hom(Z, Y) from the solutions it solved, and stores it for ``hom``.  The
-    stored Hom space is the only record of a pair's solutions: a factoring
-    subspace solves those of Hom(Z, X) afresh, and so does a later step
-    that needs Hom(Z, Y) or F_Z written out for a Z whose dimensions
-    ``ranks`` holds (in a scan that certifies determination, none does).
-    Every other domain (kernels, decomposition pieces, the dual
-    representations a left request carries to the opposite quiver, whose
-    dual sums it records as sums of the summands' duals) takes the
-    commuting squares of hom_basis.
+    (generator_kernel) with the maps N(p) of ``path_maps``; ``hom`` holds
+    Hom(M, N) as those solutions, the blocks' placed into a recorded sum N.
+    Spaces between owned objects live for the quiver's life, so no later
+    request solves them again.  Every other domain (kernels, decomposition
+    pieces, the duals a left request carries to the opposite quiver) takes
+    the commuting squares of hom_basis.  ``factorings`` holds F_Z for
+    f: X -> Y, one memo for its dimension, for a presented Z the rank of the
+    solutions of Hom(Z, X) sent through f among those of Hom(Z, Y), and for
+    the subspace, written out only when read.
     """
 
     def __init__(self, quiver: Quiver):
@@ -784,8 +822,7 @@ class Workspace:
         self.indecomposables: dict = {}  # M -> M, for M shown indecomposable
         self.presentations: dict = {}   # M -> Presentation
         self.path_maps: dict = {}       # (N, vertex index) -> N(p) per path out of it
-        self.factorings: dict = {}      # (f, Z) -> F_Z, the maps Z -> Y through f: X -> Y
-        self.ranks: dict = {}           # (f, Z) -> (dim Hom(Z, Y), dim F_Z), nothing written
+        self.factorings: dict = {}      # (f, Z) -> _Factoring, F_Z for f: X -> Y
         self.constraints: dict = {}     # (f, V, S) -> the oracle's constraint rows
         # direct sum -> (summands, their starts per vertex), held no longer
         # than the sum itself
@@ -965,81 +1002,43 @@ class Workspace:
         return hs if hs.dim else None
 
     def _solve_hom(self, M, N):
-        if M in self.sums or N in self.sums:
+        presentation = self.presentations.get(M)
+        # a presented M is indecomposable, so no recorded sum
+        if N in self.sums or presentation is None and M in self.sums:
             (ms, mo), (ns, no) = self._blocks(M), self._blocks(N)
             return hom_from_blocks(M, N, [(hs, ma, nb) for A, ma in zip(ms, mo) for B, nb in zip(ns, no)
-                                          for hs in [self._block(A, B)] if hs is not None])
-        presentation = self.presentations.get(M)
+                                          for hs in [self._block(A, B)] if hs is not None], presentation)
         if presentation is not None:
-            solutions = self._generator_kernel(M, presentation, N)
-            if solutions is not None:
-                return hom_from_presentation(M, presentation, N, solutions)
-        else:
-            form = self._directed_form(M, N)
-            if form is None or form > 0:
-                hs = hom_basis(M, N)
-                invariant(form is None or hs.dim == form,
-                          "Hom between directed indecomposables differs from the Euler form")
-                return hs
+            return hom_from_presentation(M, presentation, N, self._generator_kernel(M, presentation, N))
+        form = self._directed_form(M, N)
+        if form is None or form > 0:
+            hs = hom_basis(M, N)
+            invariant(form is None or hs.dim == form,
+                      "Hom between directed indecomposables differs from the Euler form")
+            return hs
         return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
 
     def factoring_subspace(self, f, Z) -> Subspace:
-        """The maps Z -> Y that factor through f: X -> Y, the image of
-        g |-> f . g on Hom(Z, X), in the coordinates of Hom(Z, Y): for a
-        presented Z, each generator solution of Hom(Z, X) sent through f
-        (postcompose_from_generators), whose coordinates check the
-        composites, else the column space of the postcomposition matrix."""
-        return self.memo(self.factorings, (f, Z), lambda: self._factoring_subspace(f, Z))
+        """F_Z, the maps Z -> Y that factor through f: X -> Y, the image of
+        g |-> f . g on Hom(Z, X), in the coordinates of Hom(Z, Y)."""
+        return self._factoring(f, Z).space
 
-    def _factoring_subspace(self, f, Z) -> Subspace:
-        X, Y = f.domain, f.codomain
-        hzy = self.hom(Z, Y)
-        presentation = self.presentations.get(Z)
-        if presentation is None:
-            return column_space(postcompose_matrix(self.hom(Z, X), hzy, f))
-        solutions = self._generator_kernel(Z, presentation, X)
-        cols = (postcompose_from_generators(hzy, presentation, f, solutions)
-                if solutions and solutions.dim else [])
-        return span_of_rows(Z.field, hzy.dim, ([(i, c) for i, c in enumerate(col) if c]
-                                               for col in cols))
+    def factoring_rank(self, f, Z) -> int:
+        """dim F_Z, from the same memo as factoring_subspace."""
+        return self._factoring(f, Z).dim
 
-    def factoring_rank(self, f, Z, constrained) -> tuple[int, int] | None:
-        """(dim Hom(Z, Y), dim F_Z) for f: X -> Y, read off the generator
-        solutions of Hom(Z, Y) and Hom(Z, X) with no Hom space or composite
-        written out (factoring_rank_from_generators), and kept per (f, Z).
-        None sends the caller to the written route: when Z has no
-        presentation, Y is a recorded sum (whose Hom is read off stored
-        blocks), Hom(Z, Y) is stored already, or Hom(Z, Y) is not zero and
-        constrained() holds, in which case Hom(Z, Y) is written from the
-        solutions just solved and stored for ``hom``.  constrained is asked
-        only of a Z with Hom(Z, Y) != 0, and Hom(Z, X) is solved only after
-        it has said no."""
-        X, Y = f.domain, f.codomain
-        if Y in self.sums:
-            return None
-        dims = self.ranks.get((f, Z))
-        if dims is not None:
-            return None if dims[0] and constrained() else dims
-        presentation = self.presentations.get(Z)
-        if presentation is None or (Z, Y) in self.homs:
-            return None
-        to_y = self._generator_kernel(Z, presentation, Y)
-        if to_y is None or not to_y.dim:
-            dims = (0, 0)
-        elif constrained():
-            self._store(self.homs, (Z, Y), hom_from_presentation(Z, presentation, Y, to_y))
-            return None
-        else:
-            dims = (to_y.dim, factoring_rank_from_generators(
-                Z, presentation, f, to_y, self._generator_kernel(Z, presentation, X)))
-        return self._store(self.ranks, (f, Z), dims)
+    def _factoring(self, f, Z) -> _Factoring:
+        fz = self.factorings.get((f, Z))
+        if fz is None:
+            fz = self._store(self.factorings, (f, Z), _Factoring(f, self.hom(Z, f.domain), self.hom(Z, f.codomain)))
+        return fz
 
-    def _generator_kernel(self, Z, presentation: Presentation, X) -> Subspace | None:
-        """Hom(Z, X) in generator coordinates: None when the Euler-form rule
-        makes it zero, else solved by generator_kernel."""
+    def _generator_kernel(self, Z, presentation: Presentation, X) -> Subspace:
+        """Hom(Z, X) in generator coordinates: 0, unsolved, when the
+        Euler-form rule makes it zero, else solved by generator_kernel."""
         form = self._directed_form(Z, X)
         if form is not None and form <= 0:
-            return None
+            return Subspace.zero(Z.field, sum(X.dims[x] for x in presentation.generators))
         solutions = generator_kernel(Z, presentation, X)
         invariant(form is None or solutions.dim == form,
                   "Hom between directed indecomposables differs from the Euler form")

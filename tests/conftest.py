@@ -7,6 +7,7 @@ import random
 import pytest
 
 import quivdet as qd
+import quivdet.reps
 from quivdet.determiner import DeterminerEngine
 
 
@@ -45,6 +46,24 @@ def corpus_quivers():
             out.append((f"A{n}{''.join(map(str, orient))}", linear_quiver(n, orient)))
     out.append(("D4", d4_subspace_quiver()))
     return out
+
+
+def _watch_solvers(monkeypatch) -> list:
+    """(solver, M, N) of each call of hom_basis and generator_kernel made
+    through quivdet.reps from now on."""
+    seen = []
+
+    def watched(name):
+        real = getattr(quivdet.reps, name)
+
+        def solve(M, *args):
+            seen.append((name, M, args[-1]))
+            return real(M, *args)
+        return solve
+
+    for name in ("hom_basis", "generator_kernel"):
+        monkeypatch.setattr(quivdet.reps, name, watched(name))
+    return seen
 
 
 def corpus_morphisms(engine: DeterminerEngine, rng: random.Random):

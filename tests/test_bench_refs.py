@@ -8,6 +8,7 @@ import json
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
@@ -18,6 +19,8 @@ from quivdet.cli import main
 from quivdet.determiner import DeterminerEngine
 from quivdet.formats import load_session
 from quivdet.reps import RepMorphism, Representation
+
+from conftest import _watch_solvers
 
 REPLAYED = 24
 
@@ -55,6 +58,64 @@ def test_stream_requests_match_their_reference_digests(name):
         assert report.oracle.certified
         digests.append(hashlib.sha256(wl.report_text(report).encode()).hexdigest())
     assert json.loads(_ref(f"{name}.json"))["digests"][:REPLAYED] == digests
+
+
+def test_seed_11_stream_matches_its_pinned_digests():
+    # every request of the seed-11 stream, right and left, answered on one
+    # engine and hashed as `det --json` prints it, against the digests the
+    # stream gave when they were recorded
+    pinned = json.loads((Path(__file__).resolve().parent / "corpus_warm_seed11.json")
+                        .read_text(encoding="utf-8"))
+    w = wl.WORKLOADS["corpus-warm"]
+    reg = qd.knit(qd.parse_quiver(wl.read_input(w.quiver)), qd.field_from_name(w.field))
+    engine = DeterminerEngine(reg)
+    requests = wl.make_requests(qd, reg, pinned["seed"])
+    assert {side for side, _ in requests} == {"right", "left"}
+    assert [_answer(engine, side, f) for side, f in requests] == pinned["digests"]
+
+
+def _kernels_per_request(monkeypatch, seed: int):
+    """A fresh E6 engine over Q, and for each request of the seed's stream
+    the (M, N) of every generator_kernel call it made, in order."""
+    w = wl.WORKLOADS["corpus-warm"]
+    reg = qd.knit(qd.parse_quiver(wl.read_input(w.quiver)), qd.field_from_name(w.field))
+    engine = DeterminerEngine(reg)
+    requests = wl.make_requests(qd, reg, seed)
+    seen = _watch_solvers(monkeypatch)
+    solved = []
+    for side, f in requests:
+        seen.clear()
+        _answer(engine, side, f)
+        solved.append([(M, N) for name, M, N in seen if name == "generator_kernel"])
+    monkeypatch.undo()
+    return reg, solved
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_no_request_solves_a_pair_twice(seed, monkeypatch):
+    # a generator solution a request has solved is held in a Hom space and
+    # read again from there, on Q and on Q^op alike
+    _, solved = _kernels_per_request(monkeypatch, seed)
+    assert sum(map(len, solved)) > len(solved)
+    twice = [(i, pair) for i, pairs in enumerate(solved)
+             for pair, n in Counter(pairs).items() if n > 1]
+    assert twice == []
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_a_stream_solves_each_pair_of_owned_objects_once(seed, monkeypatch):
+    # Hom spaces between the registry's own objects are held for the
+    # quiver's life, so over one stream no pair of Q's owned objects is
+    # solved in two requests
+    reg, solved = _kernels_per_request(monkeypatch, seed)
+    owned = reg.quiver.workspace.owned
+    first: dict = {}
+    again = set()
+    for i, pairs in enumerate(solved):
+        for pair in set(pairs):
+            if pair[0] in owned and pair[1] in owned and first.setdefault(pair, i) != i:
+                again.add(pair)
+    assert first and not again
 
 
 @pytest.mark.parametrize("field", ["fp:2", "fp:3", "fp:7"])

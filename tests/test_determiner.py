@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -655,8 +656,9 @@ def test_factoring_subspace_off_generator_images_is_the_image_of_postcomposition
     # F_Z read off Z's generator images is the column space of the
     # postcomposition matrix, for every registry Z (and a Z with no
     # presentation) against seeded morphisms between entries and into direct
-    # sums, which have no presentation; no Hom(Z, X) is stored, and no
-    # (Z, X) with Euler form <= 0 between known indecomposables is solved
+    # sums, which have no presentation; no Hom(Z, X) is written out (the
+    # held space keeps its generator solutions alone), and no (Z, X) with
+    # Euler form <= 0 between known indecomposables is solved
     from quivdet.linalg import column_space
     from quivdet.reps import postcompose_matrix
 
@@ -686,7 +688,7 @@ def test_factoring_subspace_off_generator_images_is_the_image_of_postcomposition
         for Z in reps + sums[:1]:
             had_zx = (Z, X) in ws.homs
             fz = ws.factoring_subspace(f, Z)
-            assert ((Z, X) in ws.homs) == had_zx or Z not in ws.presentations
+            assert had_zx or Z not in ws.presentations or "_space" not in vars(ws.homs[Z, X])
             assert fz == column_space(postcompose_matrix(hom_basis(Z, X), ws.hom(Z, Y), f))
             nonzero += fz.dim > 0
             known = ws.indecomposables
@@ -728,10 +730,11 @@ def test_factoring_subspace_checks_the_written_composites(field, monkeypatch):
         return Subspace(fld, n, k.basis[:-1] + (v,), k.pivots)
 
     monkeypatch.setattr(quivdet.reps, "generator_kernel", off_the_solutions)
-    with pytest.raises(InvariantError, match="vertex maps outside the hom space"):
+    with ws.request(), pytest.raises(InvariantError, match="vertex maps outside the hom space"):
         ws.factoring_subspace(f, Z)
     monkeypatch.undo()
     assert solved == [(Z, X)]
+    del ws.homs[Z, X]  # held past the request, with the patched solutions
     fz = ws.factoring_subspace(f, Z)
     assert fz.dim == k.dim
     assert fz == column_space(postcompose_matrix(qd.hom_basis(Z, X), ws.hom(Z, Y), f))
@@ -799,10 +802,10 @@ def _certify(reg, requests) -> None:
 
 def test_stream_gives_hom_no_sum_and_solves_generator_kernels_in_one_place(monkeypatch):
     # Hom is additive: over a stream of requests between direct sums, on
-    # both quivers, hom_basis receives no recorded sum and no solver takes
-    # one as its domain, while the generator equations of a presented Z into
-    # a sum are solved whole, each by _generator_kernel, which serves hom and
-    # the factoring subspaces alike
+    # both quivers, no solver receives a recorded sum on either side, and
+    # every generator kernel is solved by _generator_kernel for hom alone;
+    # the generator solutions of a presented Z into a sum are its blocks'
+    # placed at the sum's coordinates, which are the solutions of the sum
     q, reg, requests = _e6_stream(9)
     calls = []
 
@@ -826,11 +829,16 @@ def test_stream_gives_hom_no_sum_and_solves_generator_kernels_in_one_place(monke
     monkeypatch.undo()
     assert sum(f.domain in q.workspace.sums and f.codomain in q.workspace.sums
                for _, f in requests) >= 2
-    assert not [c for c in calls if c[0] == "hom_basis" and (c[2] or c[3])]
-    assert not [c for c in calls if c[2]]
-    assert [c for c in calls if c[0] == "generator_kernel" and c[3]]
+    assert calls and not [c for c in calls if c[2] or c[3]]
     assert {caller for name, caller, _, _ in calls if name == "generator_kernel"} \
         == {"_generator_kernel"}
+    ws = q.workspace
+    placed = [(Z, f.codomain) for _, f in requests if f.codomain in ws.sums
+              for Z in (e.rep for e in reg.entries)]
+    assert placed
+    for Z, Y in placed:
+        held = ws.hom(Z, Y)
+        assert held.solutions == quivdet.reps.generator_kernel(Z, ws.presentations[Z], Y)
 
 
 def test_first_left_request_keeps_the_opposite_registry_in_the_workspace(monkeypatch):
@@ -1112,8 +1120,8 @@ def test_gap_decisions_match_the_written_route(text, cap, side, seeded, bench):
     # gap of every registry object, read off generator images where no
     # member constrains it, is the one the written-out route finds, and
     # _first_gap names the first; every decision is made before any
-    # reference, so the written Hom spaces the references keep cannot
-    # send an object down the written route
+    # reference writes a Hom space or a factoring subspace out, and a
+    # decision by rank leaves its factoring subspace unwritten
     reg, fs = _gap_morphisms(text, cap, side, seeded, bench)
     eng = DeterminerEngine(reg)
     ws = eng.workspace
@@ -1126,7 +1134,8 @@ def test_gap_decisions_match_the_written_route(text, cap, side, seeded, bench):
             with ws.request():
                 gaps = [(e.label, gap) for e, gap in eng._gaps(f, lst)]
                 first = eng._first_gap(f, lst)
-                read_off += sum(1 for (h, _), dims in ws.ranks.items() if h is f and dims and dims[0])
+                read_off += sum(1 for (h, _), fz in ws.factorings.items()
+                                if h is f and "space" not in vars(fz))
             cases.append((f, lst, gaps, first))
     assert read_off
     for f, lst, gaps, first in cases:
@@ -1164,8 +1173,9 @@ def _patch_kernel(monkeypatch, into, k):
 
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
 def test_factoring_rank_checks_the_solutions_against_the_squares(field, monkeypatch):
-    # a generator solution of Hom(V, Y) that is not a map is written out and
-    # trips the commuting-square check, as in a HomSpace
+    # a generator solution of the held Hom(V, Y) that is not a map is
+    # written out by the rank and trips the commuting-square check, with no
+    # canonical form built
     from quivdet.reps import generator_kernel
 
     q = qd.parse_quiver(E6_TEXT)
@@ -1182,11 +1192,13 @@ def test_factoring_rank_checks_the_solutions_against_the_squares(field, monkeypa
     k = generator_kernel(V, ws.presentations[V], Y)
     _patch_kernel(monkeypatch, Y, _off_the_solutions(k))
     with ws.request(), pytest.raises(InvariantError, match="some square does not commute"):
-        ws.factoring_rank(f, V, lambda: False)
+        ws.factoring_rank(f, V)
     monkeypatch.undo()
+    assert "_space" not in vars(ws.homs[V, Y])
+    del ws.homs[V, Y]  # it holds the patched solutions
     with ws.request():
         fv = column_space(postcompose_matrix(hom_basis(V, f.domain), hom_basis(V, Y), f))
-        assert ws.factoring_rank(f, V, lambda: False) == (k.dim, fv.dim)
+        assert (ws.hom(V, Y).dim, ws.factoring_rank(f, V)) == (k.dim, fv.dim)
 
 
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
@@ -1210,34 +1222,41 @@ def test_factoring_rank_checks_that_each_composite_is_a_map(field, monkeypatch):
     k = generator_kernel(V, ws.presentations[V], X)
     _patch_kernel(monkeypatch, X, _off_the_solutions(k))
     with ws.request(), pytest.raises(InvariantError, match="composite with f is outside"):
-        ws.factoring_rank(f, V, lambda: False)
+        ws.factoring_rank(f, V)
     monkeypatch.undo()
+    assert "_space" not in vars(ws.homs[V, X])
+    del ws.homs[V, X]  # it holds the patched solutions
     with ws.request():
-        assert ws.factoring_rank(f, V, lambda: False) == (hom_basis(V, Y).dim, k.dim)
+        assert (ws.hom(V, Y).dim, ws.factoring_rank(f, V)) == (hom_basis(V, Y).dim, k.dim)
 
 
 def test_e8_certify_writes_no_hom_into_y_for_an_unconstrained_object(monkeypatch):
-    # on the dynkin-e8 benchmark morphism, Hom(V, Y) is written out and
-    # composites with f are formed only for the V that some member
+    # on the dynkin-e8 benchmark morphism, Hom(V, Y) is put in canonical
+    # form and composites with f are formed only for the V that some member
     # constrains; the others, most of the scanned objects, are decided by
     # one rank each
     reg, (g,) = _gap_morphisms(E8_TEXT, 5000, "right", False, "e8")
     eng = DeterminerEngine(reg)
     ws = eng.workspace
     Y = g.codomain
-    calls = {"hom_from_presentation": 0, "postcompose_from_generators": 0}
+    built, calls = [], {"postcompose_from_generators": 0}
+    canonical = quivdet.reps.HomSpace.__dict__["_space"]
 
-    def count(name):
-        real = getattr(quivdet.reps, name)
+    def counted_canonical(hs):
+        if hs.codomain == Y:
+            built.append(hs.domain)
+        return canonical.func(hs)
 
-        def counted(*args):
-            if name != "hom_from_presentation" or args[2] == Y:
-                calls[name] += 1
-            return real(*args)
-        return counted
+    counted = cached_property(counted_canonical)
+    counted.__set_name__(quivdet.reps.HomSpace, "_space")
+    monkeypatch.setattr(quivdet.reps.HomSpace, "_space", counted)
+    real = quivdet.reps.postcompose_from_generators
 
-    for name in calls:
-        monkeypatch.setattr(quivdet.reps, name, count(name))
+    def composites(*args):
+        calls["postcompose_from_generators"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(quivdet.reps, "postcompose_from_generators", composites)
     report = eng.report(g, verify=True)
     monkeypatch.undo()
     assert report.oracle.certified
@@ -1249,4 +1268,8 @@ def test_e8_certify_writes_no_hom_into_y_for_an_unconstrained_object(monkeypatch
         scanned = [e.rep for e in reg.entries if eng.hom(e.rep, Y).dim]
         constrained = [V for V in scanned if any(eng.hom(S, V).dim for S in active)]
     assert len(scanned) > 50 and constrained
-    assert max(calls.values()) <= len(constrained)
+    # the formula's right minimal version reads Hom(X, Y) of g itself in
+    # canonical form; every other canonical form into Y is of a constrained V
+    others = [V for V in built if V != g.domain]
+    assert set(others) <= set(constrained)
+    assert max(len(others), calls["postcompose_from_generators"]) <= len(constrained)

@@ -354,7 +354,8 @@ def test_hom_basis_is_checked_against_the_squares(field, monkeypatch):
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)], ids=["rat", "fp10007"])
 def test_hom_off_a_presentation_is_checked_against_the_squares(field, monkeypatch):
     # the knitted M has a presentation; a solution of its small system that
-    # is perturbed off the kernel writes vertex maps that break a square
+    # is perturbed off the kernel writes vertex maps that break a square,
+    # found when the held solutions are first written out
     M, N = _e6_pair(field)
     presentation = M.quiver.workspace.presentations[M]
 
@@ -371,8 +372,9 @@ def test_hom_off_a_presentation_is_checked_against_the_squares(field, monkeypatc
         return Subspace(fld, ncols, k.basis[:-1] + (v,), k.pivots)
 
     monkeypatch.setattr("quivdet.reps.kernel_of_rows", perturbed)
+    held = off_presentation()
     with pytest.raises(InvariantError, match="square"):
-        off_presentation()
+        held.flat_basis
 
 
 def test_hom_basis_runs_one_elimination_and_no_matrix_product(monkeypatch):

@@ -20,7 +20,7 @@ from quivdet.linalg import RATIONALS, Mat, column_space, field_from_name
 from quivdet.reps import generator_kernel, hom_from_presentation
 from quivdet.structure import injective_block_sum, projective_block_sum
 
-from conftest import d4_subspace_quiver
+from conftest import _watch_solvers, d4_subspace_quiver
 
 F = RATIONALS
 
@@ -654,26 +654,6 @@ def test_hom_off_a_presentation_is_the_hom_of_the_squares(text, cap, field, monk
             assert ws.hom(e.rep, N)._space == qd.hom_basis(e.rep, N)._space
     assert calls == {"hom_basis": 0, "hom_from_presentation": len(solved),
                      "hom_from_blocks": len(reg.entries) * len(sums)}
-
-
-def _watch_solvers(monkeypatch) -> list:
-    """(solver, M, N) of each call of hom_basis and generator_kernel made
-    through quivdet.reps from now on."""
-    import quivdet.reps
-
-    seen = []
-
-    def watched(name):
-        real = getattr(quivdet.reps, name)
-
-        def solve(M, *args):
-            seen.append((name, M, args[-1]))
-            return real(M, *args)
-        return solve
-
-    for name in ("hom_basis", "generator_kernel"):
-        monkeypatch.setattr(quivdet.reps, name, watched(name))
-    return seen
 
 
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
