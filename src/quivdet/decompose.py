@@ -725,7 +725,7 @@ def _right_minimal_by_powers(f: RepMorphism) -> RightMinimalResult:
 def _top_coordinates(hs, starts, copies) -> list[int]:
     """For each copy b of E among the summands of X, the coordinate of
     hs = Hom(E, X) that reads the one-dimensional block Hom(E, E_b).  A
-    canonical basis row of Hom between sums lies in one block (hom_from_blocks),
+    canonical basis row of Hom between sums lies in one block (see HomSpace),
     the one that holds its pivot; starts[b][y] is where E_b starts in X(y)."""
     E, offsets = hs.domain, hs._offsets
     cuts = list(zip(*starts))

@@ -17,9 +17,11 @@ Composites with a fixed map are formed on the flat sparse basis rows, with
 no matrix product; for a presented Z, _images_through sends the solutions
 of Hom(Z, X) through f: X -> Y at the generator vertices.  Hom is additive
 in each argument, so the Hom space of a direct sum that the workspace
-records is never solved as a whole: hom_from_blocks places the blocks'
-canonical rows and generator solutions at the sum's coordinates, which
-keeps them canonical.
+records is never solved as a whole: a HomSpace of blocks places the
+blocks' canonical rows and generator solutions at the sum's coordinates,
+which keeps them canonical.  On Dynkin type dim Hom(M, N) =
+max(0, <dim M, dim N>) between indecomposables (Ringel, LNM 1099), a
+rule that Workspace.hom alone applies; it holds no zero space it gives.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient_representation, which reads its
@@ -258,13 +260,19 @@ class HomSpace:
     respect to that flattening, so coordinates of a member are read off at the
     pivot positions.  A space solved off a presentation of M holds the
     generator solutions (generator_kernel), coordinates of Hom(M, N) that
-    give its dimension; a space between direct sums holds its blocks
-    (hom_from_blocks).  Either writes its rows, canonical form, basis and
-    flat_basis only when first read.  Every set of written rows is checked
-    against the squares N(a) f(s) = f(t) M(a) from its nonzeros and those of
-    the arrow matrices (InvariantError if some vector is outside Hom), so
-    the basis morphisms need no check of their own.  Composites and
-    coordinates work on flat_basis, the basis vectors as sparse rows.
+    give its dimension.  A space between direct sums holds its nonzero
+    blocks (Hom(M_a, N_b), mo, no), M_a and N_b starting at coordinates
+    mo[i] of M(i) and no[i] of N(i) (Hom is additive in each argument):
+    f(i)[r][c] of a block is f(i)[no[i] + r][mo[i] + c] of the map M -> N,
+    which keeps the order of flat indices, with images disjoint across
+    blocks, so the placed canonical rows of the blocks are the canonical
+    basis (linalg.disjoint_span); a space of no blocks is zero.  Either
+    writes its rows, canonical form, basis and flat_basis only when first
+    read.  Every set of written rows is checked against the squares
+    N(a) f(s) = f(t) M(a) from its nonzeros and those of the arrow matrices
+    (InvariantError if some vector is outside Hom), so the basis morphisms
+    need no check of their own.  Composites and coordinates work on
+    flat_basis, the basis vectors as sparse rows.
     """
 
     def __init__(self, domain: Representation, codomain: Representation,
@@ -425,18 +433,6 @@ def _placed_rows(placed):
     return [[(place[j], v) for j, v in nz] for rows, place in placed for nz in rows]
 
 
-def hom_from_blocks(M: Representation, N: Representation, blocks,
-                    presentation: Presentation | None = None) -> HomSpace:
-    """Hom(M, N) between direct sums, from the blocks Hom(M_a, N_b) (Hom is
-    additive in each argument), each nonzero one given as (Hom(M_a, N_b),
-    mo, no), where M_a and N_b start at coordinates mo[i] of M(i) and no[i]
-    of N(i).  Entry f(i)[r][c] of a block is f(i)[no[i] + r][mo[i] + c] of
-    the map M -> N: a map of flat indices that keeps their order, with images
-    disjoint across blocks, so the placed canonical rows of the blocks are
-    the canonical basis (linalg.disjoint_span), placed on first read."""
-    return HomSpace(M, N, presentation=presentation, blocks=blocks)
-
-
 def _generator_maps(M: Representation, presentation: Presentation, N: Representation):
     """The columns of N(p) per generator, target vertex and path, and the
     start of each generator image n_j in the generator coordinates: the n_j
@@ -497,12 +493,6 @@ def write_from_generators(M: Representation, presentation: Presentation, N: Repr
         out.append({t: x % p for t, x in acc.items() if x % p} if p
                    else {t: x for t, x in acc.items() if x})
     return out
-
-
-def hom_from_presentation(M: Representation, presentation: Presentation, N: Representation,
-                          solutions: Subspace) -> HomSpace:
-    """Hom(M, N) held as its generator_kernel solutions (HomSpace)."""
-    return HomSpace(M, N, presentation=presentation, solutions=solutions)
 
 
 def _images_through(hs: HomSpace, f: RepMorphism) -> list[dict]:
@@ -719,13 +709,13 @@ def dual_morphism(f: RepMorphism) -> RepMorphism:
 
 
 class _Factoring:
-    """F_Z, the maps Z -> Y through f: X -> Y, off the held hzx = Hom(Z, X)
-    and hzy = Hom(Z, Y), as Workspace.factorings holds it.  For a presented
-    Z, dim is the rank of hzx's generator solutions sent through f
-    (_images_through) among hzy's, unless space was read first, and space
-    writes the composites out (postcompose_from_generators); the two must
-    agree.  Any other Z, or one whose spaces were solved before it had its
-    presentation, takes the column space of postcompose_matrix."""
+    """F_Z, the maps Z -> Y through f: X -> Y, off hzx = Hom(Z, X) and
+    hzy = Hom(Z, Y) from Workspace.hom, as Workspace.factorings holds it.
+    For a presented Z, dim is the rank of hzx's generator solutions sent
+    through f (_images_through) among hzy's, unless space was read first,
+    and space writes the composites out (postcompose_from_generators); the
+    two must agree.  Any other Z, or one whose spaces were solved before it
+    had its presentation, takes the column space of postcompose_matrix."""
 
     def __init__(self, f: RepMorphism, hzx: HomSpace, hzy: HomSpace):
         self.f, self.hzx, self.hzy = f, hzx, hzy
@@ -783,24 +773,24 @@ class Workspace:
     takes its record along when it goes.
 
     ``hom`` produces every Hom space, and every Hom system is solved in
-    ``hom`` or ``_generator_kernel``, by the solvers of this module.  Hom is
-    additive in each argument: ``sums`` records every direct sum of two or
-    more nonzero summands where block_diagonal_sum builds it, with its
-    summands and where each starts.  Hom with a recorded sum on either side
-    is put together from the blocks Hom(M_a, N_b) (hom_from_blocks), each
-    asked of ``hom`` unless the Euler-form rule makes it zero, so no Hom
-    space of a recorded sum is solved whole and no zero block is stored.
-    On a Dynkin quiver every indecomposable is directed, so
-    dim Hom(M, N) = max(0, <dim M, dim N>) (Ringel, LNM 1099): between two
-    members of ``indecomposables``, a set looked up with no iso search, a
-    form <= 0 gives the zero space unsolved and a solved space must have
-    the form's dimension.
+    ``_solve_hom``, by the solvers of this module.  On a Dynkin quiver every
+    indecomposable is directed, so dim Hom(M, N) = max(0, <dim M, dim N>)
+    (Ringel, LNM 1099): between two members of ``indecomposables``, a set
+    looked up with no iso search, ``hom`` answers a form <= 0 with the zero
+    space, unsolved and not held, and checks that a solved space has the
+    form's dimension.  Hom is additive in each argument: ``sums`` records
+    every direct sum of two or more nonzero summands where
+    block_diagonal_sum builds it, with its summands and where each starts.
+    Hom with a recorded sum on either side is put together from the nonzero
+    blocks Hom(M_a, N_b), each asked of ``hom``, so no Hom space of a
+    recorded sum is solved whole.
 
     ``presentations`` holds a projective presentation of each P_x and each
     TrD that translate.trd builds.  A map out of such an M is fixed by its
-    generator images, whose space ``_generator_kernel`` alone solves
-    (generator_kernel) with the maps N(p) of ``path_maps``; ``hom`` holds
-    Hom(M, N) as those solutions, the blocks' placed into a recorded sum N.
+    generator images, whose space generator_kernel solves with the maps
+    N(p) of ``path_maps``; ``hom`` holds Hom(M, N) as those solutions, the
+    blocks' placed into a recorded sum N; a zero space that it does not
+    hold still carries M's presentation, with no solutions.
     Spaces between owned objects live for the quiver's life, so no later
     request solves them again.  Every other domain (kernels, decomposition
     pieces, the duals a left request carries to the opposite quiver) takes
@@ -972,51 +962,41 @@ class Workspace:
                                                           done[arrows[:-1]])))
 
     def hom(self, M, N):
-        """Hom(M, N), by the Euler-form rule, or solved on a miss: from the
-        blocks when M or N is a recorded sum, else off M's presentation when
-        it has one, else by hom_basis."""
+        """Hom(M, N): the held space; else, when the Euler-form rule makes it
+        zero, a space of no blocks, not held; else solved (``_solve_hom``),
+        checked against the form and held."""
         hs = self.homs.get((M, N))
         if hs is None:
-            hs = self._store(self.homs, (M, N), self._solve_hom(M, N))
+            form = self._directed_form(M, N)
+            if form is not None and form <= 0:
+                return HomSpace(M, N, presentation=self.presentations.get(M))
+            hs = self._solve_hom(M, N)
+            invariant(form is None or hs.dim == form,
+                      "Hom between directed indecomposables differs from the Euler form")
+            hs = self._store(self.homs, (M, N), hs)
         return hs
 
     def _directed_form(self, M, N) -> int | None:
         """<dim M, dim N> when M and N are members of ``indecomposables`` over
-        one field on a Dynkin quiver, where dim Hom(M, N) = max(0, form);
-        else None."""
+        one field on a Dynkin quiver, else None."""
         known = self.indecomposables
         if self.dynkin and M.field == N.field and M in known and N in known:
             return euler_form(self.quiver, M.dims, N.dims)
         return None
 
-    def _block(self, A, B):
-        """Hom(A, B) between summands of recorded sums, or None when it is
-        zero: the stored space, else None when A or B is zero or the
-        Euler-form rule makes it zero, which is left unstored, else ``hom``."""
-        hs = self.homs.get((A, B))
-        if hs is None:
-            form = self._directed_form(A, B)
-            if not (A.total_dim and B.total_dim) or form is not None and form <= 0:
-                return None
-            hs = self.hom(A, B)
-        return hs if hs.dim else None
-
     def _solve_hom(self, M, N):
+        """Hom(M, N) from the blocks when M or N is a recorded sum, else off
+        M's presentation when it has one, else by hom_basis."""
         presentation = self.presentations.get(M)
         # a presented M is indecomposable, so no recorded sum
         if N in self.sums or presentation is None and M in self.sums:
             (ms, mo), (ns, no) = self._blocks(M), self._blocks(N)
-            return hom_from_blocks(M, N, [(hs, ma, nb) for A, ma in zip(ms, mo) for B, nb in zip(ns, no)
-                                          for hs in [self._block(A, B)] if hs is not None], presentation)
+            return HomSpace(M, N, presentation=presentation, blocks=[
+                (hs, ma, nb) for A, ma in zip(ms, mo) if A.total_dim for B, nb in zip(ns, no)
+                if B.total_dim for hs in [self.hom(A, B)] if hs.dim])
         if presentation is not None:
-            return hom_from_presentation(M, presentation, N, self._generator_kernel(M, presentation, N))
-        form = self._directed_form(M, N)
-        if form is None or form > 0:
-            hs = hom_basis(M, N)
-            invariant(form is None or hs.dim == form,
-                      "Hom between directed indecomposables differs from the Euler form")
-            return hs
-        return HomSpace(M, N, Subspace.zero(M.field, sum(a * b for a, b in zip(M.dims, N.dims))))
+            return HomSpace(M, N, presentation=presentation, solutions=generator_kernel(M, presentation, N))
+        return hom_basis(M, N)
 
     def factoring_subspace(self, f, Z) -> Subspace:
         """F_Z, the maps Z -> Y that factor through f: X -> Y, the image of
@@ -1032,14 +1012,3 @@ class Workspace:
         if fz is None:
             fz = self._store(self.factorings, (f, Z), _Factoring(f, self.hom(Z, f.domain), self.hom(Z, f.codomain)))
         return fz
-
-    def _generator_kernel(self, Z, presentation: Presentation, X) -> Subspace:
-        """Hom(Z, X) in generator coordinates: 0, unsolved, when the
-        Euler-form rule makes it zero, else solved by generator_kernel."""
-        form = self._directed_form(Z, X)
-        if form is not None and form <= 0:
-            return Subspace.zero(Z.field, sum(X.dims[x] for x in presentation.generators))
-        solutions = generator_kernel(Z, presentation, X)
-        invariant(form is None or solutions.dim == form,
-                  "Hom between directed indecomposables differs from the Euler form")
-        return solutions

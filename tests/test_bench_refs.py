@@ -143,6 +143,33 @@ def _cold_report_matches_its_reference(name: str) -> None:
     assert wl.report_text(report) == _ref(f"{w.name}.json")
 
 
+@pytest.mark.parametrize("name", ["dynkin-e8", "dynkin-a15"])
+def test_a_cold_certify_holds_no_hom_space_the_euler_form_makes_zero(name, monkeypatch):
+    # on Dynkin type dim Hom(M, N) = max(0, <dim M, dim N>) between recorded
+    # indecomposables, and the workspace answers a pair whose form is <= 0
+    # with a zero space that no solver sees and no table holds, through the
+    # knit and the certified bench request alike (119 of the 244 spaces the
+    # E8 request wrote, and 119 of 173 on A15, were such pairs while every
+    # zero space between owned objects was held)
+    w = wl.WORKLOADS[name]
+    q = qd.parse_quiver(wl.read_input(w.quiver))
+    field = qd.field_from_name("rat")
+    f = load_session(q, field, wl.read_input(w.data)).morphism("f")
+    seen = _watch_solvers(monkeypatch)
+    reg = qd.knit(q, field, w.cap)
+    ws = q.workspace
+    knitted = len(ws.homs)
+    assert DeterminerEngine(reg).report(f, verify=True).oracle.certified
+    monkeypatch.undo()
+    known = ws.indecomposables
+
+    def zero(M, N):
+        return M in known and N in known and qd.euler_form(q, M.dims, N.dims) <= 0
+
+    assert len(ws.homs) > knitted and not [pair for pair in ws.homs if zero(*pair)]
+    assert seen and not [s for s in seen if zero(s[1], s[2])]
+
+
 def test_kronecker_bounded_report_matches_its_reference():
     _cold_report_matches_its_reference("kronecker-bounded")
 

@@ -130,6 +130,18 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text", ["vertex 1\nvertex 2 3\n", "vertex 1\narrow a 1\n",
+                                  "vertex 1\nvertex 2\narrow a 1 2\narrow a 2 1\n",
+                                  "vertex 1\narrow a 9 1\n"],
+                         ids=["vertex-arity", "arrow-arity", "duplicate-arrow", "unknown-source"])
+def test_quiver_errors_exit_2_with_their_line(tmp_path, capsys, text):
+    bad = tmp_path / "bad.quiver"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "ar", str(bad))
+    assert code == 2 and out == ""
+    assert f"line {len(text.splitlines())}" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "det", "/nonexistent.quiver", A3D, "f")
     assert code == 2
@@ -269,6 +281,15 @@ def test_decompose_data_rep(tmp_path, capsys):
     code, out, _ = run(capsys, "decompose", A3Q, "M", "--data", str(data))
     assert code == 0
     assert "x2" in out
+
+
+def test_decompose_zero_rep(tmp_path, capsys):
+    data = tmp_path / "zero.reps"
+    data.write_text("rep Z\n", encoding="utf-8")
+    code, out, _ = run(capsys, "decompose", A3Q, "Z", "--data", str(data))
+    assert code == 0 and out == "Z is the zero representation\n"
+    code, out, _ = run(capsys, "decompose", A3Q, "Z", "--data", str(data), "--json")
+    assert code == 0 and json.loads(out) == {"rep": "Z", "summands": []}
 
 
 def test_decompose_off_dynkin_knits_no_registry(tmp_path, capsys, monkeypatch):

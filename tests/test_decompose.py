@@ -23,7 +23,7 @@ from quivdet.decompose import (
     _sqrt_mod,
 )
 from quivdet.errors import FieldTooSmallError, NotIndecomposableError
-from quivdet.linalg import Mat, PrimeField, RATIONALS, block_diag
+from quivdet.linalg import FieldMismatchError, Mat, PrimeField, RATIONALS, block_diag
 
 F = RATIONALS
 
@@ -83,6 +83,22 @@ def test_is_isomorphic_basics(a3):
     assert w is not None and w.is_iso()
     assert not qd.is_isomorphic(qd.projective_at(a3, "2"), qd.injective_at(a3, "2"))
     assert qd.is_isomorphic(P3, P3)
+
+
+def test_iso_witness_of_zero_reps_and_of_unequal_piece_counts(a3):
+    # zero representations built apart are equal, so the witness is the
+    # identity, a zero map; two that differ, here in their field, reach the
+    # zero-map branch, which refuses the mix; and P_2 and S_1 + S_2 share a
+    # dimension vector but not their number of indecomposable pieces
+    Z = qd.zero_representation(a3, RATIONALS)
+    w = qd.iso_witness(Z, qd.zero_representation(a3, RATIONALS))
+    assert w is not None and w.is_iso() and w.is_zero()
+    with pytest.raises(FieldMismatchError):
+        qd.iso_witness(Z, qd.zero_representation(a3, PrimeField(7)))
+    P2 = qd.projective_at(a3, "2")
+    S = qd.direct_sum([qd.simple_at(a3, "1"), qd.simple_at(a3, "2")])[0]
+    assert S.dims == P2.dims
+    assert qd.iso_witness(P2, S) is None and qd.iso_witness(S, P2) is None
 
 
 def test_is_isomorphic_equivalence_on_registry(a3_registry):

@@ -589,11 +589,11 @@ def test_maps_into_injectives_certify_over_small_primes(field):
 
 
 def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
-    # one Hom path: each of the two solvers is reached from one Workspace
-    # method only, hom_basis (the commuting squares) from Workspace.hom and
-    # generator_kernel (the generator equations of a presented domain) from
-    # Workspace._generator_kernel, which serves hom and the factoring
-    # subspaces alike, so the memo and the Euler-form rule see every solve,
+    # one Hom path: each of the two solvers, hom_basis (the commuting
+    # squares) and generator_kernel (the generator equations of a presented
+    # domain), is reached from one Workspace method only, _solve_hom, which
+    # Workspace.hom alone calls, for hom and the factoring subspaces alike,
+    # so the memo and the Euler-form rule see every solve,
     # from the CLI, the knit, the formula, the oracle and the left side's
     # opposite quiver alike, on Dynkin type and off it, where no Euler-form
     # rule applies
@@ -629,7 +629,7 @@ def test_every_hom_solve_goes_through_the_workspace(monkeypatch, capsys):
     assert qd.minimal_left_determiner(f, registry=kreg, verify=True).oracle.passed()
     assert len(callers) > 100
     assert set(callers) == {("hom_basis", "reps.py", "Workspace._solve_hom"),
-                            ("generator_kernel", "reps.py", "Workspace._generator_kernel")}
+                            ("generator_kernel", "reps.py", "Workspace._solve_hom")}
 
 
 def test_knit_and_requests_read_paths_off_the_workspace(monkeypatch):
@@ -657,8 +657,9 @@ def test_factoring_subspace_off_generator_images_is_the_image_of_postcomposition
     # postcomposition matrix, for every registry Z (and a Z with no
     # presentation) against seeded morphisms between entries and into direct
     # sums, which have no presentation; no Hom(Z, X) is written out (the
-    # held space keeps its generator solutions alone), and no (Z, X) with
-    # Euler form <= 0 between known indecomposables is solved
+    # space the factoring reads keeps its generator solutions alone), and no
+    # (Z, X) with Euler form <= 0 between known indecomposables is solved
+    # or held
     from quivdet.linalg import column_space
     from quivdet.reps import postcompose_matrix
 
@@ -688,13 +689,13 @@ def test_factoring_subspace_off_generator_images_is_the_image_of_postcomposition
         for Z in reps + sums[:1]:
             had_zx = (Z, X) in ws.homs
             fz = ws.factoring_subspace(f, Z)
-            assert had_zx or Z not in ws.presentations or "_space" not in vars(ws.homs[Z, X])
+            assert had_zx or Z not in ws.presentations or "_space" not in vars(ws.factorings[f, Z].hzx)
             assert fz == column_space(postcompose_matrix(hom_basis(Z, X), ws.hom(Z, Y), f))
             nonzero += fz.dim > 0
             known = ws.indecomposables
             if ws.dynkin and Z in known and X in known and qd.euler_form(q, Z.dims, X.dims) <= 0:
                 zero_forms += 1
-                assert (Z, X) not in solved
+                assert (Z, X) not in solved and (Z, X) not in ws.homs
     monkeypatch.undo()
     assert solved and nonzero
     assert (zero_forms > 0) == ws.dynkin
@@ -803,7 +804,7 @@ def _certify(reg, requests) -> None:
 def test_stream_gives_hom_no_sum_and_solves_generator_kernels_in_one_place(monkeypatch):
     # Hom is additive: over a stream of requests between direct sums, on
     # both quivers, no solver receives a recorded sum on either side, and
-    # every generator kernel is solved by _generator_kernel for hom alone;
+    # every generator kernel is solved by _solve_hom, for hom alone;
     # the generator solutions of a presented Z into a sum are its blocks'
     # placed at the sum's coordinates, which are the solutions of the sum
     q, reg, requests = _e6_stream(9)
@@ -831,7 +832,7 @@ def test_stream_gives_hom_no_sum_and_solves_generator_kernels_in_one_place(monke
                for _, f in requests) >= 2
     assert calls and not [c for c in calls if c[2] or c[3]]
     assert {caller for name, caller, _, _ in calls if name == "generator_kernel"} \
-        == {"_generator_kernel"}
+        == {"_solve_hom"}
     ws = q.workspace
     placed = [(Z, f.codomain) for _, f in requests if f.codomain in ws.sums
               for Z in (e.rep for e in reg.entries)]

@@ -93,6 +93,24 @@ def test_parse_syntax_error_with_line():
     assert e.value.line == 2
 
 
+# a malformed line for each parse error that the tests above do not raise,
+# after one good line, so each error names line 2
+PARSE_ERRORS = [
+    ("vertex 1\nvertex 2 3", QuiverSyntaxError, "expected 'vertex <name>'"),
+    ("vertex 1\narrow a 1", QuiverSyntaxError, "expected 'arrow <name> <source> <target>'"),
+    ("vertex 1\nvertex 2\narrow a 1 2\narrow a 2 1", DuplicateNameError, "duplicate arrow name 'a'"),
+    ("vertex 1\narrow a 9 1", DanglingEndpointError, "starts at unknown vertex '9'"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", PARSE_ERRORS,
+                         ids=["vertex-arity", "arrow-arity", "duplicate-arrow", "unknown-source"])
+def test_parse_errors_name_their_line(text, error, message):
+    with pytest.raises(error, match=message) as e:
+        qd.parse_quiver(text)
+    assert e.value.line == len(text.splitlines())
+
+
 def test_paths_a3(a3):
     ps = qd.paths_between(a3, "3", "1")
     assert len(ps) == 1

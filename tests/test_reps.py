@@ -22,7 +22,6 @@ from quivdet.linalg import (
 from quivdet.reps import (
     HomSpace,
     generator_kernel,
-    hom_from_presentation,
     image,
     postcompose_matrix,
     precompose_matrix,
@@ -213,12 +212,14 @@ def test_request_scopes_nest_and_belong_to_their_thread():
     # as the request that wrote it: closing the inner of two nested scopes
     # drops nothing and closing the outer one drops it, while an entry
     # between registry entries, one written by another thread outside any
-    # request, and one written before the request are kept
+    # request, and one written before the request are kept; the entries are
+    # a pair with Euler form > 0, since the workspace holds no zero pair
     q = qd.parse_quiver(E6_TEXT)
     reps = [e.rep for e in qd.knit(q, RATIONALS, 5000).entries]
     ws = q.workspace
     M = qd.direct_sum(reps[3:5])[0]
-    a, b = next((a, b) for a in reps for b in reps if a != b and (a, b) not in ws.homs)
+    a, b = next((a, b) for a in reps for b in reps if a != b and (a, b) not in ws.homs
+                and qd.euler_form(q, a.dims, b.dims) > 0)
     with ws.request():
         with ws.request():
             ws.hom(M, a)
@@ -360,7 +361,7 @@ def test_hom_off_a_presentation_is_checked_against_the_squares(field, monkeypatc
     presentation = M.quiver.workspace.presentations[M]
 
     def off_presentation():
-        return hom_from_presentation(M, presentation, N, generator_kernel(M, presentation, N))
+        return HomSpace(M, N, presentation=presentation, solutions=generator_kernel(M, presentation, N))
 
     assert off_presentation()._space == qd.hom_basis(M, N)._space
 

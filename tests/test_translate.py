@@ -17,7 +17,7 @@ from quivdet.errors import (
     SemanticError,
 )
 from quivdet.linalg import RATIONALS, Mat, column_space, field_from_name
-from quivdet.reps import generator_kernel, hom_from_presentation
+from quivdet.reps import HomSpace, generator_kernel
 from quivdet.structure import injective_block_sum, projective_block_sum
 
 from conftest import _watch_solvers, d4_subspace_quiver
@@ -601,10 +601,11 @@ def test_euler_form_gives_hom_dimension_between_dynkin_indecomposables(text, fie
 
 
 def _count_hom_routes(monkeypatch) -> dict:
-    """Calls of each Hom solver, counted from now on."""
+    """Calls of each Hom solver, and HomSpace constructions from blocks,
+    counted from now on."""
     import quivdet.reps
 
-    calls = {"hom_basis": 0, "hom_from_presentation": 0, "hom_from_blocks": 0}
+    calls = {"hom_basis": 0, "generator_kernel": 0, "blocks": 0}
 
     def counted(name):
         real = getattr(quivdet.reps, name)
@@ -614,8 +615,15 @@ def _count_hom_routes(monkeypatch) -> dict:
             return real(*args)
         return solve
 
-    for name in calls:
+    for name in ("hom_basis", "generator_kernel"):
         monkeypatch.setattr(quivdet.reps, name, counted(name))
+    real_init = HomSpace.__init__
+
+    def init(hs, *args, **kwargs):
+        calls["blocks"] += "blocks" in kwargs
+        real_init(hs, *args, **kwargs)
+
+    monkeypatch.setattr(HomSpace, "__init__", init)
     return calls
 
 
@@ -637,8 +645,8 @@ def test_hom_off_a_presentation_is_the_hom_of_the_squares(text, cap, field, monk
     for e in reg.entries:
         for N in codomains:
             presentation = ws.presentations[e.rep]
-            off = hom_from_presentation(e.rep, presentation, N,
-                                        generator_kernel(e.rep, presentation, N))
+            off = HomSpace(e.rep, N, presentation=presentation,
+                           solutions=generator_kernel(e.rep, presentation, N))
             assert off._space == qd.hom_basis(e.rep, N)._space
     # the workspace takes that route for every domain with a presentation,
     # into each summand of a recorded sum, once per block it has not stored
@@ -652,8 +660,8 @@ def test_hom_off_a_presentation_is_the_hom_of_the_squares(text, cap, field, monk
     for e in reg.entries:
         for N in sums:
             assert ws.hom(e.rep, N)._space == qd.hom_basis(e.rep, N)._space
-    assert calls == {"hom_basis": 0, "hom_from_presentation": len(solved),
-                     "hom_from_blocks": len(reg.entries) * len(sums)}
+    assert calls == {"hom_basis": 0, "generator_kernel": len(solved),
+                     "blocks": len(reg.entries) * len(sums)}
 
 
 @pytest.mark.parametrize("field", ["rat", "fp:7"])
@@ -714,7 +722,7 @@ def test_workspace_hom_meets_the_ar_formula_off_dynkin_type(text, cap, field, mo
                   != qd.euler_form(q, M.rep.dims, N.rep.dims)]
     assert mismatches == []
     assert sum(not e.is_projective for e in reg.entries) == len(tau)
-    assert calls["hom_basis"] == 0 and calls["hom_from_presentation"] > cap * cap // 2
+    assert calls["hom_basis"] == 0 and calls["generator_kernel"] > cap * cap // 2
 
 
 def test_euler_form_values(a3):
