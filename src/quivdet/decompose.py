@@ -16,8 +16,7 @@ over F_p) reports that neither a split nor a certificate was found.
 The radical of a one-dimensional E = k is 0 over every field.  When dim E > 1
 the radical is the kernel of the trace form tr(a b), which is valid over the
 rationals and over F_p with p larger than the total dimension; smaller primes
-raise FieldTooSmallError.  The same trace form turns a nilpotent solution h
-of f h = 0 outside the radical into a non-nilpotent one (right minimality).
+raise FieldTooSmallError.
 
 A right minimal version takes one of two routes.  A domain X that the
 workspace records as a direct sum of bricks (End = k), as a sum of registry
@@ -29,7 +28,7 @@ blocks Hom(E, E_b) of the copies b, since every map between non-isomorphic
 indecomposables is radical.  This route works in every characteristic, and
 its certificate asks the same rank of f1, which must be 0 for every class.
 Every other domain, one with no sum record or with a summand that is not a
-brick, takes the trace-form loop.
+brick, takes the Fitting loop, which needs no trace form either.
 
 Minimal polynomials are split by a root search in the ground field first:
 rational roots over Q, a full scan over F_p with p <= 4096.  Over F_p with
@@ -69,6 +68,7 @@ from .linalg import (
 from .reps import (
     RepMorphism,
     Representation,
+    _same_category,
     block_diagonal_sum,
     identity_morphism,
     image,
@@ -489,8 +489,8 @@ def _split_once(M: Representation) -> RepMorphism | None:
     k[phi] fills End/rad, which is therefore a field: End(M) is local.  The
     degree of p is that of mu / gcd(mu, mu'), because the characteristic is
     0 or, once the radical exists, larger than deg mu.  A local End(M) has no
-    idempotent to find, so the scan stops at the first certificate, unless
-    the radical is undefined (F_p with p <= dim M)."""
+    idempotent to find, so the scan stops at the first certificate (none over
+    F_p with p <= dim M, where the radical is undefined)."""
     E = end_algebra(M)
     if E.dim == 1:
         return None
@@ -506,11 +506,10 @@ def _split_once(M: Representation) -> RepMorphism | None:
         degree = max(degree, _pdeg(squarefree))
         if certifies and degree == E.quotient_dim:
             return None
-    if degree == E.quotient_dim:
-        return None
     if isinstance(field, PrimeField):
         raise FieldTooSmallError(
-            "splitting search exhausted over F_p; rerun with --field rat")
+            "no candidate splits the module or certifies it indecomposable (over "
+            f"F_p that needs p > total dimension {E.n}); rerun with --field rat")
     raise DecompositionInconclusiveError(
         "no candidate endomorphism splits the module or certifies it "
         f"indecomposable: End/rad has dimension {E.quotient_dim}, the largest "
@@ -618,13 +617,12 @@ def indec_iso_witness(A: Representation, B: Representation) -> RepMorphism | Non
 
 def iso_witness(M: Representation, N: Representation) -> RepMorphism | None:
     """An isomorphism M -> N, or None.  Decomposes both sides and matches
-    indecomposable pieces."""
+    indecomposable pieces.  M and N must share their quiver and field."""
+    _same_category(M, N)
     if M.dims != N.dims:
         return None
     if M == N:
         return identity_morphism(M)
-    if M.total_dim == 0:
-        return RepMorphism(M, N, tuple(Mat.zero(M.field, 0, 0) for _ in M.dims))
     dm, dn = decompose(M), decompose(N)
     if len(dm.pieces) != len(dn.pieces):
         return None
@@ -680,36 +678,36 @@ def _nilpotency_power(phi: RepMorphism) -> RepMorphism:
     return acc
 
 
-def _escaping_solution(f: RepMorphism) -> RepMorphism | None:
-    """A basis solution h of f h = 0 outside rad End(X), or None.  The
-    solutions form a right ideal of End(X), and f is right minimal exactly
-    when it lies in the radical; the trace form is read only when f h = 0
-    has a solution h != 0."""
-    E = end_algebra(f.domain)
-    H0 = kernel_basis(postcompose_matrix(E.hom, f.domain.quiver.workspace.hom(f.domain, f.codomain), f))
-    return next((E.hom.from_coordinates(v) for v in H0.basis if not E.radical.contains_vector(v)), None)
+def _non_nilpotent_power(f: RepMorphism) -> RepMorphism | None:
+    """The stable power of the first basis solution h of f h = 0 that is not
+    nilpotent, or None when every basis solution is nilpotent.
+
+    The solutions form a right ideal H0 of A = End(X), and f is right
+    minimal exactly when H0 lies in rad A.  A right ideal H of a
+    finite-dimensional algebra A lies in rad A if and only if every element
+    of one basis of H is nilpotent: modulo rad A, a nonzero right ideal
+    e M_n(D) of a simple factor is not spanned by nilpotents, since the
+    reduced trace vanishes on every nilpotent but not on e a for some a (the
+    reduced trace form of a central simple algebra is nondegenerate).  So
+    None certifies f right minimal, in every characteristic."""
+    ws = f.domain.quiver.workspace
+    hom = ws.hom(f.domain, f.domain)
+    H0 = kernel_basis(postcompose_matrix(hom, ws.hom(f.domain, f.codomain), f))
+    powers = (_nilpotency_power(hom.from_coordinates(v)) for v in H0.basis)
+    return next((power for power in powers if not power.is_zero()), None)
 
 
 def _right_minimal_by_powers(f: RepMorphism) -> RightMinimalResult:
-    """Split off the image of a stable power of each solution h of f h = 0
-    outside the radical (Fitting) until none is left."""
+    """Split off the image of the stable power of a non-nilpotent solution h
+    of f h = 0 (Fitting) until every basis solution is nilpotent."""
     X = f.domain
     cur_f = f
     cur_incl = identity_morphism(X)
     split_parts: list[Representation] = []
     while cur_f.domain.total_dim > 0:
-        bad = _escaping_solution(cur_f)
-        if bad is None:
+        power = _non_nilpotent_power(cur_f)
+        if power is None:
             break
-        power = _nilpotency_power(bad)
-        if power.is_zero():
-            # bad lies outside the radical, the kernel of the trace form, so
-            # tr(bad b) != 0 for some basis element b; bad b still solves
-            # f h = 0 and, having nonzero trace, is not nilpotent
-            E = end_algebra(cur_f.domain)
-            b = next((b for b in E.hom.basis if E.trace_pair(bad, b)), None)
-            invariant(b is not None, "solution outside the radical is trace-orthogonal to End")
-            power = _nilpotency_power(bad @ b)
         K, inclK = kernel(power)
         I, inclI, _ = image(power)
         invariant(K.total_dim + I.total_dim == cur_f.domain.total_dim and I.total_dim > 0
@@ -806,9 +804,8 @@ def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
     characteristic; rerunning its rank test on f1, which must split nothing,
     certifies it.  Every other domain (no sum record, or a summand with
     dim End > 1) takes the loop (_right_minimal_by_powers), which exits once
-    every solution h of f1 h = 0 lies in the trace-form radical of End(X1),
-    which certifies right minimality; over F_p with p <= dim X1 and
-    dim End(X1) > 1 that radical raises FieldTooSmallError."""
+    every basis solution h of f1 h = 0 is nilpotent (_non_nilpotent_power),
+    in every characteristic."""
     X = f.domain
     ws = X.quiver.workspace
     record = ws.sums.get(X)

@@ -52,8 +52,9 @@ class HasInjectiveSummandError(QuivdetError):
 
 
 class FieldTooSmallError(QuivdetError):
-    """Raised in F_p mode when exact splitting machinery needs a bigger field;
-    the message suggests rerunning over the rationals."""
+    """Raised over F_p, p <= dim M, by the trace-form radical of End(M), and by
+    the splitter when it finds neither a split nor a certificate; the message
+    suggests rerunning over the rationals."""
 
 
 class DecompositionInconclusiveError(QuivdetError):

@@ -205,8 +205,12 @@ def test_det_with_fp_field(capsys):
 
 
 def test_det_fp_too_small_exit_3(tmp_path, capsys):
-    # the right minimal version of P_4 + (twisted P_4) -> I_1 needs the radical
-    # of a four-dimensional End on a total dimension 8 >= 3
+    # the right minimal version of P_4 + (twisted P_4) -> I_1, a domain with
+    # no sum record, a four-dimensional End and total dimension 8, needs no
+    # trace form: over F_2 and F_3 the report is the one over the rationals.
+    # The splitter's field-degree certificate still needs p > total
+    # dimension: (I, J_2(0)) on the Kronecker quiver has End = k[x]/(x^2),
+    # total dimension 4, and no candidate splits it
     quiver = tmp_path / "a4.quiver"
     quiver.write_text("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
                       "arrow a 2 1\narrow b 3 2\narrow c 4 3\n", encoding="utf-8")
@@ -215,8 +219,21 @@ def test_det_fp_too_small_exit_3(tmp_path, capsys):
                     "map a 2x2 1 0 0 2\nmap b 2x2 1 0 0 1\nmap c 2x2 1 0 0 1\n\n"
                     "morphism f X I_1\ncomp 1 1x2 1 0\ncomp 2 1x2 1 0\n"
                     "comp 3 1x2 1 0\ncomp 4 1x2 1 0\n", encoding="utf-8")
-    code, _, err = run(capsys, "det", str(quiver), str(data), "f", "--verify", "--field", "fp:3")
-    assert code == 3
+    _, want, _ = run(capsys, "det", str(quiver), str(data), "f", "--verify", "--json")
+    for field in ("fp:2", "fp:3"):
+        code, out, _ = run(capsys, "det", str(quiver), str(data), "f", "--verify", "--json",
+                           "--field", field)
+        assert code == 0
+        assert out == want.replace('"field": "rat"', f'"field": "{field}"')
+        code, out, _ = run(capsys, "det", str(quiver), str(data), "f", "--verify", "--field", field)
+        assert code == 0 and "CERTIFIED" in out
+    kq = tmp_path / "kron.quiver"
+    kq.write_text("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n", encoding="utf-8")
+    data = tmp_path / "j2.reps"
+    data.write_text("rep J\ndim 1 2\ndim 2 2\nmap a 2x2 1 0 0 1\nmap b 2x2 0 0 1 0\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "decompose", str(kq), "J", "--data", str(data), "--field", "fp:3")
+    assert code == 3 and out == ""
     assert "rat" in err
 
 

@@ -22,8 +22,8 @@ from quivdet.decompose import (
     _primary_parts,
     _sqrt_mod,
 )
-from quivdet.errors import FieldTooSmallError, NotIndecomposableError
-from quivdet.linalg import FieldMismatchError, Mat, PrimeField, RATIONALS, block_diag
+from quivdet.errors import FieldTooSmallError, NotIndecomposableError, SemanticError
+from quivdet.linalg import Mat, PrimeField, RATIONALS, block_diag
 
 F = RATIONALS
 
@@ -87,14 +87,16 @@ def test_is_isomorphic_basics(a3):
 
 def test_iso_witness_of_zero_reps_and_of_unequal_piece_counts(a3):
     # zero representations built apart are equal, so the witness is the
-    # identity, a zero map; two that differ, here in their field, reach the
-    # zero-map branch, which refuses the mix; and P_2 and S_1 + S_2 share a
+    # identity, a zero map; representations over different fields are
+    # refused up front, zero or not; and P_2 and S_1 + S_2 share a
     # dimension vector but not their number of indecomposable pieces
     Z = qd.zero_representation(a3, RATIONALS)
     w = qd.iso_witness(Z, qd.zero_representation(a3, RATIONALS))
     assert w is not None and w.is_iso() and w.is_zero()
-    with pytest.raises(FieldMismatchError):
-        qd.iso_witness(Z, qd.zero_representation(a3, PrimeField(7)))
+    for M, N in ((Z, qd.zero_representation(a3, PrimeField(7))),
+                 (qd.projective_at(a3, "2"), qd.projective_at(a3, "2", PrimeField(7)))):
+        with pytest.raises(SemanticError):
+            qd.iso_witness(M, N)
     P2 = qd.projective_at(a3, "2")
     S = qd.direct_sum([qd.simple_at(a3, "1"), qd.simple_at(a3, "2")])[0]
     assert S.dims == P2.dims
@@ -235,9 +237,11 @@ def _unrecorded_sum(reps):
 
 
 def test_right_minimal_version_nilpotent_branch(a3, a3_registry, monkeypatch):
-    # the kernel of the first projection P_1 + P_1 -> P_1 is first reached by
-    # a nilpotent endomorphism outside the radical; the sum carries no record,
-    # since a recorded sum of bricks takes the block route
+    # the first basis solution of f h = 0 for the first projection
+    # P_1 + P_1 -> P_1 is nilpotent, so the scan goes on to a later one that
+    # is not; the sum carries no record, since a recorded sum of bricks
+    # takes the block route.  The same holds over F_2, where the total
+    # dimension 2 leaves End(P_1 + P_1) no trace-form radical
     module = importlib.import_module("quivdet.decompose")  # qd.decompose is the function
     powers = []
     real_power = module._nilpotency_power
@@ -248,16 +252,18 @@ def test_right_minimal_version_nilpotent_branch(a3, a3_registry, monkeypatch):
         return power
 
     monkeypatch.setattr(module, "_nilpotency_power", recording_power)
-    P1 = qd.projective_at(a3, "1")
-    _, projs = _unrecorded_sum([P1, P1])
-    f = projs[0]
-    rm = qd.right_minimal_version(f)
-    assert True in powers
-    assert rm.minimal.is_iso() and rm.minimal.domain.dims == (1, 0, 0)
-    assert rm.split_off.dims == (1, 0, 0)
-    rep = qd.minimal_right_determiner(f, registry=a3_registry, verify=True)
-    assert rep.labels == ()
-    assert rep.oracle.certified
+    for field, registry in ((F, a3_registry), (PrimeField(2), qd.knit(a3, PrimeField(2)))):
+        powers.clear()
+        P1 = qd.projective_at(a3, "1", field)
+        _, projs = _unrecorded_sum([P1, P1])
+        f = projs[0]
+        rm = qd.right_minimal_version(f)
+        assert powers[0] is True and False in powers
+        assert rm.minimal.is_iso() and rm.minimal.domain.dims == (1, 0, 0)
+        assert rm.split_off.dims == (1, 0, 0)
+        rep = qd.minimal_right_determiner(f, registry=registry, verify=True)
+        assert rep.labels == ()
+        assert rep.oracle.certified
 
 
 def test_right_minimal_version_of_zero_map(a3):
@@ -322,10 +328,10 @@ def test_prime_field_decompose():
 
 def test_prime_field_too_small():
     # the trace-form radical needs p > total dimension once dim End > 1;
-    # isomorphism tests never use the trace form, so two presentations of
-    # P_4 over F_3 are found isomorphic.  The loop meets that limit on an
-    # unrecorded sum; the recorded sum of the same bricks takes the block
-    # route, which needs no radical and answers as over the rationals
+    # isomorphism tests and right minimal versions never use the trace
+    # form, so two presentations of P_4 over F_3 are found isomorphic, and
+    # the loop on an unrecorded sum answers as the block route on the
+    # recorded sum of the same bricks does, and as over the rationals
     q = qd.parse_quiver(
         "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
         "arrow a 2 1\narrow b 3 2\narrow c 4 3")
@@ -337,18 +343,20 @@ def test_prime_field_too_small():
             (Mat.from_rows(field, [[2]]), Mat.from_rows(field, [[1]]), Mat.from_rows(field, [[1]])))
         assert qd.is_isomorphic(P4, twisted)
         to_i1 = q.workspace.hom(P4, qd.injective_at(q, "1", field)).basis[0]
+        # P_4 + twisted P_4 has total dimension 8 and a four-dimensional End
+        X, projs = _unrecorded_sum([P4, twisted])
+        assert end_algebra(X).dim == 4
         if field == PrimeField(3):
-            # P_4 + twisted P_4 has total dimension 8 and a four-dimensional End
-            X, projs = _unrecorded_sum([P4, twisted])
-            assert end_algebra(X).dim == 4
             with pytest.raises(FieldTooSmallError) as e:
-                qd.right_minimal_version(to_i1 @ projs[0])
+                end_algebra(X).radical
             assert "rat" in str(e.value)
+        rm = qd.right_minimal_version(to_i1 @ projs[0])
+        answers.append((rm.minimal.domain.dims, rm.split_off.dims))
         X, _, projs = qd.direct_sum([P4, twisted])
         assert X in q.workspace.sums
         rm = qd.right_minimal_version(to_i1 @ projs[0])
         answers.append((rm.minimal.domain.dims, rm.split_off.dims))
-    assert answers[0] == answers[1] == ((1, 1, 1, 1), (1, 1, 1, 1))
+    assert answers == [((1, 1, 1, 1), (1, 1, 1, 1))] * 4
 
 
 def _kronecker():
@@ -557,16 +565,19 @@ def _agreement_domains(q, field, reps, rng):
 
 
 @pytest.mark.parametrize("text, field, cap", [
-    (E6_TEXT, "rat", 5000), (E6_TEXT, "fp:10007", 5000), (D4_TEXT, "rat", 5000),
-    (A5_TEXT, "rat", 5000), (KRONECKER_TEXT, "rat", 8),
-], ids=["e6", "e6-fp10007", "d4", "a5", "kronecker-cap8"])
+    (E6_TEXT, "rat", 5000), (E6_TEXT, "fp:10007", 5000), (E6_TEXT, "fp:2", 5000),
+    (E6_TEXT, "fp:3", 5000), (D4_TEXT, "rat", 5000), (D4_TEXT, "fp:2", 5000),
+    (A5_TEXT, "rat", 5000), (KRONECKER_TEXT, "rat", 8), (KRONECKER_TEXT, "fp:3", 8),
+], ids=["e6", "e6-fp10007", "e6-fp2", "e6-fp3", "d4", "d4-fp2", "a5", "kronecker-cap8",
+        "kronecker-cap8-fp3"])
 def test_block_route_agrees_with_the_loop(text, field, cap, monkeypatch):
     # a recorded sum of bricks reads its right minimal version off the tops
     # of Hom(E, X); on seeded morphisms out of such sums it agrees with the
-    # trace-form loop in the minimal domain, the split-off part and the report
-    # JSON, and its f1 passes the loop's own exit certificate.  Some maps send
-    # two copies of one entry through proportional maps, so that only a
-    # combination of the copies splits off
+    # Fitting loop in the minimal domain, the split-off part and the report
+    # JSON, and its f1 passes the loop's own exit certificate, also over
+    # primes no larger than the total dimension.  Some maps send two copies
+    # of one entry through proportional maps, so that only a combination of
+    # the copies splits off
     module = importlib.import_module("quivdet.decompose")  # qd.decompose is the function
     determiner = importlib.import_module("quivdet.determiner")
     taken = []
@@ -601,7 +612,7 @@ def test_block_route_agrees_with_the_loop(text, field, cap, monkeypatch):
         loop = module._right_minimal_by_powers(f)
         assert block.minimal.domain.dims == loop.minimal.domain.dims
         assert block.split_off.dims == loop.split_off.dims
-        assert module._escaping_solution(block.minimal) is None
+        assert module._non_nilpotent_power(block.minimal) is None
         with monkeypatch.context() as m:
             m.setattr(determiner, "right_minimal_version", module._right_minimal_by_powers)
             want = engine.report(f, verify=True).to_json_dict()
