@@ -1,17 +1,20 @@
 """Krull-Schmidt machinery for quiver representations.
 
 Decomposition works inside the endomorphism algebra E = End(M) and has one
-way to split: a candidate endomorphism phi whose minimal polynomial has two
-or more coprime primary parts gives an exact idempotent e = g(phi) through a
-Bezout combination, and M = ker(e) + im(e).  Both are computed in E's own
-coordinates: one rref of the coordinate columns of 1, phi, phi^2, ... gives
-the minimal polynomial (E acts faithfully on M, so it is that of phi on the
-total space), and e is the same combination of those columns.  When no
-candidate splits, every candidate has minimal polynomial p^k with p
-irreducible, and a field-degree certificate decides indecomposability: if deg p equals dim E/rad(E) for some
-candidate, then k[phi] modulo the radical is a field filling all of E/rad(E),
-so E is local.  Otherwise DecompositionInconclusiveError (FieldTooSmallError
-over F_p) reports that neither a split nor a certificate was found.
+way to split, Fitting's (Auslander-Reiten-Smalo I.2): an endomorphism s of M
+whose image meets its kernel in 0 gives M = im(s) + ker(s).  A candidate
+endomorphism phi whose minimal polynomial mu has two or more coprime primary
+parts gives s = p(phi) for the first part p: with mu = p r and p, r coprime,
+im(s) = ker r(phi) is a complement of ker(s).  mu and s are computed in E's
+own coordinates: one rref of the coordinate columns of 1, phi, phi^2, ...
+gives mu (E acts faithfully on M, so it is that of phi on the total space),
+and s is the combination p of those columns.  When no candidate splits,
+every candidate has minimal polynomial p^k with p irreducible, and a
+field-degree certificate decides indecomposability: if deg p equals
+dim E/rad(E) for some candidate, then k[phi] modulo the radical is a field
+filling all of E/rad(E), so E is local.  Otherwise
+DecompositionInconclusiveError (FieldTooSmallError over F_p) reports that
+neither a split nor a certificate was found.
 
 The radical of a one-dimensional E = k is 0 over every field.  When dim E > 1
 the radical is the kernel of the trace form tr(a b), which is valid over the
@@ -28,7 +31,8 @@ blocks Hom(E, E_b) of the copies b, since every map between non-isomorphic
 indecomposables is radical.  This route works in every characteristic, and
 its certificate asks the same rank of f1, which must be 0 for every class.
 Every other domain, one with no sum record or with a summand that is not a
-brick, takes the Fitting loop, which needs no trace form either.
+brick, takes the Fitting loop, which needs no trace form either: it splits
+off the image of a stable power with the same split as decomposition.
 
 Minimal polynomials are split by a root search in the ground field first:
 rational roots over Q, a full scan over F_p with p <= 4096.  Over F_p with
@@ -60,6 +64,7 @@ from .linalg import (
     Mat,
     PrimeField,
     Subspace,
+    column_space,
     from_columns,
     kernel_basis,
     ratio,
@@ -71,9 +76,9 @@ from .reps import (
     _same_category,
     block_diagonal_sum,
     identity_morphism,
-    image,
     kernel,
     postcompose_matrix,
+    subrepresentation,
 )
 
 
@@ -104,16 +109,6 @@ def _pmul(field, a, b):
         for j, y in enumerate(b):
             if y:
                 out[i + j] = out[i + j] + x * y
-    return _pnormalize(field, out)
-
-
-def _psub(field, a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = out[i] + x
-    for i, x in enumerate(b):
-        out[i] = out[i] - x
     return _pnormalize(field, out)
 
 
@@ -150,22 +145,6 @@ def _pgcd(field, a, b):
         _, r = _pdivmod(field, a, b)
         a, b = b, r
     return _pmonic(field, a)
-
-
-def _pgcdex(field, a, b):
-    """(g, u, v) with u a + v b = g, g monic gcd."""
-    r0, r1 = _pnormalize(field, a), _pnormalize(field, b)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = _pdivmod(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(field, u0, _pmul(field, q, u1))
-        v0, v1 = v1, _psub(field, v0, _pmul(field, q, v1))
-    if not r0:
-        return [], u0, v0
-    inv = field.inv(r0[-1])
-    return tuple(_pnormalize(field, [x * inv for x in f]) for f in (r0, u0, v0))
 
 
 def _peval_scalar(field, p, x):
@@ -357,16 +336,6 @@ def _primary_parts(field, p):
     return _sympy_primary_parts(field, p)
 
 
-def _bezout_idempotent_poly(field, part, rest_parts):
-    """Polynomial e with e = 1 mod part, e = 0 mod the product of the rest."""
-    b = [1]
-    for q in rest_parts:
-        b = _pmul(field, b, q)
-    g, u, v = _pgcdex(field, part, b)
-    invariant(_pdeg(g) == 0, "primary parts were not coprime")
-    return _pmul(field, v, b)
-
-
 # ---------------------------------------------------------------------------
 # endomorphism algebra with its trace-form radical
 
@@ -427,18 +396,17 @@ def end_algebra(M: Representation) -> EndAlgebra:
 # splitting
 
 
-def split_by_idempotent(M: Representation, e: RepMorphism):
-    """M = ker(e) + im(e) for an exact idempotent e; returns both pieces with
-    inclusion and projection morphisms.  ker(e) is im(1 - e), with the same
-    canonical basis, so each projection is the corestriction of 1 - e or e."""
-    K, inclK, projK = image(identity_morphism(M) - e)
-    I, inclI, projI = image(e)
-    invariant(K.total_dim + I.total_dim == M.total_dim,
-              "kernel and image of an idempotent do not fill the module")
-    invariant((projK @ inclK) == identity_morphism(K)
-              and (projI @ inclI) == identity_morphism(I),
-              "summand projections do not split the inclusions")
-    return (K, inclK, projK), (I, inclI, projI)
+def _fitting_split(s: RepMorphism):
+    """(im s, its inclusion) and (ker s, its inclusion) for an endomorphism s
+    of M with M = im(s) + ker(s), each in the canonical basis of column_space
+    and kernel_basis.  Rank-nullity makes the dimensions add up for any s, so
+    the check is that the two meet in 0: [incl_im | incl_ker] has full rank
+    at every vertex."""
+    I, inclI = subrepresentation(s.domain, [column_space(c) for c in s.comps])
+    K, inclK = kernel(s)
+    invariant(all(a.hstack(b).rank() == a.rows for a, b in zip(inclI.comps, inclK.comps)),
+              "the image and the kernel of a splitting endomorphism meet")
+    return (I, inclI), (K, inclK)
 
 
 def _candidate_endos(E: EndAlgebra):
@@ -463,24 +431,12 @@ def _candidate_endos(E: EndAlgebra):
             yield E.hom.from_coordinates(coeffs)
 
 
-def _idempotent_from_candidate(E: EndAlgebra, mu, parts, coords) -> RepMorphism:
-    """g(phi) with g = 1 modulo parts[0] and g = 0 modulo the other parts,
-    formed in End(M) from the coordinates coords of the powers of phi.
-
-    The parts are nonconstant and pairwise coprime with product mu, so mu
-    divides neither g nor g - 1: the idempotent is neither 0 nor 1."""
-    field = E.M.field
-    epoly = _bezout_idempotent_poly(field, parts[0], parts[1:])
-    _, epoly = _pdivmod(field, epoly, mu)
-    e = E.hom.from_coordinates(_poly_coordinates(field, epoly, coords))
-    invariant((e @ e) == e and not e.is_zero() and e != identity_morphism(E.M),
-               "Bezout combination is not a nontrivial idempotent")
-    return e
-
-
 def _split_once(M: Representation) -> RepMorphism | None:
-    """A nontrivial idempotent endomorphism of M, or None when M is certified
-    indecomposable.
+    """An endomorphism s = p(phi) that splits M = im(s) + ker(s) into two
+    nonzero pieces, p the first primary part of the minimal polynomial of a
+    candidate phi, or None when M is certified indecomposable.  The parts
+    are nonconstant, pairwise coprime and of product mu, so s is neither 0
+    nor invertible.
 
     Field-degree certificate: a candidate phi that does not split has
     minimal polynomial p^k with p irreducible.  Its class modulo the radical
@@ -501,7 +457,7 @@ def _split_once(M: Representation) -> RepMorphism | None:
         mu, coords = _power_coordinates(phi)
         parts = _primary_parts(field, mu)
         if len(parts) > 1:
-            return _idempotent_from_candidate(E, mu, parts, coords)
+            return E.hom.from_coordinates(_poly_coordinates(field, parts[0], coords))
         squarefree, _ = _pdivmod(field, mu, _pgcd(field, mu, _pderiv(field, mu)))
         degree = max(degree, _pdeg(squarefree))
         if certifies and degree == E.quotient_dim:
@@ -538,29 +494,37 @@ class DecompositionResult:
 
 
 def _split_or_record(M: Representation) -> RepMorphism | None:
-    """_split_once(M); when that certifies M indecomposable, M is recorded
-    in the workspace's indecomposables."""
-    e = _split_once(M)
-    if e is None:
+    """_split_once(M), the splitting endomorphism; when that certifies M
+    indecomposable, M is recorded in the workspace's indecomposables."""
+    s = _split_once(M)
+    if s is None:
         M.quiver.workspace.indecomposable(M)
-    return e
+    return s
 
 
 def _pieces_of(M: Representation):
+    """The (leaf, inclusion, projection) triples of M: those of im(s), then
+    those of ker(s), for the splitting endomorphism s of _split_or_record.
+    The projections onto the two pieces are the row blocks of the inverse of
+    [incl_im | incl_ker] at each vertex."""
     if M.total_dim == 0:
         return []
     ws = M.quiver.workspace
     known = ws.decompositions.get(M)
     if known is not None:
         return list(known.pieces)
-    e = _split_or_record(M)
-    if e is None:
+    s = _split_or_record(M)
+    if s is None:
         one = identity_morphism(M)
         ws.memo(ws.decompositions, M, lambda: DecompositionResult(M, ((M, one, one),), ((M, 1),)))
         return [(M, one, one)]
-    (K, iK, pK), (I, iI, pI) = split_by_idempotent(M, e)
+    (I, iI), (K, iK) = _fitting_split(s)
+    invariant(I.total_dim > 0 < K.total_dim, "the splitting endomorphism splits off nothing")
+    inverses = [a.hstack(b).inverse() for a, b in zip(iI.comps, iK.comps)]
     out = []
-    for sub, isub, psub in ((K, iK, pK), (I, iI, pI)):
+    for sub, isub, starts in ((I, iI, (0,) * len(M.dims)), (K, iK, I.dims)):
+        psub = RepMorphism(M, sub, tuple(Mat(M.field, d, inv.cols, inv.entries[r:r + d])
+                                         for d, r, inv in zip(sub.dims, starts, inverses)))
         for leaf, i2, p2 in _pieces_of(sub):
             out.append((leaf, isub @ i2, p2 @ psub))
     return out
@@ -659,7 +623,6 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
 class RightMinimalResult:
     minimal: RepMorphism        # f1 : X1 -> Y
     split_off: Representation   # X2 with X = X1 + X2 and f zero on X2
-    inclusion: RepMorphism      # X1 -> X with f . inclusion = f1
 
     @property
     def already_minimal(self) -> bool:
@@ -702,22 +665,18 @@ def _right_minimal_by_powers(f: RepMorphism) -> RightMinimalResult:
     of f h = 0 (Fitting) until every basis solution is nilpotent."""
     X = f.domain
     cur_f = f
-    cur_incl = identity_morphism(X)
     split_parts: list[Representation] = []
     while cur_f.domain.total_dim > 0:
         power = _non_nilpotent_power(cur_f)
         if power is None:
             break
-        K, inclK = kernel(power)
-        I, inclI, _ = image(power)
-        invariant(K.total_dim + I.total_dim == cur_f.domain.total_dim and I.total_dim > 0
-                   and (cur_f @ inclI).is_zero(),
-                   "stable power does not split off a nonzero summand killed by f")
+        (I, inclI), (K, inclK) = _fitting_split(power)
+        invariant(I.total_dim > 0 and (cur_f @ inclI).is_zero(),
+                  "stable power does not split off a nonzero summand killed by f")
         split_parts.append(I)
         cur_f = cur_f @ inclK
-        cur_incl = cur_incl @ inclK
     X2, _ = block_diagonal_sum(split_parts, X.quiver, X.field)
-    return RightMinimalResult(cur_f, X2, cur_incl)
+    return RightMinimalResult(cur_f, X2)
 
 
 def _top_coordinates(hs, starts, copies) -> list[int]:
@@ -777,7 +736,7 @@ def _right_minimal_of_bricks(f: RepMorphism, summands, starts) -> RightMinimalRe
     split = _split_copies(f, summands, starts)
     X2, _ = block_diagonal_sum([summands[b] for b in split], X.quiver, X.field)
     if not split:
-        return RightMinimalResult(f, X2, identity_morphism(X))
+        return RightMinimalResult(f, X2)
     kept = [b for b, E in enumerate(summands) if E.total_dim and b not in split]
     X1, cuts = block_diagonal_sum([summands[b] for b in kept], X.quiver, X.field)
     comps = []
@@ -791,7 +750,7 @@ def _right_minimal_of_bricks(f: RepMorphism, summands, starts) -> RightMinimalRe
     f1 = f @ incl
     invariant(not _split_copies(f1, [summands[b] for b in kept], tuple(zip(*cuts))),
               "a copy splits off the right minimal version")
-    return RightMinimalResult(f1, X2, incl)
+    return RightMinimalResult(f1, X2)
 
 
 def right_minimal_version(f: RepMorphism) -> RightMinimalResult:

@@ -1,6 +1,7 @@
 """Krull-Schmidt decomposition, isomorphism tests, right minimal versions."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import quivdet as qd
 from quivdet.decompose import (
+    _fitting_split,
     _power_coordinates,
     end_algebra,
     indec_iso_witness,
@@ -22,7 +24,12 @@ from quivdet.decompose import (
     _primary_parts,
     _sqrt_mod,
 )
-from quivdet.errors import FieldTooSmallError, NotIndecomposableError, SemanticError
+from quivdet.errors import (
+    FieldTooSmallError,
+    InvariantError,
+    NotIndecomposableError,
+    SemanticError,
+)
 from quivdet.linalg import Mat, PrimeField, RATIONALS, block_diag
 
 F = RATIONALS
@@ -74,6 +81,19 @@ def test_decompose_twisted_sum(a3):
         (U[0] @ M.action[0] @ U[1].inverse(), U[1] @ M.action[1] @ U[2].inverse()))
     d = qd.decompose(twisted)
     assert sorted(leaf.dims for leaf, _ in d.summands) == [(1, 0, 0), (1, 1, 1)]
+
+
+def test_fitting_split_needs_the_image_to_meet_the_kernel_in_zero(a3):
+    # s = (0 1; 0 0) on S_1 + S_1 is nonzero with s^2 = 0, so im s = ker s:
+    # their dimensions add up to dim M as for any map, yet they split nothing
+    M = qd.direct_sum([qd.simple_at(a3, "1"), qd.simple_at(a3, "1")])[0]
+    s = qd.RepMorphism(M, M, (Mat.from_rows(F, [[0, 1], [0, 0]]), Mat.zero(F, 0, 0),
+                              Mat.zero(F, 0, 0)))
+    assert not s.is_zero() and (s @ s).is_zero()
+    with pytest.raises(InvariantError, match="meet"):
+        _fitting_split(s)
+    (I, _), (K, _) = _fitting_split(qd.identity_morphism(M))
+    assert I == M and K.total_dim == 0
 
 
 def test_is_isomorphic_basics(a3):
@@ -780,3 +800,107 @@ def test_package_has_one_f_p_scalar_format():
                  or isinstance(node, ast.Name) and node.id == "FpElement"
                  or isinstance(node, ast.Attribute) and node.attr in ("FpElement", "val")]
         assert not found, f"quivdet.{info.name} has a second F_p format at lines {found}"
+
+
+_A3 = "vertex 1\nvertex 2\nvertex 3\narrow a 2 1\narrow b 3 2"
+_D4 = "vertex c\nvertex 1\nvertex 2\nvertex 3\narrow a 1 c\narrow b 2 c\narrow d 3 c"
+
+
+def _conjugated(M, seed):
+    """M with every vertex space changed by a random invertible matrix."""
+    rng, k = random.Random(seed), M.field
+    gs = []
+    for d in M.dims:
+        g = Mat.zero(k, d, d)
+        while g.rank() < d:
+            g = Mat.from_rows(k, [[rng.randrange(-2, 3) for _ in range(d)] for _ in range(d)], d)
+        gs.append(g)
+    return qd.Representation(M.quiver, k, M.dims, tuple(
+        gs[t] @ m @ gs[s].inverse() for m, (s, t) in zip(M.action, M.quiver.arrow_ends)))
+
+
+def _sum_of(text, field, *summands):
+    q = qd.parse_quiver(text)
+    make = {"P": qd.projective_at, "I": qd.injective_at, "S": qd.simple_at}
+    return qd.direct_sum([make[s[0]](q, s[1:], field) for s in summands])[0]
+
+
+def _split_branches(monkeypatch) -> list:
+    """(branch, characteristic) of each _primary_parts call made from now on
+    that splits its polynomial, the branch being the last of _integer_roots,
+    _quadratic_parts and _sympy_primary_parts that the call ran."""
+    dec = importlib.import_module("quivdet.decompose")
+    stack, seen = [], []
+    primary_parts = dec._primary_parts
+
+    def split(field, p):
+        stack.append([])
+        parts = primary_parts(field, p)
+        ran = stack.pop()
+        if len(parts) > 1:
+            seen.append((ran[-1], field.characteristic))
+        return parts
+
+    def watched(name):
+        real = getattr(dec, name)
+
+        def run(field, p):
+            stack[-1].append(name)
+            return real(field, p)
+        return run
+
+    for name in ("_integer_roots", "_quadratic_parts", "_sympy_primary_parts"):
+        monkeypatch.setattr(dec, name, watched(name))
+    monkeypatch.setattr(dec, "_primary_parts", split)
+    return seen
+
+
+def _pieces_digest(M, N) -> str:
+    """sha256 of decompose(M).pieces and decompose(N).pieces (each leaf's
+    arrow matrices, inclusion and projection) and of iso_witness(M, N)."""
+    def entries(mats):
+        return tuple(tuple(tuple(str(x) for x in row) for row in m.entries) for m in mats)
+
+    h = hashlib.sha256()
+    for X in (M, N):
+        for leaf, incl, proj in qd.decompose(X).pieces:
+            h.update(repr((leaf.dims, entries(leaf.action), entries(incl.comps),
+                           entries(proj.comps))).encode())
+    h.update(repr(entries(qd.iso_witness(M, N).comps)).encode())
+    return h.hexdigest()
+
+
+_F7, _F10007 = PrimeField(7), PrimeField(10007)
+
+
+@pytest.mark.parametrize("build, branch, digest", [
+    (lambda: _sum_of(_A3, F, "P1", "P1", "P3", "S2", "I1"), ("_integer_roots", 0),
+     "389e091d4341c09a6b43d4f9ff754608c841fa95b101e5cff31b5293b36a7236"),
+    (lambda: _sum_of(_D4, F, "Ic", "Ic", "P1", "S2"), ("_integer_roots", 0),
+     "7c1877b4daf84a4c36e352cf3f6079c1dd3905787958adf37578e99913bd3e2c"),
+    (lambda: _companion_rep(_kronecker(), F, [6, 0, -5, 0]), ("_sympy_primary_parts", 0),
+     "c7dc6b70e57edefb039a8a41c3731393a3929d620cd7d136dcff0038312d2543"),
+    (lambda: _sum_of(_A3, _F7, "P1", "P1", "S2", "P2"), ("_integer_roots", 7),
+     "488e69b636fc8b635d2ee9525a284124d57e4139b00870e51f8aa2f4c36f59a4"),
+    (lambda: _companion_rep(_kronecker(), _F7, [-6, 11, -6]), ("_integer_roots", 7),
+     "124cac3a9b59df2a641716e5a8e5410e64c9bc0c9791bf518808e616e9a95831"),
+    (lambda: _companion_rep(_kronecker(), _F10007, [2, -3]), ("_quadratic_parts", 10007),
+     "6fa059c69e2e2b4d3da6e847d9c555c50bf93f33178a5790e54372e03034000b"),
+    (lambda: _companion_rep(_kronecker(), _F10007, [-1, 1, -1]),
+     ("_sympy_primary_parts", 10007),
+     "cfe255da51a601fd3d6bca914c3ce58aee4903338dd6f1c9231376ea77d4a915"),
+], ids=["a3-roots", "d4-roots", "kronecker-sympy", "a3-fp7-scan", "kronecker-fp7-scan",
+        "kronecker-fp10007-quadratic", "kronecker-fp10007-cubic"])
+def test_decomposition_pieces_are_pinned(monkeypatch, build, branch, digest):
+    # each split of decompose, however its endomorphism is found, is part of
+    # the output contract: the summands, inclusions and projections of a
+    # module and of a conjugated copy, and the isomorphism between the two,
+    # are pinned, and each module reaches its branch of _primary_parts: the
+    # rational roots over Q (on sums with repeated summands), sympy over Q on
+    # (I, companion of (x^2 - 2)(x^2 - 3)), the root scan over F_7,
+    # Tonelli-Shanks on a quadratic and sympy on the cubic (x - 1)(x^2 + 1)
+    # over F_10007
+    seen = _split_branches(monkeypatch)
+    M = build()
+    assert _pieces_digest(M, _conjugated(M, 5)) == digest
+    assert set(seen) == {branch}

@@ -1,13 +1,15 @@
 """The package's import layering, read from the source with ``ast``: modules
 import each other at module level in one direction only, and a function
 imports from the package only where a module below needs a class of one
-above it.  The source holds no ``assert`` statement either, and no top-level
-definition that no code of the package names, but for a listed few."""
+above it.  The source holds no ``assert`` statement either, no top-level
+definition that no code of the package names, but for a listed few, and no
+dataclass field that neither the package nor its tests read."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quivdet"
+TESTS = Path(__file__).resolve().parent
 
 
 def _imported_modules(node: ast.AST) -> list[tuple[str, tuple[str, ...]]]:
@@ -132,6 +134,24 @@ def _unreferenced(sources: dict[str, str]) -> set[str]:
             if not any(used == name and id(node) not in inside for used, inside in uses)}
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _unread_fields(defining, reading) -> set[str]:
+    """The fields of the top-level dataclasses in the defining source texts,
+    as "Class.field", whose name no attribute read in the reading source
+    texts names; a field only ever passed to the constructor is dead weight."""
+    fields = [(stmt.name, s.target.id) for text in defining
+              for stmt in ast.parse(text).body
+              if isinstance(stmt, ast.ClassDef) and _is_dataclass(stmt)
+              for s in stmt.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    read = {node.attr for text in reading for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)}
+    return {f"{cls}.{name}" for cls, name in fields if name not in read}
+
+
 # each top-level name or method that no code of the package names, with the
 # reason it stays; perfbench traces or calls some, so they keep their names
 UNREFERENCED = {
@@ -153,7 +173,6 @@ UNREFERENCED = {
     "rad_hom_basis": "public API; the tests check almost-factoring subspaces against it",
     "minimal_right_determiner": "public API, the one-call right determiner",
     "Mat.from_rows": "public API, the matrix of nested rows that the tests build their inputs with",
-    "Mat.inverse": "public API; the tests' changes of basis conjugate by it",
     "DecompositionResult.idempotents": "public API, the splitting idempotents a decomposition certifies",
     "RightMinimalResult.already_minimal": "public API, the report's already_minimal field as a property",
 }
@@ -171,3 +190,9 @@ def test_source_has_no_unreferenced_definitions():
                           "b.py": "from .a import C\nC()\n"}) == {"C.n"}
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert sorted(_unreferenced(sources)) == sorted(UNREFERENCED)
+    # a dataclass field that no code reads, neither the package nor its tests
+    assert _unread_fields(["@dataclass(frozen=True)\nclass R:\n    x: int\n    y: int\n"
+                           "    z = 0\n\n@dataclass\nclass S:\n    w: int\n"],
+                          ["def f(r):\n    return r.x, R(1, y=2)\n"]) == {"R.y", "S.w"}
+    tests = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    assert _unread_fields(sources.values(), [*sources.values(), *tests]) == set()
