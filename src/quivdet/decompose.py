@@ -481,7 +481,6 @@ class DecompositionResult:
     multiplicities; idempotent witnesses are inclusion . projection and are
     mutually orthogonal with sum the identity."""
 
-    rep: Representation
     pieces: tuple
     summands: tuple
 
@@ -516,7 +515,7 @@ def _pieces_of(M: Representation):
     s = _split_or_record(M)
     if s is None:
         one = identity_morphism(M)
-        ws.memo(ws.decompositions, M, lambda: DecompositionResult(M, ((M, one, one),), ((M, 1),)))
+        ws.memo(ws.decompositions, M, lambda: DecompositionResult(((M, one, one),), ((M, 1),)))
         return [(M, one, one)]
     (I, iI), (K, iK) = _fitting_split(s)
     invariant(I.total_dim > 0 < K.total_dim, "the splitting endomorphism splits off nothing")
@@ -532,10 +531,10 @@ def _pieces_of(M: Representation):
 
 def decompose(M: Representation) -> DecompositionResult:
     ws = M.quiver.workspace
-    return ws.memo(ws.decompositions, M, lambda: _grouped(M, tuple(_pieces_of(M))))
+    return ws.memo(ws.decompositions, M, lambda: _grouped(tuple(_pieces_of(M))))
 
 
-def _grouped(M: Representation, pieces) -> DecompositionResult:
+def _grouped(pieces) -> DecompositionResult:
     """The pieces grouped into iso-classes, in order of first appearance."""
     groups: list[list] = []
     for leaf, _, _ in pieces:
@@ -545,7 +544,7 @@ def _grouped(M: Representation, pieces) -> DecompositionResult:
                 break
         else:
             groups.append([leaf])
-    return DecompositionResult(M, pieces, tuple((g[0], len(g)) for g in groups))
+    return DecompositionResult(pieces, tuple((g[0], len(g)) for g in groups))
 
 
 def is_indecomposable(M: Representation) -> bool:
@@ -768,7 +767,7 @@ def right_minimal_version(f: RepMorphism) -> RightMinimalResult:
     X = f.domain
     ws = X.quiver.workspace
     record = ws.sums.get(X)
-    if record is not None and all(ws.hom(E, E).dim == 1 for E in record[0] if E.total_dim):
+    if record is not None and all(ws.hom_dim(E, E) == 1 for E in record[0] if E.total_dim):
         return _right_minimal_of_bricks(f, *record)
     return _right_minimal_by_powers(f)
 

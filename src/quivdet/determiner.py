@@ -246,7 +246,7 @@ class DeterminerEngine:
             own = self.registry.find_iso(Z)
             preds = None
             if own is not None:
-                invariant(self.hom(Z, Z).dim == 1, "a registry entry is not a brick")
+                invariant(self.workspace.hom_dim(Z, Z) == 1, "a registry entry is not a brick")
                 preds = self.registry.predecessors[own]
             elif not is_indecomposable(Z):
                 raise NotIndecomposableError("almost factoring needs an indecomposable object")
@@ -267,7 +267,7 @@ class DeterminerEngine:
 
     def _constrains(self, f: RepMorphism, S: Representation) -> bool:
         """Whether F_S is a proper subspace of Hom(S, Y) != 0, as a source."""
-        dim = self.hom(S, f.codomain).dim
+        dim = self.workspace.hom_dim(S, f.codomain)
         return dim > 0 and self.workspace.factoring_rank(f, S) < dim
 
     def determined_subspace(self, f: RepMorphism, sources, V: Representation) -> Subspace:
@@ -280,9 +280,9 @@ class DeterminerEngine:
         rows: list = []
         with ws.request():
             for S in sources:
-                if self._constrains(f, S) and self.hom(S, V).dim:
+                if self._constrains(f, S) and ws.hom_dim(S, V):
                     rows.extend(ws.memo(ws.constraints, (f, V, S), lambda: self._constraint_rows(f, V, S)))
-            return kernel_of_rows(self.field, self.hom(V, f.codomain).dim, rows)
+            return kernel_of_rows(self.field, ws.hom_dim(V, f.codomain), rows)
 
     def _gaps(self, f: RepMorphism, members):
         """(entry, gap) for each registry entry in order, where gap says
@@ -296,10 +296,10 @@ class DeterminerEngine:
         active = [S for S in members if self._constrains(f, S)]
         for entry in self.registry.entries:
             V = entry.rep
-            dim = self.hom(V, Y).dim
+            dim = ws.hom_dim(V, Y)
             if not dim:
                 yield entry, False
-            elif any(self.hom(S, V).dim for S in active):
+            elif any(ws.hom_dim(S, V) for S in active):
                 fv = ws.factoring_subspace(f, V)
                 wv = self.determined_subspace(f, active, V)
                 invariant(wv.contains(fv), "determined subspace misses the factoring subspace")
@@ -419,17 +419,21 @@ def minimal_right_determiner(f: RepMorphism, registry: IndecRegistry | None = No
 def _record_duals(M: Representation, DM: Representation) -> None:
     """Record on the opposite quiver's workspace what D = DM keeps of M's
     records: D of a recorded sum is the sum of its summands' duals at the
-    same starts, and D of a recorded indecomposable is indecomposable, D
-    being a duality.  Called inside a request on that workspace, so the
-    records go with it."""
+    same starts, D of a recorded indecomposable is indecomposable, D
+    being a duality, and D of an object M's workspace owns (a registry
+    entry, P_x, I_x or a block sum) is owned there, so its Hom spaces with
+    the opposite quiver's own objects are held for the quiver's life.
+    Called inside a request there, so every other record goes with it."""
     ws, ws_op = M.quiver.workspace, DM.quiver.workspace
     pairs = [(M, DM)]
     record = ws.sums.get(M)
     if record is not None:
         duals = tuple(map(dual_representation, record[0]))
         ws_op.summed(DM, duals, record[1])
-        pairs = zip(record[0], duals)
+        pairs.extend(zip(record[0], duals))
     for S, DS in pairs:
+        if S in ws.owned:
+            ws_op.own(DS)
         if S in ws.indecomposables:
             ws_op.indecomposable(DS)
 
@@ -445,7 +449,10 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
     writes there for the request only; the knitted registry stays.  The
     records that D carries over (_record_duals) are written there first, so
     the dual of a sum of registry entries takes the block route of
-    right_minimal_version, and its Hom spaces are read off blocks."""
+    right_minimal_version, and its Hom spaces are read off blocks.  Each
+    side owns the D-images of the other's owned objects, members carried
+    back included, so their Hom spaces with its own objects, those that
+    label_of reads too, are solved once per quiver, not per request."""
     q = f.domain.quiver
     field = f.domain.field
     if registry is not None:
@@ -461,6 +468,8 @@ def minimal_left_determiner(f: RepMorphism, registry: IndecRegistry | None = Non
         members = []
         for m in rep_op.members:
             back = dual_representation(m.rep)
+            if m.rep in fop.domain.quiver.workspace.owned:
+                q.workspace.own(back)
             members.append(DeterminerMember(
                 label=registry.label_of(back),
                 rep=back,

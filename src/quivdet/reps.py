@@ -21,7 +21,8 @@ records is never solved as a whole: a HomSpace of blocks places the
 blocks' canonical rows and generator solutions at the sum's coordinates,
 which keeps them canonical.  On Dynkin type dim Hom(M, N) =
 max(0, <dim M, dim N>) between indecomposables (Ringel, LNM 1099), a
-rule that Workspace.hom alone applies; it holds no zero space it gives.
+rule that the Workspace alone applies; it holds no zero space it gives,
+and Workspace.hom_dim builds none.
 
 Sub- and quotient representations by vertexwise subspaces each come from
 one routine, subrepresentation and quotient_representation, which reads its
@@ -31,8 +32,8 @@ socles, radicals and tops in structure.py) are calls to them.  Direct sums
 likewise come from block_diagonal_sum, which fixes the block layout;
 direct_sum adds the injections and projections for callers that need them.
 block_diagonal_sum records each sum of two or more nonzero summands in the
-workspace.  dual_representation is the transpose over the opposite quiver
-and records nothing.
+workspace and returns a lone nonzero summand itself.  dual_representation
+is the transpose over the opposite quiver and records nothing.
 
 The Workspace, the memo tables of one quiver object, lives here beside the
 solvers it routes every Hom system to and the records they read; the quiver
@@ -660,15 +661,19 @@ def block_diagonal_sum(reps, q: Quiver, field: Field):
     """Block-diagonal sum of representations of q over field, without the
     structure maps; returns (rep, offsets), where summand j occupies the
     coordinates offsets[zi][j] up to offsets[zi][j + 1] at vertex zi (the
-    last entry of each row is the total dimension there).  A sum of two or
-    more nonzero summands is recorded in q's workspace with its summands
-    and where each starts, so its Hom spaces are read off the summands'
-    blocks."""
+    last entry of each row is the total dimension there).  A sum of one
+    nonzero summand is that summand object itself, so lookups by it find
+    its entries with no matrix compared.  A sum of two or more nonzero
+    summands is recorded in q's workspace with its summands and where each
+    starts, so its Hom spaces are read off the summands' blocks."""
     offsets = tuple(tuple(accumulate((r.dims[zi] for r in reps), initial=0))
                     for zi in range(q.n_vertices))
+    nonzero = [r for r in reps if r.total_dim]
+    if len(nonzero) == 1:
+        return nonzero[0], offsets
     action = tuple(block_diag(field, [r.action[ai] for r in reps]) for ai in range(len(q.arrows)))
     total = Representation(q, field, tuple(cut[-1] for cut in offsets), action)
-    if sum(1 for r in reps if r.total_dim) > 1:
+    if nonzero:
         q.workspace.summed(total, tuple(reps), tuple(zip(*offsets)))
     return total, offsets
 
@@ -763,12 +768,14 @@ class Workspace:
 
     Every table is written by one rule, ``_store``.  An entry lives for the
     quiver's life when its key holds no morphism and every representation
-    in it is ``owned`` (the registry entries that knit marks, P_x, I_x and
-    the block sums), or when it was written outside any request.  Every
-    other entry written inside a ``request`` scope lives for that request:
-    kernels, images, split-off sums, duals and their Hom spaces, End
-    algebras, decompositions, path maps, and the oracle's tables keyed by
-    the request morphism go when the outermost scope closes.  ``sums``
+    in it is ``owned`` (the registry entries that knit marks, P_x, I_x, the
+    block sums, and the D-images of the opposite workspace's owned objects
+    that a left request hands over), or when it was written outside any
+    request.  Every other entry written inside a ``request`` scope lives
+    for that request: kernels, images, split-off sums, other duals and
+    their Hom spaces, End algebras, decompositions, path maps, and the
+    oracle's tables keyed by the request morphism go when the outermost
+    scope closes.  ``sums``
     holds each sum weakly, so a sum the caller built outside a request
     takes its record along when it goes.
 
@@ -778,12 +785,14 @@ class Workspace:
     (Ringel, LNM 1099): between two members of ``indecomposables``, a set
     looked up with no iso search, ``hom`` answers a form <= 0 with the zero
     space, unsolved and not held, and checks that a solved space has the
-    form's dimension.  Hom is additive in each argument: ``sums`` records
-    every direct sum of two or more nonzero summands where
-    block_diagonal_sum builds it, with its summands and where each starts.
-    Hom with a recorded sum on either side is put together from the nonzero
-    blocks Hom(M_a, N_b), each asked of ``hom``, so no Hom space of a
-    recorded sum is solved whole.
+    form's dimension; ``hom_dim``, for callers that read only the
+    dimension, answers such a pair with 0 and builds no space.  Hom is
+    additive in each argument: ``sums`` records every direct sum of two or
+    more nonzero summands where block_diagonal_sum builds it, with its
+    summands and where each starts.  Hom with a recorded sum on either
+    side is put together from the nonzero blocks Hom(M_a, N_b), each asked
+    of the same memo, so no Hom space of a recorded sum is solved whole and
+    no zero block is built.
 
     ``presentations`` holds a projective presentation of each P_x and each
     TrD that translate.trd builds.  A map out of such an M is fixed by its
@@ -792,9 +801,9 @@ class Workspace:
     blocks' placed into a recorded sum N; a zero space that it does not
     hold still carries M's presentation, with no solutions.
     Spaces between owned objects live for the quiver's life, so no later
-    request solves them again.  Every other domain (kernels, decomposition
-    pieces, the duals a left request carries to the opposite quiver) takes
-    the commuting squares of hom_basis.  ``factorings`` holds F_Z for
+    request solves them again, owned D-images included.  Every other
+    domain (D-images, kernels, decomposition pieces) takes the commuting
+    squares of hom_basis.  ``factorings`` holds F_Z for
     f: X -> Y, one memo for its dimension, for a presented Z the rank of the
     solutions of Hom(Z, X) sent through f among those of Hom(Z, Y), and for
     the subspace, written out only when read.
@@ -817,13 +826,14 @@ class Workspace:
         # direct sum -> (summands, their starts per vertex), held no longer
         # than the sum itself
         self.sums = weakref.WeakKeyDictionary()
-        self.owned: set = set()         # registry entries, P_x, I_x and block sums
+        self.owned: set = set()         # registry entries, P_x, I_x, block sums, D-images
         self._scope = _Scope()
 
     def own(self, M):
-        """M, recorded as owned: a registry entry, a canonical P_x or I_x, or
-        a block sum.  Entries keyed by owned representations alone live for
-        the quiver's life."""
+        """M, recorded as owned: a registry entry, a canonical P_x or I_x, a
+        block sum, or the D-image of an object the opposite quiver's
+        workspace owns.  Entries keyed by owned representations alone live
+        for the quiver's life."""
         self.owned.add(M)
         return M
 
@@ -965,11 +975,22 @@ class Workspace:
         """Hom(M, N): the held space; else, when the Euler-form rule makes it
         zero, a space of no blocks, not held; else solved (``_solve_hom``),
         checked against the form and held."""
+        hs = self._hom(M, N)
+        return HomSpace(M, N, presentation=self.presentations.get(M)) if hs is None else hs
+
+    def hom_dim(self, M, N) -> int:
+        """dim Hom(M, N), as ``hom`` gives it, with no zero space built."""
+        hs = self._hom(M, N)
+        return 0 if hs is None else hs.dim
+
+    def _hom(self, M, N):
+        """The held Hom(M, N); else None when the Euler-form rule makes it
+        zero; else solved, checked against the form and held."""
         hs = self.homs.get((M, N))
         if hs is None:
             form = self._directed_form(M, N)
             if form is not None and form <= 0:
-                return HomSpace(M, N, presentation=self.presentations.get(M))
+                return None
             hs = self._solve_hom(M, N)
             invariant(form is None or hs.dim == form,
                       "Hom between directed indecomposables differs from the Euler form")
@@ -993,7 +1014,7 @@ class Workspace:
             (ms, mo), (ns, no) = self._blocks(M), self._blocks(N)
             return HomSpace(M, N, presentation=presentation, blocks=[
                 (hs, ma, nb) for A, ma in zip(ms, mo) if A.total_dim for B, nb in zip(ns, no)
-                if B.total_dim for hs in [self.hom(A, B)] if hs.dim])
+                if B.total_dim for hs in [self._hom(A, B)] if hs and hs.dim])
         if presentation is not None:
             return HomSpace(M, N, presentation=presentation, solutions=generator_kernel(M, presentation, N))
         return hom_basis(M, N)

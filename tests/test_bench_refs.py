@@ -18,7 +18,7 @@ import quivdet as qd
 from quivdet.cli import main
 from quivdet.determiner import DeterminerEngine
 from quivdet.formats import load_session
-from quivdet.reps import RepMorphism, Representation
+from quivdet.reps import RepMorphism, Representation, dual_representation
 
 from conftest import _watch_solvers
 
@@ -74,9 +74,10 @@ def test_seed_11_stream_matches_its_pinned_digests():
     assert [_answer(engine, side, f) for side, f in requests] == pinned["digests"]
 
 
-def _kernels_per_request(monkeypatch, seed: int):
+def _solves_per_request(monkeypatch, seed: int):
     """A fresh E6 engine over Q, and for each request of the seed's stream
-    the (M, N) of every generator_kernel call it made, in order."""
+    the (solver, M, N) of every hom_basis and generator_kernel call it
+    made, in order."""
     w = wl.WORKLOADS["corpus-warm"]
     reg = qd.knit(qd.parse_quiver(wl.read_input(w.quiver)), qd.field_from_name(w.field))
     engine = DeterminerEngine(reg)
@@ -86,9 +87,28 @@ def _kernels_per_request(monkeypatch, seed: int):
     for side, f in requests:
         seen.clear()
         _answer(engine, side, f)
-        solved.append([(M, N) for name, M, N in seen if name == "generator_kernel"])
+        solved.append(list(seen))
     monkeypatch.undo()
     return reg, solved
+
+
+def _kernels_per_request(monkeypatch, seed: int):
+    """_solves_per_request, with the (M, N) of the generator_kernel calls
+    alone."""
+    reg, solved = _solves_per_request(monkeypatch, seed)
+    return reg, [[(M, N) for name, M, N in seen if name == "generator_kernel"] for seen in solved]
+
+
+def _solved_again(solved, owned) -> tuple[dict, set]:
+    """The request that first solved each pair of objects for which owned
+    holds, and the pairs that a later request solved again."""
+    first: dict = {}
+    again = set()
+    for i, pairs in enumerate(solved):
+        for pair in set(pairs):
+            if owned(pair[0]) and owned(pair[1]) and first.setdefault(pair, i) != i:
+                again.add(pair)
+    return first, again
 
 
 @pytest.mark.parametrize("seed", [1, 11])
@@ -108,13 +128,25 @@ def test_a_stream_solves_each_pair_of_owned_objects_once(seed, monkeypatch):
     # quiver's life, so over one stream no pair of Q's owned objects is
     # solved in two requests
     reg, solved = _kernels_per_request(monkeypatch, seed)
-    owned = reg.quiver.workspace.owned
-    first: dict = {}
-    again = set()
-    for i, pairs in enumerate(solved):
-        for pair in set(pairs):
-            if pair[0] in owned and pair[1] in owned and first.setdefault(pair, i) != i:
-                again.add(pair)
+    first, again = _solved_again(solved, reg.quiver.workspace.owned.__contains__)
+    assert first and not again
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_a_stream_solves_each_pair_of_owned_opposite_objects_once(seed, monkeypatch):
+    # a left request hands the opposite quiver the D-images of Q's owned
+    # objects, which its workspace owns in turn, so over one stream no pair
+    # of Q^op's registry entries and such D-images is solved in two
+    # requests, by either solver (a D-image has no presentation)
+    reg, solved = _solves_per_request(monkeypatch, seed)
+    q = reg.quiver
+
+    def owned(M):
+        return M.quiver is q.opposite and (M in q.opposite.workspace.owned
+                                           or dual_representation(M) in q.workspace.owned)
+
+    first, again = _solved_again([[(M, N) for _, M, N in seen] for seen in solved], owned)
+    assert any(dual_representation(M) in q.workspace.owned for pair in first for M in pair)
     assert first and not again
 
 
@@ -204,14 +236,18 @@ def _unowned_keys(reg) -> set:
     """(quiver side, table, key) of every workspace entry whose key holds a
     morphism or a representation its workspace does not own, over the
     quiver of reg and its opposite; checks on the way that each workspace
-    owns exactly the entries of reg and of the registries it knitted, its
-    canonical P_x and I_x and its block sums."""
+    owns the entries of reg and of the registries it knitted, its canonical
+    P_x and I_x and its block sums, and besides them only D-images of
+    objects that the other workspace owns, which left requests hand over."""
     q, out = reg.quiver, set()
-    for side, ws in (("Q", q.workspace), ("Qop", q.opposite.workspace)):
+    for side, ws, other in (("Q", q.workspace, q.opposite.workspace),
+                            ("Qop", q.opposite.workspace, q.workspace)):
         registries = [reg, *ws.registries.values()] if ws is q.workspace else ws.registries.values()
-        assert ws.owned == ({e.rep for r in registries for e in r.entries}
-                            | set(ws.canonical.values())
-                            | {bs.rep for bs in ws.block_sums.values()})
+        own = ({e.rep for r in registries for e in r.entries}
+               | set(ws.canonical.values())
+               | {bs.rep for bs in ws.block_sums.values()})
+        assert own <= ws.owned
+        assert all(dual_representation(M) in other.owned for M in ws.owned - own)
         for name, table in vars(ws).items():
             if isinstance(table, (dict, set, WeakKeyDictionary)):
                 out.update((side, name, key) for key in table

@@ -21,6 +21,7 @@ from quivdet.linalg import (
 )
 from quivdet.reps import (
     HomSpace,
+    block_diagonal_sum,
     generator_kernel,
     image,
     postcompose_matrix,
@@ -132,6 +133,29 @@ def test_direct_sum_and_projections(a3):
     for inj, proj, piece in zip(injs, projs, [P1, P1, S3]):
         assert (proj @ inj) == qd.identity_morphism(piece)
     assert qd.direct_sum([], q=a3, field=F)[0].is_zero()
+
+
+def test_a_sum_of_one_nonzero_summand_is_that_summand(a3, a3_registry):
+    # block_diagonal_sum hands back a lone nonzero summand itself and
+    # records no sum; direct_sum still gives the identity maps on it; and a
+    # right minimal version that keeps one brick of a recorded sum has that
+    # registry entry itself as its domain
+    ws = a3.workspace
+    P = qd.projective_at(a3, "1")
+    Z0 = qd.zero_representation(a3, F)
+    records = len(ws.sums)
+    total, offsets = block_diagonal_sum([P, Z0], a3, F)
+    assert total is P and len(ws.sums) == records
+    assert offsets == tuple((0, d, d) for d in P.dims)
+    total, (inj, _), (proj, _) = qd.direct_sum([P, Z0])
+    assert total is P and inj == proj == qd.identity_morphism(P)
+    entries = {e.label: e.rep for e in a3_registry.entries}
+    E, Y = entries["P_2"], entries["I_2"]
+    g = ws.hom(E, Y).basis[0]
+    X, _, (p_E, _) = qd.direct_sum([E, entries["P_1"]])
+    assert X in ws.sums
+    rm = qd.right_minimal_version(g @ p_E)
+    assert rm.minimal.domain is E and rm.split_off.dims == entries["P_1"].dims
 
 
 def test_composition_matrices_are_linear(a3, golden_f):
@@ -267,6 +291,48 @@ def _old_composite_matrix(hs_src, hs_dst, compose):
 
 E6_TEXT = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n"
            "arrow a 1 2\narrow b 2 3\narrow c 4 3\narrow d 5 4\narrow e 6 3")
+
+
+D4_TEXT = "vertex c\nvertex 1\nvertex 2\nvertex 3\narrow a 1 c\narrow b 2 c\narrow d 3 c"
+KRONECKER_TEXT = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2"
+
+
+@pytest.mark.parametrize("text, field, cap", [
+    (E6_TEXT, RATIONALS, 5000), (E6_TEXT, PrimeField(10007), 5000),
+    (D4_TEXT, RATIONALS, 5000), (KRONECKER_TEXT, RATIONALS, 8),
+], ids=["e6", "e6-fp10007", "d4", "kronecker-cap8"])
+def test_hom_dim_reads_hom_and_builds_no_zero_space(text, field, cap, monkeypatch):
+    # for every ordered pair of registry entries, and of recorded two-entry
+    # sums and entries both ways, hom_dim gives the dimension of hom; a pair
+    # the Euler form makes zero builds no HomSpace at all, and any other
+    # builds only spaces that the workspace then holds (off Dynkin type no
+    # pair is such a zero)
+    q = qd.parse_quiver(text)
+    ws = q.workspace
+    reps = [e.rep for e in qd.knit(q, field, cap).entries]
+    sums = [qd.direct_sum([a, b])[0] for a, b in zip(reps, reps[1:] + reps[:1])]
+    assert all(S in ws.sums for S in sums)
+    built = []
+    init = HomSpace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomSpace, "__init__", counted)
+    zeros = 0
+    pairs = ([(M, N) for M in reps for N in reps]
+             + [(S, E) for S in sums for E in reps] + [(E, S) for S in sums for E in reps])
+    for M, N in pairs:
+        built.clear()
+        dim = ws.hom_dim(M, N)
+        if (ws.dynkin and M in ws.indecomposables and N in ws.indecomposables
+                and qd.euler_form(q, M.dims, N.dims) <= 0):
+            zeros += 1
+            assert built == [] and dim == 0
+        assert all(ws.homs.get((hs.domain, hs.codomain)) is hs for hs in built)
+        assert dim == ws.hom(M, N).dim
+    assert (zeros > 0) == ws.dynkin
 
 
 @pytest.mark.parametrize("text, step, field", [
